@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -355,6 +357,24 @@ func TestExperimentTableRendering(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(csv.String()), "\n")) != len(tbl.Rows)+1 {
 		t.Error("CSV row count mismatch")
+	}
+}
+
+// The benchmark harness is a module of its own (ftrmark/go.mod), so
+// `go build ./... && go test ./...` at the root never compiles it —
+// yet it imports repro/internal/... and mirrors engine.Config wiring.
+// Vet and test it from here, so a change that breaks it fails tier-1
+// rather than the benchmark step.
+func TestFtrmarkModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool on the ftrmark module")
+	}
+	for _, sub := range []string{"vet", "test"} {
+		cmd := exec.Command("go", sub, "-C", "ftrmark", "./...")
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("go %s -C ftrmark ./...: %v\n%s", sub, err, out)
+		}
 	}
 }
 

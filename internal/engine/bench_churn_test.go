@@ -31,7 +31,6 @@ func newChurnBenchRunner(tb testing.TB, nodes int) *runner {
 	for p := nodes / 4; p < nodes/4+8; p++ {
 		g.Fail(metric.Point(p))
 	}
-	r.alive = g.AliveCount()
 	return r
 }
 
@@ -48,8 +47,8 @@ func TestStrandHotPathAllocs(t *testing.T) {
 		r.pos[0] = 1 // alive: the resume replays the arrival there
 		r.strand(0, 3, t0)
 		op := c.ops.Pop()
-		r.churnOp(op) // resumeStranded: pushes the replay event
-		r.h.Pop()     // discard it; the loop mechanics are pinned elsewhere
+		r.churnOp(op)              // resumeStranded: pushes the replay event
+		r.shards.shards[0].h.Pop() // discard it; the loop mechanics are pinned elsewhere
 		t0 += 1
 	}
 	cycle() // warm the op queue and event heap

@@ -50,18 +50,18 @@ import (
 // node.
 //
 // Sharding. Churn runs scale across cores: the schedule is fully
-// materialized before the run, so the sharded loop clips every safe-
+// materialized before the run, so the windowed driver clips every safe-
 // horizon window at the next churn-op instant, drains the shards in
 // parallel up to the clip, and applies membership mutations (crashes,
 // joins, link redraws, rumor rounds) sequentially at the barrier under
 // the same ops-before-messages tie rule — byte-identical to the
-// sequential reference at every shard count. Within a window the graph
-// is immutable; the only churn artifact a parallel drain produces is a
-// strand park, deferred as a doneRec and replayed at the barrier in
-// global event order so op sequence numbers match the sequential
-// loop's. The eligibility condition is ProbeTimeout ≥ 1/Capacity (a
+// one-owner run at every shard count. Within a window the graph is
+// immutable; the only churn artifact a parallel drain produces is a
+// strand park, deferred as a doneRec and settled at the barrier in
+// global event order so op sequence numbers come out as under one
+// owner. The eligibility condition is ProbeTimeout ≥ 1/Capacity (a
 // resume must land at or beyond the window horizon); faster probes
-// fall back to the sequential loop (Config.Plan, PlanReasonChurn).
+// run under one owner (Config.Plan, PlanReasonChurn).
 //
 // Hot paths. Strand handling, gossip rounds, and link redraws run
 // allocation-free in steady state, pinned at 0 allocs/op by
@@ -255,7 +255,6 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 		if !r.g.Fail(ev.Node) {
 			return
 		}
-		r.alive--
 		r.out.Crashes++
 		// A dead node neither relays rumors nor counts toward their
 		// convergence; whatever it knew dies with it.
@@ -268,7 +267,6 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 		if !r.g.Revive(ev.Node) {
 			return
 		}
-		r.alive++
 		r.out.Joins++
 		if r.tel != nil {
 			r.tel.Churn(ev.Time, false)
@@ -402,7 +400,7 @@ func (c *churnState) round(r *runner, t float64) {
 			if !ok || q == p {
 				continue
 			}
-			r.serveAt(p, t)
+			r.shards.owner(p).serveAt(r, p, t)
 			sent++
 			for _, ri := range live {
 				c.teach(r, ri, q, t)
@@ -487,7 +485,7 @@ func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 			return
 		}
 		consulted++
-		r.serveAt(q, t)
+		r.shards.owner(q).serveAt(r, q, t)
 		r.out.GossipSends++
 		if r.tel != nil {
 			r.tel.Gossip(t, 1)
@@ -552,17 +550,12 @@ func (c *churnState) drawLink(r *runner, p metric.Point) (metric.Point, bool) {
 // Stranding: in-flight messages at a dying node.
 // ---------------------------------------------------------------------
 
-// pushEvent routes a churn-path event to the live loop: the single
-// sequential heap, or — from barrier-time op application in sharded
-// mode — the owning shard's heap. Always called from sequential code;
-// the destination is the message's current node, which every caller
-// sets before pushing.
+// pushEvent routes an event born outside a drain — a window
+// admission's first arrival, a strand's resumption — to the heap of the
+// node's owner. Always called from sequential code; the destination is the
+// message's current node, which every caller sets before pushing.
 func (r *runner) pushEvent(e event) {
-	if r.sharded != nil {
-		r.sharded.owner(r.pos[e.msg]).h.Push(e)
-		return
-	}
-	r.h.Push(e)
+	r.shards.owner(r.pos[e.msg]).h.Push(e)
 }
 
 // strand parks a message whose arrival found its node dead: no service
@@ -592,18 +585,18 @@ func (r *runner) resumeStranded(m, idx int, t float64) {
 		r.pushEvent(event{time: t, msg: m, idx: idx})
 		return
 	}
-	if r.answering != nil && r.answering[m] {
-		for r.ansAt[m] >= 0 && !r.g.Alive(r.ansPath[m][r.ansAt[m]]) {
-			r.ansAt[m]--
+	if p := r.pitMsgs; p != nil && p.answering[m] {
+		for p.ansAt[m] >= 0 && !r.g.Alive(p.ansPath[m][p.ansAt[m]]) {
+			p.ansAt[m]--
 		}
 		r.out.StrandResumed++
-		if r.ansAt[m] < 0 {
+		if p.ansAt[m] < 0 {
 			// Every remaining relay (the origin included) is dead: the
 			// answer's journey ends here, receipt at the resume instant.
 			r.completeLive(m, t, r.answerResult(m))
 			return
 		}
-		r.pos[m] = r.ansPath[m][r.ansAt[m]]
+		r.pos[m] = p.ansPath[m][p.ansAt[m]]
 		r.pushEvent(event{time: t, msg: m, idx: idx + 1})
 		return
 	}
@@ -617,7 +610,9 @@ func (r *runner) resumeStranded(m, idx int, t float64) {
 // candidates as always.
 func (r *runner) stepWithoutService(m, idx int, t float64) {
 	w := r.walkers[m]
-	r.now = t
+	if r.cong != nil {
+		r.cong.now = t
+	}
 	stepped := w.Step()
 	if r.tel != nil {
 		r.tel.Hop(m, r.pos[m], t, t, t, 0, telemetry.DecisionReroute)
@@ -635,7 +630,7 @@ func (r *runner) stepWithoutService(m, idx int, t float64) {
 		return
 	}
 	r.out.StrandResumed++
-	if r.pit != nil {
+	if r.pitMsgs != nil {
 		// Delivered from the strand: the answer leg spawns as usual, its
 		// generation service at the target.
 		r.spawnAnswer(m, t, res)
@@ -656,11 +651,7 @@ func (r *runner) bornFailed(m int, at float64) {
 	if r.tel != nil {
 		r.tel.Complete(m, at, false, telemetry.ServedNone)
 	}
-	if r.sched.Completed != nil {
-		if next, ok := r.sched.Completed(m, at); ok {
-			r.unlock(next)
-		}
-	}
+	r.release(m, at)
 }
 
 // reattachOrigin finds the entry point for a lookup whose source node

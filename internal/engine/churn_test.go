@@ -370,6 +370,28 @@ func TestChurnGossipConvergesWithoutTraffic(t *testing.T) {
 	}
 }
 
+// TestChurnStaggeredCrashRumor: crash B is born while crash A's gossip
+// rounds are still running. B must converge after its own detection,
+// not be abandoned by a round that runs before it has any knower.
+func TestChurnStaggeredCrashRumor(t *testing.T) {
+	g := testGraph(t, 64, 8, 31, 0)
+	cfg := baseConfig()
+	cfg.Mode = ModeLive
+	cfg.Churn = churnKnobs(
+		failure.ChurnEvent{Time: 0, Kind: failure.ChurnCrash, Node: metric.Point(10)},
+		failure.ChurnEvent{Time: 3.5, Kind: failure.ChurnCrash, Node: metric.Point(40)},
+	)
+	out, err := Run(g, []Message{{From: 0, Key: 32}},
+		Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.RumorsAbandoned != 0 {
+		t.Errorf("second rumor abandoned before detection: converged=%d abandoned=%d",
+			out.RumorsConverged, out.RumorsAbandoned)
+	}
+}
+
 // TestChurnDeadKeyBornFailed: every replica of a key dead at injection
 // is a failed search (empty path, completed at injection), not a
 // configuration error.

@@ -33,7 +33,7 @@
 //	                                  latency, cache Observe,
 //	                                  closed-loop injection
 //
-// # Snapshot mode (Config.Live = false)
+// # Snapshot mode (Config.Mode = ModeSnapshot)
 //
 // Messages route in batches of Config.BatchSize against a congestion
 // signal frozen at the batch boundary, exactly as the pre-engine
@@ -49,7 +49,7 @@
 // known at the boundary, still replay the prefix in a scratch loop to
 // keep the historical estimate bit-exact.)
 //
-// # Live mode (Config.Live = true)
+// # Live mode (Config.Mode = ModeLive and its variants)
 //
 // Every forwarding decision happens at the service that forwards the
 // message, through the resumable route.Walker: the congestion penalty
@@ -60,7 +60,7 @@
 // each node forwards on what it can observe locally at forwarding time
 // — extended to congestion state.
 //
-// With Config.Aggregate on, same-key lookups that meet in a node's
+// Under ModeLiveAggregate, same-key lookups that meet in a node's
 // queue coalesce: a lookup arriving while another lookup for the same
 // key is queued or in service there rides along — it occupies no
 // queue anywhere downstream and completes the instant its carrier
@@ -68,14 +68,14 @@
 // service load on the victim's in-neighbourhood, which is what moves
 // the flood knee past what replication alone buys.
 //
-// The Mode enum names the four mode combinations (ModeSnapshot,
-// ModeLive, ModeLiveAggregate, ModeLivePIT); Config.Mode() resolves
-// the boolean knobs to one, and Config.Plan reports — ahead of Run —
-// which loop a configuration will take and the pinned reason string.
+// Config.Mode selects exactly one of the four disciplines
+// (ModeSnapshot, ModeLive, ModeLiveAggregate, ModeLivePIT), and
+// Config.Plan reports — ahead of Run — how a configuration will be
+// driven and the pinned reason string.
 //
-// # Response path (Config.PIT)
+// # Response path (ModeLivePIT)
 //
-// With Config.PIT on (live mode's third variant), a delivered lookup
+// Under ModeLivePIT (live mode's third variant), a delivered lookup
 // is not the end of the story: the answer travels back. Every request
 // service plants a pending interest for the message's key at the
 // serving node, and the lifecycle of a lookup becomes:
@@ -107,21 +107,41 @@
 // per queue as aggregation does — at the price of charging every
 // delivery its answer's return trip.
 //
-// # Sharded live mode (Config.Shards > 1)
+// # One live loop, two drivers (Config.Shards)
 //
-// The live loop partitions across cores as a conservative
-// parallel discrete-event simulation: nodes split into Shards
-// contiguous regions of the metric space (shardOf), each shard owns a
-// private event heap, and shards advance together through virtual-time
-// windows bounded by the safe horizon W + 1/Capacity — the service
-// time is the lookahead, since any event at t ≥ W spawns its successor
-// no earlier than t + 1/Capacity:
+// The live modes have one set of event handlers (shard.process and the
+// PIT discipline in pit.go) running on *owners*: an owner is a
+// contiguous region of the node set (shardOf), the heap of events
+// addressed to it, and its slice of every per-node table. Pending
+// injections wait in one (time, msg)-ordered heap and enter through one
+// admission function. What differs between execution plans is only the
+// driver — who pops which event when — and what becomes of the side
+// effects whose order is globally visible (completions, aggregation
+// merges, churn strand parks), which every handler hands to
+// shard.effect:
+//
+//   - PlanLiveSequential: one owner holds every node. The driver pops
+//     the next thing in global (time, msg, idx) order — churn op,
+//     injection, or event — and each effect settles at the pop that
+//     caused it (runner.settle). No windows, no deferral, no hand-off.
+//     Because admission happens in event order too, this driver serves
+//     the configurations whose forwarding decisions or admissions read
+//     global mutable state: congestion penalties, depth probes, cache
+//     churn, closed-loop aggregation, fast-probe churn (Config.Plan
+//     names the reason).
+//   - PlanLiveSharded: k owners advance together through virtual-time
+//     windows bounded by the safe horizon W + 1/Capacity — conservative
+//     parallel discrete-event simulation with the service time as
+//     lookahead, since any event at t ≥ W spawns its successor no
+//     earlier than t + 1/Capacity.
+//
+// One window of the k-owner driver:
 //
 //	        W = min over shards (and pending injections)
 //	                       │
 //	                       ▼
 //	  admit: injections with time < W + 1/Capacity,
-//	         sequentially in (time, msg) order
+//	         on one goroutine in (time, msg) order
 //	                       │
 //	                       ▼
 //	┌─ shard 0 ─┐   ┌─ shard 1 ─┐   ┌─ shard k ─┐
@@ -130,23 +150,20 @@
 //	│ horizon   │   │ horizon   │   │ horizon   │    queues only)
 //	└─────┬─────┘   └─────┬─────┘   └─────┬─────┘
 //	      │   outboxes: cross-shard hops  │
-//	      │   done-records: completions   │
+//	      │   done-records: effects       │
 //	      └───────────────┬───────────────┘
 //	                       ▼
-//	  barrier: merge outboxes and replay completions
-//	           in (time, msg, idx) order; fold tallies
+//	  barrier: merge outboxes, then settle the recorded
+//	           effects in (time, msg, idx) order
 //	                       │
 //	                       ▼  next window
 //
 // Cross-shard forwards buffer in per-destination outboxes and are
-// pushed at the barrier; completions, latencies, and aggregation
-// settlements are recorded during the parallel drain and replayed
-// sequentially in the global event order, so every observable byte —
-// loads, latencies in completion order, aggregation bookkeeping, error
-// choice — matches the sequential loop exactly. Configurations whose
-// forwarding decisions read global mutable signals (congestion
-// penalties, depth probes, cache churn, closed-loop aggregation) fall
-// back to the sequential loop; see Config.Shards.
+// pushed at the barrier; effects are recorded during the parallel drain
+// and settled on one goroutine, sorted into the global event order, by
+// the same runner.settle the one-owner driver calls inline — so every
+// observable byte (loads, latencies in completion order, aggregation
+// bookkeeping, error choice) is the same under both drivers.
 //
 // Churn rides the same window machinery by becoming part of the
 // barrier: the churn schedule is materialized before the run, so each
@@ -154,7 +171,7 @@
 // membership mutation applies between drains, where one goroutine owns
 // everything:
 //
-//	  churn ops due at the window start W apply sequentially
+//	  churn ops due at the window start W apply on one goroutine
 //	  (crash/join, link redraws, rumor rounds, strand resumes)
 //	                       │
 //	                       ▼
@@ -169,16 +186,16 @@
 //	      │  as strand records            │
 //	      └───────────────┬───────────────┘
 //	                       ▼
-//	  barrier: replay completions and strand parks in
+//	  barrier: settle completions and strand parks in
 //	           (time, msg, idx) order — op seq numbers
-//	           assigned exactly as the sequential loop's
+//	           assigned exactly as under one owner
 //	                       │
 //	                       ▼  next window
 //
 // Gossip sends and rumor-round events route to the owning shard's
 // heap, and a strand's probe-timeout resume lands at or beyond the
 // horizon because eligibility requires ProbeTimeout ≥ 1/Capacity
-// (Config.Plan; faster probes fall back with PlanReasonChurn).
+// (Config.Plan; faster probes run under one owner, PlanReasonChurn).
 //
 // # Node dynamics (Config.Churn)
 //
@@ -204,20 +221,25 @@
 // lookahead; see churn.go for the full mechanics and internal/failure
 // for the schedule model.
 //
-// Determinism: both modes are pure functions of (graph, messages,
+// Determinism: every mode is a pure function of (graph, messages,
 // schedule, config, root source). Snapshot mode parallelizes path
-// computation but keys every message to its own derived rng stream;
-// the live loop runs sequentially at Shards = 1 and partitioned as
-// above at higher counts. Either way, results are byte-identical for
-// every Config.Workers and Config.Shards value.
+// computation but keys every message to its own derived rng stream.
+// The live loop's handlers see the same state in the same per-node
+// order under either driver, and everything order-sensitive across
+// nodes goes through runner.settle in global event order — inline with
+// one owner, at the barrier with several. Results are byte-identical
+// for every Config.Workers and Config.Shards value; the shard-invariance
+// tests compare the two drivers, and the goldens in internal/regress,
+// the standalone replay specification and TestLiveMatchesSnapshotPlain
+// pin the handler bodies themselves.
 //
 // Observability: a telemetry.Recorder (Config.Telemetry) hooks the
-// loops at their sequential choke points — injection admission,
-// completion/merge bookkeeping, and cache-churn polling all run from
-// sequential code in every mode — plus the per-event service and hop
-// records, which the sharded loop routes through per-shard
-// telemetry.View values (one writer each, folded at EndRun) and the
-// barrier profiles with wall-clock drain/wait splits. The recorder
+// loops at their single-goroutine choke points — injection admission,
+// completion/merge settlement, and cache-churn polling run on one
+// goroutine under every plan — plus the per-event service, hop and PIT
+// records, which the live handlers write through their owner's
+// telemetry.View (one writer each, folded at EndRun) and the windowed
+// driver profiles with wall-clock drain/wait splits. The recorder
 // never feeds back into routing, consumes no simulation randomness,
 // and keys its window timeseries to virtual time, so outcomes and the
 // virtual-time telemetry stream are byte-identical at every shard

@@ -32,7 +32,7 @@ type Config struct {
 	Capacity float64
 	// Workers bounds the goroutines snapshot mode spreads one routing
 	// batch across (routeRange); it has no other effect anywhere.
-	// Live mode — sequential or sharded — computes one hop per
+	// Live mode — under either driver — computes one hop per
 	// service, so there are no whole-path routing batches to spread,
 	// and it ignores Workers entirely: live parallelism comes from
 	// Shards. Must be at least 1 (the caller owns defaulting), and
@@ -40,18 +40,19 @@ type Config struct {
 	Workers int
 	// Shards partitions live mode's event loop across cores: the node
 	// set splits into Shards contiguous regions of the space's point
-	// order, each with its own event heap, advancing in lockstep
-	// virtual-time windows of length 1/Capacity — the safe horizon
-	// under which no event can affect another shard's same-window
-	// decisions (see shard.go). Results are byte-identical for every
-	// value; 1 is the sequential reference mode. Sharding applies only
-	// to live configurations whose forwarding decisions are
+	// order, each owned by a shard with its own event heap, advancing in
+	// lockstep virtual-time windows of length 1/Capacity — the safe
+	// horizon under which no event can affect another shard's
+	// same-window decisions (see shard.go). Results are byte-identical
+	// for every value; at 1 a single owner holds every node and runs the
+	// same handlers in global event order, with no windows. Sharding
+	// applies only to live configurations whose forwarding decisions are
 	// message-local: congestion feedback (Penalty, DepthPenalty, or a
 	// caller-supplied Route.Congestion) and cache-on-path placements
 	// read global live state at every hop, and closed-loop schedules
 	// under ModeLiveAggregate can unlock past-time injections, so those
-	// runs use the sequential loop whatever Shards says. The resolution
-	// is not silent: Config.Plan reports the loop a run will use and
+	// runs get one owner whatever Shards says. The resolution is not
+	// silent: Config.Plan reports the loop a run will use and
 	// the pinned reason, and every Outcome carries the pair. Snapshot
 	// mode ignores Shards. Must be at least 1, and at most the node
 	// count in live mode.
@@ -93,8 +94,8 @@ type Config struct {
 	// runs shard: membership mutations apply only at window barriers,
 	// with each window clipped at the next churn-op instant — provided
 	// ProbeTimeout is at least the service time 1/Capacity, so strand
-	// resumptions land beyond the window horizon; faster probes fall
-	// back to the sequential loop (Config.Plan, PlanReasonChurn).
+	// resumptions land beyond the window horizon; faster probes run
+	// under one owner (Config.Plan, PlanReasonChurn).
 	Churn ChurnConfig
 	// Placement, when non-nil, replicates every key: messages route to
 	// the nearest live member of Placement.Targets(key). Cache-on-path
@@ -227,9 +228,10 @@ type Outcome struct {
 // historical per-message stream contract — so a snapshot-mode run
 // reproduces the pre-engine route-then-replay pipeline byte-for-byte
 // and is independent of cfg.Workers; a live run is deterministic in
-// (g, msgs, sched, cfg, root) and independent of cfg.Shards: the
-// sharded loop replays every globally-ordered side effect in the
-// sequential loop's exact (time, msg, idx) event order (see shard.go).
+// (g, msgs, sched, cfg, root) and independent of cfg.Shards: with
+// several owners every globally-ordered side effect settles at the
+// window barrier in exactly the (time, msg, idx) event order one owner
+// produces it in (see shard.go).
 func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -237,24 +239,27 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	if cfg.Mode.Live() && cfg.Shards > g.Size() {
 		return nil, fmt.Errorf("engine: shards %d exceed the node count %d", cfg.Shards, g.Size())
 	}
-	r := newRunner(g, msgs, sched, cfg, root)
-	plan, reason := cfg.Plan(sched)
-	r.out.Plan, r.out.PlanReason = plan, reason
-	var started time.Time
-	if r.tel != nil {
-		r.tel.BeginRun(cfg.Capacity, len(msgs))
-		started = time.Now()
+	if cfg.Telemetry != nil {
+		// Before newRunner: the owners take their recorder views of this
+		// run as they are built.
+		cfg.Telemetry.BeginRun(cfg.Capacity, len(msgs))
 	}
-	switch plan {
+	r := newRunner(g, msgs, sched, cfg, root)
+	started := time.Now()
+	switch r.out.Plan {
 	case PlanLiveSharded:
-		r.runSharded()
+		r.runWindows()
 	case PlanLiveSequential:
-		r.runLive()
+		for r.err == nil && r.step() {
+		}
 	default:
 		r.runSnapshot()
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if r.shards != nil {
+		r.shards.fold(r.out)
 	}
 	if r.tel != nil {
 		r.tel.EndRun(time.Since(started).Seconds(), r.out.Services)

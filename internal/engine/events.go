@@ -19,9 +19,9 @@ type Injection struct {
 // finished, delivered or not — and returns the injection that
 // completion unlocks, if any; the returned time must not precede the
 // completion time. Both fields are consumed only from sequential
-// event-loop code: the sharded live loop consults them at admission
-// and during the barrier's ordered replay, never from a parallel
-// drain.
+// event-loop code, in global event order: with several owners, at
+// admission and when the barrier settles completions, never from a
+// parallel drain.
 type Schedule struct {
 	Initial   []Injection
 	Completed func(msg int, at float64) (Injection, bool)
@@ -83,6 +83,22 @@ func (q *nodeQueue) depthAt(t float64) int {
 		q.head = 0
 	}
 	return len(q.finish) - q.head
+}
+
+// serve runs one FIFO service for an arrival at time at: the message
+// waits for the server to free up, holds it for serviceTime ticks, and
+// is counted in the queue's depth (itself included) from arrival to
+// finish.
+func (q *nodeQueue) serve(at, serviceTime float64) (start, finish float64, depth int) {
+	depth = q.depthAt(at) + 1
+	start = at
+	if q.busyUntil > start {
+		start = q.busyUntil
+	}
+	finish = start + serviceTime
+	q.busyUntil = finish
+	q.finish = append(q.finish, finish)
+	return start, finish, depth
 }
 
 // replayMsg is one pre-routed message entering a scratch replay: an

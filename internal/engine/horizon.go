@@ -1,19 +1,14 @@
 package engine
 
-import (
-	"repro/internal/mathx"
-	"repro/internal/route"
-)
-
-// This file is the sequential half of the sharded live loop (shard.go
-// has the model overview and the parallel half): the window
-// coordinator and the admission pass that turns pending injections
-// into walkers and first-arrival events. The eligibility gate is
-// Config.Plan (mode.go): Run dispatches here only when the plan
-// resolved to PlanLiveSharded.
+// This file is the two drivers of the live loop. Both run the same
+// handlers (shard.go, pit.go) over the same state and admit injections
+// through the same runner.admit; they differ only in who pops which
+// event when. Config.Plan (mode.go) picks one: Run dispatches to
+// runWindows when the plan resolved to PlanLiveSharded, to step
+// otherwise.
 
 // injectionLess orders pending injections by (time, msg) — the order
-// the sequential loop pops their idx-0 events in, since no message is
+// of the (time, msg, 0) first arrivals they become, since no message is
 // injected twice.
 func injectionLess(a, b Injection) bool {
 	if a.Time != b.Time {
@@ -22,37 +17,80 @@ func injectionLess(a, b Injection) bool {
 	return a.Msg < b.Msg
 }
 
-// runSharded drives the partitioned live loop: pick the earliest
-// pending instant, admit every injection below that window's horizon,
-// drain all shards in parallel below it, then barrier. The horizon is
-// one service time past the window start — the engine's lookahead:
-// every successor of a processed event finishes at least one service
-// time later, so nothing processed this window can add same-window
-// work anywhere, and every injection a completion unlocks belongs to
-// a later window too (completion times are successor finish times).
+// step advances a one-owner run by the next thing in global event
+// order — a churn op, an injection, or an event — and reports false
+// once nothing is left. An injection is admitted exactly when its first
+// arrival (time, msg, 0) would be the next event, so walker creation,
+// placement lookups and the decay cadence read the state of that
+// instant — which is what lets this driver serve the configurations
+// whose admissions read state that events mutate (congestion feedback,
+// cache-on-path, closed-loop aggregation, fast-probe churn). Churn ops
+// win ties, so a message event at t sees the graph and membership state
+// as of t, and the loop runs until both traffic and gossip quiesce.
+func (r *runner) step() bool {
+	sh := r.shards.shards[0]
+	due, busy := r.pend.Len() > 0, sh.h.Len() > 0
+	var t float64
+	if busy {
+		t = sh.h.Peek().time
+	}
+	if due {
+		inj := r.pend.Peek()
+		due = !busy || eventLess(event{time: inj.Time, msg: inj.Msg}, sh.h.Peek())
+		if due {
+			t = inj.Time
+		}
+	}
+	switch {
+	case r.churn.nextOpBefore(t, !due && !busy):
+		r.churnOp(r.churn.ops.Pop())
+	case due:
+		// The first arrival is by construction the next event — it
+		// precedes the heap's top and admission scheduled nothing else —
+		// so it is processed without a round trip through the heap.
+		if a, ok := r.admit(r.pend.Pop()); ok {
+			sh.process(r, a)
+		}
+	case busy:
+		sh.process(r, sh.h.Pop())
+	default:
+		return false
+	}
+	return true
+}
+
+// runWindows drives k owners: pick the earliest pending instant, admit
+// every injection below that window's horizon, drain all shards in
+// parallel below it, then barrier. The horizon is one service time past
+// the window start — the engine's lookahead: every successor of a
+// processed event finishes at least one service time later, so nothing
+// processed this window can add same-window work anywhere, and every
+// injection a completion unlocks belongs to a later window too
+// (completion times are successor finish times).
+//
+// Admitting a window's injections ahead of its events is the one
+// scheduling difference from step, and it is unobservable: for a
+// shardable configuration walker creation is a pure function of the
+// graph, the placement, and the message (no congestion signal, no cache
+// churn), consumes no rng, and touches no queue state. Born-delivered
+// lookups complete on the spot; their closed-loop successors can land
+// back under the horizon (a think time of zero re-injects at the same
+// instant), so admission keeps consuming r.pend until it clears the
+// window.
 //
 // With churn attached the membership layer becomes a window barrier:
 // churn ops due at or before the window start apply here, sequentially,
-// before any admission or drain (ops win ties, so an event at w sees
-// the world as of w — the same tie rule the sequential drain pins), and
-// the horizon is clipped at the next pending op instant, so the graph
-// and membership state are immutable while the shards drain. The one
-// op kind born during a drain — a strand's probe-timeout resumption —
-// is deferred as a doneRec and replayed at the barrier in global event
-// order, and lands at t + ProbeTimeout ≥ horizon by the eligibility
-// gate (Config.Plan requires ProbeTimeout ≥ the lookahead), so it
-// never belongs to the window that created it.
-func (r *runner) runSharded() {
-	cfg := r.cfg
-	ropt := cfg.Route
-	ropt.TracePath = true
-	r.router = route.New(r.g, ropt)
-	r.pend = mathx.NewHeap(injectionLess, len(r.sched.Initial))
-	for _, inj := range r.sched.Initial {
-		r.pend.Push(inj)
-	}
-	s := newShardSet(r)
-	r.sharded = s
+// before any admission or drain (ops win ties, as in step), and the
+// horizon is clipped at the next pending op instant, so the graph and
+// membership state are immutable while the shards drain — and an
+// admitted walker reads exactly the graph step's in-order admission
+// would have. The one op kind born during a drain — a strand's
+// probe-timeout resumption — is deferred and settled at the barrier in
+// global event order, and lands at t + ProbeTimeout ≥ horizon by the
+// eligibility gate (Config.Plan requires ProbeTimeout ≥ the lookahead),
+// so it never belongs to the window that created it.
+func (r *runner) runWindows() {
+	s := r.shards
 	for r.err == nil {
 		w, ok := s.nextTime(r)
 		if !ok {
@@ -62,13 +100,9 @@ func (r *runner) runSharded() {
 			// Barrier-time membership mutation: crashes, joins, link
 			// redraws, rumor rounds, and strand resumptions due at or
 			// before the window start run now, on one goroutine, against
-			// quiescent shard heaps. Events they push route to the owning
-			// shard (runner.pushEvent) and carry time ≥ w.
+			// quiescent shard heaps. Events they push carry time ≥ w.
 			for r.churn.ops.Len() > 0 && r.churn.ops.Peek().time <= w {
 				r.churnOp(r.churn.ops.Pop())
-				if r.err != nil {
-					return
-				}
 			}
 		}
 		horizon := w + r.serviceTime
@@ -78,78 +112,15 @@ func (r *runner) runSharded() {
 			// at the next window's start under the ops-first tie rule.
 			horizon = r.churn.ops.Peek().time
 		}
-		if r.admitWindow(s, horizon); r.err != nil {
+		for r.err == nil && r.pend.Len() > 0 && r.pend.Peek().Time < horizon {
+			if a, ok := r.admit(r.pend.Pop()); ok {
+				r.pushEvent(a)
+			}
+		}
+		if r.err != nil {
 			return
 		}
 		s.drainWindow(r, horizon)
 		s.barrier(r)
-	}
-}
-
-// admitWindow processes pending injections below the horizon in
-// (time, msg) order: the walker is created here — sequentially, so
-// placement lookups and the per-message rng streams behave exactly as
-// in the sequential loop — and the first-arrival event goes to the
-// origin's shard. Born-delivered lookups complete on the spot; their
-// closed-loop successors can land back under the horizon (a think
-// time of zero re-injects at the same instant), so the loop keeps
-// consuming the pending heap until it clears the window.
-//
-// Creating walkers at admission rather than at the event pop is the
-// one scheduling difference from the sequential loop, and it is
-// unobservable: for a shardable configuration walker creation is a
-// pure function of the graph, the placement, and the message (no
-// congestion signal, no cache churn), consumes no rng, and touches no
-// queue state. That argument survives churn because membership only
-// mutates between windows — every churn op at or below the window
-// start has applied before admission, and none is pending below the
-// horizon — so the graph an admitted walker reads is exactly the graph
-// the sequential loop's pop would have read.
-func (r *runner) admitWindow(s *shardSet, horizon float64) {
-	for r.pend.Len() > 0 && r.pend.Peek().Time < horizon {
-		inj := r.pend.Pop()
-		msg := inj.Msg
-		r.inject[msg] = inj.Time
-		r.out.Injected++
-		if inj.Time > r.out.LastInject {
-			r.out.LastInject = inj.Time
-		}
-		if r.tel != nil {
-			r.tel.Inject(msg, inj.Time, r.msgs[msg].From, r.msgs[msg].Key)
-		}
-		r.injected++
-		from := r.msgs[msg].From
-		if r.churn != nil && !r.g.Alive(from) {
-			// The source died before this lookup was injected: the client
-			// behind the dead portal enters at the nearest alive node.
-			// Membership is frozen for the whole window, so resolving this
-			// at admission matches the sequential loop's pop-time answer.
-			p, ok := r.reattachOrigin(from)
-			if !ok {
-				r.err = errExtinct
-				return
-			}
-			from = p
-		}
-		w, err := r.router.Walker(r.root.Derive(16+uint64(msg)), from, r.targetsFor(msg))
-		if err != nil {
-			if r.churn != nil {
-				// Born unroutable — every replica of its key dead at this
-				// instant. A failed search, not a configuration error.
-				r.bornFailed(msg, inj.Time)
-				continue
-			}
-			r.err = err
-			return
-		}
-		r.walkers[msg] = w
-		if w.Done() {
-			// Born delivered: completes at its injection instant without
-			// entering a queue; the successor it unlocks joins r.pend.
-			r.completeBorn(msg, inj.Time)
-			continue
-		}
-		r.pos[msg] = w.At()
-		s.owner(w.At()).h.Push(event{time: inj.Time, msg: msg, idx: 0})
 	}
 }

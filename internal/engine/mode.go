@@ -72,10 +72,12 @@ type ExecutionPlan uint8
 const (
 	// PlanSnapshot: the batched route-then-replay pipeline.
 	PlanSnapshot ExecutionPlan = iota
-	// PlanLiveSequential: the single event heap, one goroutine.
+	// PlanLiveSequential: one owner of every node — a single event
+	// heap popped in global event order on one goroutine.
 	PlanLiveSequential
-	// PlanLiveSharded: per-core event heaps over contiguous node
-	// regions, synchronized in conservative virtual-time windows.
+	// PlanLiveSharded: the same handlers on per-core owners of
+	// contiguous node regions, synchronized in conservative
+	// virtual-time windows.
 	PlanLiveSharded
 )
 

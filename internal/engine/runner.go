@@ -27,10 +27,10 @@ type aggEntry struct {
 	finish float64
 }
 
-// runner is one engine run's mutable state: a single event loop whose
-// events both modes share, plus the per-mode message representation
-// (precomputed paths in snapshot mode, in-flight walkers in live
-// mode).
+// runner is one engine run's mutable state: what every mode shares,
+// the per-message live state, and one nil-able struct per discipline
+// (snapshot, congestion feedback, aggregation, PIT, churn) so a run
+// carries only the state its configuration uses.
 type runner struct {
 	g     *graph.Graph
 	msgs  []Message
@@ -41,7 +41,6 @@ type runner struct {
 	err   error
 
 	serviceTime float64
-	h           *mathx.Heap[event]
 	queues      []nodeQueue
 	inject      []float64
 
@@ -57,10 +56,39 @@ type runner struct {
 	seenPromos int
 	seenEvicts int
 
-	// Snapshot mode: forwarder paths of routed messages, the routed
-	// frontier, each message's schedule entries (sched.Initial bucketed
-	// by Msg, preserving order), and closed-loop injections unlocked
-	// before their message was routed (admitted when its batch routes).
+	// snap is the snapshot pipeline's state (nil in the live modes).
+	snap *snapshotState
+
+	// Live modes: one walker per in-flight message, its current node,
+	// and its completion time (-1 while in flight); the injections not
+	// yet admitted, ordered by (time, msg); how many were admitted so
+	// far (the live decay cadence); and the owners of the node set,
+	// whose heaps hold every pending event (shard.go).
+	router   *route.Router
+	walkers  []*route.Walker
+	pos      []metric.Point
+	doneAt   []float64
+	pend     *mathx.Heap[Injection]
+	injected int
+	shards   *shardSet
+
+	// Per-discipline live state, nil unless the configuration has it:
+	// the congestion signal (Penalty/DepthPenalty), the per-message
+	// halves of aggregation and PIT (the per-node halves live on the
+	// owning shard), and node dynamics (churn.go).
+	cong    *congestion
+	aggMsgs *aggMsgState
+	pitMsgs *pitMsgState
+	churn   *churnState
+}
+
+// snapshotState is the route-then-replay pipeline's state: its event
+// heap, the forwarder paths of routed messages, the routed frontier,
+// each message's schedule entries (sched.Initial bucketed by Msg,
+// preserving order), and closed-loop injections unlocked before their
+// message was routed (admitted when its batch routes).
+type snapshotState struct {
+	h          *mathx.Heap[event]
 	paths      [][]metric.Point
 	delivered  []bool
 	routed     int
@@ -73,45 +101,37 @@ type runner struct {
 	// the open-loop shape under which depth probes can read the live
 	// loop frontier instead of replaying the prefix.
 	fullyPrimed bool
+}
 
-	// Live mode: one walker per in-flight message, its current node,
-	// and the instant of the decision being made (read by the live
-	// congestion closure).
-	router   *route.Router
-	walkers  []*route.Walker
-	pos      []metric.Point
-	now      float64
-	injected int       // injection events popped, the live decay cadence
-	doneAt   []float64 // completion time per message, -1 while in flight
+// congestion is the live congestion signal's state: services charged
+// so far, per node and in total, and the instant of the forwarding
+// decision being made (read by the closure newRunner installs).
+// Maintained only when Penalty or DepthPenalty is positive — such runs
+// have one owner (Config.Plan), so nothing here is shared.
+type congestion struct {
+	charged []int
+	total   int
+	now     float64
+}
 
-	// Live congestion signal: services charged so far, per node and in
-	// total (snapshot mode charges at routing time instead).
-	charged      []int
-	totalCharged int
-	alive        int
-
-	// Live aggregation state.
-	agg       map[aggKey]aggEntry
+// aggMsgState is live aggregation's per-message state: the lookups
+// riding on each carrier, and who merged.
+type aggMsgState struct {
 	followers [][]int
 	merged    []bool
+}
 
-	// Live PIT state (ModeLivePIT, sequential loop; shards carry their
-	// own twins — see pit.go). pit maps (node, key) to the pending
-	// interest planted by the last request service there. pitWait maps a
-	// suppressed message to the suppression count its valid timeout
-	// event carries: a popped timeout with a stale count is superseded
-	// and ignored. waits counts suppressions per message (monotone),
-	// waitIdx remembers the event idx the message was suppressed at, so
-	// its release or re-forward continues the idx sequence past every
-	// event already pushed. expiredOnce flips when a message's wait
-	// expires: a lookup that already sat out one interest lifetime is
-	// never suppressed again, so chained strandings cannot stack
-	// timeouts — the protocol's worst lawful wait is one lifetime per
-	// lookup. answering flips when a message starts its answer leg;
-	// ansPath/ansAt/ansTarget hold the reverse path, the index of the
-	// next node to service, and the delivery target the answer reports.
-	pit         map[aggKey]*pitEntry
-	pitWait     map[int]int
+// pitMsgState is ModeLivePIT's per-message state (pit.go). waits counts
+// suppressions per message (monotone), waitIdx remembers the event idx
+// the message was suppressed at, so its release or re-forward continues
+// the idx sequence past every event already pushed. expiredOnce flips
+// when a message's wait expires: a lookup that already sat out one
+// interest lifetime is never suppressed again, so chained strandings
+// cannot stack timeouts — the protocol's worst lawful wait is one
+// lifetime per lookup. answering flips when a message starts its answer
+// leg; ansPath/ansAt/ansTarget hold the reverse path, the index of the
+// next node to service, and the delivery target the answer reports.
+type pitMsgState struct {
 	waits       []int
 	waitIdx     []int
 	expiredOnce []bool
@@ -119,17 +139,6 @@ type runner struct {
 	ansAt       []int
 	ansPath     [][]metric.Point
 	ansTarget   []metric.Point
-
-	// Sharded live mode: injections waiting for a window to admit them
-	// (nil in the sequential modes — unlock routes around it), and the
-	// shard set itself, so barrier-time churn code can push events to
-	// the owning shard's heap (runner.pushEvent). See horizon.go.
-	pend    *mathx.Heap[Injection]
-	sharded *shardSet
-
-	// Node dynamics (Config.Churn enabled; nil otherwise — every churn
-	// site checks). See churn.go.
-	churn *churnState
 }
 
 func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) *runner {
@@ -142,7 +151,6 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		root:        root,
 		tel:         cfg.Telemetry,
 		serviceTime: 1 / cfg.Capacity,
-		h:           newEventHeap(n),
 		queues:      make([]nodeQueue, g.Size()),
 		inject:      make([]float64, n),
 		out: &Outcome{
@@ -150,55 +158,88 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 			Loads:   make([]int, g.Size()),
 		},
 	}
+	r.out.Plan, r.out.PlanReason = cfg.Plan(sched)
 	if cfg.Placement != nil {
 		r.caching = cfg.Placement.Caching()
 		r.decaying = cfg.Placement.Decaying()
 	}
-	if cfg.Mode.Live() && cfg.Churn.Enabled() {
+	if !cfg.Mode.Live() {
+		s := &snapshotState{
+			h:          newEventHeap(n),
+			paths:      make([][]metric.Point, n),
+			delivered:  make([]bool, n),
+			initialFor: make([][]Injection, n),
+			pendingAt:  make([]float64, n),
+			hasPending: make([]bool, n),
+		}
+		for _, inj := range sched.Initial {
+			if inj.Msg >= 0 && inj.Msg < n {
+				s.initialFor[inj.Msg] = append(s.initialFor[inj.Msg], inj)
+			}
+		}
+		s.fullyPrimed = fullyPrimed(sched.Initial, n)
+		r.snap = s
+		return r
+	}
+	if cfg.Churn.Enabled() {
 		// Stream 5 of the run's root is the churn layer's randomness
 		// (gossip peer draws, repair link redraws); streams 16+i stay the
 		// per-message routing contract, so a schedule with zero events
 		// consumes nothing and perturbs nothing.
 		r.churn = newChurnState(g, cfg.Churn, root.Derive(5))
 	}
-	if cfg.Mode.Live() {
-		r.walkers = make([]*route.Walker, n)
-		r.pos = make([]metric.Point, n)
-		r.doneAt = make([]float64, n)
-		for i := range r.doneAt {
-			r.doneAt[i] = -1
-		}
-		r.charged = make([]int, g.Size())
-		r.alive = g.AliveCount()
-		if cfg.Mode.Aggregate() {
-			r.agg = make(map[aggKey]aggEntry)
-			r.followers = make([][]int, n)
-			r.merged = make([]bool, n)
-		}
-		if cfg.Mode.PIT() {
-			r.pit = make(map[aggKey]*pitEntry)
-			r.pitWait = make(map[int]int)
-			r.waits = make([]int, n)
-			r.waitIdx = make([]int, n)
-			r.expiredOnce = make([]bool, n)
-			r.answering = make([]bool, n)
-			r.ansAt = make([]int, n)
-			r.ansPath = make([][]metric.Point, n)
-			r.ansTarget = make([]metric.Point, n)
-		}
-	} else {
-		r.paths = make([][]metric.Point, n)
-		r.delivered = make([]bool, n)
-		r.initialFor = make([][]Injection, n)
-		for _, inj := range sched.Initial {
-			if inj.Msg >= 0 && inj.Msg < n {
-				r.initialFor[inj.Msg] = append(r.initialFor[inj.Msg], inj)
-			}
-		}
-		r.pendingAt = make([]float64, n)
-		r.hasPending = make([]bool, n)
-		r.fullyPrimed = fullyPrimed(sched.Initial, n)
+	r.walkers = make([]*route.Walker, n)
+	r.pos = make([]metric.Point, n)
+	r.doneAt = make([]float64, n)
+	for i := range r.doneAt {
+		r.doneAt[i] = -1
 	}
+	if cfg.Mode.Aggregate() {
+		r.aggMsgs = &aggMsgState{followers: make([][]int, n), merged: make([]bool, n)}
+	}
+	if cfg.Mode.PIT() {
+		r.pitMsgs = &pitMsgState{
+			waits:       make([]int, n),
+			waitIdx:     make([]int, n),
+			expiredOnce: make([]bool, n),
+			answering:   make([]bool, n),
+			ansAt:       make([]int, n),
+			ansPath:     make([][]metric.Point, n),
+			ansTarget:   make([]metric.Point, n),
+		}
+	}
+	ropt := cfg.Route
+	ropt.TracePath = true
+	if cfg.Penalty > 0 || cfg.DepthPenalty > 0 {
+		// The live congestion signal: charged load relative to the
+		// current mean live-node load, plus the candidate's queue depth
+		// at the instant of the decision. Reading the decision instant and
+		// the queues directly is what "live" means — no snapshot, no
+		// staleness.
+		c := &congestion{charged: make([]int, g.Size())}
+		r.cong = c
+		ropt.Congestion = func(q metric.Point) float64 {
+			s := 0.0
+			if cfg.Penalty > 0 && c.total > 0 {
+				s += cfg.Penalty * float64(g.AliveCount()) * float64(c.charged[q]) / float64(c.total)
+			}
+			if cfg.DepthPenalty > 0 {
+				s += cfg.DepthPenalty * float64(r.queues[q].depthAt(c.now))
+			}
+			return s
+		}
+		ropt.CongestionWeight = 1
+	}
+	r.router = route.New(g, ropt)
+	r.pend = mathx.NewHeap(injectionLess, len(sched.Initial))
+	for _, inj := range sched.Initial {
+		r.pend.Push(inj)
+	}
+	owners := 1
+	if r.out.Plan == PlanLiveSharded {
+		owners = cfg.Shards
+	}
+	r.shards = newShardSet(r, owners)
 	return r
 }
 
@@ -239,13 +280,13 @@ func forwarders(res route.Result) []metric.Point {
 // and churn interleave in event order) and a completion-time
 // approximation for snapshot mode.
 func (r *runner) servedKind(msg int, res route.Result) telemetry.Served {
-	if r.merged != nil && r.merged[msg] {
+	if r.aggMsgs != nil && r.aggMsgs.merged[msg] {
 		return telemetry.ServedAggregated
 	}
 	if !res.Delivered {
 		return telemetry.ServedNone
 	}
-	if r.answering != nil && !r.walkers[msg].Done() {
+	if r.pitMsgs != nil && !r.walkers[msg].Done() {
 		// Delivered but its own walk never reached a target: the lookup
 		// was answered from a PIT point by a returning answer's multicast.
 		return telemetry.ServedPIT
@@ -296,7 +337,7 @@ func (r *runner) cacheDelta(t float64) {
 // ---------------------------------------------------------------------
 
 func (r *runner) runSnapshot() {
-	cfg := r.cfg
+	cfg, s := r.cfg, r.snap
 	aware := cfg.Penalty > 0 || cfg.DepthPenalty > 0
 	ropt := cfg.Route
 	ropt.TracePath = true
@@ -379,36 +420,39 @@ func (r *runner) runSnapshot() {
 		}
 		for i := start; i < end; i++ {
 			res := r.out.Results[i]
-			r.paths[i] = forwarders(res)
-			r.delivered[i] = res.Delivered
-			for _, p := range r.paths[i] {
+			s.paths[i] = forwarders(res)
+			s.delivered[i] = res.Delivered
+			for _, p := range s.paths[i] {
 				charged[p]++
 			}
 			if r.caching && res.Delivered {
 				cfg.Placement.Observe(r.msgs[i].Key, res.Path)
 			}
 		}
-		r.routed = end
-		r.admit(start, end)
+		s.routed = end
+		r.admitBatch(start, end)
 		if r.tel != nil && r.caching {
 			// Promotions triggered by this batch's Observe calls.
 			r.cacheDelta(r.out.LastInject)
 		}
 	}
-	r.drain()
+	for s.h.Len() > 0 {
+		r.processOne(s.h.Pop())
+	}
 }
 
-// admit enqueues the injections of messages [start, end): their
+// admitBatch enqueues the injections of messages [start, end): their
 // schedule entries known up front, plus any closed-loop injection
 // unlocked while the message was still unrouted.
-func (r *runner) admit(start, end int) {
+func (r *runner) admitBatch(start, end int) {
+	s := r.snap
 	for m := start; m < end; m++ {
-		for _, inj := range r.initialFor[m] {
+		for _, inj := range s.initialFor[m] {
 			r.enqueue(inj)
 		}
-		if r.hasPending[m] {
-			r.hasPending[m] = false
-			r.enqueue(Injection{Msg: m, Time: r.pendingAt[m]})
+		if s.hasPending[m] {
+			s.hasPending[m] = false
+			r.enqueue(Injection{Msg: m, Time: s.pendingAt[m]})
 		}
 	}
 }
@@ -430,9 +474,12 @@ func (r *runner) admit(start, end int) {
 // exactly: a pure function of already-routed traffic, modelling the
 // staleness of queue-depth gossip.
 func (r *runner) depthsAtBatch(start int) []int {
-	if r.fullyPrimed {
+	if r.snap.fullyPrimed {
 		probe := r.sched.Initial[start].Time
-		r.advanceThrough(probe)
+		h := r.snap.h
+		for h.Len() > 0 && h.Peek().time <= probe {
+			r.processOne(h.Pop())
+		}
 		depth := make([]int, len(r.queues))
 		for i := range r.queues {
 			depth[i] = r.queues[i].depthAt(probe)
@@ -449,7 +496,7 @@ func (r *runner) depthsAtBatch(start int) []int {
 func (r *runner) prefixDepths(start int) []int {
 	scratch := make([]replayMsg, start)
 	for i := 0; i < start; i++ {
-		scratch[i] = replayMsg{path: r.paths[i], delivered: r.delivered[i]}
+		scratch[i] = replayMsg{path: r.snap.paths[i], delivered: r.snap.delivered[i]}
 	}
 	initial := make([]Injection, 0, start)
 	for _, inj := range r.sched.Initial {
@@ -535,41 +582,97 @@ func (r *runner) routeRange(opt route.Options, start, end int, targets [][]metri
 	return firstErr
 }
 
-// ---------------------------------------------------------------------
-// Live mode: walkers advance one hop per service completion, reading
-// live congestion state; same-key lookups meeting in a queue coalesce.
-// ---------------------------------------------------------------------
-
-func (r *runner) runLive() {
-	cfg := r.cfg
-	ropt := cfg.Route
-	ropt.TracePath = true
-	if cfg.Penalty > 0 || cfg.DepthPenalty > 0 {
-		// The live congestion signal: charged load relative to the
-		// current mean live-node load, plus the candidate's queue depth
-		// at the instant of the decision. Reading r.now and the queues
-		// directly is what "live" means — no snapshot, no staleness.
-		ropt.Congestion = func(q metric.Point) float64 {
-			s := 0.0
-			if cfg.Penalty > 0 && r.totalCharged > 0 {
-				s += cfg.Penalty * float64(r.alive) * float64(r.charged[q]) / float64(r.totalCharged)
-			}
-			if cfg.DepthPenalty > 0 {
-				s += cfg.DepthPenalty * float64(r.queues[q].depthAt(r.now))
-			}
-			return s
-		}
-		ropt.CongestionWeight = 1
-	}
-	r.router = route.New(r.g, ropt)
-	for _, inj := range r.sched.Initial {
-		r.enqueue(inj)
-		if r.err != nil {
+// enqueue admits one snapshot-mode injection, chasing chains of
+// path-less messages (which complete at their injection instant and may
+// unlock further injections) and stashing injections whose message is
+// not yet routed.
+func (r *runner) enqueue(inj Injection) {
+	s := r.snap
+	for {
+		msg := inj.Msg
+		if msg >= s.routed {
+			// Unlocked before its batch routed: admitted with the batch.
+			s.pendingAt[msg] = inj.Time
+			s.hasPending[msg] = true
 			return
 		}
+		r.noteInjection(inj)
+		if len(s.paths[msg]) > 0 {
+			s.h.Push(event{time: inj.Time, msg: msg, idx: 0})
+			return
+		}
+		if r.tel != nil {
+			// A path-less snapshot message never enters a queue: it
+			// completes at its injection instant.
+			r.tel.Complete(msg, inj.Time, s.delivered[msg], r.servedKind(msg, r.out.Results[msg]))
+		}
+		if r.sched.Completed == nil {
+			return
+		}
+		next, ok := r.sched.Completed(msg, inj.Time)
+		if !ok {
+			return
+		}
+		inj = next
 	}
-	r.drain()
 }
+
+// noteInjection records that inj entered the network: the bookkeeping
+// every mode does at the instant it performs an injection.
+func (r *runner) noteInjection(inj Injection) {
+	r.inject[inj.Msg] = inj.Time
+	r.out.Injected++
+	if inj.Time > r.out.LastInject {
+		r.out.LastInject = inj.Time
+	}
+	if r.tel != nil {
+		r.tel.Inject(inj.Msg, inj.Time, r.msgs[inj.Msg].From, r.msgs[inj.Msg].Key)
+	}
+}
+
+// processOne handles one snapshot-mode arrival: the message joins the
+// node's FIFO, is served for serviceTime ticks, and moves on to the
+// next node of its precomputed path. (The live modes' arrivals are
+// shard.process.)
+func (r *runner) processOne(a event) {
+	s := r.snap
+	node := s.paths[a.msg][a.idx]
+	start, finish, depth := r.queues[node].serve(a.time, r.serviceTime)
+	if depth > r.out.MaxQueueDepth {
+		r.out.MaxQueueDepth = depth
+	}
+	r.out.Loads[node]++
+	r.out.Services++
+	if finish > r.out.Makespan {
+		r.out.Makespan = finish
+	}
+	if r.tel != nil {
+		r.tel.Service(a.time, depth)
+		r.tel.Hop(a.msg, node, a.time, start, finish, depth, telemetry.DecisionSnapshot)
+	}
+	if a.idx+1 < len(s.paths[a.msg]) {
+		s.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
+		return
+	}
+	if s.delivered[a.msg] {
+		r.out.Latencies = append(r.out.Latencies, finish-r.inject[a.msg])
+	}
+	if r.tel != nil {
+		r.tel.Complete(a.msg, finish, s.delivered[a.msg], r.servedKind(a.msg, r.out.Results[a.msg]))
+	}
+	if r.sched.Completed != nil {
+		if next, ok := r.sched.Completed(a.msg, finish); ok {
+			r.enqueue(next)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Live modes: the run-level halves of a lookup's life — admission and
+// completion — which always execute on one goroutine, in global event
+// order. What happens in between is the owners' business (shard.go,
+// pit.go), under either driver (horizon.go).
+// ---------------------------------------------------------------------
 
 // targetsFor resolves a message's routing target set at injection
 // time: the fixed Options.Targets set when configured (mirroring
@@ -585,15 +688,68 @@ func (r *runner) targetsFor(msg int) []metric.Point {
 	return []metric.Point{r.msgs[msg].Key}
 }
 
-// unlock admits an injection released by a completion: straight into
-// the event loop in the sequential modes, into the pending set for the
-// next window's admission pass in sharded mode.
-func (r *runner) unlock(inj Injection) {
-	if r.pend != nil {
-		r.pend.Push(inj)
-		return
+// admit performs one live injection at its virtual instant: it ticks
+// the decay cadence and creates the walker — so its replica targets and
+// first forwarding decision read the placement and congestion state of
+// that instant, not of whenever the schedule was primed — and returns
+// the lookup's first arrival for the driver to schedule. It reports
+// false when there is none: walker creation failed (r.err), or the
+// lookup was born delivered or born failed and completed on the spot
+// (the successor that unlocks joins r.pend).
+func (r *runner) admit(inj Injection) (event, bool) {
+	msg := inj.Msg
+	r.noteInjection(inj)
+	r.injected++
+	if r.decaying && r.injected%r.cfg.BatchSize == 0 {
+		// One half-life every BatchSize injections — the same
+		// staleness knob snapshot mode ties its boundaries to.
+		r.cfg.Placement.Decay()
+		if r.tel != nil {
+			r.cacheDelta(inj.Time)
+		}
 	}
-	r.enqueue(inj)
+	from := r.msgs[msg].From
+	if r.churn != nil && !r.g.Alive(from) {
+		// The source died before this lookup was injected: the client
+		// behind the dead portal enters at the nearest alive node.
+		p, ok := r.reattachOrigin(from)
+		if !ok {
+			r.err = errExtinct
+			return event{}, false
+		}
+		from = p
+	}
+	w, err := r.router.Walker(r.root.Derive(16+uint64(msg)), from, r.targetsFor(msg))
+	if err != nil {
+		if r.churn != nil {
+			// Under churn a lookup can be born unroutable — every replica
+			// of its key dead at this instant. That is a failed search,
+			// not a configuration error.
+			r.bornFailed(msg, inj.Time)
+		} else {
+			r.err = err
+		}
+		return event{}, false
+	}
+	r.walkers[msg] = w
+	if w.Done() {
+		// Born delivered: the lookup completes at its injection
+		// instant without entering a queue.
+		r.completeBorn(msg, inj.Time)
+		return event{}, false
+	}
+	r.pos[msg] = w.At()
+	return event{time: inj.Time, msg: msg, idx: 0}, true
+}
+
+// release asks the closed-loop hook which injection msg's completion
+// at `at` unlocks; it waits in r.pend for its instant.
+func (r *runner) release(msg int, at float64) {
+	if r.sched.Completed != nil {
+		if next, ok := r.sched.Completed(msg, at); ok {
+			r.pend.Push(next)
+		}
+	}
 }
 
 // completeBorn finalizes a zero-hop lookup at its injection instant:
@@ -606,11 +762,7 @@ func (r *runner) completeBorn(msg int, at float64) {
 		res := r.out.Results[msg]
 		r.tel.Complete(msg, at, res.Delivered, r.servedKind(msg, res))
 	}
-	if r.sched.Completed != nil {
-		if next, ok := r.sched.Completed(msg, at); ok {
-			r.unlock(next)
-		}
-	}
+	r.release(msg, at)
 }
 
 // completeLive finalizes one live-mode message at virtual time `at`:
@@ -621,11 +773,11 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 	r.out.Results[msg] = res
 	r.doneAt[msg] = at
 	if res.Delivered {
-		// Zero-hop lookups complete inside enqueue and never reach here,
+		// Zero-hop lookups complete at admission and never reach here,
 		// so every delivered completion contributes a queueing latency —
 		// coalesced lookups included (they waited in a queue too).
 		r.out.Latencies = append(r.out.Latencies, at-r.inject[msg])
-		if r.caching && r.pit == nil && (r.merged == nil || !r.merged[msg]) {
+		if r.caching && r.pitMsgs == nil && (r.aggMsgs == nil || !r.aggMsgs.merged[msg]) {
 			// Only real deliveries feed popularity: a coalesced lookup's
 			// partial path does not end at the key, so observing it
 			// would corrupt the forwarder counts. PIT mode observes at
@@ -640,275 +792,14 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 			r.cacheDelta(at)
 		}
 	}
-	if r.sched.Completed != nil {
-		if next, ok := r.sched.Completed(msg, at); ok {
-			r.unlock(next)
-			if r.err != nil {
-				return
-			}
-		}
-	}
-	if r.followers != nil {
-		for _, f := range r.followers[msg] {
+	r.release(msg, at)
+	if r.aggMsgs != nil {
+		for _, f := range r.aggMsgs.followers[msg] {
 			fr := r.walkers[f].Result()
 			fr.Delivered = res.Delivered
 			fr.Target = res.Target
 			r.completeLive(f, at, fr)
-			if r.err != nil {
-				return
-			}
 		}
-		r.followers[msg] = nil
+		r.aggMsgs.followers[msg] = nil
 	}
-}
-
-// ---------------------------------------------------------------------
-// The shared event loop.
-// ---------------------------------------------------------------------
-
-// enqueue admits one injection. In live mode it creates the message's
-// walker (resolving replica targets against the live placement) and
-// chases chains of born-delivered lookups; in snapshot mode it chases
-// path-less chains, stashing injections whose message is not yet
-// routed.
-func (r *runner) enqueue(inj Injection) {
-	for {
-		msg := inj.Msg
-		if !r.cfg.Mode.Live() && msg >= r.routed {
-			// Unlocked before its batch routed: admitted with the batch.
-			r.pendingAt[msg] = inj.Time
-			r.hasPending[msg] = true
-			return
-		}
-		r.inject[msg] = inj.Time
-		r.out.Injected++
-		if inj.Time > r.out.LastInject {
-			r.out.LastInject = inj.Time
-		}
-		if r.tel != nil {
-			r.tel.Inject(msg, inj.Time, r.msgs[msg].From, r.msgs[msg].Key)
-		}
-		if r.cfg.Mode.Live() {
-			// The walker is created when this event pops — at the
-			// message's virtual injection time, in event order — so its
-			// replica targets and first forwarding decision read the
-			// placement and congestion state of that instant, not of
-			// whenever the schedule happened to be primed.
-			r.h.Push(event{time: inj.Time, msg: msg, idx: 0})
-			return
-		}
-		if len(r.paths[msg]) > 0 {
-			r.h.Push(event{time: inj.Time, msg: msg, idx: 0})
-			return
-		}
-		if r.tel != nil {
-			// A path-less snapshot message never enters a queue: it
-			// completes at its injection instant.
-			r.tel.Complete(msg, inj.Time, r.delivered[msg], r.servedKind(msg, r.out.Results[msg]))
-		}
-		if r.sched.Completed == nil {
-			return
-		}
-		next, ok := r.sched.Completed(msg, inj.Time)
-		if !ok {
-			return
-		}
-		inj = next
-	}
-}
-
-// advanceThrough processes every queued event with time at most t.
-func (r *runner) advanceThrough(t float64) {
-	for r.err == nil && r.h.Len() > 0 && r.h.Peek().time <= t {
-		r.processOne(r.h.Pop())
-	}
-}
-
-// drain processes the loop to exhaustion. With churn attached the op
-// queue interleaves on the same clock; ops win ties, so a message
-// event popped at t sees the graph and membership state as of t, and
-// the loop runs until both traffic and gossip quiesce.
-func (r *runner) drain() {
-	for r.err == nil {
-		if r.churn.nextOpBefore(peekTime(r.h), r.h.Len() == 0) {
-			r.churnOp(r.churn.ops.Pop())
-			continue
-		}
-		if r.h.Len() == 0 {
-			return
-		}
-		r.processOne(r.h.Pop())
-	}
-}
-
-// peekTime is the heap's next event time (unused when the heap is
-// empty — nextOpBefore checks heapEmpty first).
-func peekTime(h *mathx.Heap[event]) float64 {
-	if h.Len() == 0 {
-		return 0
-	}
-	return h.Peek().time
-}
-
-// admitLive performs a live message's virtual injection instant: it
-// ticks the decay cadence and creates the walker against the live
-// placement. It reports false when the loop should not continue with
-// this event — the message was born delivered, or walker creation
-// failed.
-func (r *runner) admitLive(a event) bool {
-	r.injected++
-	if r.decaying && r.injected%r.cfg.BatchSize == 0 {
-		// One half-life every BatchSize injections — the same
-		// staleness knob snapshot mode ties its boundaries to.
-		r.cfg.Placement.Decay()
-		if r.tel != nil {
-			r.cacheDelta(a.time)
-		}
-	}
-	from := r.msgs[a.msg].From
-	if r.churn != nil && !r.g.Alive(from) {
-		// The source died before this lookup was injected: the client
-		// behind the dead portal enters at the nearest alive node.
-		p, ok := r.reattachOrigin(from)
-		if !ok {
-			r.err = errExtinct
-			return false
-		}
-		from = p
-	}
-	w, err := r.router.Walker(r.root.Derive(16+uint64(a.msg)), from, r.targetsFor(a.msg))
-	if err != nil {
-		if r.churn != nil {
-			// Under churn a lookup can be born unroutable — every replica
-			// of its key dead at this instant. That is a failed search,
-			// not a configuration error.
-			r.bornFailed(a.msg, a.time)
-			return false
-		}
-		r.err = err
-		return false
-	}
-	r.walkers[a.msg] = w
-	if w.Done() {
-		// Born delivered: the lookup completes at its injection
-		// instant without entering a queue.
-		r.completeBorn(a.msg, a.time)
-		return false
-	}
-	r.pos[a.msg] = w.At()
-	return true
-}
-
-// processOne handles one arrival: the message joins the node's FIFO,
-// is served for serviceTime ticks, and — in live mode — decides its
-// next hop at that service, reading live congestion state. In
-// aggregate mode the arrival may instead coalesce onto a pending
-// same-key service and never occupy the queue at all; PIT mode has
-// its own arrival discipline (pit.go).
-func (r *runner) processOne(a event) {
-	if r.pit != nil {
-		r.processPIT(a)
-		return
-	}
-	var node metric.Point
-	if r.cfg.Mode.Live() {
-		if a.idx == 0 {
-			if !r.admitLive(a) {
-				return
-			}
-		}
-		node = r.pos[a.msg]
-		if r.churn != nil && !r.g.Alive(node) {
-			// The node died since this hop was scheduled: the message
-			// strands here and resumes after the probe window (churn.go).
-			r.strand(a.msg, a.idx, a.time)
-			return
-		}
-	} else {
-		node = r.paths[a.msg][a.idx]
-	}
-	if r.agg != nil {
-		key := aggKey{node: node, key: r.msgs[a.msg].Key}
-		if e, ok := r.agg[key]; ok && a.time < e.finish {
-			// A same-key lookup is queued or in service here: ride along.
-			r.merged[a.msg] = true
-			r.out.Aggregated++
-			if r.tel != nil {
-				r.tel.Merge(a.msg, a.time)
-			}
-			if r.doneAt[e.leader] >= 0 {
-				// The carrier already completed (its later hops resolved
-				// before this arrival was popped); settle immediately at
-				// the carrier's completion time.
-				lr := r.out.Results[e.leader]
-				fr := r.walkers[a.msg].Result()
-				fr.Delivered = lr.Delivered
-				fr.Target = lr.Target
-				r.completeLive(a.msg, r.doneAt[e.leader], fr)
-			} else {
-				r.followers[e.leader] = append(r.followers[e.leader], a.msg)
-			}
-			return
-		}
-	}
-	q := &r.queues[node]
-	depth := q.depthAt(a.time) + 1
-	if depth > r.out.MaxQueueDepth {
-		r.out.MaxQueueDepth = depth
-	}
-	start := a.time
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish := start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	r.out.Services++
-	if r.tel != nil {
-		r.tel.Service(a.time, depth)
-	}
-	if finish > r.out.Makespan {
-		r.out.Makespan = finish
-	}
-	if !r.cfg.Mode.Live() {
-		if r.tel != nil {
-			r.tel.Hop(a.msg, node, a.time, start, finish, depth, telemetry.DecisionSnapshot)
-		}
-		if a.idx+1 < len(r.paths[a.msg]) {
-			r.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-			return
-		}
-		if r.delivered[a.msg] {
-			r.out.Latencies = append(r.out.Latencies, finish-r.inject[a.msg])
-		}
-		if r.tel != nil {
-			r.tel.Complete(a.msg, finish, r.delivered[a.msg], r.servedKind(a.msg, r.out.Results[a.msg]))
-		}
-		if r.sched.Completed != nil {
-			if next, ok := r.sched.Completed(a.msg, finish); ok {
-				r.enqueue(next)
-			}
-		}
-		return
-	}
-	// Live: this node's service is one unit of charged load, visible to
-	// every later forwarding decision.
-	r.charged[node]++
-	r.totalCharged++
-	if r.agg != nil {
-		r.agg[aggKey{node: node, key: r.msgs[a.msg].Key}] = aggEntry{leader: a.msg, finish: finish}
-	}
-	w := r.walkers[a.msg]
-	r.now = a.time
-	stepped := w.Step()
-	if r.tel != nil {
-		r.tel.Hop(a.msg, node, a.time, start, finish, depth, hopDecision(w))
-	}
-	if stepped {
-		r.pos[a.msg] = w.At()
-		r.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-		return
-	}
-	r.completeLive(a.msg, finish, w.Result())
 }

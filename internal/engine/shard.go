@@ -11,53 +11,53 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the parallel half of the sharded live loop: the
-// per-core shard state and the window drain that runs concurrently.
-// horizon.go owns the sequential half — window selection, injection
-// admission, and the barrier that replays deferred side effects in
-// global event order. Together they implement conservative parallel
-// discrete-event simulation with a lookahead of one service time:
+// This file holds the live modes' event handlers and the state they
+// run on. There is one set of handlers — shard.process here, the PIT
+// discipline in pit.go — and a shard is an *owner*: a contiguous region
+// of the node set, the heap of events addressed to it, and its slice of
+// every per-node table. horizon.go drives the owners in one of two
+// ways, and the handlers neither know nor care which:
 //
-//   - Nodes partition into Config.Shards contiguous regions of the
-//     space's point order (shardOf). Contiguous index ranges are slabs
-//     along the space's first axis, so torus neighbours mostly
-//     co-shard and most hops stay on one heap.
-//   - Every event processed at time t schedules its successor at
-//     finish ≥ t + 1/Capacity, so inside a window [W, W+1/Capacity)
-//     no event — local or remote — can create work another shard
-//     would have to see in the same window. Each shard drains its own
-//     heap below the horizon without locks.
-//   - A successor hopping to another shard's node is not pushed
-//     directly (the destination heap is being drained concurrently);
-//     it lands in a per-destination outbox and is merged at the
-//     barrier in (time, msg, idx) order.
-//   - Side effects whose order is globally visible — completions,
-//     aggregation merges, latency records, closed-loop unlocks, and
-//     churn strand parks — are deferred as doneRecs keyed by the
-//     triggering event and replayed sequentially at the barrier in
-//     (time, msg, idx) order, which is exactly the order the
-//     sequential loop produced them in. That replay, not luck, is what
-//     makes every Shards value byte-identical.
+//   - One owner (PlanLiveSequential). A single shard owns every node
+//     and pops events in global (time, msg, idx) order, so each side
+//     effect happens at the pop that caused it.
+//   - k owners (PlanLiveSharded). Conservative parallel discrete-event
+//     simulation with a lookahead of one service time. Nodes partition
+//     into Config.Shards contiguous regions of the space's point order
+//     (shardOf) — slabs along the first axis, so torus neighbours
+//     mostly share an owner. Every event processed at time t schedules
+//     its successor at finish ≥ t + 1/Capacity, so inside a window
+//     [W, W+1/Capacity) no event — local or remote — can create work
+//     another owner would have to see in the same window, and each
+//     owner drains its heap below the horizon without locks. A
+//     successor addressed to another owner's node waits in a
+//     per-destination outbox and is merged at the barrier.
+//
+// The one thing the two drivers do differently inside a handler is what
+// becomes of a side effect whose order is globally visible — a
+// completion (latency record, closed-loop unlock, follower cascade), an
+// aggregation merge, a churn strand park. The handler hands it to
+// shard.effect as a doneRec: the sole owner settles it on the spot
+// (runner.settle), an owner draining in parallel records it, and the
+// barrier sorts the window's records by (time, msg, idx) — the order
+// the sole owner would have produced them in — and calls the same
+// runner.settle on each. That replay, not luck, is what makes every
+// Shards value byte-identical.
 //
 // Churn extends the model without touching the drains: membership
 // mutations (crashes, joins, link redraws, gossip rounds) apply only
 // between windows — horizon.go clips every window at the next churn-op
 // instant — so within a drain the graph is as immutable as ever. The
 // one churn artifact a drain can produce is a strand (an arrival at a
-// node that died at an earlier barrier); its park is deferred like a
-// completion, and its resume op lands at or beyond the horizon because
-// eligibility requires ProbeTimeout ≥ the lookahead.
+// node that died at an earlier barrier), and its resume op lands at or
+// beyond the horizon because eligibility requires ProbeTimeout ≥ the
+// lookahead.
 //
 // Node-indexed state (queues, Loads) needs no deferral: a message
 // occupies exactly one node per event, so within a window each slot is
-// touched only by its owning shard, in that shard's pop order — the
-// same relative order the sequential loop used, because events at one
-// node never straddle shards.
-//
-// The live congestion counters (charged, totalCharged) are not
-// maintained here: a shardable configuration has no congestion signal
-// to read them (that is what makes it shardable), and totalCharged
-// would be the one genuinely shared hot-path counter.
+// touched only by its owner, in that owner's pop order — the same
+// relative order global event order gives, because events at one node
+// never straddle owners.
 
 // shardOf maps a node to its owning shard: the contiguous partition
 // p ∈ [s·size/shards, (s+1)·size/shards) ⇒ s, computed without
@@ -66,48 +66,45 @@ func shardOf(p metric.Point, shards, size int) int {
 	return int(uint64(p) * uint64(shards) / uint64(size))
 }
 
-// doneRec defers one globally-ordered side effect out of the parallel
-// drain. at is the popped event that triggered it — the global replay
-// key — and seq the ordinal within that pop: a PIT answer service can
-// complete several messages at once (origin-parked waiters, then
-// possibly the answering lookup itself), so (at, seq) keys records
-// uniquely and in the sequential loop's side-effect order. msg is the
-// message the record completes, which under PIT multicast need not be
-// the popped event's.
+// doneRec is one globally-ordered side effect. at is the popped event
+// that triggered it — the replay key when it is deferred — and seq the
+// ordinal within that pop: a PIT answer service can complete several
+// messages at once (origin-parked waiters, then possibly the answering
+// lookup itself), so (at, seq) keys records uniquely and in the
+// handler's own side-effect order. msg is the message the record
+// concerns, which under PIT multicast need not be the popped event's.
 type doneRec struct {
 	at     event
 	seq    int
 	msg    int
 	merge  bool
-	strand bool         // churn: the arrival found its node dead; park at the barrier
+	strand bool         // churn: the arrival found its node dead; park it
 	leader int          // merge: the aggregation carrier; strand: the idx to resume from
 	finish float64      // terminal: the final service's completion time
 	res    route.Result // terminal: the walker's final result
 }
 
-// shard is one partition's event loop: its own heap, outboxes toward
-// every other shard, deferred side effects, and window-local copies of
-// the counters the sequential loop accumulates globally.
+// shard is one owner: its event heap, its slice of the per-node tables,
+// and private copies of the counters a run accumulates. With several
+// owners it also carries outboxes toward the others and the side
+// effects deferred out of the current window.
 type shard struct {
 	id     int
 	h      *mathx.Heap[event]
 	outbox [][]event // per destination shard, reused across windows
 	done   []doneRec // deferred side effects, in pop (= event) order
 
-	// agg is this shard's slice of the aggregation state: it is keyed
-	// by (node, key) with node always shard-owned, so the sequential
-	// loop's one global map becomes per-shard maps with no concurrent
-	// access and the same contents. Nil unless aggregating.
+	// agg is this owner's slice of the aggregation state: one key's
+	// pending service at one owned node. Nil unless aggregating.
 	agg map[aggKey]aggEntry
 
-	// pit/pitWait are this shard's slice of the PIT state, sharded on
-	// the same argument as agg: a waiter parks at one shard-owned node,
-	// so its suppression, timeout, and release all pop here. Nil unless
-	// ModeLivePIT (pit.go).
+	// pit/pitWait are this owner's slice of the PIT state: a waiter
+	// parks at one owned node, so its suppression, timeout, and release
+	// all pop here. Nil unless ModeLivePIT (pit.go).
 	pit     map[aggKey]*pitEntry
 	pitWait map[int]int
 
-	// Window-local accumulators, folded into Outcome at the barrier.
+	// Per-owner accumulators, folded into Outcome when the run ends.
 	services      int
 	maxQueueDepth int
 	makespan      float64
@@ -116,17 +113,16 @@ type shard struct {
 	expired       int
 	arriving      int // handoffs headed here, counted during the merge
 
-	// Telemetry (nil = disabled): the shard's private recorder view,
-	// written only from this shard's drain goroutine, plus scratch for
-	// the window's wall-clock profile, read back at the sequential
-	// window epilogue.
+	// Telemetry (nil = disabled): the owner's private recorder view,
+	// written only while this owner is running, plus scratch for the
+	// window's wall-clock profile, read back at the window epilogue.
 	telView   *telemetry.View
 	drainSecs float64
 	winEvents int
 }
 
-// shardSet is the whole partitioned loop: the shards plus the
-// barrier-side scratch buffers, all reused across windows.
+// shardSet is the owners of one run plus the barrier-side scratch
+// buffers, all reused across windows.
 type shardSet struct {
 	shards []*shard
 	size   int       // node count, the shardOf denominator
@@ -135,8 +131,9 @@ type shardSet struct {
 	active []*shard  // shards with work below the current horizon
 }
 
-func newShardSet(r *runner) *shardSet {
-	n := r.cfg.Shards
+// newShardSet partitions the node set among n owners. Called after the
+// recorder's BeginRun, so the owners' views belong to this run.
+func newShardSet(r *runner, n int) *shardSet {
 	s := &shardSet{
 		shards: make([]*shard, n),
 		size:   r.g.Size(),
@@ -152,23 +149,26 @@ func newShardSet(r *runner) *shardSet {
 			sh.pit = make(map[aggKey]*pitEntry)
 			sh.pitWait = make(map[int]int)
 		}
+		if r.tel != nil {
+			sh.telView = r.tel.View(i)
+		}
 		s.shards[i] = sh
 	}
-	if r.tel != nil {
-		// Views are handed out here, sequentially, before any window
-		// drains; the occupancy histogram's range bounds events per
-		// shard-window, which a hot window can push into the
-		// hops-per-message regime — 2^20 buckets it log-scale.
+	if r.tel != nil && n > 1 {
+		// The occupancy histogram's range bounds events per shard-window,
+		// which a hot window can push into the hops-per-message regime —
+		// 2^20 buckets it log-scale. A one-owner run has no windows to
+		// profile and leaves the scheduler profile to EndRun's default.
 		r.tel.SchedInit(n, 1<<20)
-		for _, sh := range s.shards {
-			sh.telView = r.tel.View(sh.id)
-		}
 	}
 	return s
 }
 
 // owner returns the shard owning node p.
 func (s *shardSet) owner(p metric.Point) *shard {
+	if len(s.shards) == 1 {
+		return s.shards[0]
+	}
 	return s.shards[shardOf(p, len(s.shards), s.size)]
 }
 
@@ -176,8 +176,7 @@ func (s *shardSet) owner(p metric.Point) *shard {
 // heap, the pending injection set, and the churn op queue — the next
 // window's start — or false when the simulation is drained. Churn ops
 // count because gossip rounds outlive traffic: the loop must keep
-// opening (possibly event-free) windows until membership quiesces,
-// exactly as the sequential drain does.
+// opening (possibly event-free) windows until membership quiesces.
 func (s *shardSet) nextTime(r *runner) (float64, bool) {
 	t, ok := 0.0, false
 	if r.pend.Len() > 0 {
@@ -216,10 +215,10 @@ func (s *shardSet) drainWindow(r *runner, horizon float64) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			sh.drain(r, s, horizon)
+			sh.drain(r, horizon)
 		}(sh)
 	}
-	s.active[0].drain(r, s, horizon)
+	s.active[0].drain(r, horizon)
 	wg.Wait()
 	if r.tel != nil {
 		s.profileWindow(r)
@@ -246,108 +245,162 @@ func (s *shardSet) profileWindow(r *runner) {
 }
 
 // drain processes the shard's events strictly below the horizon.
-func (sh *shard) drain(r *runner, s *shardSet, horizon float64) {
+func (sh *shard) drain(r *runner, horizon float64) {
 	if sh.telView != nil {
-		sh.drainProfiled(r, s, horizon)
+		sh.drainProfiled(r, horizon)
 		return
 	}
 	for sh.h.Len() > 0 && sh.h.Peek().time < horizon {
-		sh.process(r, s, sh.h.Pop())
+		sh.process(r, sh.h.Pop())
 	}
 }
 
 // drainProfiled is drain with the wall clock running — a separate
 // loop so the disabled path pays no time.Now calls and no counting.
-func (sh *shard) drainProfiled(r *runner, s *shardSet, horizon float64) {
+func (sh *shard) drainProfiled(r *runner, horizon float64) {
 	started := time.Now()
 	n := 0
 	for sh.h.Len() > 0 && sh.h.Peek().time < horizon {
-		sh.process(r, s, sh.h.Pop())
+		sh.process(r, sh.h.Pop())
 		n++
 	}
 	sh.drainSecs = time.Since(started).Seconds()
 	sh.winEvents = n
 }
 
-// process is the sharded twin of runner.processOne's live path. The
-// walker already exists (admission created it — see horizon.go), the
-// aggregation map is keyed by shard-owned nodes, and everything whose
-// order another shard could observe becomes a doneRec instead of
-// happening here.
-func (sh *shard) process(r *runner, s *shardSet, a event) {
+// effect hands one globally-ordered side effect to the driver's
+// discipline: the sole owner is already in global event order and
+// settles it now; an owner draining a window records it for the
+// barrier.
+func (sh *shard) effect(r *runner, rec doneRec) {
+	if len(r.shards.shards) == 1 {
+		r.settle(rec)
+		return
+	}
+	sh.done = append(sh.done, rec)
+}
+
+// settle applies one side effect. Calls arrive in global
+// (time, msg, idx, seq) order under both drivers, so doneAt, followers,
+// Latencies, Aggregated, the churn-op sequence numbers and the
+// Completed-hook call sequence evolve identically.
+func (r *runner) settle(rec doneRec) {
+	msg := rec.msg
+	switch {
+	case rec.strand:
+		r.strand(msg, rec.leader, rec.at.time)
+	case rec.merge:
+		// A same-key lookup was queued or in service at the arrival's
+		// node: ride along. Whether it settles now or waits on the carrier
+		// depends on doneAt, which only event order can answer.
+		r.aggMsgs.merged[msg] = true
+		r.out.Aggregated++
+		if r.tel != nil {
+			r.tel.Merge(msg, rec.at.time)
+		}
+		if r.doneAt[rec.leader] < 0 {
+			r.aggMsgs.followers[rec.leader] = append(r.aggMsgs.followers[rec.leader], msg)
+			return
+		}
+		// The carrier already completed (its later hops resolved before
+		// this arrival was popped); settle immediately at the carrier's
+		// completion time.
+		lr := r.out.Results[rec.leader]
+		fr := r.walkers[msg].Result()
+		fr.Delivered = lr.Delivered
+		fr.Target = lr.Target
+		r.completeLive(msg, r.doneAt[rec.leader], fr)
+	default:
+		r.completeLive(msg, rec.finish, rec.res)
+	}
+}
+
+// process handles one live arrival: the message joins the node's FIFO,
+// is served for serviceTime ticks, and decides its next hop at that
+// service, reading live state. In aggregate mode the arrival may
+// instead coalesce onto a pending same-key service and never occupy the
+// queue at all; PIT mode has its own arrival discipline (pit.go). The
+// walker already exists — admission created it (runner.admit).
+func (sh *shard) process(r *runner, a event) {
 	if sh.pit != nil {
-		sh.processPIT(r, s, a)
+		sh.processPIT(r, a)
 		return
 	}
 	node := r.pos[a.msg]
 	if r.churn != nil && !r.g.Alive(node) {
-		// The node died at a barrier since this hop was scheduled: the
-		// message strands here. The park itself (counter, telemetry, the
-		// probe-timeout resume op) is a globally-ordered side effect —
-		// its op seq must match the sequential loop's assignment order —
-		// so it defers to the barrier like a completion.
-		sh.done = append(sh.done, doneRec{at: a, msg: a.msg, strand: true, leader: a.idx})
+		// The node died since this hop was scheduled: the message strands
+		// here and resumes after the probe window (churn.go).
+		sh.effect(r, doneRec{at: a, msg: a.msg, strand: true, leader: a.idx})
 		return
 	}
 	if sh.agg != nil {
-		key := aggKey{node: node, key: r.msgs[a.msg].Key}
-		if e, ok := sh.agg[key]; ok && a.time < e.finish {
-			// A same-key lookup is queued or in service here: ride along.
-			// Whether it settles now or waits on the carrier depends on
-			// doneAt, which earlier-keyed events elsewhere may still
-			// change — the barrier decides, in event order.
-			sh.done = append(sh.done, doneRec{at: a, msg: a.msg, merge: true, leader: e.leader})
+		if e, ok := sh.agg[aggKey{node: node, key: r.msgs[a.msg].Key}]; ok && a.time < e.finish {
+			sh.effect(r, doneRec{at: a, msg: a.msg, merge: true, leader: e.leader})
 			return
 		}
 	}
-	q := &r.queues[node]
-	depth := q.depthAt(a.time) + 1
-	if depth > sh.maxQueueDepth {
-		sh.maxQueueDepth = depth
-	}
-	start := a.time
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish := start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	sh.services++
-	if finish > sh.makespan {
-		sh.makespan = finish
-	}
+	start, finish, depth := sh.serveAt(r, node, a.time)
 	if sh.agg != nil {
 		sh.agg[aggKey{node: node, key: r.msgs[a.msg].Key}] = aggEntry{leader: a.msg, finish: finish}
 	}
 	w := r.walkers[a.msg]
 	stepped := w.Step()
 	if sh.telView != nil {
-		// Window counters go to the shard's private view; the flight
-		// hop append is safe because this shard owns the message for
-		// this event (same ownership argument as r.pos).
-		sh.telView.Service(a.time, depth)
+		// The flight hop append is safe because this shard owns the
+		// message for this event (same ownership argument as r.pos).
 		sh.telView.Hop(a.msg, node, a.time, start, finish, depth, hopDecision(w))
 	}
 	if stepped {
-		next := w.At()
-		r.pos[a.msg] = next
-		e := event{time: finish, msg: a.msg, idx: a.idx + 1}
-		if d := s.owner(next); d == sh {
-			sh.h.Push(e)
-		} else {
-			sh.outbox[d.id] = append(sh.outbox[d.id], e)
-		}
+		r.pos[a.msg] = w.At()
+		sh.push(r, event{time: finish, msg: a.msg, idx: a.idx + 1})
 		return
 	}
-	sh.done = append(sh.done, doneRec{at: a, msg: a.msg, finish: finish, res: w.Result()})
+	sh.effect(r, doneRec{at: a, msg: a.msg, finish: finish, res: w.Result()})
+}
+
+// serveAt runs one FIFO service at an owned node for an arrival at
+// time `at`, accounting it to the owner's counters and — when a
+// congestion signal exists to read it — as one unit of charged load,
+// visible to every later forwarding decision.
+func (sh *shard) serveAt(r *runner, node metric.Point, at float64) (start, finish float64, depth int) {
+	start, finish, depth = r.queues[node].serve(at, r.serviceTime)
+	if depth > sh.maxQueueDepth {
+		sh.maxQueueDepth = depth
+	}
+	r.out.Loads[node]++
+	sh.services++
+	if finish > sh.makespan {
+		sh.makespan = finish
+	}
+	if sh.telView != nil {
+		sh.telView.Service(at, depth)
+	}
+	if c := r.cong; c != nil {
+		c.charged[node]++
+		c.total++
+		c.now = at
+	}
+	return start, finish, depth
+}
+
+// push routes e — message e.msg arriving at r.pos[e.msg], which the
+// caller has just set — to that node's owner: this shard's heap, or the
+// outbox toward another's, whose heap is being drained concurrently.
+// Cross-shard events always carry time ≥ the window horizon (they are
+// service finishes of events popped at or after the window start), so
+// merging them at the barrier preserves the lookahead.
+func (sh *shard) push(r *runner, e event) {
+	if d := r.shards.owner(r.pos[e.msg]); d == sh {
+		sh.h.Push(e)
+	} else {
+		sh.outbox[d.id] = append(sh.outbox[d.id], e)
+	}
 }
 
 // barrier is the window's sequential epilogue: merge cross-shard
-// handoffs in event order, replay deferred side effects in event
-// order, and fold the window-local counters into the outcome. After
-// it returns the run state is byte-identical to the sequential loop
-// having just processed the same events.
+// handoffs in event order, then settle the deferred side effects in
+// event order. After it returns the run state is byte-identical to a
+// sole owner having just processed the same events.
 func (s *shardSet) barrier(r *runner) {
 	// Handoffs: collect, order by (time, msg, idx), admit to the
 	// destination heaps. The destination is recomputed from the
@@ -384,12 +437,9 @@ func (s *shardSet) barrier(r *runner) {
 		s.owner(r.pos[e.msg]).h.Push(e)
 	}
 
-	// Deferred side effects, in global event order. Each record runs
-	// the exact code the sequential loop ran at its event's pop, so
-	// doneAt/followers/Latencies/Aggregated and the Completed-hook call
-	// sequence evolve identically. Unlocked injections go to r.pend:
-	// every deferral here carries finish ≥ horizon, so they belong to
-	// later windows by the lookahead argument.
+	// Deferred side effects, in global event order. Unlocked injections
+	// go to r.pend: every deferral here carries finish ≥ horizon, so they
+	// belong to later windows by the lookahead argument.
 	s.recs = s.recs[:0]
 	for _, sh := range s.shards {
 		s.recs = append(s.recs, sh.done...)
@@ -419,51 +469,23 @@ func (s *shardSet) barrier(r *runner) {
 		}
 	}
 	for _, rec := range s.recs {
-		msg := rec.msg
-		if rec.strand {
-			// Replaying strands here, in (at, seq) order, assigns churn-op
-			// sequence numbers in exactly the order the sequential loop's
-			// pops would have — the op queue's deterministic tie-break.
-			r.strand(msg, rec.leader, rec.at.time)
-			continue
-		}
-		if !rec.merge {
-			r.completeLive(msg, rec.finish, rec.res)
-			continue
-		}
-		r.merged[msg] = true
-		r.out.Aggregated++
-		if r.tel != nil {
-			r.tel.Merge(msg, rec.at.time)
-		}
-		if r.doneAt[rec.leader] >= 0 {
-			// The carrier already completed; settle immediately at the
-			// carrier's completion time.
-			lr := r.out.Results[rec.leader]
-			fr := r.walkers[msg].Result()
-			fr.Delivered = lr.Delivered
-			fr.Target = lr.Target
-			r.completeLive(msg, r.doneAt[rec.leader], fr)
-		} else {
-			r.followers[rec.leader] = append(r.followers[rec.leader], msg)
-		}
+		r.settle(rec)
 	}
+}
 
-	// Window-local counters.
+// fold adds the owners' accumulators into the outcome, once, when the
+// run ends (nothing reads these totals while it runs).
+func (s *shardSet) fold(out *Outcome) {
 	for _, sh := range s.shards {
-		r.out.Services += sh.services
-		sh.services = 0
-		r.out.Suppressed += sh.suppressed
-		sh.suppressed = 0
-		r.out.MulticastFanout += sh.fanout
-		sh.fanout = 0
-		r.out.PITExpired += sh.expired
-		sh.expired = 0
-		if sh.maxQueueDepth > r.out.MaxQueueDepth {
-			r.out.MaxQueueDepth = sh.maxQueueDepth
+		out.Services += sh.services
+		out.Suppressed += sh.suppressed
+		out.MulticastFanout += sh.fanout
+		out.PITExpired += sh.expired
+		if sh.maxQueueDepth > out.MaxQueueDepth {
+			out.MaxQueueDepth = sh.maxQueueDepth
 		}
-		if sh.makespan > r.out.Makespan {
-			r.out.Makespan = sh.makespan
+		if sh.makespan > out.Makespan {
+			out.Makespan = sh.makespan
 		}
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/failure"
 	"repro/internal/metric"
+	"repro/internal/replica"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
-// shardCounts is the acceptance matrix: 1 is the sequential reference,
+// shardCounts is the acceptance matrix: 1 is the one-owner run,
 // 2 and 4 are even splits, 7 leaves shards of unequal width and
 // exercises the partition rounding.
 var shardCounts = []int{1, 2, 4, 7}
@@ -41,21 +44,50 @@ func TestShardOfPartition(t *testing.T) {
 	}
 }
 
-// runShardScenario runs one live scenario at a given shard count.
+// runShardScenario runs one live scenario at a given shard count and
+// asserts the run's reference-free ledgers. A recorder rides along as
+// the independent completion counter (it only observes; regress pins
+// outcomes byte-identical with it on or off).
 func runShardScenario(t *testing.T, cfg Config, sched Schedule, shards int) (*Outcome, error) {
 	t.Helper()
 	g := testGraph(t, 512, 9, 3, 5)
 	msgs := testMessages(t, g, 300, 4)
 	cfg.Shards = shards
-	return Run(g, msgs, sched, cfg, rng.New(9))
+	cfg.Telemetry = telemetry.New(telemetry.Options{})
+	out, err := Run(g, msgs, sched, cfg, rng.New(9))
+	if err != nil {
+		return nil, err
+	}
+	completed := 0
+	for _, w := range cfg.Telemetry.Runs()[0].Windows() {
+		completed += w.Completions
+	}
+	if out.Injected != len(msgs) || completed != out.Injected {
+		t.Errorf("shards=%d: %d messages, %d injected, %d completed", shards, len(msgs), out.Injected, completed)
+	}
+	if out.Suppressed != out.MulticastFanout+out.PITExpired {
+		t.Errorf("shards=%d: suppressed %d != fanout %d + expired %d",
+			shards, out.Suppressed, out.MulticastFanout, out.PITExpired)
+	}
+	if out.Stranded != out.StrandResumed+out.StrandDropped {
+		t.Errorf("shards=%d: stranded %d != resumed %d + dropped %d",
+			shards, out.Stranded, out.StrandResumed, out.StrandDropped)
+	}
+	if out.RumorsConverged+out.RumorsAbandoned != out.Crashes+out.Joins {
+		t.Errorf("shards=%d: rumors %d converged + %d abandoned != %d crashes + %d joins",
+			shards, out.RumorsConverged, out.RumorsAbandoned, out.Crashes, out.Joins)
+	}
+	return out, nil
 }
 
 // TestShardCountInvariance is the tentpole acceptance property at the
 // engine level: live outcomes are byte-identical for every shard
-// count, across the eligible configurations (plain live, live with
-// static replication, live+aggregate open-loop, closed-loop live) and
-// the documented sequential fallbacks (congestion feedback, and
-// aggregation under a closed-loop schedule).
+// count — k owners in windows against one owner in event order —
+// across the eligible configurations (plain live, live with static
+// replication, live+aggregate open-loop, closed-loop live and PIT) and,
+// trivially, across every documented one-owner fallback. reason is the
+// plan reason the case must resolve to at Shards > 1, so each reason is
+// pinned to a configuration that actually runs.
 func TestShardCountInvariance(t *testing.T) {
 	closed := func(n, clients int, think float64) Schedule {
 		initial := make([]Injection, clients)
@@ -73,50 +105,65 @@ func TestShardCountInvariance(t *testing.T) {
 			},
 		}
 	}
+	live := func(mode Mode, tweak func(t *testing.T, cfg *Config)) func(t *testing.T) Config {
+		return func(t *testing.T) Config {
+			cfg := baseConfig()
+			cfg.Mode = mode
+			if tweak != nil {
+				tweak(t, &cfg)
+			}
+			return cfg
+		}
+	}
 	cases := []struct {
-		name  string
-		cfg   func(t *testing.T) Config
-		sched Schedule
+		name   string
+		cfg    func(t *testing.T) Config
+		sched  Schedule
+		reason string
 	}{
-		{"live", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLive
-			return cfg
-		}, periodicSchedule(300, 8)},
-		{"live+replicas", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLive
-			g := testGraph(t, 512, 9, 3, 5)
-			cfg.Placement = newTestPlacement(t, g, 4, 77)
-			return cfg
-		}, periodicSchedule(300, 8)},
-		{"live+aggregate", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLiveAggregate
-			return cfg
-		}, periodicSchedule(300, 32)},
-		{"live+closedloop", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLive
-			return cfg
-		}, closed(300, 16, 0.5)},
-		{"live+closedloop+zerothink", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLive
-			return cfg
-		}, closed(300, 16, 0)},
-		// Sequential fallbacks: invariance must hold trivially.
-		{"fallback:depth-penalty", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLive
+		{"live", live(ModeLive, nil), periodicSchedule(300, 8), PlanReasonSharded},
+		{"live+replicas", live(ModeLive, func(t *testing.T, cfg *Config) {
+			cfg.Placement = newTestPlacement(t, testGraph(t, 512, 9, 3, 5), 4, 77)
+		}), periodicSchedule(300, 8), PlanReasonSharded},
+		{"live+aggregate", live(ModeLiveAggregate, nil), periodicSchedule(300, 32), PlanReasonSharded},
+		{"live+closedloop", live(ModeLive, nil), closed(300, 16, 0.5), PlanReasonSharded},
+		{"live+closedloop+zerothink", live(ModeLive, nil), closed(300, 16, 0), PlanReasonSharded},
+		{"pit+closedloop", live(ModeLivePIT, func(t *testing.T, cfg *Config) {
+			cfg.PITTimeout, cfg.PITWaiters = 8, 4
+		}), closed(300, 16, 0.5), PlanReasonSharded},
+		// One-owner fallbacks: invariance must hold trivially.
+		{"fallback:depth-penalty", live(ModeLive, func(t *testing.T, cfg *Config) {
 			cfg.DepthPenalty = 1
-			return cfg
-		}, periodicSchedule(300, 8)},
-		{"fallback:aggregate+closedloop", func(t *testing.T) Config {
-			cfg := baseConfig()
-			cfg.Mode = ModeLiveAggregate
-			return cfg
-		}, closed(300, 16, 0.5)},
+		}), periodicSchedule(300, 8), PlanReasonCongestion},
+		{"fallback:penalty", live(ModeLive, func(t *testing.T, cfg *Config) {
+			cfg.Penalty = 2
+		}), periodicSchedule(300, 8), PlanReasonCongestion},
+		{"fallback:route-congestion", live(ModeLive, func(t *testing.T, cfg *Config) {
+			cfg.Route.Congestion = func(q metric.Point) float64 { return float64(q % 3) }
+			cfg.Route.CongestionWeight = 1
+		}), periodicSchedule(300, 8), PlanReasonCongestion},
+		{"fallback:cache-on-path", live(ModeLive, func(t *testing.T, cfg *Config) {
+			p, err := replica.NewPlacement(testGraph(t, 512, 9, 3, 5).Space(),
+				replica.Options{K: 2, CacheThreshold: 2, CacheCopies: 2, CacheDecay: true}, 77)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Placement = p
+		}), periodicSchedule(300, 8), PlanReasonCaching},
+		{"fallback:aggregate+closedloop", live(ModeLiveAggregate, nil), closed(300, 16, 0.5),
+			PlanReasonClosedLoopAggregate},
+		{"fallback:churn-fast-probe", live(ModeLive, func(t *testing.T, cfg *Config) {
+			// An arc dies mid-traffic (a hop in flight toward it strands)
+			// and a node that was dead from the start joins.
+			var events []failure.ChurnEvent
+			for p := metric.Point(96); p < 128; p++ {
+				if p%5 != 0 {
+					events = append(events, failure.ChurnEvent{Time: 4, Kind: failure.ChurnCrash, Node: p})
+				}
+			}
+			events = append(events, failure.ChurnEvent{Time: 15, Kind: failure.ChurnJoin, Node: 10})
+			cfg.Churn = ChurnConfig{Events: events, ProbeTimeout: 0.5, GossipInterval: 1, GossipFanout: 2, Repair: true}
+		}), periodicSchedule(300, 8), PlanReasonChurn},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,17 +172,20 @@ func TestShardCountInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range shardCounts[1:] {
-				// Placements memoize internally; rebuild the config so each
-				// shard count sees an identically fresh placement.
+				// Placements memoize internally and churn edits the graph;
+				// rebuild the inputs so each shard count sees them fresh.
 				got, err := runShardScenario(t, tc.cfg(t), tc.sched, shards)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if got.PlanReason != tc.reason {
+					t.Errorf("shards=%d resolved to %q, want %q", shards, got.PlanReason, tc.reason)
 				}
 				// The resolved plan legitimately differs across shard
 				// counts; the invariance contract covers the simulation.
 				got.Plan, got.PlanReason = base.Plan, base.PlanReason
 				if !reflect.DeepEqual(base, got) {
-					t.Errorf("shards=%d diverged from the sequential reference", shards)
+					t.Errorf("shards=%d diverged from the one-owner run", shards)
 				}
 			}
 		})
@@ -144,8 +194,8 @@ func TestShardCountInvariance(t *testing.T) {
 
 // TestShardedErrorMatchesSequential pins the failure contract: a
 // walker-creation error (dead origin) aborts the run with the same
-// error at every shard count — admission processes injections in the
-// same (time, msg) order the sequential loop pops them in.
+// error at every shard count — both drivers admit injections in the
+// same (time, msg) order.
 func TestShardedErrorMatchesSequential(t *testing.T) {
 	g := testGraph(t, 512, 9, 3, 5)
 	msgs := testMessages(t, g, 64, 4)

@@ -25,11 +25,12 @@
 // back into the simulation — so attaching one cannot move a golden.
 //
 // Concurrency contract: the engine's sequential call sites (injection,
-// completion, merge replay, cache polling) use the Recorder methods
-// directly; its parallel shard drains go through per-shard Views
-// handed out before the drain starts and folded back at sequential
-// points. Flight hops may be appended from shard goroutines because a
-// message is owned by exactly one shard at a time.
+// completion, merge settlement, cache polling, the snapshot loop) use
+// the Recorder methods directly; its live event handlers, which may run
+// on parallel shard drains, go through their owner's View — one per
+// shard, handed out before the run starts and folded back at EndRun.
+// Flight hops may be appended from shard goroutines because a message
+// is owned by exactly one shard at a time.
 package telemetry
 
 import (
@@ -326,9 +327,9 @@ type Run struct {
 // WindowLen returns the virtual-time length of one window.
 func (r *Run) WindowLen() float64 { return 1 / r.Capacity }
 
-// View is a shard-private window recorder: Service and Hop may be
-// called from the shard's drain goroutine without synchronization; the
-// series folds into the run's at the next sequential point.
+// View is a shard-private window recorder: its methods may be called
+// from the shard's drain goroutine without synchronization; the series
+// folds into the run's at EndRun.
 type View struct {
 	s   *series
 	run *Run
@@ -525,32 +526,9 @@ func (r *Recorder) Merge(msg int, t float64) {
 	}
 }
 
-// Suppress records one PIT suppression at virtual time t: a request
-// parked as a waiter on a pending same-key interest instead of
-// forwarding. Sequential-loop form; shard drains use View.Suppress.
-func (r *Recorder) Suppress(t float64) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).Suppressions++
-	}
-}
-
-// Multicast records one PIT answer multicast at virtual time t
-// releasing fanout waiters.
-func (r *Recorder) Multicast(t float64, fanout int) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).Multicasts += fanout
-	}
-}
-
-// PITExpire records one wait ending by timeout at virtual time t.
-func (r *Recorder) PITExpire(t float64) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).PITExpiries++
-	}
-}
-
 // Churn records one applied churn event at virtual time t: a node
-// crash or a join. Sequential-loop only — churn runs never shard.
+// crash or a join. Membership mutates only between windows, so this is
+// always sequential code.
 func (r *Recorder) Churn(t float64, crash bool) {
 	if run := r.cur; run != nil {
 		c := run.win.at(run.window(t))
@@ -592,8 +570,8 @@ func (r *Recorder) Cache(t float64, promotions, evictions int) {
 	c.CacheEvicts += evictions
 }
 
-// Service records one queue service from a sequential loop (shard
-// drains use a View instead).
+// Service records one queue service from the snapshot loop (the live
+// handlers use their owner's View instead).
 func (r *Recorder) Service(t float64, depth int) {
 	if r.cur == nil {
 		return
@@ -601,7 +579,7 @@ func (r *Recorder) Service(t float64, depth int) {
 	r.view(0).Service(t, depth)
 }
 
-// Hop records one hop of a sampled message from a sequential loop.
+// Hop records one hop of a sampled message from sequential code.
 func (r *Recorder) Hop(msg int, node metric.Point, arrival, start, finish float64, depth int, d Decision) {
 	if r.cur == nil {
 		return
@@ -646,18 +624,21 @@ func (v *View) Service(t float64, depth int) {
 	}
 }
 
-// Suppress is the shard-drain form of Recorder.Suppress: the counter
-// lands in the shard's private series and folds at EndRun.
+// Suppress records one PIT suppression at virtual time t: a request
+// parked as a waiter on a pending same-key interest instead of
+// forwarding. Like every View counter it lands in the owner's private
+// series and folds at EndRun.
 func (v *View) Suppress(t float64) {
 	v.s.at(v.run.window(t)).Suppressions++
 }
 
-// Multicast is the shard-drain form of Recorder.Multicast.
+// Multicast records one PIT answer multicast at virtual time t
+// releasing fanout waiters.
 func (v *View) Multicast(t float64, fanout int) {
 	v.s.at(v.run.window(t)).Multicasts += fanout
 }
 
-// PITExpire is the shard-drain form of Recorder.PITExpire.
+// PITExpire records one wait ending by timeout at virtual time t.
 func (v *View) PITExpire(t float64) {
 	v.s.at(v.run.window(t)).PITExpiries++
 }
