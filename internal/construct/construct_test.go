@@ -252,11 +252,11 @@ func TestGrowSupportsRouting(t *testing.T) {
 	for cur != to && hops < n {
 		best := cur
 		bestD := sp.Distance(cur, to)
-		g.ForEachNeighbor(cur, func(q metric.Point) {
+		for _, q := range g.AppendNeighbors(nil, cur, true) {
 			if d := sp.Distance(q, to); d < bestD {
 				best, bestD = q, d
 			}
-		})
+		}
 		if best == cur {
 			t.Fatal("stuck in failure-free constructed network")
 		}

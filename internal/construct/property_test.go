@@ -10,7 +10,8 @@ import (
 
 // Property: under any random churn script, the builder maintains its
 // invariants — no node exceeds the link budget, no up link dangles at a
-// departed node, and alive counts match membership.
+// departed node, the graph's reverse index is exact, and alive counts
+// match membership.
 func TestBuilderInvariantsProperty(t *testing.T) {
 	const n, links = 64, 4
 	f := func(seed uint64, script []byte) bool {
@@ -48,7 +49,7 @@ func TestBuilderInvariantsProperty(t *testing.T) {
 			}
 		}
 		g := b.Graph()
-		if g.AliveCount() != len(present) {
+		if g.AliveCount() != len(present) || g.CheckReverseIndex() != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -92,6 +93,9 @@ func TestSolicitRespectsBudgetProperty(t *testing.T) {
 				}
 			}
 			g := b.Graph()
+			if g.CheckReverseIndex() != nil {
+				return false
+			}
 			for i := 0; i < 128; i++ {
 				if len(g.Long(metric.Point(i))) > 3 {
 					return false

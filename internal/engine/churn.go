@@ -186,12 +186,12 @@ type churnState struct {
 
 	// Reusable scratch keeping the churn hot paths at 0 allocs/op
 	// (bench_churn_test.go pins the contract).
-	mon        []metric.Point     // detect: this call's deduped monitor set
-	collectMon func(metric.Point) // detect: the ForEachNeighbor visitor, built once
-	visited    []uint32           // nearestAlive: BFS visit stamps, one per grid point
-	stamp      uint32             // current BFS generation
-	bfs        []metric.Point     // nearestAlive: BFS queue
-	freeKnown  [][]bool           // retired rumors' known bitmaps, recycled by born
+	mon       []metric.Point // detect: this call's deduped monitor set
+	nbrs      []metric.Point // detect, bootstrap: the node's neighbours
+	visited   []uint32       // nearestAlive: BFS visit stamps, one per grid point
+	stamp     uint32         // current BFS generation
+	bfs       []metric.Point // nearestAlive: BFS queue
+	freeKnown [][]bool       // retired rumors' known bitmaps, recycled by born
 }
 
 func newChurnState(g *graph.Graph, cfg ChurnConfig, src *rng.Source) *churnState {
@@ -200,12 +200,6 @@ func newChurnState(g *graph.Graph, cfg ChurnConfig, src *rng.Source) *churnState
 		src: src,
 		ops: mathx.NewHeap(churnOpLess, len(cfg.Events)+16),
 		hot: make([][]int, g.Size()),
-	}
-	// Built once so detect's neighbour sweep costs no per-call closure.
-	c.collectMon = func(q metric.Point) {
-		if g.Alive(q) {
-			c.addMonitor(q)
-		}
 	}
 	for i, ev := range cfg.Events {
 		c.push(churnOp{time: ev.Time, kind: churnOpEvent, ref: i})
@@ -324,7 +318,12 @@ func (c *churnState) detect(r *runner, ri int, t float64) {
 	}
 	ru.detected = true
 	c.mon = c.mon[:0]
-	r.g.ForEachNeighbor(ru.node, c.collectMon)
+	c.nbrs = r.g.AppendNeighbors(c.nbrs[:0], ru.node, true)
+	for _, q := range c.nbrs {
+		if r.g.Alive(q) {
+			c.addMonitor(q)
+		}
+	}
 	for _, dir := range [2]int{+1, -1} {
 		if q, ok := nearestAliveDir(r.g, ru.node, dir); ok {
 			c.addMonitor(q)
@@ -479,12 +478,15 @@ func (c *churnState) ensureRound(r *runner, t float64) {
 // consulted neighbour.
 func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 	limit := 2 * r.g.Space().Dim()
-	consulted := 0
-	r.g.ForEachNeighbor(p, func(q metric.Point) {
-		if consulted >= limit || !r.g.Alive(q) {
-			return
+	c.nbrs = r.g.AppendNeighbors(c.nbrs[:0], p, true)
+	for _, q := range c.nbrs {
+		if limit == 0 {
+			break
 		}
-		consulted++
+		if !r.g.Alive(q) {
+			continue
+		}
+		limit--
 		r.shards.owner(q).serveAt(r, q, t)
 		r.out.GossipSends++
 		if r.tel != nil {
@@ -493,7 +495,7 @@ func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 		for _, ri := range c.hot[q] {
 			c.teach(r, ri, p, t)
 		}
-	})
+	}
 }
 
 // rebuildLinks redraws every long link of a (re)joining node per §5.

@@ -123,7 +123,18 @@ func oneShot(t *testing.T, g *graph.Graph, churn ChurnConfig, mode Mode, at floa
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireExactIndex(t, g)
 	return out
+}
+
+// requireExactIndex asserts, after a run that crashed, rejoined and
+// re-linked nodes, that the graph's reverse index is still exact — the
+// invariant every forwarding step of the run relied on.
+func requireExactIndex(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if err := g.CheckReverseIndex(); err != nil {
+		t.Error(err)
+	}
 }
 
 // relayOf returns the first relay (second path node) of the lookup's
@@ -296,6 +307,7 @@ func TestChurnFlashCrowdRacesKill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireExactIndex(t, g)
 		return out, events
 	}
 	out1, events := run(build())
@@ -368,6 +380,7 @@ func TestChurnGossipConvergesWithoutTraffic(t *testing.T) {
 	if g.AliveCount() != 63 {
 		t.Errorf("alive count %d, want 63", g.AliveCount())
 	}
+	requireExactIndex(t, g)
 }
 
 // TestChurnStaggeredCrashRumor: crash B is born while crash A's gossip
@@ -390,6 +403,7 @@ func TestChurnStaggeredCrashRumor(t *testing.T) {
 		t.Errorf("second rumor abandoned before detection: converged=%d abandoned=%d",
 			out.RumorsConverged, out.RumorsAbandoned)
 	}
+	requireExactIndex(t, g)
 }
 
 // TestChurnDeadKeyBornFailed: every replica of a key dead at injection

@@ -10,7 +10,11 @@ import (
 // node yet. Nodes arrive later through AddNode — the starting state of
 // the §5 incremental construction.
 func NewEmpty(space metric.Space) *Graph {
-	return &Graph{space: space, nodes: make([]node, space.Size())}
+	return &Graph{
+		space: space,
+		nodes: make([]node, space.Size()),
+		flags: make([]uint8, space.Size()),
+	}
 }
 
 // AddNode marks point p as hosting a live node. It returns an error if
@@ -19,31 +23,29 @@ func (g *Graph) AddNode(p metric.Point) error {
 	if !g.inRange(p) {
 		return fmt.Errorf("graph: AddNode(%d) out of range [0,%d)", p, len(g.nodes))
 	}
-	if g.nodes[p].exists {
+	if g.flags[p]&flagExists != 0 {
 		return fmt.Errorf("graph: node %d already exists", p)
 	}
-	g.nodes[p].exists = true
-	g.nodes[p].failed = false
+	g.flags[p] = flagExists
 	g.aliveCount++
 	return nil
 }
 
 // RemoveNode deletes the node at p entirely: its outgoing long links are
 // dropped and the point stops hosting a node (unlike Fail, which models
-// a crash that leaves the point occupied but dead). Links from other
-// nodes toward p become dangling; ForEachNeighbor already hides them,
-// and the construction heuristic repairs them. It returns an error if p
+// a crash that leaves the point occupied but dead). Every link from
+// another node toward p is taken down and leaves the reverse index; the
+// construction heuristic repairs those slots. It returns an error if p
 // hosts no node.
 func (g *Graph) RemoveNode(p metric.Point) error {
-	if !g.inRange(p) || !g.nodes[p].exists {
+	if !g.Exists(p) {
 		return fmt.Errorf("graph: RemoveNode(%d): no such node", p)
 	}
-	if !g.nodes[p].failed {
+	if g.flags[p]&flagFailed == 0 {
 		g.aliveCount--
 	}
-	// Drop the reverse-index entries of p's outgoing links so the
-	// index does not accumulate dead references under churn.
-	for i, lk := range g.nodes[p].long {
+	nd := &g.nodes[p]
+	for i, lk := range nd.long {
 		if lk.Up {
 			g.dropRev(lk.To, revRef{from: p, idx: i})
 		}
@@ -51,16 +53,13 @@ func (g *Graph) RemoveNode(p metric.Point) error {
 	// Take every incoming link down: the connection to a departed
 	// node is gone for good. The slot stays in its owner's link list
 	// (pointing at the vacated point, down) until the §5 repair
-	// redirects it — so a later arrival at the same point does not
-	// silently resurrect stale connections.
-	for _, ref := range g.nodes[p].rev {
-		if g.inRange(ref.from) && ref.idx < len(g.nodes[ref.from].long) {
-			lk := &g.nodes[ref.from].long[ref.idx]
-			if lk.To == p {
-				lk.Up = false
-			}
-		}
+	// redirects it, and SetLongUp refuses to raise it — so a later
+	// arrival at the same point does not silently resurrect stale
+	// connections.
+	for _, ref := range nd.rev {
+		g.nodes[ref.from].long[ref.idx].Up = false
 	}
-	g.nodes[p] = node{}
+	*nd = node{}
+	g.flags[p] = 0
 	return nil
 }

@@ -29,15 +29,26 @@ type Link struct {
 	Seq int64
 }
 
+// Per-node liveness bits, kept in Graph.flags beside nodes rather than
+// in the node struct: one byte per grid point stays cache-resident at
+// sizes where the link tables do not, and the greedy step tests every
+// candidate's liveness.
+const (
+	flagExists    uint8 = 1 << iota // the point hosts a node at all (§4.3.4.1 binomial model)
+	flagFailed                      // the node crashed after the graph was built
+	flagMalicious                   // Byzantine: alive but silently drops messages
+)
+
 type node struct {
-	exists    bool // the point hosts a node at all (§4.3.4.1 binomial model)
-	failed    bool // the node crashed after the graph was built
-	malicious bool // Byzantine: alive but silently drops messages
-	long      []Link
-	// rev indexes incoming long links: each entry names a node whose
-	// long link at the given slot points here. Entries can go stale
-	// (the slot redirected elsewhere); readers re-validate against the
-	// forward link, so staleness is harmless.
+	long []Link
+	// rev is the exact reverse index of incoming long links: it holds
+	// {q, i} exactly once for every up link nodes[q].long[i] with
+	// To == this point, and nothing else. Exactness rests on a second
+	// invariant — both endpoints of an up link host a node — and both
+	// are kept by the mutators alone (AddLong, ReplaceLong, SetLongUp,
+	// AddNode, RemoveNode), so a reader takes ref.from as a neighbour
+	// without loading the foreign link table. CheckReverseIndex
+	// verifies both by brute force.
 	rev []revRef
 }
 
@@ -53,6 +64,7 @@ type revRef struct {
 type Graph struct {
 	space      metric.Space
 	nodes      []node
+	flags      []uint8 // flagExists|flagFailed|flagMalicious per grid point
 	aliveCount int
 	seq        int64
 	// nearestMark/nearestQueue are reusable scratch for the d >= 2
@@ -67,9 +79,9 @@ type Graph struct {
 // New returns a graph over space in which every grid point hosts a node
 // and no long links exist yet.
 func New(space metric.Space) *Graph {
-	g := &Graph{space: space, nodes: make([]node, space.Size())}
-	for i := range g.nodes {
-		g.nodes[i].exists = true
+	g := NewEmpty(space)
+	for i := range g.flags {
+		g.flags[i] = flagExists
 	}
 	g.aliveCount = len(g.nodes)
 	return g
@@ -84,10 +96,10 @@ func NewWithPresence(space metric.Space, present []bool) (*Graph, error) {
 		return nil, fmt.Errorf("graph: presence mask has %d entries for space of size %d",
 			len(present), space.Size())
 	}
-	g := &Graph{space: space, nodes: make([]node, space.Size())}
+	g := NewEmpty(space)
 	for i, p := range present {
-		g.nodes[i].exists = p
 		if p {
+			g.flags[i] = flagExists
 			g.aliveCount++
 		}
 	}
@@ -105,12 +117,12 @@ func (g *Graph) Size() int { return g.space.Size() }
 
 // Exists reports whether point p hosts a node (failed or not).
 func (g *Graph) Exists(p metric.Point) bool {
-	return g.inRange(p) && g.nodes[p].exists
+	return g.inRange(p) && g.flags[p]&flagExists != 0
 }
 
 // Alive reports whether point p hosts a live node.
 func (g *Graph) Alive(p metric.Point) bool {
-	return g.inRange(p) && g.nodes[p].exists && !g.nodes[p].failed
+	return g.inRange(p) && g.flags[p]&(flagExists|flagFailed) == flagExists
 }
 
 // AliveCount returns the number of live nodes.
@@ -125,7 +137,7 @@ func (g *Graph) Fail(p metric.Point) bool {
 	if !g.Alive(p) {
 		return false
 	}
-	g.nodes[p].failed = true
+	g.flags[p] |= flagFailed
 	g.aliveCount--
 	return true
 }
@@ -133,10 +145,10 @@ func (g *Graph) Fail(p metric.Point) bool {
 // Revive clears the failed flag of the node at p. It returns true if
 // the node transitioned from failed to alive.
 func (g *Graph) Revive(p metric.Point) bool {
-	if !g.inRange(p) || !g.nodes[p].exists || !g.nodes[p].failed {
+	if !g.inRange(p) || g.flags[p]&(flagExists|flagFailed) != flagExists|flagFailed {
 		return false
 	}
-	g.nodes[p].failed = false
+	g.flags[p] &^= flagFailed
 	g.aliveCount++
 	return true
 }
@@ -148,28 +160,44 @@ func (g *Graph) SetMalicious(p metric.Point, malicious bool) error {
 	if !g.Alive(p) {
 		return fmt.Errorf("graph: SetMalicious(%d): not a live node", p)
 	}
-	g.nodes[p].malicious = malicious
+	if malicious {
+		g.flags[p] |= flagMalicious
+	} else {
+		g.flags[p] &^= flagMalicious
+	}
 	return nil
 }
 
 // Malicious reports whether p hosts a Byzantine node.
 func (g *Graph) Malicious(p metric.Point) bool {
-	return g.inRange(p) && g.nodes[p].malicious
+	return g.inRange(p) && g.flags[p]&flagMalicious != 0
 }
 
-// AddLong appends a long-distance link from p to to. Self-links are
-// rejected with an error; duplicate links are permitted (the paper's
-// randomized strategy samples with replacement, Theorem 13).
+// AddLong appends a long-distance link from p to to. Both endpoints
+// must host a node and differ; duplicate links are permitted (the
+// paper's randomized strategy samples with replacement, Theorem 13).
 func (g *Graph) AddLong(p, to metric.Point) error {
+	if err := g.checkLink(p, to); err != nil {
+		return err
+	}
+	g.seq++
+	g.nodes[p].long = append(g.nodes[p].long, Link{To: to, Up: true, Seq: g.seq})
+	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: len(g.nodes[p].long) - 1})
+	return nil
+}
+
+// checkLink rejects a long link the reverse-index invariant cannot
+// hold: an endpoint out of range or hosting no node, or a self-link.
+func (g *Graph) checkLink(p, to metric.Point) error {
 	if !g.inRange(p) || !g.inRange(to) {
 		return fmt.Errorf("graph: link %d->%d out of range [0,%d)", p, to, len(g.nodes))
 	}
 	if p == to {
 		return fmt.Errorf("graph: self-link at %d", p)
 	}
-	g.seq++
-	g.nodes[p].long = append(g.nodes[p].long, Link{To: to, Up: true, Seq: g.seq})
-	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: len(g.nodes[p].long) - 1})
+	if g.flags[p]&g.flags[to]&flagExists == 0 {
+		return fmt.Errorf("graph: link %d->%d has an endpoint that hosts no node", p, to)
+	}
 	return nil
 }
 
@@ -182,28 +210,28 @@ func (g *Graph) Long(p metric.Point) []Link {
 	return g.nodes[p].long
 }
 
-// ReplaceLong redirects p's i-th long link to point to, stamping a fresh
-// sequence number. It is the primitive behind §5's link-redirection
-// heuristic.
+// ReplaceLong redirects p's i-th long link to point to, which must host
+// a node, stamping a fresh sequence number. It is the primitive behind
+// §5's link-redirection heuristic.
 func (g *Graph) ReplaceLong(p metric.Point, i int, to metric.Point) error {
 	if !g.inRange(p) || i < 0 || i >= len(g.nodes[p].long) {
 		return fmt.Errorf("graph: ReplaceLong(%d, %d) out of range", p, i)
 	}
-	if p == to || !g.inRange(to) {
-		return fmt.Errorf("graph: invalid redirect target %d for node %d", to, p)
+	if err := g.checkLink(p, to); err != nil {
+		return err
 	}
-	g.dropRev(g.nodes[p].long[i].To, revRef{from: p, idx: i})
+	ref := revRef{from: p, idx: i}
+	if old := g.nodes[p].long[i]; old.Up {
+		g.dropRev(old.To, ref)
+	}
 	g.seq++
 	g.nodes[p].long[i] = Link{To: to, Up: true, Seq: g.seq}
-	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: i})
+	g.nodes[to].rev = append(g.nodes[to].rev, ref)
 	return nil
 }
 
-// dropRev removes one reverse-index entry, if present.
+// dropRev removes the reverse-index entry of an up link into at.
 func (g *Graph) dropRev(at metric.Point, ref revRef) {
-	if !g.inRange(at) {
-		return
-	}
 	rev := g.nodes[at].rev
 	for i, r := range rev {
 		if r == ref {
@@ -216,7 +244,9 @@ func (g *Graph) dropRev(at metric.Point, ref revRef) {
 
 // SetLongUp sets the Up flag of p's i-th long link (link-failure
 // injection), keeping the reverse index in step: only up links are
-// indexed.
+// indexed. Bringing up a link whose target point hosts no node is an
+// error — the node it connected to has departed (RemoveNode), and a
+// later arrival at that point must not inherit the connection.
 func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 	if !g.inRange(p) || i < 0 || i >= len(g.nodes[p].long) {
 		return fmt.Errorf("graph: SetLongUp(%d, %d) out of range", p, i)
@@ -225,13 +255,16 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 	if lk.Up == up {
 		return nil
 	}
-	lk.Up = up
 	ref := revRef{from: p, idx: i}
 	if up {
+		if g.flags[lk.To]&flagExists == 0 {
+			return fmt.Errorf("graph: SetLongUp(%d, %d): target %d hosts no node", p, i, lk.To)
+		}
 		g.nodes[lk.To].rev = append(g.nodes[lk.To].rev, ref)
 	} else {
 		g.dropRev(lk.To, ref)
 	}
+	lk.Up = up
 	return nil
 }
 
@@ -250,7 +283,7 @@ func (g *Graph) ShortNeighbor(p metric.Point, dir int) (metric.Point, bool) {
 		if q == p {
 			return 0, false // wrapped all the way around
 		}
-		if g.nodes[q].exists {
+		if g.flags[q]&flagExists != 0 {
 			return q, true
 		}
 		cur = q
@@ -258,56 +291,94 @@ func (g *Graph) ShortNeighbor(p metric.Point, dir int) (metric.Point, bool) {
 	return 0, false
 }
 
-// ForEachOutNeighbor invokes fn for every outgoing overlay neighbour of
-// p: the short neighbours — two per axis, always up, per the paper's
-// assumption that immediate links never fail — and every long link that
-// is up. fn receives the neighbouring point; absent points never
-// appear. Neighbour liveness is NOT filtered here — routing decides
-// what to do with dead neighbours. This is the directed model analyzed
-// in §4.
-func (g *Graph) ForEachOutNeighbor(p metric.Point, fn func(q metric.Point)) {
-	if !g.inRange(p) || !g.nodes[p].exists {
-		return
+// AppendNeighbors appends the overlay neighbours of p to buf and
+// returns the extended slice; it is the one place the neighbour rule
+// lives. The outgoing set comes first: the short neighbours — two per
+// axis, −axis before +axis, always up, per the paper's assumption that
+// immediate links never fail — then every up long link in slot order.
+// This is the directed model analyzed in §4. With in set, every node
+// holding an up long link INTO p follows: a long link is a network
+// connection, and §5's protocol has link targets participate in link
+// management, so both endpoints know each other; the §6 simulations
+// route over this symmetric neighbour set. In-links can repeat
+// out-links, so a point may appear more than once (greedy selection is
+// idempotent). Absent points never appear; liveness is NOT filtered —
+// routing decides what to do with dead neighbours.
+//
+// The scan reads p's own link tables only. That an up link's far end
+// hosts a node, and that p.rev lists exactly the up links into p, are
+// invariants the mutators keep (see node.rev), not facts re-checked
+// here: a forwarding node consults its own state, never a peer's.
+func (g *Graph) AppendNeighbors(buf []metric.Point, p metric.Point, in bool) []metric.Point {
+	if !g.Exists(p) {
+		return buf
 	}
 	for axis := 1; axis <= g.space.Dim(); axis++ {
 		neg, okN := g.ShortNeighbor(p, -axis)
 		if okN {
-			fn(neg)
+			buf = append(buf, neg)
 		}
 		if pos, okP := g.ShortNeighbor(p, +axis); okP && (!okN || pos != neg) {
-			fn(pos)
+			buf = append(buf, pos)
 		}
 	}
-	for _, lk := range g.nodes[p].long {
-		if lk.Up && g.nodes[lk.To].exists {
-			fn(lk.To)
+	nd := &g.nodes[p]
+	for i := range nd.long {
+		if lk := &nd.long[i]; lk.Up {
+			buf = append(buf, lk.To)
 		}
 	}
+	if in {
+		for _, ref := range nd.rev {
+			buf = append(buf, ref.from)
+		}
+	}
+	return buf
 }
 
-// ForEachNeighbor invokes fn for every physical neighbour of p: the
-// outgoing set of ForEachOutNeighbor plus every node holding an up long
-// link INTO p. A long link is a network connection, and §5's protocol
-// has link targets participate in link management, so both endpoints
-// know each other; the §6 simulations route over this symmetric
-// neighbour set. In-links can repeat out-links; fn may be called more
-// than once per point (greedy selection is idempotent, so callers don't
-// care).
-func (g *Graph) ForEachNeighbor(p metric.Point, fn func(q metric.Point)) {
-	g.ForEachOutNeighbor(p, fn)
-	if !g.inRange(p) || !g.nodes[p].exists {
-		return
-	}
-	for _, ref := range g.nodes[p].rev {
-		if !g.inRange(ref.from) || !g.nodes[ref.from].exists || ref.from == p {
+// CheckReverseIndex verifies by brute force over the forward links the
+// two invariants AppendNeighbors relies on: every up link joins two
+// distinct points that both host a node, and the reverse index lists
+// each up link exactly once at its target and nothing else. It is a
+// test and debugging aid, O(links × in-degree); nil means both hold.
+func (g *Graph) CheckReverseIndex() error {
+	up, indexed := 0, 0
+	for i := range g.nodes {
+		q, nd := metric.Point(i), &g.nodes[i]
+		indexed += len(nd.rev)
+		if !g.Exists(q) {
+			if len(nd.long) != 0 || len(nd.rev) != 0 {
+				return fmt.Errorf("graph: absent point %d keeps %d links and %d index entries",
+					q, len(nd.long), len(nd.rev))
+			}
 			continue
 		}
-		long := g.nodes[ref.from].long
-		// Re-validate: the slot must still point here and be up.
-		if ref.idx < len(long) && long[ref.idx].To == p && long[ref.idx].Up {
-			fn(ref.from)
+		for slot, lk := range nd.long {
+			if !lk.Up {
+				continue
+			}
+			if lk.To == q || !g.Exists(lk.To) {
+				return fmt.Errorf("graph: up link %d[%d] -> %d is a self-link or its target hosts no node",
+					q, slot, lk.To)
+			}
+			n := 0
+			for _, ref := range g.nodes[lk.To].rev {
+				if ref == (revRef{from: q, idx: slot}) {
+					n++
+				}
+			}
+			if n != 1 {
+				return fmt.Errorf("graph: up link %d[%d] -> %d is indexed %d times, want 1", q, slot, lk.To, n)
+			}
+			up++
 		}
 	}
+	// Every up link accounts for one distinct entry, so equal totals
+	// leave no entry that names a down, redirected or vanished link.
+	if indexed != up {
+		return fmt.Errorf("graph: reverse index holds %d entries for %d up links", indexed, up)
+	}
+	return nil
 }
 
 // NearestExisting returns the present point closest to target (the
@@ -320,7 +391,7 @@ func (g *Graph) NearestExisting(target metric.Point) (metric.Point, bool) {
 	if !g.inRange(target) {
 		return 0, false
 	}
-	if g.nodes[target].exists {
+	if g.flags[target]&flagExists != 0 {
 		return target, true
 	}
 	if g.space.Dim() == 1 {
@@ -361,7 +432,7 @@ func (g *Graph) NearestExisting(target metric.Point) (metric.Point, bool) {
 	queue = append(queue, target)
 	for head := 0; head < len(queue); head++ {
 		p := queue[head]
-		if g.nodes[p].exists {
+		if g.flags[p]&flagExists != 0 {
 			g.nearestQueue = queue[:0]
 			return p, true
 		}
@@ -395,8 +466,8 @@ func (g *Graph) RandomAlive(src *rng.Source) (metric.Point, bool) {
 		}
 	}
 	k := src.Intn(g.aliveCount)
-	for i := range g.nodes {
-		if g.nodes[i].exists && !g.nodes[i].failed {
+	for i, f := range g.flags {
+		if f&(flagExists|flagFailed) == flagExists {
 			if k == 0 {
 				return metric.Point(i), true
 			}
@@ -424,7 +495,7 @@ func (g *Graph) LinkLengthHistogram() *mathx.Histogram {
 func (g *Graph) AvgOutDegree() float64 {
 	var links, nodes int
 	for p := range g.nodes {
-		if g.nodes[p].exists {
+		if g.flags[p]&flagExists != 0 {
 			nodes++
 			links += len(g.nodes[p].long)
 		}
@@ -440,20 +511,10 @@ func (g *Graph) AvgOutDegree() float64 {
 // Poisson(l)-distributed — the very assumption §5's arrival protocol
 // makes when a newcomer estimates how many in-links it "should" have.
 func (g *Graph) InDegree(p metric.Point) int {
-	if !g.inRange(p) || !g.nodes[p].exists {
+	if !g.Exists(p) {
 		return 0
 	}
-	count := 0
-	for _, ref := range g.nodes[p].rev {
-		if !g.inRange(ref.from) || !g.nodes[ref.from].exists || ref.from == p {
-			continue
-		}
-		long := g.nodes[ref.from].long
-		if ref.idx < len(long) && long[ref.idx].To == p && long[ref.idx].Up {
-			count++
-		}
-	}
-	return count
+	return len(g.nodes[p].rev)
 }
 
 // LongLinkCount returns the total number of long links in the graph.

@@ -196,21 +196,20 @@ func TestShortNeighborSingleNode(t *testing.T) {
 	}
 }
 
-func TestForEachNeighborDedupes(t *testing.T) {
+func TestAppendNeighborsDedupes(t *testing.T) {
 	sp := mustRing(t, 8)
 	present := []bool{true, false, false, false, true, false, false, false}
 	g, err := NewWithPresence(sp, present)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []metric.Point
-	g.ForEachNeighbor(0, func(q metric.Point) { got = append(got, q) })
+	got := g.AppendNeighbors(nil, 0, true)
 	if len(got) != 1 || got[0] != 4 {
 		t.Errorf("neighbors of 0 = %v, want [4] exactly once", got)
 	}
 }
 
-func TestForEachNeighborIncludesUpLongLinks(t *testing.T) {
+func TestAppendNeighborsIncludesUpLongLinks(t *testing.T) {
 	g := New(mustRing(t, 16))
 	if err := g.AddLong(0, 5); err != nil {
 		t.Fatal(err)
@@ -222,7 +221,9 @@ func TestForEachNeighborIncludesUpLongLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := map[metric.Point]int{}
-	g.ForEachNeighbor(0, func(q metric.Point) { count[q]++ })
+	for _, q := range g.AppendNeighbors(nil, 0, true) {
+		count[q]++
+	}
 	if count[5] != 1 {
 		t.Error("up long link missing")
 	}
@@ -235,7 +236,9 @@ func TestForEachNeighborIncludesUpLongLinks(t *testing.T) {
 	// Dead neighbours are still enumerated; routing filters them.
 	g.Fail(5)
 	count = map[metric.Point]int{}
-	g.ForEachNeighbor(0, func(q metric.Point) { count[q]++ })
+	for _, q := range g.AppendNeighbors(nil, 0, true) {
+		count[q]++
+	}
 	if count[5] != 1 {
 		t.Error("dead neighbour should still be enumerated")
 	}

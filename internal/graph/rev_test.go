@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/metric"
@@ -25,107 +28,275 @@ func bruteForceInNeighbors(g *Graph, p metric.Point) map[metric.Point]int {
 	return in
 }
 
-// symmetricNeighborsViaIndex extracts the in-link part of
-// ForEachNeighbor by subtracting the out-neighbour enumeration.
-func symmetricNeighborsViaIndex(g *Graph, p metric.Point) map[metric.Point]int {
-	all := map[metric.Point]int{}
-	g.ForEachNeighbor(p, func(q metric.Point) { all[q]++ })
-	g.ForEachOutNeighbor(p, func(q metric.Point) { all[q]-- })
-	for q, c := range all {
-		if c == 0 {
-			delete(all, q)
+// referenceNeighbors is the enumeration AppendNeighbors replaced, kept
+// as its oracle: it trusts nothing about the reverse index and
+// re-validates every entry against the foreign forward link (the slot
+// must exist, still point at p, be up, and belong to a present node
+// other than p), and it re-checks that an out-link's target is present.
+// AppendNeighbors must produce the same sequence with the same
+// multiplicities — which also says the index holds no entry the old
+// readers would have skipped.
+func referenceNeighbors(g *Graph, p metric.Point, in bool) []metric.Point {
+	var out []metric.Point
+	if !g.inRange(p) || g.flags[p]&flagExists == 0 {
+		return out
+	}
+	for axis := 1; axis <= g.space.Dim(); axis++ {
+		neg, okN := g.ShortNeighbor(p, -axis)
+		if okN {
+			out = append(out, neg)
+		}
+		if pos, okP := g.ShortNeighbor(p, +axis); okP && (!okN || pos != neg) {
+			out = append(out, pos)
 		}
 	}
-	return all
+	for _, lk := range g.nodes[p].long {
+		if lk.Up && g.flags[lk.To]&flagExists != 0 {
+			out = append(out, lk.To)
+		}
+	}
+	if !in {
+		return out
+	}
+	for _, ref := range g.nodes[p].rev {
+		if !g.inRange(ref.from) || g.flags[ref.from]&flagExists == 0 || ref.from == p {
+			continue
+		}
+		long := g.nodes[ref.from].long
+		if ref.idx < len(long) && long[ref.idx].To == p && long[ref.idx].Up {
+			out = append(out, ref.from)
+		}
+	}
+	return out
 }
 
-func requireIndexConsistent(t *testing.T, g *Graph, step int) {
-	t.Helper()
+// checkNeighborInvariants is the whole contract of the neighbour
+// layout after any mutation: the index is exact, the enumeration equals
+// the re-validating reference at every point (absent ones included),
+// and its in-link part equals a brute-force scan of the forward links.
+func checkNeighborInvariants(g *Graph) error {
+	if err := g.CheckReverseIndex(); err != nil {
+		return err
+	}
 	for i := 0; i < g.Size(); i++ {
 		p := metric.Point(i)
+		outs := g.AppendNeighbors(nil, p, false)
+		all := g.AppendNeighbors(nil, p, true)
+		for in, got := range map[bool][]metric.Point{false: outs, true: all} {
+			if want := referenceNeighbors(g, p, in); !slices.Equal(got, want) {
+				return fmt.Errorf("node %d (in=%v): AppendNeighbors = %v, reference = %v", p, in, got, want)
+			}
+		}
 		if !g.Exists(p) {
 			continue
 		}
+		got := map[metric.Point]int{}
+		for _, q := range all[len(outs):] {
+			got[q]++
+		}
 		want := bruteForceInNeighbors(g, p)
-		got := symmetricNeighborsViaIndex(g, p)
+		if len(got) != len(want) {
+			return fmt.Errorf("node %d: in-neighbours %v, brute force %v", p, got, want)
+		}
 		for q, n := range want {
 			if got[q] != n {
-				t.Fatalf("step %d: node %d in-neighbour %d: index says %d, truth %d",
-					step, p, q, got[q], n)
+				return fmt.Errorf("node %d in-neighbour %d: index says %d, truth %d", p, q, got[q], n)
 			}
 		}
-		for q, n := range got {
-			if want[q] != n {
-				t.Fatalf("step %d: node %d phantom in-neighbour %d (count %d)", step, p, q, n)
+		if g.InDegree(p) != len(all)-len(outs) {
+			return fmt.Errorf("node %d: InDegree %d, enumerated %d", p, g.InDegree(p), len(all)-len(outs))
+		}
+	}
+	return nil
+}
+
+// mutationSpaces are the geometries the mutation test and the fuzz
+// target cover: the paper's 1-D spaces and the §7 tori in 2-D and 3-D.
+func mutationSpaces(t testing.TB) []metric.Space {
+	t.Helper()
+	ring, err := metric.NewRing(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := metric.NewLine(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := metric.NewTorus(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3, err := metric.NewTorus(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []metric.Space{ring, line, t2, t3}
+}
+
+// mutationGraph builds the starting point of a mutation sequence: a
+// presence mask with every fifth point absent and three sampled links
+// per present node.
+func mutationGraph(t testing.TB, sp metric.Space, seed uint64) *Graph {
+	t.Helper()
+	present := make([]bool, sp.Size())
+	for i := range present {
+		present[i] = i%5 != 2
+	}
+	g, err := BuildIdealWithPresence(sp, PaperConfigFor(sp, 3), present, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// Graph mutations, one per op code.
+const (
+	opAddLong = iota
+	opReplaceLong
+	opSetLongUp
+	opFail
+	opRevive
+	opAddNode
+	opRemoveNode
+	numOps
+)
+
+var errNoTransition = errors.New("node was not in the state to leave")
+
+// mutate applies one mutation decoded from four small integers. The
+// mutators reject what the invariants cannot hold (absent endpoints,
+// self-links, raising a link into a vacated point), so an error is a
+// legal outcome; it is returned for the callers that count successes.
+func mutate(g *Graph, op, x, y, z int) error {
+	n := g.Size()
+	p := metric.Point(x % n)
+	slot := 0
+	if l := len(g.Long(p)); l > 0 {
+		slot = y % l
+	}
+	switch op % numOps {
+	case opAddLong:
+		return g.AddLong(p, metric.Point(y%n))
+	case opReplaceLong:
+		return g.ReplaceLong(p, slot, metric.Point(z%n))
+	case opSetLongUp:
+		return g.SetLongUp(p, slot, z%2 == 1)
+	case opFail:
+		if !g.Fail(p) {
+			return errNoTransition
+		}
+	case opRevive:
+		if !g.Revive(p) {
+			return errNoTransition
+		}
+	case opAddNode:
+		return g.AddNode(p)
+	case opRemoveNode:
+		return g.RemoveNode(p)
+	}
+	return nil
+}
+
+// The reverse index must stay exact, and the enumeration equal to the
+// re-validating reference, after any sequence of AddLong / ReplaceLong /
+// SetLongUp / Fail / Revive / AddNode / RemoveNode on every geometry,
+// starting from a graph with absent points and going through failed
+// links and node churn.
+func TestReverseIndexInvariantUnderChurn(t *testing.T) {
+	for _, sp := range mutationSpaces(t) {
+		g := mutationGraph(t, sp, 77)
+		if err := checkNeighborInvariants(g); err != nil {
+			t.Fatalf("%s: fresh graph: %v", sp.Name(), err)
+		}
+		src := rng.New(78)
+		var applied [numOps]int
+		for step := 0; step < 1500; step++ {
+			op := src.Intn(numOps)
+			if mutate(g, op, src.Intn(1<<16), src.Intn(1<<16), src.Intn(1<<16)) == nil {
+				applied[op]++
+			}
+			if err := checkNeighborInvariants(g); err != nil {
+				t.Fatalf("%s: step %d (op %d): %v", sp.Name(), step, op, err)
+			}
+		}
+		for op, n := range applied {
+			if n == 0 {
+				t.Errorf("%s: op %d never succeeded; the sequence does not exercise it", sp.Name(), op)
 			}
 		}
 	}
 }
 
-// The reverse index must agree with a brute-force scan after any
-// sequence of AddLong / ReplaceLong / SetLongUp / Fail / RemoveNode /
-// AddNode operations.
-func TestReverseIndexInvariantUnderChurn(t *testing.T) {
-	const n = 24
-	sp, err := metric.NewRing(n)
+// FuzzGraphMutations drives arbitrary mutation sequences: the first
+// byte picks the geometry, every following four bytes one mutation.
+// After every op the index must be exact and the enumeration must equal
+// the reference.
+func FuzzGraphMutations(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0, opAddLong, 3, 9, 0, opRemoveNode, 9, 0, 0, opSetLongUp, 3, 3, 1, opAddNode, 9, 0, 0})
+	f.Add([]byte{1, opSetLongUp, 0, 0, 0, opSetLongUp, 0, 0, 1, opFail, 1, 0, 0, opRevive, 1, 0, 0})
+	f.Add([]byte{2, opRemoveNode, 6, 0, 0, opAddNode, 6, 0, 0, opReplaceLong, 0, 1, 6, opAddLong, 6, 0, 0})
+	f.Add([]byte{3, opAddNode, 2, 0, 0, opAddLong, 2, 26, 0, opReplaceLong, 26, 0, 2, opRemoveNode, 2, 0, 0})
+	spaces := mutationSpaces(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := mutationGraph(t, spaces[int(data[0])%len(spaces)], 77)
+		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
+			_ = mutate(g, int(ops[0]), int(ops[1]), int(ops[2]), int(ops[3])) // rejected ops are legal
+			if err := checkNeighborInvariants(g); err != nil {
+				t.Fatalf("after op %v: %v", ops[:4], err)
+			}
+		}
+	})
+}
+
+// A link into a departed node stays down: SetLongUp refuses to raise it
+// while the point is vacant, so a later arrival there does not inherit
+// the connection (RemoveNode's promise).
+func TestSetLongUpDoesNotResurrectRemovedNode(t *testing.T) {
+	sp, err := metric.NewRing(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := New(sp)
-	src := rng.New(77)
-	for step := 0; step < 600; step++ {
-		p := metric.Point(src.Intn(n))
-		switch src.Intn(6) {
-		case 0: // add a long link from a random existing node
-			if g.Exists(p) {
-				to := metric.Point(src.Intn(n))
-				if to != p {
-					if err := g.AddLong(p, to); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		case 1: // redirect a random link
-			if g.Exists(p) && len(g.Long(p)) > 0 {
-				i := src.Intn(len(g.Long(p)))
-				to := metric.Point(src.Intn(n))
-				if to != p {
-					if err := g.ReplaceLong(p, i, to); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		case 2: // toggle a link's up flag
-			if g.Exists(p) && len(g.Long(p)) > 0 {
-				i := src.Intn(len(g.Long(p)))
-				if err := g.SetLongUp(p, i, src.Bool(0.5)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case 3: // crash / revive
-			if src.Bool(0.5) {
-				g.Fail(p)
-			} else {
-				g.Revive(p)
-			}
-		case 4: // remove the node entirely
-			if g.Exists(p) && g.AliveCount() > 2 {
-				if err := g.RemoveNode(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case 5: // re-add
-			if !g.Exists(p) {
-				if err := g.AddNode(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if step%50 == 0 {
-			requireIndexConsistent(t, g, step)
+	if err := g.AddLong(2, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RemoveNode(9); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetLongUp(2, 0, true); err == nil {
+		t.Error("SetLongUp raised a link whose target hosts no node")
+	}
+	if err := g.AddNode(9); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range g.AppendNeighbors(nil, 9, true) {
+		if q == 2 {
+			t.Error("re-added node 9 inherited the departed node's in-link from 2")
 		}
 	}
-	requireIndexConsistent(t, g, 600)
+	for _, q := range g.AppendNeighbors(nil, 2, true) {
+		if q == 9 {
+			t.Error("node 2's link into the departed node 9 came back up")
+		}
+	}
+	if err := g.CheckReverseIndex(); err != nil {
+		t.Error(err)
+	}
+	// Once a node is there again the slot's owner may raise the link.
+	if err := g.SetLongUp(2, 0, true); err != nil {
+		t.Errorf("SetLongUp toward a present node: %v", err)
+	}
+	// Linking from or to a vacant point is rejected outright.
+	if err := g.RemoveNode(9); err != nil {
+		t.Fatal(err)
+	}
+	if g.AddLong(3, 9) == nil || g.AddLong(9, 3) == nil || g.ReplaceLong(2, 0, 9) == nil {
+		t.Error("a link with a vacant endpoint was accepted")
+	}
 }
 
 func TestDynamicAddRemoveValidation(t *testing.T) {
@@ -177,7 +348,7 @@ func TestRemoveFailedNodeKeepsAliveCount(t *testing.T) {
 
 // Symmetric routing sees an in-link even when the only link between two
 // nodes is directed the other way.
-func TestForEachNeighborSeesInLinks(t *testing.T) {
+func TestAppendNeighborsSeesInLinks(t *testing.T) {
 	sp, err := metric.NewRing(32)
 	if err != nil {
 		t.Fatal(err)
@@ -186,36 +357,26 @@ func TestForEachNeighborSeesInLinks(t *testing.T) {
 	if err := g.AddLong(5, 20); err != nil {
 		t.Fatal(err)
 	}
-	seen := false
-	g.ForEachNeighbor(20, func(q metric.Point) {
-		if q == 5 {
-			seen = true
+	seen := func(in bool) bool {
+		for _, q := range g.AppendNeighbors(nil, 20, in) {
+			if q == 5 {
+				return true
+			}
 		}
-	})
-	if !seen {
+		return false
+	}
+	if !seen(true) {
 		t.Error("node 20 should see in-neighbour 5")
 	}
 	// But the directed enumeration must not.
-	seen = false
-	g.ForEachOutNeighbor(20, func(q metric.Point) {
-		if q == 5 {
-			seen = true
-		}
-	})
-	if seen {
+	if seen(false) {
 		t.Error("out enumeration must not include in-links")
 	}
 	// Downing the link hides it from both sides.
 	if err := g.SetLongUp(5, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	seen = false
-	g.ForEachNeighbor(20, func(q metric.Point) {
-		if q == 5 {
-			seen = true
-		}
-	})
-	if seen {
+	if seen(true) {
 		t.Error("down in-link should be hidden")
 	}
 }

@@ -6,15 +6,19 @@ import "testing"
 // round-trip (delta forward then delta backward lands home), Step must
 // agree with Offset-by-1, invalid axes must be rejected, and the
 // distance of a single-axis move must equal the wrapped per-axis
-// distance exactly. These are the grid-walk contracts the routing and
-// construction layers lean on at every hop.
+// distance exactly; and the distance to an arbitrary second point must
+// equal the per-axis coordinate formula (Distance decodes packed points
+// with 32-bit arithmetic of its own). These are the grid-walk contracts
+// the routing and construction layers lean on at every hop.
 func FuzzTorusStepOffset(f *testing.F) {
 	f.Add(8, 2, 5, 1, 3)
 	f.Add(32, 1, 0, -1, 100)
 	f.Add(5, 3, 124, 3, -7)
 	f.Add(1, 1, 0, 1, 1)
 	f.Add(16, 2, 255, -2, 0)
-	f.Add(4, 4, 17, 5, 2) // axis out of range
+	f.Add(4, 4, 17, 5, 2)                   // axis out of range
+	f.Add(127, 4, 127*127*127*127-1, 4, 64) // last point of a large odd 4-D torus
+	f.Add(128, 4, 1<<27, -1, 1<<19)         // 2^28 points: high bits of the 32-bit decode
 	f.Fuzz(func(t *testing.T, side, dim, point, dir, delta int) {
 		// Clamp the geometry to the practical range (NewTorus rejects
 		// the rest anyway) and the walk length to avoid signed-overflow
@@ -61,6 +65,10 @@ func FuzzTorusStepOffset(f *testing.F) {
 		}
 		if tor.Distance(p, q) != tor.Distance(q, p) {
 			t.Fatalf("Distance not symmetric between %d and %d", p, q)
+		}
+		far := Point((abs(point) ^ abs(delta)*2654435761) % tor.Size())
+		if got, want := tor.Distance(p, far), coordDistance(tor, p, far); got != want {
+			t.Fatalf("side %d dim %d: Distance(%d, %d) = %d, per-axis formula = %d", side, dim, p, far, got, want)
 		}
 
 		// Step is Offset by one, and reverses with the opposite dir.

@@ -1,6 +1,8 @@
 package metric
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +231,68 @@ func TestTorusDim1MatchesRing(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// coordDistance is the definition Torus.Distance must compute: the sum
+// over axes of the wrapped distance between the two points' coordinates,
+// each coordinate unpacked on its own by Coord.
+func coordDistance(t *Torus, a, b Point) int {
+	d := 0
+	for axis := 0; axis < t.Dim(); axis++ {
+		d += t.axisDist(t.Coord(a, axis), t.Coord(b, axis))
+	}
+	return d
+}
+
+// Distance peels coordinates off the packed point with 32-bit
+// arithmetic; pin it to the per-axis definition for every dimension,
+// odd and even sides, and the largest torus of each dimension NewTorus
+// admits (in 1-D exactly MaxInt32 points, the decode's edge).
+func TestTorusDistanceMatchesCoordFormula(t *testing.T) {
+	type geom struct{ side, dim int }
+	var geoms []geom
+	for dim := 1; dim <= 4; dim++ {
+		for _, side := range []int{1, 2, 3, 4, 7, 8} {
+			geoms = append(geoms, geom{side, dim})
+		}
+	}
+	geoms = append(geoms, geom{math.MaxInt32, 1}, geom{46340, 2}, geom{1290, 3}, geom{215, 4})
+	src := rand.New(rand.NewSource(1))
+	for _, gm := range geoms {
+		tor, err := NewTorus(gm.side, gm.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := tor.Size()
+		if gm.side > 8 {
+			if _, err := NewTorus(gm.side+1, gm.dim); err == nil {
+				t.Errorf("side %d dim %d is not the largest admitted torus", gm.side, gm.dim)
+			}
+		}
+		check := func(a, b Point) {
+			if got, want := tor.Distance(a, b), coordDistance(tor, a, b); got != want {
+				t.Fatalf("side %d dim %d: Distance(%d, %d) = %d, per-axis formula = %d",
+					gm.side, gm.dim, a, b, got, want)
+			}
+		}
+		if size <= 4096 {
+			for a := 0; a < size; a++ {
+				for b := 0; b < size; b += 1 + size/64 {
+					check(Point(a), Point(b))
+				}
+			}
+			continue
+		}
+		corners := []Point{0, 1, Point(gm.side - 1), Point(gm.side), Point(size / 2), Point(size - 2), Point(size - 1)}
+		for _, a := range corners {
+			for _, b := range corners {
+				check(a, b)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(Point(src.Intn(size)), Point(src.Intn(size)))
+		}
 	}
 }
 

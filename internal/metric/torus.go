@@ -84,13 +84,21 @@ func (t *Torus) At(coords ...int) Point {
 	return Point(v)
 }
 
-// Distance returns the wrapped L1 distance.
+// Distance returns the wrapped L1 distance between two points of the
+// torus. It is the innermost call of every greedy step (once per
+// candidate neighbour), so it peels coordinates off the packed points
+// from the last axis up with one 32-bit division per axis per point —
+// NewTorus bounds Size by MaxInt32 — and no remainder; the first axis
+// is what is left.
 func (t *Torus) Distance(a, b Point) int {
+	ua, ub, side := uint32(a), uint32(b), uint32(t.side)
 	d := 0
-	for axis := 0; axis < t.dim; axis++ {
-		d += t.axisDist(t.Coord(a, axis), t.Coord(b, axis))
+	for axis := t.dim - 1; axis > 0; axis-- {
+		qa, qb := ua/side, ub/side
+		d += t.axisDist(int(ua-qa*side), int(ub-qb*side))
+		ua, ub = qa, qb
 	}
-	return d
+	return d + t.axisDist(int(ua), int(ub))
 }
 
 // axisDist returns the wrapped distance of two coordinates on one axis.

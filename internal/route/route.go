@@ -284,10 +284,16 @@ func isTarget(p metric.Point, targets []metric.Point) bool {
 	return false
 }
 
-// bestNeighbor returns the live neighbour of cur that is closest to the
-// target set under the configured sidedness and strictly closer than
-// cur itself, skipping any points in `tried`. The second return is
-// false at a dead end.
+// scratchNeighbors is the capacity of the stack buffer one greedy step
+// enumerates neighbours into. It covers 2·dim short links plus the out-
+// and in-links of every node of the paper's constructions at the sizes
+// simulated; a node of higher degree spills to its walker's heap slice.
+const scratchNeighbors = 64
+
+// bestNeighbor returns the live neighbour of the walker's current node
+// that is closest to the target set under the configured sidedness and
+// strictly closer than the node itself, skipping any points in `tried`.
+// The second return is false at a dead end.
 //
 // The paper's rule (§6): a node picks its best *live* neighbour; it
 // never forwards to a second choice at the same visit — recovery is the
@@ -303,42 +309,50 @@ func isTarget(p metric.Point, targets []metric.Point) bool {
 // network the penalized walk takes different paths and can hit (or
 // avoid) dead ends plain greedy would not — delivery rates are an
 // empirical matter there, which the experiments measure.
-func (r *Router) bestNeighbor(cur metric.Point, targets []metric.Point, tried []metric.Point) (metric.Point, bool) {
+func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, bool) {
+	r, cur, targets := w.r, w.cur, w.targets
+	// The candidates land in a stack array, or in the walker's own
+	// spill slice once it has met a node too large for the array. The
+	// scratch is never the router's: one router serves every shard.
+	// The spill is sized from the overflow rather than taken from the
+	// returned slice, which may alias the stack array.
+	var stack [scratchNeighbors]metric.Point
+	buf := stack[:0]
+	if w.spill != nil {
+		buf = *w.spill
+	}
+	nbrs := r.g.AppendNeighbors(buf, cur, !r.opt.DirectedOnly)
+	if len(nbrs) > cap(buf) {
+		spill := make([]metric.Point, 0, 2*len(nbrs))
+		w.spill = &spill
+	}
+
 	curDist := r.setDistance(cur, targets)
 	best := cur
 	bestDist := curDist
 	bestScore := 0.0
 	found := false
-	// Call the neighbour iterators directly rather than through a
-	// method-value variable: the indirection hides the callee from
-	// escape analysis, which then heap-allocates this closure and its
-	// captured accumulators on every hop of every walk.
-	consider := func(q metric.Point) {
+	for _, q := range nbrs {
 		if !r.g.Alive(q) || isTarget(q, tried) {
-			return
+			continue
 		}
 		if r.opt.Sidedness == OneSided && !r.oriented.Between(cur, q, targets[0]) {
-			return
+			continue
 		}
 		d := r.setDistance(q, targets)
 		if r.opt.Congestion == nil {
 			if d < bestDist {
 				best, bestDist, found = q, d, true
 			}
-			return
+			continue
 		}
 		if d >= curDist {
-			return // only strict metric progress keeps greedy loop-free
+			continue // only strict metric progress keeps greedy loop-free
 		}
 		score := float64(d) + r.opt.CongestionWeight*r.opt.Congestion(q)
 		if !found || score < bestScore {
 			best, bestScore, found = q, score, true
 		}
-	}
-	if r.opt.DirectedOnly {
-		r.g.ForEachOutNeighbor(cur, consider)
-	} else {
-		r.g.ForEachNeighbor(cur, consider)
 	}
 	return best, found
 }

@@ -38,6 +38,12 @@ type Walker struct {
 	// Backtrack state: the last BacktrackMemory visited nodes, each with
 	// the neighbours already tried from it.
 	history []walkFrame
+
+	// spill is bestNeighbor's scratch once a node's degree has
+	// outgrown its stack buffer; nil (no allocation) until then. A
+	// pointer rather than a slice header keeps the Walker — one heap
+	// object per message — in its 160-byte size class.
+	spill *[]metric.Point
 }
 
 // walkFrame is one remembered node of the backtracking policy. The
@@ -172,7 +178,7 @@ func (w *Walker) stepGreedy() bool {
 		w.last = StepNone
 		return false
 	}
-	if next, ok := r.bestNeighbor(w.cur, w.targets, nil); ok {
+	if next, ok := w.bestNeighbor(nil); ok {
 		w.last = StepGreedy
 		w.move(next)
 		return !w.done
@@ -208,7 +214,7 @@ func (w *Walker) stepBacktrack() bool {
 		return false
 	}
 	top := &w.history[len(w.history)-1]
-	if next, ok := r.bestNeighbor(w.cur, w.targets, top.tried); ok {
+	if next, ok := w.bestNeighbor(top.tried); ok {
 		top.tried = append(top.tried, next)
 		w.last = StepGreedy
 		w.move(next)
