@@ -5,60 +5,46 @@
 // Any experiment failure or headline write failure makes the run exit
 // nonzero, so CI can gate on it.
 //
-// Besides the per-experiment tables it emits four machine-readable
-// headlines so the bench trajectory is recorded run over run:
-// BENCH_load.json (max-load ratio and p99 queueing latency of greedy vs
-// load-aware routing under Zipf traffic), BENCH_saturation.json (the
-// capacity knee — offered rate, knee throughput, and p99 at 80% of the
-// knee — of greedy vs load-aware vs depth-aware routing),
-// BENCH_replica.json (the flood-knee lift of k = 4 hot-key replicas
-// plus cache-on-path over the unreplicated baseline on a 30%-failed
-// torus), and BENCH_engine.json (the same replicated flood scenario
-// swept in the discrete-event engine's four modes — batch-snapshot,
-// live per-hop state, live with same-key service aggregation, and live
-// with the pending-interest response path — whose headlines are the
-// aggregated knee's lift over the snapshot k=4+cache baseline and the
-// PIT knee rate's lift over the aggregation knee rate, plus a
-// shard-scaling section timing the live loop sequentially and at
-// -shards shards on a larger torus and recording
-// events_per_sec_per_core — with a churn-scaling subsection repeating
-// the timed contrast under background churn, a correlated kill, a
-// flash-crowd join, gossip, and link repair (churn ops are window
-// barriers, so the run shards; events_per_sec_churn_sharded records
-// the multi-core churn rate) — plus a churn-recovery section measuring how
-// fast gossip-membership repair restores flood-knee throughput after a
-// correlated kill of 30% of the network, against the never-repaired
-// baseline).
+// Five experiments also own a machine-readable headline, written as
+// BENCH_*.json next to the table it summarizes so the bench trajectory
+// is recorded run over run: ext.load.policy (BENCH_load.json),
+// ext.saturation.policies (BENCH_saturation.json), ext.replica.flood
+// (BENCH_replica.json), ext.engine.flood (BENCH_engine.json) and
+// ext.churn.recovery (BENCH_recovery.json). A headline is read off the
+// results its experiment just printed — nothing is run a second time,
+// and a run that does not select the experiment writes no headline.
+// The schemas (field, unit, gate) live with the experiments, in
+// internal/experiments; every value is virtual-time and deterministic
+// in (n, msgs, seed), so two runs with the same flags write the same
+// bytes. Wall-clock numbers — events per second, shard speed-up,
+// barrier wait — are ftrmark's (bash ftrmark/run.sh), which repeats
+// and stamps them.
 //
-// -validate checks previously written headline files: they must parse,
-// no headline metric may be NaN, infinite, or zero, every knee
-// throughput must be at least the minimal-load baseline recorded
-// alongside it, every knee_lift_* field must be at least 1 (a lift
-// below its own baseline means the feature regressed), and the
-// engine headline's recovery section must show gossip repair actually
-// recovering — recovery_time finite and positive and recovered_frac at
-// least recover_frac. The CI
-// bench-regression job runs ftrbench, then ftrbench -validate, and
-// uploads the headlines as artifacts.
+// -validate checks previously written headline files against the
+// schema of the experiment each one names: the file must parse, carry
+// every schema field and no other, and pass every field's gate —
+// metrics nonzero, knee throughputs at least their sweep's
+// minimal-load baseline, lifts at least 1, and the churn headline
+// actually recovering. The CI bench-regression job runs ftrbench, then
+// ftrbench -validate, and uploads the headlines as artifacts.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole run
 // (`go tool pprof ftrbench cpu.out`), the supported workflow for
 // hunting engine hot spots at realistic scale; -shards partitions the
-// live event loop (and the scaling measurement) across cores.
+// experiments' live event loops across cores (results are identical
+// for every value).
 //
 // Usage:
 //
 //	ftrbench [-out results] [-n 16384] [-trials 5] [-msgs 100] [-seed 1] [-csv] [-shards 4]
 //	ftrbench -only ext.engine.flood -cpuprofile cpu.out -memprofile mem.out
-//	ftrbench -validate results/BENCH_load.json,results/BENCH_saturation.json,results/BENCH_replica.json,results/BENCH_engine.json
+//	ftrbench -validate results/BENCH_load.json,results/BENCH_engine.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -66,17 +52,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/failure"
-	"repro/internal/graph"
-	"repro/internal/load"
-	"repro/internal/mathx"
-	"repro/internal/metric"
-	"repro/internal/replica"
-	"repro/internal/rng"
-	"repro/internal/route"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -95,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csv        = fs.Bool("csv", false, "also write CSV files")
 		only       = fs.String("only", "", "comma-separated experiment ids (default: all)")
 		validate   = fs.String("validate", "", "comma-separated BENCH_*.json files to validate instead of running")
-		shards     = fs.Int("shards", 0, "live event-loop shards for the experiments and the engine scaling headline (0 = NumCPU for the headline, 1 for the experiments)")
+		shards     = fs.Int("shards", 0, "live event-loop shards for the experiments (0 = 1, the one-owner run; results are identical for every value)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
@@ -142,8 +118,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code := 0
 		for _, path := range strings.Split(*validate, ",") {
 			path = strings.TrimSpace(path)
-			if err := validateHeadline(path); err != nil {
-				fmt.Fprintln(stderr, "ftrbench:", err)
+			raw, err := os.ReadFile(path)
+			if err == nil {
+				err = experiments.CheckHeadline(raw)
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "ftrbench: %s: %v\n", path, err)
 				code = 1
 				continue
 			}
@@ -175,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		start := time.Now()
 		fmt.Fprintf(stdout, "running %-28s", e.ID)
-		table, err := e.Run(params)
+		table, headline, err := e.Measure(params)
 		if err != nil {
 			fmt.Fprintf(stdout, " ERROR: %v\n", err)
 			fmt.Fprintf(&index, "%-28s ERROR: %v\n", e.ID, err)
@@ -204,49 +184,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
-	}
-	// The headlines ride along with full runs and with matching -only
-	// filters; a run narrowed to unrelated experiments should not pay
-	// for the extra traffic simulations.
-	if *only == "" || strings.Contains(*only, "ext.load.") {
-		if err := writeLoadHeadline(filepath.Join(*out, "BENCH_load.json"), *n, *msgs, *seed); err != nil {
-			fmt.Fprintln(stderr, "ftrbench:", err)
-			failed++
-			fmt.Fprintf(&index, "%-28s ERROR: %v\n", "BENCH_load.json", err)
-		} else {
-			fmt.Fprintf(stdout, "wrote BENCH_load.json\n")
-			fmt.Fprintf(&index, "%-28s ok  %-10s %s\n", "BENCH_load.json", "", "traffic headline (greedy vs load-aware)")
+		if e.Headline == nil {
+			continue
 		}
-	}
-	if *only == "" || strings.Contains(*only, "ext.saturation.") {
-		if err := writeSaturationHeadline(filepath.Join(*out, "BENCH_saturation.json"), *n, *msgs, *seed); err != nil {
-			fmt.Fprintln(stderr, "ftrbench:", err)
-			failed++
-			fmt.Fprintf(&index, "%-28s ERROR: %v\n", "BENCH_saturation.json", err)
-		} else {
-			fmt.Fprintf(stdout, "wrote BENCH_saturation.json\n")
-			fmt.Fprintf(&index, "%-28s ok  %-10s %s\n", "BENCH_saturation.json", "", "capacity-knee headline (greedy vs load-aware vs depth-aware)")
+		// A failed headline fails the run but not the remaining
+		// experiments, and INDEX.txt names it.
+		file := e.Headline.File
+		buf, err := e.HeadlineJSON(headline)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(*out, file), buf, 0o644)
 		}
-	}
-	if *only == "" || strings.Contains(*only, "ext.replica.") {
-		if err := writeReplicaHeadline(filepath.Join(*out, "BENCH_replica.json"), *n, *msgs, *seed); err != nil {
+		if err != nil {
 			fmt.Fprintln(stderr, "ftrbench:", err)
+			fmt.Fprintf(&index, "%-28s ERROR: %v\n", file, err)
 			failed++
-			fmt.Fprintf(&index, "%-28s ERROR: %v\n", "BENCH_replica.json", err)
-		} else {
-			fmt.Fprintf(stdout, "wrote BENCH_replica.json\n")
-			fmt.Fprintf(&index, "%-28s ok  %-10s %s\n", "BENCH_replica.json", "", "flood-knee replication headline (k=1 vs k=4+cache)")
+			continue
 		}
-	}
-	if *only == "" || strings.Contains(*only, "ext.engine.") {
-		if err := writeEngineHeadline(filepath.Join(*out, "BENCH_engine.json"), *n, *msgs, *seed, *shards); err != nil {
-			fmt.Fprintln(stderr, "ftrbench:", err)
-			failed++
-			fmt.Fprintf(&index, "%-28s ERROR: %v\n", "BENCH_engine.json", err)
-		} else {
-			fmt.Fprintf(stdout, "wrote BENCH_engine.json\n")
-			fmt.Fprintf(&index, "%-28s ok  %-10s %s\n", "BENCH_engine.json", "", "engine-mode headline (snapshot vs live vs live+aggregate vs live+pit)")
-		}
+		fmt.Fprintf(stdout, "wrote %s\n", file)
+		fmt.Fprintf(&index, "%-28s ok  %-10s %s\n", file, "", e.Headline.Summary)
 	}
 	if err := writeTable(filepath.Join(*out, "INDEX.txt"), index.String()); err != nil {
 		fmt.Fprintln(stderr, "ftrbench:", err)
@@ -262,1092 +217,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func writeTable(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// loadHeadline is the BENCH_load.json schema: one seeded Zipf-traffic
-// scenario routed twice — hop-optimal greedy and the congestion-
-// penalized load-aware policy — with the numbers later scaling PRs are
-// measured against. Values are deterministic in (n, messages, seed).
-type loadHeadline struct {
-	Experiment         string  `json:"experiment"`
-	N                  int     `json:"n"`
-	Links              int     `json:"links"`
-	Messages           int     `json:"messages"`
-	Seed               uint64  `json:"seed"`
-	Workload           string  `json:"workload"`
-	MaxLoadGreedy      int     `json:"max_load_greedy"`
-	MaxLoadAware       int     `json:"max_load_aware"`
-	MaxMeanRatioGreedy float64 `json:"max_mean_ratio_greedy"`
-	MaxMeanRatioAware  float64 `json:"max_mean_ratio_aware"`
-	P99LatencyGreedy   float64 `json:"p99_latency_greedy"`
-	P99LatencyAware    float64 `json:"p99_latency_aware"`
-	MeanHopsGreedy     float64 `json:"mean_hops_greedy"`
-	MeanHopsAware      float64 `json:"mean_hops_aware"`
-	MaxQueueDepth      int     `json:"max_queue_depth_greedy"`
-}
-
-// writeLoadHeadline runs the canonical load scenario (Zipf traffic on a
-// healthy ring, backtrack routing) under both policies and writes the
-// JSON headline. Zero n/msgs/seed take the same defaults as the
-// ext.load.* experiments.
-func writeLoadHeadline(path string, n, msgs int, seed uint64) error {
-	if n == 0 {
-		n = 1 << 12
-	}
-	if msgs == 0 {
-		msgs = 1000
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	links := mathx.ILog2(n)
-	if links < 1 {
-		links = 1
-	}
-	ring, err := metric.NewRing(n)
-	if err != nil {
-		return err
-	}
-	g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), rng.New(seed))
-	if err != nil {
-		return err
-	}
-	run := func(penalty float64) (*load.Result, error) {
-		return load.Run(g, load.Zipf(1.0), load.Config{
-			Messages: msgs,
-			Penalty:  penalty,
-			Route:    route.Options{DeadEnd: route.Backtrack},
-		}, seed+1000)
-	}
-	greedy, err := run(0)
-	if err != nil {
-		return err
-	}
-	aware, err := run(1)
-	if err != nil {
-		return err
-	}
-	return writeJSON(path, loadHeadline{
-		Experiment:         "load.headline",
-		N:                  n,
-		Links:              links,
-		Messages:           msgs,
-		Seed:               seed,
-		Workload:           greedy.Workload,
-		MaxLoadGreedy:      greedy.MaxLoad,
-		MaxLoadAware:       aware.MaxLoad,
-		MaxMeanRatioGreedy: greedy.MaxMeanRatio(),
-		MaxMeanRatioAware:  aware.MaxMeanRatio(),
-		P99LatencyGreedy:   greedy.LatencyP99,
-		P99LatencyAware:    aware.LatencyP99,
-		MeanHopsGreedy:     greedy.Search.MeanHops(),
-		MeanHopsAware:      aware.Search.MeanHops(),
-		MaxQueueDepth:      greedy.MaxQueueDepth,
-	})
-}
-
-func writeJSON(path string, v interface{}) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// saturationHeadline is the BENCH_saturation.json schema: the capacity
-// knee of the canonical Zipf-on-a-ring scenario under open-loop Poisson
-// arrivals, located for the paper's hop-optimal greedy and for the
-// load-aware and depth-aware congestion policies. KneeRate is the
-// largest offered load still keeping up, KneeThroughput the delivered
-// rate there, and P99Backoff the tail latency at 80% of the knee — the
-// operating point a production deployment would pick. Values are
-// deterministic in (n, messages, seed).
-type saturationHeadline struct {
-	Experiment          string  `json:"experiment"`
-	N                   int     `json:"n"`
-	Links               int     `json:"links"`
-	Messages            int     `json:"messages"`
-	Seed                uint64  `json:"seed"`
-	Workload            string  `json:"workload"`
-	Model               string  `json:"arrival_model"`
-	KneeRateGreedy      float64 `json:"knee_rate_greedy"`
-	KneeRateAware       float64 `json:"knee_rate_aware"`
-	KneeRateDepth       float64 `json:"knee_rate_depth"`
-	KneeThroughputG     float64 `json:"knee_throughput_greedy"`
-	KneeThroughputAware float64 `json:"knee_throughput_aware"`
-	KneeThroughputDepth float64 `json:"knee_throughput_depth"`
-	// The minimal-load throughput of each sweep: a sanity floor the
-	// validator holds the knee throughput to (a knee below it means the
-	// sweep mis-located the capacity).
-	BaselineThroughputG     float64 `json:"baseline_throughput_greedy"`
-	BaselineThroughputAware float64 `json:"baseline_throughput_aware"`
-	BaselineThroughputDepth float64 `json:"baseline_throughput_depth"`
-	P99BackoffGreedy        float64 `json:"p99_at_80pct_knee_greedy"`
-	P99BackoffAware         float64 `json:"p99_at_80pct_knee_aware"`
-	P99BackoffDepth         float64 `json:"p99_at_80pct_knee_depth"`
-}
-
-// writeSaturationHeadline sweeps the canonical scenario (Zipf traffic on
-// a healthy ring, backtrack routing, Poisson arrivals) under the three
-// policies and writes the JSON headline. Zero n/seed take the
-// ext.saturation.* defaults; the message budget defaults to 3·n so the
-// sweep can observe saturation (an explicit -msgs override is respected
-// but small values make the knee a lower bound).
-func writeSaturationHeadline(path string, n, msgs int, seed uint64) error {
-	if n == 0 {
-		n = 1 << 10
-	}
-	if msgs == 0 {
-		msgs = 3 * n
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	links := mathx.ILog2(n)
-	if links < 1 {
-		links = 1
-	}
-	ring, err := metric.NewRing(n)
-	if err != nil {
-		return err
-	}
-	g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), rng.New(seed))
-	if err != nil {
-		return err
-	}
-	h := saturationHeadline{
-		Experiment: "saturation.headline",
-		N:          n,
-		Links:      links,
-		Messages:   msgs,
-		Seed:       seed,
-		Workload:   "zipf(1)",
-		Model:      "poisson",
-	}
-	sweep := func(penalty, depth float64) (knee, thr, baseline, p99Backoff float64, err error) {
-		cfg := load.SweepConfig{
-			Config: load.Config{
-				Messages:     msgs,
-				Penalty:      penalty,
-				DepthPenalty: depth,
-				Route:        route.Options{DeadEnd: route.Backtrack},
-			},
-			Model: "poisson",
-		}
-		res, err := load.Sweep(g, load.Zipf(1.0), cfg, seed+2000)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if res.KneePoint() == nil {
-			return 0, 0, 0, 0, fmt.Errorf(
-				"saturation headline: no finite knee (minimum load already unstable at n=%d msgs=%d; raise -msgs)",
-				n, msgs)
-		}
-		backoffCfg := cfg.Config
-		backoffCfg.Arrival = load.Poisson(0.8 * res.Knee)
-		backoff, err := load.Run(g, load.Zipf(1.0), backoffCfg, seed+2000)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		return res.Knee, res.KneeThroughput, res.Points[0].Result.Throughput, backoff.LatencyP99, nil
-	}
-	if h.KneeRateGreedy, h.KneeThroughputG, h.BaselineThroughputG, h.P99BackoffGreedy, err = sweep(0, 0); err != nil {
-		return err
-	}
-	if h.KneeRateAware, h.KneeThroughputAware, h.BaselineThroughputAware, h.P99BackoffAware, err = sweep(1, 0); err != nil {
-		return err
-	}
-	if h.KneeRateDepth, h.KneeThroughputDepth, h.BaselineThroughputDepth, h.P99BackoffDepth, err = sweep(1, 1); err != nil {
-		return err
-	}
-	return writeJSON(path, h)
-}
-
-// replicaHeadline is the BENCH_replica.json schema: the flood-knee lift
-// of hot-key replication on the acceptance scenario — a 30%-failed 2-D
-// torus under a single-target flood, swept unreplicated (k = 1) and
-// with k = 4 hash-spread replicas plus popularity-triggered
-// cache-on-path, nearest-replica greedy routing throughout. KneeLift is
-// the headline claim (>= 3x); the baseline throughputs are the
-// minimal-load floors the validator checks the knees against. Values
-// are deterministic in (n, messages, seed).
-type replicaHeadline struct {
-	Experiment         string  `json:"experiment"`
-	N                  int     `json:"n"`
-	Side               int     `json:"side"`
-	Links              int     `json:"links"`
-	Messages           int     `json:"messages"`
-	Seed               uint64  `json:"seed"`
-	Workload           string  `json:"workload"`
-	Model              string  `json:"arrival_model"`
-	FailFrac           float64 `json:"fail_frac"`
-	Replicas           int     `json:"replicas"`
-	CacheThreshold     int     `json:"cache_threshold"`
-	CacheCopies        int     `json:"cache_copies"`
-	KneeRateK1         float64 `json:"knee_rate_k1"`
-	KneeRateK4         float64 `json:"knee_rate_k4"`
-	KneeThroughputK1   float64 `json:"knee_throughput_k1"`
-	KneeThroughputK4   float64 `json:"knee_throughput_k4"`
-	BaselineThroughput float64 `json:"baseline_throughput"`
-	KneeLift           float64 `json:"knee_lift"`
-}
-
-// writeReplicaHeadline sweeps the acceptance scenario with and without
-// replication and writes the JSON headline. Zero n/msgs/seed take the
-// ext.replica.flood defaults.
-func writeReplicaHeadline(path string, n, msgs int, seed uint64) error {
-	if n == 0 {
-		n = 1 << 10
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	side := int(math.Round(math.Sqrt(float64(n))))
-	if side < 8 {
-		side = 8
-	}
-	if msgs == 0 {
-		msgs = 3 * side * side
-	}
-	links := mathx.ILog2(side * side)
-	if links < 1 {
-		links = 1
-	}
-	torus, err := metric.NewTorus(side, 2)
-	if err != nil {
-		return err
-	}
-	src := rng.New(seed)
-	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, links), src)
-	if err != nil {
-		return err
-	}
-	if _, err := failure.FailNodesFraction(g, 0.3, src.Derive(1)); err != nil {
-		return err
-	}
-	h := replicaHeadline{
-		Experiment:     "replica.headline",
-		N:              side * side,
-		Side:           side,
-		Links:          links,
-		Messages:       msgs,
-		Seed:           seed,
-		Workload:       "flood",
-		Model:          "poisson",
-		FailFrac:       0.3,
-		Replicas:       4,
-		CacheThreshold: 16,
-		CacheCopies:    8,
-	}
-	sweep := func(opt *replica.Options) (*load.SweepResult, error) {
-		cfg := load.SweepConfig{
-			Config: load.Config{
-				Messages: msgs,
-				Route:    route.Options{DeadEnd: route.Backtrack},
-			},
-			Model: "poisson",
-		}
-		cfg.Replication = opt
-		res, err := load.Sweep(g, load.Flood(), cfg, seed+3000)
-		if err != nil {
-			return nil, err
-		}
-		if res.KneePoint() == nil {
-			return nil, fmt.Errorf(
-				"replica headline: no finite knee (minimum load already unstable at n=%d msgs=%d; raise -msgs)",
-				n, msgs)
-		}
-		return res, nil
-	}
-	base, err := sweep(nil)
-	if err != nil {
-		return err
-	}
-	repl, err := sweep(&replica.Options{
-		K:              h.Replicas,
-		CacheThreshold: h.CacheThreshold,
-		CacheCopies:    h.CacheCopies,
-	})
-	if err != nil {
-		return err
-	}
-	h.KneeRateK1, h.KneeThroughputK1 = base.Knee, base.KneeThroughput
-	h.KneeRateK4, h.KneeThroughputK4 = repl.Knee, repl.KneeThroughput
-	h.BaselineThroughput = base.Points[0].Result.Throughput
-	h.KneeLift = repl.KneeThroughput / base.KneeThroughput
-	return writeJSON(path, h)
-}
-
-// engineHeadline is the BENCH_engine.json schema: the replicated flood
-// acceptance scenario (30%-failed 2-D torus, single-target flood,
-// k = 4 hash-spread replicas plus cache-on-path) swept in the
-// discrete-event engine's four modes. KneeLiftLive and
-// KneeLiftAggregate compare the live modes' knee throughput to the
-// snapshot baseline — the snapshot row is the pre-engine pipeline
-// byte-for-byte, so KneeLiftAggregate is the headline claim: same-key
-// service aggregation lifts the flood knee past what replication alone
-// (PR 4's 13.58 msgs/tick at this scale's defaults) buys. The
-// response-path fields gate the PIT claim on knee rates (see the
-// section comment below). Values are deterministic in (n, messages,
-// seed).
-type engineHeadline struct {
-	Experiment            string  `json:"experiment"`
-	N                     int     `json:"n"`
-	Side                  int     `json:"side"`
-	Links                 int     `json:"links"`
-	Messages              int     `json:"messages"`
-	Seed                  uint64  `json:"seed"`
-	Workload              string  `json:"workload"`
-	Model                 string  `json:"arrival_model"`
-	FailFrac              float64 `json:"fail_frac"`
-	Replicas              int     `json:"replicas"`
-	CacheThreshold        int     `json:"cache_threshold"`
-	CacheCopies           int     `json:"cache_copies"`
-	KneeRateSnapshot      float64 `json:"knee_rate_snapshot"`
-	KneeRateLive          float64 `json:"knee_rate_live"`
-	KneeRateAggregate     float64 `json:"knee_rate_live_aggregate"`
-	KneeThroughputSnap    float64 `json:"knee_throughput_snapshot"`
-	KneeThroughputLive    float64 `json:"knee_throughput_live"`
-	KneeThroughputAgg     float64 `json:"knee_throughput_live_aggregate"`
-	AggregatedAtKnee      int     `json:"aggregated_at_knee"`
-	BaselineThroughput    float64 `json:"baseline_throughput"`
-	KneeLiftAggregate     float64 `json:"knee_lift_aggregate"`
-	LiveOverSnapshotRatio float64 `json:"live_over_snapshot_ratio"`
-	// Response-path section: the same sweep in live+pit mode, where
-	// every request service plants a pending interest, later same-key
-	// lookups park on it network-wide, and the answer retraces the
-	// reverse path, multicasting to every recorded waiter. KneeLiftPIT
-	// is the ≥1 acceptance gate, and it compares knee RATES against the
-	// live+aggregate row — not knee throughputs, because aggregation's
-	// merged completions are never charged an answer leg, so its
-	// throughput counts return-trip work the response path actually
-	// performs. PITKneeSaturated records whether the sweep observed
-	// instability above the knee; false means suppression kept every
-	// tested rate stable and the knee ran into the sweep's bracket cap,
-	// a lower bound on capacity. The suppression ledger at the knee
-	// balances: pit_suppressed = pit_multicast_fanout + pit_expired
-	// (expiries can legitimately be zero).
-	KneeRatePIT        float64 `json:"knee_rate_live_pit"`
-	KneeThroughputPIT  float64 `json:"knee_throughput_live_pit"`
-	PITKneeSaturated   bool    `json:"pit_knee_saturated"`
-	PITInterestLife    float64 `json:"pit_interest_lifetime"`
-	PITSuppressed      int     `json:"pit_suppressed"`
-	PITMulticastFanout int     `json:"pit_multicast_fanout"`
-	PITExpired         int     `json:"pit_expired"`
-	KneeLiftPIT        float64 `json:"knee_lift_pit"`
-	// Shard-scaling section: the live engine timed on a larger healthy
-	// torus under uniform open-loop traffic — a parallel-eligible
-	// configuration, so the sharded run's tables are byte-identical to
-	// the sequential reference — once at Shards = 1 and once at
-	// ScalingShards (ftrbench -shards; 0 = NumCPU). Events are per-hop
-	// services; EventsPerSecPerCore = EventsPerSecSharded/ScalingShards
-	// is the core-efficiency number the bench-regression gate requires
-	// present and nonzero. ShardSpeedup is wall-clock dependent and
-	// therefore recorded but not gated.
-	ScalingNodes        int     `json:"scaling_nodes"`
-	ScalingMessages     int     `json:"scaling_messages"`
-	ScalingShards       int     `json:"scaling_shards"`
-	EventsPerSecShards1 float64 `json:"events_per_sec_shards1"`
-	EventsPerSecSharded float64 `json:"events_per_sec_sharded"`
-	ShardSpeedup        float64 `json:"shard_speedup"`
-	EventsPerSecPerCore float64 `json:"events_per_sec_per_core"`
-	// Churn-scaling subsection: the same timed contrast with the full
-	// membership layer engaged — background Poisson churn, a correlated
-	// regional kill, a flash-crowd join, gossip dissemination, and link
-	// repair. Churn ops run as window barriers, so the run stays
-	// shard-eligible as long as the probe timeout covers one service
-	// time (the load default, 4 service times, does); the headline
-	// writer fails the run if the sharded timing fell back to the
-	// sequential plan or diverged from the sequential reference. Events
-	// here include gossip transmissions — each is a FIFO service the
-	// shard drains process — and -validate gates both
-	// events_per_sec_churn_* rates nonzero via the events_per_sec
-	// headline-key rule.
-	ChurnScalingNodes        int     `json:"churn_scaling_nodes"`
-	ChurnScalingMessages     int     `json:"churn_scaling_messages"`
-	ChurnScalingCrashes      int     `json:"churn_scaling_crashes"`
-	ChurnScalingJoins        int     `json:"churn_scaling_joins"`
-	ChurnScalingGossipSends  int     `json:"churn_scaling_gossip_sends"`
-	EventsPerSecChurnShards1 float64 `json:"events_per_sec_churn_shards1"`
-	EventsPerSecChurnSharded float64 `json:"events_per_sec_churn_sharded"`
-	ChurnShardSpeedup        float64 `json:"churn_shard_speedup"`
-	// Scheduler is the telemetry profile of the timed sharded run:
-	// per-shard drain wall time, barrier wait, cross-shard handoff
-	// volume, and the window-occupancy histogram. Wall-clock dependent
-	// (like ShardSpeedup), so -validate checks shape and invariants —
-	// barrier_wait_frac in [0, 1], positive drains, shard-count
-	// consistency — never magnitudes.
-	Scheduler *schedSection `json:"scheduler"`
-	// Recovery is the churn headline: flood traffic at the healthy
-	// knee, a correlated kill of 30% of the ring (the flood target
-	// protected), and gossip-membership repair racing to restore
-	// delivered throughput. -validate gates recovery_time finite and
-	// positive and recovered_frac ≥ recover_frac for the repaired run
-	// — the never-repaired baseline fields are recorded for contrast
-	// (baseline_recovery_time is -1 when the baseline never got back
-	// above the threshold).
-	Recovery *recoverySection `json:"recovery"`
-}
-
-// schedSection is the headline's scheduler profile, filled from
-// telemetry.SchedStats. Only the sharded timed run carries a recorder
-// — the sequential reference runs bare, so the byte-equality check in
-// measureScaling doubles as the telemetry non-perturbation gate.
-type schedSection struct {
-	Shards          int       `json:"shards"`
-	Windows         int       `json:"windows"`
-	Events          int       `json:"events"`
-	BarrierWaitFrac float64   `json:"barrier_wait_frac"`
-	DrainSecs       []float64 `json:"drain_secs"`
-	BarrierWaitSecs []float64 `json:"barrier_wait_secs"`
-	Handoffs        []int     `json:"handoffs,omitempty"`
-	// OccupancyMeanEvents is the mean events a shard processed per
-	// window it was active in; OccupancyWindows is the log-bucketed
-	// histogram of those per-shard-window event counts.
-	OccupancyMeanEvents float64          `json:"occupancy_mean_events"`
-	OccupancyWindows    map[string]int64 `json:"occupancy_windows,omitempty"`
-}
-
-// recoverySection is the headline's churn-recovery profile, filled
-// from experiments.MeasureRecovery (the same helper behind
-// ext.churn.recovery, so the table and the headline can never drift
-// apart). All times are virtual ticks; a recovery time of -1 means the
-// run never returned to recover_frac of its pre-kill throughput.
-type recoverySection struct {
-	Nodes                 int     `json:"nodes"`
-	KillFrac              float64 `json:"kill_frac"`
-	KillAt                float64 `json:"kill_at"`
-	RecoverFrac           float64 `json:"recover_frac"`
-	KneeRate              float64 `json:"knee_rate"`
-	PreKillThroughput     float64 `json:"pre_kill_throughput"`
-	FloorThroughput       float64 `json:"floor_throughput"`
-	RecoveryTime          float64 `json:"recovery_time"`
-	RecoveredFrac         float64 `json:"recovered_frac"`
-	BaselineRecoveryTime  float64 `json:"baseline_recovery_time"`
-	BaselineRecoveredFrac float64 `json:"baseline_recovered_frac"`
-	Crashes               int     `json:"crashes"`
-	LinksRebuilt          int     `json:"links_rebuilt"`
-	GossipSends           int     `json:"gossip_sends"`
-	MembershipLag         float64 `json:"membership_lag"`
-}
-
-// measureRecovery fills the headline's recovery section: the repaired
-// run and the never-repaired baseline of the same kill.
-func measureRecovery(h *engineHeadline, n, msgs int, seed uint64) error {
-	p := experiments.Params{N: n, Msgs: msgs, Seed: seed}
-	on, err := experiments.MeasureRecovery(p, true)
-	if err != nil {
-		return err
-	}
-	off, err := experiments.MeasureRecovery(p, false)
-	if err != nil {
-		return err
-	}
-	h.Recovery = &recoverySection{
-		Nodes:                 n,
-		KillFrac:              0.3,
-		KillAt:                on.KillAt,
-		RecoverFrac:           experiments.RecoverFrac,
-		KneeRate:              on.Knee,
-		PreKillThroughput:     on.PreKill,
-		FloorThroughput:       on.Floor,
-		RecoveryTime:          on.RecoveryTime,
-		RecoveredFrac:         on.Recovered,
-		BaselineRecoveryTime:  off.RecoveryTime,
-		BaselineRecoveredFrac: off.Recovered,
-		Crashes:               on.Crashes,
-		LinksRebuilt:          on.LinksRebuilt,
-		GossipSends:           on.GossipSends,
-		MembershipLag:         on.MembershipLag,
-	}
-	return nil
-}
-
-// schedSectionFrom flattens a telemetry scheduler profile into the
-// JSON headline shape.
-func schedSectionFrom(s *telemetry.SchedStats) *schedSection {
-	if s == nil {
-		return nil
-	}
-	sec := &schedSection{
-		Shards:          s.Shards,
-		Windows:         s.Windows,
-		Events:          s.TotalEvents(),
-		BarrierWaitFrac: s.BarrierWaitFrac(),
-		DrainSecs:       s.Drain,
-		BarrierWaitSecs: s.Wait,
-		Handoffs:        s.Handoffs,
-	}
-	if s.Occupancy != nil && s.Occupancy.Total() > 0 {
-		sec.OccupancyMeanEvents = float64(sec.Events) / float64(s.Occupancy.Total())
-		sec.OccupancyWindows = make(map[string]int64)
-		for i := 0; i < s.Occupancy.Buckets(); i++ {
-			if c := s.Occupancy.Count(i); c > 0 {
-				sec.OccupancyWindows[s.Occupancy.BucketLabel(i)] = c
-			}
-		}
-	}
-	return sec
-}
-
-// measureScaling times the live engine on a healthy torus of roughly
-// 16·n nodes under uniform open-loop traffic (8 messages per node at a
-// periodic rate of nodes/4 per tick), once sequential and once at the
-// given shard count, and fills the headline's scaling fields. The
-// configuration is parallel-eligible — no congestion penalties, no
-// caching, no closed-loop aggregation — so both runs produce identical
-// tables; the function errors if they do not, turning any determinism
-// regression into a failed bench run. The default scale keeps full runs
-// quick; `-n 8192` restores the acceptance scale (≈1.3e5 nodes, ≈1e6
-// messages).
-func measureScaling(h *engineHeadline, n int, seed uint64, shards int) error {
-	if shards == 0 {
-		shards = runtime.NumCPU()
-	}
-	side := 4 * int(math.Round(math.Sqrt(float64(n))))
-	if side < 32 {
-		side = 32
-	}
-	nodes := side * side
-	msgs := 8 * nodes
-	links := mathx.ILog2(nodes)
-	torus, err := metric.NewTorus(side, 2)
-	if err != nil {
-		return err
-	}
-	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, links), rng.New(seed+5000))
-	if err != nil {
-		return err
-	}
-	timed := func(s int, tel *telemetry.Recorder) (*load.Result, float64, error) {
-		cfg := load.Config{
-			Messages:  msgs,
-			Shards:    s,
-			Live:      true,
-			Arrival:   load.Periodic(float64(nodes) / 4),
-			Route:     route.Options{DeadEnd: route.Backtrack},
-			Telemetry: tel,
-		}
-		start := time.Now()
-		res, err := load.Run(g, load.Uniform(), cfg, seed+5000)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, time.Since(start).Seconds(), nil
-	}
-	// Only the sharded run carries the recorder; the bare sequential
-	// reference makes the divergence check below double as the
-	// telemetry non-perturbation gate.
-	tel := telemetry.New(telemetry.Options{})
-	seq, seqSecs, err := timed(1, nil)
-	if err != nil {
-		return err
-	}
-	par, parSecs, err := timed(shards, tel)
-	if err != nil {
-		return err
-	}
-	if seq.Delivered != par.Delivered || seq.Makespan != par.Makespan ||
-		seq.MaxLoad != par.MaxLoad || seq.LatencyP99 != par.LatencyP99 {
-		return fmt.Errorf(
-			"engine headline: sharded run diverged from the sequential reference (shards=%d: delivered %d vs %d, makespan %g vs %g)",
-			shards, par.Delivered, seq.Delivered, par.Makespan, seq.Makespan)
-	}
-	events := 0
-	for _, l := range seq.Loads {
-		events += l
-	}
-	h.ScalingNodes = nodes
-	h.ScalingMessages = msgs
-	h.ScalingShards = shards
-	h.EventsPerSecShards1 = float64(events) / seqSecs
-	h.EventsPerSecSharded = float64(events) / parSecs
-	h.ShardSpeedup = seqSecs / parSecs
-	h.EventsPerSecPerCore = h.EventsPerSecSharded / float64(shards)
-	h.Scheduler = schedSectionFrom(tel.Scheduler())
-	return nil
-}
-
-// measureChurnScaling times the live engine with the membership layer
-// live — background churn, a correlated regional kill, a flash-crowd
-// join, gossip dissemination, and link repair — on a healthy torus
-// under uniform open-loop traffic, once sequential and once at the
-// given shard count, and fills the headline's churn-scaling fields.
-// Churn ops are window barriers, and the load default probe timeout
-// (4 service times) covers the 1-service-time window horizon, so the
-// run is parallel-eligible; the function errors if the sharded run
-// fell back to the sequential plan or diverged from the sequential
-// reference in tables or churn ledger, turning an eligibility or
-// determinism regression into a failed bench run. Each timed run
-// rebuilds the graph from the same seed because churn mutates it.
-func measureChurnScaling(h *engineHeadline, n int, seed uint64, shards int) error {
-	if shards == 0 {
-		shards = runtime.NumCPU()
-	}
-	side := 2 * int(math.Round(math.Sqrt(float64(n))))
-	if side < 32 {
-		side = 32
-	}
-	nodes := side * side
-	msgs := 4 * nodes
-	links := mathx.ILog2(nodes)
-	rate := float64(nodes) / 8
-	horizon := float64(msgs) / rate
-	churn := failure.ChurnSpec{
-		Rate:           4 / horizon,
-		Horizon:        horizon,
-		KillFrac:       0.15,
-		KillAt:         horizon / 4,
-		FlashJoin:      nodes / 64,
-		FlashAt:        horizon / 2,
-		GossipInterval: 1,
-		GossipFanout:   2,
-		Repair:         true,
-	}
-	timed := func(s int) (*load.Result, float64, error) {
-		torus, err := metric.NewTorus(side, 2)
-		if err != nil {
-			return nil, 0, err
-		}
-		g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, links), rng.New(seed+7000))
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg := load.Config{
-			Messages: msgs,
-			Shards:   s,
-			Live:     true,
-			Arrival:  load.Poisson(rate),
-			Route:    route.Options{DeadEnd: route.Backtrack},
-			Churn:    churn,
-		}
-		start := time.Now()
-		res, err := load.Run(g, load.Uniform(), cfg, seed+7000)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, time.Since(start).Seconds(), nil
-	}
-	seq, seqSecs, err := timed(1)
-	if err != nil {
-		return err
-	}
-	par, parSecs, err := timed(shards)
-	if err != nil {
-		return err
-	}
-	// On a single-core runner the "sharded" timing is legitimately the
-	// sequential plan; everywhere else a fallback means the scenario
-	// lost its shard eligibility — fail loudly instead of recording two
-	// sequential timings as a speedup of 1.
-	if shards > 1 && par.Plan != engine.PlanLiveSharded.String() {
-		return fmt.Errorf(
-			"engine headline: churn scaling run fell back to plan %q (%s); the default probe timeout must keep churn shard-eligible",
-			par.Plan, par.PlanReason)
-	}
-	if seq.Delivered != par.Delivered || seq.Makespan != par.Makespan ||
-		seq.MaxLoad != par.MaxLoad || seq.LatencyP99 != par.LatencyP99 ||
-		seq.Crashes != par.Crashes || seq.Joins != par.Joins ||
-		seq.GossipSends != par.GossipSends || seq.LinksRebuilt != par.LinksRebuilt ||
-		seq.MembershipLag != par.MembershipLag {
-		return fmt.Errorf(
-			"engine headline: sharded churn run diverged from the sequential reference (shards=%d: delivered %d vs %d, crashes %d vs %d, gossip %d vs %d)",
-			shards, par.Delivered, seq.Delivered, par.Crashes, seq.Crashes, par.GossipSends, seq.GossipSends)
-	}
-	if seq.Crashes == 0 || seq.Joins == 0 || seq.GossipSends == 0 || seq.LinksRebuilt == 0 {
-		return fmt.Errorf(
-			"engine headline: churn scaling scenario was vacuous (crashes=%d joins=%d gossip=%d links=%d); every churn mechanism must exercise",
-			seq.Crashes, seq.Joins, seq.GossipSends, seq.LinksRebuilt)
-	}
-	events := seq.GossipSends
-	for _, l := range seq.Loads {
-		events += l
-	}
-	h.ChurnScalingNodes = nodes
-	h.ChurnScalingMessages = msgs
-	h.ChurnScalingCrashes = seq.Crashes
-	h.ChurnScalingJoins = seq.Joins
-	h.ChurnScalingGossipSends = seq.GossipSends
-	h.EventsPerSecChurnShards1 = float64(events) / seqSecs
-	h.EventsPerSecChurnSharded = float64(events) / parSecs
-	h.ChurnShardSpeedup = seqSecs / parSecs
-	return nil
-}
-
-// writeEngineHeadline sweeps the acceptance scenario in all four
-// engine modes, times the shard-scaling scenario, and writes the JSON
-// headline. Zero n/msgs/seed take the ext.engine.flood defaults (which
-// match ext.replica.flood's, so the snapshot row is comparable to
-// BENCH_replica.json's k=4+cache row); zero shards times the scaling
-// scenario at NumCPU.
-func writeEngineHeadline(path string, n, msgs int, seed uint64, shards int) error {
-	if n == 0 {
-		n = 1 << 10
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	side := int(math.Round(math.Sqrt(float64(n))))
-	if side < 8 {
-		side = 8
-	}
-	if msgs == 0 {
-		msgs = 3 * side * side
-	}
-	links := mathx.ILog2(side * side)
-	if links < 1 {
-		links = 1
-	}
-	torus, err := metric.NewTorus(side, 2)
-	if err != nil {
-		return err
-	}
-	src := rng.New(seed)
-	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, links), src)
-	if err != nil {
-		return err
-	}
-	if _, err := failure.FailNodesFraction(g, 0.3, src.Derive(1)); err != nil {
-		return err
-	}
-	h := engineHeadline{
-		Experiment:     "engine.headline",
-		N:              side * side,
-		Side:           side,
-		Links:          links,
-		Messages:       msgs,
-		Seed:           seed,
-		Workload:       "flood",
-		Model:          "poisson",
-		FailFrac:       0.3,
-		Replicas:       4,
-		CacheThreshold: 16,
-		CacheCopies:    8,
-	}
-	sweep := func(live, aggregate, pit bool) (*load.SweepResult, error) {
-		cfg := load.SweepConfig{
-			Config: load.Config{
-				Messages:  msgs,
-				Live:      live,
-				Aggregate: aggregate,
-				PIT:       pit,
-				Route:     route.Options{DeadEnd: route.Backtrack},
-			},
-			Model: "poisson",
-		}
-		cfg.Replication = &replica.Options{
-			K:              h.Replicas,
-			CacheThreshold: h.CacheThreshold,
-			CacheCopies:    h.CacheCopies,
-		}
-		res, err := load.Sweep(g, load.Flood(), cfg, seed+4000)
-		if err != nil {
-			return nil, err
-		}
-		if res.KneePoint() == nil {
-			return nil, fmt.Errorf(
-				"engine headline: no finite knee (minimum load already unstable at n=%d msgs=%d; raise -msgs)",
-				n, msgs)
-		}
-		return res, nil
-	}
-	snap, err := sweep(false, false, false)
-	if err != nil {
-		return err
-	}
-	live, err := sweep(true, false, false)
-	if err != nil {
-		return err
-	}
-	agg, err := sweep(true, true, false)
-	if err != nil {
-		return err
-	}
-	pit, err := sweep(true, false, true)
-	if err != nil {
-		return err
-	}
-	h.KneeRateSnapshot, h.KneeThroughputSnap = snap.Knee, snap.KneeThroughput
-	h.KneeRateLive, h.KneeThroughputLive = live.Knee, live.KneeThroughput
-	h.KneeRateAggregate, h.KneeThroughputAgg = agg.Knee, agg.KneeThroughput
-	h.AggregatedAtKnee = agg.KneePoint().Result.Aggregated
-	h.BaselineThroughput = snap.Points[0].Result.Throughput
-	h.KneeLiftAggregate = agg.KneeThroughput / snap.KneeThroughput
-	h.LiveOverSnapshotRatio = live.KneeThroughput / snap.KneeThroughput
-	pk := pit.KneePoint().Result
-	h.KneeRatePIT, h.KneeThroughputPIT = pit.Knee, pit.KneeThroughput
-	h.PITKneeSaturated = pit.Saturated
-	h.PITInterestLife = load.Config{PIT: true}.ResolvedPITTimeout()
-	h.PITSuppressed = pk.Suppressed
-	h.PITMulticastFanout = pk.MulticastFanout
-	h.PITExpired = pk.PITExpired
-	h.KneeLiftPIT = pit.Knee / agg.Knee
-	if err := measureScaling(&h, n, seed, shards); err != nil {
-		return err
-	}
-	if err := measureChurnScaling(&h, n, seed, shards); err != nil {
-		return err
-	}
-	if err := measureRecovery(&h, n, msgs, seed); err != nil {
-		return err
-	}
-	return writeJSON(path, h)
-}
-
-// headlineKey reports whether a zero value for the given BENCH_*.json
-// field indicates a broken run rather than a legitimate zero (ids,
-// seeds and labels are exempt).
-func headlineKey(k string) bool {
-	for _, marker := range []string{"knee", "max_load", "max_mean", "p99", "mean_hops", "throughput", "queue_depth", "events_per_sec"} {
-		if strings.Contains(k, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// validateHeadline parses one BENCH_*.json file and rejects NaN,
-// infinite, or zero-valued headline metrics, and any knee throughput
-// below the minimal-load baseline recorded next to it — the CI
-// bench-regression gate. Encoding NaN would already fail at write time
-// (encoding/json rejects it), so the finiteness check guards
-// hand-edited or truncated files.
-func validateHeadline(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var fields map[string]interface{}
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if _, ok := fields["experiment"].(string); !ok {
-		return fmt.Errorf("%s: missing experiment id", path)
-	}
-	// The headline loop below sees only top-level numbers; the nested
-	// scheduler section needs its own descent.
-	if raw, present := fields["scheduler"]; present && raw != nil {
-		sched, ok := raw.(map[string]interface{})
-		if !ok {
-			return fmt.Errorf("%s: scheduler section is not an object", path)
-		}
-		if err := checkScheduler(sched, fields); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	}
-	if raw, present := fields["recovery"]; present && raw != nil {
-		rec, ok := raw.(map[string]interface{})
-		if !ok {
-			return fmt.Errorf("%s: recovery section is not an object", path)
-		}
-		if err := checkRecovery(rec); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	}
-	checked := 0
-	for k, v := range fields {
-		f, ok := v.(float64)
-		if !ok {
-			continue
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%s: field %q is %v", path, k, f)
-		}
-		if headlineKey(k) {
-			checked++
-			if f == 0 {
-				return fmt.Errorf("%s: headline field %q is zero", path, k)
-			}
-		}
-		// A knee_lift_* field below 1 means the feature undercut its own
-		// baseline — the engine-mode and replication headlines gate on it.
-		if strings.HasPrefix(k, "knee_lift") && f < 1 {
-			return fmt.Errorf("%s: headline field %q = %g is below 1 (feature regressed its baseline)", path, k, f)
-		}
-		if err := checkKneeBaseline(fields, k, f); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("%s: no headline metrics found", path)
-	}
-	return nil
-}
-
-// checkScheduler validates the BENCH_engine.json scheduler section's
-// shape and invariants: a positive integer shard count consistent with
-// the headline's scaling_shards, a barrier-wait fraction in [0, 1],
-// per-shard drain times positive and finite, waits non-negative and
-// finite, and handoff counts (when present) non-negative integers.
-// Magnitudes are wall-clock dependent and never gated.
-func checkScheduler(sched, fields map[string]interface{}) error {
-	shards, ok := sched["shards"].(float64)
-	if !ok || shards < 1 || shards != math.Trunc(shards) {
-		return fmt.Errorf("scheduler.shards %v must be a positive integer", sched["shards"])
-	}
-	if outer, ok := fields["scaling_shards"].(float64); ok && outer != shards {
-		return fmt.Errorf("scheduler.shards %g disagrees with scaling_shards %g", shards, outer)
-	}
-	frac, ok := sched["barrier_wait_frac"].(float64)
-	if !ok || math.IsNaN(frac) || frac < 0 || frac > 1 {
-		return fmt.Errorf("scheduler.barrier_wait_frac %v must lie in [0, 1]", sched["barrier_wait_frac"])
-	}
-	if ev, ok := sched["events"].(float64); !ok || !(ev > 0) {
-		return fmt.Errorf("scheduler.events %v must be positive", sched["events"])
-	}
-	drain, err := schedFloats(sched, "drain_secs", int(shards))
-	if err != nil {
-		return err
-	}
-	for i, d := range drain {
-		if !(d > 0) || math.IsInf(d, 0) {
-			return fmt.Errorf("scheduler.drain_secs[%d] = %g must be positive and finite", i, d)
-		}
-	}
-	wait, err := schedFloats(sched, "barrier_wait_secs", int(shards))
-	if err != nil {
-		return err
-	}
-	for i, w := range wait {
-		if !(w >= 0) || math.IsInf(w, 0) {
-			return fmt.Errorf("scheduler.barrier_wait_secs[%d] = %g must be non-negative and finite", i, w)
-		}
-	}
-	if raw, present := sched["handoffs"]; present && raw != nil {
-		hs, ok := raw.([]interface{})
-		if !ok || len(hs) != int(shards) {
-			return fmt.Errorf("scheduler.handoffs must be an array of shards = %g entries", shards)
-		}
-		for i, h := range hs {
-			f, ok := h.(float64)
-			if !ok || f < 0 || f != math.Trunc(f) {
-				return fmt.Errorf("scheduler.handoffs[%d] = %v must be a non-negative integer", i, h)
-			}
-		}
-	}
-	return nil
-}
-
-// checkRecovery validates the BENCH_engine.json recovery section —
-// the churn acceptance gate. The repaired run must have recovered:
-// recovery_time finite and positive, recovered_frac at least
-// recover_frac, and the repair ledger (crashes, links_rebuilt,
-// gossip_sends) nonzero, over a sane scenario (kill_frac and
-// recover_frac in (0, 1], positive knee and pre-kill throughput). The
-// baseline fields only need to be well-formed: baseline_recovery_time
-// is either positive or the -1 "never recovered" sentinel.
-func checkRecovery(rec map[string]interface{}) error {
-	num := func(key string) (float64, error) {
-		f, ok := rec[key].(float64)
-		if !ok || math.IsNaN(f) || math.IsInf(f, 0) {
-			return 0, fmt.Errorf("recovery.%s %v must be a finite number", key, rec[key])
-		}
-		return f, nil
-	}
-	for _, key := range []string{"kill_frac", "recover_frac"} {
-		f, err := num(key)
-		if err != nil {
-			return err
-		}
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("recovery.%s = %g must lie in (0, 1]", key, f)
-		}
-	}
-	for _, key := range []string{"knee_rate", "pre_kill_throughput", "kill_at"} {
-		f, err := num(key)
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("recovery.%s = %g must be positive", key, f)
-		}
-	}
-	rt, err := num("recovery_time")
-	if err != nil {
-		return err
-	}
-	if rt <= 0 {
-		return fmt.Errorf("recovery.recovery_time = %g: repair never restored %v of the pre-kill throughput",
-			rt, rec["recover_frac"])
-	}
-	frac, err := num("recovered_frac")
-	if err != nil {
-		return err
-	}
-	if want, _ := rec["recover_frac"].(float64); frac < want {
-		return fmt.Errorf("recovery.recovered_frac = %g is below recover_frac %g", frac, want)
-	}
-	for _, key := range []string{"crashes", "links_rebuilt", "gossip_sends"} {
-		f, err := num(key)
-		if err != nil {
-			return err
-		}
-		if f < 1 || f != math.Trunc(f) {
-			return fmt.Errorf("recovery.%s = %v must be a positive integer (the repair machinery must have run)", key, rec[key])
-		}
-	}
-	for _, key := range []string{"floor_throughput", "membership_lag", "baseline_recovered_frac"} {
-		f, err := num(key)
-		if err != nil {
-			return err
-		}
-		if f < 0 {
-			return fmt.Errorf("recovery.%s = %g must be non-negative", key, f)
-		}
-	}
-	if bt, err := num("baseline_recovery_time"); err != nil {
-		return err
-	} else if bt <= 0 && bt != -1 {
-		return fmt.Errorf("recovery.baseline_recovery_time = %g must be positive or the -1 sentinel", bt)
-	}
-	return nil
-}
-
-// schedFloats extracts a length-n numeric array from the scheduler
-// section.
-func schedFloats(sched map[string]interface{}, key string, n int) ([]float64, error) {
-	raw, ok := sched[key].([]interface{})
-	if !ok {
-		return nil, fmt.Errorf("scheduler.%s missing or not an array", key)
-	}
-	if len(raw) != n {
-		return nil, fmt.Errorf("scheduler.%s has %d entries, want shards = %d", key, len(raw), n)
-	}
-	out := make([]float64, len(raw))
-	for i, v := range raw {
-		f, ok := v.(float64)
-		if !ok {
-			return nil, fmt.Errorf("scheduler.%s[%d] is not a number", key, i)
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-// checkKneeBaseline rejects a knee_throughput_* field that sits below
-// its own sweep's minimal-load throughput: the knee is by definition
-// the largest stable load, so its throughput can never undercut the
-// minimum's — a headline violating that was produced by a broken sweep
-// (or a hand-edited file). The baseline is looked up under the matching
-// suffix (baseline_throughput_<suffix>) or the file-wide
-// baseline_throughput; headlines without a baseline field pass, so
-// older BENCH_load.json-style files stay valid.
-func checkKneeBaseline(fields map[string]interface{}, key string, knee float64) error {
-	const kneePrefix = "knee_throughput"
-	if !strings.HasPrefix(key, kneePrefix) {
-		return nil
-	}
-	baseKey := "baseline_throughput" + strings.TrimPrefix(key, kneePrefix)
-	base, ok := fields[baseKey].(float64)
-	if !ok {
-		base, ok = fields["baseline_throughput"].(float64)
-	}
-	if !ok {
-		return nil
-	}
-	if knee < base {
-		return fmt.Errorf("headline field %q = %g is below its minimal-load baseline %g (%s)",
-			key, knee, base, baseKey)
-	}
-	return nil
 }

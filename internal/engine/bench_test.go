@@ -133,8 +133,8 @@ func BenchmarkProcessOneLive(b *testing.B) {
 
 // BenchmarkLiveEngine runs a whole live engine scenario per shard
 // count — the end-to-end events/sec number, meaningful on multi-core
-// hardware (ftrbench's engine headline records the same ratio as
-// events_per_sec_per_core).
+// hardware (ftrmark's live_seq and live_sharded workloads take the same
+// contrast repeated and stamped, as engine.shard_speedup).
 func BenchmarkLiveEngine(b *testing.B) {
 	torus, err := metric.NewTorus(64, 2)
 	if err != nil {

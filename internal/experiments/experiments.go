@@ -206,6 +206,10 @@ type Experiment struct {
 	Description string
 	// Run executes the experiment.
 	Run func(Params) (*sim.Table, error)
+	// Headline is set on the experiments that own a BENCH_*.json (see
+	// headline.go). They register Headline.Measure in place of Run, and
+	// Run is that measurement's table.
+	Headline *Headline
 }
 
 var registry = map[string]Experiment{}
@@ -213,6 +217,13 @@ var registry = map[string]Experiment{}
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiments: duplicate id " + e.ID)
+	}
+	if e.Run == nil {
+		measure := e.Headline.Measure
+		e.Run = func(p Params) (*sim.Table, error) {
+			t, _, err := measure(p)
+			return t, err
+		}
 	}
 	registry[e.ID] = e
 }

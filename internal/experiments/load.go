@@ -207,51 +207,87 @@ func init() {
 		Description: "the same Zipf traffic routed twice per network — plain greedy and greedy " +
 			"with congestion-penalized detours — on ring and torus, healthy and 30% " +
 			"failed: the load-aware policy should cut max load at a bounded mean-hop cost",
-		Run: func(p Params) (*sim.Table, error) {
-			p = p.withDefaults(1<<12, 1, 1000)
-			penalty := p.Penalty
-			if penalty == 0 {
-				penalty = 1
-			}
-			t := sim.NewTable(
-				fmt.Sprintf("Greedy vs load-aware routing (n≈%d, l=%d, msgs=%d, penalty=%g, seed=%d)",
-					p.N, p.lgLinks(), p.Msgs, penalty, p.Seed),
-				"config", "policy", "max load", "max/mean", "p99 lat", "mean hops", "failed frac")
-			scenarios := []loadScenario{
-				{"ring healthy", 1, 0},
-				{"ring 30% failed", 1, 0.3},
-				{"torus healthy", 2, 0},
-				{"torus 30% failed", 2, 0.3},
-			}
-			for i, sc := range scenarios {
-				g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
-				if err != nil {
-					return nil, err
-				}
-				for _, aware := range []bool{false, true} {
-					gen, err := workloadFor(p, "zipf")
-					if err != nil {
-						return nil, err
-					}
-					cfg, err := loadConfig(p)
-					if err != nil {
-						return nil, err
-					}
-					policy := "greedy"
-					if aware {
-						cfg.Penalty = penalty
-						policy = "load-aware"
-					}
-					r, err := load.Run(g, gen, cfg, p.Seed+uint64(3000+i))
-					if err != nil {
-						return nil, err
-					}
-					t.AddValues(sc.label, policy,
-						r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
-						r.Search.MeanHops(), r.Search.FailedFraction())
-				}
-			}
-			return t, nil
+		Headline: &Headline{
+			File:    "BENCH_load.json",
+			Summary: "traffic headline: greedy vs load-aware on the healthy ring",
+			Fields:  loadPolicyFields,
+			Measure: measureLoadPolicy,
 		},
 	})
+}
+
+// loadPolicyFields is the BENCH_load.json schema: the healthy ring's
+// two rows of ext.load.policy — one seeded Zipf workload routed
+// hop-optimal greedy and with the congestion-penalized load-aware
+// policy — the numbers later scaling PRs are measured against.
+var loadPolicyFields = scenarioFields(
+	Field{Name: "workload", Gate: Text},
+	Field{Name: "max_load_greedy", Unit: "msg-hops", Gate: PositiveInt, Row: 0, Col: "max load"},
+	Field{Name: "max_load_aware", Unit: "msg-hops", Gate: PositiveInt, Row: 1, Col: "max load"},
+	Field{Name: "max_mean_ratio_greedy", Unit: "ratio", Gate: Positive, Row: 0, Col: "max/mean"},
+	Field{Name: "max_mean_ratio_aware", Unit: "ratio", Gate: Positive, Row: 1, Col: "max/mean"},
+	Field{Name: "p99_latency_greedy", Unit: "ticks", Gate: Positive, Row: 0, Col: "p99 lat"},
+	Field{Name: "p99_latency_aware", Unit: "ticks", Gate: Positive, Row: 1, Col: "p99 lat"},
+	Field{Name: "mean_hops_greedy", Unit: "hops", Gate: Positive, Row: 0, Col: "mean hops"},
+	Field{Name: "mean_hops_aware", Unit: "hops", Gate: Positive, Row: 1, Col: "mean hops"},
+	Field{Name: "max_queue_depth_greedy", Unit: "msgs", Gate: PositiveInt},
+)
+
+func measureLoadPolicy(p Params) (*sim.Table, Values, error) {
+	p = p.withDefaults(1<<12, 1, 1000)
+	penalty := p.Penalty
+	if penalty == 0 {
+		penalty = 1
+	}
+	t := sim.NewTable(
+		fmt.Sprintf("Greedy vs load-aware routing (n≈%d, l=%d, msgs=%d, penalty=%g, seed=%d)",
+			p.N, p.lgLinks(), p.Msgs, penalty, p.Seed),
+		"config", "policy", "max load", "max/mean", "p99 lat", "mean hops", "failed frac")
+	scenarios := []loadScenario{
+		{"ring healthy", 1, 0},
+		{"ring 30% failed", 1, 0.3},
+		{"torus healthy", 2, 0},
+		{"torus 30% failed", 2, 0.3},
+	}
+	v := scenarioValues(p, p.Msgs)
+	for i, sc := range scenarios {
+		g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, policy := range []string{"greedy", "load-aware"} {
+			gen, err := workloadFor(p, "zipf")
+			if err != nil {
+				return nil, nil, err
+			}
+			cfg, err := loadConfig(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			suffix := "_greedy"
+			if policy == "load-aware" {
+				cfg.Penalty = penalty
+				suffix = "_aware"
+			}
+			r, err := load.Run(g, gen, cfg, p.Seed+uint64(3000+i))
+			if err != nil {
+				return nil, nil, err
+			}
+			t.AddValues(sc.label, policy,
+				r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
+				r.Search.MeanHops(), r.Search.FailedFraction())
+			if i > 0 {
+				continue // the headline is the healthy ring
+			}
+			v["workload"] = r.Workload
+			v["max_load"+suffix] = r.MaxLoad
+			v["max_mean_ratio"+suffix] = r.MaxMeanRatio()
+			v["p99_latency"+suffix] = r.LatencyP99
+			v["mean_hops"+suffix] = r.Search.MeanHops()
+			if policy == "greedy" {
+				v["max_queue_depth_greedy"] = r.MaxQueueDepth
+			}
+		}
+	}
+	return t, v, nil
 }

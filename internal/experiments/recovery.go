@@ -28,9 +28,9 @@ import (
 // mean marks the network recovered.
 const RecoverFrac = 0.9
 
-// RecoveryResult is one measured churn-recovery run. ftrbench's
-// BENCH_engine.json recovery section and the ext.churn.recovery table
-// are both filled from it.
+// RecoveryResult is one measured churn-recovery run; the
+// ext.churn.recovery table and its BENCH_recovery.json headline are
+// both filled from it.
 type RecoveryResult struct {
 	// Knee is the healthy network's flood-knee rate (the offered load
 	// the measurement runs at) and PreKill the mean delivered
@@ -234,6 +234,59 @@ func recoveryVerdict(r *RecoveryResult) string {
 	return fmt.Sprintf("recovered ≥%.0f%% in %.0f ticks", 100*RecoverFrac, r.RecoveryTime)
 }
 
+// recoveryFields is the BENCH_recovery.json schema: the two rows of
+// ext.churn.recovery. The gates are the churn acceptance criterion —
+// the repaired run must recover (recovery_time positive, where -1
+// means it never did; recovered_frac at least recover_frac) with the
+// repair machinery actually having run — while the never-repaired
+// baseline is recorded for contrast and only needs to be well formed.
+// All times are virtual ticks.
+var recoveryFields = scenarioFields(
+	Field{Name: "kill_frac", Unit: "share of nodes", Gate: Fraction},
+	Field{Name: "kill_at", Unit: "ticks", Gate: Positive},
+	Field{Name: "recover_frac", Unit: "share of pre-kill throughput", Gate: Fraction},
+	Field{Name: "knee_rate", Unit: "msgs/tick", Gate: Positive, Row: 0, Col: "knee"},
+	Field{Name: "pre_kill_throughput", Unit: "msgs/tick", Gate: Positive, Row: 0, Col: "pre-kill thr"},
+	Field{Name: "floor_throughput", Unit: "msgs/tick", Gate: NonNegative, Row: 0, Col: "floor thr"},
+	Field{Name: "recovery_time", Unit: "ticks", Gate: Positive, Row: 0, Col: "recovery time"},
+	Field{Name: "recovered_frac", Unit: "share of pre-kill throughput", Gate: Positive, AtLeast: "recover_frac", Row: 0, Col: "recovered frac"},
+	Field{Name: "baseline_recovery_time", Unit: "ticks", Gate: PositiveOrNever, Row: 1, Col: "recovery time"},
+	Field{Name: "baseline_recovered_frac", Unit: "share of pre-kill throughput", Gate: NonNegative, Row: 1, Col: "recovered frac"},
+	Field{Name: "crashes", Unit: "nodes", Gate: PositiveInt, Row: 0, Col: "crashes"},
+	Field{Name: "links_rebuilt", Unit: "links", Gate: PositiveInt, Row: 0, Col: "links rebuilt"},
+	Field{Name: "gossip_sends", Unit: "msgs", Gate: PositiveInt, Row: 0, Col: "gossip sends"},
+	Field{Name: "membership_lag", Unit: "ticks", Gate: NonNegative},
+)
+
+func measureChurnRecovery(p Params) (*sim.Table, Values, error) {
+	msgs, killFrac, rp := recoveryScenario(p)
+	t := sim.NewTable(
+		fmt.Sprintf("Churn recovery under flood (ring n=%d, l=%d, kill %.0f%% @ 1/3 horizon, seed=%d)",
+			rp.N, rp.lgLinks(), 100*killFrac, rp.Seed),
+		"variant", "knee", "pre-kill thr", "floor thr", "recovery time",
+		"recovered frac", "crashes", "links rebuilt", "gossip sends", "verdict")
+	var runs [2]*RecoveryResult // repair on, repair off
+	for i, label := range []string{"repair on", "repair off (baseline)"} {
+		r, err := MeasureRecovery(p, i == 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		runs[i] = r
+		t.AddValues(label, r.Knee, r.PreKill, r.Floor, r.RecoveryTime,
+			r.Recovered, r.Crashes, r.LinksRebuilt, r.GossipSends, recoveryVerdict(r))
+		t.Note("plan=%s — %s", r.Plan, r.PlanReason)
+	}
+	on, off := runs[0], runs[1]
+	v := scenarioValues(rp, msgs)
+	v["kill_frac"], v["kill_at"], v["recover_frac"] = killFrac, on.KillAt, RecoverFrac
+	v["knee_rate"], v["pre_kill_throughput"], v["floor_throughput"] = on.Knee, on.PreKill, on.Floor
+	v["recovery_time"], v["recovered_frac"] = on.RecoveryTime, on.Recovered
+	v["baseline_recovery_time"], v["baseline_recovered_frac"] = off.RecoveryTime, off.Recovered
+	v["crashes"], v["links_rebuilt"], v["gossip_sends"] = on.Crashes, on.LinksRebuilt, on.GossipSends
+	v["membership_lag"] = on.MembershipLag
+	return t, v, nil
+}
+
 func init() {
 	register(Experiment{
 		ID:       "ext.churn.recovery",
@@ -242,27 +295,11 @@ func init() {
 			"ring (the flood target protected): windowed delivered throughput before and " +
 			"after, with gossip membership repair on vs the never-repaired baseline — " +
 			"repair must climb back to ≥90% of the pre-kill knee throughput in finite time",
-		Run: func(p Params) (*sim.Table, error) {
-			_, killFrac, rp := recoveryScenario(p)
-			t := sim.NewTable(
-				fmt.Sprintf("Churn recovery under flood (ring n=%d, l=%d, kill %.0f%% @ 1/3 horizon, seed=%d)",
-					rp.N, rp.lgLinks(), 100*killFrac, rp.Seed),
-				"variant", "knee", "pre-kill thr", "floor thr", "recovery time",
-				"recovered frac", "crashes", "links rebuilt", "gossip sends", "verdict")
-			for _, repair := range []bool{true, false} {
-				r, err := MeasureRecovery(p, repair)
-				if err != nil {
-					return nil, err
-				}
-				label := "repair on"
-				if !repair {
-					label = "repair off (baseline)"
-				}
-				t.AddValues(label, r.Knee, r.PreKill, r.Floor, r.RecoveryTime,
-					r.Recovered, r.Crashes, r.LinksRebuilt, r.GossipSends, recoveryVerdict(r))
-				t.Note("plan=%s — %s", r.Plan, r.PlanReason)
-			}
-			return t, nil
+		Headline: &Headline{
+			File:    "BENCH_recovery.json",
+			Summary: "churn-recovery headline: gossip repair vs the never-repaired baseline after a 30% kill",
+			Fields:  recoveryFields,
+			Measure: measureChurnRecovery,
 		},
 	})
 }

@@ -67,6 +67,107 @@ func replicationFor(p Params, k int) *replica.Options {
 	return &replica.Options{K: k, CacheThreshold: p.Cache}
 }
 
+// floodFields opens the schemas of the two flood-knee headlines with
+// their shared acceptance scenario — a single-target flood on the
+// 30%-failed torus, the first scenario of ext.replica.flood and
+// ext.engine.flood — and floodValues fills them from the scenario, the
+// replicated rows' options, and any one of its sweeps.
+func floodFields(rest ...Field) []Field {
+	return scenarioFields(append([]Field{
+		{Name: "workload", Gate: Text},
+		{Name: "arrival_model", Gate: Text},
+		{Name: "fail_frac", Unit: "share of nodes", Gate: Fraction},
+		{Name: "replicas", Unit: "copies", Gate: PositiveInt},
+		{Name: "cache_threshold", Unit: "lookups", Gate: PositiveInt},
+		{Name: "cache_copies", Unit: "copies", Gate: PositiveInt},
+	}, rest...)...)
+}
+
+// kneeRow is one measured row of a flood-knee table: the sweep and the
+// lift over the scenario's baseline row the table prints for it (0
+// when that baseline found no stable load).
+type kneeRow struct {
+	sweep *load.SweepResult
+	lift  float64
+}
+
+func floodValues(p Params, sc loadScenario, opt *replica.Options, s *load.SweepResult) Values {
+	v := scenarioValues(p, sweepMessages(p))
+	v["workload"], v["arrival_model"] = s.Points[0].Result.Workload, s.Model
+	v["fail_frac"] = sc.failFrac
+	v["replicas"], v["cache_threshold"], v["cache_copies"] = opt.K, opt.CacheThreshold, opt.CacheCopies
+	return v
+}
+
+// replicaFloodFields is the BENCH_replica.json schema: the failed
+// torus's k=1 and k=4+cache rows of ext.replica.flood. knee_lift is
+// the headline claim (≥ 3x at the default scale); baseline_throughput
+// is the unreplicated sweep's minimal-load throughput.
+var replicaFloodFields = floodFields(
+	Field{Name: "knee_rate_k1", Unit: "msgs/tick", Gate: Positive, Row: 0, Col: "knee"},
+	Field{Name: "knee_rate_k4", Unit: "msgs/tick", Gate: Positive, Row: 3, Col: "knee"},
+	Field{Name: "knee_throughput_k1", Unit: "msgs/tick", Gate: Positive, AtLeast: "baseline_throughput", Row: 0, Col: "knee thr"},
+	Field{Name: "knee_throughput_k4", Unit: "msgs/tick", Gate: Positive, AtLeast: "baseline_throughput", Row: 3, Col: "knee thr"},
+	Field{Name: "baseline_throughput", Unit: "msgs/tick", Gate: Positive},
+	Field{Name: "knee_lift", Unit: "ratio to k=1", Gate: Lift, Row: 3, Col: "lift"},
+)
+
+func measureReplicaFlood(p Params) (*sim.Table, Values, error) {
+	p = p.withDefaults(1<<10, 1, 0)
+	t := sim.NewTable(
+		fmt.Sprintf("Flood knee by replica configuration (n≈%d, l=%d, seed=%d)",
+			p.N, p.lgLinks(), p.Seed),
+		"config", "replicas", "knee", "knee thr", "p99@knee", "lift", "verdict")
+	scenarios := []loadScenario{
+		{"torus 30% failed", 2, 0.3},
+		{"ring 30% failed", 1, 0.3},
+	}
+	ladder := floodLadder(p)
+	var torus []kneeRow // the headline scenario's rows
+	for i, sc := range scenarios {
+		g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
+		if err != nil {
+			return nil, nil, err
+		}
+		var base float64
+		for _, variant := range ladder {
+			gen, err := workloadFor(p, "flood")
+			if err != nil {
+				return nil, nil, err
+			}
+			cfg := sweepConfigFor(p, saturationPolicy{name: "greedy"})
+			cfg.Replication = variant.opt
+			res, err := load.Sweep(g, gen, cfg, p.Seed+uint64(5000+i))
+			if err != nil {
+				return nil, nil, err
+			}
+			lift := 0.0
+			if variant.opt == nil {
+				base = res.KneeThroughput
+				lift = 1
+			} else if base > 0 {
+				lift = res.KneeThroughput / base
+			}
+			if i == 0 {
+				torus = append(torus, kneeRow{res, lift})
+			}
+			if res.KneePoint() == nil {
+				t.AddValues(sc.label, variant.label, res.Knee, 0.0, 0.0, 0.0, "UNSTABLE at min load")
+				continue
+			}
+			t.AddValues(sc.label, variant.label, res.Knee, res.KneeThroughput, res.KneeP99,
+				lift, capMark(res.Saturated))
+		}
+	}
+	k1, k4 := torus[0], torus[len(torus)-1]
+	v := floodValues(p, scenarios[0], ladder[len(ladder)-1].opt, k1.sweep)
+	v.setKnee("k1", k1.sweep)
+	v.setKnee("k4", k4.sweep)
+	v["baseline_throughput"] = k1.sweep.Points[0].Result.Throughput
+	v["knee_lift"] = k4.lift
+	return t, v, nil
+}
+
 func init() {
 	register(Experiment{
 		ID:       "ext.replica.flood",
@@ -75,49 +176,11 @@ func init() {
 			"replication, hash-spread k = 2 and k = 4, and k = 4 plus popularity-triggered " +
 			"cache-on-path, all under nearest-replica greedy routing — the headline claim " +
 			"is a >= 3x knee-throughput lift at k = 4 (+cache) on the failed torus",
-		Run: func(p Params) (*sim.Table, error) {
-			p = p.withDefaults(1<<10, 1, 0)
-			t := sim.NewTable(
-				fmt.Sprintf("Flood knee by replica configuration (n≈%d, l=%d, seed=%d)",
-					p.N, p.lgLinks(), p.Seed),
-				"config", "replicas", "knee", "knee thr", "p99@knee", "lift", "verdict")
-			scenarios := []loadScenario{
-				{"torus 30% failed", 2, 0.3},
-				{"ring 30% failed", 1, 0.3},
-			}
-			for i, sc := range scenarios {
-				g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
-				if err != nil {
-					return nil, err
-				}
-				var base float64
-				for _, v := range floodLadder(p) {
-					gen, err := workloadFor(p, "flood")
-					if err != nil {
-						return nil, err
-					}
-					cfg := sweepConfigFor(p, saturationPolicy{name: "greedy"})
-					cfg.Replication = v.opt
-					res, err := load.Sweep(g, gen, cfg, p.Seed+uint64(5000+i))
-					if err != nil {
-						return nil, err
-					}
-					if res.KneePoint() == nil {
-						t.AddValues(sc.label, v.label, res.Knee, 0.0, 0.0, 0.0, "UNSTABLE at min load")
-						continue
-					}
-					lift := 0.0
-					if v.opt == nil {
-						base = res.KneeThroughput
-						lift = 1
-					} else if base > 0 {
-						lift = res.KneeThroughput / base
-					}
-					t.AddValues(sc.label, v.label, res.Knee, res.KneeThroughput, res.KneeP99,
-						lift, capMark(res.Saturated))
-				}
-			}
-			return t, nil
+		Headline: &Headline{
+			File:    "BENCH_replica.json",
+			Summary: "flood-knee replication headline: k=1 vs k=4+cache on the failed torus",
+			Fields:  replicaFloodFields,
+			Measure: measureReplicaFlood,
 		},
 	})
 
