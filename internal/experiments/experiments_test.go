@@ -1,10 +1,40 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// update regenerates testdata/tiny.golden from the tables the suite
+// produces now: go test ./internal/experiments -run TinyScale -update.
+var update = flag.Bool("update", false, "rewrite testdata/tiny.golden")
+
+const tinyGolden = "testdata/tiny.golden"
+
+// readTinyGolden parses the "id sha256" lines of the golden file.
+func readTinyGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(tinyGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", tinyGolden, line)
+		}
+		want[id] = sum
+	}
+	return want
+}
 
 // tiny returns parameters small enough that every experiment finishes
 // in well under a second.
@@ -49,7 +79,38 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentRunsAtTinyScale runs the whole registry at the
+// tiny scale and holds every table's text rendering to the digest
+// recorded in testdata/tiny.golden. Nothing else pins the experiment
+// tables byte for byte (internal/regress pins engine and load runs), so
+// this is the guard a refactor of this package is reviewed against: a
+// changed digest means a changed seed, draw order, row or format.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		got = map[string]string{}
+	)
+	var want map[string]string
+	if *update {
+		// Cleanup runs once every parallel subtest has finished.
+		t.Cleanup(func() {
+			if t.Failed() {
+				return
+			}
+			var b bytes.Buffer
+			for _, id := range IDs() {
+				fmt.Fprintf(&b, "%s %s\n", id, got[id])
+			}
+			if err := os.WriteFile(tinyGolden, b.Bytes(), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		want = readTinyGolden(t)
+		if len(want) != len(IDs()) {
+			t.Errorf("%s lists %d experiments, the registry has %d", tinyGolden, len(want), len(IDs()))
+		}
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -63,6 +124,18 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			}
 			if tbl.Title == "" || len(tbl.Columns) < 2 {
 				t.Errorf("%s table missing title/columns", id)
+			}
+			var text bytes.Buffer
+			if err := tbl.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			sum := fmt.Sprintf("%x", sha256.Sum256(text.Bytes()))
+			if *update {
+				mu.Lock()
+				got[id] = sum
+				mu.Unlock()
+			} else if sum != want[id] {
+				t.Errorf("%s: table digest %s, golden %q; the table now reads\n%s", id, sum, want[id], text.String())
 			}
 		})
 	}
