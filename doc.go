@@ -4,9 +4,9 @@
 // The library lives under internal/ (see internal/core for the facade),
 // executables under cmd/ (ftrsim, ftrbench, ftrnode), runnable examples
 // under examples/, and the per-table/figure benchmark harness in
-// bench_test.go. DESIGN.md maps every paper artifact to the module and
-// bench target that regenerates it; EXPERIMENTS.md records paper-vs-
-// measured results.
+// bench_test.go. README.md's Architecture table maps every layer to its
+// package, and `ftrsim -list` is the experiment index: every paper
+// artifact with the id that regenerates it.
 //
 // Beyond the paper's single-message reproduction, internal/load models
 // sustained traffic: workload generators, a virtual-time queueing

@@ -223,6 +223,29 @@ type Outcome struct {
 	PlanReason string
 }
 
+// CheckLedgers reports the first conservation identity the outcome
+// breaks: every message was injected exactly once; every PIT
+// suppression ended in a multicast release or an expiry; every strand
+// resumed or dropped; every applied crash and join started a rumor that
+// converged or was abandoned. A run holds them whatever its inputs, so
+// an error here is an engine bug, never a configuration error.
+func (o *Outcome) CheckLedgers() error {
+	switch {
+	case o.Injected != len(o.Results):
+		return fmt.Errorf("engine: ledger: %d messages but %d injections", len(o.Results), o.Injected)
+	case o.Suppressed != o.MulticastFanout+o.PITExpired:
+		return fmt.Errorf("engine: ledger: suppressed %d != fanout %d + expired %d",
+			o.Suppressed, o.MulticastFanout, o.PITExpired)
+	case o.Stranded != o.StrandResumed+o.StrandDropped:
+		return fmt.Errorf("engine: ledger: stranded %d != resumed %d + dropped %d",
+			o.Stranded, o.StrandResumed, o.StrandDropped)
+	case o.RumorsConverged+o.RumorsAbandoned != o.Crashes+o.Joins:
+		return fmt.Errorf("engine: ledger: rumors %d converged + %d abandoned != %d crashes + %d joins",
+			o.RumorsConverged, o.RumorsAbandoned, o.Crashes, o.Joins)
+	}
+	return nil
+}
+
 // Run simulates msgs over g under cfg and sched. Message i draws its
 // routing randomness from root.Derive(16+i) — the traffic pipeline's
 // historical per-message stream contract — so a snapshot-mode run

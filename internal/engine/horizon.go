@@ -121,6 +121,9 @@ func (r *runner) runWindows() {
 			return
 		}
 		s.drainWindow(r, horizon)
+		if r.err != nil {
+			return // a shard panicked: its state is not fit to barrier
+		}
 		s.barrier(r)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -93,6 +94,8 @@ type shard struct {
 	h      *mathx.Heap[event]
 	outbox [][]event // per destination shard, reused across windows
 	done   []doneRec // deferred side effects, in pop (= event) order
+	// panicked is a handler panic caught during this owner's drain.
+	panicked error
 
 	// agg is this owner's slice of the aggregation state: one key's
 	// pending service at one owned node. Nil unless aggregating.
@@ -199,7 +202,9 @@ func (s *shardSet) nextTime(r *runner) (float64, bool) {
 // concurrently, one goroutine per busy shard (the first busy shard
 // runs on the caller's goroutine). Shards only read immutable run
 // state and write shard-owned state, so the window needs no locks;
-// the WaitGroup is the whole synchronization story.
+// the WaitGroup is the whole synchronization story. A handler that
+// panics ends the run with r.err instead of the process: a panic on a
+// bare goroutine cannot be recovered by any caller of Run.
 func (s *shardSet) drainWindow(r *runner, horizon float64) {
 	s.active = s.active[:0]
 	for _, sh := range s.shards {
@@ -215,11 +220,16 @@ func (s *shardSet) drainWindow(r *runner, horizon float64) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			sh.drain(r, horizon)
+			sh.drainGuarded(r, horizon)
 		}(sh)
 	}
-	s.active[0].drain(r, horizon)
+	s.active[0].drainGuarded(r, horizon)
 	wg.Wait()
+	for _, sh := range s.active {
+		if sh.panicked != nil && r.err == nil {
+			r.err = sh.panicked
+		}
+	}
 	if r.tel != nil {
 		s.profileWindow(r)
 	}
@@ -242,6 +252,18 @@ func (s *shardSet) profileWindow(r *runner) {
 		sh.drainSecs, sh.winEvents = 0, 0
 	}
 	r.tel.SchedWindowDone()
+}
+
+// drainGuarded is drain with a panic turned into the shard's own error
+// slot (shard-owned, so the window still needs no locks), carrying
+// what a crash dump would: which owner, which window, what was thrown.
+func (sh *shard) drainGuarded(r *runner, horizon float64) {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.panicked = fmt.Errorf("engine: shard %d panicked draining the window below t=%g: %v", sh.id, horizon, p)
+		}
+	}()
+	sh.drain(r, horizon)
 }
 
 // drain processes the shard's events strictly below the horizon.

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/construct"
-	"repro/internal/failure"
 	"repro/internal/graph"
-	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -27,41 +23,15 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Replacement strategy ablation (n=%d, l=%d)", p.N, links),
 				"strategy", "max abs error vs ideal", "failed frac @ p=0.5", "mean hops @ p=0.5")
 			for _, strat := range []construct.ReplacementStrategy{construct.InverseDistance, construct.Oldest} {
-				strat := strat
-				maxD := (p.N - 1) / 2
-				probs := make([]float64, maxD+1)
-				var mu sync.Mutex
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					ring, err := metric.NewRing(p.N)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					g, err := construct.Grow(ring, construct.Config{Links: links, Strategy: strat}, src)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					h := g.LinkLengthHistogram()
-					mu.Lock()
-					for d := 1; d <= maxD; d++ {
-						probs[d] += h.Probability(d-1) / float64(p.Trials)
-					}
-					mu.Unlock()
-					if _, err := failure.FailNodesFraction(g, 0.5, src); err != nil {
-						return sim.SearchStats{}, err
-					}
-					r := route.New(g, route.Options{DeadEnd: route.Backtrack})
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+				cfg := construct.Config{Links: links, Strategy: strat}
+				dist := newLinkDist(p.N, p.Trials)
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
+					return dist.grow(ring, cfg, src)
+				}), failNodes(0.5), route.Options{DeadEnd: route.Backtrack})
 				if err != nil {
 					return nil, err
 				}
-				hm := mathx.Harmonic(maxD)
-				worst := 0.0
-				for d := 1; d <= maxD; d++ {
-					if e := math.Abs(probs[d] - 1/(float64(d)*hm)); e > worst {
-						worst = e
-					}
-				}
+				worst, _ := dist.worstError()
 				t.AddValues(strat.String(), worst, stats.FailedFraction(), stats.MeanHops())
 			}
 			return t, nil
@@ -78,13 +48,8 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Backtrack memory ablation (n=%d, l=%d, p=0.5)", p.N, links),
 				"memory", "failed frac", "mean hops", "backtracks/search")
 			for _, mem := range []int{1, 2, 5, 10, 20} {
-				mem := mem
-				stats, err := measureIdeal(p, p.N, links,
-					route.Options{DeadEnd: route.Backtrack, BacktrackMemory: mem},
-					func(g *graph.Graph, src *rng.Source) error {
-						_, err := failure.FailNodesFraction(g, 0.5, src)
-						return err
-					})
+				stats, err := searchTrials(p, ideal(ringOf(p.N), links), failNodes(0.5),
+					route.Options{DeadEnd: route.Backtrack, BacktrackMemory: mem})
 				if err != nil {
 					return nil, err
 				}
@@ -103,12 +68,12 @@ func init() {
 			p = p.withDefaults(1<<14, 5, 100)
 			t := sim.NewTable(fmt.Sprintf("Sidedness ablation (n=%d)", p.N),
 				"links", "two-sided hops", "one-sided hops", "one/two ratio")
-			for _, l := range sweepLinks(p.lgLinks()) {
-				two, err := measureIdeal(p, p.N, l, route.Options{Sidedness: route.TwoSided}, nil)
+			for _, l := range doublings(p.lgLinks()) {
+				two, err := searchTrials(p, ideal(ringOf(p.N), l), nil, route.Options{Sidedness: route.TwoSided})
 				if err != nil {
 					return nil, err
 				}
-				one, err := measureIdeal(p, p.N, l, route.Options{Sidedness: route.OneSided}, nil)
+				one, err := searchTrials(p, ideal(ringOf(p.N), l), nil, route.Options{Sidedness: route.OneSided})
 				if err != nil {
 					return nil, err
 				}
@@ -132,19 +97,10 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Exponent ablation (n=%d, l=%d)", p.N, links),
 				"exponent", "mean hops")
 			for _, exp := range []float64{0, 0.5, 1, 1.5, 2} {
-				exp := exp
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					ring, err := metric.NewRing(p.N)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					g, err := graph.BuildIdeal(ring, graph.BuildConfig{Links: links, Exponent: exp}, src)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					r := route.New(g, route.Options{})
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+				cfg := graph.BuildConfig{Links: links, Exponent: exp}
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
+					return graph.BuildIdeal(ring, cfg, src)
+				}), nil, route.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -173,9 +129,8 @@ func init() {
 				{"l=lg n one-sided", p.lgLinks(), route.OneSided},
 			}
 			for _, cfg := range configs {
-				cfg := cfg
-				stats, err := measureIdeal(p, p.N, cfg.links,
-					route.Options{Sidedness: cfg.side, DirectedOnly: true}, nil)
+				stats, err := searchTrials(p, ideal(ringOf(p.N), cfg.links), nil,
+					route.Options{Sidedness: cfg.side, DirectedOnly: true})
 				if err != nil {
 					return nil, err
 				}

@@ -5,9 +5,6 @@ import (
 	"math"
 
 	"repro/internal/baseline"
-	"repro/internal/failure"
-	"repro/internal/graph"
-	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -26,16 +23,11 @@ func init() {
 				"system", "mean hops", "mean msgs", "delivered frac")
 
 			// This paper's overlay.
-			ring, err := metric.NewRing(p.N)
+			g, err := ideal(ringOf(p.N), links)(0, src.Derive(1))
 			if err != nil {
 				return nil, err
 			}
-			g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), src.Derive(1))
-			if err != nil {
-				return nil, err
-			}
-			r := route.New(g, route.Options{})
-			stats, err := sim.MeasureSearches(g, r, src.Derive(2), p.Msgs)
+			stats, err := routed(route.Options{})(g, src.Derive(2), p.Msgs)
 			if err != nil {
 				return nil, err
 			}
@@ -43,36 +35,19 @@ func init() {
 				1-stats.FailedFraction())
 
 			// Baselines. All sized to p.N nodes (side = sqrt for grids).
-			side := int(math.Sqrt(float64(p.N)))
-			m := 0
-			for v := p.N; v > 1; v >>= 1 {
-				m++
-			}
-			chord, err := baseline.NewChord(m)
-			if err != nil {
-				return nil, err
-			}
-			kleinberg, err := baseline.NewKleinberg(side, 1, src.Derive(3))
-			if err != nil {
-				return nil, err
-			}
-			can, err := baseline.NewCAN(side)
-			if err != nil {
-				return nil, err
-			}
-			flood, err := baseline.NewFlood(p.N, 6, 8, src.Derive(4))
-			if err != nil {
-				return nil, err
-			}
-			central, err := baseline.NewCentral(p.N)
-			if err != nil {
-				return nil, err
-			}
-			plaxton, err := baseline.NewPlaxton(2, m)
-			if err != nil {
-				return nil, err
-			}
-			for _, sys := range []baseline.Router{chord, plaxton, kleinberg, can, flood, central} {
+			side, m := int(math.Sqrt(float64(p.N))), lg(p.N)
+			for _, mk := range []func() (baseline.Router, error){
+				func() (baseline.Router, error) { return baseline.NewChord(m) },
+				func() (baseline.Router, error) { return baseline.NewPlaxton(2, m) },
+				func() (baseline.Router, error) { return baseline.NewKleinberg(side, 1, src.Derive(3)) },
+				func() (baseline.Router, error) { return baseline.NewCAN(side) },
+				func() (baseline.Router, error) { return baseline.NewFlood(p.N, 6, 8, src.Derive(4)) },
+				func() (baseline.Router, error) { return baseline.NewCentral(p.N) },
+			} {
+				sys, err := mk()
+				if err != nil {
+					return nil, err
+				}
 				var hops, msgs, delivered, counted int
 				bsrc := src.Derive(5)
 				for i := 0; i < p.Msgs; i++ {
@@ -104,11 +79,7 @@ func init() {
 			"(the paper argues structured systems make no guarantees between failures and repair)",
 		Run: func(p Params) (*sim.Table, error) {
 			p = p.withDefaults(1<<13, 3, 100)
-			links := p.lgLinks()
-			m := 0
-			for v := p.N; v > 1; v >>= 1 {
-				m++
-			}
+			links, m := p.lgLinks(), lg(p.N)
 			side := int(math.Sqrt(float64(p.N)))
 			t := sim.NewTable(
 				fmt.Sprintf("Fault-tolerance comparison (n=%d, failed-search fraction)", p.N),
@@ -118,22 +89,8 @@ func init() {
 				// This paper, both headline policies.
 				ours := make([]float64, 2)
 				for i, pol := range []route.DeadEndPolicy{route.Backtrack, route.Terminate} {
-					pol := pol
-					stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-						ring, err := metric.NewRing(p.N)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), src)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						if _, err := failure.FailNodesFraction(g, prob, src); err != nil {
-							return sim.SearchStats{}, err
-						}
-						r := route.New(g, route.Options{DeadEnd: pol})
-						return sim.MeasureSearches(g, r, src, p.Msgs)
-					})
+					stats, err := searchTrials(p, ideal(ringOf(p.N), links), failNodes(prob),
+						route.Options{DeadEnd: pol})
 					if err != nil {
 						return nil, err
 					}
@@ -167,7 +124,7 @@ func init() {
 					}
 					return stats.FailedFraction(), nil
 				}
-				chordFrac, err := measure(func(src *rng.Source) (baseline.Router, baseline.FailureInjector, error) {
+				chordFrac, err := measure(func(*rng.Source) (baseline.Router, baseline.FailureInjector, error) {
 					c, err := baseline.NewChord(m)
 					return c, c, err
 				})

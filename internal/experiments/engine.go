@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/load"
-	"repro/internal/replica"
-	"repro/internal/sim"
 )
 
 // The ext.engine.* experiments measure what the discrete-event engine
@@ -21,16 +17,19 @@ import (
 // results are independent of Params.Workers.
 
 // engineModes is the snapshot / live / live+aggregate / live+pit
-// ladder every ext.engine experiment sweeps.
-var engineModes = []struct {
-	label                string
-	live, aggregate, pit bool
-}{
-	{"snapshot", false, false, false},
-	{"live", true, false, false},
-	{"live+aggregate", true, true, false},
-	{"live+pit", true, false, true},
+// ladder every ext.engine experiment sweeps. Every rung sets all three
+// switches: the ladder owns the engine mode, whatever -live, -aggregate
+// and -pit say.
+var engineModes = []variant{
+	{label: "snapshot", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = false, false, false }},
+	{label: "live", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = true, false, false }},
+	{label: "live+aggregate", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = true, true, false }},
+	{label: "live+pit", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = true, false, true }},
 }
+
+// modeNote is the plan note of the tables whose variants are engine
+// modes: one per mode.
+const modeNote = "%s: plan=%s — %s"
 
 // engineFloodFields is the BENCH_engine.json schema: the failed
 // torus's four rows of ext.engine.flood. The snapshot row is the
@@ -67,102 +66,75 @@ var engineFloodFields = floodFields(
 	Field{Name: "pit_expired", Unit: "lookups", Gate: NonNegative},
 )
 
-func measureEngineFlood(p Params) (*sim.Table, Values, error) {
-	p = p.withDefaults(1<<10, 1, 0)
-	t := sim.NewTable(
-		fmt.Sprintf("Flood knee by engine mode, k=4+cache (n≈%d, l=%d, seed=%d)",
-			p.N, p.lgLinks(), p.Seed),
-		"config", "mode", "knee", "knee thr", "p99@knee", "aggregated", "lift", "verdict")
-	scenarios := []loadScenario{
-		{"torus 30% failed", 2, 0.3},
-		{"ring 30% failed", 1, 0.3},
-	}
-	opt := &replica.Options{K: p.Replicas, CacheThreshold: p.Cache, CacheCopies: floodCacheCopies}
-	if opt.K <= 1 {
-		opt.K = 4
-	}
-	if opt.CacheThreshold == 0 {
-		opt.CacheThreshold = floodCacheThreshold
-	}
-	var torus []kneeRow // the headline scenario's rows
-	var pitLifetime float64
-	for i, sc := range scenarios {
-		g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
-		if err != nil {
-			return nil, nil, err
+var engineFloodGrid = &grid{
+	n: 1 << 10, msgsPerNode: 3,
+	title:     sweepTitle("Flood knee by engine mode, k=4+cache (n≈%d, l=%d, seed=%d)"),
+	columns:   []string{"config", "mode", "knee", "knee thr", "p99@knee", "aggregated", "lift", "verdict"},
+	scenarios: []loadScenario{torusFailed, ringFailed},
+	variants:  func(Params) []variant { return engineModes },
+	base:      func(p Params, c *load.Config) { c.Replication = floodReplication(p) },
+	workload:  "flood",
+	seedBase:  8000,
+	sweep:     true,
+	// Lift is relative to the snapshot row; 0 marks "no baseline" (the
+	// snapshot sweep was unstable), not a neutral 1.0.
+	liftOf:   kneeThroughput,
+	planNote: modeNote,
+	row: func(c *cell, add addRow) error {
+		knee, h := c.atKnee(), c.head
+		add(c.sc.label, c.v.label, c.sweep.Knee, c.sweep.KneeThroughput, c.sweep.KneeP99,
+			knee.Aggregated, c.lift, c.verdict())
+		if c.si > 0 {
+			return nil // the headline is the failed torus
 		}
-		var base float64
-		for _, mode := range engineModes {
-			gen, err := workloadFor(p, "flood")
-			if err != nil {
-				return nil, nil, err
+		h.setKnee([...]string{"snapshot", "live", "live_aggregate", "live_pit"}[c.vi], c.sweep)
+		switch c.vi {
+		case 0:
+			h.setFlood(c, c.cfg.Replication)
+		case 1:
+			h["live_over_snapshot_ratio"] = c.lift
+		case 2:
+			h["knee_lift_aggregate"] = c.lift
+			h["aggregated_at_knee"] = knee.Aggregated
+		case 3:
+			h["knee_lift_pit"] = 0.0
+			if agg := h["knee_rate_live_aggregate"].(float64); agg > 0 {
+				h["knee_lift_pit"] = c.sweep.Knee / agg
 			}
-			cfg := sweepConfigFor(p, saturationPolicy{name: "greedy"})
-			cfg.Live = mode.live
-			cfg.Aggregate = mode.aggregate
-			cfg.PIT = mode.pit
-			cfg.Replication = opt
-			res, err := load.Sweep(g, gen, cfg, p.Seed+uint64(8000+i))
-			if err != nil {
-				return nil, nil, err
-			}
-			// Lift is relative to the snapshot row; 0 marks "no
-			// baseline" (the snapshot sweep was unstable), not a
-			// neutral 1.0.
-			lift := 0.0
-			if !mode.live {
-				base = res.KneeThroughput
-				lift = 1
-			} else if base > 0 {
-				lift = res.KneeThroughput / base
-			}
-			if i == 0 {
-				torus = append(torus, kneeRow{res, lift})
-				if mode.pit {
-					pitLifetime = cfg.ResolvedPITTimeout()
-				}
-			}
-			kp := res.KneePoint()
-			if kp == nil {
-				t.AddValues(sc.label, mode.label, res.Knee, 0.0, 0.0, 0, 0.0, "UNSTABLE at min load")
-				continue
-			}
-			t.AddValues(sc.label, mode.label, res.Knee, res.KneeThroughput, res.KneeP99,
-				kp.Result.Aggregated, lift, capMark(res.Saturated))
-			t.Note("%s: plan=%s — %s", mode.label, kp.Result.Plan, kp.Result.PlanReason)
+			h["pit_knee_saturated"] = c.sweep.Saturated
+			h["pit_interest_lifetime"] = c.cfg.ResolvedPITTimeout()
+			h["pit_suppressed"] = knee.Suppressed
+			h["pit_multicast_fanout"] = knee.MulticastFanout
+			h["pit_expired"] = knee.PITExpired
 		}
-	}
-	snap, live, agg, pit := torus[0], torus[1], torus[2], torus[3]
-	v := floodValues(p, scenarios[0], opt, snap.sweep)
-	v.setKnee("snapshot", snap.sweep)
-	v.setKnee("live", live.sweep)
-	v.setKnee("live_aggregate", agg.sweep)
-	v.setKnee("live_pit", pit.sweep)
-	v["baseline_throughput"] = snap.sweep.Points[0].Result.Throughput
-	v["live_over_snapshot_ratio"] = live.lift
-	v["knee_lift_aggregate"] = agg.lift
-	v["knee_lift_pit"] = 0.0
-	if agg.sweep.Knee > 0 {
-		v["knee_lift_pit"] = pit.sweep.Knee / agg.sweep.Knee
-	}
-	v["aggregated_at_knee"] = atKnee(agg.sweep).Aggregated
-	v["pit_knee_saturated"] = pit.sweep.Saturated
-	v["pit_interest_lifetime"] = pitLifetime
-	atPITKnee := atKnee(pit.sweep)
-	v["pit_suppressed"] = atPITKnee.Suppressed
-	v["pit_multicast_fanout"] = atPITKnee.MulticastFanout
-	v["pit_expired"] = atPITKnee.PITExpired
-	return t, v, nil
+		return nil
+	},
 }
 
-// atKnee returns the run at the sweep's knee. A sweep with no stable
-// load has none: its counters read zero, and -validate rejects the
-// headline on the zero knee.
-func atKnee(s *load.SweepResult) *load.Result {
-	if kp := s.KneePoint(); kp != nil {
-		return kp.Result
-	}
-	return &load.Result{}
+var engineModesGrid = &grid{
+	n: 1 << 12, msgs: 2000,
+	title: runTitle("Engine modes under Zipf traffic (n≈%d, l=%d, msgs=%d, seed=%d)"),
+	columns: []string{"config", "mode", "max load", "max/mean", "p99 lat", "queue depth",
+		"aggregated", "mean hops"},
+	scenarios: []loadScenario{ringHealthy, torusFailed},
+	variants:  func(Params) []variant { return engineModes },
+	base: func(_ Params, c *load.Config) {
+		c.DepthPenalty = 1
+		if c.Rate == 0 {
+			// Push past capacity so the live depth signal has backlog to
+			// react to.
+			c.Rate = 8
+		}
+	},
+	workload: "zipf",
+	seedBase: 9000,
+	planNote: modeNote,
+	row: func(c *cell, add addRow) error {
+		r := c.run
+		add(c.sc.label, r.Mode, r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
+			r.MaxQueueDepth, r.Aggregated, r.Search.MeanHops())
+		return nil
+	},
 }
 
 func init() {
@@ -179,7 +151,7 @@ func init() {
 			File:    "BENCH_engine.json",
 			Summary: "engine-mode headline: snapshot vs live vs live+aggregate vs live+pit on the failed torus",
 			Fields:  engineFloodFields,
-			Measure: measureEngineFlood,
+			Measure: engineFloodGrid.measure,
 		},
 	})
 
@@ -190,50 +162,6 @@ func init() {
 			"depth-aware policy in snapshot mode (signal frozen per batch) and live mode " +
 			"(every forwarding decision reads the queues now): hottest node, queue depth, " +
 			"latency tail, and the aggregation count when same-key coalescing is on",
-		Run: func(p Params) (*sim.Table, error) {
-			p = p.withDefaults(1<<12, 1, 2000)
-			t := sim.NewTable(
-				fmt.Sprintf("Engine modes under Zipf traffic (n≈%d, l=%d, msgs=%d, seed=%d)",
-					p.N, p.lgLinks(), p.Msgs, p.Seed),
-				"config", "mode", "max load", "max/mean", "p99 lat", "queue depth",
-				"aggregated", "mean hops")
-			scenarios := []loadScenario{
-				{"ring healthy", 1, 0},
-				{"torus 30% failed", 2, 0.3},
-			}
-			for i, sc := range scenarios {
-				g, err := buildLoadGraph(sc, p, p.Seed+uint64(i))
-				if err != nil {
-					return nil, err
-				}
-				for _, mode := range engineModes {
-					gen, err := workloadFor(p, "zipf")
-					if err != nil {
-						return nil, err
-					}
-					cfg, err := loadConfig(p)
-					if err != nil {
-						return nil, err
-					}
-					cfg.Live = mode.live
-					cfg.Aggregate = mode.aggregate
-					cfg.PIT = mode.pit
-					cfg.DepthPenalty = 1
-					if cfg.Rate == 0 {
-						// Push past capacity so the live depth signal has
-						// backlog to react to.
-						cfg.Rate = 8
-					}
-					r, err := load.Run(g, gen, cfg, p.Seed+uint64(9000+i))
-					if err != nil {
-						return nil, err
-					}
-					t.AddValues(sc.label, r.Mode, r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
-						r.MaxQueueDepth, r.Aggregated, r.Search.MeanHops())
-					t.Note("%s: plan=%s — %s", mode.label, r.Plan, r.PlanReason)
-				}
-			}
-			return t, nil
-		},
+		Run: engineModesGrid.run,
 	})
 }

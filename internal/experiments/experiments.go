@@ -1,7 +1,17 @@
-// Package experiments implements every reproduction experiment from
-// DESIGN.md: one entry per paper table row, figure, and ablation. The
-// same registry backs cmd/ftrsim (run one experiment), cmd/ftrbench
-// (regenerate everything), and the root-level Go benchmarks.
+// Package experiments implements every reproduction experiment in the
+// index `ftrsim -list` prints: one entry per paper table row, figure,
+// and ablation. The same registry backs cmd/ftrsim (run one
+// experiment), cmd/ftrbench (regenerate everything), and the root-level
+// Go benchmarks.
+//
+// The experiments share two runners and spell out only what differs.
+// The single-message ones (table1.*, fig*, ablation.*, baselines and
+// most ext.*) go through the search-trial runner of trials.go: build a
+// network, damage it, route, per trial stream. The traffic ones
+// (ext.load/saturation/replica/engine/pit.* and ext.churn.recovery) are
+// declared as a grid (grid.go): scenarios × variants, the columns and
+// the cells of a row. README.md's Architecture table says how to add
+// one.
 //
 // Default parameters are scaled so the full suite completes in minutes
 // on a laptop; Params lets callers restore the paper's scale (n = 2^17,
@@ -184,21 +194,26 @@ func (p Params) lgLinks() int {
 	if p.Links > 0 {
 		return p.Links
 	}
-	lg := 0
-	for v := p.N; v > 1; v >>= 1 {
-		lg++
+	if l := lg(p.N); l > 1 {
+		return l
 	}
-	if lg < 1 {
-		lg = 1
+	return 1
+}
+
+// lg returns ⌊lg n⌋ (0 for n ≤ 1).
+func lg(n int) int {
+	l := 0
+	for ; n > 1; n >>= 1 {
+		l++
 	}
-	return lg
+	return l
 }
 
 // Experiment is one reproducible artifact: a paper table row, figure,
 // or ablation.
 type Experiment struct {
-	// ID is the stable identifier used on the command line and in
-	// DESIGN.md's experiment index.
+	// ID is the stable identifier used on the command line and in the
+	// experiment index (`ftrsim -list`).
 	ID string
 	// Artifact names the paper artifact this regenerates.
 	Artifact string

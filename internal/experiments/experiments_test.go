@@ -43,7 +43,8 @@ func tiny() Params {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment promised in DESIGN.md's index must be
+	// The paper-artifact ids of the experiment index (`ftrsim -list`;
+	// README.md's Architecture table names the families) must stay
 	// registered.
 	want := []string{
 		"table1.nofail.l1", "table1.nofail.multi", "table1.nofail.detb",

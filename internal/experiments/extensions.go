@@ -33,54 +33,32 @@ func init() {
 				"config", "mean hops", "failed frac")
 
 			maxHops := 4*p.Side + 64
-			measure := func(label string, exponent, failFrac float64, backtrack bool) error {
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					sp, err := p.space()
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					g, err := graph.BuildIdeal(sp, graph.BuildConfig{Links: links, Exponent: exponent}, src)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					if failFrac > 0 {
-						if _, err := failure.FailNodesFraction(g, failFrac, src); err != nil {
-							return sim.SearchStats{}, err
-						}
-					}
-					opt := route.Options{DeadEnd: route.Terminate, MaxHops: maxHops}
-					if backtrack {
-						opt.DeadEnd = route.Backtrack
-					}
-					r := route.New(g, opt)
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+			for _, r := range []struct {
+				label              string
+				exponent, failFrac float64
+				deadEnd            route.DeadEndPolicy
+			}{
+				{"exponent 1, no failures", 1, 0, route.Terminate},
+				{"exponent 2, no failures", 2, 0, route.Terminate},
+				{"exponent 3, no failures", 3, 0, route.Terminate},
+				{"uniform targets, no failures", 0, 0, route.Terminate},
+				{"exponent 2, 0.3 failed, terminate", 2, 0.3, route.Terminate},
+				{"exponent 2, 0.3 failed, backtrack", 2, 0.3, route.Backtrack},
+				{"exponent 2, 0.5 failed, terminate", 2, 0.5, route.Terminate},
+				{"exponent 2, 0.5 failed, backtrack", 2, 0.5, route.Backtrack},
+			} {
+				cfg := graph.BuildConfig{Links: links, Exponent: r.exponent}
+				var damage damageFunc
+				if r.failFrac > 0 {
+					damage = failNodes(r.failFrac)
+				}
+				stats, err := searchTrials(p, built(p.space, func(sp metric.Space, src *rng.Source) (*graph.Graph, error) {
+					return graph.BuildIdeal(sp, cfg, src)
+				}), damage, route.Options{DeadEnd: r.deadEnd, MaxHops: maxHops})
 				if err != nil {
-					return err
-				}
-				t.AddValues(label, stats.MeanHops(), stats.FailedFraction())
-				return nil
-			}
-
-			const exponentUniform = -1.0
-			for _, exp := range []float64{1, 2, 3, exponentUniform} {
-				label := fmt.Sprintf("exponent %g, no failures", exp)
-				e := exp
-				if exp == exponentUniform {
-					label = "uniform targets, no failures"
-					e = 0
-				}
-				if err := measure(label, e, 0, false); err != nil {
 					return nil, err
 				}
-			}
-			for _, f := range []float64{0.3, 0.5} {
-				if err := measure(fmt.Sprintf("exponent 2, %g failed, terminate", f), 2, f, false); err != nil {
-					return nil, err
-				}
-				if err := measure(fmt.Sprintf("exponent 2, %g failed, backtrack", f), 2, f, true); err != nil {
-					return nil, err
-				}
+				t.AddValues(r.label, stats.MeanHops(), stats.FailedFraction())
 			}
 			return t, nil
 		},
@@ -101,34 +79,28 @@ func init() {
 				row := make([]float64, 3)
 				for ci, copies := range []int{1, 2, 4} {
 					copies := copies
-					stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-						ring, err := metric.NewRing(p.N)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), src)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						if _, err := failure.MarkMalicious(g, prob, src); err != nil {
-							return sim.SearchStats{}, err
-						}
-						r := route.New(g, route.Options{})
-						var s sim.SearchStats
-						for i := 0; i < p.Msgs; i++ {
-							from, ok1 := honestNode(g, src)
-							to, ok2 := honestNode(g, src)
-							if !ok1 || !ok2 || from == to {
-								continue
+					stats, err := total(trialStats(p, p.Seed, ideal(ringOf(p.N), links),
+						func(g *graph.Graph, src *rng.Source) error {
+							_, err := failure.MarkMalicious(g, prob, src)
+							return err
+						},
+						func(g *graph.Graph, src *rng.Source, msgs int) (sim.SearchStats, error) {
+							r := route.New(g, route.Options{})
+							var s sim.SearchStats
+							for i := 0; i < msgs; i++ {
+								from, ok1 := honestNode(g, src)
+								to, ok2 := honestNode(g, src)
+								if !ok1 || !ok2 || from == to {
+									continue
+								}
+								res, err := r.RouteRedundant(src, from, to, copies)
+								if err != nil {
+									return s, err
+								}
+								s.Record(res)
 							}
-							res, err := r.RouteRedundant(src, from, to, copies)
-							if err != nil {
-								return s, err
-							}
-							s.Record(res)
-						}
-						return s, nil
-					})
+							return s, nil
+						}))
 					if err != nil {
 						return nil, err
 					}
@@ -158,12 +130,16 @@ func init() {
 			for _, frac := range []float64{0.2, 0.4, 0.6} {
 				frac := frac
 				row := make([]float64, 2)
-				for mode := 0; mode < 2; mode++ {
-					mode := mode
-					stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
+				for mode, crashMachines := range []bool{true, false} {
+					crashMachines := crashMachines
+					var damage damageFunc
+					if !crashMachines {
+						damage = failNodes(frac)
+					}
+					stats, err := searchTrials(p, func(trial int, src *rng.Source) (*graph.Graph, error) {
 						mapping, err := keyspace.NewMapping(p.N)
 						if err != nil {
-							return sim.SearchStats{}, err
+							return nil, err
 						}
 						machines := p.N / resourcesPerMachine / 2 // half-full space
 						for mID := 0; mID < machines; mID++ {
@@ -177,36 +153,29 @@ func init() {
 						}
 						ring, err := metric.NewRing(p.N)
 						if err != nil {
-							return sim.SearchStats{}, err
+							return nil, err
 						}
 						g, err := graph.BuildIdealWithPresence(ring, graph.PaperConfig(links),
 							mapping.PresenceMask(), src)
-						if err != nil {
-							return sim.SearchStats{}, err
+						if err != nil || !crashMachines {
+							return g, err
 						}
-						if mode == 0 {
-							// Crash whole machines until the desired
-							// fraction of points is dead.
-							targetDead := int(frac * float64(g.AliveCount()))
-							dead := 0
-							for _, mID := range src.Perm(machines) {
-								if dead >= targetDead {
-									break
-								}
-								for _, pt := range mapping.FailPhysical(keyspace.PhysID(mID)) {
-									if g.Fail(pt) {
-										dead++
-									}
+						// Crash whole machines until the desired
+						// fraction of points is dead.
+						targetDead := int(frac * float64(g.AliveCount()))
+						dead := 0
+						for _, mID := range src.Perm(machines) {
+							if dead >= targetDead {
+								break
+							}
+							for _, pt := range mapping.FailPhysical(keyspace.PhysID(mID)) {
+								if g.Fail(pt) {
+									dead++
 								}
 							}
-						} else {
-							if _, err := failure.FailNodesFraction(g, frac, src); err != nil {
-								return sim.SearchStats{}, err
-							}
 						}
-						r := route.New(g, route.Options{DeadEnd: route.Backtrack})
-						return sim.MeasureSearches(g, r, src, p.Msgs)
-					})
+						return g, nil
+					}, damage, route.Options{DeadEnd: route.Backtrack})
 					if err != nil {
 						return nil, err
 					}

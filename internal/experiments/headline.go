@@ -101,8 +101,8 @@ func scenarioFields(rest ...Field) []Field {
 	}, rest...)
 }
 
-func scenarioValues(p Params, msgs int) Values {
-	return Values{"n": p.N, "links": p.lgLinks(), "messages": msgs, "seed": p.Seed}
+func scenarioValues(p Params) Values {
+	return Values{"n": p.N, "links": p.lgLinks(), "messages": p.Msgs, "seed": p.Seed}
 }
 
 // setKnee records one sweep's knee — the largest offered rate still

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/load"
 	"repro/internal/sim"
 )
@@ -16,6 +14,79 @@ import (
 // fixes the rate and breaks the ledger down: how many lookups parked,
 // how many a returning answer released, how many timed out.
 
+var pitFloodGrid = &grid{
+	n: 1 << 10, msgsPerNode: 3,
+	title: sweepTitle("Flood knee by response-path mode (torus 30%% failed, n≈%d, l=%d, seed=%d)"),
+	columns: []string{"mode", "plan", "knee", "knee thr", "p99@knee", "suppressed", "fanout",
+		"expired", "knee lift", "verdict"},
+	scenarios: []loadScenario{torusFailed},
+	// Snapshot has no live queues to suppress in.
+	variants: func(Params) []variant { return engineModes[1:] },
+	workload: "flood",
+	seedBase: 8500,
+	sweep:    true,
+	// Lift compares knee RATES against the live+aggregate baseline —
+	// the largest offered load each mode absorbs — not knee
+	// throughputs: aggregation's merged completions are never charged
+	// an answer leg, so its throughput counts work the response path
+	// actually performs.
+	liftOf:   kneeRate,
+	baseline: 1,
+	row: func(c *cell, add addRow) error {
+		knee := c.atKnee()
+		add(c.v.label, knee.Plan, c.sweep.Knee, c.sweep.KneeThroughput,
+			c.sweep.KneeP99, knee.Suppressed, knee.MulticastFanout,
+			knee.PITExpired, c.lift, c.verdict())
+		return nil
+	},
+}
+
+var pitSuppressionGrid = &grid{
+	n: 1 << 10, msgs: 2048,
+	title: runTitle("PIT suppression ledger (torus 30%% failed flood, n≈%d, l=%d, msgs=%d, seed=%d)"),
+	columns: []string{"rate", "lifetime", "delivered", "suppressed", "released", "expired",
+		"p99 lat", "queue depth"},
+	scenarios: []loadScenario{torusFailed},
+	// The rate ladder (-rate: that one rate), then the top rate again at
+	// decreasing interest lifetimes (-pittimeout: that one lifetime). The
+	// rows are separate draws, numbered in order.
+	variants: func(p Params) []variant {
+		rates := []float64{2, 8, 32, 128}
+		if p.Rate > 0 {
+			rates = []float64{p.Rate}
+		}
+		lifetimes := []float64{16, 4}
+		if p.PITTimeout > 0 {
+			lifetimes = []float64{p.PITTimeout}
+		}
+		var vs []variant
+		at := func(rate, lifetime float64) {
+			vs = append(vs, variant{label: sim.F(rate), seed: uint64(len(vs)), edit: func(c *load.Config) {
+				c.Arrival = load.Poisson(rate)
+				if lifetime > 0 {
+					c.PITTimeout = lifetime
+				}
+			}})
+		}
+		for _, rate := range rates {
+			at(rate, 0)
+		}
+		for _, lifetime := range lifetimes {
+			at(rates[len(rates)-1], lifetime)
+		}
+		return vs
+	},
+	base:     func(_ Params, c *load.Config) { c.Live, c.PIT = true, true },
+	workload: "flood",
+	seedBase: 8600,
+	row: func(c *cell, add addRow) error {
+		r := c.run
+		add(c.v.label, c.cfg.ResolvedPITTimeout(), r.Delivered, r.Suppressed, r.MulticastFanout,
+			r.PITExpired, r.LatencyP99, r.MaxQueueDepth)
+		return nil
+	},
+}
+
 func init() {
 	register(Experiment{
 		ID:       "ext.pit.flood",
@@ -27,55 +98,7 @@ func init() {
 			"a lower bound on capacity already severalfold above the aggregation knee — " +
 			"while, unlike aggregation, every delivered lookup is charged its answer's " +
 			"return trip",
-		Run: func(p Params) (*sim.Table, error) {
-			p = p.withDefaults(1<<10, 1, 0)
-			t := sim.NewTable(
-				fmt.Sprintf("Flood knee by response-path mode (torus 30%% failed, n≈%d, l=%d, seed=%d)",
-					p.N, p.lgLinks(), p.Seed),
-				"mode", "plan", "knee", "knee thr", "p99@knee", "suppressed", "fanout",
-				"expired", "knee lift", "verdict")
-			sc := loadScenario{"torus 30% failed", 2, 0.3}
-			g, err := buildLoadGraph(sc, p, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			var base float64
-			for _, mode := range engineModes[1:] { // snapshot has no live queues to suppress in
-				gen, err := workloadFor(p, "flood")
-				if err != nil {
-					return nil, err
-				}
-				cfg := sweepConfigFor(p, saturationPolicy{name: "greedy"})
-				cfg.Live = mode.live
-				cfg.Aggregate = mode.aggregate
-				cfg.PIT = mode.pit
-				res, err := load.Sweep(g, gen, cfg, p.Seed+uint64(8500))
-				if err != nil {
-					return nil, err
-				}
-				kp := res.KneePoint()
-				if kp == nil {
-					t.AddValues(mode.label, "", res.Knee, 0.0, 0.0, 0, 0, 0, 0.0, "UNSTABLE at min load")
-					continue
-				}
-				// Lift compares knee RATES against the live+aggregate
-				// baseline — the largest offered load each mode absorbs —
-				// not knee throughputs: aggregation's merged completions
-				// are never charged an answer leg, so its throughput counts
-				// work the response path actually performs.
-				lift := 0.0
-				if mode.aggregate {
-					base = res.Knee
-					lift = 1
-				} else if base > 0 {
-					lift = res.Knee / base
-				}
-				t.AddValues(mode.label, kp.Result.Plan, res.Knee, res.KneeThroughput,
-					res.KneeP99, kp.Result.Suppressed, kp.Result.MulticastFanout,
-					kp.Result.PITExpired, lift, capMark(res.Saturated))
-			}
-			return t, nil
-		},
+		Run: pitFloodGrid.run,
 	})
 
 	register(Experiment{
@@ -88,61 +111,6 @@ func init() {
 			"to answer receipt. Short lifetimes show the false-expiry regime: interests " +
 			"that time out just before their answer arrives re-forward redundantly, " +
 			"inflating both the tail and the expiry count",
-		Run: func(p Params) (*sim.Table, error) {
-			p = p.withDefaults(1<<10, 1, 2048)
-			t := sim.NewTable(
-				fmt.Sprintf("PIT suppression ledger (torus 30%% failed flood, n≈%d, l=%d, msgs=%d, seed=%d)",
-					p.N, p.lgLinks(), p.Msgs, p.Seed),
-				"rate", "lifetime", "delivered", "suppressed", "released", "expired",
-				"p99 lat", "queue depth")
-			sc := loadScenario{"torus 30% failed", 2, 0.3}
-			g, err := buildLoadGraph(sc, p, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			type point struct {
-				rate, lifetime float64
-			}
-			rates := []point{{2, 0}, {8, 0}, {32, 0}, {128, 0}}
-			if p.Rate > 0 {
-				rates = []point{{p.Rate, 0}}
-			}
-			top := rates[len(rates)-1].rate
-			lifetimes := []float64{16, 4}
-			if p.PITTimeout > 0 {
-				lifetimes = []float64{p.PITTimeout}
-			}
-			for _, lt := range lifetimes {
-				rates = append(rates, point{top, lt})
-			}
-			for i, pt := range rates {
-				gen, err := workloadFor(p, "flood")
-				if err != nil {
-					return nil, err
-				}
-				cfg, err := loadConfig(p)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Live = true
-				cfg.PIT = true
-				cfg.Arrival = load.Poisson(pt.rate)
-				if pt.lifetime > 0 {
-					cfg.PITTimeout = pt.lifetime
-				}
-				r, err := load.Run(g, gen, cfg, p.Seed+uint64(8600+i))
-				if err != nil {
-					return nil, err
-				}
-				if r.Suppressed != r.MulticastFanout+r.PITExpired {
-					return nil, fmt.Errorf("ext.pit.suppression: ledger imbalance: %d != %d + %d",
-						r.Suppressed, r.MulticastFanout, r.PITExpired)
-				}
-				lt := cfg.ResolvedPITTimeout()
-				t.AddValues(pt.rate, lt, r.Delivered, r.Suppressed, r.MulticastFanout,
-					r.PITExpired, r.LatencyP99, r.MaxQueueDepth)
-			}
-			return t, nil
-		},
+		Run: pitSuppressionGrid.run,
 	})
 }

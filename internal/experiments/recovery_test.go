@@ -12,45 +12,57 @@ import (
 // positive virtual time, faster than the never-repaired baseline, and
 // the repair ledger must show the machinery actually ran.
 func TestChurnRecoveryRepairWins(t *testing.T) {
-	on, err := MeasureRecovery(Params{}, true)
+	e, err := Get("ext.churn.recovery")
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := MeasureRecovery(Params{}, false)
+	tbl, v, err := e.Measure(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.RecoveryTime <= 0 {
-		t.Errorf("repair on: recovery time %g, want finite positive", on.RecoveryTime)
+	num := func(key string) float64 {
+		t.Helper()
+		switch x := v[key].(type) {
+		case float64:
+			return x
+		case int:
+			return float64(x)
+		}
+		t.Fatalf("headline value %q = %v is not a number", key, v[key])
+		return 0
 	}
-	if on.Recovered < RecoverFrac {
-		t.Errorf("repair on: recovered fraction %g < %g", on.Recovered, RecoverFrac)
+	if num("recovery_time") <= 0 {
+		t.Errorf("repair on: recovery time %g, want finite positive", num("recovery_time"))
 	}
-	if on.Crashes == 0 || on.LinksRebuilt == 0 || on.GossipSends == 0 {
-		t.Errorf("repair on: empty repair ledger (crashes=%d rebuilt=%d gossip=%d)",
-			on.Crashes, on.LinksRebuilt, on.GossipSends)
+	if num("recovered_frac") < RecoverFrac {
+		t.Errorf("repair on: recovered fraction %g < %g", num("recovered_frac"), RecoverFrac)
 	}
-	if !(on.PreKill > 0) || !(on.Knee > 0) {
-		t.Errorf("repair on: degenerate throughput profile (knee=%g preKill=%g)", on.Knee, on.PreKill)
+	if num("crashes") == 0 || num("links_rebuilt") == 0 || num("gossip_sends") == 0 {
+		t.Errorf("repair on: empty repair ledger (crashes=%g rebuilt=%g gossip=%g)",
+			num("crashes"), num("links_rebuilt"), num("gossip_sends"))
 	}
-	if off.LinksRebuilt != 0 {
-		t.Errorf("repair off rebuilt %d links; the baseline must stay broken", off.LinksRebuilt)
+	if !(num("pre_kill_throughput") > 0) || !(num("knee_rate") > 0) {
+		t.Errorf("repair on: degenerate throughput profile (knee=%g preKill=%g)",
+			num("knee_rate"), num("pre_kill_throughput"))
 	}
-	if off.RecoveryTime > 0 && on.RecoveryTime > off.RecoveryTime {
+	if rebuilt := tbl.Rows[1][7]; tbl.Columns[7] != "links rebuilt" || rebuilt != "0" {
+		t.Errorf("repair off rebuilt %s links; the baseline must stay broken", rebuilt)
+	}
+	if off := num("baseline_recovery_time"); off > 0 && num("recovery_time") > off {
 		t.Errorf("repair on recovered in %g ticks, slower than the unrepaired baseline's %g",
-			on.RecoveryTime, off.RecoveryTime)
+			num("recovery_time"), off)
 	}
-	if off.Recovered > 0 && on.Recovered < off.Recovered {
+	if off := num("baseline_recovered_frac"); off > 0 && num("recovered_frac") < off {
 		t.Errorf("repair on peaked at %g of pre-kill, below the baseline's %g",
-			on.Recovered, off.Recovered)
+			num("recovered_frac"), off)
 	}
 	// Same Params, same result: the measurement is deterministic.
-	again, err := MeasureRecovery(Params{}, true)
+	tbl2, v2, err := e.Measure(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(on, again) {
-		t.Errorf("MeasureRecovery is not deterministic: %+v vs %+v", on, again)
+	if !reflect.DeepEqual(v, v2) || tbl.String() != tbl2.String() {
+		t.Errorf("ext.churn.recovery is not deterministic: %+v vs %+v", v, v2)
 	}
 }
 

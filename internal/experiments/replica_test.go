@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/load"
 )
 
 // TestReplicaExperimentsRegistered pins the ext.replica.* ids the CLI
@@ -69,32 +67,20 @@ func TestReplicaFloodKneeLift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale sweep skipped in -short mode")
 	}
-	p := Params{}.withDefaults(1<<10, 1, 0)
-	sc := loadScenario{"torus 30% failed", 2, 0.3}
-	const scenarioIdx = 0 // the torus row of ext.replica.flood
-	g, err := buildLoadGraph(sc, p, p.Seed+uint64(scenarioIdx))
+	e, err := Get("ext.replica.flood")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := floodLadder(p)
-	sweepAt := func(v floodVariant) *load.SweepResult {
-		t.Helper()
-		cfg := sweepConfigFor(p, saturationPolicy{name: "greedy"})
-		cfg.Replication = v.opt
-		res, err := load.Sweep(g, load.Flood(), cfg, p.Seed+uint64(5000+scenarioIdx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	_, v, err := e.Measure(Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := sweepAt(ladder[0])
-	replicated := sweepAt(ladder[len(ladder)-1])
-	if base.KneeThroughput <= 0 {
-		t.Fatalf("baseline knee throughput %v, want positive", base.KneeThroughput)
+	base, replicated := v["knee_throughput_k1"].(float64), v["knee_throughput_k4"].(float64)
+	if base <= 0 {
+		t.Fatalf("baseline knee throughput %v, want positive", base)
 	}
-	lift := replicated.KneeThroughput / base.KneeThroughput
-	if lift < 3 {
+	if lift := v["knee_lift"].(float64); lift < 3 || lift != replicated/base {
 		t.Errorf("k=4+cache flood knee lift %.3f (thr %.3f vs %.3f), want >= 3",
-			lift, replicated.KneeThroughput, base.KneeThroughput)
+			lift, replicated, base)
 	}
 }

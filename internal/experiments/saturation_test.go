@@ -65,22 +65,60 @@ func TestDepthAwareKneeOnFailedTorus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale sweep skipped in -short mode")
 	}
-	p := Params{}.withDefaults(1<<10, 1, 0)
-	sc := loadScenario{"torus 30% failed", 2, 0.3}
-	const scenarioIdx = 1 // the torus row of ext.saturation.failed
-	greedy, err := runSweep(sc, p, saturationPolicy{name: "greedy"}, scenarioIdx)
+	table, err := Run("ext.saturation.failed", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth, err := runSweep(sc, p, saturationPolicy{"depth-aware", 1, 1}, scenarioIdx)
-	if err != nil {
-		t.Fatal(err)
+	kneeThr := map[string]float64{}
+	for _, row := range table.Rows {
+		if row[0] == "torus 30% failed" {
+			kneeThr[row[1]] = parseF(t, row[3])
+		}
 	}
-	if greedy.KneeThroughput <= 0 {
-		t.Fatalf("greedy knee throughput %v, want positive", greedy.KneeThroughput)
+	if table.Columns[3] != "knee thr" || len(kneeThr) != 3 {
+		t.Fatalf("unexpected table shape:\n%s", table)
 	}
-	if depth.KneeThroughput < greedy.KneeThroughput {
+	if kneeThr["greedy"] <= 0 {
+		t.Fatalf("greedy knee throughput %v, want positive", kneeThr["greedy"])
+	}
+	if kneeThr["depth-aware"] < kneeThr["greedy"] {
 		t.Errorf("depth-aware knee throughput %.4f < greedy %.4f",
-			depth.KneeThroughput, greedy.KneeThroughput)
+			kneeThr["depth-aware"], kneeThr["greedy"])
+	}
+}
+
+// TestSweepsResolveTheTrafficFlags pins the one-resolver contract: a
+// sweep's load.Config comes from the same loadConfig as a fixed-rate
+// run's, so -replicas/-cache reach load.Sweep and move the knee, and a
+// combination the load layer cannot run is rejected instead of silently
+// dropped. (That flagless output did not move is tiny.golden's job.)
+func TestSweepsResolveTheTrafficFlags(t *testing.T) {
+	kneeRows := func(p Params) string {
+		t.Helper()
+		table, err := Run("ext.saturation.knee", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var knees []string
+		for _, row := range table.Rows {
+			if strings.HasSuffix(row[0], "KNEE") {
+				knees = append(knees, strings.Join(row, " | "))
+			}
+		}
+		if len(knees) != 2 {
+			t.Fatalf("want one KNEE row per scenario:\n%s", table)
+		}
+		return strings.Join(knees, "\n")
+	}
+	small := Params{N: 512, Msgs: 1536, Seed: 5}
+	replicated := small
+	replicated.Replicas, replicated.Cache = 4, 16
+	if plain, got := kneeRows(small), kneeRows(replicated); got == plain {
+		t.Errorf("-replicas 4 -cache 16 left the knee rows unchanged:\n%s", got)
+	}
+	churned := small
+	churned.ChurnRate = 0.1 // churn needs -live
+	if _, err := Run("ext.saturation.knee", churned); err == nil || !strings.Contains(err.Error(), "live") {
+		t.Errorf("-churn without -live: err = %v, want load.Config.Validate's rejection", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/construct"
 	"repro/internal/failure"
-	"repro/internal/graph"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -22,50 +21,25 @@ func init() {
 			p = p.withDefaults(1<<13, 5, 150)
 			t := sim.NewTable(fmt.Sprintf("Line vs ring (n=%d)", p.N),
 				"space", "links", "mean hops", "failed frac @ p=0.5 (backtrack)")
-			for _, spaceName := range []string{"ring", "line"} {
-				spaceName := spaceName
+			spaces := []struct {
+				name string
+				mk   spaceFunc
+			}{
+				{"ring", ringOf(p.N)},
+				{"line", func() (metric.Space, error) { return metric.NewLine(p.N) }},
+			}
+			for _, sp := range spaces {
 				for _, links := range []int{1, p.lgLinks()} {
-					links := links
-					mk := func() (metric.Space, error) {
-						if spaceName == "line" {
-							return metric.NewLine(p.N)
-						}
-						return metric.NewRing(p.N)
-					}
-					healthy, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-						sp, err := mk()
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						g, err := graph.BuildIdeal(sp, graph.PaperConfig(links), src)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						r := route.New(g, route.Options{})
-						return sim.MeasureSearches(g, r, src, p.Msgs)
-					})
+					healthy, err := searchTrials(p, ideal(sp.mk, links), nil, route.Options{})
 					if err != nil {
 						return nil, err
 					}
-					damaged, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-						sp, err := mk()
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						g, err := graph.BuildIdeal(sp, graph.PaperConfig(links), src)
-						if err != nil {
-							return sim.SearchStats{}, err
-						}
-						if _, err := failure.FailNodesFraction(g, 0.5, src); err != nil {
-							return sim.SearchStats{}, err
-						}
-						r := route.New(g, route.Options{DeadEnd: route.Backtrack})
-						return sim.MeasureSearches(g, r, src, p.Msgs)
-					})
+					damaged, err := searchTrials(p, ideal(sp.mk, links), failNodes(0.5),
+						route.Options{DeadEnd: route.Backtrack})
 					if err != nil {
 						return nil, err
 					}
-					t.AddValues(spaceName, links, healthy.MeanHops(), damaged.FailedFraction())
+					t.AddValues(sp.name, links, healthy.MeanHops(), damaged.FailedFraction())
 				}
 			}
 			return t, nil

@@ -12,30 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// measureIdeal builds an ideal network of size n with `links` long
-// links per node and measures msgs random searches, averaged over
-// trials networks. damage, when non-nil, is applied to each fresh
-// network before routing.
-func measureIdeal(p Params, n, links int, opt route.Options,
-	damage func(g *graph.Graph, src *rng.Source) error) (sim.SearchStats, error) {
-	return sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-		ring, err := metric.NewRing(n)
-		if err != nil {
-			return sim.SearchStats{}, err
-		}
-		g, err := graph.BuildIdeal(ring, graph.PaperConfig(links), src)
-		if err != nil {
-			return sim.SearchStats{}, err
-		}
-		if damage != nil {
-			if err := damage(g, src); err != nil {
-				return sim.SearchStats{}, err
-			}
-		}
-		r := route.New(g, opt)
-		return sim.MeasureSearches(g, r, src, p.Msgs)
-	})
-}
+// twoSidedDirected is Table 1's routing model: greedy over a node's own
+// long links only.
+var twoSidedDirected = route.Options{DirectedOnly: true}
 
 func init() {
 	register(Experiment{
@@ -47,7 +26,7 @@ func init() {
 			t := sim.NewTable("Table 1 / no failures, ℓ=1",
 				"n", "mean hops", "upper 2H_n^2", "lower Thm10", "hops/upper")
 			for _, n := range sweepSizes(p.N) {
-				stats, err := measureIdeal(p, n, 1, route.Options{DirectedOnly: true}, nil)
+				stats, err := searchTrials(p, ideal(ringOf(n), 1), nil, twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -68,8 +47,8 @@ func init() {
 			lg := p.lgLinks()
 			t := sim.NewTable(fmt.Sprintf("Table 1 / no failures, multi-link (n=%d)", p.N),
 				"links", "mean hops", "upper 8(1+lgn)H_n/l", "hops*l (flat => 1/l law)")
-			for _, l := range sweepLinks(lg) {
-				stats, err := measureIdeal(p, p.N, l, route.Options{DirectedOnly: true}, nil)
+			for _, l := range doublings(lg) {
+				stats, err := searchTrials(p, ideal(ringOf(p.N), l), nil, twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -90,18 +69,9 @@ func init() {
 				"base b", "mean hops", "bound ceil(log_b n)", "max hops ok")
 			for _, b := range []int{2, 4, 8, 16} {
 				b := b
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					ring, err := metric.NewRing(p.N)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					g, err := graph.BuildDeterministic(ring, b, src)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					r := route.New(g, route.Options{DirectedOnly: true})
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
+					return graph.BuildDeterministic(ring, b, src)
+				}), nil, twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -122,12 +92,8 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Table 1 / link failures (n=%d, l=%d)", p.N, links),
 				"p(link up)", "mean hops", "failed frac", "upper 8(1+lgn)H_n/pl", "hops*p (flat => 1/p law)")
 			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-				prob := prob
-				stats, err := measureIdeal(p, p.N, links, route.Options{DirectedOnly: true},
-					func(g *graph.Graph, src *rng.Source) error {
-						_, err := failure.FailLinks(g, prob, src)
-						return err
-					})
+				stats, err := searchTrials(p, ideal(ringOf(p.N), links),
+					failLinks(prob), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -152,22 +118,9 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Table 1 / deterministic link failures (n=%d, b=%d)", p.N, b),
 				"p(link up)", "mean hops", "upper 1+2(b-q)H_n/p")
 			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-				prob := prob
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					ring, err := metric.NewRing(p.N)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					g, err := graph.BuildDeterministicPowers(ring, b)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					if _, err := failure.FailLinks(g, prob, src); err != nil {
-						return sim.SearchStats{}, err
-					}
-					r := route.New(g, route.Options{DirectedOnly: true})
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, _ *rng.Source) (*graph.Graph, error) {
+					return graph.BuildDeterministicPowers(ring, b)
+				}), failLinks(prob), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -191,22 +144,13 @@ func init() {
 				"p(present)", "mean hops", "failed frac", "upper 2H_n^2")
 			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 				prob := prob
-				stats, err := sim.Run(p.Seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-					ring, err := metric.NewRing(p.N)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
 					mask, err := failure.BinomialPresence(p.N, prob, src)
 					if err != nil {
-						return sim.SearchStats{}, err
+						return nil, err
 					}
-					g, err := graph.BuildIdealWithPresence(ring, graph.PaperConfig(1), mask, src)
-					if err != nil {
-						return sim.SearchStats{}, err
-					}
-					r := route.New(g, route.Options{DirectedOnly: true})
-					return sim.MeasureSearches(g, r, src, p.Msgs)
-				})
+					return graph.BuildIdealWithPresence(ring, graph.PaperConfig(1), mask, src)
+				}), nil, twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -228,11 +172,11 @@ func init() {
 				"p(fail)", "mean hops", "failed frac", "upper 8(1+lgn)H_n/(1-p)l")
 			for _, prob := range []float64{0, 0.2, 0.4, 0.6} {
 				prob := prob
-				stats, err := measureIdeal(p, p.N, links, route.Options{DirectedOnly: true},
+				stats, err := searchTrials(p, ideal(ringOf(p.N), links),
 					func(g *graph.Graph, src *rng.Source) error {
 						_, err := failure.FailNodesProb(g, prob, src)
 						return err
-					})
+					}, twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -260,14 +204,15 @@ func sweepSizes(max int) []int {
 	return sizes
 }
 
-// sweepLinks returns the ℓ values 1, 2, 4, … up to lg.
-func sweepLinks(lg int) []int {
-	links := []int{}
-	for l := 1; l <= lg; l <<= 1 {
-		links = append(links, l)
+// doublings returns 1, 2, 4, … up to max, then max itself: the ℓ values
+// of the link sweeps and the log-spaced distances of the Figure 5 tables.
+func doublings(max int) []int {
+	vs := []int{}
+	for v := 1; v <= max; v <<= 1 {
+		vs = append(vs, v)
 	}
-	if links[len(links)-1] != lg {
-		links = append(links, lg)
+	if vs[len(vs)-1] != max {
+		vs = append(vs, max)
 	}
-	return links
+	return vs
 }

@@ -484,6 +484,9 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	if err := out.CheckLedgers(); err != nil {
+		return nil, err
+	}
 
 	r := &Result{
 		Workload:        gen.Name(),
