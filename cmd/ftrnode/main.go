@@ -96,9 +96,9 @@ func demo(nodes, ringSize, links, keys int, crash float64, seed uint64) error {
 		stored[k] = v
 	}
 
-	toCrash := int(crash * float64(cluster.Size()))
+	toCrash := min(int(crash*float64(cluster.Size())), cluster.Size()-1) // the writer survives
 	fmt.Printf("crashing %d of %d nodes without warning...\n", toCrash, cluster.Size())
-	for i := 0; i < toCrash; i++ {
+	for crashed := 0; crashed < toCrash; {
 		pts := cluster.Nodes()
 		victim := pts[src.Intn(len(pts))]
 		if victim == writer.ID() {
@@ -107,6 +107,7 @@ func demo(nodes, ringSize, links, keys int, crash float64, seed uint64) error {
 		if err := cluster.CrashNode(victim); err != nil {
 			return err
 		}
+		crashed++
 	}
 
 	fmt.Println("running self-healing maintenance...")

@@ -158,10 +158,3 @@ func main() {
 	}
 	fmt.Printf("  replicated: %d/%d lookups resolved after a further crash wave\n", found, queries)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

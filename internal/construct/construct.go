@@ -98,6 +98,7 @@ type Builder struct {
 	// stale when links are redirected elsewhere; readers re-verify
 	// against the graph, so staleness only costs a skipped scan entry.
 	inLinks map[metric.Point][]metric.Point
+	dists   []int // solicit's scratch: the solicited node's link distances
 }
 
 // NewBuilder returns a Builder over an initially empty space of any
@@ -121,16 +122,6 @@ func NewBuilder(space metric.Space, cfg Config, src *rng.Source) (*Builder, erro
 		dim:     space.Dim(),
 		inLinks: make(map[metric.Point][]metric.Point),
 	}, nil
-}
-
-// weight returns the §5 link weight of distance d: d^(−dim), the
-// harmonic member of the power-law family for the builder's space.
-func (b *Builder) weight(d int) float64 {
-	w := float64(d)
-	for i := 1; i < b.dim; i++ {
-		w *= float64(d)
-	}
-	return 1 / w
 }
 
 // Graph exposes the overlay under construction. Callers may route over
@@ -255,63 +246,87 @@ func (b *Builder) addLink(from, to metric.Point) error {
 	return nil
 }
 
-// solicit asks node u to redirect one of its links to newcomer v,
-// applying the acceptance and replacement probabilities of §5.
+// weight returns the §5 link weight of distance d: d^(−dim), the
+// harmonic member of the power-law family for a dim-dimensional space.
+func weight(dim, d int) float64 {
+	w := float64(d)
+	for i := 1; i < dim; i++ {
+		w *= float64(d)
+	}
+	return 1 / w
+}
+
+// Solicit is the §5 redirection rule, stated once for the simulator's
+// Builder and the live overlay's solicit handler. A node of a
+// dim-dimensional space whose long links span distances dists (budget
+// links) is asked for a link by a newcomer at distance dNew; link weights
+// are p = 1/d^dim. It returns the slot the newcomer takes and whether it
+// takes one: len(dists) below budget (in the paper's steady state every
+// node owns exactly ℓ links, so the replacement rule assumes a full set
+// and early growth tops up first); otherwise, with probability
+// p_new/(p_new + Σp), the victim — drawn ∝ p under InverseDistance, or
+// −1 under any other strategy, whose pick needs more than distances.
+// It draws src.Bool once at budget and src.Float64 once more only for
+// an InverseDistance victim.
+func Solicit(src *rng.Source, s ReplacementStrategy, links, dim, dNew int, dists []int) (slot int, accept bool) {
+	if len(dists) < links {
+		return len(dists), true
+	}
+	if len(dists) == 0 {
+		return 0, false
+	}
+	pNew := weight(dim, dNew)
+	sum := pNew
+	for _, d := range dists {
+		sum += weight(dim, d)
+	}
+	if !src.Bool(pNew / sum) {
+		return 0, false
+	}
+	if s != InverseDistance {
+		return -1, true
+	}
+	var mass float64
+	for _, d := range dists {
+		mass += weight(dim, d)
+	}
+	r := src.Float64() * mass
+	for i, d := range dists {
+		r -= weight(dim, d)
+		if r <= 0 {
+			return i, true
+		}
+	}
+	return len(dists) - 1, true
+}
+
+// solicit asks node u to redirect one of its links to newcomer v by the
+// Solicit rule.
 func (b *Builder) solicit(u, v metric.Point) error {
 	if u == v {
 		return nil
 	}
 	sp := b.g.Space()
-	pNew := b.weight(sp.Distance(u, v))
 	long := b.g.Long(u)
-
-	// A node still below its link budget simply adds the link: in the
-	// paper's steady state every node owns exactly ℓ links, so the
-	// replacement rule assumes a full set; topping up first preserves
-	// that invariant during early growth.
-	if len(long) < b.cfg.Links {
-		return b.addLink(u, v)
-	}
-	if len(long) == 0 {
-		return nil
-	}
-
-	sum := pNew
+	b.dists = b.dists[:0]
 	for _, lk := range long {
-		sum += b.weight(sp.Distance(u, lk.To))
+		b.dists = append(b.dists, sp.Distance(u, lk.To))
 	}
-	if !b.src.Bool(pNew / sum) {
+	slot, ok := Solicit(b.src, b.cfg.Strategy, b.cfg.Links, b.dim, sp.Distance(u, v), b.dists)
+	if !ok {
 		return nil // u declines to redirect
 	}
-
-	// Choose the victim link.
-	victim := -1
-	switch b.cfg.Strategy {
-	case Oldest:
-		var oldest int64
+	if slot == len(long) {
+		return b.addLink(u, v)
+	}
+	if slot < 0 { // Oldest: the smallest creation sequence number
 		for i, lk := range long {
-			if victim == -1 || lk.Seq < oldest {
-				victim, oldest = i, lk.Seq
+			if slot < 0 || lk.Seq < long[slot].Seq {
+				slot = i
 			}
-		}
-	default: // InverseDistance
-		var mass float64
-		for _, lk := range long {
-			mass += b.weight(sp.Distance(u, lk.To))
-		}
-		r := b.src.Float64() * mass
-		for i, lk := range long {
-			r -= b.weight(sp.Distance(u, lk.To))
-			if r <= 0 {
-				victim = i
-				break
-			}
-		}
-		if victim == -1 {
-			victim = len(long) - 1
 		}
 	}
-	if err := b.g.ReplaceLong(u, victim, v); err != nil {
+	if err := b.g.ReplaceLong(u, slot, v); err != nil {
 		return err
 	}
 	b.inLinks[v] = append(b.inLinks[v], u)

@@ -73,29 +73,12 @@ func (c *Cluster) AddNode(ctx context.Context, p metric.Point) (*Node, error) {
 		c.boot = p
 		return n, nil
 	}
-	if _, ok := c.nodes[c.boot]; !ok {
-		c.electBootstrap()
-	}
 	if err := n.Join(ctx, c.boot); err != nil {
 		n.Close()
 		return nil, fmt.Errorf("overlay: join failed: %w", err)
 	}
 	c.nodes[p] = n
 	return n, nil
-}
-
-// RemoveNode gracefully departs the node at p.
-func (c *Cluster) RemoveNode(ctx context.Context, p metric.Point) error {
-	n, ok := c.nodes[p]
-	if !ok {
-		return fmt.Errorf("overlay: no node %d", p)
-	}
-	delete(c.nodes, p)
-	n.Leave(ctx)
-	if c.boot == p {
-		c.electBootstrap()
-	}
-	return nil
 }
 
 // CrashNode kills the node at p without any departure protocol,
@@ -113,10 +96,11 @@ func (c *Cluster) CrashNode(p metric.Point) error {
 	return nil
 }
 
+// electBootstrap picks the next entry point: the lowest live point, so
+// equal seeds and operation histories join through equal nodes.
 func (c *Cluster) electBootstrap() {
-	for p := range c.nodes {
-		c.boot = p
-		return
+	if pts := c.Nodes(); len(pts) > 0 {
+		c.boot = pts[0]
 	}
 }
 

@@ -18,14 +18,15 @@ func FuzzHandleRequest(f *testing.F) {
 		[]byte(`{"op":"put","key":"k","value":"v"}`),
 		[]byte(`{"op":"neighbor-info"}`),
 		[]byte(`{"op":"solicit","from":3}`),
-		[]byte(`{"op":"new-neighbor","from":5,"subject":9,"hasSubject":true}`),
-		[]byte(`{"op":"transfer","pairs":["a","b"]}`),
-		[]byte(`{"op":"claim-keys","from":2}`),
+		[]byte(`{"op":"new-neighbor","from":5}`),
+		[]byte(`{"op":"nearest","target":12,"exclude":[8,6,40]}`),
+		[]byte(`{"op":"nearest","target":64}`),         // one past the ring
+		[]byte(`{"op":"ping","from":-1}`),              // sender off the ring
+		[]byte(`{"op":"forward","target":1,"ttl":-5}`), // removed op: unknown now
 		[]byte(`{"op":"unknown-op"}`),
 		[]byte(`{`),
 		[]byte(``),
 		[]byte(`null`),
-		[]byte(`{"op":"forward","target":1,"ttl":-5}`),
 	}
 	for _, s := range seeds {
 		f.Add(s)

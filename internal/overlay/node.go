@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
+	"repro/internal/construct"
+	"repro/internal/keyspace"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/transport"
@@ -61,22 +62,21 @@ func (c Config) Validate() error {
 
 // Node is one live overlay participant.
 type Node struct {
-	cfg   Config
-	id    metric.Point
-	tr    transport.Transport
-	stop  func() // transport unregister
-	done  chan struct{}
-	wg    sync.WaitGroup
-	srcMu sync.Mutex
-	src   *rng.Source
+	cfg     Config
+	id      metric.Point
+	tr      transport.Transport
+	sampler metric.LinkSampler // the §5 long-link distribution
+	stop    func()             // transport unregister
+	done    chan struct{}
+	wg      sync.WaitGroup
+	srcMu   sync.Mutex
+	src     *rng.Source
 
 	mu    sync.RWMutex
 	left  metric.Point // nearest known node counter-clockwise
 	right metric.Point // nearest known node clockwise
 	long  []metric.Point
 	store map[string]string
-
-	stats counters
 }
 
 // NewNode creates a node with identifier id and starts serving requests
@@ -91,15 +91,20 @@ func NewNode(id metric.Point, cfg Config, tr transport.Transport) (*Node, error)
 	if !cfg.Ring.Contains(id) {
 		return nil, fmt.Errorf("overlay: id %d outside ring of size %d", id, cfg.Ring.Size())
 	}
+	sampler, err := cfg.Ring.NewLinkSampler(1)
+	if err != nil {
+		return nil, err
+	}
 	n := &Node{
-		cfg:   cfg.withDefaults(),
-		id:    id,
-		tr:    tr,
-		done:  make(chan struct{}),
-		src:   rng.New(cfg.Seed ^ uint64(id)*0x9E3779B97F4A7C15),
-		left:  id,
-		right: id,
-		store: make(map[string]string),
+		cfg:     cfg.withDefaults(),
+		id:      id,
+		tr:      tr,
+		sampler: sampler,
+		done:    make(chan struct{}),
+		src:     rng.New(cfg.Seed ^ uint64(id)*0x9E3779B97F4A7C15),
+		left:    id,
+		right:   id,
+		store:   make(map[string]string),
 	}
 	stop, err := tr.Listen(transport.NodeID(id), n.handle)
 	if err != nil {
@@ -141,12 +146,11 @@ func (n *Node) StoreSize() int {
 	return len(n.store)
 }
 
-// HashKey maps a resource key to a point of the ring (the paper's
-// h : K → V), using FNV-1a.
+// HashKey maps a resource key to a point of the ring: the paper's
+// h : K → V, which is keyspace.Hash.
 func HashKey(key string, ring *metric.Ring) metric.Point {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return metric.Point(h.Sum64() % uint64(ring.Size()))
+	p, _ := keyspace.Hash(keyspace.Key(key), ring.Size()) // errs only on an empty space, and no ring is
+	return p
 }
 
 // --- server side -----------------------------------------------------
@@ -154,57 +158,53 @@ func HashKey(key string, ring *metric.Ring) metric.Point {
 func (n *Node) handle(reqBytes []byte) ([]byte, error) {
 	req, err := decodeRequest(reqBytes)
 	if err != nil {
-		n.stats.requestErrors.Add(1)
 		return nil, fmt.Errorf("overlay: bad request: %w", err)
 	}
-	n.stats.requestsServed.Add(1)
-	var resp Response
-	switch req.Op {
-	case OpPing:
-		resp.OK = true
-	case OpNearest:
-		resp = n.handleNearest(req)
-	case OpNeighborInfo:
-		n.mu.RLock()
-		resp = Response{OK: true, Left: int64(n.left), Right: int64(n.right)}
-		n.mu.RUnlock()
-	case OpNewNeighbor:
-		subject := metric.Point(req.From)
-		if req.HasSubject {
-			subject = metric.Point(req.Subject)
-		}
-		resp.OK = n.considerNeighbor(subject)
-	case OpReplaceNeighbor:
-		resp.OK = n.replaceNeighbor(metric.Point(req.From), metric.Point(req.Subject))
-	case OpSolicit:
-		resp.Accepted = n.handleSolicit(metric.Point(req.From))
-	case OpPut:
-		n.mu.Lock()
-		n.store[req.Key] = req.Value
-		n.mu.Unlock()
-		resp.OK = true
-	case OpGet:
-		n.mu.RLock()
-		v, ok := n.store[req.Key]
-		n.mu.RUnlock()
-		resp.Found, resp.Value, resp.OK = ok, v, true
-	case OpForward:
-		n.stats.forwardsServed.Add(1)
-		fresp, err := n.handleForward(req)
-		if err != nil {
-			n.stats.requestErrors.Add(1)
-			return nil, err
-		}
-		resp = fresp
-	case OpTransfer:
-		resp = n.handleTransfer(req)
-	case OpClaimKeys:
-		resp = n.handleClaimKeys(req)
-	default:
-		n.stats.requestErrors.Add(1)
-		return nil, fmt.Errorf("overlay: unknown op %q", req.Op)
+	resp, err := n.serve(req)
+	if err != nil {
+		return nil, err
 	}
 	return encodeResponse(resp)
+}
+
+// serve answers one request from the node's own state. It is the
+// handler behind the transport and, for a call a node addresses to
+// itself, the whole call. Points arriving in a request are outside
+// input: a sender or target off the ring is a request error.
+func (n *Node) serve(req Request) (Response, error) {
+	from := metric.Point(req.From)
+	if !n.cfg.Ring.Contains(from) {
+		return Response{}, fmt.Errorf("overlay: sender %d outside ring", req.From)
+	}
+	switch req.Op {
+	case OpPing:
+		return Response{OK: true}, nil
+	case OpNearest:
+		if !n.cfg.Ring.Contains(metric.Point(req.Target)) {
+			return Response{}, fmt.Errorf("overlay: target %d outside ring", req.Target)
+		}
+		return n.handleNearest(req), nil
+	case OpNeighborInfo:
+		n.mu.RLock()
+		defer n.mu.RUnlock()
+		return Response{OK: true, Left: int64(n.left), Right: int64(n.right)}, nil
+	case OpNewNeighbor:
+		return Response{OK: n.considerNeighbor(from)}, nil
+	case OpSolicit:
+		return Response{Accepted: n.handleSolicit(from)}, nil
+	case OpPut:
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.store[req.Key] = req.Value
+		return Response{OK: true}, nil
+	case OpGet:
+		n.mu.RLock()
+		defer n.mu.RUnlock()
+		v, ok := n.store[req.Key]
+		return Response{OK: true, Found: ok, Value: v}, nil
+	default:
+		return Response{}, fmt.Errorf("overlay: unknown op %q", req.Op)
+	}
 }
 
 // handleNearest implements greedy next-hop selection over the node's
@@ -241,7 +241,7 @@ func (n *Node) handleNearest(req Request) Response {
 // considerNeighbor updates the short links if `from` is closer than the
 // current neighbour on its side. Returns true when a link changed.
 func (n *Node) considerNeighbor(from metric.Point) bool {
-	if from == n.id || !n.cfg.Ring.Contains(from) {
+	if from == n.id {
 		return false
 	}
 	ring := n.cfg.Ring
@@ -258,89 +258,48 @@ func (n *Node) considerNeighbor(from metric.Point) bool {
 		n.left = from
 		changed = true
 	}
-	if changed {
-		n.stats.shortLinkChanges.Add(1)
-	}
 	return changed
 }
 
-// replaceNeighbor swaps departing out of the short links in favour of
-// replacement (used by graceful departure). Returns true when a link
-// changed.
-func (n *Node) replaceNeighbor(departing, replacement metric.Point) bool {
-	if !n.cfg.Ring.Contains(replacement) {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	changed := false
-	if n.left == departing {
-		n.left = replacement
-		changed = true
-	}
-	if n.right == departing {
-		n.right = replacement
-		changed = true
-	}
-	if changed {
-		n.stats.shortLinkChanges.Add(1)
-	}
-	return changed
-}
-
-// handleSolicit applies the §5 link-redirection rule: accept the
+// handleSolicit applies the §5 link-redirection rule, construct.Solicit,
+// to this node's long links: top up below budget, otherwise accept the
 // newcomer with probability p_new/Σp and redirect a victim chosen with
 // probability proportional to 1/d.
 func (n *Node) handleSolicit(from metric.Point) bool {
-	if from == n.id || !n.cfg.Ring.Contains(from) {
+	if from == n.id {
 		return false
 	}
 	ring := n.cfg.Ring
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.long) < n.cfg.Links {
-		n.long = append(n.long, from)
-		return true
-	}
-	if len(n.long) == 0 {
-		return false
-	}
-	pNew := 1 / float64(ring.Distance(n.id, from))
-	sum := pNew
-	for _, to := range n.long {
-		sum += 1 / float64(ring.Distance(n.id, to))
+	dists := make([]int, len(n.long))
+	for i, to := range n.long {
+		dists[i] = ring.Distance(n.id, to)
 	}
 	n.srcMu.Lock()
-	accept := n.src.Bool(pNew / sum)
-	var roll float64
-	if accept {
-		roll = n.src.Float64()
-	}
+	slot, ok := construct.Solicit(n.src, construct.InverseDistance, n.cfg.Links, ring.Dim(), ring.Distance(n.id, from), dists)
 	n.srcMu.Unlock()
-	if !accept {
+	if !ok {
 		return false
 	}
-	var mass float64
-	for _, to := range n.long {
-		mass += 1 / float64(ring.Distance(n.id, to))
+	if slot == len(n.long) {
+		n.long = append(n.long, from)
+	} else {
+		n.long[slot] = from
 	}
-	r := roll * mass
-	victim := len(n.long) - 1
-	for i, to := range n.long {
-		r -= 1 / float64(ring.Distance(n.id, to))
-		if r <= 0 {
-			victim = i
-			break
-		}
-	}
-	n.long[victim] = from
 	return true
 }
 
 // --- client side -----------------------------------------------------
 
+// call sends req to node `to` and decodes its answer; a call a node
+// addresses to itself is served locally, so callers need not ask
+// whether the owner they resolved is themselves.
 func (n *Node) call(ctx context.Context, to metric.Point, req Request) (Response, error) {
 	req.From = int64(n.id)
+	if to == n.id {
+		return n.serve(req)
+	}
 	payload, err := encodeRequest(req)
 	if err != nil {
 		return Response{}, err
@@ -354,119 +313,68 @@ func (n *Node) call(ctx context.Context, to metric.Point, req Request) (Response
 	return decodeResponse(respBytes)
 }
 
+// alive probes p.
+func (n *Node) alive(ctx context.Context, p metric.Point) bool {
+	_, err := n.call(ctx, p, Request{Op: OpPing})
+	return err == nil
+}
+
 // Lookup resolves the live node owning target, starting from this node,
 // using iterative greedy routing with client-side exclusion of dead
 // hops. It returns the owner and the number of hops taken.
 func (n *Node) Lookup(ctx context.Context, target metric.Point) (metric.Point, int, error) {
+	return n.lookupFrom(ctx, n.id, target)
+}
+
+// lookupFrom is the one iterative lookup loop: ask the current hop for
+// its best neighbour toward target, probe the proposal, move there if
+// it answers, and otherwise exclude it and ask the current hop again —
+// backtracking at the querier. The hop that proposes nobody owns the
+// target. A walk started elsewhere (Join's locate step) excludes this
+// node from the outset: it is not part of the network yet, and a link
+// left over from an earlier holder of its id must not lead the walk
+// into it.
+func (n *Node) lookupFrom(ctx context.Context, start, target metric.Point) (metric.Point, int, error) {
 	if !n.cfg.Ring.Contains(target) {
 		return 0, 0, fmt.Errorf("overlay: target %d outside ring", target)
 	}
-	n.stats.lookupsStarted.Add(1)
-	cur := n.id
-	hops := 0
-	exclude := make([]int64, 0, 4)
-	for hops < n.cfg.MaxHops {
-		var resp Response
-		var err error
-		if cur == n.id {
-			resp = n.handleNearest(Request{Target: int64(target), Exclude: exclude})
-		} else {
-			resp, err = n.call(ctx, cur, Request{Op: OpNearest, Target: int64(target), Exclude: exclude})
-			if err != nil {
-				return 0, hops, fmt.Errorf("overlay: lookup lost hop %d: %w", cur, err)
-			}
+	var exclude []int64
+	if start != n.id {
+		exclude = append(exclude, int64(n.id))
+	}
+	cur := start
+	for hops := 0; hops < n.cfg.MaxHops; {
+		resp, err := n.call(ctx, cur, Request{Op: OpNearest, Target: int64(target), Exclude: exclude})
+		if err != nil {
+			return 0, hops, fmt.Errorf("overlay: lookup lost hop %d: %w", cur, err)
 		}
 		if resp.IsSelf {
 			return cur, hops, nil
 		}
-		next := metric.Point(resp.Next)
-		// Probe the proposed hop; a dead hop is excluded and the
-		// current node re-queried — backtracking at the querier.
-		if _, err := n.call(ctx, next, Request{Op: OpPing}); err != nil {
-			exclude = appendExcluded(exclude, int64(next))
-			hops++
-			continue
-		}
-		cur = next
 		hops++
-	}
-	return 0, hops, fmt.Errorf("overlay: lookup exceeded %d hops", n.cfg.MaxHops)
-}
-
-func appendExcluded(ex []int64, v int64) []int64 {
-	for _, e := range ex {
-		if e == v {
-			return ex
+		if next := metric.Point(resp.Next); n.alive(ctx, next) {
+			cur = next
+		} else {
+			exclude = append(exclude, int64(next))
 		}
 	}
-	return append(ex, v)
-}
-
-// Put stores key/value at the owner of the key's point and returns the
-// owner.
-func (n *Node) Put(ctx context.Context, key, value string) (metric.Point, error) {
-	owner, _, err := n.Lookup(ctx, HashKey(key, n.cfg.Ring))
-	if err != nil {
-		return 0, err
-	}
-	if owner == n.id {
-		n.mu.Lock()
-		n.store[key] = value
-		n.mu.Unlock()
-		return owner, nil
-	}
-	resp, err := n.call(ctx, owner, Request{Op: OpPut, Key: key, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	if !resp.OK {
-		return 0, fmt.Errorf("overlay: put rejected by %d", owner)
-	}
-	return owner, nil
-}
-
-// Get retrieves key from the owner of the key's point.
-func (n *Node) Get(ctx context.Context, key string) (string, bool, error) {
-	owner, _, err := n.Lookup(ctx, HashKey(key, n.cfg.Ring))
-	if err != nil {
-		return "", false, err
-	}
-	if owner == n.id {
-		n.mu.RLock()
-		v, ok := n.store[key]
-		n.mu.RUnlock()
-		return v, ok, nil
-	}
-	resp, err := n.call(ctx, owner, Request{Op: OpGet, Key: key})
-	if err != nil {
-		return "", false, err
-	}
-	return resp.Value, resp.Found, nil
+	return 0, n.cfg.MaxHops, fmt.Errorf("overlay: lookup exceeded %d hops", n.cfg.MaxHops)
 }
 
 // Join enters the network through the bootstrap node `via`: it locates
-// its ring position, wires short links on both sides, draws its ℓ long
-// links from the inverse power-law distribution (resolving each sampled
-// point to its live owner), and solicits Poisson(ℓ) incoming links per
-// §5.
+// its ring position (the lookup loop, started at via), wires short
+// links on both sides, draws its ℓ long links from the inverse power-law
+// distribution (resolving each sampled point to its live owner), settles
+// the short links on live nodes, and solicits Poisson(ℓ) incoming links
+// per §5.
 func (n *Node) Join(ctx context.Context, via metric.Point) error {
 	if via == n.id {
 		return errors.New("overlay: cannot join through self")
 	}
 	// Find our place: the owner of our own point, seen from via.
-	resp, err := n.call(ctx, via, Request{Op: OpNearest, Target: int64(n.id)})
+	owner, _, err := n.lookupFrom(ctx, via, n.id)
 	if err != nil {
 		return fmt.Errorf("overlay: join via %d: %w", via, err)
-	}
-	owner := via
-	hops := 0
-	for !resp.IsSelf && hops < n.cfg.MaxHops {
-		owner = metric.Point(resp.Next)
-		resp, err = n.call(ctx, owner, Request{Op: OpNearest, Target: int64(n.id)})
-		if err != nil {
-			return fmt.Errorf("overlay: join hop %d: %w", owner, err)
-		}
-		hops++
 	}
 	// Wire short links: adopt the owner's view, then announce.
 	info, err := n.call(ctx, owner, Request{Op: OpNeighborInfo})
@@ -477,37 +385,29 @@ func (n *Node) Join(ctx context.Context, via metric.Point) error {
 	n.announceSelf(ctx)
 
 	// Draw long links.
-	budget := n.cfg.Links
-	for i := 0; i < budget; i++ {
-		point, ok := n.sampleTargetPoint()
-		if !ok {
-			break
+	for i := 0; i < n.cfg.Links; i++ {
+		if to, ok := n.drawPeer(ctx); ok {
+			n.mu.Lock()
+			if len(n.long) < n.cfg.Links {
+				n.long = append(n.long, to)
+			}
+			n.mu.Unlock()
 		}
-		linkOwner, _, err := n.Lookup(ctx, point)
-		if err != nil || linkOwner == n.id {
-			continue
-		}
-		n.mu.Lock()
-		if len(n.long) < budget {
-			n.long = append(n.long, linkOwner)
-		}
-		n.mu.Unlock()
 	}
+	// The owner's view may name a neighbour that has crashed since the
+	// owner last looked; settle both sides on live nodes, now that the
+	// long links are there to seed the walk.
+	n.tightenShort(ctx, true)
+	n.tightenShort(ctx, false)
 
 	// Solicit incoming links (§5 step 2–3).
 	n.srcMu.Lock()
 	want := n.src.Poisson(float64(n.cfg.Links))
 	n.srcMu.Unlock()
 	for i := 0; i < want; i++ {
-		point, ok := n.sampleTargetPoint()
-		if !ok {
-			break
+		if u, ok := n.drawPeer(ctx); ok {
+			_, _ = n.call(ctx, u, Request{Op: OpSolicit})
 		}
-		uOwner, _, err := n.Lookup(ctx, point)
-		if err != nil || uOwner == n.id {
-			continue
-		}
-		_, _ = n.call(ctx, uOwner, Request{Op: OpSolicit})
 	}
 	return nil
 }
@@ -549,22 +449,18 @@ func (n *Node) announceSelf(ctx context.Context) {
 	}
 }
 
-// sampleTargetPoint draws a point at inverse power-law distance from
-// this node.
-func (n *Node) sampleTargetPoint() (metric.Point, bool) {
-	ring := n.cfg.Ring
-	maxD := (ring.Size() - 1) / 2
-	if maxD < 1 {
+// drawPeer draws a point at inverse power-law distance from this node
+// and resolves it to the live node that owns it; ok is false when the
+// lookup failed or came back to this node.
+func (n *Node) drawPeer(ctx context.Context) (metric.Point, bool) {
+	n.srcMu.Lock()
+	point, ok := n.sampler.Sample(n.id, n.src)
+	n.srcMu.Unlock()
+	if !ok {
 		return 0, false
 	}
-	n.srcMu.Lock()
-	d := rng.SampleHarmonic(n.src, maxD)
-	dir := 1
-	if n.src.Bool(0.5) {
-		dir = -1
-	}
-	n.srcMu.Unlock()
-	return ring.Add(n.id, dir*d), true
+	owner, _, err := n.Lookup(ctx, point)
+	return owner, err == nil && owner != n.id
 }
 
 // --- maintenance -----------------------------------------------------
@@ -595,43 +491,28 @@ func (n *Node) MaintainOnce(ctx context.Context) {
 	copy(long, n.long)
 	n.mu.RUnlock()
 
-	alive := func(p metric.Point) bool {
-		if p == n.id {
-			return true
-		}
-		_, err := n.call(ctx, p, Request{Op: OpPing})
-		return err == nil
-	}
-
 	// Long links: redraw dead ones.
 	deadIdx := make([]int, 0, 2)
 	for i, to := range long {
-		if !alive(to) {
+		if !n.alive(ctx, to) {
 			deadIdx = append(deadIdx, i)
 		}
 	}
 	for _, i := range deadIdx {
-		point, ok := n.sampleTargetPoint()
-		if !ok {
-			continue
+		if owner, ok := n.drawPeer(ctx); ok {
+			n.mu.Lock()
+			if i < len(n.long) {
+				n.long[i] = owner
+			}
+			n.mu.Unlock()
 		}
-		owner, _, err := n.Lookup(ctx, point)
-		if err != nil || owner == n.id {
-			continue
-		}
-		n.mu.Lock()
-		if i < len(n.long) {
-			n.long[i] = owner
-			n.stats.longLinkRepairs.Add(1)
-		}
-		n.mu.Unlock()
 	}
 
 	// Short links: walk each side to the nearest live node
 	// (Chord-style stabilization), replacing dead neighbours and
 	// tightening stale ones.
-	n.tightenShort(ctx, alive, true)
-	n.tightenShort(ctx, alive, false)
+	n.tightenShort(ctx, true)
+	n.tightenShort(ctx, false)
 
 	// Keep neighbours aware of us (heals asymmetric views after churn).
 	n.announceSelf(ctx)
@@ -644,7 +525,7 @@ func (n *Node) MaintainOnce(ctx context.Context) {
 // stabilization) converges on the true adjacent node even across
 // multi-node gaps, in a single maintenance pass when intermediate
 // pointers are intact.
-func (n *Node) tightenShort(ctx context.Context, alive func(metric.Point) bool, clockwise bool) {
+func (n *Node) tightenShort(ctx context.Context, clockwise bool) {
 	ring := n.cfg.Ring
 	dist := func(c metric.Point) int {
 		if clockwise {
@@ -665,7 +546,7 @@ func (n *Node) tightenShort(ctx context.Context, alive func(metric.Point) bool, 
 		if c == n.id || !ring.Contains(c) {
 			continue
 		}
-		if (!haveBest || dist(c) < dist(best)) && alive(c) {
+		if (!haveBest || dist(c) < dist(best)) && n.alive(ctx, c) {
 			best, haveBest = c, true
 		}
 	}
@@ -691,7 +572,7 @@ func (n *Node) tightenShort(ctx context.Context, alive func(metric.Point) bool, 
 		if !clockwise {
 			q = metric.Point(info.Right)
 		}
-		if q == best || q == n.id || !ring.Contains(q) || dist(q) >= dist(best) || !alive(q) {
+		if q == best || q == n.id || !ring.Contains(q) || dist(q) >= dist(best) || !n.alive(ctx, q) {
 			break
 		}
 		best = q
@@ -704,18 +585,4 @@ func (n *Node) tightenShort(ctx context.Context, alive func(metric.Point) bool, 
 	}
 	n.mu.Unlock()
 	_, _ = n.call(ctx, best, Request{Op: OpNewNeighbor})
-}
-
-// Leave gracefully departs: it introduces its two short neighbours to
-// each other so the ring stays closed, then closes the node.
-func (n *Node) Leave(ctx context.Context) {
-	n.mu.RLock()
-	left, right := n.left, n.right
-	n.mu.RUnlock()
-	if left != n.id && right != n.id && left != right {
-		// Splice ourselves out: each side replaces us with the other.
-		_, _ = n.call(ctx, left, Request{Op: OpReplaceNeighbor, Subject: int64(right)})
-		_, _ = n.call(ctx, right, Request{Op: OpReplaceNeighbor, Subject: int64(left)})
-	}
-	n.Close()
 }

@@ -2,10 +2,13 @@ package overlay
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metric"
+	"repro/internal/rng"
 	"repro/internal/transport"
 )
 
@@ -238,35 +241,6 @@ func TestCrashAndSelfHealing(t *testing.T) {
 	}
 }
 
-func TestGracefulLeaveSplicesRing(t *testing.T) {
-	tr := transport.NewInMem(8)
-	cfg := testConfig(t, 128, 3)
-	c := buildCluster(t, tr, cfg, []metric.Point{10, 40, 70, 100})
-	defer c.Close()
-	ctx := context.Background()
-	c.MaintainAll(ctx)
-
-	if err := c.RemoveNode(ctx, 40); err != nil {
-		t.Fatal(err)
-	}
-	n10, _ := c.Node(10)
-	_, right, _ := n10.Neighbors()
-	if right != 70 {
-		t.Errorf("node 10 right = %d, want 70 after graceful leave", right)
-	}
-	// Lookup still resolves.
-	owner, _, err := n10.Lookup(ctx, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != 40 && owner != 70 && owner != 10 {
-		t.Errorf("owner = %d, want a live node", owner)
-	}
-	if owner == 40 {
-		t.Error("departed node still resolves as owner")
-	}
-}
-
 func TestLookupSurvivesDeadHopExclusion(t *testing.T) {
 	tr := transport.NewInMem(9)
 	cfg := testConfig(t, 256, 4)
@@ -323,9 +297,6 @@ func TestClusterBookkeeping(t *testing.T) {
 	}
 	if _, err := c.AddNode(context.Background(), 1); err == nil {
 		t.Error("duplicate AddNode should error")
-	}
-	if err := c.RemoveNode(context.Background(), 9); err == nil {
-		t.Error("removing unknown node should error")
 	}
 	if err := c.CrashNode(9); err == nil {
 		t.Error("crashing unknown node should error")
@@ -390,5 +361,173 @@ func TestSolicitTopUpAndRedirect(t *testing.T) {
 	}
 	if n.handleSolicit(0) {
 		t.Error("self solicit must be rejected")
+	}
+}
+
+// Concurrent clients, maintenance and membership changes must be
+// data-race free (validated under -race) and never corrupt stores.
+func TestConcurrentClientOperations(t *testing.T) {
+	tr := transport.NewInMem(64)
+	cfg := testConfig(t, 512, 4)
+	cfg.CallTimeout = 2 * time.Second
+	points := []metric.Point{0, 64, 128, 192, 256, 320, 384, 448}
+	c := buildCluster(t, tr, cfg, points)
+	defer c.Close()
+	ctx := context.Background()
+	c.MaintainAll(ctx)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for w := 0; w < 8; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			node, _ := c.Node(points[w])
+			for i := 0; i < 25; i++ {
+				k := fmt.Sprintf("w%d-k%d", w, i)
+				if _, err := node.Put(ctx, k, "v"); err != nil {
+					errs <- fmt.Errorf("put %s: %w", k, err)
+					return
+				}
+				if _, _, err := node.Get(ctx, k); err != nil {
+					errs <- fmt.Errorf("get %s: %w", k, err)
+					return
+				}
+			}
+		}()
+	}
+	// Maintenance churns concurrently.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			for _, p := range points {
+				if n, ok := c.Node(p); ok {
+					n.MaintainOnce(ctx)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// Points in a request are outside input: the server side rejects what
+// the client side (Lookup) already refuses to send.
+func TestServeRejectsOffRingInput(t *testing.T) {
+	tr := transport.NewInMem(13)
+	n, err := NewNode(7, testConfig(t, 64, 2), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for _, req := range []string{
+		`{"op":"nearest","target":64}`,
+		`{"op":"nearest","target":-1}`,
+		`{"op":"ping","from":64}`,
+		`{"op":"solicit","from":-3}`,
+		`{"op":"forward","target":1}`,
+	} {
+		if _, err := n.handle([]byte(req)); err == nil {
+			t.Errorf("request %s should be an error", req)
+		}
+	}
+	if _, err := n.handle([]byte(`{"op":"nearest","target":63,"from":63}`)); err != nil {
+		t.Errorf("in-ring request rejected: %v", err)
+	}
+}
+
+// damagedCluster builds `nodes` random members of an n-ring, heals it
+// once, then crashes a quarter of them and runs no maintenance: every
+// survivor's view still names the dead.
+func damagedCluster(t *testing.T, n, nodes int, seed uint64) (*Cluster, *rng.Source) {
+	t.Helper()
+	cfg := testConfig(t, n, 4)
+	cfg.Seed = seed
+	c, err := NewCluster(cfg, transport.NewInMem(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+	src := rng.New(seed)
+	for c.Size() < nodes {
+		if p := metric.Point(src.Intn(n)); !hasNode(c, p) {
+			if _, err := c.AddNode(ctx, p); err != nil {
+				t.Fatalf("seed %d: add %d: %v", seed, p, err)
+			}
+		}
+	}
+	c.MaintainAll(ctx)
+	for i := 0; i < nodes/4; i++ {
+		pts := c.Nodes()
+		if err := c.CrashNode(pts[src.Intn(len(pts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, src
+}
+
+func hasNode(c *Cluster, p metric.Point) bool {
+	_, ok := c.Node(p)
+	return ok
+}
+
+// Join locates its place with the same loop Lookup runs, so a network
+// whose crashes nobody has repaired yet admits newcomers wherever it
+// answers lookups — and the newcomer settles on live short links
+// rather than the dead ones its owner still believes in.
+func TestJoinThroughUnrepairedCrashes(t *testing.T) {
+	ctx := context.Background()
+	for seed := uint64(1); seed <= 20; seed++ {
+		c, src := damagedCluster(t, 1024, 64, seed)
+		for joined := 0; joined < 5; {
+			p := metric.Point(src.Intn(1024))
+			if hasNode(c, p) {
+				continue
+			}
+			node, err := c.AddNode(ctx, p)
+			if err != nil {
+				t.Fatalf("seed %d: join at %d: %v", seed, p, err)
+			}
+			left, right, _ := node.Neighbors()
+			if !hasNode(c, left) || !hasNode(c, right) || left == p || right == p {
+				t.Errorf("seed %d: newcomer %d short links %d/%d are not live peers", seed, p, left, right)
+			}
+			joined++
+		}
+	}
+}
+
+// The bootstrap after a crash is the lowest live point, not whatever a
+// map iteration yields first: equal seeds and operation histories join
+// through equal nodes.
+func TestBootstrapElectionIsReproducible(t *testing.T) {
+	var want string
+	for run := 0; run < 20; run++ {
+		c := buildCluster(t, transport.NewInMem(14), testConfig(t, 256, 2),
+			[]metric.Point{200, 40, 120, 8, 160, 80, 240})
+		if err := c.CrashNode(200); err != nil { // the first node: the bootstrap
+			t.Fatal(err)
+		}
+		if c.boot != 8 {
+			t.Errorf("run %d: bootstrap %d, want the lowest live point 8", run, c.boot)
+		}
+		// The next join goes through it, so its links repeat too.
+		n, err := c.AddNode(context.Background(), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, long := n.Neighbors()
+		if got := fmt.Sprint(long); run == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("run %d: newcomer's long links %s, run 0 drew %s", run, got, want)
+		}
+		c.Close()
 	}
 }

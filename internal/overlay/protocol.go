@@ -3,8 +3,8 @@
 // short links (nearest known neighbour on each side of the ring) and ℓ
 // long links drawn from the inverse power-law distribution, answers
 // routing queries from peers, stores resources for the keys it owns,
-// heals its link set in a background maintenance loop, and joins or
-// leaves a running network following the §5 heuristic.
+// heals its link set in a background maintenance loop, and joins a
+// running network following the §5 heuristic.
 //
 // Nodes communicate only through a transport.Transport, so the same
 // code runs over in-memory channels (simulating hundreds of nodes in
@@ -16,6 +16,16 @@
 // keeps all failure handling at the querier — a dead next hop is
 // reported back and excluded, which implements the paper's
 // backtracking recovery at the protocol level.
+//
+// The package owns forwarding — RPC, liveness probes, stabilisation —
+// and nothing that is a pure function of the protocol: long-link
+// targets come from the ring's metric.LinkSampler, the §5 acceptance
+// and victim draws from construct.Solicit, h : K → V from
+// keyspace.Hash, replica sets from replica.Placement. The greedy pick
+// itself stays local (a node scores its own links, not a global
+// graph); TestLookupMatchesRouter ties it to package route by
+// requiring Lookup to end where route.Router{DirectedOnly} ends on the
+// same links, healthy and damaged.
 package overlay
 
 import "encoding/json"
@@ -36,9 +46,6 @@ const (
 	OpNeighborInfo Op = "neighbor-info"
 	// OpNewNeighbor announces a (possibly) closer short neighbour.
 	OpNewNeighbor Op = "new-neighbor"
-	// OpReplaceNeighbor tells a node that the sender (a departing
-	// neighbour) should be replaced by Subject in its short links.
-	OpReplaceNeighbor Op = "replace-neighbor"
 	// OpSolicit asks a node to redirect one of its long links toward
 	// the sender, per the §5 acceptance probability.
 	OpSolicit Op = "solicit"
@@ -46,9 +53,6 @@ const (
 	OpPut Op = "put"
 	// OpGet retrieves a key from the receiving node.
 	OpGet Op = "get"
-	// OpForward recursively forwards a lookup toward Target; the
-	// answer relays back along the RPC chain (see LookupRecursive).
-	OpForward Op = "forward"
 )
 
 // Request is the wire request message. Point-valued fields use int64 to
@@ -60,17 +64,6 @@ type Request struct {
 	Exclude []int64 `json:"exclude,omitempty"`
 	Key     string  `json:"key,omitempty"`
 	Value   string  `json:"value,omitempty"`
-	// TTL bounds recursive forwarding depth (OpForward).
-	TTL int `json:"ttl,omitempty"`
-	// Pairs carries flattened key/value batches ("k1","v1","k2","v2",…)
-	// for OpTransfer.
-	Pairs []string `json:"pairs,omitempty"`
-	// Subject, when HasSubject is set, names the node an OpNewNeighbor
-	// announcement is about (a departing node introduces its two
-	// neighbours to each other); otherwise the announcement is about
-	// the sender itself.
-	Subject    int64 `json:"subject,omitempty"`
-	HasSubject bool  `json:"hasSubject,omitempty"`
 }
 
 // Response is the wire response message.
@@ -89,11 +82,6 @@ type Response struct {
 	Value string `json:"value,omitempty"`
 	// Accepted answers OpSolicit.
 	Accepted bool `json:"accepted,omitempty"`
-	// Hops counts forwarding depth in OpForward responses.
-	Hops int `json:"hops,omitempty"`
-	// Pairs carries flattened key/value batches in OpClaimKeys
-	// responses.
-	Pairs []string `json:"pairs,omitempty"`
 }
 
 func encodeRequest(r Request) ([]byte, error) { return json.Marshal(r) }

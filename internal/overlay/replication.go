@@ -3,138 +3,97 @@ package overlay
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/metric"
+	"repro/internal/replica"
 )
 
-// Replication: the paper's design routes around failures but loses any
-// resource whose owner crashes (§7 leaves durability to future work).
-// PutReplicated and GetReplicated layer classic successor-list
-// replication on top: a key is stored at its owner plus the next k−1
-// distinct clockwise successors, and reads fall back along the same
-// chain, so data survives up to k−1 simultaneous crashes in a
-// neighbourhood.
+// Storage: a key lives at the owner of its hashed point, so the paper's
+// design routes around failures but loses any resource whose owner
+// crashes (§7 leaves durability to future work). PutReplicated and
+// GetReplicated close that gap with the placement ext.replica.*
+// measures: the k replica points of replica.Placement's hash-spread —
+// the key's own point first — each resolved to the live node owning it.
+// Spread replicas fail independently, where adjacent ones share a
+// neighbourhood's fate. Put and Get are the k = 1 case.
 
-// PutReplicated stores key at the owner of its point and at the next
-// replicas−1 clockwise successors. It returns the nodes that accepted
-// the write (at least one on success).
-func (n *Node) PutReplicated(ctx context.Context, key, value string, replicas int) ([]metric.Point, error) {
-	if replicas < 1 {
-		return nil, fmt.Errorf("overlay: need at least one replica, got %d", replicas)
+// placementSeed keys the hash-spread. It is a network-wide constant and
+// not a Config field because every node must derive the same replica
+// points for a key without coordination: a writer and a reader whose
+// seeds differed would look in different places.
+const placementSeed = 0x5EED0F5E75
+
+// holders resolves the distinct live nodes owning the k replica points
+// of key, primary first, and the last lookup error if any point could
+// not be resolved.
+func (n *Node) holders(ctx context.Context, key string, k int) ([]metric.Point, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("overlay: need at least one replica, got %d", k)
 	}
-	owner, _, err := n.Lookup(ctx, HashKey(key, n.cfg.Ring))
+	place, err := replica.NewPlacement(n.cfg.Ring, replica.Options{K: k}, placementSeed)
 	if err != nil {
 		return nil, err
 	}
-	targets := n.successorChain(ctx, owner, replicas)
-	var stored []metric.Point
-	for _, tgt := range targets {
-		if tgt == n.id {
-			n.mu.Lock()
-			n.store[key] = value
-			n.mu.Unlock()
-			stored = append(stored, tgt)
-			continue
+	var held []metric.Point
+	var lastErr error
+	for _, point := range place.Targets(HashKey(key, n.cfg.Ring)) {
+		if owner, _, err := n.Lookup(ctx, point); err != nil {
+			lastErr = err
+		} else if !slices.Contains(held, owner) {
+			held = append(held, owner)
 		}
-		resp, err := n.call(ctx, tgt, Request{Op: OpPut, Key: key, Value: value})
-		if err == nil && resp.OK {
-			stored = append(stored, tgt)
+	}
+	return held, lastErr
+}
+
+// PutReplicated stores key at the live owners of its replicas replica
+// points. It returns the nodes that accepted the write (at least one on
+// success).
+func (n *Node) PutReplicated(ctx context.Context, key, value string, replicas int) ([]metric.Point, error) {
+	held, err := n.holders(ctx, key, replicas)
+	var stored []metric.Point
+	for _, h := range held {
+		resp, cerr := n.call(ctx, h, Request{Op: OpPut, Key: key, Value: value})
+		if cerr != nil {
+			err = cerr
+		} else if resp.OK {
+			stored = append(stored, h)
 		}
 	}
 	if len(stored) == 0 {
-		return nil, fmt.Errorf("overlay: no replica accepted key %q", key)
+		return nil, fmt.Errorf("overlay: no replica accepted key %q: %w", key, err)
 	}
 	return stored, nil
 }
 
-// GetReplicated retrieves key, falling back along the owner's successor
-// chain when the owner is unreachable or lost the key.
+// GetReplicated retrieves key from the first of its replicas holders
+// that has it, so a read succeeds while any holder that took the write
+// is still the live owner of its replica point.
 func (n *Node) GetReplicated(ctx context.Context, key string, replicas int) (string, bool, error) {
-	if replicas < 1 {
-		return "", false, fmt.Errorf("overlay: need at least one replica, got %d", replicas)
-	}
-	owner, _, err := n.Lookup(ctx, HashKey(key, n.cfg.Ring))
-	if err != nil {
-		return "", false, err
-	}
-	var lastErr error
-	for _, tgt := range n.successorChain(ctx, owner, replicas) {
-		if tgt == n.id {
-			n.mu.RLock()
-			v, ok := n.store[key]
-			n.mu.RUnlock()
-			if ok {
-				return v, true, nil
-			}
-			continue
-		}
-		resp, err := n.call(ctx, tgt, Request{Op: OpGet, Key: key})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Found {
+	held, err := n.holders(ctx, key, replicas)
+	for _, h := range held {
+		resp, cerr := n.call(ctx, h, Request{Op: OpGet, Key: key})
+		if cerr != nil {
+			err = cerr
+		} else if resp.Found {
 			return resp.Value, true, nil
 		}
 	}
-	return "", false, lastErr
+	return "", false, err
 }
 
-// successorChain collects up to k distinct nodes starting at `start`
-// and walking clockwise via each node's right short link. A chain
-// member that has crashed (or whose pointer is stale) is skipped by
-// looking up the live node nearest to the point just past it, so the
-// walk reaches surviving replicas even before maintenance has fully
-// re-closed the ring.
-func (n *Node) successorChain(ctx context.Context, start metric.Point, k int) []metric.Point {
-	chain := make([]metric.Point, 0, k)
-	seen := map[metric.Point]bool{}
-	cur := start
-	for len(chain) < k && !seen[cur] {
-		seen[cur] = true
-		var right metric.Point
-		reachable := true
-		if cur == n.id {
-			n.mu.RLock()
-			right = n.right
-			n.mu.RUnlock()
-		} else {
-			info, err := n.call(ctx, cur, Request{Op: OpNeighborInfo})
-			if err != nil {
-				reachable = false
-			} else {
-				right = metric.Point(info.Right)
-			}
-		}
-		if !reachable {
-			// cur is dead: probe clockwise at doubling offsets until a
-			// lookup lands on a live node we have not visited. Lookup
-			// pings its hops, so the result is reachable; nearby
-			// probes can resolve back to the predecessor we came
-			// from, which the seen-set rejects, and the next probe
-			// reaches past the gap.
-			found := false
-			for off := 1; off < n.cfg.Ring.Size(); off *= 2 {
-				next, _, err := n.Lookup(ctx, n.cfg.Ring.Add(cur, off))
-				if err != nil {
-					continue
-				}
-				if !seen[next] {
-					cur = next
-					found = true
-					break
-				}
-			}
-			if !found {
-				break
-			}
-			continue
-		}
-		chain = append(chain, cur)
-		if right == cur {
-			break
-		}
-		cur = right
+// Put stores key/value at the owner of the key's point and returns the
+// owner.
+func (n *Node) Put(ctx context.Context, key, value string) (metric.Point, error) {
+	stored, err := n.PutReplicated(ctx, key, value, 1)
+	if err != nil {
+		return 0, err
 	}
-	return chain
+	return stored[0], nil
+}
+
+// Get retrieves key from the owner of the key's point.
+func (n *Node) Get(ctx context.Context, key string) (string, bool, error) {
+	return n.GetReplicated(ctx, key, 1)
 }

@@ -1,7 +1,7 @@
 // Package transport abstracts the request/response messaging layer the
 // live overlay (package overlay) runs on. Two implementations are
 // provided: an in-memory transport for simulating hundreds of nodes in
-// one process (with failure injection), and a TCP transport
+// one process (a node fails by unregistering), and a TCP transport
 // (length-prefixed JSON over loopback or a real network) demonstrating
 // the same protocol on sockets.
 package transport
@@ -11,9 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"repro/internal/rng"
 )
 
 // NodeID identifies an overlay node on a transport. The overlay uses
@@ -25,8 +22,7 @@ type NodeID uint64
 type Handler func(req []byte) ([]byte, error)
 
 // ErrUnreachable is returned by Call when the destination is not
-// registered, has closed, or the (injected or real) network dropped the
-// request.
+// registered, has closed, or the network dropped the request.
 var ErrUnreachable = errors.New("transport: destination unreachable")
 
 // Transport delivers requests between nodes.
@@ -39,35 +35,19 @@ type Transport interface {
 	Call(ctx context.Context, to NodeID, req []byte) ([]byte, error)
 }
 
-// InMem is a process-local Transport with failure injection. The zero
-// value is not usable; construct with NewInMem.
+// InMem is a process-local Transport: a Call runs the destination's
+// handler on the caller's goroutine. The zero value is not usable;
+// construct with NewInMem.
 type InMem struct {
 	mu       sync.RWMutex
 	handlers map[NodeID]Handler
-	dropProb float64
-	latency  time.Duration
-	rngMu    sync.Mutex
-	src      *rng.Source
 }
 
-// NewInMem returns an in-memory transport. seed drives the drop
-// decisions so failure-injection runs are reproducible.
-func NewInMem(seed uint64) *InMem {
-	return &InMem{handlers: make(map[NodeID]Handler), src: rng.New(seed)}
-}
-
-// SetDropProb makes every subsequent Call fail with probability p.
-func (t *InMem) SetDropProb(p float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dropProb = p
-}
-
-// SetLatency adds a fixed delay to every Call (0 disables).
-func (t *InMem) SetLatency(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.latency = d
+// NewInMem returns an in-memory transport. Delivery draws nothing at
+// random, so the seed is unused; the parameter stays because every
+// caller passes one.
+func NewInMem(uint64) *InMem {
+	return &InMem{handlers: make(map[NodeID]Handler)}
 }
 
 // Listen implements Transport.
@@ -92,28 +72,9 @@ func (t *InMem) Listen(id NodeID, h Handler) (func(), error) {
 func (t *InMem) Call(ctx context.Context, to NodeID, req []byte) ([]byte, error) {
 	t.mu.RLock()
 	h, ok := t.handlers[to]
-	drop := t.dropProb
-	latency := t.latency
 	t.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d", ErrUnreachable, to)
-	}
-	if drop > 0 {
-		t.rngMu.Lock()
-		dropped := t.src.Bool(drop)
-		t.rngMu.Unlock()
-		if dropped {
-			return nil, fmt.Errorf("%w: dropped (injected)", ErrUnreachable)
-		}
-	}
-	if latency > 0 {
-		timer := time.NewTimer(latency)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
