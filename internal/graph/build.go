@@ -19,7 +19,7 @@ type BuildConfig struct {
 	// distribution, used literally: the space's dimension d is the
 	// paper's distribution generalized à la Kleinberg (Pr[v] ∝ 1/d(u,v)
 	// in 1-D), 0 is uniform, etc. How it is sampled is the space's
-	// business (metric.Space.NewLinkSampler); 1-D spaces use an O(log)
+	// business (metric.Space.NewLinkSampler); 1-D spaces use an O(1)
 	// analytic sampler for exponent 1 and a shared table otherwise.
 	// Use PaperConfig (1-D) or PaperConfigFor to get the paper's
 	// defaults.
@@ -89,10 +89,17 @@ func BuildIdealWithPresence(space metric.Space, cfg BuildConfig, present []bool,
 	return g, nil
 }
 
-// populateLinks draws cfg.Links long links for every existing node from
-// the space's target sampler. redirect, when non-nil, maps a sampled
-// target to the point actually linked (or rejects it); the sample is
-// retried a bounded number of times on rejection.
+// populateLinks draws cfg.Links long links for every existing node of
+// a graph that has none yet, from the space's target sampler. redirect,
+// when non-nil, maps a sampled target to the point actually linked (or
+// rejects it); the sample is retried a bounded number of times on
+// rejection.
+//
+// Every link table is carved out of one slab, each with capacity
+// cfg.Links exactly, so an AddLong beyond it later moves that node's
+// table alone and can never write into its neighbour's slots. The
+// reverse index is built once at the end (indexLinks) instead of link
+// by link; nothing in between reads it.
 func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Graph, metric.Point, metric.Point) (metric.Point, bool)) error {
 	if cfg.Links == 0 {
 		return nil
@@ -101,11 +108,19 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 	if err != nil {
 		return err
 	}
+	existing := 0
+	for _, f := range g.flags {
+		if f&flagExists != 0 {
+			existing++
+		}
+	}
+	slab := make([]Link, existing*cfg.Links)
 	for i := 0; i < g.Size(); i++ {
 		p := metric.Point(i)
 		if !g.Exists(p) {
 			continue
 		}
+		g.nodes[p].long, slab = slab[:0:cfg.Links], slab[cfg.Links:]
 		for k := 0; k < cfg.Links; k++ {
 			const retries = 32
 			linked := false
@@ -120,7 +135,7 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 						continue
 					}
 				}
-				if err := g.AddLong(p, target); err != nil {
+				if err := g.appendLong(p, target); err != nil {
 					return err
 				}
 				linked = true
@@ -135,7 +150,7 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 				for axis := 1; axis <= g.space.Dim(); axis++ {
 					for _, dir := range [2]int{+axis, -axis} {
 						if q, ok := g.ShortNeighbor(p, dir); ok {
-							if err := g.AddLong(p, q); err != nil {
+							if err := g.appendLong(p, q); err != nil {
 								return err
 							}
 							break fallback
@@ -145,7 +160,36 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 			}
 		}
 	}
+	g.indexLinks()
 	return nil
+}
+
+// indexLinks builds the reverse index of a graph whose links are all
+// up and not indexed yet: in-degrees are counted, every node's rev is
+// carved from one slab, and the entries go in by (from, slot) — the
+// order link-by-link AddLong calls in populateLinks' loop would have
+// produced, which AppendNeighbors' in-link order (and so every routing
+// tie-break) depends on. Capacity is exact, for the reason given at
+// populateLinks.
+func (g *Graph) indexLinks() {
+	indeg := make([]int, len(g.nodes))
+	total := 0
+	for i := range g.nodes {
+		for _, lk := range g.nodes[i].long {
+			indeg[lk.To]++
+		}
+		total += len(g.nodes[i].long)
+	}
+	slab := make([]revRef, total)
+	for i := range g.nodes {
+		g.nodes[i].rev, slab = slab[:0:indeg[i]], slab[indeg[i]:]
+	}
+	for i := range g.nodes {
+		for slot, lk := range g.nodes[i].long {
+			rev := &g.nodes[lk.To].rev
+			*rev = append(*rev, revRef{from: metric.Point(i), idx: slot})
+		}
+	}
 }
 
 // BuildDeterministic constructs the deterministic overlay of Theorem 14:

@@ -177,12 +177,21 @@ func (g *Graph) Malicious(p metric.Point) bool {
 // must host a node and differ; duplicate links are permitted (the
 // paper's randomized strategy samples with replacement, Theorem 13).
 func (g *Graph) AddLong(p, to metric.Point) error {
+	if err := g.appendLong(p, to); err != nil {
+		return err
+	}
+	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: len(g.nodes[p].long) - 1})
+	return nil
+}
+
+// appendLong is AddLong without the reverse-index entry, for
+// populateLinks, which indexes every link at once when it is done.
+func (g *Graph) appendLong(p, to metric.Point) error {
 	if err := g.checkLink(p, to); err != nil {
 		return err
 	}
 	g.seq++
 	g.nodes[p].long = append(g.nodes[p].long, Link{To: to, Up: true, Seq: g.seq})
-	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: len(g.nodes[p].long) - 1})
 	return nil
 }
 

@@ -18,21 +18,29 @@ var ErrEmpty = errors.New("mathx: empty sample set")
 // Harmonic returns the n-th harmonic number H_n = sum_{i=1..n} 1/i.
 // For n <= 0 it returns 0. For large n it uses the asymptotic expansion
 // H_n ≈ ln n + γ + 1/(2n) − 1/(12n²), which is accurate to well below
-// 1e-10 for n ≥ 256; below that it sums directly.
+// 1e-10 for n ≥ 256; below that it reads the direct sum 1/1 + … + 1/n
+// (accumulated in that order) from a table filled once.
 func Harmonic(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if n < 256 {
-		h := 0.0
-		for i := 1; i <= n; i++ {
-			h += 1 / float64(i)
-		}
-		return h
+	if n < len(harmonicSmall) {
+		return harmonicSmall[n]
 	}
 	fn := float64(n)
 	return math.Log(fn) + EulerGamma + 1/(2*fn) - 1/(12*fn*fn)
 }
+
+// harmonicSmall[n] is H_n for n < 256, every prefix of one ascending
+// summation.
+var harmonicSmall = func() (t [256]float64) {
+	h := 0.0
+	for i := 1; i < len(t); i++ {
+		h += 1 / float64(i)
+		t[i] = h
+	}
+	return t
+}()
 
 // EulerGamma is the Euler–Mascheroni constant γ.
 const EulerGamma = 0.57721566490153286060651209008240243

@@ -39,13 +39,37 @@ func TestHarmonicAsymptoticMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestHarmonicMonotone(t *testing.T) {
-	f := func(n uint16) bool {
-		m := int(n%5000) + 1
-		return Harmonic(m+1) > Harmonic(m)
+// TestHarmonicTableMatchesDirectLoop pins the table branch bit for bit
+// to the loop it replaced: every seeded graph depends on these values.
+func TestHarmonicTableMatchesDirectLoop(t *testing.T) {
+	for n := 1; n < 256; n++ {
+		h := 0.0
+		for i := 1; i <= n; i++ {
+			h += 1 / float64(i)
+		}
+		if got := Harmonic(n); got != h {
+			t.Errorf("Harmonic(%d) = %b, direct loop %b", n, got, h)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+// TestHarmonicMonotone: rng's harmonic inversion (like the binary
+// search before it) is only defined for a monotone predicate, so
+// strict growth is checked exhaustively over every size a simulated
+// network takes — the 255 → 256 table/asymptotic seam included — and
+// around every power of two beyond.
+func TestHarmonicMonotone(t *testing.T) {
+	grows := func(m int) {
+		if !(Harmonic(m+1) > Harmonic(m)) {
+			t.Errorf("Harmonic(%d) = %v is not above Harmonic(%d) = %v", m+1, Harmonic(m+1), m, Harmonic(m))
+		}
+	}
+	for m := 1; m <= 1<<17; m++ {
+		grows(m)
+	}
+	for k := 18; k <= 40; k++ {
+		grows(1<<k - 1)
+		grows(1 << k)
 	}
 }
 

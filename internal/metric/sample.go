@@ -28,7 +28,9 @@ type LinkSampler interface {
 // negligible and unbiased.
 type ringSampler struct {
 	r        *Ring
+	maxD     int
 	exponent float64
+	harmonic *rng.HarmonicSampler // exponent 1: the distance range is the same at every point
 	table    *rng.PowerLawSampler // nil for the analytic exponents 0 and 1
 }
 
@@ -36,31 +38,35 @@ type ringSampler struct {
 // (uniform) and 1 (the paper's harmonic distribution) sample
 // analytically; other exponents precompute a CDF table.
 func (r *Ring) NewLinkSampler(exponent float64) (LinkSampler, error) {
-	s := &ringSampler{r: r, exponent: exponent}
-	if exponent != 0 && exponent != 1 {
-		maxD := (r.n - 1) / 2
-		if maxD < 1 {
-			maxD = 1
-		}
-		table, err := rng.NewPowerLawSampler(maxD, exponent)
-		if err != nil {
-			return nil, err
-		}
-		s.table = table
+	maxD := (r.n - 1) / 2
+	if maxD < 1 {
+		maxD = 1
+	}
+	s := &ringSampler{r: r, maxD: maxD, exponent: exponent}
+	var err error
+	switch exponent {
+	case 0:
+	case 1:
+		s.harmonic, err = rng.NewHarmonicSampler(maxD)
+	default:
+		s.table, err = rng.NewPowerLawSampler(maxD, exponent)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 func (s *ringSampler) Sample(p Point, src *rng.Source) (Point, bool) {
-	n := s.r.n
-	if n < 2 {
+	if s.r.n < 2 {
 		return 0, false
 	}
-	maxD := (n - 1) / 2
-	if maxD < 1 {
-		maxD = 1
+	var d int
+	if s.harmonic != nil {
+		d = s.harmonic.Sample(src)
+	} else {
+		d = sampleDistance(src, s.maxD, s.exponent, s.table)
 	}
-	d := sampleDistance(src, maxD, s.exponent, s.table)
 	dir := 1
 	if src.Bool(0.5) {
 		dir = -1
@@ -76,6 +82,9 @@ type lineSampler struct {
 	l        *Line
 	exponent float64
 	table    *rng.PowerLawSampler // nil for the analytic exponents 0 and 1
+	// mass[m] is the table's probability of distances 1..m, summed in
+	// ascending order; nil when table is.
+	mass []float64
 }
 
 // NewLinkSampler returns the line's target sampler.
@@ -91,6 +100,10 @@ func (l *Line) NewLinkSampler(exponent float64) (LinkSampler, error) {
 			return nil, err
 		}
 		s.table = table
+		s.mass = make([]float64, table.Max()+1)
+		for d := 1; d <= table.Max(); d++ {
+			s.mass[d] = s.mass[d-1] + table.Prob(d)
+		}
 	}
 	return s, nil
 }
@@ -105,8 +118,8 @@ func (s *lineSampler) Sample(p Point, src *rng.Source) (Point, bool) {
 	if left == 0 && right == 0 {
 		return 0, false
 	}
-	lMass := sideMass(left, s.exponent, s.table)
-	rMass := sideMass(right, s.exponent, s.table)
+	lMass := s.sideMass(left)
+	rMass := s.sideMass(right)
 	goLeft := src.Float64()*(lMass+rMass) < lMass
 	if goLeft && left > 0 {
 		return p - Point(sampleDistance(src, left, s.exponent, s.table)), true
@@ -118,27 +131,19 @@ func (s *lineSampler) Sample(p Point, src *rng.Source) (Point, bool) {
 }
 
 // sideMass returns the unnormalized probability mass of distances
-// 1..max under the configured exponent.
-func sideMass(max int, exponent float64, table *rng.PowerLawSampler) float64 {
-	if max <= 0 {
+// 1..max under the configured exponent. For a general exponent the
+// table is normalized over the whole line; relative masses are all the
+// side choice needs.
+func (s *lineSampler) sideMass(max int) float64 {
+	switch {
+	case max <= 0:
 		return 0
-	}
-	if exponent == 1 || table == nil && exponent == 0 {
-		if exponent == 1 {
-			return mathx.Harmonic(max)
-		}
+	case s.exponent == 1:
+		return mathx.Harmonic(max)
+	case s.exponent == 0:
 		return float64(max)
 	}
-	// General exponent: use the table's CDF by rescaling. The table is
-	// normalized over [1, table.Max()]; relative masses are what we
-	// need, so cumulative probability up to max is proportional.
-	var m float64
-	if table != nil {
-		for d := 1; d <= max && d <= table.Max(); d++ {
-			m += table.Prob(d)
-		}
-	}
-	return m
+	return s.mass[max]
 }
 
 // sampleDistance draws a link length in [1, max].

@@ -183,3 +183,101 @@ func TestDegenerateSamplers(t *testing.T) {
 		t.Error("singleton torus must have no targets")
 	}
 }
+
+// loopSideMass is the line sampler's side mass as it was before the
+// running sum was precomputed — the table's probabilities re-added on
+// every call — kept as the reference the prefix table must equal bit for
+// bit: the side choice compares against it and every later variate of
+// the stream follows from that choice.
+func loopSideMass(max int, table *rng.PowerLawSampler) float64 {
+	var m float64
+	for d := 1; d <= max && d <= table.Max(); d++ {
+		m += table.Prob(d)
+	}
+	return m
+}
+
+func TestLineSamplerMatchesLoopedSideMass(t *testing.T) {
+	const n = 300
+	draws := 100000
+	if testing.Short() {
+		draws = 10000
+	}
+	line, err := NewLine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range []float64{0.5, 2, 3} {
+		ls, err := line.NewLinkSampler(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ls.(*lineSampler)
+		for m := 0; m < n; m++ {
+			if got, want := s.sideMass(m), loopSideMass(m, s.table); got != want {
+				t.Fatalf("exp %v: sideMass(%d) = %b, loop gives %b", exp, m, got, want)
+			}
+		}
+		// The reference draw: the old Sample body over the looped mass.
+		reference := func(p Point, src *rng.Source) Point {
+			left, right := int(p), n-1-int(p)
+			lMass, rMass := loopSideMass(left, s.table), loopSideMass(right, s.table)
+			goLeft := src.Float64()*(lMass+rMass) < lMass
+			if goLeft && left > 0 || right == 0 {
+				return p - Point(sampleDistance(src, left, exp, s.table))
+			}
+			return p + Point(sampleDistance(src, right, exp, s.table))
+		}
+		pick, got, want := rng.New(11), rng.New(12), rng.New(12)
+		for i := 0; i < draws; i++ {
+			p := Point(pick.Intn(n))
+			switch i % 50 { // both boundaries, often
+			case 0:
+				p = 0
+			case 1:
+				p = n - 1
+			}
+			q, ok := s.Sample(p, got)
+			if ref := reference(p, want); !ok || q != ref {
+				t.Fatalf("exp %v draw %d at %d: got %d (ok %v), reference %d", exp, i, p, q, ok, ref)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("exp %v: the sampler and its reference consumed different variates", exp)
+		}
+	}
+}
+
+func BenchmarkLinkSampler(b *testing.B) {
+	ring, _ := NewRing(1 << 14)
+	line, _ := NewLine(1 << 14)
+	torus, _ := NewTorus(128, 2)
+	for _, bc := range []struct {
+		name  string
+		space Space
+		exp   float64
+	}{
+		{"ring", ring, 1},
+		{"line/exp1", line, 1},
+		{"line/exp2", line, 2},
+		{"torus2d", torus, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := bc.space.NewLinkSampler(bc.exp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := rng.New(1)
+			n := bc.space.Size()
+			var sink Point
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q, _ := s.Sample(Point(i%n), src)
+				sink += q
+			}
+			benchSink = sink
+		})
+	}
+}
+
+var benchSink Point

@@ -12,9 +12,10 @@ import (
 // proportional to 1/d — the inverse power-law distribution with exponent
 // 1 that the paper proves is (nearly) optimal for greedy routing.
 //
-// Sampling inverts the CDF H_d / H_max. Because H_d is monotone and
-// cheap to evaluate (mathx.Harmonic), a binary search gives O(log max)
-// draws with no precomputed tables, so a sampler per node costs nothing.
+// Sampling inverts the CDF H_d / H_max in closed form (invertHarmonic):
+// a draw costs one uniform variate, one exp and two or three
+// evaluations of mathx.Harmonic whatever max is, with no precomputed
+// tables, so a sampler per node costs nothing.
 type HarmonicSampler struct {
 	max  int
 	hmax float64
@@ -29,42 +30,51 @@ func NewHarmonicSampler(max int) (*HarmonicSampler, error) {
 	return &HarmonicSampler{max: max, hmax: mathx.Harmonic(max)}, nil
 }
 
-// Max returns the largest distance the sampler can produce.
-func (hs *HarmonicSampler) Max() int { return hs.max }
-
-// Sample draws one distance from src.
+// Sample draws one distance from src. A sampler over [1, 1] returns 1
+// without consuming a variate.
 func (hs *HarmonicSampler) Sample(src *Source) int {
-	target := src.Float64() * hs.hmax
-	// Find the smallest d with H_d > target. H_0 = 0 < target for
-	// target > 0, so the search is well-defined; target == 0 yields d=1.
-	d := sort.Search(hs.max, func(i int) bool {
-		return mathx.Harmonic(i+1) > target
-	})
-	return d + 1
-}
-
-// Prob returns the probability mass of distance d under the sampler.
-func (hs *HarmonicSampler) Prob(d int) float64 {
-	if d < 1 || d > hs.max {
-		return 0
-	}
-	return 1 / (float64(d) * hs.hmax)
-}
-
-// SampleHarmonic draws a distance in [1, max] with probability
-// proportional to 1/d, without allocating a sampler. It is the helper
-// the graph builders use when the admissible distance range depends on
-// the node's position (e.g. near a line boundary). For max <= 1 it
-// returns 1.
-func SampleHarmonic(src *Source, max int) int {
-	if max <= 1 {
+	if hs.max <= 1 {
 		return 1
 	}
-	target := src.Float64() * mathx.Harmonic(max)
-	d := sort.Search(max, func(i int) bool {
-		return mathx.Harmonic(i+1) > target
-	})
-	return d + 1
+	return invertHarmonic(src.Float64()*hs.hmax, hs.max) + 1
+}
+
+// SampleHarmonic is the one-shot form of HarmonicSampler.Sample, for
+// callers whose admissible distance range depends on the node's
+// position (e.g. near a line boundary). For max <= 1 it returns 1.
+func SampleHarmonic(src *Source, max int) int {
+	hs := HarmonicSampler{max: max, hmax: mathx.Harmonic(max)}
+	return hs.Sample(src)
+}
+
+// invertHarmonic returns the smallest i in [0, max) with
+// mathx.Harmonic(i+1) > target, or max if there is none — exactly what
+// a binary search over that predicate returns (searchHarmonic, in the
+// tests, is the one this replaced), mathx.Harmonic being
+// non-decreasing. H_i ≈ ln i + γ + 1/(2i) puts exp(target − γ) − ½
+// within [i, i+1) of the answer i, and the same predicate then corrects
+// the guess a step at a time, so the result never depends on how good
+// the guess is. It is off by at most one step up to max = 2^40; from
+// about 2^50 a float64 no longer tells neighbouring H_i apart and the
+// correction walks a plateau.
+func invertHarmonic(target float64, max int) int {
+	guess := math.Exp(target-mathx.EulerGamma) - 0.5
+	// Clamp as a float: converting an out-of-range float64 to int is
+	// implementation-specific, and float64(max) may round up past max.
+	var i int
+	switch {
+	case !(guess < float64(max)): // also NaN: no H_i exceeds a NaN target
+		i = max
+	case guess > 0:
+		i = int(guess)
+	}
+	for i > 0 && mathx.Harmonic(i) > target {
+		i--
+	}
+	for i < max && !(mathx.Harmonic(i+1) > target) {
+		i++
+	}
+	return i
 }
 
 // PowerLawSampler draws distances d in [1, max] with probability
@@ -73,9 +83,8 @@ func SampleHarmonic(src *Source, max int) int {
 // intended for ablation experiments that sweep the exponent, not for
 // per-node use at large n.
 type PowerLawSampler struct {
-	max      int
-	exponent float64
-	cdf      []float64 // cdf[i] = P(d <= i+1), cdf[max-1] == 1
+	max int
+	cdf []float64 // cdf[i] = P(d <= i+1), cdf[max-1] == 1
 }
 
 // NewPowerLawSampler builds a sampler over [1, max] with the given
@@ -93,7 +102,7 @@ func NewPowerLawSampler(max int, exponent float64) (*PowerLawSampler, error) {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	return &PowerLawSampler{max: max, exponent: exponent, cdf: cdf}, nil
+	return &PowerLawSampler{max: max, cdf: cdf}, nil
 }
 
 // powNeg returns x^(-e), special-casing the common exponents so table
@@ -112,9 +121,6 @@ func powNeg(x, e float64) float64 {
 
 // Max returns the largest distance the sampler can produce.
 func (ps *PowerLawSampler) Max() int { return ps.max }
-
-// Exponent returns the sampler's exponent.
-func (ps *PowerLawSampler) Exponent() float64 { return ps.exponent }
 
 // Sample draws one distance from src.
 func (ps *PowerLawSampler) Sample(src *Source) int {
@@ -136,16 +142,3 @@ func (ps *PowerLawSampler) Prob(d int) float64 {
 	}
 	return ps.cdf[d-1] - ps.cdf[d-2]
 }
-
-// DistanceSampler is the common interface of the two samplers above:
-// anything that can draw link lengths in [1, Max].
-type DistanceSampler interface {
-	Sample(src *Source) int
-	Prob(d int) float64
-	Max() int
-}
-
-var (
-	_ DistanceSampler = (*HarmonicSampler)(nil)
-	_ DistanceSampler = (*PowerLawSampler)(nil)
-)

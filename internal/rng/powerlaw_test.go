@@ -73,26 +73,6 @@ func TestHarmonicSamplerDistribution(t *testing.T) {
 	}
 }
 
-func TestHarmonicSamplerProb(t *testing.T) {
-	hs, err := NewHarmonicSampler(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for d := 1; d <= 100; d++ {
-		sum += hs.Prob(d)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-	if hs.Prob(0) != 0 || hs.Prob(101) != 0 {
-		t.Error("out-of-range Prob should be 0")
-	}
-	if hs.Max() != 100 {
-		t.Error("Max() wrong")
-	}
-}
-
 func TestPowerLawSamplerValidation(t *testing.T) {
 	if _, err := NewPowerLawSampler(0, 1); err == nil {
 		t.Error("max=0 should error")
@@ -113,23 +93,20 @@ func TestPowerLawSamplerUniform(t *testing.T) {
 }
 
 func TestPowerLawSamplerMatchesHarmonic(t *testing.T) {
-	// exponent 1 must agree exactly with the analytic harmonic sampler.
+	// exponent 1 must agree with the analytic harmonic law 1/(d·H_max).
 	const max = 257
 	ps, err := NewPowerLawSampler(max, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := NewHarmonicSampler(max)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hmax := mathx.Harmonic(max)
 	for d := 1; d <= max; d++ {
-		if math.Abs(ps.Prob(d)-hs.Prob(d)) > 1e-9 {
-			t.Errorf("P(%d): table %v vs analytic %v", d, ps.Prob(d), hs.Prob(d))
+		if want := 1 / (float64(d) * hmax); math.Abs(ps.Prob(d)-want) > 1e-9 {
+			t.Errorf("P(%d): table %v vs analytic %v", d, ps.Prob(d), want)
 		}
 	}
-	if ps.Exponent() != 1 || ps.Max() != max {
-		t.Error("accessors wrong")
+	if ps.Max() != max {
+		t.Error("Max() wrong")
 	}
 }
 
