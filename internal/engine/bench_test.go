@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,10 +13,12 @@ import (
 
 // The hot-path contract these benchmarks pin: once slices are warm,
 // processing one event — heap pop, queue mechanics, forwarding
-// decision, heap push — allocates nothing. Walker creation (one struct,
-// one path slab, one rng stream per message) and latency recording are
-// per-message costs, amortized over a message's hops; the per-event
-// path itself is allocation-free in both modes.
+// decision, heap push — allocates nothing, under the plain greedy
+// policy and under Backtrack alike. What a live message costs beyond
+// its events — walker, traced path, rng stream, latency slot — comes
+// out of per-run slabs (runner.arena, runner.srcs), so a whole live run
+// stays under half an allocation per message
+// (TestLiveRunAllocsPerMessage).
 
 // newCyclicSnapshotRunner builds a snapshot-mode runner whose single
 // message replays a pathLen-hop tour of the ring over and over — pure
@@ -80,8 +83,9 @@ func BenchmarkProcessOneSnapshot(b *testing.B) {
 // long links), where greedy routing from 0 to the antipode advances
 // one ring edge per service: the longest possible steady-state walk,
 // so thousands of live forwarding decisions run without a walker
-// creation in between.
-func newGreedyLiveRunner(tb testing.TB, nodes int) *runner {
+// creation in between. (Under Backtrack the same walk also pushes a
+// frame, evicts one and appends a tried entry at every service.)
+func newGreedyLiveRunner(tb testing.TB, nodes int, policy route.DeadEndPolicy) *runner {
 	tb.Helper()
 	ring, err := metric.NewRing(nodes)
 	if err != nil {
@@ -93,41 +97,93 @@ func newGreedyLiveRunner(tb testing.TB, nodes int) *runner {
 	}
 	cfg := baseConfig()
 	cfg.Mode = ModeLive
-	cfg.Route = route.Options{MaxHops: nodes} // the walk is nodes/2 hops; don't cap it
+	cfg.Route = route.Options{DeadEnd: policy, MaxHops: nodes} // the walk is nodes/2 hops; don't cap it
 	msgs := []Message{{From: 0, Key: metric.Point(nodes / 2)}}
-	r := newRunner(g, msgs, Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(1))
-	for i := range r.queues {
-		// Each ring node is visited once per tour; pre-size the queue
-		// slabs the first tour would otherwise allocate lazily.
-		r.queues[i].finish = make([]float64, 0, 4)
-	}
-	return r
+	return newRunner(g, msgs, Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(1))
 }
 
 // TestLiveHotPathAllocs pins the live forwarding path at zero
 // allocations per event with the (default) nil telemetry recorder —
-// the observability layer's disabled-is-free contract.
+// the observability layer's disabled-is-free contract — under the
+// plain greedy policy and under Backtrack, the one every engine
+// workload routes with.
 func TestLiveHotPathAllocs(t *testing.T) {
-	r := newGreedyLiveRunner(t, 8192)
-	r.stepLive(1) // the admission: walker creation is a per-message cost
-	// 15 calls x 256 events stay inside the 4096-hop walk: every
-	// measured event is a pure forwarding step.
-	if avg := testing.AllocsPerRun(14, func() { r.stepLive(256) }); avg != 0 {
-		t.Errorf("live event processing allocates %.2f per 256-event run, want 0", avg)
-	}
-	if r.err != nil {
-		t.Fatal(r.err)
+	for _, policy := range []route.DeadEndPolicy{route.Terminate, route.Backtrack} {
+		r := newGreedyLiveRunner(t, 8192, policy)
+		r.stepLive(1) // the admission: walker creation is a per-message cost
+		// 15 calls x 256 events stay inside the 4096-hop walk: every
+		// measured event is a pure forwarding step.
+		if avg := testing.AllocsPerRun(14, func() { r.stepLive(256) }); avg != 0 {
+			t.Errorf("%s: live event processing allocates %.2f per 256-event run, want 0", policy, avg)
+		}
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
 }
 
 func BenchmarkProcessOneLive(b *testing.B) {
-	r := newGreedyLiveRunner(b, 8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.stepLive(b.N) // re-injection restarts the tour when a walk delivers
-	b.StopTimer()
-	if r.err != nil {
-		b.Fatal(r.err)
+	for _, policy := range []route.DeadEndPolicy{route.Terminate, route.Backtrack} {
+		b.Run(policy.String(), func(b *testing.B) {
+			r := newGreedyLiveRunner(b, 8192, policy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			r.stepLive(b.N) // re-injection restarts the tour when a walk delivers
+			b.StopTimer()
+			if r.err != nil {
+				b.Fatal(r.err)
+			}
+		})
+	}
+}
+
+// liveEngineScenario is the whole-run scenario BenchmarkLiveEngine
+// times and TestLiveRunAllocsPerMessage counts: uniform pairs on an
+// ideal 64×64 torus, Backtrack routing, 256 periodic injections per
+// tick — ftrmark's live_seq and live_sharded at a quarter of the side.
+func liveEngineScenario(tb testing.TB, msgs int) (*graph.Graph, []Message, Schedule) {
+	tb.Helper()
+	torus, err := metric.NewTorus(64, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, 12), rng.New(5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, testMessages(tb, g, msgs, 3), periodicSchedule(msgs, 256)
+}
+
+// TestLiveRunAllocsPerMessage is the tier-1 guard on what one lookup
+// costs the heap: a whole live Run — runner set-up, every walker, rng
+// stream, queue, heap and result included — divided by its messages.
+// The walker and stream slabs, the queue slab and the tried stack took
+// ftrmark's live_seq from 12.25 allocations per message to 0.13 (the
+// bar was 1.5); the runs here measure 0.02–0.09, and the limit is 0.5
+// so that a single allocation per message creeping back (a per-walker
+// buffer, a per-message Source, a closure in admit) fails at either
+// size, under either driver.
+func TestLiveRunAllocsPerMessage(t *testing.T) {
+	sizes := []int{1 << 12, 1 << 14}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		g, msgs, sched := liveEngineScenario(t, n)
+		for _, shards := range []int{1, 2} {
+			cfg := baseConfig()
+			cfg.Mode = ModeLive
+			cfg.Shards = shards
+			avg := testing.AllocsPerRun(2, func() {
+				if _, err := Run(g, msgs, sched, cfg, rng.New(9)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perMsg := avg / float64(n); perMsg > 0.5 {
+				t.Errorf("%d messages, shards=%d: %.3f allocations per message (%.0f per run), want ≤ 0.5",
+					n, shards, perMsg, avg)
+			}
+		}
 	}
 }
 
@@ -136,30 +192,28 @@ func BenchmarkProcessOneLive(b *testing.B) {
 // hardware (ftrmark's live_seq and live_sharded workloads take the same
 // contrast repeated and stamped, as engine.shard_speedup).
 func BenchmarkLiveEngine(b *testing.B) {
-	torus, err := metric.NewTorus(64, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, 12), rng.New(5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	msgs := testMessages(b, g, 1<<14, 3)
+	g, msgs, sched := liveEngineScenario(b, 1<<14)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := baseConfig()
 			cfg.Mode = ModeLive
 			cfg.Shards = shards
 			var events int
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := Run(g, msgs, periodicSchedule(len(msgs), 256), cfg, rng.New(9))
+				out, err := Run(g, msgs, sched, cfg, rng.New(9))
 				if err != nil {
 					b.Fatal(err)
 				}
 				events += out.Services
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(msgs)), "allocs/msg")
 		})
 	}
 }

@@ -221,6 +221,38 @@
 // lookahead; see churn.go for the full mechanics and internal/failure
 // for the schedule model.
 //
+// # What a lookup allocates
+//
+// Nothing of its own, in steady state. A live run holds nearly every
+// lookup in flight at once (an open-loop schedule injects faster than
+// the network drains) and reports every traced path, so there is
+// nothing for a pool to recycle; instead the per-message objects are
+// carved from per-run slabs:
+//
+//   - walkers come from a route.Arena, 256 at a time: the Walker
+//     structs, their 16-point paths and 16-entry tried stacks, and
+//     their history frames are three slabs per chunk, carved by
+//     three-index slices. The aliasing rule is the arena's: a buffer's
+//     capacity ends where the next walker's share begins, so a walk that
+//     outgrows its share reallocates privately. Admission (sequential
+//     under both drivers) is the only code that carves; owners then Step
+//     walkers of one chunk concurrently, each touching its own shares
+//     only, and Outcome.Results[i].Path stays valid and unshared after
+//     Run returns;
+//   - message i's rng stream 16+i is derived into slot i of one
+//     []rng.Source (Source.DeriveInto);
+//   - every node's queue starts on its own four slots of one []float64
+//     and is a ring, so it allocates only if a fifth message is ever in
+//     the system there at once;
+//   - Outcome.Latencies is sized for every message up front.
+//
+// What is left is amortized growth — a path past 16 hops, a queue past
+// four messages, the heaps — and the per-run tables: 0.13 allocations
+// per message on ftrmark's live_seq, which TestLiveRunAllocsPerMessage
+// guards from tier-1. The disciplines keep their own per-message costs
+// (PIT entries and waiter lists, churn's view bitmaps); ROADMAP item 5
+// has the profile.
+//
 // Determinism: every mode is a pure function of (graph, messages,
 // schedule, config, root source). Snapshot mode parallelizes path
 // computation but keys every message to its own derived rng stream.

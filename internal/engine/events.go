@@ -60,13 +60,23 @@ func newEventHeap(capacity int) *mathx.Heap[event] {
 
 // nodeQueue tracks one node's FIFO: the virtual time its server frees
 // up, and the finish times of messages still in the system (for queue-
-// depth accounting). finish is consumed front-to-back, so a head index
-// replaces repeated slicing.
+// depth accounting). finish is a ring — every slot is storage, the n
+// live entries start at head and wrap — so a queue allocates only when
+// more messages are in the system at once than it has slots: a live
+// run's queues start on four slots each of one per-run slab
+// (newRunner), and few nodes ever hold a fifth message.
 type nodeQueue struct {
 	busyUntil float64
 	finish    []float64
-	head      int
+	head, n   int
 }
+
+// queueSlots is each node's share of the per-run finish slab. The
+// deepest queue of ftrmark's live_seq holds 17 messages
+// (engine.max_queue_depth) but the typical node never holds more than a
+// few; the nodes that do grow their own ring by doubling — 0.13
+// allocations per message there, all told.
+const queueSlots = 4
 
 // depthAt drains completed services and returns how many messages are
 // still queued or in service at time t. A service finishing exactly at
@@ -75,14 +85,13 @@ type nodeQueue struct {
 // pushed once and drained once, however often routing probes the
 // queue.
 func (q *nodeQueue) depthAt(t float64) int {
-	for q.head < len(q.finish) && q.finish[q.head] <= t {
-		q.head++
+	for q.n > 0 && q.finish[q.head] <= t {
+		q.n--
+		if q.head++; q.head == len(q.finish) {
+			q.head = 0
+		}
 	}
-	if q.head == len(q.finish) {
-		q.finish = q.finish[:0]
-		q.head = 0
-	}
-	return len(q.finish) - q.head
+	return q.n
 }
 
 // serve runs one FIFO service for an arrival at time at: the message
@@ -97,7 +106,19 @@ func (q *nodeQueue) serve(at, serviceTime float64) (start, finish float64, depth
 	}
 	finish = start + serviceTime
 	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
+	if q.n == len(q.finish) {
+		// Full (or never sized): unroll into a ring twice the size.
+		grown := make([]float64, max(queueSlots, 2*q.n))
+		k := copy(grown, q.finish[q.head:])
+		copy(grown[k:], q.finish[:q.head])
+		q.finish, q.head = grown, 0
+	}
+	tail := q.head + q.n
+	if tail >= len(q.finish) {
+		tail -= len(q.finish)
+	}
+	q.finish[tail] = finish
+	q.n++
 	return start, finish, depth
 }
 
@@ -181,17 +202,10 @@ func replay(size int, msgs []replayMsg, serviceTime float64,
 		a := h.Pop()
 		msg := &msgs[a.msg]
 		node := msg.path[a.idx]
-		q := &queues[node]
-		if depth := q.depthAt(a.time) + 1; depth > out.maxQueueDepth {
+		_, finish, depth := queues[node].serve(a.time, serviceTime)
+		if depth > out.maxQueueDepth {
 			out.maxQueueDepth = depth
 		}
-		start := a.time
-		if q.busyUntil > start {
-			start = q.busyUntil
-		}
-		finish := start + serviceTime
-		q.busyUntil = finish
-		q.finish = append(q.finish, finish)
 		out.loads[node]++
 		out.services++
 		if finish > out.makespan {

@@ -118,8 +118,10 @@ func TestReplayEmpty(t *testing.T) {
 
 func TestDepthAtBoundaries(t *testing.T) {
 	// depthAt's convention: a service finishing exactly at t has left;
-	// the count never goes negative, and draining resets the buffer.
-	q := nodeQueue{finish: []float64{1, 2, 2, 4}}
+	// the count never goes negative, and a drained ring is empty
+	// wherever its head stopped. The ring starts mid-buffer so the
+	// drain crosses the wrap.
+	q := nodeQueue{finish: []float64{2, 4, 1, 2}, head: 2, n: 4}
 	for _, tc := range []struct {
 		t    float64
 		want int
@@ -136,8 +138,15 @@ func TestDepthAtBoundaries(t *testing.T) {
 			t.Errorf("depthAt(%v) = %d, want %d", tc.t, got, tc.want)
 		}
 	}
-	if len(q.finish) != 0 || q.head != 0 {
-		t.Errorf("fully drained queue should reset its buffer: %+v", q)
+	if q.n != 0 || len(q.finish) != 4 {
+		t.Errorf("fully drained queue should be empty on its four slots: %+v", q)
+	}
+	// Refilling past the slots grows the ring in FIFO order.
+	for i := 0; i < 6; i++ {
+		q.serve(200, 1) // finishes 201, 202, …: one server, back to back
+	}
+	if got := q.depthAt(203); got != 3 || len(q.finish) != 8 {
+		t.Errorf("after 6 back-to-back services, depthAt(203) = %d on %d slots, want 3 on 8", got, len(q.finish))
 	}
 }
 

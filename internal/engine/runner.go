@@ -59,12 +59,15 @@ type runner struct {
 	// snap is the snapshot pipeline's state (nil in the live modes).
 	snap *snapshotState
 
-	// Live modes: one walker per in-flight message, its current node,
-	// and its completion time (-1 while in flight); the injections not
-	// yet admitted, ordered by (time, msg); how many were admitted so
-	// far (the live decay cadence); and the owners of the node set,
-	// whose heaps hold every pending event (shard.go).
-	router   *route.Router
+	// Live modes: one walker per in-flight message — carved, like its
+	// rng stream, from per-run slabs (arena, srcs), because a run holds
+	// nearly every lookup in flight at once and keeps every path — its
+	// current node, and its completion time (-1 while in flight); the
+	// injections not yet admitted, ordered by (time, msg); how many were
+	// admitted so far (the live decay cadence); and the owners of the
+	// node set, whose heaps hold every pending event (shard.go).
+	arena    *route.Arena
+	srcs     []rng.Source
 	walkers  []*route.Walker
 	pos      []metric.Point
 	doneAt   []float64
@@ -154,9 +157,17 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		queues:      make([]nodeQueue, g.Size()),
 		inject:      make([]float64, n),
 		out: &Outcome{
-			Results: make([]route.Result, n),
-			Loads:   make([]int, g.Size()),
+			Results:   make([]route.Result, n),
+			Loads:     make([]int, g.Size()),
+			Latencies: make([]float64, 0, n),
 		},
+	}
+	// Every queue starts on its own queueSlots of one slab; the
+	// three-index carve keeps a queue that outgrows them off its
+	// neighbour's.
+	slab := make([]float64, queueSlots*len(r.queues))
+	for i := range r.queues {
+		r.queues[i].finish = slab[queueSlots*i : queueSlots*(i+1) : queueSlots*(i+1)]
 	}
 	r.out.Plan, r.out.PlanReason = cfg.Plan(sched)
 	if cfg.Placement != nil {
@@ -189,6 +200,7 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		r.churn = newChurnState(g, cfg.Churn, root.Derive(5))
 	}
 	r.walkers = make([]*route.Walker, n)
+	r.srcs = make([]rng.Source, n)
 	r.pos = make([]metric.Point, n)
 	r.doneAt = make([]float64, n)
 	for i := range r.doneAt {
@@ -230,7 +242,7 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		}
 		ropt.CongestionWeight = 1
 	}
-	r.router = route.New(g, ropt)
+	r.arena = route.New(g, ropt).NewArena()
 	r.pend = mathx.NewHeap(injectionLess, len(sched.Initial))
 	for _, inj := range sched.Initial {
 		r.pend.Push(inj)
@@ -677,7 +689,7 @@ func (r *runner) processOne(a event) {
 // targetsFor resolves a message's routing target set at injection
 // time: the fixed Options.Targets set when configured (mirroring
 // Route's precedence), the key's live replica set under a placement,
-// or the key alone.
+// or nil for the key alone (the one-member set admit builds itself).
 func (r *runner) targetsFor(msg int) []metric.Point {
 	if len(r.cfg.Route.Targets) > 0 {
 		return r.cfg.Route.Targets
@@ -685,7 +697,7 @@ func (r *runner) targetsFor(msg int) []metric.Point {
 	if r.cfg.Placement != nil {
 		return r.cfg.Placement.Targets(r.msgs[msg].Key)
 	}
-	return []metric.Point{r.msgs[msg].Key}
+	return nil
 }
 
 // admit performs one live injection at its virtual instant: it ticks
@@ -719,7 +731,16 @@ func (r *runner) admit(inj Injection) (event, bool) {
 		}
 		from = p
 	}
-	w, err := r.router.Walker(r.root.Derive(16+uint64(msg)), from, r.targetsFor(msg))
+	// The walker copies its target set, so the plain one-key set lives
+	// on this frame; stream 16+msg of the root lands in the run's slab.
+	key := [1]metric.Point{r.msgs[msg].Key}
+	targets := r.targetsFor(msg)
+	if targets == nil {
+		targets = key[:]
+	}
+	src := &r.srcs[msg]
+	r.root.DeriveInto(src, 16+uint64(msg))
+	w, err := r.arena.Walker(src, from, targets)
 	if err != nil {
 		if r.churn != nil {
 			// Under churn a lookup can be born unroutable — every replica

@@ -34,6 +34,12 @@ func splitmix64(x *uint64) uint64 {
 // from equal seeds produce identical streams.
 func New(seed uint64) *Source {
 	var s Source
+	s.seed(seed)
+	return &s
+}
+
+// seed resets s to the state New(seed) starts in.
+func (s *Source) seed(seed uint64) {
 	x := seed
 	s.s0 = splitmix64(&x)
 	s.s1 = splitmix64(&x)
@@ -41,15 +47,23 @@ func New(seed uint64) *Source {
 	s.s3 = splitmix64(&x)
 	// A xoshiro state of all zeros would be absorbing; splitmix64 cannot
 	// produce four zero outputs in a row, so no further guard is needed.
-	return &s
 }
 
 // Derive returns a new independent Source keyed by (the parent's seed
 // material, stream). Use it to hand each worker goroutine or each
 // simulated node its own generator.
 func (s *Source) Derive(stream uint64) *Source {
+	var d Source
+	s.DeriveInto(&d, stream)
+	return &d
+}
+
+// DeriveInto is Derive into storage the caller owns — a slot of a
+// per-run []Source, say, where one stream per message would otherwise
+// be one heap object per message.
+func (s *Source) DeriveInto(dst *Source, stream uint64) {
 	x := s.s0 ^ rotl(s.s2, 17) ^ (stream * 0x9E3779B97F4A7C15)
-	return New(splitmix64(&x))
+	dst.seed(splitmix64(&x))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -53,6 +53,40 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestDeriveIntoMatchesDerive: a stream derived into caller-owned
+// storage — fresh or already used — is the stream Derive returns, which
+// is still the stream the pre-DeriveInto arithmetic (kept here as the
+// reference) produced; and deriving leaves the parent untouched. The
+// streams are the ones the engine uses: 0, 1, the first per-message
+// stream 16, a message index past 2²⁰, and a stream beyond 32 bits.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	reference := func(s *Source, stream uint64) *Source {
+		x := s.s0 ^ rotl(s.s2, 17) ^ (stream * 0x9E3779B97F4A7C15)
+		return New(splitmix64(&x))
+	}
+	used := New(99)
+	for i := 0; i < 5; i++ {
+		used.Uint64()
+	}
+	for _, parent := range []*Source{New(0), New(7), used} {
+		var slot Source
+		for _, stream := range []uint64{0, 1, 16, 16 + 1<<20, 1 << 40} {
+			before := *parent
+			want, viaDerive := reference(parent, stream), parent.Derive(stream)
+			parent.DeriveInto(&slot, stream) // the slot still holds the previous stream's state
+			if *parent != before {
+				t.Fatalf("stream %d: deriving advanced the parent", stream)
+			}
+			for i := 0; i < 8; i++ {
+				w, d, s := want.Uint64(), viaDerive.Uint64(), slot.Uint64()
+				if d != w || s != w {
+					t.Fatalf("stream %d output %d: reference %#x, Derive %#x, DeriveInto %#x", stream, i, w, d, s)
+				}
+			}
+		}
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	s := New(3)
 	for _, n := range []int{1, 2, 3, 10, 1000} {

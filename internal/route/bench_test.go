@@ -14,8 +14,9 @@ import (
 // many distinct cache lines its candidate scan touches. (A bare ring
 // with two neighbours per node — BenchmarkProcessOneLive — cannot see
 // that.) Walkers are created with the timer stopped; one op is one
-// Step. "backtrack" is the policy every live run uses; its per-step
-// allocation is the frame's tried list, not the scan.
+// Step. "backtrack" is the policy every live run uses, traced as the
+// engine traces it: its only allocations are the walks that outgrow
+// their 16-point path.
 func BenchmarkWalkerStep(b *testing.B) {
 	const side, links = 128, 14
 	tor, err := metric.NewTorus(side, 2)
@@ -58,10 +59,15 @@ func BenchmarkWalkerStep(b *testing.B) {
 	}
 }
 
-// TestStepAllocs pins the greedy step at zero allocations, on nodes
-// whose degree fits bestNeighbor's stack buffer and on nodes that
-// overflow it: a walker allocates its spill slice at the first such
-// node and every later step reuses it.
+// TestStepAllocs pins the step at zero allocations under the plain
+// greedy policy and under Backtrack (the policy every engine workload
+// and Figure 6's third strategy run), on nodes whose degree fits
+// bestNeighbor's stack buffer and on nodes that overflow it: a walker
+// allocates its spill slice at the first such node and every later step
+// reuses it. The measured steps run far past BacktrackMemory, so the
+// Backtrack rows evict a frame and append a tried entry on every one,
+// and past the 16-entry tried share several times over, so they
+// reclaim too.
 func TestStepAllocs(t *testing.T) {
 	// Every node links to the next `reach` points, so it has 2 short,
 	// reach out- and reach in-neighbours.
@@ -83,16 +89,18 @@ func TestStepAllocs(t *testing.T) {
 		if overflows != (reach == scratchNeighbors) {
 			t.Fatalf("reach %d: overflows the %d-entry buffer = %v", reach, scratchNeighbors, overflows)
 		}
-		w, err := New(g, Options{}).Walker(rng.New(1), 0, []metric.Point{n / 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
-		if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
-			t.Errorf("reach %d: Step allocates %.2f times per call, want 0", reach, avg)
-		}
-		if w.Done() {
-			t.Errorf("reach %d: the walk ended inside the measured steps", reach)
+		for _, policy := range []DeadEndPolicy{Terminate, Backtrack} {
+			w, err := New(g, Options{DeadEnd: policy}).Walker(rng.New(1), 0, []metric.Point{n / 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
+			if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
+				t.Errorf("reach %d, %s: Step allocates %.2f times per call, want 0", reach, policy, avg)
+			}
+			if w.Done() {
+				t.Errorf("reach %d, %s: the walk ended inside the measured steps", reach, policy)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ package route
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -245,33 +245,32 @@ func (r *Router) routeSet(source *rng.Source, from metric.Point, targets []metri
 	return w.Result(), nil
 }
 
-// liveTargets canonicalizes a target set: deduplicated, sorted
+// liveTargets canonicalizes a target set into dst's storage (appending
+// past its capacity when the set is larger): deduplicated, sorted
 // ascending (nearest-replica tie-breaks are then independent of the
-// caller's ordering), and filtered to live nodes.
-func (r *Router) liveTargets(targets []metric.Point) ([]metric.Point, error) {
+// caller's ordering), and filtered to live nodes. The caller's slice is
+// read, never kept.
+func (r *Router) liveTargets(dst, targets []metric.Point) ([]metric.Point, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("route: empty target set")
 	}
-	if len(targets) == 1 {
-		// The common single-destination search: no copy, and the exact
-		// historical liveness error.
-		if !r.g.Alive(targets[0]) {
-			return nil, fmt.Errorf("route: target %d is not a live node", targets[0])
-		}
-		return targets, nil
-	}
-	set := append([]metric.Point(nil), targets...)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+	set := append(dst, targets...)
+	slices.Sort(set)
 	live := set[:0]
 	for i, t := range set {
 		if (i == 0 || t != set[i-1]) && r.g.Alive(t) {
 			live = append(live, t)
 		}
 	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("route: no live target among %d replicas", len(targets))
+	if len(live) > 0 {
+		return live, nil
 	}
-	return live, nil
+	if len(targets) == 1 {
+		// The common single-destination search keeps its historical
+		// liveness error.
+		return nil, fmt.Errorf("route: target %d is not a live node", targets[0])
+	}
+	return nil, fmt.Errorf("route: no live target among %d replicas", len(targets))
 }
 
 // isTarget reports whether p belongs to the (small) target set.

@@ -35,25 +35,136 @@ type Walker struct {
 	// RandomReroute state.
 	reroutes int
 
-	// Backtrack state: the last BacktrackMemory visited nodes, each with
-	// the neighbours already tried from it.
+	// Backtrack state: the last BacktrackMemory visited nodes, oldest
+	// first, and one stack holding every remembered node's tried
+	// neighbours (see walkFrame).
 	history []walkFrame
+	tried   []metric.Point
+
+	// one is where the canonical target set lives when it has a single
+	// member (every plain search): the caller's slice is copied, never
+	// kept, so it can sit on the caller's stack. A larger set outgrows it
+	// into one allocation the walker owns.
+	one [1]metric.Point
 
 	// spill is bestNeighbor's scratch once a node's degree has
 	// outgrown its stack buffer; nil (no allocation) until then. A
-	// pointer rather than a slice header keeps the Walker — one heap
-	// object per message — in its 160-byte size class.
+	// pointer rather than a slice header: it is set on a handful of
+	// walkers, and the Walker is paid for once per message.
 	spill *[]metric.Point
 }
 
-// walkFrame is one remembered node of the backtracking policy. The
-// tried set is a small slice scanned linearly: it holds at most the
-// node's degree, membership is the only operation, and a slice keeps
-// the per-hop path free of map allocations (a frame that never retries
-// allocates nothing at all).
+// walkFrame is one remembered node of the backtracking policy. Its
+// tried set — the neighbours already taken from it, scanned linearly:
+// at most the node's degree, membership the only operation — is a
+// region of the walker's one tried stack: frame i owns
+// tried[history[i].start:history[i+1].start] and the top frame owns
+// the tail. That works because the three things that happen to frames
+// keep the top's region at the end of the stack: a forward step appends
+// to the top's region and pushes a frame with an empty one; a backward
+// step pops the top frame and truncates its region away; eviction takes
+// the oldest frame, whose region is at the bottom, below
+// history[0].start, where it sits until the stack next fills and
+// reclaim slides the live regions down over it. bestNeighbor therefore
+// sees each node's tried neighbours in insertion order, exactly as when
+// every frame carried its own slice — with no allocation per step, and
+// a stack bounded by the remembered nodes' degrees rather than by the
+// length of the walk.
 type walkFrame struct {
 	at    metric.Point
-	tried []metric.Point
+	start int
+}
+
+// Per-walker buffer shares, in entries. ftrmark's live workloads
+// average 5.4 hops per lookup (mean_hops) and the paper's searches are
+// O(lg² n / ℓ), so 16 path points hold nearly every walk without
+// growing (a longer one grows its own path by append, like any slice),
+// and 16 tried entries hold the BacktrackMemory remembered nodes' tried
+// sets — one entry each on a walk that never retries — with room for
+// retries before that buffer, too, grows.
+const (
+	pathShare  = 16
+	triedShare = 16
+)
+
+// arenaChunk is how many walkers an Arena allocates at a time: large
+// enough that a chunk's three slabs amortize to ~0.01 allocations per
+// walker, small enough (≈ 130 KB under the engine's options) that the
+// unissued tail of a run's last chunk wastes little.
+const arenaChunk = 256
+
+// Arena allocates walkers for one Router a chunk at a time: the Walker
+// structs, their traced paths and tried stacks, and their history
+// frames come from three slabs per chunk instead of three or more heap
+// objects per walker. It exists for callers that start many searches
+// and keep them all — the engine holds every lookup of a run in flight
+// at once and reports every traced path, so a free-list would have
+// nothing to recycle.
+//
+// The aliasing rule: each walker's buffers are carved with three-index
+// slices, so their capacity ends where the next walker's begin. A walk
+// that outgrows its share reallocates that one buffer privately and can
+// never write into a neighbour's; walkers of one chunk may therefore
+// Step concurrently on different goroutines, and a Result's Path stays
+// valid and unshared for as long as the caller keeps it (it pins the
+// chunk's point slab, not just its own 16 entries). Walker itself — the
+// method that carves — is not safe for concurrent use.
+type Arena struct {
+	r *Router
+	// The unissued remainder of the current chunk.
+	walkers []Walker
+	points  []metric.Point
+	frames  []walkFrame
+}
+
+// NewArena returns an empty arena for r's searches.
+func (r *Router) NewArena() *Arena { return &Arena{r: r} }
+
+// shares returns the arena's per-walker slab shares under its router's
+// options: path and tried entries (zero when the options never touch
+// them) and history frames.
+func (a *Arena) shares() (path, tried, frames int) {
+	if a.r.opt.TracePath {
+		path = pathShare
+	}
+	if a.r.opt.DeadEnd == Backtrack {
+		tried, frames = triedShare, a.r.opt.BacktrackMemory
+	}
+	return path, tried, frames
+}
+
+// grow replaces the (exhausted) chunk with a fresh one of n walkers.
+func (a *Arena) grow(n int) {
+	path, tried, frames := a.shares()
+	a.walkers = make([]Walker, n)
+	if path+tried > 0 {
+		a.points = make([]metric.Point, n*(path+tried))
+	}
+	if frames > 0 {
+		a.frames = make([]walkFrame, n*frames)
+	}
+}
+
+// Walker is Router.Walker drawing on the arena's slabs.
+func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
+	if len(a.walkers) == 0 {
+		a.grow(arenaChunk)
+	}
+	path, tried, frames := a.shares()
+	w := &a.walkers[0]
+	if path > 0 {
+		w.res.Path = a.points[0:0:path] // an untraced Result's Path stays nil
+	}
+	w.tried = a.points[path : path : path+tried]
+	w.history = a.frames[0:0:frames]
+	if err := w.start(a.r, source, from, targets); err != nil {
+		*w = Walker{} // the slot and its shares go to the next search
+		return nil, err
+	}
+	a.walkers = a.walkers[1:]
+	a.points = a.points[path+tried:]
+	a.frames = a.frames[frames:]
+	return w, nil
 }
 
 // Walker starts a resumable search from `from` toward the nearest live
@@ -62,35 +173,39 @@ type walkFrame struct {
 // affair — the set passed here is the set walked). The returned Walker
 // has already visited `from` (it appears in the traced path); if
 // `from` is itself a target the search is born delivered and Step
-// returns false immediately.
+// returns false immediately. The targets slice is copied, not kept.
 func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
+	// A chunk of one: the same carving, so the same walker, for callers
+	// with one search to run.
+	a := Arena{r: r}
+	a.grow(1)
+	return a.Walker(source, from, targets)
+}
+
+// start validates a search and puts w — zero but for the empty buffers
+// its allocator carved — at its origin.
+func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets []metric.Point) error {
 	if !r.g.Alive(from) {
-		return nil, fmt.Errorf("route: origin %d is not a live node", from)
+		return fmt.Errorf("route: origin %d is not a live node", from)
 	}
-	tset, err := r.liveTargets(targets)
+	tset, err := r.liveTargets(w.one[:0], targets)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if r.opt.Sidedness == OneSided {
 		if r.oriented == nil {
-			return nil, fmt.Errorf("route: one-sided routing needs an oriented (1-D) space, not %s",
+			return fmt.Errorf("route: one-sided routing needs an oriented (1-D) space, not %s",
 				r.g.Space().Name())
 		}
 		if len(tset) > 1 {
-			return nil, fmt.Errorf("route: one-sided routing supports a single target, got %d live replicas",
+			return fmt.Errorf("route: one-sided routing supports a single target, got %d live replicas",
 				len(tset))
 		}
 	}
-	w := &Walker{r: r, src: source, targets: tset, cur: from, res: Result{Target: -1}}
-	if r.opt.TracePath {
-		// Typical searches finish in O(lg² n) hops — well under this —
-		// so one up-front slab keeps the per-hop trace append from
-		// reallocating mid-walk; longer walks just fall back to growth.
-		w.res.Path = make([]metric.Point, 0, 16)
-	}
+	w.r, w.src, w.targets, w.cur = r, source, tset, from
+	w.res.Target = -1
 	r.trace(&w.res, from)
 	if r.opt.DeadEnd == Backtrack {
-		w.history = make([]walkFrame, 0, r.opt.BacktrackMemory+1)
 		w.push(from)
 	}
 	if isTarget(from, tset) {
@@ -98,7 +213,7 @@ func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.
 		w.res.Target = from
 		w.done = true
 	}
-	return w, nil
+	return nil
 }
 
 // StepKind labels the kind of move a Step just made, for observers
@@ -213,9 +328,12 @@ func (w *Walker) stepBacktrack() bool {
 		w.last = StepNone
 		return false
 	}
-	top := &w.history[len(w.history)-1]
-	if next, ok := w.bestNeighbor(top.tried); ok {
-		top.tried = append(top.tried, next)
+	top := w.history[len(w.history)-1]
+	if next, ok := w.bestNeighbor(w.tried[top.start:]); ok {
+		if len(w.tried) == cap(w.tried) {
+			w.reclaim()
+		}
+		w.tried = append(w.tried, next)
 		w.last = StepGreedy
 		w.move(next)
 		if !w.done {
@@ -232,6 +350,7 @@ func (w *Walker) stepBacktrack() bool {
 		w.last = StepNone
 		return false
 	}
+	w.tried = w.tried[:top.start]
 	w.history = w.history[:len(w.history)-1]
 	w.cur = w.history[len(w.history)-1].at
 	w.res.Hops++
@@ -253,11 +372,23 @@ func (w *Walker) move(next metric.Point) {
 	}
 }
 
-// push remembers a visited node for the backtracking policy, evicting
-// the oldest once the paper's memory bound is reached.
-func (w *Walker) push(p metric.Point) {
-	w.history = append(w.history, walkFrame{at: p})
-	if len(w.history) > w.r.opt.BacktrackMemory {
-		w.history = w.history[1:]
+// reclaim slides the live tried regions down over what evicted frames
+// left at the bottom of the stack.
+func (w *Walker) reclaim() {
+	dead := w.history[0].start
+	w.tried = w.tried[:copy(w.tried, w.tried[dead:])]
+	for i := range w.history {
+		w.history[i].start -= dead
 	}
+}
+
+// push remembers a visited node for the backtracking policy, evicting
+// the oldest once the paper's memory bound is reached. The survivors
+// are copied down in place — at most BacktrackMemory-1 two-word frames —
+// so the frame buffer never slides off its allocation and never grows.
+func (w *Walker) push(p metric.Point) {
+	if len(w.history) == w.r.opt.BacktrackMemory {
+		w.history = w.history[:copy(w.history, w.history[1:])]
+	}
+	w.history = append(w.history, walkFrame{at: p, start: len(w.tried)})
 }
