@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -77,37 +76,49 @@ func main() {
 		}
 		return 0, false
 	}
-	counts, err := sim.RunChurn(sim.ChurnConfig{
-		ArrivalRate:   40,
-		DepartureRate: 40,
-		ProbeInterval: 2,
-		Horizon:       10,
-	}, sim.ChurnHandlers{
-		OnArrive: func(t float64) error {
-			if p, ok := vacant(); ok {
-				return nw.AddNode(p)
-			}
-			return nil
-		},
-		OnDepart: func(t float64) error {
-			if nw.Alive() <= n/2 {
-				return nil // keep the network from draining
-			}
-			if p, ok := occupied(); ok {
-				return nw.RemoveNode(p)
-			}
-			return nil
-		},
-		OnProbe: func(t float64) error {
-			report(nw, fmt.Sprintf("t=%.0f (alive %d)", t, nw.Alive()))
-			return nil
-		},
-	}, esrc)
-	if err != nil {
-		log.Fatal(err)
+	// Exponential gaps make each process Poisson; the probe ticks at a
+	// fixed interval. The earliest of the three next instants runs.
+	gap := func(rate float64) float64 {
+		u := esrc.Float64()
+		for u == 0 {
+			u = esrc.Float64()
+		}
+		return -math.Log(u) / rate
 	}
-	fmt.Printf("processed %d arrivals, %d departures, %d probes\n",
-		counts[sim.Arrive], counts[sim.Depart], counts[sim.Probe])
+	const rate, probeEvery, horizon = 40.0, 2.0, 10.0
+	nextArrive, nextDepart, nextProbe := gap(rate), gap(rate), probeEvery
+	arrivals, departures, probes := 0, 0, 0
+	for {
+		t := math.Min(nextArrive, math.Min(nextDepart, nextProbe))
+		if t > horizon {
+			break
+		}
+		switch t {
+		case nextArrive:
+			nextArrive = t + gap(rate)
+			arrivals++
+			if p, ok := vacant(); ok {
+				err = nw.AddNode(p)
+			}
+		case nextDepart:
+			nextDepart = t + gap(rate)
+			departures++
+			// Keep the network from draining.
+			if nw.Alive() > n/2 {
+				if p, ok := occupied(); ok {
+					err = nw.RemoveNode(p)
+				}
+			}
+		default:
+			nextProbe = t + probeEvery
+			probes++
+			report(nw, fmt.Sprintf("t=%.0f (alive %d)", t, nw.Alive()))
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("processed %d arrivals, %d departures, %d probes\n", arrivals, departures, probes)
 }
 
 // report prints routing quality and distribution fidelity.

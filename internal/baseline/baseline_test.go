@@ -150,7 +150,7 @@ func TestFloodFindsWithGenerousTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != "flood" || f.Nodes() != 500 || f.TTL() != 20 {
+	if f.Name() != "flood" || f.Nodes() != 500 || f.ttl != 20 {
 		t.Error("accessors wrong")
 	}
 	src := rng.New(8)

@@ -58,9 +58,6 @@ func (f *Flood) Name() string { return "flood" }
 // Nodes returns the node count.
 func (f *Flood) Nodes() int { return len(f.adj) }
 
-// TTL returns the flood time-to-live.
-func (f *Flood) TTL() int { return f.ttl }
-
 // Route floods from `from` until `to` is reached or the TTL expires.
 func (f *Flood) Route(_ *rng.Source, from, to int) Result {
 	if from == to {

@@ -39,9 +39,6 @@ func (p *Plaxton) Name() string { return "plaxton" }
 // Nodes returns b^k.
 func (p *Plaxton) Nodes() int { return p.n }
 
-// TableSize returns the routing-table entries per node, (b−1)·k.
-func (p *Plaxton) TableSize() int { return (p.b - 1) * p.k }
-
 // Route forwards by fixing one trailing base-b digit per hop: the next
 // hop keeps the already-matched suffix and adopts the target's next
 // digit. Hops = number of positions where the identifiers disagree.

@@ -27,8 +27,8 @@ func TestPlaxtonBasics(t *testing.T) {
 	if p.Name() != "plaxton" || p.Nodes() != 1024 {
 		t.Error("accessors wrong")
 	}
-	if p.TableSize() != 15 { // (4-1)*5
-		t.Errorf("table size = %d, want 15", p.TableSize())
+	if p.b != 4 || p.k != 5 {
+		t.Errorf("base %d, digits %d, want 4 and 5", p.b, p.k)
 	}
 }
 

@@ -277,18 +277,6 @@ func (nw *Network) FailNodes(fraction float64) (int, error) {
 	return failure.FailNodesFraction(nw.g, fraction, nw.src.Derive(3))
 }
 
-// FailNodesProb crashes each live node independently with probability
-// p (Theorem 18's model). It returns the number crashed.
-func (nw *Network) FailNodesProb(p float64) (int, error) {
-	return failure.FailNodesProb(nw.g, p, nw.src.Derive(4))
-}
-
-// FailLinks keeps each long link with probability p and takes the rest
-// down (Theorem 15's model). It returns the number taken down.
-func (nw *Network) FailLinks(p float64) (int, error) {
-	return failure.FailLinks(nw.g, p, nw.src.Derive(5))
-}
-
 // AddNode runs the §5 arrival protocol for point p. It requires
 // Heuristic construction.
 func (nw *Network) AddNode(p Point) error {

@@ -26,8 +26,8 @@ func newChurnBenchRunner(tb testing.TB, nodes int) *runner {
 	cfg.Mode = ModeLive
 	cfg.Churn = churnKnobs()
 	r := newRunner(g, []Message{{From: 0, Key: metric.Point(nodes / 2)}}, Schedule{}, cfg, rng.New(1))
-	// A dead arc a quarter of the way around: nearestAlive must BFS
-	// across it, and node nodes/4 is a dead park spot for strands.
+	// A dead arc a quarter of the way around: graph.NearestAlive must
+	// search across it, and node nodes/4 is a dead park spot for strands.
 	for p := nodes / 4; p < nodes/4+8; p++ {
 		g.Fail(metric.Point(p))
 	}
@@ -101,8 +101,8 @@ func TestGossipRoundHotPathAllocs(t *testing.T) {
 }
 
 // TestLinkRedrawHotPathAllocs pins the repair draw — a §5 power-law
-// sample resolved to the nearest alive node via the stamped BFS — at
-// zero allocations once the sampler and the BFS scratch are warm.
+// sample resolved through graph.NearestAlive — at zero allocations once
+// the sampler and the graph's search scratch are warm.
 func TestLinkRedrawHotPathAllocs(t *testing.T) {
 	r := newChurnBenchRunner(t, 256)
 	c := r.churn
@@ -112,7 +112,7 @@ func TestLinkRedrawHotPathAllocs(t *testing.T) {
 			draws++
 		}
 	}
-	draw() // warm the sampler, the visit stamps, and the BFS queue
+	draw() // warm the sampler and the graph's search scratch
 	if avg := testing.AllocsPerRun(50, func() { draw() }); avg != 0 {
 		t.Errorf("link redraw allocates %.2f per draw, want 0", avg)
 	}

@@ -66,8 +66,8 @@ import (
 // Hot paths. Strand handling, gossip rounds, and link redraws run
 // allocation-free in steady state, pinned at 0 allocs/op by
 // bench_churn_test.go: detection dedups monitors through reusable
-// scratch, nearest-alive resolution uses a stamped BFS instead of a
-// per-call map, and retired rumors recycle their known bitmaps.
+// scratch, nearest-alive resolution is the graph's stamped search
+// (graph.NearestAlive), and retired rumors recycle their known bitmaps.
 
 // ChurnConfig attaches node dynamics to a live engine run. The zero
 // value is disabled. A config with knobs but no events attaches the
@@ -188,9 +188,6 @@ type churnState struct {
 	// (bench_churn_test.go pins the contract).
 	mon       []metric.Point // detect: this call's deduped monitor set
 	nbrs      []metric.Point // detect, bootstrap: the node's neighbours
-	visited   []uint32       // nearestAlive: BFS visit stamps, one per grid point
-	stamp     uint32         // current BFS generation
-	bfs       []metric.Point // nearestAlive: BFS queue
 	freeKnown [][]bool       // retired rumors' known bitmaps, recycled by born
 }
 
@@ -269,7 +266,7 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 		// pulls the membership state its neighbours hold — the bootstrap
 		// exchange every real join protocol starts with, charged to the
 		// consulted neighbours' FIFOs.
-		c.rebuildLinks(r, ev.Node)
+		c.redrawLinks(r, ev.Node, -1)
 		c.bootstrap(r, ev.Node, ev.Time)
 		ri := c.born(r, ev, false)
 		// The joiner knows its own arrival from the first instant.
@@ -325,7 +322,7 @@ func (c *churnState) detect(r *runner, ri int, t float64) {
 		}
 	}
 	for _, dir := range [2]int{+1, -1} {
-		if q, ok := nearestAliveDir(r.g, ru.node, dir); ok {
+		if q, ok := r.g.AliveNeighbor(ru.node, dir); ok {
 			c.addMonitor(q)
 		}
 	}
@@ -359,7 +356,7 @@ func (c *churnState) teach(r *runner, ri int, q metric.Point, t float64) {
 	ru.known[q] = true
 	c.hot[q] = append(c.hot[q], ri)
 	if ru.crash && c.cfg.Repair {
-		c.repairAt(r, q, ru.node)
+		c.redrawLinks(r, q, ru.node)
 	}
 }
 
@@ -498,10 +495,16 @@ func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 	}
 }
 
-// rebuildLinks redraws every long link of a (re)joining node per §5.
-func (c *churnState) rebuildLinks(r *runner, p metric.Point) {
-	for i := range r.g.Long(p) {
-		if to, ok := c.drawLink(r, p); ok {
+// redrawLinks re-runs the §5 construction for p's long links: every
+// slot when dead is negative (a joiner rebuilds them all), otherwise
+// only the up slots aimed at the crashed node dead — and never back at
+// it, should it have rejoined before the rumor arrived.
+func (c *churnState) redrawLinks(r *runner, p, dead metric.Point) {
+	for i, l := range r.g.Long(p) {
+		if dead >= 0 && (l.To != dead || !l.Up) {
+			continue
+		}
+		if to, ok := c.drawLink(r, p); ok && to != dead {
 			if r.g.ReplaceLong(p, i, to) == nil {
 				r.out.LinksRebuilt++
 			}
@@ -509,25 +512,17 @@ func (c *churnState) rebuildLinks(r *runner, p metric.Point) {
 	}
 }
 
-// repairAt redraws q's long links whose target is the dead node — the
-// §5 construction re-run for the broken slots, from q's own power-law
-// distribution, resolved to the nearest alive node.
-func (c *churnState) repairAt(r *runner, q, dead metric.Point) {
-	for i, l := range r.g.Long(q) {
-		if l.To != dead || !l.Up {
-			continue
-		}
-		if to, ok := c.drawLink(r, q); ok && to != dead {
-			if r.g.ReplaceLong(q, i, to) == nil {
-				r.out.LinksRebuilt++
-			}
-		}
-	}
-}
-
-// drawLink samples one long-link target for p from the paper's
-// harmonic distribution (exponent = dimension), resolved to the
-// nearest alive node, with the construction's retry discipline.
+// drawLink draws one long-link target for p from the paper's harmonic
+// distribution (exponent = dimension). The retry discipline is the
+// engine's own and is written only here: up to 32 tries, each sample
+// resolved through g.NearestAlive, a sample that resolves back to p
+// rejected and redrawn. A sampler ok=false means the space offers p no
+// other point; it consumes no rng and no retry can change it, so the
+// draw gives up at once.
+//
+// Churn ops and admit run on the sequential side of a window barrier
+// (runWindows); that is what lets NearestAlive, here and in
+// reattachOrigin, use the graph's single-goroutine search scratch.
 func (c *churnState) drawLink(r *runner, p metric.Point) (metric.Point, bool) {
 	if c.sampler == nil {
 		s, err := r.g.Space().NewLinkSampler(float64(r.g.Space().Dim()))
@@ -539,9 +534,9 @@ func (c *churnState) drawLink(r *runner, p metric.Point) (metric.Point, bool) {
 	for attempt := 0; attempt < 32; attempt++ {
 		q, ok := c.sampler.Sample(p, c.src)
 		if !ok {
-			continue
+			return 0, false
 		}
-		if v, ok := c.nearestAlive(r.g, q); ok && v != p {
+		if v, ok := r.g.NearestAlive(q); ok && v != p {
 			return v, true
 		}
 	}
@@ -659,78 +654,12 @@ func (r *runner) bornFailed(m int, at float64) {
 // reattachOrigin finds the entry point for a lookup whose source node
 // is dead at injection time: the nearest alive node stands in (the
 // client behind the dead portal retries via the next one). Reports
-// ok=false only when the whole network is dead.
+// ok=false only when the whole network is dead. Its caller, admit, runs
+// between drains, never inside one (see drawLink).
 func (r *runner) reattachOrigin(from metric.Point) (metric.Point, bool) {
-	p, ok := r.churn.nearestAlive(r.g, from)
+	p, ok := r.g.NearestAlive(from)
 	if ok {
 		r.out.Reattached++
 	}
 	return p, ok
-}
-
-// nearestAlive returns the alive node nearest to target: breadth-first
-// over unit grid steps, so level k is the L1 sphere of radius k and the
-// first alive point found is nearest (the alive-filtered sibling of
-// graph.NearestExisting). The visit set is a reusable stamp array and
-// the queue a reusable slice, so the link-redraw hot path allocates
-// nothing once warm; the expansion order (−axis before +axis, axes
-// ascending) matches the old map-based walk exactly.
-func (c *churnState) nearestAlive(g *graph.Graph, target metric.Point) (metric.Point, bool) {
-	if g.Alive(target) {
-		return target, true
-	}
-	if g.AliveCount() == 0 {
-		return 0, false
-	}
-	if len(c.visited) < g.Size() {
-		c.visited = make([]uint32, g.Size())
-		c.stamp = 0
-	}
-	c.stamp++
-	if c.stamp == 0 {
-		// Stamp wrapped (2^32 searches): clear and restart the epoch.
-		for i := range c.visited {
-			c.visited[i] = 0
-		}
-		c.stamp = 1
-	}
-	c.bfs = c.bfs[:0]
-	c.visited[target] = c.stamp
-	c.bfs = append(c.bfs, target)
-	for head := 0; head < len(c.bfs); head++ {
-		p := c.bfs[head]
-		if g.Alive(p) {
-			return p, true
-		}
-		for axis := 1; axis <= g.Space().Dim(); axis++ {
-			for _, dir := range [2]int{-axis, +axis} {
-				if q, ok := g.Space().Step(p, dir); ok && c.visited[q] != c.stamp {
-					c.visited[q] = c.stamp
-					c.bfs = append(c.bfs, q)
-				}
-			}
-		}
-	}
-	return 0, false
-}
-
-// nearestAliveDir walks the point order from p in one direction to the
-// first alive node — the probe neighbour whose skip-hole short link
-// now crosses the gap.
-func nearestAliveDir(g *graph.Graph, p metric.Point, dir int) (metric.Point, bool) {
-	cur := p
-	for i := 0; i < g.Size(); i++ {
-		next, ok := g.Space().Step(cur, dir)
-		if !ok {
-			return 0, false
-		}
-		cur = next
-		if cur == p {
-			return 0, false
-		}
-		if g.Alive(cur) {
-			return cur, true
-		}
-	}
-	return 0, false
 }

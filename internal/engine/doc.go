@@ -215,6 +215,11 @@
 // a node redraws its long links into a dead node only once it has
 // *learned* of the crash. A join revives the node, redraws its §5
 // long-range links, and bootstraps its view from alive neighbours.
+// The engine owns no graph search: a redrawn link resolves through
+// graph.NearestAlive, the alive-filtered sibling of NearestExisting
+// (one search, two flag masks), and a crash's probe successors are
+// graph.AliveNeighbor, ShortNeighbor's sibling likewise. The retry
+// discipline of the draw is the engine's own (churnState.drawLink).
 // Churn runs shard like any other live run — mutations apply at
 // window barriers, windows clip at churn-op instants (see the diagram
 // above) — as long as ProbeTimeout covers the one-service-time

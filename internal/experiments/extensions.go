@@ -79,7 +79,7 @@ func init() {
 				row := make([]float64, 3)
 				for ci, copies := range []int{1, 2, 4} {
 					copies := copies
-					stats, err := total(trialStats(p, p.Seed, ideal(ringOf(p.N), links),
+					stats, err := sim.Run(p.Seed, p.Trials, p.Workers, trial(p, ideal(ringOf(p.N), links),
 						func(g *graph.Graph, src *rng.Source) error {
 							_, err := failure.MarkMalicious(g, prob, src)
 							return err

@@ -28,12 +28,11 @@ type (
 	searchFunc func(g *graph.Graph, src *rng.Source, msgs int) (sim.SearchStats, error)
 )
 
-// trialStats runs build → damage (nil: none) → search once per trial on
-// the streams of seed and returns each trial's statistics, in trial
-// order.
-func trialStats(p Params, seed uint64, build buildFunc, damage damageFunc, search searchFunc) ([]sim.SearchStats, error) {
-	return sim.RunDetailed(seed, p.Trials, p.Workers, func(trial int, src *rng.Source) (sim.SearchStats, error) {
-		g, err := build(trial, src)
+// trial is one trial's build → damage (nil: none) → search, each step
+// drawing from the trial's stream.
+func trial(p Params, build buildFunc, damage damageFunc, search searchFunc) sim.TrialFunc {
+	return func(i int, src *rng.Source) (sim.SearchStats, error) {
+		g, err := build(i, src)
 		if err != nil {
 			return sim.SearchStats{}, err
 		}
@@ -43,21 +42,19 @@ func trialStats(p Params, seed uint64, build buildFunc, damage damageFunc, searc
 			}
 		}
 		return search(g, src, p.Msgs)
-	})
+	}
 }
 
-// searchTrials is trialStats at Params.Seed with random searches between
+// trialStats runs trial once per trial on the streams of seed and
+// returns each trial's statistics, in trial order.
+func trialStats(p Params, seed uint64, build buildFunc, damage damageFunc, search searchFunc) ([]sim.SearchStats, error) {
+	return sim.RunDetailed(seed, p.Trials, p.Workers, trial(p, build, damage, search))
+}
+
+// searchTrials runs trial at Params.Seed with random searches between
 // live nodes routed under opt, summed over the trials.
 func searchTrials(p Params, build buildFunc, damage damageFunc, opt route.Options) (sim.SearchStats, error) {
-	return total(trialStats(p, p.Seed, build, damage, routed(opt)))
-}
-
-func total(trials []sim.SearchStats, err error) (sim.SearchStats, error) {
-	var sum sim.SearchStats
-	for _, s := range trials {
-		sum.Merge(s)
-	}
-	return sum, err
+	return sim.Run(p.Seed, p.Trials, p.Workers, trial(p, build, damage, routed(opt)))
 }
 
 // routed is §6's measurement: uniformly random live source/destination

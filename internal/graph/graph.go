@@ -68,9 +68,10 @@ type Graph struct {
 	aliveCount int
 	seq        int64
 	// nearestMark/nearestQueue are reusable scratch for the d >= 2
-	// NearestExisting BFS (a point is visited when its mark equals
-	// nearestGen). NearestExisting is §5 construction machinery and
-	// shares the Graph's single-goroutine mutation contract.
+	// nearest-node BFS (a point is visited when its mark equals
+	// nearestGen). NearestExisting and NearestAlive are §5 construction
+	// and repair machinery and share the Graph's single-goroutine
+	// mutation contract.
 	nearestMark  []uint32
 	nearestQueue []metric.Point
 	nearestGen   uint32
@@ -283,6 +284,21 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 // *present* node along every grid direction, so in the
 // binomial-presence model the short chain skips holes.
 func (g *Graph) ShortNeighbor(p metric.Point, dir int) (metric.Point, bool) {
+	return g.skip(p, dir, flagExists)
+}
+
+// AliveNeighbor is ShortNeighbor over live nodes only: the first node
+// along dir that has not crashed — the probe successor whose skip-hole
+// short link crosses a gap of dead nodes.
+func (g *Graph) AliveNeighbor(p metric.Point, dir int) (metric.Point, bool) {
+	return g.skip(p, dir, flagExists|flagFailed)
+}
+
+// skip is the one directional walk: the first point along dir from p
+// (p itself excluded) whose flags under mask read flagExists — a
+// present node for mask flagExists, a live one for
+// flagExists|flagFailed.
+func (g *Graph) skip(p metric.Point, dir int, mask uint8) (metric.Point, bool) {
 	cur := p
 	for i := 0; i < g.Size(); i++ {
 		q, ok := g.space.Step(cur, dir)
@@ -292,7 +308,7 @@ func (g *Graph) ShortNeighbor(p metric.Point, dir int) (metric.Point, bool) {
 		if q == p {
 			return 0, false // wrapped all the way around
 		}
-		if g.flags[q]&flagExists != 0 {
+		if g.flags[q]&mask == flagExists {
 			return q, true
 		}
 		cur = q
@@ -397,15 +413,30 @@ func (g *Graph) CheckReverseIndex() error {
 // reached by a breadth-first expansion that scans −axis before +axis.
 // ok is false only if no node exists at all.
 func (g *Graph) NearestExisting(target metric.Point) (metric.Point, bool) {
+	return g.nearest(target, flagExists)
+}
+
+// NearestAlive is NearestExisting over live nodes only, with the same
+// tie rule: where a repaired link lands, and where a lookup whose
+// origin crashed re-enters. ok is false only if every node is dead.
+func (g *Graph) NearestAlive(target metric.Point) (metric.Point, bool) {
+	return g.nearest(target, flagExists|flagFailed)
+}
+
+// nearest is the one nearest-node search; mask selects the nodes that
+// count, as in skip. For d >= 2 it writes the graph's search scratch,
+// so, unlike the other queries, it falls under the mutators'
+// one-goroutine rule.
+func (g *Graph) nearest(target metric.Point, mask uint8) (metric.Point, bool) {
 	if !g.inRange(target) {
 		return 0, false
 	}
-	if g.flags[target]&flagExists != 0 {
+	if g.flags[target]&mask == flagExists {
 		return target, true
 	}
 	if g.space.Dim() == 1 {
-		left, okL := g.ShortNeighbor(target, -1)
-		right, okR := g.ShortNeighbor(target, +1)
+		left, okL := g.skip(target, -1, mask)
+		right, okR := g.skip(target, +1, mask)
 		switch {
 		case okL && okR:
 			if g.space.Distance(left, target) <= g.space.Distance(right, target) {
@@ -421,10 +452,11 @@ func (g *Graph) NearestExisting(target metric.Point) (metric.Point, bool) {
 	}
 	// d >= 2: breadth-first over unit grid steps. Grid steps are unit
 	// moves under L1, so BFS level k is exactly the sphere of radius k
-	// around the target and the first present point found is nearest.
-	// The mark/queue scratch is reused across calls: §5 construction
-	// invokes this once per sampled link, and a fresh O(n) allocation
-	// each time would dominate the build.
+	// around the target and the first admissible point found is
+	// nearest. The mark/queue scratch is reused across calls: §5
+	// construction and the engine's link repair invoke this once per
+	// sampled link, and a fresh O(n) allocation each time would
+	// dominate the build.
 	if g.nearestMark == nil {
 		g.nearestMark = make([]uint32, len(g.nodes))
 	}
@@ -441,7 +473,7 @@ func (g *Graph) NearestExisting(target metric.Point) (metric.Point, bool) {
 	queue = append(queue, target)
 	for head := 0; head < len(queue); head++ {
 		p := queue[head]
-		if g.flags[p]&flagExists != 0 {
+		if g.flags[p]&mask == flagExists {
 			g.nearestQueue = queue[:0]
 			return p, true
 		}
@@ -513,17 +545,6 @@ func (g *Graph) AvgOutDegree() float64 {
 		return 0
 	}
 	return float64(links) / float64(nodes)
-}
-
-// InDegree returns the number of up long links pointing at p from
-// existing nodes. For the ideal construction this is approximately
-// Poisson(l)-distributed — the very assumption §5's arrival protocol
-// makes when a newcomer estimates how many in-links it "should" have.
-func (g *Graph) InDegree(p metric.Point) int {
-	if !g.Exists(p) {
-		return 0
-	}
-	return len(g.nodes[p].rev)
 }
 
 // LongLinkCount returns the total number of long links in the graph.

@@ -103,8 +103,8 @@ func checkNeighborInvariants(g *Graph) error {
 				return fmt.Errorf("node %d in-neighbour %d: index says %d, truth %d", p, q, got[q], n)
 			}
 		}
-		if g.InDegree(p) != len(all)-len(outs) {
-			return fmt.Errorf("node %d: InDegree %d, enumerated %d", p, g.InDegree(p), len(all)-len(outs))
+		if n := len(g.nodes[p].rev); n != len(all)-len(outs) {
+			return fmt.Errorf("node %d: %d index entries, enumerated %d", p, n, len(all)-len(outs))
 		}
 	}
 	return nil
@@ -229,8 +229,9 @@ func TestReverseIndexInvariantUnderChurn(t *testing.T) {
 
 // FuzzGraphMutations drives arbitrary mutation sequences: the first
 // byte picks the geometry, every following four bytes one mutation.
-// After every op the index must be exact and the enumeration must equal
-// the reference.
+// After every op the index must be exact, the enumeration must equal
+// the reference, and the nearest-node searches and skip-walks, present
+// and alive, must agree with theirs at every point.
 func FuzzGraphMutations(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, opAddLong, 3, 9, 0, opRemoveNode, 9, 0, 0, opSetLongUp, 3, 3, 1, opAddNode, 9, 0, 0})
@@ -247,6 +248,11 @@ func FuzzGraphMutations(f *testing.F) {
 			_ = mutate(g, int(ops[0]), int(ops[1]), int(ops[2]), int(ops[3])) // rejected ops are legal
 			if err := checkNeighborInvariants(g); err != nil {
 				t.Fatalf("after op %v: %v", ops[:4], err)
+			}
+			for p := 0; p < g.Size(); p++ {
+				if err := checkNearestQueries(g, metric.Point(p)); err != nil {
+					t.Fatalf("after op %v: %v", ops[:4], err)
+				}
 			}
 		}
 	})

@@ -61,9 +61,6 @@ func NewMapping(n int) (*Mapping, error) {
 	}, nil
 }
 
-// SpaceSize returns n.
-func (m *Mapping) SpaceSize() int { return m.n }
-
 // Add registers that physical node `owner` provides the resource with
 // key k, and returns the point the resource occupies. Adding two keys
 // that hash to the same point is a collision and returns an error; §2
@@ -90,12 +87,6 @@ func (m *Mapping) OwnerOf(p metric.Point) (PhysID, bool) {
 	return id, ok
 }
 
-// KeyAt returns the resource key occupying p.
-func (m *Mapping) KeyAt(p metric.Point) (Key, bool) {
-	k, ok := m.keys[p]
-	return k, ok
-}
-
 // PointsOf returns the virtual points owned by a physical node (V_n of
 // §2), sorted for determinism.
 func (m *Mapping) PointsOf(owner PhysID) []metric.Point {
@@ -104,19 +95,6 @@ func (m *Mapping) PointsOf(owner PhysID) []metric.Point {
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
 	return pts
 }
-
-// Owners returns all registered physical nodes, sorted.
-func (m *Mapping) Owners() []PhysID {
-	ids := make([]PhysID, 0, len(m.points))
-	for id := range m.points {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// OccupiedPoints returns the number of points hosting a resource.
-func (m *Mapping) OccupiedPoints() int { return len(m.owner) }
 
 // PresenceMask returns the []bool mask (length n) of occupied points,
 // suitable for graph.NewWithPresence: the overlay only has vertices

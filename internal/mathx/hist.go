@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -91,23 +90,6 @@ func (h *Histogram) BucketLabel(i int) string {
 		return fmt.Sprintf("%d", lo)
 	}
 	return fmt.Sprintf("%d-%d", lo, hi)
-}
-
-// MaxAbsError returns the largest absolute difference between this
-// histogram's bucket probabilities and other's. Histograms must have the
-// same shape; otherwise it returns +Inf.
-func (h *Histogram) MaxAbsError(other *Histogram) float64 {
-	if other == nil || len(h.counts) != len(other.counts) || h.log != other.log {
-		return math.Inf(1)
-	}
-	var worst float64
-	for i := range h.counts {
-		d := math.Abs(h.Probability(i) - other.Probability(i))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // String renders the histogram as an ASCII table of probabilities,

@@ -52,29 +52,6 @@ func TestHistogramLog(t *testing.T) {
 	}
 }
 
-func TestHistogramMaxAbsError(t *testing.T) {
-	a := NewHistogram(3)
-	b := NewHistogram(3)
-	for i := 0; i < 10; i++ {
-		a.Add(1)
-		b.Add(1)
-	}
-	if e := a.MaxAbsError(b); e != 0 {
-		t.Errorf("identical histograms error = %v", e)
-	}
-	b.Add(3) // shifts mass
-	if e := a.MaxAbsError(b); e <= 0 {
-		t.Errorf("error should be positive, got %v", e)
-	}
-	c := NewHistogram(4)
-	if !math.IsInf(a.MaxAbsError(c), 1) {
-		t.Error("mismatched shapes should yield +Inf")
-	}
-	if !math.IsInf(a.MaxAbsError(nil), 1) {
-		t.Error("nil other should yield +Inf")
-	}
-}
-
 func TestHistogramProbabilitySumsToOne(t *testing.T) {
 	f := func(vals []uint16) bool {
 		if len(vals) == 0 {

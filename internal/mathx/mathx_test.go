@@ -73,18 +73,6 @@ func TestHarmonicMonotone(t *testing.T) {
 	}
 }
 
-func TestHarmonicRange(t *testing.T) {
-	if got := HarmonicRange(2, 4); math.Abs(got-(1.0/3+1.0/4)) > 1e-12 {
-		t.Errorf("HarmonicRange(2,4) = %v", got)
-	}
-	if got := HarmonicRange(4, 4); got != 0 {
-		t.Errorf("HarmonicRange(4,4) = %v, want 0", got)
-	}
-	if got := HarmonicRange(-1, 2); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("HarmonicRange(-1,2) = %v, want 1.5", got)
-	}
-}
-
 func TestILog2(t *testing.T) {
 	cases := []struct{ n, want int }{
 		{0, -1}, {-3, -1}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1 << 20, 20},
@@ -144,135 +132,11 @@ func TestIPowCeilLogInverse(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-	s, err := Summarize([]float64{4, 1, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Errorf("median = %v, want 2.5", s.Median)
-	}
-	wantStd := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Errorf("std = %v, want %v", s.Std, wantStd)
-	}
-}
-
-func TestPercentileBounds(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(sorted, 0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(sorted, 1); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := Percentile(sorted, 0.5); got != 3 {
-		t.Errorf("P50 = %v", got)
-	}
-	if got := Percentile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("single-element percentile = %v", got)
-	}
-}
-
-func TestPercentileWithinRange(t *testing.T) {
-	f := func(raw []float64, pr uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		sortFloats(xs)
-		p := float64(pr) / 255
-		v := Percentile(xs, p)
-		return v >= xs[0] && v <= xs[len(xs)-1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func sortFloats(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{5, 7, 9, 11} // y = 3 + 2x
-	a, b, r2, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-3) > 1e-9 || math.Abs(b-2) > 1e-9 || math.Abs(r2-1) > 1e-9 {
-		t.Errorf("fit = (%v,%v,%v), want (3,2,1)", a, b, r2)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single point")
-	}
-	if _, _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-	if _, _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("want error for degenerate x")
-	}
-}
-
-func TestPowerFitExact(t *testing.T) {
-	// y = 4 x^1.5
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 4 * math.Pow(x, 1.5)
-	}
-	c, k, r2, err := PowerFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-4) > 1e-9 || math.Abs(k-1.5) > 1e-9 || math.Abs(r2-1) > 1e-9 {
-		t.Errorf("power fit = (%v,%v,%v)", c, k, r2)
-	}
-}
-
-func TestPowerFitRejectsNonPositive(t *testing.T) {
-	if _, _, _, err := PowerFit([]float64{1, -2}, []float64{1, 2}); err == nil {
-		t.Error("want error for non-positive x")
-	}
-	if _, _, _, err := PowerFit([]float64{1, 2}, []float64{1, 0}); err == nil {
-		t.Error("want error for non-positive y")
-	}
-}
-
-func TestMinMaxAbs(t *testing.T) {
-	if MinInt(3, -2) != -2 || MaxInt(3, -2) != 3 {
-		t.Error("MinInt/MaxInt broken")
-	}
-	if AbsInt(-7) != 7 || AbsInt(7) != 7 || AbsInt(0) != 0 {
-		t.Error("AbsInt broken")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Error("Mean broken")
 	}
 }
 

@@ -20,13 +20,6 @@ type Oriented interface {
 	ForwardDistance(a, b Point) int
 }
 
-// Space1D is the historical name for the oriented one-dimensional
-// interface.
-//
-// Deprecated: use Oriented (or plain Space — every grid operation the
-// old Space1D carried now lives there).
-type Space1D = Oriented
-
 // Step on a line fails at the boundaries. Only the single axis ±1 is
 // valid.
 func (l *Line) Step(p Point, dir int) (Point, bool) {

@@ -133,7 +133,7 @@ func TestStepAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sp := range []Space1D{r, l} {
+	for _, sp := range []Oriented{r, l} {
 		f := func(pp uint16, dd bool) bool {
 			p := Point(pp % 97)
 			dir := 1

@@ -139,13 +139,6 @@ func (n *Node) Neighbors() (left, right metric.Point, long []metric.Point) {
 	return n.left, n.right, long
 }
 
-// StoreSize returns the number of keys stored locally.
-func (n *Node) StoreSize() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.store)
-}
-
 // HashKey maps a resource key to a point of the ring: the paper's
 // h : K → V, which is keyspace.Hash.
 func HashKey(key string, ring *metric.Ring) metric.Point {

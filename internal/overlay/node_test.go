@@ -81,9 +81,16 @@ func TestSingleNodePutGet(t *testing.T) {
 	if err != nil || ok {
 		t.Errorf("missing key = %v,%v", ok, err)
 	}
-	if n.StoreSize() != 1 {
-		t.Errorf("store size = %d", n.StoreSize())
+	if storeSize(n) != 1 {
+		t.Errorf("store size = %d", storeSize(n))
 	}
+}
+
+// storeSize returns the number of keys n stores locally.
+func storeSize(n *Node) int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return len(n.store)
 }
 
 func buildCluster(t testing.TB, tr transport.Transport, cfg Config, points []metric.Point) *Cluster {

@@ -90,7 +90,7 @@ func TestReplicationStoresOnChain(t *testing.T) {
 		if !ok {
 			t.Fatalf("replica %d is not a cluster member", p)
 		}
-		if node.StoreSize() == 0 {
+		if storeSize(node) == 0 {
 			t.Errorf("replica %d holds no data", p)
 		}
 	}

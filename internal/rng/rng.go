@@ -187,19 +187,3 @@ func (s *Source) NormFloat64() float64 {
 		}
 	}
 }
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials; p must be in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}

@@ -213,27 +213,3 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Errorf("normal variance = %v", variance)
 	}
 }
-
-func TestGeometric(t *testing.T) {
-	s := New(23)
-	if s.Geometric(1) != 0 {
-		t.Error("Geometric(1) must be 0")
-	}
-	const draws = 50000
-	p := 0.25
-	var sum int
-	for i := 0; i < draws; i++ {
-		sum += s.Geometric(p)
-	}
-	mean := float64(sum) / draws
-	want := (1 - p) / p // mean failures before success
-	if math.Abs(mean-want) > 0.1 {
-		t.Errorf("Geometric(%v) mean = %v, want %v", p, mean, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Geometric(0) should panic")
-		}
-	}()
-	s.Geometric(0)
-}

@@ -11,12 +11,12 @@ import (
 func TestCongestionWeightDefault(t *testing.T) {
 	g := buildRing(t, 64, 3, 1)
 	r := New(g, Options{Congestion: func(metric.Point) float64 { return 0 }})
-	if r.Options().CongestionWeight != 1 {
-		t.Errorf("CongestionWeight default = %v, want 1", r.Options().CongestionWeight)
+	if r.opt.CongestionWeight != 1 {
+		t.Errorf("CongestionWeight default = %v, want 1", r.opt.CongestionWeight)
 	}
 	r = New(g, Options{})
-	if r.Options().CongestionWeight != 0 {
-		t.Errorf("weight should stay zero without a Congestion func, got %v", r.Options().CongestionWeight)
+	if r.opt.CongestionWeight != 0 {
+		t.Errorf("weight should stay zero without a Congestion func, got %v", r.opt.CongestionWeight)
 	}
 }
 

@@ -208,9 +208,6 @@ func New(g *graph.Graph, opt Options) *Router {
 	return r
 }
 
-// Options returns the resolved options.
-func (r *Router) Options() Options { return r.opt }
-
 // Route performs one greedy search from src node `from` to target point
 // `to`. The rng source drives re-route restarts only; plain greedy
 // searches are deterministic given the graph. When Options.Targets is

@@ -51,7 +51,7 @@ func TestStringers(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	g := buildRing(t, 64, 3, 1)
 	r := New(g, Options{})
-	o := r.Options()
+	o := r.opt
 	if o.Sidedness != TwoSided || o.DeadEnd != Terminate || o.BacktrackMemory != 5 || o.MaxReroutes != 1 {
 		t.Errorf("defaults = %+v", o)
 	}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// RunDetailed is Run, but preserves each trial's statistics instead of
-// folding them together, so callers can attach confidence intervals to
-// experiment tables. Trial i's stats land at index i regardless of the
-// worker count.
+// RunDetailed is the trial fan-out: it runs fn for trials 0..trials−1
+// on workers goroutines and keeps each trial's statistics, so callers
+// can attach confidence intervals to experiment tables. Trial i's
+// stats land at index i regardless of the worker count; once a trial
+// fails no further trial starts, and the first error is returned.
 func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats, error) {
 	if trials <= 0 {
 		return nil, errors.New("sim: trials must be positive")
@@ -70,39 +71,13 @@ type Interval struct {
 	Trials int
 }
 
-// Lo and Hi return the ±2·stderr bounds (≈95 % under normality).
-func (iv Interval) Lo() float64 { return iv.Mean - 2*iv.StdErr }
-
-// Hi returns the upper ≈95 % bound.
-func (iv Interval) Hi() float64 { return iv.Mean + 2*iv.StdErr }
-
 // FailedFractionInterval aggregates per-trial failed fractions into a
-// mean ± stderr interval.
+// mean ± stderr interval; trials that ran no search are skipped.
 func FailedFractionInterval(trials []SearchStats) Interval {
-	return intervalOf(trials, func(s SearchStats) (float64, bool) {
-		if s.Searches == 0 {
-			return 0, false
-		}
-		return s.FailedFraction(), true
-	})
-}
-
-// MeanHopsInterval aggregates per-trial mean delivery times into a mean
-// ± stderr interval; trials with no deliveries are skipped.
-func MeanHopsInterval(trials []SearchStats) Interval {
-	return intervalOf(trials, func(s SearchStats) (float64, bool) {
-		if s.Delivered == 0 {
-			return 0, false
-		}
-		return s.MeanHops(), true
-	})
-}
-
-func intervalOf(trials []SearchStats, metric func(SearchStats) (float64, bool)) Interval {
 	values := make([]float64, 0, len(trials))
 	for _, s := range trials {
-		if v, ok := metric(s); ok {
-			values = append(values, v)
+		if s.Searches > 0 {
+			values = append(values, s.FailedFraction())
 		}
 	}
 	n := len(values)

@@ -7,7 +7,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/metric"
@@ -73,59 +72,18 @@ func (s SearchStats) MeanHops() float64 {
 type TrialFunc func(trial int, src *rng.Source) (SearchStats, error)
 
 // Run executes trials Monte Carlo repetitions of fn, fanning them out
-// over workers goroutines. Trial i always receives the rng stream
-// derived as New(seed).Derive(i), so results are independent of the
-// worker count and fully reproducible. The first trial error aborts the
-// run and is returned.
+// over workers goroutines, and folds RunDetailed's per-trial statistics
+// together (integer sums: the order of the fold cannot matter). Trial i
+// always receives the rng stream derived as New(seed).Derive(i), so
+// results are independent of the worker count and fully reproducible.
+// The first trial error aborts the run and is returned.
 func Run(seed uint64, trials, workers int, fn TrialFunc) (SearchStats, error) {
-	if trials <= 0 {
-		return SearchStats{}, errors.New("sim: trials must be positive")
+	per, err := RunDetailed(seed, trials, workers, fn)
+	var total SearchStats
+	for _, stats := range per {
+		total.Merge(stats)
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > trials {
-		workers = trials
-	}
-	root := rng.New(seed)
-
-	var (
-		mu       sync.Mutex
-		total    SearchStats
-		firstErr error
-	)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				stats, err := fn(i, root.Derive(uint64(i)))
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				total.Merge(stats)
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < trials; i++ {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return SearchStats{}, firstErr
-	}
-	return total, nil
+	return total, err
 }
 
 // MeasureSearches routes msgs messages between uniformly random live
