@@ -10,10 +10,10 @@ import (
 // The churn hot-path contract these tests pin: once the scratch
 // buffers are warm, the recurring churn work — parking and resuming a
 // stranded message, a gossip round, a repair link redraw — allocates
-// nothing. Per-rumor costs (the known bitmap, a node's first hot-list
-// entry) are paid at birth and recycled at retirement; the steady
-// state is allocation-free, so sustained churn cannot out-allocate the
-// traffic it competes with.
+// nothing. Per-rumor costs (a column of the knows bitset, a hot list's
+// carving from the arena) are paid when a wave of rumors is wider than
+// any before it; the steady state is allocation-free, so sustained
+// churn cannot out-allocate the traffic it competes with.
 
 // newChurnBenchRunner builds a live runner with the churn machinery
 // attached (knobs, no scheduled events) on a ring with a contiguous
@@ -60,43 +60,89 @@ func TestStrandHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestGossipRoundHotPathAllocs pins one gossip round at zero
-// allocations in steady state: every alive node already knows the
-// rumor (so teach hits the known-bitmap early return instead of
-// growing hot lists), and the round's sends land on queues that drain
-// between rounds.
-func TestGossipRoundHotPathAllocs(t *testing.T) {
-	r := newChurnBenchRunner(t, 256)
+// newGossipRound builds the gossip-round fixture on the production
+// layout (knows rows, arena-carved hot lists): `rumors` pending join
+// rumors that every node has heard, hot at the first `senders` nodes.
+// With walk set, the senders have also heard one more pending rumor
+// that nobody else has and that is on no hot list — the state a knower
+// that crashed and rejoined is in — so a send to a non-sender finds news
+// in the row test and walks the hot list, every teach a no-op: what
+// every send cost before the row test existed. Without it every send is
+// settled by the row test. The returned func re-arms what a converged
+// round retires, from warm storage, and runs one round.
+func newGossipRound(tb testing.TB, rumors, senders int, walk bool) (*runner, func()) {
+	tb.Helper()
+	r := newChurnBenchRunner(tb, 256)
 	c := r.churn
-	known := make([]bool, r.g.Size())
-	for i := range known {
-		known[i] = true
+	for ri := 0; ri < rumors; ri++ {
+		c.rumors = append(c.rumors, rumor{node: 1, detected: true, slot: c.takeSlot()})
 	}
-	c.rumors = append(c.rumors, rumor{node: 1, crash: false, born: 0, detected: true, known: known})
-	c.hot[1] = append(c.hot[1], 0)
-	c.hot[2] = append(c.hot[2], 0)
-	t0 := 1000.0
-	round := func() {
-		// Re-arm the converged rumor; the resets recycle warm storage.
-		ru := &c.rumors[0]
-		ru.done = false
-		ru.known = known
-		c.pending = 1
-		c.freeKnown = c.freeKnown[:0]
-		// Pop the round ensureRound queued (or push one the first time).
-		if c.ops.Len() == 0 {
-			c.push(churnOp{time: t0, kind: churnOpRound})
+	if walk {
+		c.rumors = append(c.rumors, rumor{node: 2, detected: true, slot: c.takeSlot()})
+	}
+	heard := make([]uint64, c.words) // a non-sender's row, and a sender's
+	for ri := 0; ri < rumors; ri++ {
+		heard[ri>>6] |= 1 << (ri & 63)
+	}
+	told := append([]uint64(nil), heard...)
+	if walk {
+		told[rumors>>6] |= 1 << (rumors & 63)
+	}
+	for p := 0; p < senders; p++ {
+		c.hot[p] = c.carve(rumors)
+		for ri := 0; ri < rumors; ri++ {
+			c.hot[p] = append(c.hot[p], int32(ri))
 		}
-		op := c.ops.Pop()
-		c.round(r, op.time)
+	}
+	t0 := 1000.0
+	return r, func() {
+		c.freeSlots = c.freeSlots[:0]
+		for ri := 0; ri < rumors; ri++ {
+			c.rumors[ri].done = false
+		}
+		c.pending = len(c.rumors)
+		for p := range c.hot {
+			if p < senders {
+				copy(c.knows[p*c.words:], told)
+			} else {
+				copy(c.knows[p*c.words:], heard)
+			}
+		}
+		for c.ops.Len() > 0 {
+			c.ops.Pop() // the next round, if the last one queued it
+		}
+		c.round(r, t0)
 		t0 += 1000 // far enough that every gossip queue drains and resets
 	}
-	round() // warm the send queues and the op heap
-	if avg := testing.AllocsPerRun(50, func() { round() }); avg != 0 {
-		t.Errorf("gossip round allocates %.2f per round, want 0", avg)
-	}
-	if r.out.GossipSends == 0 {
-		t.Fatal("the benchmark rounds sent nothing; the pin is vacuous")
+}
+
+// gossipRoundCases are the two steady states of a round of 128 sends
+// from 64 senders: every send settled by the row test, and three sends
+// in four (184 of a sender's 247 alive peers are non-senders) walking an
+// 80-rumor hot list.
+var gossipRoundCases = []struct {
+	name string
+	walk bool
+}{{"no-news", false}, {"walk", true}}
+
+// TestGossipRoundHotPathAllocs pins one gossip round at zero
+// allocations in steady state: every alive node already knows every
+// hot rumor (so a send is settled by the row test, or walks the hot
+// list into teach's early return, and no hot list grows), and the
+// round's sends land on queues that drain between rounds.
+func TestGossipRoundHotPathAllocs(t *testing.T) {
+	for _, tc := range gossipRoundCases {
+		r, round := newGossipRound(t, 80, 64, tc.walk)
+		round() // warm the send queues and the op heap
+		if avg := testing.AllocsPerRun(50, round); avg != 0 {
+			t.Errorf("%s: gossip round allocates %.2f per round, want 0", tc.name, avg)
+		}
+		if r.out.GossipSends == 0 {
+			t.Fatalf("%s: the rounds sent nothing; the pin is vacuous", tc.name)
+		}
+		if r.out.RumorsConverged < 80*51 {
+			t.Fatalf("%s: %d rumors converged over 51 rounds of 80; the re-arm is broken", tc.name, r.out.RumorsConverged)
+		}
 	}
 }
 
@@ -122,28 +168,16 @@ func TestLinkRedrawHotPathAllocs(t *testing.T) {
 }
 
 func BenchmarkGossipRound(b *testing.B) {
-	r := newChurnBenchRunner(b, 256)
-	c := r.churn
-	known := make([]bool, r.g.Size())
-	for i := range known {
-		known[i] = true
-	}
-	c.rumors = append(c.rumors, rumor{node: 1, detected: true, known: known})
-	c.hot[1] = append(c.hot[1], 0)
-	t0 := 1000.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ru := &c.rumors[0]
-		ru.done = false
-		ru.known = known
-		c.pending = 1
-		c.freeKnown = c.freeKnown[:0]
-		if c.ops.Len() > 0 {
-			c.ops.Pop()
-		}
-		c.round(r, t0)
-		t0 += 1000
+	for _, tc := range gossipRoundCases {
+		b.Run(tc.name, func(b *testing.B) {
+			_, round := newGossipRound(b, 80, 64, tc.walk)
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
 	}
 }
 

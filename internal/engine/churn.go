@@ -67,7 +67,12 @@ import (
 // allocation-free in steady state, pinned at 0 allocs/op by
 // bench_churn_test.go: detection dedups monitors through reusable
 // scratch, nearest-alive resolution is the graph's stamped search
-// (graph.NearestAlive), and retired rumors recycle their known bitmaps.
+// (graph.NearestAlive), who-knows-what is one node-major bitset whose
+// columns retired rumors hand back (churnState.knows), and the hot lists
+// are carved from per-run chunks (churnState.arena). A gossip send whose
+// receiver already knows everything its sender does — three sends in
+// five on ftrmark's churn_pit — is settled by comparing the two rows,
+// without walking the sender's hot list.
 
 // ChurnConfig attaches node dynamics to a live engine run. The zero
 // value is disabled. A config with knobs but no events attaches the
@@ -166,37 +171,58 @@ type rumor struct {
 	node     metric.Point
 	crash    bool
 	born     float64
-	known    []bool // per grid point: has this node heard the rumor
-	detected bool   // the ProbeTimeout detection has fired
-	done     bool   // converged (all alive know) or abandoned (no alive knower)
+	slot     int32 // its bit in every row of churnState.knows, while not done
+	detected bool  // the ProbeTimeout detection has fired
+	done     bool  // converged (all alive know) or abandoned (no alive knower)
 }
 
 // churnState is the runner's node-dynamics state: the op queue, the
-// rumor table, and the per-node hot lists of rumors still spreading.
+// rumor table, who has heard which pending rumor, and the per-node hot
+// lists of rumors still spreading.
 type churnState struct {
 	cfg     ChurnConfig
 	src     *rng.Source // gossip peer draws and repair link redraws (root stream 5)
 	ops     *mathx.Heap[churnOp]
 	seq     int
 	rumors  []rumor
-	hot     [][]int // per node: indices of rumors it knows and still spreads
-	pending int     // rumors not yet done; rounds self-schedule while > 0
-	rounds  bool    // a churnOpRound is already queued
+	pending int  // rumors not yet done; rounds self-schedule while > 0
+	rounds  bool // a churnOpRound is already queued
 	sampler metric.LinkSampler
+
+	// knows is who has heard what, node-major: node p's row is
+	// knows[p*words:(p+1)*words], and bit s of it says p has heard the
+	// pending rumor whose slot is s. A rumor holds its slot from born
+	// until checkDone retires it, which clears the bit in every row and
+	// puts the slot on freeSlots; used counts the slots ever handed out,
+	// and the rows double in width when all 64·words are taken at once.
+	knows     []uint64
+	words     int
+	used      int
+	freeSlots []int32
+
+	// hot is, per node, the rumors it knows and still spreads, in the
+	// order it learned them (the order a send teaches them in, hence the
+	// rng order of repair redraws). The lists are carved from arena, the
+	// unused rest of the run's current chunk; a list that outgrows its
+	// capacity moves to a new carving and abandons the old one.
+	hot   [][]int32
+	arena []int32
 
 	// Reusable scratch keeping the churn hot paths at 0 allocs/op
 	// (bench_churn_test.go pins the contract).
-	mon       []metric.Point // detect: this call's deduped monitor set
-	nbrs      []metric.Point // detect, bootstrap: the node's neighbours
-	freeKnown [][]bool       // retired rumors' known bitmaps, recycled by born
+	mon  []metric.Point // detect: this call's deduped monitor set
+	nbrs []metric.Point // detect, bootstrap: the node's neighbours
 }
+
+// hotChunk is how many hot-list entries one arena chunk holds.
+const hotChunk = 1 << 13
 
 func newChurnState(g *graph.Graph, cfg ChurnConfig, src *rng.Source) *churnState {
 	c := &churnState{
 		cfg: cfg,
 		src: src,
 		ops: mathx.NewHeap(churnOpLess, len(cfg.Events)+16),
-		hot: make([][]int, g.Size()),
+		hot: make([][]int32, g.Size()),
 	}
 	for i, ev := range cfg.Events {
 		c.push(churnOp{time: ev.Time, kind: churnOpEvent, ref: i})
@@ -248,12 +274,15 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 		}
 		r.out.Crashes++
 		// A dead node neither relays rumors nor counts toward their
-		// convergence; whatever it knew dies with it.
+		// convergence. Its hot list dies with it; its row of knows does
+		// not, so if it rejoins it still counts as a knower of every
+		// pending rumor it heard before the crash, and is never taught —
+		// so never spreads — those again.
 		c.hot[ev.Node] = nil
 		if r.tel != nil {
 			r.tel.Churn(ev.Time, true)
 		}
-		c.born(r, ev, true)
+		c.born(ev, true)
 	case failure.ChurnJoin:
 		if !r.g.Revive(ev.Node) {
 			return
@@ -268,7 +297,7 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 		// consulted neighbours' FIFOs.
 		c.redrawLinks(r, ev.Node, -1)
 		c.bootstrap(r, ev.Node, ev.Time)
-		ri := c.born(r, ev, false)
+		ri := c.born(ev, false)
 		// The joiner knows its own arrival from the first instant.
 		c.teach(r, ri, ev.Node, ev.Time)
 	}
@@ -276,30 +305,46 @@ func (r *runner) applyChurnEvent(ev failure.ChurnEvent) {
 
 // born creates the event's rumor and schedules its detection one
 // ProbeTimeout later, returning the rumor's index. Retired rumors'
-// known bitmaps are recycled, so sustained churn grows the rumor set
-// without growing the heap.
-func (c *churnState) born(r *runner, ev failure.ChurnEvent, crash bool) int {
+// slots are recycled, so sustained churn grows the rumor set without
+// widening the rows.
+func (c *churnState) born(ev failure.ChurnEvent, crash bool) int {
 	ri := len(c.rumors)
-	var known []bool
-	if n := len(c.freeKnown); n > 0 {
-		known = c.freeKnown[n-1]
-		c.freeKnown[n-1] = nil
-		c.freeKnown = c.freeKnown[:n-1]
-		for i := range known {
-			known[i] = false
-		}
-	} else {
-		known = make([]bool, r.g.Size())
-	}
 	c.rumors = append(c.rumors, rumor{
 		node:  ev.Node,
 		crash: crash,
 		born:  ev.Time,
-		known: known,
+		slot:  c.takeSlot(),
 	})
 	c.pending++
 	c.push(churnOp{time: ev.Time + c.cfg.ProbeTimeout, kind: churnOpDetect, ref: ri})
 	return ri
+}
+
+// takeSlot hands out a column of knows that is clear in every row: a
+// retired rumor's, else the next unused one, doubling the rows' width
+// (from nothing, the first time) when there is none.
+func (c *churnState) takeSlot() int32 {
+	if n := len(c.freeSlots); n > 0 {
+		slot := c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+		return slot
+	}
+	if c.used == 64*c.words {
+		words := max(1, 2*c.words)
+		wide := make([]uint64, len(c.hot)*words)
+		for p := range c.hot {
+			copy(wide[p*words:], c.knows[p*c.words:(p+1)*c.words])
+		}
+		c.knows, c.words = wide, words
+	}
+	c.used++
+	return int32(c.used - 1)
+}
+
+// column locates pending rumor ru's bits in knows: node p has heard it
+// when col[p*c.words]&mask != 0.
+func (c *churnState) column(ru *rumor) (col []uint64, mask uint64) {
+	return c.knows[ru.slot>>6:], 1 << (ru.slot & 63)
 }
 
 // detect fires ProbeTimeout after the event: the affected node's
@@ -350,14 +395,61 @@ func (c *churnState) addMonitor(q metric.Point) {
 // its own long links into the dead node.
 func (c *churnState) teach(r *runner, ri int, q metric.Point, t float64) {
 	ru := &c.rumors[ri]
-	if ru.done || ru.known[q] {
+	if ru.done {
 		return
 	}
-	ru.known[q] = true
-	c.hot[q] = append(c.hot[q], ri)
+	col, mask := c.column(ru)
+	if col[int(q)*c.words]&mask != 0 {
+		return
+	}
+	col[int(q)*c.words] |= mask
+	h := c.hot[q]
+	if len(h) == cap(h) {
+		// Room for every rumor pending now, not a doubling from one: a
+		// wave of crashes reaches every node, so nearly every list it
+		// starts ends up holding the whole wave.
+		h = append(c.carve(max(2*cap(h), c.pending, 4)), h...)
+	}
+	c.hot[q] = append(h, int32(ri))
 	if ru.crash && c.cfg.Repair {
 		c.redrawLinks(r, q, ru.node)
 	}
+}
+
+// carve cuts an empty list of capacity n off the arena, starting a new
+// chunk when the current one cannot hold it.
+func (c *churnState) carve(n int) []int32 {
+	if len(c.arena) < n {
+		c.arena = make([]int32, max(n, hotChunk))
+	}
+	list := c.arena[:0:n]
+	c.arena = c.arena[n:]
+	return list
+}
+
+// tell is the payload of one transmission p → q: q learns every rumor
+// on p's hot list, in the list's order.
+func (c *churnState) tell(r *runner, p, q metric.Point, t float64) {
+	if !c.news(p, q) {
+		return
+	}
+	for _, ri := range c.hot[p] {
+		c.teach(r, int(ri), q, t)
+	}
+}
+
+// news reports whether node p has heard a pending rumor that node q has
+// not. A hot list holds, besides done rumors (which teach ignores), only
+// pending rumors its node's row has set, so when news is false every
+// teach of a send p → q would be a no-op.
+func (c *churnState) news(p, q metric.Point) bool {
+	pr, qr := c.knows[int(p)*c.words:][:c.words], c.knows[int(q)*c.words:][:c.words]
+	for i, w := range pr {
+		if w&^qr[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // round is one gossip round: every node holding live rumors pushes
@@ -398,9 +490,7 @@ func (c *churnState) round(r *runner, t float64) {
 			}
 			r.shards.owner(p).serveAt(r, p, t)
 			sent++
-			for _, ri := range live {
-				c.teach(r, ri, q, t)
-			}
+			c.tell(r, p, q, t)
 		}
 	}
 	if sent > 0 {
@@ -427,13 +517,14 @@ func (c *churnState) checkDone(r *runner, ri int, t float64) {
 	if ru.done {
 		return
 	}
+	col, mask := c.column(ru)
 	aliveTotal, aliveKnow := 0, 0
-	for i := range ru.known {
+	for i := range c.hot {
 		if !r.g.Alive(metric.Point(i)) {
 			continue
 		}
 		aliveTotal++
-		if ru.known[i] {
+		if col[i*c.words]&mask != 0 {
 			aliveKnow++
 		}
 	}
@@ -451,10 +542,13 @@ func (c *churnState) checkDone(r *runner, ri int, t float64) {
 		r.out.RumorsAbandoned++
 	}
 	if ru.done {
-		// A done rumor is never read again (teach and round both gate on
-		// done first): recycle its bitmap for the next born.
-		c.freeKnown = append(c.freeKnown, ru.known)
-		ru.known = nil
+		// A done rumor's bits are never read again (teach and round both
+		// gate on done first): clear its column, dead nodes' rows
+		// included, and hand the slot to the next born.
+		for i := range c.hot {
+			col[i*c.words] &^= mask
+		}
+		c.freeSlots = append(c.freeSlots, ru.slot)
 	}
 }
 
@@ -489,9 +583,7 @@ func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 		if r.tel != nil {
 			r.tel.Gossip(t, 1)
 		}
-		for _, ri := range c.hot[q] {
-			c.teach(r, ri, p, t)
-		}
+		c.tell(r, q, p, t)
 	}
 }
 

@@ -254,9 +254,27 @@
 // What is left is amortized growth — a path past 16 hops, a queue past
 // four messages, the heaps — and the per-run tables: 0.13 allocations
 // per message on ftrmark's live_seq, which TestLiveRunAllocsPerMessage
-// guards from tier-1. The disciplines keep their own per-message costs
-// (PIT entries and waiter lists, churn's view bitmaps); ROADMAP item 5
-// has the profile.
+// guards from tier-1.
+//
+// The tables only ModeLivePIT and churn runs touch are flat as well:
+//
+//   - a pending interest is a slot of its owner's slab (shard.pitSlab,
+//     found through shard.pit), recycled with its waiter list's capacity
+//     when the answer consumes it, so the slab is as long as the owner's
+//     peak of concurrently pending interests, not the run's request
+//     services (pit.go, "Storage");
+//   - who has heard which rumor is one node-major bitset for the run
+//     (churnState.knows), a bit per pending rumor, the column recycled
+//     when the rumor retires;
+//   - a node's hot list is carved from per-run chunks
+//     (churnState.arena), sized on its first entry for every rumor
+//     pending then.
+//
+// 0.53 allocations per message on ftrmark's churn_pit (6.51 with one
+// heap object per interest, per hot-list doubling and per rumor), 0.33
+// of them queues growing past four slots under the Zipf hot spots;
+// TestChurnPITRunAllocsPerMessage guards it. ROADMAP item 5 has the
+// profiles.
 //
 // Determinism: every mode is a pure function of (graph, messages,
 // schedule, config, root source). Snapshot mode parallelizes path

@@ -40,15 +40,27 @@ import (
 // Event encoding. Request and answer arrivals use the usual
 // nonnegative monotone idx chain (each service pushes the popped
 // idx+1; a released waiter continues from its suppressed arrival's
-// idx). Timeout events carry idx = -waits[msg], the per-message
-// suppression ordinal — negative so they collide with nothing, unique
-// so a stale timeout (its wait already ended by answer or by an
-// earlier expiry) is detected by comparing against the pitWait
-// registry and dropped. pitWait maps a suppressed message to the
-// suppression count its valid timeout carries, and is owner-local: a
-// waiter parks at one node, so its suppression, release, and timeout
-// all pop at that node's owner, and a stale timeout touches nothing but
-// that owner's own map.
+// idx). A lookup parks at most once: its wait ends by answer (answering
+// is set, and an answering lookup is never a request again) or by
+// expiry (expiredOnce is set, and such a lookup is never suppressed
+// again) — TestPITLookupParksAtMostOnce holds the ledger to it. So a
+// lookup has exactly one timeout event, idx = -1 — negative so it
+// collides with nothing — and one bit of wait state, pitMsgState.parked:
+// set at the park, cleared by whichever of release and timeout comes
+// first, and a timeout that finds it clear (the answer won) is dropped.
+// parked[m] is owner-local although the slice is shared: a waiter parks
+// at one node, so its suppression, release, and timeout all pop at that
+// node's owner, and nobody else touches its bit.
+//
+// Storage. Interests are short-lived and plentiful — one per request
+// service, consumed by the returning answer — so an owner keeps them in
+// a slab: shard.pit maps (node, key) to a slot of shard.pitSlab, and a
+// consumed interest's slot goes onto shard.pitFree with its waiter
+// list's capacity intact. The slab grows only while every slot is
+// pending, so it ends a run as long as the owner's peak of concurrently
+// pending interests (TestPITSlabRecycles), and a steady-state request
+// hop allocates nothing here. A slab pointer is good only until the
+// next plant.
 //
 // Shard eligibility. PIT runs stay shardable even under closed-loop
 // schedules (unlike aggregation, see Config.Plan): every completion —
@@ -60,11 +72,13 @@ import (
 // answering lookup itself — so their records carry a within-pop ordinal
 // that keeps a barrier replay in the handler's own side-effect order.
 
-// pitEntry is one pending interest: when it lapses and the suppressed
-// lookups waiting on the answer. The waiter list may hold stale
-// entries (waits ended by timeout); refreshes compact it and releases
-// check the pitWait registry, so staleness costs nothing but slack in
-// the PITWaiters bound.
+// pitEntry is one slot of an owner's interest slab (shard.pitSlab):
+// while shard.pit maps a (node, key) to it, a pending interest — when it
+// lapses and the suppressed lookups waiting on the answer; on
+// shard.pitFree, spare capacity for the next one. The waiter list may
+// hold stale entries (waits ended by timeout); refreshes compact it and
+// releases check pitMsgState.parked, so staleness costs nothing but
+// slack in the PITWaiters bound.
 type pitEntry struct {
 	expiry  float64
 	waiters []int
@@ -80,12 +94,11 @@ type pitEntry struct {
 func (sh *shard) processPIT(r *runner, a event) {
 	m, p := a.msg, r.pitMsgs
 	if a.idx < 0 {
-		// Timeout candidate: valid only if it is the waiter's current
-		// timeout — a release or an earlier expiry consumed stale ones.
-		if c, ok := sh.pitWait[m]; !ok || c != -a.idx {
+		// The lookup's one timeout: stale if a release ended the wait.
+		if !p.parked[m] {
 			return
 		}
-		delete(sh.pitWait, m)
+		p.parked[m] = false
 		p.expiredOnce[m] = true
 		sh.expired++
 		if sh.telView != nil {
@@ -100,8 +113,10 @@ func (sh *shard) processPIT(r *runner, a event) {
 		}
 		// The wait is over: re-forward from the wait node, skipping the
 		// suppression check — the entry here demonstrably failed to
-		// produce an answer within an interest lifetime.
-		sh.servePIT(r, a, p.waitIdx[m])
+		// produce an answer within an interest lifetime. The one request
+		// service that has to look its interest up: every other comes
+		// through the suppression check below, which already has.
+		sh.servePIT(r, a, p.waitIdx[m], sh.pitSlot(r.pos[m], r.msgs[m].Key))
 		return
 	}
 	if r.churn != nil && !r.g.Alive(r.pos[m]) {
@@ -115,27 +130,36 @@ func (sh *shard) processPIT(r *runner, a event) {
 		sh.serveAnswer(r, a)
 		return
 	}
-	node := r.pos[m]
-	if e, ok := sh.pit[aggKey{node: node, key: r.msgs[m].Key}]; ok &&
-		e.owner != m && !p.expiredOnce[m] && a.time < e.expiry && len(e.waiters) < r.cfg.PITWaiters {
-		// A same-key interest is pending here: park instead of
-		// forwarding, with a timeout in case the answer never comes.
-		p.waits[m]++
-		sh.pitWait[m] = p.waits[m]
-		p.waitIdx[m] = a.idx
-		e.waiters = append(e.waiters, m)
-		sh.suppressed++
-		if sh.telView != nil {
-			sh.telView.Suppress(a.time)
+	slot := sh.pitSlot(r.pos[m], r.msgs[m].Key)
+	if slot >= 0 && !p.expiredOnce[m] {
+		if e := &sh.pitSlab[slot]; e.owner != m && a.time < e.expiry && len(e.waiters) < r.cfg.PITWaiters {
+			// A same-key interest is pending here: park instead of
+			// forwarding, with a timeout in case the answer never comes.
+			p.parked[m] = true
+			p.waitIdx[m] = a.idx
+			e.waiters = append(e.waiters, m)
+			sh.suppressed++
+			if sh.telView != nil {
+				sh.telView.Suppress(a.time)
+			}
+			// PITTimeout may be shorter than the lookahead, so the timeout
+			// can land inside the current window — safe, because it fires
+			// at the wait node: same owner, same heap, same pop order as
+			// under one owner.
+			sh.h.Push(event{time: a.time + r.cfg.PITTimeout, msg: m, idx: -1})
+			return
 		}
-		// PITTimeout may be shorter than the lookahead, so the timeout
-		// can land inside the current window — safe, because it fires at
-		// the wait node: same owner, same heap, same pop order as under
-		// one owner.
-		sh.h.Push(event{time: a.time + r.cfg.PITTimeout, msg: m, idx: -p.waits[m]})
-		return
 	}
-	sh.servePIT(r, a, a.idx)
+	sh.servePIT(r, a, a.idx, slot)
+}
+
+// pitSlot returns the slab slot of the interest pending at (node, key),
+// or -1.
+func (sh *shard) pitSlot(node, key metric.Point) int32 {
+	if slot, ok := sh.pit[aggKey{node: node, key: key}]; ok {
+		return slot
+	}
+	return -1
 }
 
 // servePIT services message a.msg's request arrival at its current
@@ -143,18 +167,25 @@ func (sh *shard) processPIT(r *runner, a event) {
 // forward, fail, or flip onto the answer leg. a is the popped event
 // (the effect's replay key); fwdIdx is the idx the forward chain
 // continues from — a.idx normally, the suppressed arrival's idx on a
-// timeout re-forward.
-func (sh *shard) servePIT(r *runner, a event, fwdIdx int) {
+// timeout re-forward; slot is the interest already pending here, as the
+// caller's pitSlot found it, so a request hop hashes (node, key) once.
+func (sh *shard) servePIT(r *runner, a event, fwdIdx int, slot int32) {
 	m := a.msg
 	node := r.pos[m]
 	start, finish, depth := sh.serveAt(r, node, a.time)
-	pk := aggKey{node: node, key: r.msgs[m].Key}
-	e := sh.pit[pk]
-	if e == nil {
-		e = &pitEntry{}
-		sh.pit[pk] = e
-	} else if len(e.waiters) > 0 {
-		e.waiters = sh.liveWaiters(r, node, e.waiters)
+	if slot < 0 {
+		// Plant: a recycled slot if the owner has one, else a new one.
+		if n := len(sh.pitFree); n > 0 {
+			slot, sh.pitFree = sh.pitFree[n-1], sh.pitFree[:n-1]
+		} else {
+			slot = int32(len(sh.pitSlab))
+			sh.pitSlab = append(sh.pitSlab, pitEntry{})
+		}
+		sh.pit[aggKey{node: node, key: r.msgs[m].Key}] = slot
+	}
+	e := &sh.pitSlab[slot]
+	if len(e.waiters) > 0 {
+		e.waiters = liveWaiters(r.pitMsgs, e.waiters)
 	}
 	e.expiry = finish + r.cfg.PITTimeout
 	e.owner = m
@@ -223,14 +254,19 @@ func (sh *shard) serveAnswer(r *runner, a event) {
 	}
 	seq := 0
 	pk := aggKey{node: node, key: r.msgs[m].Key}
-	if e, ok := sh.pit[pk]; ok {
+	if slot, ok := sh.pit[pk]; ok {
+		// The interest is consumed; its slot, waiter capacity and all,
+		// goes back to the owner.
 		delete(sh.pit, pk)
+		sh.pitFree = append(sh.pitFree, slot)
+		waiters := sh.pitSlab[slot].waiters
+		sh.pitSlab[slot].waiters = waiters[:0]
 		fan := 0
-		for _, w := range e.waiters {
-			if _, waiting := sh.pitWait[w]; !waiting || r.pos[w] != node {
-				continue // wait already ended, or re-parked elsewhere
+		for _, w := range waiters {
+			if !p.parked[w] {
+				continue // its wait already ended, by timeout
 			}
-			delete(sh.pitWait, w)
+			p.parked[w] = false
 			fan++
 			path := r.walkers[w].Visited()
 			p.answering[w] = true
@@ -273,11 +309,11 @@ func (r *runner) answerResult(m int) route.Result {
 }
 
 // liveWaiters compacts a waiter list in place, keeping only lookups
-// still parked at this node.
-func (sh *shard) liveWaiters(r *runner, node metric.Point, ws []int) []int {
+// still parked — at this node, since a lookup parks once.
+func liveWaiters(p *pitMsgState, ws []int) []int {
 	kept := ws[:0]
 	for _, w := range ws {
-		if _, ok := sh.pitWait[w]; ok && r.pos[w] == node {
+		if p.parked[w] {
 			kept = append(kept, w)
 		}
 	}

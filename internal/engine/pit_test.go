@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/metric"
 	"repro/internal/rng"
 )
@@ -375,5 +376,114 @@ func TestPITClosedLoopStaysSharded(t *testing.T) {
 	agg.Shards = 4
 	if plan, reason := agg.Plan(sched); plan != PlanLiveSequential || reason != PlanReasonClosedLoopAggregate {
 		t.Fatalf("aggregate closed loop resolved to %v (%q)", plan, reason)
+	}
+}
+
+// runKept is Run for a live configuration, handing back the runner so a
+// test can read the tables the run leaves behind. eachStep, if not nil,
+// is called after every step of a one-owner run.
+func runKept(t *testing.T, g *graph.Graph, msgs []Message, sched Schedule, cfg Config, eachStep func(*runner)) *runner {
+	t.Helper()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(g, msgs, sched, cfg, rng.New(9))
+	if r.out.Plan == PlanLiveSharded {
+		r.runWindows()
+	} else {
+		for r.err == nil && r.step() {
+			if eachStep != nil {
+				eachStep(r)
+			}
+		}
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	r.shards.fold(r.out)
+	return r
+}
+
+// TestPITLookupParksAtMostOnce holds the run's own ledger to the claim
+// pitMsgState.parked rests on. Every park ends once, by expiry or by
+// release, and each ending marks its lookup for good: an expiry sets
+// expiredOnce, a release sets answering on a lookup whose own walk never
+// finished. So the parks of a run number at least the lookups so marked,
+// and exactly that many only if no lookup's wait ended twice — that is,
+// if none parked twice. PIT × churn, one owner and two, flood and skew.
+func TestPITLookupParksAtMostOnce(t *testing.T) {
+	for _, flood := range []bool{true, false} {
+		for _, shards := range []int{1, 2} {
+			g, msgs, sched, cfg := churnPITScenario(t, 1<<12, flood)
+			cfg.Shards = shards
+			if flood {
+				cfg.PITTimeout = 8 // the victim's queue outlasts it: expiries, then unsuppressed re-forwards
+			}
+			r := runKept(t, g, msgs, sched, cfg, nil)
+			out, p := r.out, r.pitMsgs
+			expired, released := 0, 0
+			for m := range msgs {
+				if p.parked[m] {
+					t.Fatalf("flood=%v shards=%d: lookup %d is still parked after the run", flood, shards, m)
+				}
+				wasReleased := p.answering[m] && !r.walkers[m].Done()
+				if p.expiredOnce[m] && wasReleased {
+					t.Fatalf("flood=%v shards=%d: lookup %d both expired and was released", flood, shards, m)
+				}
+				if p.expiredOnce[m] {
+					expired++
+				}
+				if wasReleased {
+					released++
+				}
+			}
+			if out.Suppressed == 0 || out.Crashes == 0 || (flood && out.PITExpired == 0) {
+				t.Fatalf("flood=%v shards=%d: suppressed %d, expired %d, crashes %d: the scenario is vacuous",
+					flood, shards, out.Suppressed, out.PITExpired, out.Crashes)
+			}
+			if out.PITExpired != expired || out.MulticastFanout != released || out.Suppressed != expired+released {
+				t.Errorf("flood=%v shards=%d: %d parks, %d expiries, %d releases, but %d lookups expired and %d were released: some lookup parked twice",
+					flood, shards, out.Suppressed, out.PITExpired, out.MulticastFanout, expired, released)
+			}
+		}
+	}
+}
+
+// TestPITSlabRecycles pins the interest slab's accounting: every slot
+// is either pending (in the map) or free, and the slab is as long as
+// the owner's peak of concurrently pending interests — it grows only
+// when every slot is pending — which is a small fraction of the
+// interests a run plants (one per request service, minus refreshes).
+func TestPITSlabRecycles(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		g, msgs, sched, cfg := churnPITScenario(t, 1<<12, false)
+		cfg.Shards = shards
+		peak := 0
+		r := runKept(t, g, msgs, sched, cfg, func(r *runner) {
+			peak = max(peak, len(r.shards.shards[0].pit))
+		})
+		slots := 0
+		for _, sh := range r.shards.shards {
+			if len(sh.pitSlab) != len(sh.pitFree)+len(sh.pit) {
+				t.Errorf("shards=%d owner %d: %d slots, %d free + %d pending", shards, sh.id, len(sh.pitSlab), len(sh.pitFree), len(sh.pit))
+			}
+			seen := make(map[int32]bool)
+			for _, slot := range sh.pitFree {
+				seen[slot] = true
+			}
+			for _, slot := range sh.pit {
+				seen[slot] = true
+			}
+			if len(seen) != len(sh.pitSlab) {
+				t.Errorf("shards=%d owner %d: %d distinct slots pending or free, of %d", shards, sh.id, len(seen), len(sh.pitSlab))
+			}
+			slots += len(sh.pitSlab)
+		}
+		if shards == 1 && slots != peak {
+			t.Errorf("one owner: %d slots, but at most %d interests were ever pending at once", slots, peak)
+		}
+		if slots == 0 || slots*10 > r.out.Services {
+			t.Errorf("shards=%d: %d slots for %d services; the slab is not recycling", shards, slots, r.out.Services)
+		}
 	}
 }

@@ -124,18 +124,20 @@ type aggMsgState struct {
 	merged    []bool
 }
 
-// pitMsgState is ModeLivePIT's per-message state (pit.go). waits counts
-// suppressions per message (monotone), waitIdx remembers the event idx
-// the message was suppressed at, so its release or re-forward continues
-// the idx sequence past every event already pushed. expiredOnce flips
-// when a message's wait expires: a lookup that already sat out one
-// interest lifetime is never suppressed again, so chained strandings
-// cannot stack timeouts — the protocol's worst lawful wait is one
-// lifetime per lookup. answering flips when a message starts its answer
-// leg; ansPath/ansAt/ansTarget hold the reverse path, the index of the
-// next node to service, and the delivery target the answer reports.
+// pitMsgState is ModeLivePIT's per-message state (pit.go). parked is
+// set while a message waits on another's interest — at most once in its
+// life, read and written only by the owner of the node it waits at —
+// and waitIdx remembers the event idx it was suppressed at, so its
+// release or re-forward continues the idx sequence past every event
+// already pushed. expiredOnce flips when a message's wait expires: a
+// lookup that already sat out one interest lifetime is never suppressed
+// again, so chained strandings cannot stack timeouts — the protocol's
+// worst lawful wait is one lifetime per lookup. answering flips when a
+// message starts its answer leg; ansPath/ansAt/ansTarget hold the
+// reverse path, the index of the next node to service, and the delivery
+// target the answer reports.
 type pitMsgState struct {
-	waits       []int
+	parked      []bool
 	waitIdx     []int
 	expiredOnce []bool
 	answering   []bool
@@ -211,7 +213,7 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	}
 	if cfg.Mode.PIT() {
 		r.pitMsgs = &pitMsgState{
-			waits:       make([]int, n),
+			parked:      make([]bool, n),
 			waitIdx:     make([]int, n),
 			expiredOnce: make([]bool, n),
 			answering:   make([]bool, n),

@@ -101,11 +101,14 @@ type shard struct {
 	// pending service at one owned node. Nil unless aggregating.
 	agg map[aggKey]aggEntry
 
-	// pit/pitWait are this owner's slice of the PIT state: a waiter
-	// parks at one owned node, so its suppression, timeout, and release
-	// all pop here. Nil unless ModeLivePIT (pit.go).
-	pit     map[aggKey]*pitEntry
-	pitWait map[int]int
+	// pit is this owner's slice of the PIT state: the interests pending
+	// at owned nodes, as slots of pitSlab; pitFree lists the slots whose
+	// interest was consumed, for the next plant to reuse. A waiter parks
+	// at one owned node, so its suppression, timeout, and release all pop
+	// here. Nil unless ModeLivePIT (pit.go).
+	pit     map[aggKey]int32
+	pitSlab []pitEntry
+	pitFree []int32
 
 	// Per-owner accumulators, folded into Outcome when the run ends.
 	services      int
@@ -149,8 +152,7 @@ func newShardSet(r *runner, n int) *shardSet {
 			sh.agg = make(map[aggKey]aggEntry)
 		}
 		if r.cfg.Mode.PIT() {
-			sh.pit = make(map[aggKey]*pitEntry)
-			sh.pitWait = make(map[int]int)
+			sh.pit = make(map[aggKey]int32)
 		}
 		if r.tel != nil {
 			sh.telView = r.tel.View(i)
