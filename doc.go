@@ -3,7 +3,7 @@
 //
 // The library lives under internal/ (see internal/core for the facade),
 // executables under cmd/ (ftrsim, ftrbench, ftrnode), runnable examples
-// under examples/, and the per-table/figure benchmark harness in
+// in example_test.go, and the per-table/figure benchmark harness in
 // bench_test.go. README.md's Architecture table maps every layer to its
 // package, and `ftrsim -list` is the experiment index: every paper
 // artifact with the id that regenerates it.

@@ -42,7 +42,7 @@
 //     load hunting the capacity knee — the largest offered load at which
 //     queues still drain (delivered throughput tracks λ) and the p99
 //     tail stays bounded. The sweep reports the whole
-//     latency-vs-throughput curve (viz.ThroughputLatency plots it) plus
+//     latency-vs-throughput curve (ext.saturation.knee prints it) plus
 //     the knee, per routing policy and engine mode.
 //
 // # Snapshot vs live semantics

@@ -360,21 +360,11 @@ func TestTooFewNodes(t *testing.T) {
 	}
 }
 
-func TestHottestNodesAndHistogram(t *testing.T) {
+func TestLoadHistogramCoversLoadedNodes(t *testing.T) {
 	g := buildRing(t, 512, 8, 19)
 	r, err := Run(g, Flood(), Config{Messages: 300}, 20)
 	if err != nil {
 		t.Fatal(err)
-	}
-	hot := r.HottestNodes(3)
-	if len(hot) != 3 {
-		t.Fatalf("want 3 hottest nodes, got %d", len(hot))
-	}
-	if r.Loads[hot[0]] != r.MaxLoad {
-		t.Errorf("hottest node load %d != MaxLoad %d", r.Loads[hot[0]], r.MaxLoad)
-	}
-	if r.Loads[hot[0]] < r.Loads[hot[1]] || r.Loads[hot[1]] < r.Loads[hot[2]] {
-		t.Error("hottest nodes not sorted by load")
 	}
 	h := r.LoadHistogram()
 	if h == nil {

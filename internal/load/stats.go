@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/mathx"
-	"repro/internal/metric"
 )
 
 // latencySummary returns the mean and the nearest-rank p50/p95/p99 of
@@ -66,34 +65,4 @@ func (r *Result) ServingPoints() int {
 		}
 	}
 	return n
-}
-
-// HottestNodes returns the k most-loaded points, hottest first (load
-// ties break toward the lower point id). Useful for flood diagnostics
-// and the hotspot example.
-func (r *Result) HottestNodes(k int) []metric.Point {
-	type nodeLoad struct {
-		p metric.Point
-		l int
-	}
-	loaded := make([]nodeLoad, 0, k)
-	for i, l := range r.Loads {
-		if l > 0 {
-			loaded = append(loaded, nodeLoad{metric.Point(i), l})
-		}
-	}
-	sort.Slice(loaded, func(i, j int) bool {
-		if loaded[i].l != loaded[j].l {
-			return loaded[i].l > loaded[j].l
-		}
-		return loaded[i].p < loaded[j].p
-	})
-	if k > len(loaded) {
-		k = len(loaded)
-	}
-	out := make([]metric.Point, k)
-	for i := 0; i < k; i++ {
-		out[i] = loaded[i].p
-	}
-	return out
 }

@@ -77,7 +77,7 @@ type SweepResult struct {
 	// P99Bound is the resolved stability criterion in ticks.
 	P99Bound float64
 	// Points holds every load evaluated, ascending — the
-	// latency-vs-throughput curve (viz.ThroughputLatency renders it).
+	// latency-vs-throughput curve (ext.saturation.knee prints it).
 	Points []SweepPoint
 	// Knee is the largest stable load evaluated — the capacity knee.
 	// Zero when even Min was unstable.

@@ -209,10 +209,10 @@ func TestTorusStepOffset(t *testing.T) {
 	if q, _ := g.Offset(p, -2, 2); q != g.At(0, 3, 0) {
 		t.Errorf("Offset(-2, 2) = %d, want %d", q, g.At(0, 3, 0))
 	}
-	// Coords slice agrees with Coord.
-	c := g.Coords(g.At(1, 2, 3))
-	if len(c) != 3 || c[0] != 1 || c[1] != 2 || c[2] != 3 {
-		t.Errorf("Coords = %v", c)
+	for axis, want := range []int{1, 2, 3} {
+		if c := g.Coord(g.At(1, 2, 3), axis); c != want {
+			t.Errorf("Coord(At(1, 2, 3), %d) = %d, want %d", axis, c, want)
+		}
 	}
 }
 

@@ -58,15 +58,6 @@ func (t *Torus) Coord(p Point, axis int) int {
 	return (int(p) / t.stride[axis]) % t.side
 }
 
-// Coords unpacks p into its Dim coordinates.
-func (t *Torus) Coords(p Point) []int {
-	c := make([]int, t.dim)
-	for i := range c {
-		c[i] = t.Coord(p, i)
-	}
-	return c
-}
-
 // At packs coordinates into a Point, reducing each modulo side. It
 // panics if len(coords) != Dim.
 func (t *Torus) At(coords ...int) Point {

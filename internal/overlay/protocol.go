@@ -9,7 +9,7 @@
 // Nodes communicate only through a transport.Transport, so the same
 // code runs over in-memory channels (simulating hundreds of nodes in
 // one process, as the paper's experiments do) and over real TCP
-// sockets (cmd/ftrnode, examples/tcpcluster).
+// sockets (cmd/ftrnode, Example_tcpCluster).
 //
 // Routing is iterative: the querying node repeatedly asks the current
 // hop for its best next neighbour toward the target. Iterative routing

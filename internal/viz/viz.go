@@ -1,13 +1,12 @@
 // Package viz renders small ASCII visualizations for the examples and
 // CLI output: sparklines of value series, horizontal bar charts of
-// histograms, and ring diagrams of search paths. Pure text, no
-// terminal-control sequences, safe to pipe into files.
+// histograms, ring diagrams of search paths, and the telemetry panel.
+// Pure text, no terminal-control sequences, safe to pipe into files.
 package viz
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/mathx"
@@ -34,19 +33,19 @@ func Sparkline(values []float64) string {
 	}
 	var b strings.Builder
 	for _, v := range values {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkLevels)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkLevels) {
-			idx = len(sparkLevels) - 1
-		}
-		b.WriteRune(sparkLevels[idx])
+		b.WriteRune(sparkLevel(v, lo, hi))
 	}
 	return b.String()
+}
+
+// sparkLevel picks v's glyph on the [lo, hi] scale; a flat scale
+// (hi <= lo) is the floor glyph.
+func sparkLevel(v, lo, hi float64) rune {
+	idx := 0
+	if hi > lo {
+		idx = int((v - lo) / (hi - lo) * float64(len(sparkLevels)-1))
+	}
+	return sparkLevels[max(0, min(idx, len(sparkLevels)-1))]
 }
 
 // Bars renders label/value pairs as a horizontal bar chart of at most
@@ -95,97 +94,6 @@ func HistogramBars(h *mathx.Histogram, buckets, width int) string {
 		values = append(values, h.Probability(i))
 	}
 	return Bars(labels, values, width)
-}
-
-// LoadProfile renders a per-node load histogram (e.g.
-// load.Result.LoadHistogram) as a bar chart: one bar per bucket, sized
-// by the number of nodes whose load falls in it, preceded by the
-// idle-node count (load.Result.IdleNodes). Empty when no node carried
-// load.
-func LoadProfile(h *mathx.Histogram, idle, width int) string {
-	if h == nil || h.Total() == 0 {
-		return ""
-	}
-	labels := []string{"idle"}
-	values := []float64{float64(idle)}
-	for i := 0; i < h.Buckets(); i++ {
-		if h.Count(i) == 0 {
-			continue
-		}
-		labels = append(labels, "load "+h.BucketLabel(i))
-		values = append(values, float64(h.Count(i)))
-	}
-	return Bars(labels, values, width)
-}
-
-// ThroughputLatency renders a latency-vs-throughput curve (e.g. the
-// points of a load.SweepResult) as a fixed-size ASCII scatter plot:
-// throughput on the x axis, latency on the y axis, one '*' per point.
-// The capacity knee reads as the column where the points turn vertical —
-// throughput stops growing while latency climbs. Axis extents are
-// printed in the margins; mismatched or empty inputs yield "".
-func ThroughputLatency(throughput, latency []float64, width, height int) string {
-	if len(throughput) == 0 || len(throughput) != len(latency) {
-		return ""
-	}
-	if width < 8 {
-		width = 48
-	}
-	if height < 4 {
-		height = 12
-	}
-	maxX, maxY := 0.0, 0.0
-	for i := range throughput {
-		if math.IsNaN(throughput[i]) || math.IsNaN(latency[i]) {
-			continue
-		}
-		if throughput[i] > maxX {
-			maxX = throughput[i]
-		}
-		if latency[i] > maxY {
-			maxY = latency[i]
-		}
-	}
-	if maxX == 0 || maxY == 0 {
-		return ""
-	}
-	grid := make([][]rune, height)
-	for r := range grid {
-		grid[r] = make([]rune, width)
-		for c := range grid[r] {
-			grid[r][c] = ' '
-		}
-	}
-	for i := range throughput {
-		// NaN points are unplottable (int(NaN) is poison); a negative or
-		// overscale coordinate would index out of the grid.
-		if math.IsNaN(throughput[i]) || math.IsNaN(latency[i]) {
-			continue
-		}
-		c := int(throughput[i] / maxX * float64(width-1))
-		r := int(latency[i] / maxY * float64(height-1))
-		if c < 0 || c >= width || r < 0 || r >= height {
-			continue
-		}
-		grid[height-1-r][c] = '*'
-	}
-	var b strings.Builder
-	for r, row := range grid {
-		switch r {
-		case 0:
-			fmt.Fprintf(&b, "%8.1f |", maxY)
-		case height - 1:
-			fmt.Fprintf(&b, "%8.1f |", 0.0)
-		default:
-			b.WriteString("         |")
-		}
-		b.WriteString(string(row))
-		b.WriteByte('\n')
-	}
-	b.WriteString("         +" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&b, "          0%*s\n", width-1, fmt.Sprintf("%.1f", maxX))
-	fmt.Fprintf(&b, "          p99 latency (ticks) vs throughput (msgs/tick)\n")
-	return b.String()
 }
 
 // Timeline renders a panel of aligned sparkline rows over a shared
@@ -239,17 +147,7 @@ func Timeline(labels []string, series [][]float64, width int) string {
 				spark.WriteByte(' ')
 				continue
 			}
-			idx := 0
-			if hi > lo {
-				idx = int((v - lo) / (hi - lo) * float64(len(sparkLevels)-1))
-			}
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(sparkLevels) {
-				idx = len(sparkLevels) - 1
-			}
-			spark.WriteRune(sparkLevels[idx])
+			spark.WriteRune(sparkLevel(v, lo, hi))
 		}
 		if hi < lo {
 			// Every cell was NaN: no scale to annotate.
@@ -288,82 +186,6 @@ func downsampleMax(s []float64, width int) []float64 {
 		out[i] = best
 	}
 	return out
-}
-
-// ReplicaOverlay renders the delivery fan-out of replicated traffic
-// (load.Result.ServedBy): a point-index strip marking every serving
-// point with 'R' ('·' elsewhere), followed by one bar per serving
-// point sized by the deliveries it absorbed, hottest first. A single
-// bar means all traffic still converges on one copy; k balanced bars
-// are replication doing its job. Empty when nothing was served.
-func ReplicaOverlay(servedBy []int, width int) string {
-	n := len(servedBy)
-	if n == 0 {
-		return ""
-	}
-	if width < 8 {
-		width = 48
-	}
-	type server struct {
-		at    metric.Point
-		count int
-	}
-	var servers []server
-	for p, c := range servedBy {
-		if c > 0 {
-			servers = append(servers, server{metric.Point(p), c})
-		}
-	}
-	if len(servers) == 0 {
-		return ""
-	}
-	cells := make([]rune, width)
-	for i := range cells {
-		cells[i] = '·'
-	}
-	for _, s := range servers {
-		c := int(s.at) * width / n
-		if c >= width {
-			c = width - 1
-		}
-		cells[c] = 'R'
-	}
-	sort.Slice(servers, func(i, j int) bool {
-		if servers[i].count != servers[j].count {
-			return servers[i].count > servers[j].count
-		}
-		return servers[i].at < servers[j].at
-	})
-	labels := make([]string, len(servers))
-	values := make([]float64, len(servers))
-	for i, s := range servers {
-		labels[i] = fmt.Sprintf("@%d", s.at)
-		values[i] = float64(s.count)
-	}
-	return string(cells) + "\n" + Bars(labels, values, width)
-}
-
-// KneeLadder renders a capacity-knee comparison across configurations
-// (e.g. the engine's snapshot / live / live+aggregate modes): one bar
-// per configuration sized by its knee throughput, annotated with the
-// multiplier over the first row — the baseline. Mismatched or empty
-// inputs yield "".
-func KneeLadder(labels []string, knees []float64, width int) string {
-	if len(labels) != len(knees) || len(labels) == 0 {
-		return ""
-	}
-	if width < 8 {
-		width = 40
-	}
-	base := knees[0]
-	annotated := make([]string, len(labels))
-	for i, l := range labels {
-		annotated[i] = l
-		if i > 0 && base > 0 {
-			annotated[i] = fmt.Sprintf("%s (%.2fx)", l, knees[i]/base)
-		}
-	}
-	return Bars(annotated, knees, width)
 }
 
 // RingPath draws a search path over a ring of n points as a fixed-width

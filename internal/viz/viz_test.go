@@ -68,24 +68,6 @@ func TestHistogramBars(t *testing.T) {
 	}
 }
 
-func TestLoadProfile(t *testing.T) {
-	if LoadProfile(nil, 0, 20) != "" || LoadProfile(mathx.NewLogHistogram(8), 3, 20) != "" {
-		t.Error("loadless profile should render empty")
-	}
-	// Two idle nodes, two with load 1, one with load 5.
-	h := mathx.NewLogHistogram(5)
-	h.Add(1)
-	h.Add(1)
-	h.Add(5)
-	out := LoadProfile(h, 2, 20)
-	if !strings.Contains(out, "idle") || !strings.Contains(out, "2") {
-		t.Errorf("missing idle line:\n%s", out)
-	}
-	if !strings.Contains(out, "load 1") || !strings.Contains(out, "load 4-7") {
-		t.Errorf("missing load buckets:\n%s", out)
-	}
-}
-
 func TestRingPath(t *testing.T) {
 	if RingPath(0, nil, 10) != "" || RingPath(10, nil, 10) != "" || RingPath(10, []metric.Point{1}, 2) != "" {
 		t.Error("degenerate inputs should render empty")
@@ -106,89 +88,6 @@ func TestRingPath(t *testing.T) {
 	pair := RingPath(100, []metric.Point{5, 95}, 50)
 	if !strings.Contains(pair, "S") || !strings.Contains(pair, "T") || strings.Contains(pair, "*") {
 		t.Errorf("pair path: %q", pair)
-	}
-}
-
-func TestThroughputLatency(t *testing.T) {
-	if ThroughputLatency(nil, nil, 40, 10) != "" {
-		t.Error("empty input should render empty")
-	}
-	if ThroughputLatency([]float64{1}, []float64{1, 2}, 40, 10) != "" {
-		t.Error("mismatched input should render empty")
-	}
-	if ThroughputLatency([]float64{0}, []float64{0}, 40, 10) != "" {
-		t.Error("all-zero input should render empty")
-	}
-	// A classic knee: throughput grows then plateaus while latency
-	// explodes.
-	thr := []float64{1, 2, 4, 8, 15, 16, 16.5, 16.6}
-	lat := []float64{8, 8, 8, 9, 12, 30, 60, 120}
-	out := ThroughputLatency(thr, lat, 40, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 13 { // 10 grid rows + axis + x labels + caption
-		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if strings.Count(out, "*") == 0 || strings.Count(out, "*") > len(thr) {
-		t.Errorf("point count off:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "120.0") || !strings.Contains(lines[9], "0.0") {
-		t.Errorf("y-axis extents missing:\n%s", out)
-	}
-	if !strings.Contains(lines[11], "16.6") {
-		t.Errorf("x-axis extent missing:\n%s", out)
-	}
-	// The loaded corner: the max-latency point sits in the top row.
-	if !strings.Contains(lines[0], "*") {
-		t.Errorf("top row should hold the saturated point:\n%s", out)
-	}
-}
-
-func TestReplicaOverlay(t *testing.T) {
-	served := make([]int, 100)
-	served[10] = 40
-	served[60] = 80
-	served[90] = 20
-	out := ReplicaOverlay(served, 50)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("overlay lines = %d, want strip + 3 bars:\n%s", len(lines), out)
-	}
-	if strings.Count(lines[0], "R") != 3 {
-		t.Errorf("strip should mark 3 replicas: %q", lines[0])
-	}
-	// Bars are hottest-first.
-	for i, want := range []string{"@60", "@10", "@90"} {
-		if !strings.HasPrefix(lines[i+1], want) {
-			t.Errorf("bar %d = %q, want prefix %q", i, lines[i+1], want)
-		}
-	}
-	if ReplicaOverlay(nil, 40) != "" {
-		t.Error("empty input should render empty")
-	}
-	if ReplicaOverlay(make([]int, 8), 40) != "" {
-		t.Error("all-zero input should render empty")
-	}
-}
-
-func TestKneeLadder(t *testing.T) {
-	s := KneeLadder([]string{"snapshot", "live", "live+aggregate"}, []float64{10, 9.5, 25}, 30)
-	if s == "" {
-		t.Fatal("empty ladder for valid input")
-	}
-	for _, want := range []string{"snapshot", "live (0.95x)", "live+aggregate (2.50x)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("ladder missing %q:\n%s", want, s)
-		}
-	}
-	if KneeLadder([]string{"a"}, []float64{1, 2}, 30) != "" {
-		t.Error("mismatched inputs should yield empty output")
-	}
-	if KneeLadder(nil, nil, 30) != "" {
-		t.Error("empty inputs should yield empty output")
-	}
-	// A zero baseline must not divide by zero — bars render unannotated.
-	if s := KneeLadder([]string{"a", "b"}, []float64{0, 2}, 30); s == "" || strings.Contains(s, "x)") {
-		t.Errorf("zero baseline mishandled:\n%s", s)
 	}
 }
 
@@ -257,37 +156,5 @@ func TestTimelineNaNAndDownsample(t *testing.T) {
 	row := strings.TrimRight(strings.SplitN(ds, "\n", 2)[0], "\n")
 	if n := len([]rune(row)); n > len("spike")+1+40+len("  [0, 9]") {
 		t.Errorf("row not downsampled to width: %d runes:\n%q", n, ds)
-	}
-}
-
-func TestThroughputLatencyNaN(t *testing.T) {
-	nan := math.NaN()
-	// NaN points are dropped; the finite ones still plot.
-	out := ThroughputLatency([]float64{1, nan, 4}, []float64{2, 3, nan}, 40, 10)
-	if out == "" {
-		t.Fatal("finite points should still render")
-	}
-	if got := strings.Count(out, "*"); got != 1 {
-		t.Errorf("plotted %d points, want 1 (the all-finite one):\n%s", got, out)
-	}
-	// All-NaN input has no extent to scale against.
-	if ThroughputLatency([]float64{nan}, []float64{nan}, 40, 10) != "" {
-		t.Error("all-NaN input should render empty")
-	}
-	// A single finite point renders without dividing by zero.
-	if ThroughputLatency([]float64{3}, []float64{5}, 40, 10) == "" {
-		t.Error("single point should render")
-	}
-}
-
-func TestKneeLadderSinglePoint(t *testing.T) {
-	s := KneeLadder([]string{"only"}, []float64{7}, 30)
-	if s == "" || !strings.Contains(s, "only") {
-		t.Fatalf("single-point ladder off:\n%q", s)
-	}
-	// The baseline row carries no self-referential (1.00x) suffix... or
-	// if it does, it must at least be well-formed; pin current behavior:
-	if strings.Count(s, "\n") != 1 {
-		t.Errorf("want exactly one row:\n%q", s)
 	}
 }
