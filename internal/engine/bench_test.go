@@ -9,6 +9,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/metric"
+	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/route"
 )
@@ -20,7 +21,8 @@ import (
 // its events — walker, traced path, rng stream, latency slot — comes
 // out of per-run slabs (runner.arena, runner.srcs), so a whole live run
 // stays under half an allocation per message
-// (TestLiveRunAllocsPerMessage).
+// (TestLiveRunAllocsPerMessage), and so does a whole snapshot run
+// (TestSnapshotRunAllocsPerMessage).
 
 // newCyclicSnapshotRunner builds a snapshot-mode runner whose single
 // message replays a pathLen-hop tour of the ring over and over — pure
@@ -185,6 +187,65 @@ func TestLiveRunAllocsPerMessage(t *testing.T) {
 				t.Errorf("%d messages, shards=%d: %.3f allocations per message (%.0f per run), want ≤ 0.5",
 					n, shards, perMsg, avg)
 			}
+		}
+	}
+}
+
+// TestSnapshotRunAllocsPerMessage is TestLiveRunAllocsPerMessage for
+// snapshot mode, under the configuration load.Sweep runs at every rung
+// of ftrmark's knee_sweep: a flood on a torus with 30 % of its nodes
+// failed, the cumulative congestion penalty, 4-way replication with
+// cache-on-path (so the hot key routes to a 12-member set) and
+// Backtrack. Walkers come from one arena per router, streams from the
+// run's slab, and a hot key's combined set from the placement's memo,
+// which took knee_sweep from 7.38 allocations per lookup to 0.20. The
+// runs here measure 0.03 under one worker and 0.16 under two (a batch
+// of 32 spawns its stepping goroutines) against 7.2 and 7.3 before; a
+// lookup that pays for a walker chunk of its own again, or any one
+// allocation per message, fails the 0.5 limit at either worker count.
+func TestSnapshotRunAllocsPerMessage(t *testing.T) {
+	const n = 1 << 12
+	torus, err := metric.NewTorus(32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, 10), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failure.FailNodesFraction(g, 0.3, rng.New(6)); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(3)
+	victim, _ := g.RandomAlive(src)
+	msgs := make([]Message, n)
+	for i := range msgs {
+		from := victim
+		for from == victim {
+			from, _ = g.RandomAlive(src)
+		}
+		msgs[i] = Message{From: from, Key: victim}
+	}
+	sched := periodicSchedule(n, 16)
+	for _, workers := range []int{1, 2} {
+		cfg := baseConfig()
+		cfg.Workers = workers
+		cfg.Penalty = 4
+		avg := testing.AllocsPerRun(2, func() {
+			p, err := replica.NewPlacement(g.Space(), replica.Options{K: 4, CacheThreshold: 16, CacheCopies: 8}, 77)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Placement = p
+			if _, err := Run(g, msgs, sched, cfg, rng.New(9)); err != nil {
+				t.Fatal(err)
+			}
+			if p.CachedCopies() == 0 {
+				t.Fatal("the hot key earned no cached copies: the guard is vacuous")
+			}
+		})
+		if perMsg := avg / n; perMsg > 0.5 {
+			t.Errorf("workers=%d: %.3f allocations per message (%.0f per run), want ≤ 0.5", workers, perMsg, avg)
 		}
 	}
 }

@@ -230,22 +230,27 @@
 //
 // Nothing of its own, in steady state. A live run holds nearly every
 // lookup in flight at once (an open-loop schedule injects faster than
-// the network drains) and reports every traced path, so there is
-// nothing for a pool to recycle; instead the per-message objects are
-// carved from per-run slabs:
+// the network drains) and every run reports every traced path, so
+// there is nothing for a pool to recycle; instead the per-message
+// objects are carved from per-run slabs:
 //
 //   - walkers come from a route.Arena, 256 at a time: the Walker
 //     structs, their 16-point paths and 16-entry tried stacks, and
-//     their history frames are three slabs per chunk, carved by
+//     their history frames are three slabs per chunk, and a replica set
+//     of more than one member is a share of a fourth, all carved by
 //     three-index slices. The aliasing rule is the arena's: a buffer's
 //     capacity ends where the next walker's share begins, so a walk that
-//     outgrows its share reallocates privately. Admission (sequential
-//     under both drivers) is the only code that carves; owners then Step
-//     walkers of one chunk concurrently, each touching its own shares
-//     only, and Outcome.Results[i].Path stays valid and unshared after
-//     Run returns;
+//     outgrows its share reallocates privately. Only sequential code
+//     carves — live admission under both drivers, and snapshot mode's
+//     batch set-up, in message order, on one arena per router (the plain
+//     one, and the congested one whose closure reads the signal the
+//     batch froze). Owners, or snapshot mode's Workers goroutines, then
+//     Step walkers of one chunk concurrently, each touching its own
+//     shares only, and Outcome.Results[i].Path stays valid and unshared
+//     after Run returns;
 //   - message i's rng stream 16+i is derived into slot i of one
-//     []rng.Source (Source.DeriveInto);
+//     []rng.Source (Source.DeriveInto), and a hot key's replica set is
+//     the placement's memoized slice (replica.Placement.Targets);
 //   - every node's queue starts on its own four slots of one []float64
 //     and is a ring, so it allocates only if a fifth message is ever in
 //     the system there at once;
@@ -253,8 +258,10 @@
 //
 // What is left is amortized growth — a path past 16 hops, a queue past
 // four messages, the heaps — and the per-run tables: 0.13 allocations
-// per message on ftrmark's live_seq, which TestLiveRunAllocsPerMessage
-// guards from tier-1.
+// per message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot
+// runs, whose batches also spawn their stepping goroutines), which
+// TestLiveRunAllocsPerMessage and TestSnapshotRunAllocsPerMessage guard
+// from tier-1.
 //
 // The tables only ModeLivePIT and churn runs touch are flat as well:
 //
@@ -278,7 +285,9 @@
 //
 // Determinism: every mode is a pure function of (graph, messages,
 // schedule, config, root source). Snapshot mode parallelizes path
-// computation but keys every message to its own derived rng stream.
+// computation but keys every message to its own derived rng stream, and
+// starts every walker of a batch in message order first, so the error a
+// failed start reports is the lowest message's.
 // The live loop's handlers see the same state in the same per-node
 // order under either driver, and everything order-sensitive across
 // nodes goes through runner.settle in global event order — inline with

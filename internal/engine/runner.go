@@ -59,13 +59,15 @@ type runner struct {
 	// snap is the snapshot pipeline's state (nil in the live modes).
 	snap *snapshotState
 
-	// Live modes: one walker per in-flight message — carved, like its
-	// rng stream, from per-run slabs (arena, srcs), because a run holds
-	// nearly every lookup in flight at once and keeps every path — its
-	// current node, and its completion time (-1 while in flight); the
-	// injections not yet admitted, ordered by (time, msg); how many were
-	// admitted so far (the live decay cadence); and the owners of the
-	// node set, whose heaps hold every pending event (shard.go).
+	// One walker per message — carved, like its rng stream, from per-run
+	// slabs (arena, srcs), because a run holds nearly every lookup in
+	// flight at once and keeps every path. (Snapshot mode carves too, a
+	// batch at a time: arena is its plain router's, and walkers stays
+	// nil.) Live modes: its current node, and its completion time (-1
+	// while in flight); the injections not yet admitted, ordered by
+	// (time, msg); how many were admitted so far (the live decay
+	// cadence); and the owners of the node set, whose heaps hold every
+	// pending event (shard.go).
 	arena    *route.Arena
 	srcs     []rng.Source
 	walkers  []*route.Walker
@@ -88,16 +90,27 @@ type runner struct {
 // snapshotState is the route-then-replay pipeline's state: its event
 // heap, the forwarder paths of routed messages, the routed frontier,
 // each message's schedule entries (sched.Initial bucketed by Msg,
-// preserving order), and closed-loop injections unlocked before their
-// message was routed (admitted when its batch routes).
+// preserving order: message m's are initial[initialAt[m]:initialAt[m+1]]),
+// and closed-loop injections unlocked before their message was routed
+// (admitted when its batch routes).
 type snapshotState struct {
 	h          *mathx.Heap[event]
 	paths      [][]metric.Point
 	delivered  []bool
 	routed     int
-	initialFor [][]Injection
+	initial    []Injection
+	initialAt  []int
 	pendingAt  []float64
 	hasPending []bool
+
+	// The congestion signal a batch routes against, frozen between
+	// batches and read by the congested router's closure: services
+	// charged per node by the batches routed so far, their scale, and
+	// the queue depths at the batch's first injection (nil without a
+	// DepthPenalty).
+	charged   []int
+	loadScale float64
+	depth     []int
 
 	// fullyPrimed reports that the schedule fixed every message's
 	// injection up front, in message order, at nondecreasing times —
@@ -176,20 +189,16 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		r.caching = cfg.Placement.Caching()
 		r.decaying = cfg.Placement.Decaying()
 	}
+	r.srcs = make([]rng.Source, n)
 	if !cfg.Mode.Live() {
 		s := &snapshotState{
 			h:          newEventHeap(n),
 			paths:      make([][]metric.Point, n),
 			delivered:  make([]bool, n),
-			initialFor: make([][]Injection, n),
 			pendingAt:  make([]float64, n),
 			hasPending: make([]bool, n),
 		}
-		for _, inj := range sched.Initial {
-			if inj.Msg >= 0 && inj.Msg < n {
-				s.initialFor[inj.Msg] = append(s.initialFor[inj.Msg], inj)
-			}
-		}
+		s.initial, s.initialAt = bucketByMsg(sched.Initial, n)
 		s.fullyPrimed = fullyPrimed(sched.Initial, n)
 		r.snap = s
 		return r
@@ -202,7 +211,6 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		r.churn = newChurnState(g, cfg.Churn, root.Derive(5))
 	}
 	r.walkers = make([]*route.Walker, n)
-	r.srcs = make([]rng.Source, n)
 	r.pos = make([]metric.Point, n)
 	r.doneAt = make([]float64, n)
 	for i := range r.doneAt {
@@ -255,6 +263,29 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	}
 	r.shards = newShardSet(r, owners)
 	return r
+}
+
+// bucketByMsg sorts the injections of messages [0, n) stably by message
+// — one counting pass, one placing pass: message m's entries, in
+// schedule order, are out[at[m]:at[m+1]].
+func bucketByMsg(initial []Injection, n int) (out []Injection, at []int) {
+	at = make([]int, n+2)
+	for _, inj := range initial {
+		if inj.Msg >= 0 && inj.Msg < n {
+			at[inj.Msg+2]++
+		}
+	}
+	for m := 2; m < len(at); m++ {
+		at[m] += at[m-1]
+	}
+	out = make([]Injection, at[n+1])
+	for _, inj := range initial {
+		if inj.Msg >= 0 && inj.Msg < n {
+			out[at[inj.Msg+1]] = inj
+			at[inj.Msg+1]++
+		}
+	}
+	return out, at[:n+1]
 }
 
 // fullyPrimed reports whether initial fixes message i's injection at
@@ -355,18 +386,34 @@ func (r *runner) runSnapshot() {
 	aware := cfg.Penalty > 0 || cfg.DepthPenalty > 0
 	ropt := cfg.Route
 	ropt.TracePath = true
+	s.charged = make([]int, r.g.Size())
+	var congested *route.Arena
 	if aware {
 		// The congestion feedback owns these fields (the documented
-		// contract); drop any caller-supplied signal so the first,
-		// zero-load batch routes hop-optimally.
+		// contract): drop any caller-supplied signal so the first,
+		// zero-load batch routes hop-optimally, and route later batches
+		// on a second router whose signal is what the batch froze in s.
 		ropt.Congestion = nil
 		ropt.CongestionWeight = 0
+		copt := ropt
+		copt.Congestion = func(q metric.Point) float64 {
+			c := float64(s.charged[q]) * s.loadScale
+			if s.depth != nil {
+				c += cfg.DepthPenalty * float64(s.depth[q])
+			}
+			return c
+		}
+		copt.CongestionWeight = 1
+		congested = route.New(r.g, copt).NewArena()
 	}
-	charged := make([]int, r.g.Size())
+	r.arena = route.New(r.g, ropt).NewArena()
 	batch := len(r.msgs)
 	if aware || r.caching {
-		batch = cfg.BatchSize
+		batch = min(cfg.BatchSize, batch)
 	}
+	// One batch's walkers at a time: a finished batch's chunk is garbage
+	// once its paths are copied out (the paths pin only the point slab).
+	ws := make([]*route.Walker, batch)
 	for start := 0; start < len(r.msgs); start += batch {
 		end := start + batch
 		if end > len(r.msgs) {
@@ -383,61 +430,45 @@ func (r *runner) runSnapshot() {
 				r.cacheDelta(r.out.LastInject)
 			}
 		}
-		opt := ropt
+		arena := r.arena
 		if aware && start > 0 {
 			// The cumulative congestion signal is the node's charged
 			// load relative to the mean live-node load of the snapshot —
 			// dimensionless, so the detour pressure stays constant as
 			// traffic accumulates instead of drowning the distance term.
-			snapshot := append([]int(nil), charged...)
-			var loadScale float64
+			// charged itself is the snapshot: it moves only after the
+			// batch has routed.
+			s.loadScale = 0
 			if cfg.Penalty > 0 {
 				var total int
-				for i, c := range snapshot {
+				for i, c := range s.charged {
 					if r.g.Alive(metric.Point(i)) {
 						total += c
 					}
 				}
 				if total > 0 {
-					loadScale = cfg.Penalty * float64(r.g.AliveCount()) / float64(total)
+					s.loadScale = cfg.Penalty * float64(r.g.AliveCount()) / float64(total)
 				}
 			}
 			// The instantaneous signal is the engine's own queue state
 			// as this batch's first injection comes due.
-			var depth []int
 			if cfg.DepthPenalty > 0 {
-				depth = r.depthsAtBatch(start)
+				s.depth = r.depthsAtBatch(start)
 			}
-			if loadScale > 0 || depth != nil {
-				depthPenalty := cfg.DepthPenalty
-				opt.Congestion = func(q metric.Point) float64 {
-					s := float64(snapshot[q]) * loadScale
-					if depth != nil {
-						s += depthPenalty * float64(depth[q])
-					}
-					return s
-				}
-				opt.CongestionWeight = 1
+			if s.loadScale > 0 || s.depth != nil {
+				arena = congested
 			}
 		}
-		// Freeze this batch's replica sets before any parallelism: the
-		// placement may gain or lose cached copies only between batches.
-		var targets [][]metric.Point
-		if cfg.Placement != nil {
-			targets = make([][]metric.Point, end-start)
-			for i := start; i < end; i++ {
-				targets[i-start] = cfg.Placement.Targets(r.msgs[i].Key)
-			}
-		}
-		if r.err = r.routeRange(opt, start, end, targets); r.err != nil {
+		if r.err = r.routeRange(arena, start, ws[:end-start]); r.err != nil {
 			return
 		}
 		for i := start; i < end; i++ {
-			res := r.out.Results[i]
+			res := ws[i-start].Result()
+			r.out.Results[i] = res
 			s.paths[i] = forwarders(res)
 			s.delivered[i] = res.Delivered
 			for _, p := range s.paths[i] {
-				charged[p]++
+				s.charged[p]++
 			}
 			if r.caching && res.Delivered {
 				cfg.Placement.Observe(r.msgs[i].Key, res.Path)
@@ -461,7 +492,7 @@ func (r *runner) runSnapshot() {
 func (r *runner) admitBatch(start, end int) {
 	s := r.snap
 	for m := start; m < end; m++ {
-		for _, inj := range s.initialFor[m] {
+		for _, inj := range s.initial[s.initialAt[m]:s.initialAt[m+1]] {
 			r.enqueue(inj)
 		}
 		if s.hasPending[m] {
@@ -472,7 +503,8 @@ func (r *runner) admitBatch(start, end int) {
 }
 
 // depthsAtBatch returns every node's instantaneous queue depth as the
-// batch beginning at message `start` is about to route.
+// batch beginning at message `start` is about to route — in the fully
+// primed case, in the run's one depth buffer, overwritten every batch.
 //
 // For a fully primed schedule the loop itself is the probe: all events
 // up to the batch's first injection time are processed (they precede
@@ -488,17 +520,18 @@ func (r *runner) admitBatch(start, end int) {
 // exactly: a pure function of already-routed traffic, modelling the
 // staleness of queue-depth gossip.
 func (r *runner) depthsAtBatch(start int) []int {
-	if r.snap.fullyPrimed {
+	if s := r.snap; s.fullyPrimed {
 		probe := r.sched.Initial[start].Time
-		h := r.snap.h
-		for h.Len() > 0 && h.Peek().time <= probe {
-			r.processOne(h.Pop())
+		for s.h.Len() > 0 && s.h.Peek().time <= probe {
+			r.processOne(s.h.Pop())
 		}
-		depth := make([]int, len(r.queues))
+		if s.depth == nil {
+			s.depth = make([]int, len(r.queues))
+		}
 		for i := range r.queues {
-			depth[i] = r.queues[i].depthAt(probe)
+			s.depth[i] = r.queues[i].depthAt(probe)
 		}
-		return depth
+		return s.depth
 	}
 	return r.prefixDepths(start)
 }
@@ -537,63 +570,45 @@ func (r *runner) prefixDepths(start int) []int {
 	return replay(len(r.queues), scratch, r.serviceTime, initial, completed, probe).probeDepths
 }
 
-// routeRange routes messages [start, end) across cfg.Workers
-// goroutines, each message from its own derived rng stream, so the
-// assignment of messages to workers is irrelevant. A non-nil targets
-// slice carries each message's frozen replica set.
-func (r *runner) routeRange(opt route.Options, start, end int, targets [][]metric.Point) error {
-	router := route.New(r.g, opt)
-	routeOne := func(i int) (route.Result, error) {
-		src := r.root.Derive(16 + uint64(i))
-		if targets != nil {
-			return router.RouteAny(src, r.msgs[i].From, targets[i-start])
+// routeRange routes messages [start, start+len(ws)) on arena a into ws.
+// Their walkers are carved in message order on this goroutine — the
+// arena carves sequentially, and the error reported is the first
+// message's that cannot start, whatever cfg.Workers — then stepped to
+// completion across cfg.Workers goroutines. Each walk draws only on its
+// own derived rng stream, so the assignment of walkers to workers is
+// irrelevant.
+func (r *runner) routeRange(a *route.Arena, start int, ws []*route.Walker) error {
+	for i := range ws {
+		w, err := r.startWalker(a, start+i, r.msgs[start+i].From)
+		if err != nil {
+			return err
 		}
-		return router.Route(src, r.msgs[i].From, r.msgs[i].Key)
+		ws[i] = w
 	}
-	workers := r.cfg.Workers
-	if workers > end-start {
-		workers = end - start
-	}
+	workers := min(r.cfg.Workers, len(ws))
 	if workers <= 1 {
-		for i := start; i < end; i++ {
-			res, err := routeOne(i)
-			if err != nil {
-				return err
+		for _, w := range ws {
+			for w.Step() {
 			}
-			r.out.Results[i] = res
 		}
 		return nil
 	}
 	var (
-		next     = int64(start) - 1
-		firstErr error
-		mu       sync.Mutex
-		wg       sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= end {
-					return
+			for i := next.Add(1) - 1; i < int64(len(ws)); i = next.Add(1) - 1 {
+				for ws[i].Step() {
 				}
-				res, err := routeOne(i)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				r.out.Results[i] = res
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // enqueue admits one snapshot-mode injection, chasing chains of
@@ -688,10 +703,11 @@ func (r *runner) processOne(a event) {
 // pit.go), under either driver (horizon.go).
 // ---------------------------------------------------------------------
 
-// targetsFor resolves a message's routing target set at injection
-// time: the fixed Options.Targets set when configured (mirroring
+// targetsFor resolves a message's routing target set as its walker
+// starts: the fixed Options.Targets set when configured (mirroring
 // Route's precedence), the key's live replica set under a placement,
-// or nil for the key alone (the one-member set admit builds itself).
+// or nil for the key alone (the one-member set startWalker builds
+// itself).
 func (r *runner) targetsFor(msg int) []metric.Point {
 	if len(r.cfg.Route.Targets) > 0 {
 		return r.cfg.Route.Targets
@@ -733,16 +749,7 @@ func (r *runner) admit(inj Injection) (event, bool) {
 		}
 		from = p
 	}
-	// The walker copies its target set, so the plain one-key set lives
-	// on this frame; stream 16+msg of the root lands in the run's slab.
-	key := [1]metric.Point{r.msgs[msg].Key}
-	targets := r.targetsFor(msg)
-	if targets == nil {
-		targets = key[:]
-	}
-	src := &r.srcs[msg]
-	r.root.DeriveInto(src, 16+uint64(msg))
-	w, err := r.arena.Walker(src, from, targets)
+	w, err := r.startWalker(r.arena, msg, from)
 	if err != nil {
 		if r.churn != nil {
 			// Under churn a lookup can be born unroutable — every replica
@@ -763,6 +770,21 @@ func (r *runner) admit(inj Injection) (event, bool) {
 	}
 	r.pos[msg] = w.At()
 	return event{time: inj.Time, msg: msg, idx: 0}, true
+}
+
+// startWalker carves message msg's walker from arena a, starting at
+// `from`. The walker copies its target set, so the plain one-key set
+// lives on this frame; stream 16+msg of the root lands in the run's
+// slab.
+func (r *runner) startWalker(a *route.Arena, msg int, from metric.Point) (*route.Walker, error) {
+	key := [1]metric.Point{r.msgs[msg].Key}
+	targets := r.targetsFor(msg)
+	if targets == nil {
+		targets = key[:]
+	}
+	src := &r.srcs[msg]
+	r.root.DeriveInto(src, 16+uint64(msg))
+	return a.Walker(src, from, targets)
 }
 
 // release asks the closed-loop hook which injection msg's completion

@@ -210,6 +210,28 @@ func TestShardedErrorMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSnapshotErrorIsLowestMessage pins the same contract for snapshot
+// mode, whose batches step walkers on cfg.Workers goroutines: with two
+// dead origins in one batch the run reports the lower-index message's,
+// every time, whatever the worker count — walkers are carved in message
+// order before any goroutine steps one.
+func TestSnapshotErrorIsLowestMessage(t *testing.T) {
+	g := testGraph(t, 512, 9, 3, 5)
+	msgs := testMessages(t, g, 64, 4)
+	msgs[17].From = 5 // failEvery=5 kills nodes 5 and 10
+	msgs[18].From = 10
+	cfg := baseConfig()
+	for _, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		for run := 0; run < 50; run++ {
+			_, err := Run(g, msgs, periodicSchedule(len(msgs), 8), cfg, rng.New(9))
+			if err == nil || err.Error() != "route: origin 5 is not a live node" {
+				t.Fatalf("workers=%d run %d: error %v, want message 17's dead origin 5", workers, run, err)
+			}
+		}
+	}
+}
+
 // TestShardPanicBecomesRunError pins the crash contract of the parallel
 // drain: a handler that panics — here on a walker lost after admission
 // — ends the run with an error naming the owner and the window, on the

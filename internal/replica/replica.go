@@ -111,6 +111,7 @@ type Placement struct {
 	hits    map[metric.Point]int                  // observed lookups per key
 	preds   map[metric.Point]map[metric.Point]int // forwarder counts per key
 	cached  map[metric.Point][]metric.Point       // promoted cache nodes per key
+	sets    map[metric.Point][]metric.Point       // memoized Targets of keys with cached copies
 
 	// Cumulative churn counters, for observers (telemetry polls these
 	// and reports deltas). They never feed back into placement
@@ -141,6 +142,7 @@ func NewPlacement(space metric.Space, opt Options, seed uint64) (*Placement, err
 		hits:    map[metric.Point]int{},
 		preds:   map[metric.Point]map[metric.Point]int{},
 		cached:  map[metric.Point][]metric.Point{},
+		sets:    map[metric.Point][]metric.Point{},
 	}
 	if opt.K > 1 {
 		p.factors = axisFactors(opt.K, space.Dim())
@@ -162,15 +164,21 @@ func (p *Placement) Name() string {
 // key has earned. Members may be dead or duplicated — the router
 // canonicalizes and filters, degrading to plain greedy toward the
 // primary when every extra replica is gone. The returned slice may be
-// shared across calls; callers must not mutate it.
+// shared across calls; callers must not mutate it. The combined set of
+// a key with cached copies is memoized until promotion or eviction
+// changes them, so a hot key's lookups resolve without allocating.
 func (p *Placement) Targets(key metric.Point) []metric.Point {
-	static := p.staticSet(key)
 	cached := p.cached[key]
 	if len(cached) == 0 {
-		return static
+		return p.staticSet(key)
 	}
-	out := make([]metric.Point, 0, len(static)+len(cached))
-	return append(append(out, static...), cached...)
+	if s, ok := p.sets[key]; ok {
+		return s
+	}
+	static := p.staticSet(key)
+	s := append(append(make([]metric.Point, 0, len(static)+len(cached)), static...), cached...)
+	p.sets[key] = s
+	return s
 }
 
 // staticSet memoizes the strategy's replica set per key: static
@@ -351,6 +359,7 @@ func (p *Placement) promote(key metric.Point) {
 		}
 	}
 	p.cached[key] = out
+	delete(p.sets, key)
 	p.promotions += len(out)
 }
 
@@ -401,6 +410,7 @@ func (p *Placement) Decay() {
 		if p.hits[key] < p.opt.CacheThreshold {
 			p.evictions += len(p.cached[key])
 			delete(p.cached, key)
+			delete(p.sets, key)
 		}
 	}
 }

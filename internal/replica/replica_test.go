@@ -328,3 +328,44 @@ func TestDecayNoOpWhenDisabled(t *testing.T) {
 		t.Errorf("Decay mutated a non-decaying placement: %d -> %d", before, got)
 	}
 }
+
+// TestTargetsMemoTracksCacheChanges pins Targets' memo against the two
+// events that change a key's cached copies: before promotion the set is
+// the static one, after it the static replicas followed by the copies,
+// and after Decay evicts them the static set again — while between
+// changes repeated calls allocate nothing, a hot key's combined set
+// included.
+func TestTargetsMemoTracksCacheChanges(t *testing.T) {
+	ring := mustRing(t, 64)
+	p, err := NewPlacement(ring, Options{K: 2, CacheThreshold: 8, CacheCopies: 2, CacheDecay: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := metric.Point(0)
+	steady := func(stage string, want []metric.Point) {
+		t.Helper()
+		if got := p.Targets(key); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: targets = %v, want %v", stage, got, want)
+		}
+		if avg := testing.AllocsPerRun(100, func() { p.Targets(key) }); avg != 0 {
+			t.Errorf("%s: Targets allocates %.1f per call, want 0", stage, avg)
+		}
+	}
+	static := append([]metric.Point(nil), p.Targets(key)...)
+	if len(static) != 2 || static[0] != key {
+		t.Fatalf("static set = %v, want the key and one replica", static)
+	}
+	steady("before promotion", static)
+	observeTimes(p, key, 7, 5)
+	observeTimes(p, key, 9, 7) // 12 hits: promoted at 8
+	cached := p.CachedFor(key)
+	if len(cached) == 0 {
+		t.Fatal("key not promoted")
+	}
+	steady("after promotion", append(append([]metric.Point(nil), static...), cached...))
+	p.Decay() // 12 -> 6 < 8: copies evicted
+	if len(p.CachedFor(key)) != 0 {
+		t.Fatal("decayed key kept its copies")
+	}
+	steady("after eviction", static)
+}

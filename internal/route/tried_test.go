@@ -173,7 +173,8 @@ func slabIsolationGraph(t *testing.T) *graph.Graph {
 // next walker's share) the middle walker's appends land in its
 // neighbour's path and this fails; under -race the concurrent half
 // reports the same writes as races, since walkers of one chunk are
-// stepped by different shards.
+// stepped by different shards. Multi-member target sets, carved from
+// the arena's set slab, get the same check against RouteAny.
 func TestSlabIsolation(t *testing.T) {
 	g := slabIsolationGraph(t)
 	r := New(g, Options{DeadEnd: Backtrack, TracePath: true})
@@ -229,6 +230,55 @@ func TestSlabIsolation(t *testing.T) {
 			if got := ws[i].Result(); !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("concurrent=%v walker %d: %+v, want %+v", concurrent, i, got, want[i])
 			}
+		}
+	}
+
+	// Replica sets: three walkers carve their canonical target sets —
+	// 3, 12 and 3 members, dead and duplicated ones among them — from the
+	// arena's one set slab, back to back, and step on three goroutines.
+	// Each must keep its own set, capped at its share, and end exactly as
+	// RouteAny, which carves from a chunk of its own.
+	sets := [3][]metric.Point{
+		{230, 10, 230},
+		{128, 41, 130, 132, 128, 140, 150, 160, 170, 180, 190, 129},
+		{110, 43, 112},
+	}
+	from := [3]metric.Point{200, 0, 100}
+	a := r.NewArena()
+	var ws [3]*Walker
+	var canon [3][]metric.Point
+	var routed [3]Result
+	for i, set := range sets {
+		var err error
+		if ws[i], err = a.Walker(nil, from[i], set); err != nil {
+			t.Fatal(err)
+		}
+		if cap(ws[i].targets) != len(set) {
+			t.Errorf("set %d carved with capacity %d, want its share %d", i, cap(ws[i].targets), len(set))
+		}
+		if canon[i], err = r.liveTargets(nil, set); err != nil {
+			t.Fatal(err)
+		}
+		if routed[i], err = r.RouteAny(nil, from[i], set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range ws {
+		wg.Add(1)
+		go func(w *Walker) {
+			defer wg.Done()
+			for w.Step() {
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, w := range ws {
+		if !reflect.DeepEqual(w.targets, canon[i]) {
+			t.Errorf("set %d: walker holds %v, want %v", i, w.targets, canon[i])
+		}
+		if got := w.Result(); !reflect.DeepEqual(got, routed[i]) {
+			t.Errorf("set %d: %+v, want RouteAny's %+v", i, got, routed[i])
 		}
 	}
 }

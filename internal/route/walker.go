@@ -43,8 +43,8 @@ type Walker struct {
 
 	// one is where the canonical target set lives when it has a single
 	// member (every plain search): the caller's slice is copied, never
-	// kept, so it can sit on the caller's stack. A larger set outgrows it
-	// into one allocation the walker owns.
+	// kept, so it can sit on the caller's stack. A larger set is carved
+	// from its allocator's target-set slab instead.
 	one [1]metric.Point
 
 	// spill is bestNeighbor's scratch once a node's degree has
@@ -96,10 +96,11 @@ const arenaChunk = 256
 // Arena allocates walkers for one Router a chunk at a time: the Walker
 // structs, their traced paths and tried stacks, and their history
 // frames come from three slabs per chunk instead of three or more heap
-// objects per walker. It exists for callers that start many searches
-// and keep them all — the engine holds every lookup of a run in flight
-// at once and reports every traced path, so a free-list would have
-// nothing to recycle.
+// objects per walker, and a target set of more than one member (a
+// replica set) from a fourth, grown only when such a set first arrives.
+// It exists for callers that start many searches and keep them all —
+// the engine holds every lookup of a run in flight at once and reports
+// every traced path, so a free-list would have nothing to recycle.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
 // slices, so their capacity ends where the next walker's begin. A walk
@@ -111,10 +112,12 @@ const arenaChunk = 256
 // method that carves — is not safe for concurrent use.
 type Arena struct {
 	r *Router
-	// The unissued remainder of the current chunk.
+	// The unissued remainder of the current chunk, and of the target-set
+	// slab.
 	walkers []Walker
 	points  []metric.Point
 	frames  []walkFrame
+	sets    []metric.Point
 }
 
 // NewArena returns an empty arena for r's searches.
@@ -157,6 +160,17 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 	}
 	w.tried = a.points[path : path : path+tried]
 	w.history = a.frames[0:0:frames]
+	w.targets = w.one[:0]
+	set := 0
+	if len(targets) > 1 {
+		// The set is canonicalized in place, so its share is the
+		// caller's length; the slab is sized for the rest of the chunk.
+		set = len(targets)
+		if len(a.sets) < set {
+			a.sets = make([]metric.Point, set*len(a.walkers))
+		}
+		w.targets = a.sets[0:0:set]
+	}
 	if err := w.start(a.r, source, from, targets); err != nil {
 		*w = Walker{} // the slot and its shares go to the next search
 		return nil, err
@@ -164,6 +178,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 	a.walkers = a.walkers[1:]
 	a.points = a.points[path+tried:]
 	a.frames = a.frames[frames:]
+	a.sets = a.sets[set:]
 	return w, nil
 }
 
@@ -183,12 +198,12 @@ func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.
 }
 
 // start validates a search and puts w — zero but for the empty buffers
-// its allocator carved — at its origin.
+// its allocator carved, the target set's included — at its origin.
 func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets []metric.Point) error {
 	if !r.g.Alive(from) {
 		return fmt.Errorf("route: origin %d is not a live node", from)
 	}
-	tset, err := r.liveTargets(w.one[:0], targets)
+	tset, err := r.liveTargets(w.targets, targets)
 	if err != nil {
 		return err
 	}
