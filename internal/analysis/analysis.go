@@ -56,7 +56,7 @@ func Lemma1Integral(x0 float64, mu func(z float64) float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		sum += (prev + cur) / 2 * h
+		sum += float64((prev + cur) / 2 * h)
 		prev = cur
 	}
 	return sum, nil
@@ -154,7 +154,7 @@ func Theorem10LowerBound(n, links int, oneSided bool) float64 {
 	}
 	L := 6 * l
 	if !oneSided {
-		L = 6*l + 3*l*l
+		L = float64(6*l) + float64(3*l*l)
 	}
 	den := math.Log(1/(1-1/a)) + 2*math.Log(1+L/phases)
 	if den <= 0 {
@@ -162,7 +162,7 @@ func Theorem10LowerBound(n, links int, oneSided bool) float64 {
 	}
 	T := lna * phases / den
 	eps := 1 / (ln * ln * ln)
-	bound := T / (eps*T + (1 - eps))
+	bound := T / (float64(eps*T) + (1 - eps))
 	if bound < 1 {
 		return 1
 	}

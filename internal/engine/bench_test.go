@@ -17,7 +17,8 @@ import (
 // The hot-path contract these benchmarks pin: once slices are warm,
 // processing one event — heap pop, queue mechanics, forwarding
 // decision, heap push — allocates nothing, under the plain greedy
-// policy and under Backtrack alike. What a live message costs beyond
+// policy and under Backtrack alike, and so does snapshot mode's replay
+// of a precomputed path on the same loop. What a live message costs beyond
 // its events — walker, traced path, rng stream, latency slot — comes
 // out of per-run slabs (runner.arena, runner.srcs), so a whole live run
 // stays under half an allocation per message
@@ -29,34 +30,18 @@ import (
 // event-loop mechanics, no routing.
 func newCyclicSnapshotRunner(tb testing.TB, nodes, pathLen int) *runner {
 	tb.Helper()
-	g := testGraph(tb, nodes, 1, 23, 0)
-	r := newRunner(g, []Message{{From: 0, Key: 1}}, Schedule{}, baseConfig(), rng.New(1))
 	path := make([]metric.Point, pathLen)
 	for i := range path {
 		path[i] = metric.Point(i % nodes)
 	}
-	r.snap.paths[0] = path
-	r.snap.delivered[0] = false
-	r.snap.routed = 1
-	return r
+	return newPathRunner(tb, nodes, 1, [][]metric.Point{path}, nil, Schedule{})
 }
 
-// stepEvents drives k events through the snapshot loop, re-injecting
-// the message after its path exhausts so the loop never goes idle.
-func (r *runner) stepEvents(k int) {
-	for i := 0; i < k; i++ {
-		if r.snap.h.Len() == 0 {
-			r.enqueue(Injection{Msg: 0, Time: r.out.Makespan + 1})
-		}
-		r.processOne(r.snap.h.Pop())
-	}
-}
-
-// stepLive drives k steps of the one-owner driver — the unified live
+// stepLoop drives k steps of the one-owner driver — the one set of
 // handlers, popped in global event order — re-injecting the message
-// when its walk ends (that step is the admission, walker creation
-// included; every other step is one event).
-func (r *runner) stepLive(k int) {
+// when its walk or its path ends (that step is the admission, walker
+// creation included in live mode; every other step is one event).
+func (r *runner) stepLoop(k int) {
 	for i := 0; i < k; i++ {
 		if !r.step() {
 			r.pend.Push(Injection{Msg: 0, Time: r.shards.shards[0].makespan + 1})
@@ -64,23 +49,27 @@ func (r *runner) stepLive(k int) {
 	}
 }
 
-// TestSnapshotHotPathAllocs pins the snapshot event loop at zero
-// allocations per event — including the telemetry hook branches, which
-// a default config leaves nil: disabled telemetry must stay free.
+// TestSnapshotHotPathAllocs pins snapshot mode's replay on the one loop
+// at zero allocations per event — including the telemetry hook
+// branches, which a default config leaves nil: disabled telemetry must
+// stay free.
 func TestSnapshotHotPathAllocs(t *testing.T) {
 	r := newCyclicSnapshotRunner(t, 64, 4096)
-	r.stepEvents(4096) // warm the heap, every queue, and the counters
-	if avg := testing.AllocsPerRun(50, func() { r.stepEvents(256) }); avg != 0 {
+	r.stepLoop(4096) // warm the heaps, every queue, and the counters
+	if avg := testing.AllocsPerRun(50, func() { r.stepLoop(256) }); avg != 0 {
 		t.Errorf("snapshot event processing allocates %.2f per 256-event run, want 0", avg)
+	}
+	if r.out.Injected < 2 {
+		t.Fatalf("the tour was re-admitted %d times: the pin never crossed an admission", r.out.Injected)
 	}
 }
 
 func BenchmarkProcessOneSnapshot(b *testing.B) {
 	r := newCyclicSnapshotRunner(b, 64, 4096)
-	r.stepEvents(4096)
+	r.stepLoop(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
-	r.stepEvents(b.N)
+	r.stepLoop(b.N)
 }
 
 // newGreedyLiveRunner builds a live-mode runner on a bare ring (no
@@ -114,10 +103,10 @@ func newGreedyLiveRunner(tb testing.TB, nodes int, policy route.DeadEndPolicy) *
 func TestLiveHotPathAllocs(t *testing.T) {
 	for _, policy := range []route.DeadEndPolicy{route.Terminate, route.Backtrack} {
 		r := newGreedyLiveRunner(t, 8192, policy)
-		r.stepLive(1) // the admission: walker creation is a per-message cost
+		r.stepLoop(1) // the admission: walker creation is a per-message cost
 		// 15 calls x 256 events stay inside the 4096-hop walk: every
 		// measured event is a pure forwarding step.
-		if avg := testing.AllocsPerRun(14, func() { r.stepLive(256) }); avg != 0 {
+		if avg := testing.AllocsPerRun(14, func() { r.stepLoop(256) }); avg != 0 {
 			t.Errorf("%s: live event processing allocates %.2f per 256-event run, want 0", policy, avg)
 		}
 		if r.err != nil {
@@ -132,7 +121,7 @@ func BenchmarkProcessOneLive(b *testing.B) {
 			r := newGreedyLiveRunner(b, 8192, policy)
 			b.ReportAllocs()
 			b.ResetTimer()
-			r.stepLive(b.N) // re-injection restarts the tour when a walk delivers
+			r.stepLoop(b.N) // re-injection restarts the tour when a walk delivers
 			b.StopTimer()
 			if r.err != nil {
 				b.Fatal(r.err)

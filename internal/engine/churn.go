@@ -732,17 +732,6 @@ func (r *runner) stepWithoutService(m, idx int, t float64) {
 // errExtinct: churn killed every node; nothing can be injected.
 var errExtinct = fmt.Errorf("engine: churn extinguished the network (no alive node to inject at)")
 
-// bornFailed completes a lookup that could not even start — every
-// replica of its key dead at injection. It is a failed search with an
-// empty path, finalized at its injection instant.
-func (r *runner) bornFailed(m int, at float64) {
-	r.doneAt[m] = at
-	if r.tel != nil {
-		r.tel.Complete(m, at, false, telemetry.ServedNone)
-	}
-	r.release(m, at)
-}
-
 // reattachOrigin finds the entry point for a lookup whose source node
 // is dead at injection time: the nearest alive node stands in (the
 // client behind the dead portal retries via the next one). Reports

@@ -40,14 +40,15 @@
 // pipeline did — byte-for-byte: the per-message rng streams, the
 // batch cadence, the queue mechanics and the tie-breaking all match,
 // so the seeded goldens pinned before the engine existed still pass,
-// for any worker count. What changed is the cost of the
-// instantaneous-depth probe (Config.DepthPenalty): the engine advances
-// its own loop to the batch's first injection and reads each node's
-// depth off the live queue in O(1) amortized, where the old pipeline
-// re-replayed the whole routed prefix every batch — O(n²/batch) heap
-// work. (Closed-loop schedules, whose later injections are not yet
-// known at the boundary, still replay the prefix in a scratch loop to
-// keep the historical estimate bit-exact.)
+// for any worker count. Snapshot mode is only that batch router: each
+// batch's injections are admitted as it routes, and the routed paths
+// replay on the one event loop below — the live modes' one-owner
+// driver and handlers, which take a snapshot message's next hop from
+// its path instead of from a walker. The instantaneous-depth probe
+// (Config.DepthPenalty) advances that loop to the batch's first
+// injection and reads each node's depth off its queue in O(1)
+// amortized, where the old pipeline re-replayed the whole routed
+// prefix every batch — O(n²/batch) heap work.
 //
 // # Live mode (Config.Mode = ModeLive and its variants)
 //
@@ -293,15 +294,14 @@
 // nodes goes through runner.settle in global event order — inline with
 // one owner, at the barrier with several. Results are byte-identical
 // for every Config.Workers and Config.Shards value; the shard-invariance
-// tests compare the two drivers, and the goldens in internal/regress,
-// the standalone replay specification and TestLiveMatchesSnapshotPlain
-// pin the handler bodies themselves.
+// tests compare the two drivers, and the goldens in internal/regress
+// and TestLiveMatchesSnapshotPlain pin the handler bodies themselves.
 //
 // Observability: a telemetry.Recorder (Config.Telemetry) hooks the
-// loops at their single-goroutine choke points — injection admission,
+// loop at its single-goroutine choke points — injection admission,
 // completion/merge settlement, and cache-churn polling run on one
 // goroutine under every plan — plus the per-event service, hop and PIT
-// records, which the live handlers write through their owner's
+// records, which the handlers write through their owner's
 // telemetry.View (one writer each, folded at EndRun) and the windowed
 // driver profiles with wall-clock drain/wait splits. The recorder
 // never feeds back into routing, consumes no simulation randomness,

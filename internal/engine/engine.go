@@ -262,12 +262,10 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	if cfg.Mode.Live() && cfg.Shards > g.Size() {
 		return nil, fmt.Errorf("engine: shards %d exceed the node count %d", cfg.Shards, g.Size())
 	}
-	if cfg.Telemetry != nil {
-		// Before newRunner: the owners take their recorder views of this
-		// run as they are built.
-		cfg.Telemetry.BeginRun(cfg.Capacity, len(msgs))
-	}
 	r := newRunner(g, msgs, sched, cfg, root)
+	if r.err != nil {
+		return nil, r.err
+	}
 	started := time.Now()
 	switch r.out.Plan {
 	case PlanLiveSharded:
@@ -281,9 +279,7 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.shards != nil {
-		r.shards.fold(r.out)
-	}
+	r.shards.fold(r.out)
 	if r.tel != nil {
 		r.tel.EndRun(time.Since(started).Seconds(), r.out.Services)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -77,27 +78,69 @@ func baseConfig() Config {
 	}
 }
 
+// closedLoopSchedule is the closed-loop arrival model of package load:
+// clients start one message each at time 0, and message m's completion
+// at `at` injects message m+clients at at+think.
+func closedLoopSchedule(n, clients int, think float64) Schedule {
+	initial := make([]Injection, min(clients, n))
+	for i := range initial {
+		initial[i] = Injection{Msg: i}
+	}
+	return Schedule{
+		Initial: initial,
+		Completed: func(msg int, at float64) (Injection, bool) {
+			if next := msg + clients; next < n {
+				return Injection{Msg: next, Time: at + think}, true
+			}
+			return Injection{}, false
+		},
+	}
+}
+
 // TestLiveMatchesSnapshotPlain pins a structural property of the
 // engine: without congestion penalties, caching, or aggregation, the
 // per-hop decisions of live mode are the same pure greedy decisions
-// snapshot mode precomputes, so the two modes must agree byte-for-byte.
+// snapshot mode precomputes, so the two modes must agree byte-for-byte
+// — open-loop and closed-loop alike. Every eighth lookup (all of client
+// 3's chain under the closed loop) and every seventh from 5 on is born
+// delivered, so zero-hop completions unlock their successors both from
+// the up-front schedule and from inside a chain.
 func TestLiveMatchesSnapshotPlain(t *testing.T) {
 	g := testGraph(t, 512, 9, 3, 5)
 	msgs := testMessages(t, g, 300, 4)
-	cfg := baseConfig()
-	snap, err := Run(g, msgs, periodicSchedule(len(msgs), 2), cfg, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
+	for i := range msgs {
+		if i%8 == 3 || i%7 == 5 {
+			msgs[i].Key = msgs[i].From
+		}
 	}
-	cfg.Mode = ModeLive
-	live, err := Run(g, msgs, periodicSchedule(len(msgs), 2), cfg, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The resolved plan is the one pair allowed to differ.
-	live.Plan, live.PlanReason = snap.Plan, snap.PlanReason
-	if !reflect.DeepEqual(snap, live) {
-		t.Error("plain live run diverged from plain snapshot run")
+	for _, tc := range []struct {
+		name  string
+		sched Schedule
+	}{
+		{"periodic", periodicSchedule(len(msgs), 2)},
+		{"closed/think=0", closedLoopSchedule(len(msgs), 8, 0)},
+		{"closed/think=0.5", closedLoopSchedule(len(msgs), 8, 0.5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig()
+			snap, err := Run(g, msgs, tc.sched, cfg, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Mode = ModeLive
+			live, err := Run(g, msgs, tc.sched, cfg, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Injected != len(msgs) {
+				t.Fatalf("injected %d of %d", snap.Injected, len(msgs))
+			}
+			// The resolved plan is the one pair allowed to differ.
+			live.Plan, live.PlanReason = snap.Plan, snap.PlanReason
+			if !reflect.DeepEqual(snap, live) {
+				t.Error("plain live run diverged from plain snapshot run")
+			}
+		})
 	}
 }
 
@@ -337,6 +380,63 @@ func TestPropEventHeapTotalOrder(t *testing.T) {
 			if i > 0 && eventLess(b[i], b[i-1]) {
 				t.Fatalf("iter %d: permuted pops not sorted at %d", iter, i)
 			}
+		}
+	}
+}
+
+// TestRunRejectsMalformedSchedule pins Run's schedule contract in
+// every mode's admission: an injection of a message out of range, at a
+// negative or non-finite instant, before the completion that unlocked
+// it, or of a message already injected or scheduled, is an error — not
+// an index panic, a silently dropped lookup, or a message injected
+// twice while another never is (which the ledger's count alone cannot
+// see).
+func TestRunRejectsMalformedSchedule(t *testing.T) {
+	g := testGraph(t, 64, 5, 23, 0)
+	msgs := testMessages(t, g, 2, 24)
+	// unlocks is a closed loop in which message 0's completion at `at`
+	// injects next(at).
+	unlocks := func(next func(at float64) Injection) Schedule {
+		return Schedule{
+			Initial: []Injection{{Msg: 0, Time: 0}},
+			Completed: func(m int, at float64) (Injection, bool) {
+				return next(at), m == 0
+			},
+		}
+	}
+	cases := []struct {
+		name  string
+		sched Schedule
+	}{
+		{"message past the end", Schedule{Initial: []Injection{{0, 0}, {Msg: 5}}}},
+		{"negative message", Schedule{Initial: []Injection{{0, 0}, {Msg: -1}}}},
+		{"negative time, message twice", Schedule{Initial: []Injection{{0, 0}, {Msg: 0, Time: -3}}}},
+		{"message twice", Schedule{Initial: []Injection{{0, 0}, {Msg: 0, Time: 5}}}},
+		{"NaN time", Schedule{Initial: []Injection{{0, 0}, {Msg: 1, Time: math.NaN()}}}},
+		{"infinite time", Schedule{Initial: []Injection{{0, 0}, {Msg: 1, Time: math.Inf(1)}}}},
+		{"unlocks a message past the end", unlocks(func(at float64) Injection { return Injection{Msg: 2, Time: at} })},
+		{"unlocks into the past", unlocks(func(at float64) Injection { return Injection{Msg: 1, Time: at - 1} })},
+		{"unlocks an injected message", unlocks(func(at float64) Injection { return Injection{Msg: 0, Time: at} })},
+		{"unlocks a scheduled message", func() Schedule {
+			s := unlocks(func(at float64) Injection { return Injection{Msg: 1, Time: at} })
+			s.Initial = append(s.Initial, Injection{Msg: 1, Time: 1e6})
+			return s
+		}()},
+	}
+	for _, mode := range []Mode{ModeSnapshot, ModeLive} {
+		for _, tc := range cases {
+			cfg := baseConfig()
+			cfg.Mode = mode
+			if out, err := Run(g, msgs, tc.sched, cfg, rng.New(1)); err == nil {
+				t.Errorf("%s: %s: accepted, injected %d of %d", mode, tc.name, out.Injected, len(msgs))
+			}
+		}
+		// The well-formed closed loop the bad ones perturb still runs.
+		cfg := baseConfig()
+		cfg.Mode = mode
+		good := unlocks(func(at float64) Injection { return Injection{Msg: 1, Time: at} })
+		if out, err := Run(g, msgs, good, cfg, rng.New(1)); err != nil || out.CheckLedgers() != nil {
+			t.Errorf("%s: well-formed closed loop: %v", mode, err)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/mathx"
-	"repro/internal/metric"
-)
+import "repro/internal/mathx"
 
 // Injection schedules message Msg to enter the network at virtual time
 // Time. (Package load re-exports this type as load.Injection, so the
@@ -18,7 +15,10 @@ type Injection struct {
 // is consulted whenever a message leaves the system — its last service
 // finished, delivered or not — and returns the injection that
 // completion unlocks, if any; the returned time must not precede the
-// completion time. Both fields are consumed only from sequential
+// completion time. Every injection, up front or unlocked, names one of
+// the run's messages at a finite, non-negative instant, and no message
+// is injected twice; Run returns an error on a schedule that breaks
+// this. Both fields are consumed only from sequential
 // event-loop code, in global event order: with several owners, at
 // admission and when the barrier settles completions, never from a
 // parallel drain.
@@ -120,112 +120,4 @@ func (q *nodeQueue) serve(at, serviceTime float64) (start, finish float64, depth
 	q.finish[tail] = finish
 	q.n++
 	return start, finish, depth
-}
-
-// replayMsg is one pre-routed message entering a scratch replay: an
-// injection time (assigned by the schedule during the replay), the
-// node sequence its search serviced, and whether it delivered.
-type replayMsg struct {
-	inject    float64
-	path      []metric.Point
-	delivered bool
-}
-
-// replayOutcome aggregates one scratch replay.
-type replayOutcome struct {
-	loads         []int     // services charged per grid point
-	maxQueueDepth int       // peak of any node's queue (incl. in service)
-	latencies     []float64 // end-to-end latency of each delivered message
-	services      int       // total message-hops serviced
-	injected      int       // messages the schedule actually injected
-	lastInject    float64   // latest injection time that occurred
-	makespan      float64   // finish time of the last service
-	probeDepths   []int     // per-node in-system count at the probe time (nil unless probed)
-}
-
-// replay runs pre-routed messages against per-node FIFO queues in
-// virtual time: the whole-schedule form of the engine's event loop,
-// kept as a standalone function because the depth probes of
-// closed-loop snapshot runs need to replay a traffic prefix in
-// isolation (see runner.prefixDepths) and because it is the executable
-// specification the engine's incremental loop is tested against.
-//
-// Every node of a message's path serves it for serviceTime ticks, one
-// message at a time; the message leaves node i the instant its service
-// there completes and joins node i+1's queue. A message's latency is
-// the completion of service at its final path node minus its injection
-// time. Injection times come from `initial` plus the `completed` hook
-// (the closed-loop feedback path); a message with an empty path
-// occupies no queue and completes the instant it is injected, still
-// unlocking its successor.
-//
-// A non-negative probe time additionally records, per node, how many
-// messages were in system (queued or in service) at that instant: a
-// service with arrival time ≤ probe and finish > probe counts,
-// matching depthAt's boundary convention.
-func replay(size int, msgs []replayMsg, serviceTime float64,
-	initial []Injection, completed func(msg int, at float64) (Injection, bool),
-	probe float64) replayOutcome {
-	out := replayOutcome{loads: make([]int, size)}
-	if probe >= 0 {
-		out.probeDepths = make([]int, size)
-	}
-	queues := make([]nodeQueue, size)
-	h := newEventHeap(len(initial))
-	// enqueue admits one injection, chasing chains of path-less messages
-	// (which complete immediately and may unlock further injections).
-	enqueue := func(inj Injection) {
-		for {
-			msgs[inj.Msg].inject = inj.Time
-			out.injected++
-			if inj.Time > out.lastInject {
-				out.lastInject = inj.Time
-			}
-			if len(msgs[inj.Msg].path) > 0 {
-				h.Push(event{time: inj.Time, msg: inj.Msg, idx: 0})
-				return
-			}
-			if completed == nil {
-				return
-			}
-			next, ok := completed(inj.Msg, inj.Time)
-			if !ok {
-				return
-			}
-			inj = next
-		}
-	}
-	for _, inj := range initial {
-		enqueue(inj)
-	}
-	for h.Len() > 0 {
-		a := h.Pop()
-		msg := &msgs[a.msg]
-		node := msg.path[a.idx]
-		_, finish, depth := queues[node].serve(a.time, serviceTime)
-		if depth > out.maxQueueDepth {
-			out.maxQueueDepth = depth
-		}
-		out.loads[node]++
-		out.services++
-		if finish > out.makespan {
-			out.makespan = finish
-		}
-		if out.probeDepths != nil && a.time <= probe && probe < finish {
-			out.probeDepths[node]++
-		}
-		if a.idx+1 < len(msg.path) {
-			h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-			continue
-		}
-		if msg.delivered {
-			out.latencies = append(out.latencies, finish-msg.inject)
-		}
-		if completed != nil {
-			if next, ok := completed(a.msg, finish); ok {
-				enqueue(next)
-			}
-		}
-	}
-	return out
 }

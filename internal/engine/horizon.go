@@ -1,11 +1,11 @@
 package engine
 
-// This file is the two drivers of the live loop. Both run the same
+// This file is the two drivers of the event loop. Both run the same
 // handlers (shard.go, pit.go) over the same state and admit injections
 // through the same runner.admit; they differ only in who pops which
 // event when. Config.Plan (mode.go) picks one: Run dispatches to
 // runWindows when the plan resolved to PlanLiveSharded, to step
-// otherwise.
+// otherwise — snapshot mode's replay of its routed paths included.
 
 // injectionLess orders pending injections by (time, msg) — the order
 // of the (time, msg, 0) first arrivals they become, since no message is

@@ -4,115 +4,132 @@ import (
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/rng"
 )
 
-// pretimed turns the messages' pre-set inject fields into the up-front
-// schedule replay expects — the open-loop shape of every test that
-// does not exercise the completion feedback.
-func pretimed(msgs []replayMsg) []Injection {
-	out := make([]Injection, len(msgs))
-	for i, m := range msgs {
-		out[i] = Injection{Msg: i, Time: m.inject}
+// newPathRunner builds a snapshot-mode runner on a bare ring of `nodes`
+// whose messages replay hand-written forwarder paths — the batch
+// router's output, written down — through the one loop at the given
+// service time. delivered[i] is message i's search verdict.
+func newPathRunner(tb testing.TB, nodes int, serviceTime float64, paths [][]metric.Point, delivered []bool, sched Schedule) *runner {
+	tb.Helper()
+	g := testGraph(tb, nodes, 1, 23, 0)
+	cfg := baseConfig()
+	cfg.Capacity = 1 / serviceTime
+	r := newRunner(g, make([]Message, len(paths)), sched, cfg, rng.New(1))
+	if r.err != nil {
+		tb.Fatal(r.err)
 	}
-	return out
+	copy(r.snap.paths, paths)
+	for i, d := range delivered {
+		r.out.Results[i].Delivered = d
+	}
+	return r
+}
+
+// replayPaths admits every up-front injection of a path runner and
+// drains the loop, as runSnapshot does once its last batch has routed.
+func replayPaths(t *testing.T, nodes int, serviceTime float64, paths [][]metric.Point, delivered []bool, sched Schedule) *Outcome {
+	t.Helper()
+	r := newPathRunner(t, nodes, serviceTime, paths, delivered, sched)
+	r.admitRouted(0, len(paths))
+	for r.err == nil && r.step() {
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	r.shards.fold(r.out)
+	return r.out
+}
+
+// timed is the open-loop schedule injecting message i at times[i].
+func timed(times ...float64) Schedule {
+	initial := make([]Injection, len(times))
+	for i, at := range times {
+		initial[i] = Injection{Msg: i, Time: at}
+	}
+	return Schedule{Initial: initial}
 }
 
 func TestReplaySingleMessage(t *testing.T) {
 	// One message over three nodes at capacity 1: one tick of service
 	// per node, no queueing, latency 3.
-	msgs := []replayMsg{{
-		inject:    0,
-		path:      []metric.Point{0, 1, 2},
-		delivered: true,
-	}}
-	out := replay(4, msgs, 1, pretimed(msgs), nil, -1)
-	if out.services != 3 {
-		t.Errorf("services = %d, want 3", out.services)
+	out := replayPaths(t, 4, 1, [][]metric.Point{{0, 1, 2}}, []bool{true}, timed(0))
+	if out.Services != 3 {
+		t.Errorf("services = %d, want 3", out.Services)
 	}
 	for p, want := range []int{1, 1, 1, 0} {
-		if out.loads[p] != want {
-			t.Errorf("loads[%d] = %d, want %d", p, out.loads[p], want)
+		if out.Loads[p] != want {
+			t.Errorf("loads[%d] = %d, want %d", p, out.Loads[p], want)
 		}
 	}
-	if out.maxQueueDepth != 1 {
-		t.Errorf("maxQueueDepth = %d, want 1", out.maxQueueDepth)
+	if out.MaxQueueDepth != 1 {
+		t.Errorf("maxQueueDepth = %d, want 1", out.MaxQueueDepth)
 	}
-	if len(out.latencies) != 1 || out.latencies[0] != 3 {
-		t.Errorf("latencies = %v, want [3]", out.latencies)
+	if len(out.Latencies) != 1 || out.Latencies[0] != 3 {
+		t.Errorf("latencies = %v, want [3]", out.Latencies)
 	}
-	if out.makespan != 3 {
-		t.Errorf("makespan = %v, want 3", out.makespan)
+	if out.Makespan != 3 {
+		t.Errorf("makespan = %v, want 3", out.Makespan)
 	}
-	if out.injected != 1 || out.lastInject != 0 {
-		t.Errorf("injected = %d at %v, want 1 at 0", out.injected, out.lastInject)
+	if out.Injected != 1 || out.LastInject != 0 {
+		t.Errorf("injected = %d at %v, want 1 at 0", out.Injected, out.LastInject)
 	}
 }
 
 func TestReplayContention(t *testing.T) {
 	// Two messages injected simultaneously through the same single
 	// node: FIFO order by message id, the second waits a full service.
-	msgs := []replayMsg{
-		{inject: 0, path: []metric.Point{5}, delivered: true},
-		{inject: 0, path: []metric.Point{5}, delivered: true},
+	out := replayPaths(t, 8, 2, [][]metric.Point{{5}, {5}}, []bool{true, true}, timed(0, 0))
+	if out.Loads[5] != 2 {
+		t.Errorf("loads[5] = %d, want 2", out.Loads[5])
 	}
-	out := replay(8, msgs, 2, pretimed(msgs), nil, -1)
-	if out.loads[5] != 2 {
-		t.Errorf("loads[5] = %d, want 2", out.loads[5])
-	}
-	if out.maxQueueDepth != 2 {
-		t.Errorf("maxQueueDepth = %d, want 2", out.maxQueueDepth)
+	if out.MaxQueueDepth != 2 {
+		t.Errorf("maxQueueDepth = %d, want 2", out.MaxQueueDepth)
 	}
 	want := []float64{2, 4}
-	if len(out.latencies) != 2 || out.latencies[0] != want[0] || out.latencies[1] != want[1] {
-		t.Errorf("latencies = %v, want %v", out.latencies, want)
+	if len(out.Latencies) != 2 || out.Latencies[0] != want[0] || out.Latencies[1] != want[1] {
+		t.Errorf("latencies = %v, want %v", out.Latencies, want)
 	}
 }
 
 func TestReplayFailedMessageChargesLoad(t *testing.T) {
-	msgs := []replayMsg{
-		{inject: 0, path: []metric.Point{1, 2}, delivered: false},
+	out := replayPaths(t, 4, 1, [][]metric.Point{{1, 2}}, []bool{false}, timed(0))
+	if out.Loads[1] != 1 || out.Loads[2] != 1 {
+		t.Errorf("failed message should still be charged: %v", out.Loads)
 	}
-	out := replay(4, msgs, 1, pretimed(msgs), nil, -1)
-	if out.loads[1] != 1 || out.loads[2] != 1 {
-		t.Errorf("failed message should still be charged: %v", out.loads)
-	}
-	if len(out.latencies) != 0 {
-		t.Errorf("failed message must not contribute latency: %v", out.latencies)
+	if len(out.Latencies) != 0 {
+		t.Errorf("failed message must not contribute latency: %v", out.Latencies)
 	}
 }
 
 func TestReplayIdleServerDrains(t *testing.T) {
 	// Two messages far apart in time never queue behind each other.
-	msgs := []replayMsg{
-		{inject: 0, path: []metric.Point{3}, delivered: true},
-		{inject: 100, path: []metric.Point{3}, delivered: true},
+	out := replayPaths(t, 4, 1, [][]metric.Point{{3}, {3}}, []bool{true, true}, timed(0, 100))
+	if out.MaxQueueDepth != 1 {
+		t.Errorf("maxQueueDepth = %d, want 1", out.MaxQueueDepth)
 	}
-	out := replay(4, msgs, 1, pretimed(msgs), nil, -1)
-	if out.maxQueueDepth != 1 {
-		t.Errorf("maxQueueDepth = %d, want 1", out.maxQueueDepth)
-	}
-	if out.latencies[1] != 1 {
-		t.Errorf("second latency = %v, want 1 (no waiting)", out.latencies[1])
+	if out.Latencies[1] != 1 {
+		t.Errorf("second latency = %v, want 1 (no waiting)", out.Latencies[1])
 	}
 }
 
 func TestReplayEmpty(t *testing.T) {
 	// No messages at all: the replay must return a zero outcome, not
 	// panic or fabricate services.
-	out := replay(4, nil, 1, nil, nil, -1)
-	if out.services != 0 || out.maxQueueDepth != 0 || out.injected != 0 {
+	out := replayPaths(t, 4, 1, nil, nil, Schedule{})
+	if out.Services != 0 || out.MaxQueueDepth != 0 || out.Injected != 0 {
 		t.Errorf("empty replay produced work: %+v", out)
 	}
-	if out.makespan != 0 || len(out.latencies) != 0 {
+	if out.Makespan != 0 || len(out.Latencies) != 0 {
 		t.Errorf("empty replay produced time: %+v", out)
 	}
 	// Messages whose searches produced no path (an exhausted graph)
 	// occupy no queues but still count as injected.
-	msgs := []replayMsg{{inject: 2}, {inject: 5}}
-	out = replay(4, msgs, 1, pretimed(msgs), nil, -1)
-	if out.services != 0 || out.injected != 2 || out.lastInject != 5 {
+	out = replayPaths(t, 4, 1, [][]metric.Point{nil, nil}, nil, timed(2, 5))
+	if out.Services != 0 || out.Injected != 2 || out.LastInject != 5 {
 		t.Errorf("path-less messages: services=%d injected=%d last=%v",
-			out.services, out.injected, out.lastInject)
+			out.Services, out.Injected, out.LastInject)
 	}
 }
 
@@ -151,10 +168,10 @@ func TestDepthAtBoundaries(t *testing.T) {
 }
 
 func TestReplayProbeBoundaries(t *testing.T) {
-	// One message served on node 1 over [0,1), then node 2 over [1,2).
-	// The probe convention matches depthAt: in system when
+	// Message 0 is served on node 1 over [0,1), then node 2 over [1,2);
+	// message 1, path-less, is the next batch, injected at the probe
+	// instant. The probe convention is depthAt's: in system when
 	// arrival ≤ probe < finish.
-	msgs := []replayMsg{{inject: 0, path: []metric.Point{1, 2}, delivered: true}}
 	for _, tc := range []struct {
 		probe float64
 		want  []int
@@ -164,55 +181,67 @@ func TestReplayProbeBoundaries(t *testing.T) {
 		{1, []int{0, 0, 1, 0}},   // finish instant has left node 1, entered node 2
 		{2, []int{0, 0, 0, 0}},   // everything drained
 	} {
-		out := replay(4, msgs, 1, pretimed(msgs), nil, tc.probe)
+		r := newPathRunner(t, 4, 1, [][]metric.Point{{1, 2}, nil}, []bool{true, false}, timed(0, tc.probe))
+		r.admitRouted(0, 1)
+		r.depthsAtBatch(1)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
 		for p, want := range tc.want {
-			if out.probeDepths[p] != want {
-				t.Errorf("probe %v: depth[%d] = %d, want %d", tc.probe, p, out.probeDepths[p], want)
+			if r.snap.depth[p] != want {
+				t.Errorf("probe %v: depth[%d] = %d, want %d", tc.probe, p, r.snap.depth[p], want)
 			}
 		}
-	}
-	// Without a probe the depth vector stays nil.
-	if out := replay(4, msgs, 1, pretimed(msgs), nil, -1); out.probeDepths != nil {
-		t.Errorf("unprobed replay allocated probeDepths: %v", out.probeDepths)
 	}
 }
 
 func TestReplayClosedLoopFeedback(t *testing.T) {
 	// Two messages chained by a completion hook: message 1 may only
 	// inject once message 0 completes, plus 3 ticks of think time.
-	msgs := []replayMsg{
-		{path: []metric.Point{0, 1}, delivered: true},
-		{path: []metric.Point{0}, delivered: true},
+	chained := Schedule{
+		Initial: []Injection{{Msg: 0, Time: 0}},
+		Completed: func(m int, at float64) (Injection, bool) {
+			if m == 0 {
+				return Injection{Msg: 1, Time: at + 3}, true
+			}
+			return Injection{}, false
+		},
 	}
-	completed := func(m int, at float64) (Injection, bool) {
-		if m == 0 {
-			return Injection{Msg: 1, Time: at + 3}, true
-		}
-		return Injection{}, false
-	}
-	out := replay(4, msgs, 1, []Injection{{Msg: 0, Time: 0}}, completed, -1)
-	if out.injected != 2 {
-		t.Fatalf("injected = %d, want 2", out.injected)
+	out := replayPaths(t, 4, 1, [][]metric.Point{{0, 1}, {0}}, []bool{true, true}, chained)
+	if out.Injected != 2 {
+		t.Fatalf("injected = %d, want 2", out.Injected)
 	}
 	// Message 0 completes at 2, message 1 injects at 5 and finishes at 6.
-	if out.lastInject != 5 {
-		t.Errorf("lastInject = %v, want 5", out.lastInject)
+	if out.LastInject != 5 {
+		t.Errorf("lastInject = %v, want 5", out.LastInject)
 	}
-	if out.makespan != 6 {
-		t.Errorf("makespan = %v, want 6", out.makespan)
+	if out.Makespan != 6 {
+		t.Errorf("makespan = %v, want 6", out.Makespan)
 	}
-	if out.maxQueueDepth != 1 {
-		t.Errorf("maxQueueDepth = %d, want 1 (feedback serializes the messages)", out.maxQueueDepth)
+	if out.MaxQueueDepth != 1 {
+		t.Errorf("maxQueueDepth = %d, want 1 (feedback serializes the messages)", out.MaxQueueDepth)
 	}
 	// A path-less head message must still unlock its successor, at its
 	// own injection instant.
-	msgs = []replayMsg{
-		{path: nil, delivered: false},
-		{path: []metric.Point{2}, delivered: true},
-	}
-	out = replay(4, msgs, 1, []Injection{{Msg: 0, Time: 7}}, completed, -1)
-	if out.injected != 2 || out.lastInject != 10 || out.services != 1 {
+	chained.Initial[0].Time = 7
+	out = replayPaths(t, 4, 1, [][]metric.Point{nil, {2}}, []bool{false, true}, chained)
+	if out.Injected != 2 || out.LastInject != 10 || out.Services != 1 {
 		t.Errorf("path-less chain: injected=%d last=%v services=%d, want 2/10/1",
-			out.injected, out.lastInject, out.services)
+			out.Injected, out.LastInject, out.Services)
+	}
+	// The closed-loop depth probe runs the routed prefix on a scratch
+	// runner and reads it at the prefix's last injection: message 1's,
+	// at 5, in service on node 0 until 6.
+	chained.Initial[0].Time = 0
+	r := newPathRunner(t, 4, 1, [][]metric.Point{{0, 1}, {0}, {3}}, []bool{true, true, true}, chained)
+	r.depthsAtBatch(2)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := r.snap.depth; got[0] != 1 || got[1] != 0 || got[3] != 0 {
+		t.Errorf("closed-loop probe depths = %v, want [1 0 0 0]", got)
+	}
+	if r.out.Injected != 0 {
+		t.Errorf("the scratch probe injected %d into the run itself", r.out.Injected)
 	}
 }

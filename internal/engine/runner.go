@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +45,11 @@ type runner struct {
 
 	serviceTime float64
 	queues      []nodeQueue
-	inject      []float64
+
+	// inject[m] is the instant the schedule fixed for message m's
+	// injection, -1 until it did — which is also how a schedule that
+	// injects a message twice is caught (claim).
+	inject []float64
 
 	// caching/decay shorthands resolved from cfg.Placement.
 	caching  bool
@@ -56,26 +63,24 @@ type runner struct {
 	seenPromos int
 	seenEvicts int
 
-	// snap is the snapshot pipeline's state (nil in the live modes).
+	// snap is snapshot mode's batch-router state (nil in the live modes).
 	snap *snapshotState
 
 	// One walker per message — carved, like its rng stream, from per-run
 	// slabs (arena, srcs), because a run holds nearly every lookup in
 	// flight at once and keeps every path. (Snapshot mode carves too, a
 	// batch at a time: arena is its plain router's, and walkers stays
-	// nil.) Live modes: its current node, and its completion time (-1
-	// while in flight); the injections not yet admitted, ordered by
-	// (time, msg); how many were admitted so far (the live decay
-	// cadence); and the owners of the node set, whose heaps hold every
-	// pending event (shard.go).
-	arena    *route.Arena
-	srcs     []rng.Source
-	walkers  []*route.Walker
-	pos      []metric.Point
-	doneAt   []float64
-	pend     *mathx.Heap[Injection]
-	injected int
-	shards   *shardSet
+	// nil.) Every mode: each message's current node, and its completion
+	// time (-1 while in flight); the injections not yet admitted, ordered
+	// by (time, msg); and the owners of the node set, whose heaps hold
+	// every pending event (shard.go).
+	arena   *route.Arena
+	srcs    []rng.Source
+	walkers []*route.Walker
+	pos     []metric.Point
+	doneAt  []float64
+	pend    mathx.Heap[Injection]
+	shards  *shardSet
 
 	// Per-discipline live state, nil unless the configuration has it:
 	// the congestion signal (Penalty/DepthPenalty), the per-message
@@ -87,21 +92,14 @@ type runner struct {
 	churn   *churnState
 }
 
-// snapshotState is the route-then-replay pipeline's state: its event
-// heap, the forwarder paths of routed messages, the routed frontier,
-// each message's schedule entries (sched.Initial bucketed by Msg,
-// preserving order: message m's are initial[initialAt[m]:initialAt[m+1]]),
-// and closed-loop injections unlocked before their message was routed
-// (admitted when its batch routes).
+// snapshotState is snapshot mode's batch-router state: the forwarder
+// path each routed message replays on the live loop, and each message's
+// up-front injection instant (-1 when the schedule has none for it: a
+// closed-loop successor, which Completed unlocks), admitted when its
+// batch routes.
 type snapshotState struct {
-	h          *mathx.Heap[event]
-	paths      [][]metric.Point
-	delivered  []bool
-	routed     int
-	initial    []Injection
-	initialAt  []int
-	pendingAt  []float64
-	hasPending []bool
+	paths     [][]metric.Point
+	initialAt []float64
 
 	// The congestion signal a batch routes against, frozen between
 	// batches and read by the congested router's closure: services
@@ -114,8 +112,10 @@ type snapshotState struct {
 
 	// fullyPrimed reports that the schedule fixed every message's
 	// injection up front, in message order, at nondecreasing times —
-	// the open-loop shape under which depth probes can read the live
-	// loop frontier instead of replaying the prefix.
+	// the shape of the open-loop arrival models, whose whole schedule is
+	// known before the loop starts, and under which depth probes can
+	// read the run's own loop instead of replaying the prefix on a
+	// scratch one.
 	fullyPrimed bool
 }
 
@@ -184,38 +184,65 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	for i := range r.queues {
 		r.queues[i].finish = slab[queueSlots*i : queueSlots*(i+1) : queueSlots*(i+1)]
 	}
+	for i := range r.inject {
+		r.inject[i] = -1
+	}
+	for _, inj := range sched.Initial {
+		if r.err = r.claim(inj, 0); r.err != nil {
+			return r
+		}
+	}
 	r.out.Plan, r.out.PlanReason = cfg.Plan(sched)
 	if cfg.Placement != nil {
 		r.caching = cfg.Placement.Caching()
 		r.decaying = cfg.Placement.Decaying()
 	}
 	r.srcs = make([]rng.Source, n)
-	if !cfg.Mode.Live() {
-		s := &snapshotState{
-			h:          newEventHeap(n),
-			paths:      make([][]metric.Point, n),
-			delivered:  make([]bool, n),
-			pendingAt:  make([]float64, n),
-			hasPending: make([]bool, n),
-		}
-		s.initial, s.initialAt = bucketByMsg(sched.Initial, n)
-		s.fullyPrimed = fullyPrimed(sched.Initial, n)
-		r.snap = s
-		return r
-	}
-	if cfg.Churn.Enabled() {
-		// Stream 5 of the run's root is the churn layer's randomness
-		// (gossip peer draws, repair link redraws); streams 16+i stay the
-		// per-message routing contract, so a schedule with zero events
-		// consumes nothing and perturbs nothing.
-		r.churn = newChurnState(g, cfg.Churn, root.Derive(5))
-	}
-	r.walkers = make([]*route.Walker, n)
 	r.pos = make([]metric.Point, n)
 	r.doneAt = make([]float64, n)
 	for i := range r.doneAt {
 		r.doneAt[i] = -1
 	}
+	if cfg.Mode.Live() {
+		r.initLive()
+	} else {
+		s := &snapshotState{
+			paths:       make([][]metric.Point, n),
+			initialAt:   slices.Clone(r.inject), // as claim fixed them up front
+			fullyPrimed: len(sched.Initial) == n,
+		}
+		for i, inj := range sched.Initial {
+			s.fullyPrimed = s.fullyPrimed && inj.Msg == i && (i == 0 || inj.Time >= sched.Initial[i-1].Time)
+		}
+		r.snap = s
+		r.pend = *mathx.NewHeap(injectionLess, 0)
+	}
+	if r.tel != nil {
+		// Before the owners are built: each takes its recorder view of
+		// this run.
+		r.tel.BeginRun(cfg.Capacity, n)
+	}
+	owners := 1
+	if r.out.Plan == PlanLiveSharded {
+		owners = cfg.Shards
+	}
+	r.shards = newShardSet(r, owners)
+	return r
+}
+
+// initLive builds the live modes' per-run state: the churn layer, the
+// walkers, the per-discipline tables, the arena whose router reads the
+// live congestion signal, and every up-front injection, pending.
+func (r *runner) initLive() {
+	g, cfg, n := r.g, r.cfg, len(r.msgs)
+	if cfg.Churn.Enabled() {
+		// Stream 5 of the run's root is the churn layer's randomness
+		// (gossip peer draws, repair link redraws); streams 16+i stay the
+		// per-message routing contract, so a schedule with zero events
+		// consumes nothing and perturbs nothing.
+		r.churn = newChurnState(g, cfg.Churn, r.root.Derive(5))
+	}
+	r.walkers = make([]*route.Walker, n)
 	if cfg.Mode.Aggregate() {
 		r.aggMsgs = &aggMsgState{followers: make([][]int, n), merged: make([]bool, n)}
 	}
@@ -246,64 +273,34 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 				s += cfg.Penalty * float64(g.AliveCount()) * float64(c.charged[q]) / float64(c.total)
 			}
 			if cfg.DepthPenalty > 0 {
-				s += cfg.DepthPenalty * float64(r.queues[q].depthAt(c.now))
+				s += float64(cfg.DepthPenalty * float64(r.queues[q].depthAt(c.now)))
 			}
 			return s
 		}
 		ropt.CongestionWeight = 1
 	}
 	r.arena = route.New(g, ropt).NewArena()
-	r.pend = mathx.NewHeap(injectionLess, len(sched.Initial))
-	for _, inj := range sched.Initial {
+	r.pend = *mathx.NewHeap(injectionLess, len(r.sched.Initial))
+	for _, inj := range r.sched.Initial {
 		r.pend.Push(inj)
 	}
-	owners := 1
-	if r.out.Plan == PlanLiveSharded {
-		owners = cfg.Shards
-	}
-	r.shards = newShardSet(r, owners)
-	return r
 }
 
-// bucketByMsg sorts the injections of messages [0, n) stably by message
-// — one counting pass, one placing pass: message m's entries, in
-// schedule order, are out[at[m]:at[m+1]].
-func bucketByMsg(initial []Injection, n int) (out []Injection, at []int) {
-	at = make([]int, n+2)
-	for _, inj := range initial {
-		if inj.Msg >= 0 && inj.Msg < n {
-			at[inj.Msg+2]++
-		}
+// claim checks that inj is a legal injection — one of the run's
+// messages, at a finite instant no earlier than notBefore (the unlocking
+// completion's, or 0 up front), for a message no earlier entry claimed
+// — and fixes its message's injection instant.
+func (r *runner) claim(inj Injection, notBefore float64) error {
+	switch m := inj.Msg; {
+	case m < 0 || m >= len(r.msgs):
+		return fmt.Errorf("engine: schedule injects message %d of %d", m, len(r.msgs))
+	case !(inj.Time >= notBefore) || math.IsInf(inj.Time, 1):
+		return fmt.Errorf("engine: schedule injects message %d at t=%g, not a finite instant at or after %g", m, inj.Time, notBefore)
+	case r.inject[m] >= 0:
+		return fmt.Errorf("engine: schedule injects message %d twice", m)
 	}
-	for m := 2; m < len(at); m++ {
-		at[m] += at[m-1]
-	}
-	out = make([]Injection, at[n+1])
-	for _, inj := range initial {
-		if inj.Msg >= 0 && inj.Msg < n {
-			out[at[inj.Msg+1]] = inj
-			at[inj.Msg+1]++
-		}
-	}
-	return out, at[:n+1]
-}
-
-// fullyPrimed reports whether initial fixes message i's injection at
-// position i with nondecreasing times — true for the open-loop arrival
-// models, whose whole schedule is known before the loop starts.
-func fullyPrimed(initial []Injection, n int) bool {
-	if len(initial) != n {
-		return false
-	}
-	for i, inj := range initial {
-		if inj.Msg != i {
-			return false
-		}
-		if i > 0 && inj.Time < initial[i-1].Time {
-			return false
-		}
-	}
-	return true
+	r.inject[inj.Msg] = inj.Time
+	return nil
 }
 
 // forwarders returns the nodes whose FIFO queues a search occupies: the
@@ -374,11 +371,13 @@ func (r *runner) cacheDelta(t float64) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot mode: the classic route-then-replay pipeline, folded into
-// the shared event loop. Routing happens in congestion-snapshot
+// Snapshot mode: the classic route-then-replay pipeline, whose replay
+// is the live loop's. Routing happens here, in congestion-snapshot
 // batches; each batch's injections are admitted as it routes, and the
-// loop is advanced only as far as the depth probes need, so the final
-// event sequence is identical to replaying everything at once.
+// one-owner loop (step) replays the precomputed paths through the same
+// handlers the live modes run — advanced only as far as the depth
+// probes need until the last batch has routed, so the event sequence is
+// identical to replaying everything at once.
 // ---------------------------------------------------------------------
 
 func (r *runner) runSnapshot() {
@@ -397,9 +396,9 @@ func (r *runner) runSnapshot() {
 		ropt.CongestionWeight = 0
 		copt := ropt
 		copt.Congestion = func(q metric.Point) float64 {
-			c := float64(s.charged[q]) * s.loadScale
+			c := float64(float64(s.charged[q]) * s.loadScale)
 			if s.depth != nil {
-				c += cfg.DepthPenalty * float64(s.depth[q])
+				c += float64(cfg.DepthPenalty * float64(s.depth[q]))
 			}
 			return c
 		}
@@ -453,11 +452,14 @@ func (r *runner) runSnapshot() {
 			// The instantaneous signal is the engine's own queue state
 			// as this batch's first injection comes due.
 			if cfg.DepthPenalty > 0 {
-				s.depth = r.depthsAtBatch(start)
+				r.depthsAtBatch(start)
 			}
 			if s.loadScale > 0 || s.depth != nil {
 				arena = congested
 			}
+		}
+		if r.err != nil {
+			return // a depth probe's loop met a malformed schedule
 		}
 		if r.err = r.routeRange(arena, start, ws[:end-start]); r.err != nil {
 			return
@@ -466,7 +468,6 @@ func (r *runner) runSnapshot() {
 			res := ws[i-start].Result()
 			r.out.Results[i] = res
 			s.paths[i] = forwarders(res)
-			s.delivered[i] = res.Delivered
 			for _, p := range s.paths[i] {
 				s.charged[p]++
 			}
@@ -474,100 +475,105 @@ func (r *runner) runSnapshot() {
 				cfg.Placement.Observe(r.msgs[i].Key, res.Path)
 			}
 		}
-		s.routed = end
-		r.admitBatch(start, end)
+		r.admitRouted(start, end)
 		if r.tel != nil && r.caching {
 			// Promotions triggered by this batch's Observe calls.
 			r.cacheDelta(r.out.LastInject)
 		}
 	}
-	for s.h.Len() > 0 {
-		r.processOne(s.h.Pop())
-	}
+	r.advanceTo(math.Inf(1))
 }
 
-// admitBatch enqueues the injections of messages [start, end): their
-// schedule entries known up front, plus any closed-loop injection
-// unlocked while the message was still unrouted.
-func (r *runner) admitBatch(start, end int) {
-	s := r.snap
-	for m := start; m < end; m++ {
-		for _, inj := range s.initial[s.initialAt[m]:s.initialAt[m+1]] {
-			r.enqueue(inj)
-		}
-		if s.hasPending[m] {
-			s.hasPending[m] = false
-			r.enqueue(Injection{Msg: m, Time: s.pendingAt[m]})
+// admitRouted admits the up-front injections of the routed messages
+// [start, end), in message order. The closed-loop successors they
+// unlock wait in r.pend, like any run's: the loop admits them in event
+// order, by which time their messages have routed too.
+func (r *runner) admitRouted(start, end int) {
+	for m := start; m < end && r.err == nil; m++ {
+		if t := r.snap.initialAt[m]; t >= 0 {
+			if a, ok := r.admit(Injection{Msg: m, Time: t}); ok {
+				r.pushEvent(a)
+			}
 		}
 	}
 }
 
-// depthsAtBatch returns every node's instantaneous queue depth as the
-// batch beginning at message `start` is about to route — in the fully
-// primed case, in the run's one depth buffer, overwritten every batch.
+// advanceTo runs the one-owner loop through every injection and event
+// due at or before t.
+func (r *runner) advanceTo(t float64) {
+	h := r.shards.shards[0].h
+	for r.err == nil && (h.Len() > 0 && h.Peek().time <= t || r.pend.Len() > 0 && r.pend.Peek().Time <= t) {
+		r.step()
+	}
+}
+
+// depthsAtBatch fills the run's one depth buffer, s.depth, with every
+// node's instantaneous queue depth as the batch beginning at message
+// `start` is about to route.
 //
-// For a fully primed schedule the loop itself is the probe: all events
-// up to the batch's first injection time are processed (they precede
-// every event the new batch can add, so the final event sequence is
-// unchanged), and each node's depth is read off its live queue in
-// O(1) amortized — the engine lookup that replaced the quadratic
-// prefix-replay probing of the pre-engine pipeline.
+// For a fully primed schedule the run's own loop is the probe: every
+// injection and event up to the batch's first injection time is
+// processed (they precede every event the new batch can add, so the
+// event sequence is unchanged), and each node's depth is read off its
+// queue in O(1) amortized — the engine lookup that replaced the
+// quadratic prefix-replay probing of the pre-engine pipeline.
 //
 // A schedule that is not fully primed (closed-loop feedback) cannot be
 // advanced safely — a future batch may still inject earlier than the
-// probe — so the prefix [0, start) is replayed in a scratch loop and
-// probed at its last injection, reproducing the pre-engine estimate
-// exactly: a pure function of already-routed traffic, modelling the
-// staleness of queue-depth gossip.
-func (r *runner) depthsAtBatch(start int) []int {
-	if s := r.snap; s.fullyPrimed {
-		probe := r.sched.Initial[start].Time
-		for s.h.Len() > 0 && s.h.Peek().time <= probe {
-			r.processOne(s.h.Pop())
-		}
-		if s.depth == nil {
-			s.depth = make([]int, len(r.queues))
-		}
-		for i := range r.queues {
-			s.depth[i] = r.queues[i].depthAt(probe)
-		}
-		return s.depth
+// probe — so the prefix [0, start) runs on a scratch runner's loop and
+// is probed at its last injection (found by a first run to the end when
+// the schedule does not fix it up front), reproducing the pre-engine
+// estimate exactly: a pure function of already-routed traffic,
+// modelling the staleness of queue-depth gossip.
+func (r *runner) depthsAtBatch(start int) {
+	s := r.snap
+	if s.depth == nil {
+		s.depth = make([]int, len(r.queues))
 	}
-	return r.prefixDepths(start)
+	probe, loop := 0.0, r
+	switch {
+	case s.fullyPrimed:
+		probe = r.sched.Initial[start].Time
+	case len(r.sched.Initial) == len(r.msgs):
+		probe, loop = r.sched.Initial[start].Time, r.prefix(start)
+	default:
+		loop = r.prefix(start)
+		loop.advanceTo(math.Inf(1))
+		probe, loop = loop.out.LastInject, r.prefix(start)
+	}
+	loop.advanceTo(probe)
+	if r.err = loop.err; r.err != nil {
+		return
+	}
+	for i := range loop.queues {
+		s.depth[i] = loop.queues[i].depthAt(probe)
+	}
 }
 
-// prefixDepths replays the routed prefix [0, start) in a scratch loop,
-// suppressing injections beyond it, and probes queue depths at the
-// prefix's last injection (found by a first untimed replay when the
-// schedule does not fix it up front).
-func (r *runner) prefixDepths(start int) []int {
-	scratch := make([]replayMsg, start)
-	for i := 0; i < start; i++ {
-		scratch[i] = replayMsg{path: r.snap.paths[i], delivered: r.snap.delivered[i]}
-	}
-	initial := make([]Injection, 0, start)
+// prefix returns a scratch runner holding the routed messages
+// [0, start) — their paths, and the injections the schedule gives them
+// that stay inside the prefix — admitted and ready to run, with no
+// telemetry and no placement.
+func (r *runner) prefix(start int) *runner {
+	var sched Schedule
 	for _, inj := range r.sched.Initial {
 		if inj.Msg < start {
-			initial = append(initial, inj)
+			sched.Initial = append(sched.Initial, inj)
 		}
 	}
-	var completed func(m int, at float64) (Injection, bool)
-	if r.sched.Completed != nil {
-		completed = func(m int, at float64) (Injection, bool) {
-			next, ok := r.sched.Completed(m, at)
-			if !ok || next.Msg >= start {
-				return Injection{}, false
-			}
-			return next, true
+	if completed := r.sched.Completed; completed != nil {
+		sched.Completed = func(m int, at float64) (Injection, bool) {
+			next, ok := completed(m, at)
+			return next, ok && next.Msg < start
 		}
 	}
-	var probe float64
-	if len(r.sched.Initial) == len(r.msgs) && start < len(r.sched.Initial) {
-		probe = r.sched.Initial[start].Time
-	} else {
-		probe = replay(len(r.queues), scratch, r.serviceTime, initial, completed, -1).lastInject
-	}
-	return replay(len(r.queues), scratch, r.serviceTime, initial, completed, probe).probeDepths
+	cfg := r.cfg
+	cfg.Telemetry, cfg.Placement = nil, nil
+	p := newRunner(r.g, r.msgs[:start], sched, cfg, r.root)
+	copy(p.snap.paths, r.snap.paths)
+	copy(p.out.Results, r.out.Results)
+	p.admitRouted(0, start)
+	return p
 }
 
 // routeRange routes messages [start, start+len(ws)) on arena a into ws.
@@ -611,96 +617,11 @@ func (r *runner) routeRange(a *route.Arena, start int, ws []*route.Walker) error
 	return nil
 }
 
-// enqueue admits one snapshot-mode injection, chasing chains of
-// path-less messages (which complete at their injection instant and may
-// unlock further injections) and stashing injections whose message is
-// not yet routed.
-func (r *runner) enqueue(inj Injection) {
-	s := r.snap
-	for {
-		msg := inj.Msg
-		if msg >= s.routed {
-			// Unlocked before its batch routed: admitted with the batch.
-			s.pendingAt[msg] = inj.Time
-			s.hasPending[msg] = true
-			return
-		}
-		r.noteInjection(inj)
-		if len(s.paths[msg]) > 0 {
-			s.h.Push(event{time: inj.Time, msg: msg, idx: 0})
-			return
-		}
-		if r.tel != nil {
-			// A path-less snapshot message never enters a queue: it
-			// completes at its injection instant.
-			r.tel.Complete(msg, inj.Time, s.delivered[msg], r.servedKind(msg, r.out.Results[msg]))
-		}
-		if r.sched.Completed == nil {
-			return
-		}
-		next, ok := r.sched.Completed(msg, inj.Time)
-		if !ok {
-			return
-		}
-		inj = next
-	}
-}
-
-// noteInjection records that inj entered the network: the bookkeeping
-// every mode does at the instant it performs an injection.
-func (r *runner) noteInjection(inj Injection) {
-	r.inject[inj.Msg] = inj.Time
-	r.out.Injected++
-	if inj.Time > r.out.LastInject {
-		r.out.LastInject = inj.Time
-	}
-	if r.tel != nil {
-		r.tel.Inject(inj.Msg, inj.Time, r.msgs[inj.Msg].From, r.msgs[inj.Msg].Key)
-	}
-}
-
-// processOne handles one snapshot-mode arrival: the message joins the
-// node's FIFO, is served for serviceTime ticks, and moves on to the
-// next node of its precomputed path. (The live modes' arrivals are
-// shard.process.)
-func (r *runner) processOne(a event) {
-	s := r.snap
-	node := s.paths[a.msg][a.idx]
-	start, finish, depth := r.queues[node].serve(a.time, r.serviceTime)
-	if depth > r.out.MaxQueueDepth {
-		r.out.MaxQueueDepth = depth
-	}
-	r.out.Loads[node]++
-	r.out.Services++
-	if finish > r.out.Makespan {
-		r.out.Makespan = finish
-	}
-	if r.tel != nil {
-		r.tel.Service(a.time, depth)
-		r.tel.Hop(a.msg, node, a.time, start, finish, depth, telemetry.DecisionSnapshot)
-	}
-	if a.idx+1 < len(s.paths[a.msg]) {
-		s.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-		return
-	}
-	if s.delivered[a.msg] {
-		r.out.Latencies = append(r.out.Latencies, finish-r.inject[a.msg])
-	}
-	if r.tel != nil {
-		r.tel.Complete(a.msg, finish, s.delivered[a.msg], r.servedKind(a.msg, r.out.Results[a.msg]))
-	}
-	if r.sched.Completed != nil {
-		if next, ok := r.sched.Completed(a.msg, finish); ok {
-			r.enqueue(next)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
-// Live modes: the run-level halves of a lookup's life — admission and
-// completion — which always execute on one goroutine, in global event
-// order. What happens in between is the owners' business (shard.go,
-// pit.go), under either driver (horizon.go).
+// The run-level halves of a lookup's life — admission and completion —
+// which always execute on one goroutine, in global event order, in
+// every mode. What happens in between is the owners' business
+// (shard.go, pit.go), under either driver (horizon.go).
 // ---------------------------------------------------------------------
 
 // targetsFor resolves a message's routing target set as its walker
@@ -718,19 +639,33 @@ func (r *runner) targetsFor(msg int) []metric.Point {
 	return nil
 }
 
-// admit performs one live injection at its virtual instant: it ticks
-// the decay cadence and creates the walker — so its replica targets and
-// first forwarding decision read the placement and congestion state of
-// that instant, not of whenever the schedule was primed — and returns
-// the lookup's first arrival for the driver to schedule. It reports
-// false when there is none: walker creation failed (r.err), or the
-// lookup was born delivered or born failed and completed on the spot
-// (the successor that unlocks joins r.pend).
+// admit performs one injection at its virtual instant and returns the
+// lookup's first arrival for the driver to schedule. A snapshot-mode
+// lookup's path is routed already; a live one's walker is created now,
+// after the decay cadence ticks — so its replica targets and first
+// forwarding decision read the placement and congestion state of that
+// instant, not of whenever the schedule was primed. It reports false
+// when there is no first arrival: walker creation failed (r.err), or
+// the lookup was born delivered or born failed and completed on the
+// spot (the successor that unlocks joins r.pend).
 func (r *runner) admit(inj Injection) (event, bool) {
 	msg := inj.Msg
-	r.noteInjection(inj)
-	r.injected++
-	if r.decaying && r.injected%r.cfg.BatchSize == 0 {
+	r.out.Injected++
+	if inj.Time > r.out.LastInject {
+		r.out.LastInject = inj.Time
+	}
+	if r.tel != nil {
+		r.tel.Inject(msg, inj.Time, r.msgs[msg].From, r.msgs[msg].Key)
+	}
+	if s := r.snap; s != nil {
+		if len(s.paths[msg]) == 0 {
+			r.completeBorn(msg, inj.Time)
+			return event{}, false
+		}
+		r.pos[msg] = s.paths[msg][0]
+		return event{time: inj.Time, msg: msg, idx: 0}, true
+	}
+	if r.decaying && r.out.Injected%r.cfg.BatchSize == 0 {
 		// One half-life every BatchSize injections — the same
 		// staleness knob snapshot mode ties its boundaries to.
 		r.cfg.Placement.Decay()
@@ -753,9 +688,9 @@ func (r *runner) admit(inj Injection) (event, bool) {
 	if err != nil {
 		if r.churn != nil {
 			// Under churn a lookup can be born unroutable — every replica
-			// of its key dead at this instant. That is a failed search,
-			// not a configuration error.
-			r.bornFailed(msg, inj.Time)
+			// of its key dead at this instant. That is a failed search
+			// with an empty path, not a configuration error.
+			r.completeBorn(msg, inj.Time)
 		} else {
 			r.err = err
 		}
@@ -763,8 +698,7 @@ func (r *runner) admit(inj Injection) (event, bool) {
 	}
 	r.walkers[msg] = w
 	if w.Done() {
-		// Born delivered: the lookup completes at its injection
-		// instant without entering a queue.
+		r.out.Results[msg] = w.Result()
 		r.completeBorn(msg, inj.Time)
 		return event{}, false
 	}
@@ -788,20 +722,28 @@ func (r *runner) startWalker(a *route.Arena, msg int, from metric.Point) (*route
 }
 
 // release asks the closed-loop hook which injection msg's completion
-// at `at` unlocks; it waits in r.pend for its instant.
+// at `at` unlocks; it waits in r.pend for its instant. One the schedule
+// could not legally make (claim) ends the run with an error instead.
 func (r *runner) release(msg int, at float64) {
-	if r.sched.Completed != nil {
-		if next, ok := r.sched.Completed(msg, at); ok {
-			r.pend.Push(next)
-		}
+	if r.sched.Completed == nil {
+		return
 	}
+	next, ok := r.sched.Completed(msg, at)
+	if !ok {
+		return
+	}
+	if err := r.claim(next, at); err != nil {
+		r.err = err
+		return
+	}
+	r.pend.Push(next)
 }
 
-// completeBorn finalizes a zero-hop lookup at its injection instant:
-// no queue was entered, so no latency is recorded, but the completion
-// still unlocks the closed-loop successor.
+// completeBorn finalizes a path-less lookup — born delivered, or born
+// failed — at its injection instant, with the result admission
+// recorded: no queue was entered, so no latency is recorded, but the
+// completion still unlocks the closed-loop successor.
 func (r *runner) completeBorn(msg int, at float64) {
-	r.out.Results[msg] = r.walkers[msg].Result()
 	r.doneAt[msg] = at
 	if r.tel != nil {
 		res := r.out.Results[msg]
@@ -810,10 +752,10 @@ func (r *runner) completeBorn(msg int, at float64) {
 	r.release(msg, at)
 }
 
-// completeLive finalizes one live-mode message at virtual time `at`:
-// it records the result and latency, feeds cache-on-path observation,
-// unlocks the closed-loop successor, and cascades to any lookups that
-// coalesced onto this one.
+// completeLive finalizes one message at virtual time `at`: it records
+// the result and latency, feeds cache-on-path observation, unlocks the
+// closed-loop successor, and cascades to any lookups that coalesced
+// onto this one.
 func (r *runner) completeLive(msg int, at float64, res route.Result) {
 	r.out.Results[msg] = res
 	r.doneAt[msg] = at
@@ -822,18 +764,20 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 		// so every delivered completion contributes a queueing latency —
 		// coalesced lookups included (they waited in a queue too).
 		r.out.Latencies = append(r.out.Latencies, at-r.inject[msg])
-		if r.caching && r.pitMsgs == nil && (r.aggMsgs == nil || !r.aggMsgs.merged[msg]) {
+		if r.caching && r.snap == nil && r.pitMsgs == nil && (r.aggMsgs == nil || !r.aggMsgs.merged[msg]) {
 			// Only real deliveries feed popularity: a coalesced lookup's
 			// partial path does not end at the key, so observing it
-			// would corrupt the forwarder counts. PIT mode observes at
-			// answer spawn instead — the delivery instant, once.
+			// would corrupt the forwarder counts. Snapshot mode observed
+			// when its batch routed, and PIT mode observes at answer
+			// spawn — the delivery instant, once.
 			r.cfg.Placement.Observe(r.msgs[msg].Key, res.Path)
 		}
 	}
 	if r.tel != nil {
 		r.tel.Complete(msg, at, res.Delivered, r.servedKind(msg, res))
 		if r.caching {
-			// An Observe above may have promoted cached copies.
+			// An Observe above may have promoted cached copies (a poll
+			// that finds none records nothing).
 			r.cacheDelta(at)
 		}
 	}

@@ -12,9 +12,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file holds the live modes' event handlers and the state they
-// run on. There is one set of handlers — shard.process here, the PIT
-// discipline in pit.go — and a shard is an *owner*: a contiguous region
+// This file holds the engine's event handlers and the state they run
+// on. There is one set of handlers — shard.process here, the PIT
+// discipline in pit.go — which also replays snapshot mode's precomputed
+// paths (under one owner), and a shard is an *owner*: a contiguous region
 // of the node set, the heap of events addressed to it, and its slice of
 // every per-node table. horizon.go drives the owners in one of two
 // ways, and the handlers neither know nor care which:
@@ -140,14 +141,13 @@ type shardSet struct {
 // newShardSet partitions the node set among n owners. Called after the
 // recorder's BeginRun, so the owners' views belong to this run.
 func newShardSet(r *runner, n int) *shardSet {
-	s := &shardSet{
-		shards: make([]*shard, n),
-		size:   r.g.Size(),
-		active: make([]*shard, 0, n),
-	}
+	s := &shardSet{shards: make([]*shard, n), size: r.g.Size()}
 	per := len(r.msgs)/n + 1
 	for i := range s.shards {
-		sh := &shard{id: i, h: newEventHeap(per), outbox: make([][]event, n)}
+		sh := &shard{id: i, h: newEventHeap(per)}
+		if n > 1 {
+			sh.outbox = make([][]event, n)
+		}
 		if r.cfg.Mode.Aggregate() {
 			sh.agg = make(map[aggKey]aggEntry)
 		}
@@ -339,12 +339,13 @@ func (r *runner) settle(rec doneRec) {
 	}
 }
 
-// process handles one live arrival: the message joins the node's FIFO,
-// is served for serviceTime ticks, and decides its next hop at that
-// service, reading live state. In aggregate mode the arrival may
+// process handles one arrival: the message joins the node's FIFO, is
+// served for serviceTime ticks, and decides its next hop at that
+// service, reading live state — or, in snapshot mode, takes the next
+// node of its precomputed path. In aggregate mode the arrival may
 // instead coalesce onto a pending same-key service and never occupy the
-// queue at all; PIT mode has its own arrival discipline (pit.go). The
-// walker already exists — admission created it (runner.admit).
+// queue at all; PIT mode has its own arrival discipline (pit.go). A
+// live walker already exists — admission created it (runner.admit).
 func (sh *shard) process(r *runner, a event) {
 	if sh.pit != nil {
 		sh.processPIT(r, a)
@@ -367,6 +368,10 @@ func (sh *shard) process(r *runner, a event) {
 	if sh.agg != nil {
 		sh.agg[aggKey{node: node, key: r.msgs[a.msg].Key}] = aggEntry{leader: a.msg, finish: finish}
 	}
+	if r.snap != nil {
+		sh.replayHop(r, a, start, finish, depth)
+		return
+	}
 	w := r.walkers[a.msg]
 	stepped := w.Step()
 	if sh.telView != nil {
@@ -380,6 +385,22 @@ func (sh *shard) process(r *runner, a event) {
 		return
 	}
 	sh.effect(r, doneRec{at: a, msg: a.msg, finish: finish, res: w.Result()})
+}
+
+// replayHop is process for a snapshot-mode message: the batch router
+// chose every hop already, so after the service the message moves on to
+// the next node of its path, or completes after the last.
+func (sh *shard) replayHop(r *runner, a event, start, finish float64, depth int) {
+	path := r.snap.paths[a.msg]
+	if sh.telView != nil {
+		sh.telView.Hop(a.msg, path[a.idx], a.time, start, finish, depth, telemetry.DecisionSnapshot)
+	}
+	if a.idx+1 < len(path) {
+		r.pos[a.msg] = path[a.idx+1]
+		sh.push(r, event{time: finish, msg: a.msg, idx: a.idx + 1})
+		return
+	}
+	sh.effect(r, doneRec{at: a, msg: a.msg, finish: finish, res: r.out.Results[a.msg]})
 }
 
 // serveAt runs one FIFO service at an owned node for an arrival at

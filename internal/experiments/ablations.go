@@ -25,12 +25,11 @@ func init() {
 			for _, strat := range []construct.ReplacementStrategy{construct.InverseDistance, construct.Oldest} {
 				cfg := construct.Config{Links: links, Strategy: strat}
 				dist := newLinkDist(p.N, p.Trials)
-				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
-					return dist.grow(ring, cfg, src)
-				}), failNodes(0.5), route.Options{DeadEnd: route.Backtrack})
+				stats, err := searchTrials(p, dist.grow(cfg), failNodes(0.5), route.Options{DeadEnd: route.Backtrack})
 				if err != nil {
 					return nil, err
 				}
+				dist.sum()
 				worst, _ := dist.worstError()
 				t.AddValues(strat.String(), worst, stats.FailedFraction(), stats.MeanHops())
 			}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -153,6 +154,30 @@ func TestExperimentsAreReproducible(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Errorf("same seed produced different tables:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestFig5DistributionIgnoresTrialOrder pins fig5a/fig5b's average
+// bit for bit across worker counts: the trials' histograms are summed
+// in trial order, not in the order eight concurrent trials happen to
+// finish (a float sum's value depends on its order).
+func TestFig5DistributionIgnoresTrialOrder(t *testing.T) {
+	p := Params{N: 512, Trials: 8, Seed: 5, Workers: 1}
+	want, err := derivedDistribution(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Workers = 8
+	for rep := 0; rep < 20; rep++ {
+		got, err := derivedDistribution(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range want.probs {
+			if math.Float64bits(got.probs[d]) != math.Float64bits(want.probs[d]) {
+				t.Fatalf("rep %d: probs[%d] = %v at 8 workers, %v at 1", rep, d, got.probs[d], want.probs[d])
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/construct"
 	"repro/internal/graph"
@@ -17,33 +16,51 @@ import (
 // linkDist averages the empirical link-length distribution of the
 // networks a set of trials grows with the §5 heuristic: probs[d] is the
 // mean probability of a long link of length d on a ring of n points.
+// Each trial keeps its own share of the average, and sum folds the
+// shares in trial order once every trial is done, so the float sum is
+// the same whatever order the trials finish in.
 type linkDist struct {
-	mu     sync.Mutex
-	trials int
+	n      int
+	shares [][]float64 // per trial, written only by that trial
 	probs  []float64
 }
 
 func newLinkDist(n, trials int) *linkDist {
-	return &linkDist{trials: trials, probs: make([]float64, (n-1)/2+1)}
+	return &linkDist{n: n, shares: make([][]float64, trials), probs: make([]float64, (n-1)/2+1)}
 }
 
 // maxD is the ring's largest distance.
 func (d *linkDist) maxD() int { return len(d.probs) - 1 }
 
-// grow builds one trial's network on sp under cfg and folds its link
-// lengths into the average.
-func (d *linkDist) grow(sp metric.Space, cfg construct.Config, src *rng.Source) (*graph.Graph, error) {
-	g, err := construct.Grow(sp, cfg, src)
-	if err != nil {
-		return nil, err
+// grow returns the buildFunc that grows a trial's network on the ring
+// under cfg and keeps its link lengths as the trial's share.
+func (d *linkDist) grow(cfg construct.Config) buildFunc {
+	return func(trial int, src *rng.Source) (*graph.Graph, error) {
+		ring, err := metric.NewRing(d.n)
+		if err != nil {
+			return nil, err
+		}
+		g, err := construct.Grow(ring, cfg, src)
+		if err != nil {
+			return nil, err
+		}
+		h := g.LinkLengthHistogram()
+		share := make([]float64, len(d.probs))
+		for i := 1; i < len(share); i++ {
+			share[i] = h.Probability(i-1) / float64(len(d.shares))
+		}
+		d.shares[trial] = share
+		return g, nil
 	}
-	h := g.LinkLengthHistogram()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := 1; i < len(d.probs); i++ {
-		d.probs[i] += h.Probability(i-1) / float64(d.trials)
+}
+
+// sum folds the trials' shares into probs, in trial order.
+func (d *linkDist) sum() {
+	for _, share := range d.shares {
+		for i, v := range share {
+			d.probs[i] += v
+		}
 	}
-	return g, nil
 }
 
 // worstError is the largest |derived − ideal| over all distances, the
@@ -62,10 +79,9 @@ func (d *linkDist) worstError() (worst float64, at int) {
 // returns their averaged link-length distribution; no message routes.
 func derivedDistribution(p Params) (*linkDist, error) {
 	dist := newLinkDist(p.N, p.Trials)
-	cfg := construct.Config{Links: p.lgLinks()}
-	_, err := trialStats(p, p.Seed, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
-		return dist.grow(ring, cfg, src)
-	}), nil, func(*graph.Graph, *rng.Source, int) (sim.SearchStats, error) { return sim.SearchStats{}, nil })
+	_, err := trialStats(p, p.Seed, dist.grow(construct.Config{Links: p.lgLinks()}), nil,
+		func(*graph.Graph, *rng.Source, int) (sim.SearchStats, error) { return sim.SearchStats{}, nil })
+	dist.sum()
 	return dist, err
 }
 

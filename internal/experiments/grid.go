@@ -379,7 +379,7 @@ func (gr *grid) sweepCell(c *cell, g *graph.Graph, seed uint64, base *float64) e
 	if !stable {
 		return nil
 	}
-	at := gr.rerunAt * c.sweep.Knee
+	at := float64(gr.rerunAt * c.sweep.Knee)
 	if c.cfg.Arrival, err = load.NewArrival(scfg.Model, at, int(at+0.5), scfg.Think); err != nil {
 		return err
 	}

@@ -146,7 +146,7 @@ func readWindows(tel *telemetry.Recorder, killAt float64) (recoveryProfile, erro
 	preN := 0
 	r := recoveryProfile{floor: math.Inf(1), recoveryTime: -1}
 	for _, w := range run.Windows() {
-		start, end := float64(w.Start)*winLen, float64(w.End)*winLen
+		start, end := float64(float64(w.Start)*winLen), float64(float64(w.End)*winLen)
 		thr := float64(w.Completions-w.Drops) / (end - start)
 		switch {
 		case end <= killAt:

@@ -215,7 +215,7 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 	res.P99Bound = cfg.P99Bound
 	if res.P99Bound == 0 {
 		serviceTime := 1 / resolved.Capacity
-		res.P99Bound = 8 * math.Max(base.Result.LatencyP99, serviceTime)
+		res.P99Bound = float64(8 * math.Max(base.Result.LatencyP99, serviceTime))
 		if cfg.Config.PIT {
 			// A suppressed lookup whose carrier strands lawfully waits
 			// out the full interest lifetime before re-forwarding —

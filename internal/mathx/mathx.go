@@ -96,7 +96,7 @@ func NearestRank(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
+	rank := int(float64(q*float64(len(sorted)))+0.5) - 1
 	if rank < 0 {
 		rank = 0
 	}

@@ -194,7 +194,7 @@ func (t *Torus) NewLinkSampler(exponent float64) (LinkSampler, error) {
 				continue
 			}
 			for s, w := range ways[j+1] {
-				row[s+k] += float64(c) * w
+				row[s+k] += float64(float64(c) * w)
 			}
 		}
 		ways[j] = row
@@ -204,7 +204,7 @@ func (t *Torus) NewLinkSampler(exponent float64) (LinkSampler, error) {
 	if maxD >= 1 {
 		cdf = make([]float64, maxD)
 		for r := 1; r <= maxD; r++ {
-			total += ways[0][r] * powNeg(float64(r), exponent)
+			total += float64(ways[0][r] * powNeg(float64(r), exponent))
 			cdf[r-1] = total
 		}
 		for i := range cdf {
@@ -248,7 +248,7 @@ func (s *torusSampler) Sample(p Point, src *rng.Source) (Point, bool) {
 			if c == 0 || rem-cand >= len(rest) {
 				continue
 			}
-			mass := float64(c) * rest[rem-cand]
+			mass := float64(float64(c) * rest[rem-cand])
 			if w < mass {
 				k, chosen = cand, true
 				break

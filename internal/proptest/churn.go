@@ -19,15 +19,15 @@ import (
 func (g *Gen) ChurnSpec(t testing.TB) failure.ChurnSpec {
 	t.Helper()
 	spec := failure.ChurnSpec{
-		Rate:           0.05 + 0.2*g.src.Float64(),
-		Horizon:        40 + 80*g.src.Float64(),
-		ProbeTimeout:   1 + 3*g.src.Float64(),
+		Rate:           0.05 + float64(0.2*g.src.Float64()),
+		Horizon:        40 + float64(80*g.src.Float64()),
+		ProbeTimeout:   1 + float64(3*g.src.Float64()),
 		GossipInterval: 0.5 + g.src.Float64(),
 		GossipFanout:   1 + g.src.Intn(3),
 		Repair:         g.src.Bool(0.5),
 	}
 	if g.src.Bool(0.5) {
-		spec.KillFrac = 0.1 + 0.2*g.src.Float64()
+		spec.KillFrac = 0.1 + float64(0.2*g.src.Float64())
 		spec.KillAt = spec.Horizon * g.src.Float64()
 	}
 	if g.src.Bool(0.4) {

@@ -168,7 +168,7 @@ func (s *Source) Poisson(lambda float64) int {
 		}
 	}
 	// Normal approximation for large lambda.
-	v := lambda + math.Sqrt(lambda)*s.NormFloat64()
+	v := lambda + float64(math.Sqrt(lambda)*s.NormFloat64())
 	if v < 0 {
 		return 0
 	}
@@ -181,7 +181,7 @@ func (s *Source) NormFloat64() float64 {
 	for {
 		u := 2*s.Float64() - 1
 		v := 2*s.Float64() - 1
-		q := u*u + v*v
+		q := float64(u*u) + float64(v*v)
 		if q > 0 && q < 1 {
 			return u * math.Sqrt(-2*math.Log(q)/q)
 		}

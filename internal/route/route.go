@@ -345,7 +345,7 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, bool) {
 		if d >= curDist {
 			continue // only strict metric progress keeps greedy loop-free
 		}
-		score := float64(d) + r.opt.CongestionWeight*r.opt.Congestion(q)
+		score := float64(d) + float64(r.opt.CongestionWeight*r.opt.Congestion(q))
 		if !found || score < bestScore {
 			best, bestScore, found = q, score, true
 		}

@@ -95,7 +95,7 @@ func FailedFractionInterval(trials []SearchStats) Interval {
 	var ss float64
 	for _, v := range values {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	std := math.Sqrt(ss / float64(n-1))
 	return Interval{Mean: mean, StdErr: std / math.Sqrt(float64(n)), Trials: n}

@@ -25,9 +25,9 @@
 // back into the simulation — so attaching one cannot move a golden.
 //
 // Concurrency contract: the engine's sequential call sites (injection,
-// completion, merge settlement, cache polling, the snapshot loop) use
-// the Recorder methods directly; its live event handlers, which may run
-// on parallel shard drains, go through their owner's View — one per
+// completion, merge settlement, cache polling, strand resumption) use
+// the Recorder methods directly; its event handlers, which may run on
+// parallel shard drains, go through their owner's View — one per
 // shard, handed out before the run starts and folded back at EndRun.
 // Flight hops may be appended from shard goroutines because a message
 // is owned by exactly one shard at a time.
@@ -568,15 +568,6 @@ func (r *Recorder) Cache(t float64, promotions, evictions int) {
 	c := run.win.at(run.window(t))
 	c.CachePromos += promotions
 	c.CacheEvicts += evictions
-}
-
-// Service records one queue service from the snapshot loop (the live
-// handlers use their owner's View instead).
-func (r *Recorder) Service(t float64, depth int) {
-	if r.cur == nil {
-		return
-	}
-	r.view(0).Service(t, depth)
 }
 
 // Hop records one hop of a sampled message from sequential code.

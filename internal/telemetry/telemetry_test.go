@@ -95,9 +95,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	r.BeginRun(1, 4) // window length 1; every id sampled
 	r.Inject(0, 0.5, 1, 9)
 	r.Inject(1, 1.5, 2, 9)
-	r.Service(0.5, 1)
+	r.View(0).Service(0.5, 1)
 	r.Hop(0, 3, 0.5, 0.5, 1.5, 1, DecisionGreedy)
-	r.Service(1.5, 2)
+	r.View(0).Service(1.5, 2)
 	r.Hop(1, 3, 1.5, 1.5, 2.5, 2, DecisionBacktrack)
 	r.Merge(1, 1.5)
 	r.Complete(0, 1.5, true, ServedPrimary)
@@ -194,7 +194,7 @@ func TestWriteJSONLParses(t *testing.T) {
 	r := New(Options{FlightSample: 2, WorstK: 2})
 	r.BeginRun(1, 8)
 	r.Inject(0, 0, 1, 2)
-	r.Service(0, 1)
+	r.View(0).Service(0, 1)
 	r.Complete(0, 1, true, ServedPrimary)
 	r.EndRun(0.01, 1)
 
@@ -238,7 +238,9 @@ func TestDisabledRecorderHooks(t *testing.T) {
 	r.Complete(0, 1, true, ServedPrimary)
 	r.Merge(0, 1)
 	r.Cache(1, 1, 1)
-	r.Service(0, 1)
+	if v := r.View(0); v != nil {
+		t.Errorf("no-run View = %v, want nil", v)
+	}
 	r.Hop(0, 0, 0, 0, 0, 1, DecisionGreedy)
 	r.SchedInit(2, 10)
 	r.SchedWindow(0, 1, 0, 1)
