@@ -132,10 +132,6 @@ func BenchmarkTheoryCrossCheck(b *testing.B) {
 	runExperiment(b, "theory", -1, "")
 }
 
-func BenchmarkFaultToleranceComparison(b *testing.B) {
-	runExperiment(b, "ext.faultcompare", 1, "failed-frac-backtrack-p0.7")
-}
-
 func BenchmarkExtension2D(b *testing.B) {
 	runExperiment(b, "ext.2d", -1, "")
 }

@@ -77,7 +77,7 @@ func TestRunWritesNoHeadlineNobodyAskedFor(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{
 		"-out", dir,
-		"-only", "fig5b,ext.load.workloads,ext.engine.modes",
+		"-only", "fig5b,ext.saturation.knee,ext.replica.zipf",
 		"-n", "512", "-trials", "1", "-msgs", "20",
 	}, &out, &errOut)
 	if code != 0 {
@@ -168,14 +168,16 @@ func TestHeadlinesAreTheirTablesRows(t *testing.T) {
 
 // TestRunIsDeterministic: every file but INDEX.txt (a timestamp and
 // per-experiment timings) is a function of the flags alone — headlines
-// included, now that none carries a wall-clock field.
+// included, now that none carries a wall-clock field. A short message
+// budget keeps it cheap; CI diffs the whole suite at -n 512 against a
+// GOMAXPROCS=1 rerun.
 func TestRunIsDeterministic(t *testing.T) {
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for _, dir := range dirs {
 		var out, errOut strings.Builder
 		code := run([]string{
 			"-out", dir, "-only", "fig5b," + headlineOwners,
-			"-n", "256", "-trials", "1", "-seed", "3", "-csv",
+			"-n", "256", "-trials", "1", "-msgs", "256", "-seed", "3", "-csv",
 		}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
@@ -280,7 +282,7 @@ func TestValidateRejectsBrokenHeadlines(t *testing.T) {
 		// The schema is looked up by experiment id: an id nothing
 		// registers, and an experiment that owns no headline.
 		"unknown.json":   `{"experiment":"x","knee_rate_greedy":1}`,
-		"ownerless.json": `{"experiment":"ext.load.zipf","max_load_greedy":67}`,
+		"ownerless.json": `{"experiment":"ext.replica.zipf","max_load_greedy":67}`,
 		// Presence is part of the schema: a file that lost one field is
 		// as broken as one that zeroed it, and a field the schema does
 		// not list has no gate to pass.

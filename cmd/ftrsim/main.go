@@ -6,15 +6,15 @@
 //	ftrsim -list
 //	ftrsim -exp fig6a [-n 131072] [-links 17] [-trials 1000] [-msgs 100] [-seed 1] [-csv]
 //	ftrsim -exp fig6a -dim 2 -side 64   # the same sweep on a 64×64 torus
-//	ftrsim -exp ext.load.zipf -workload flood -capacity 2   # traffic & congestion
+//	ftrsim -exp ext.load.policy -workload flood -capacity 2 # traffic & congestion
 //	ftrsim -exp ext.saturation.knee                         # find the capacity knee
 //	ftrsim -exp ext.saturation.knee -arrival closed -think 4
 //	ftrsim -exp ext.replica.flood -replicas 8               # hot-key replication ladder
-//	ftrsim -exp ext.load.zipf -replicas 4 -cache 25         # replicate any traffic run
+//	ftrsim -exp ext.load.policy -replicas 4 -cache 25       # replicate any traffic run
 //	ftrsim -exp ext.engine.flood                            # snapshot vs live vs live+aggregate vs live+pit knees
 //	ftrsim -exp ext.saturation.knee -live -aggregate        # any sweep on the live engine
 //	ftrsim -exp ext.pit.suppression -pittimeout 16          # the response path's suppression ledger
-//	ftrsim -exp ext.load.zipf -live -churn 0.1              # traffic under live node churn
+//	ftrsim -exp ext.load.policy -live -churn 0.1            # traffic under live node churn
 //	ftrsim -exp ext.churn.recovery -killfrac 0.3            # recovery after a correlated kill
 //
 // Defaults are scaled for quick runs; the flags restore the paper's
@@ -22,8 +22,8 @@
 // -dim/-side select the metric space for the dimension-aware
 // experiments (fig6*, fig7, ext.2d); the table header records the
 // space, so text and CSV output carry the dimension.
-// -workload/-skew/-capacity/-penalty/-depth parameterize the
-// ext.load.* traffic experiments (internal/load);
+// -workload/-skew/-capacity/-penalty/-depth parameterize the traffic
+// experiments (internal/load);
 // -arrival/-rate/-clients/-think select the arrival model — open-loop
 // periodic or Poisson at -rate, or a closed loop of -clients with
 // -think ticks between lookups — for both the fixed-rate experiments
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		msgs     = fs.Int("msgs", 0, "searches per network (0 = experiment default)")
 		seed     = fs.Uint64("seed", 0, "rng seed (0 = 1)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		workload = fs.String("workload", "", "traffic pattern for ext.load.* experiments: uniform, zipf, sources, flood (empty = experiment default)")
+		workload = fs.String("workload", "", "traffic pattern of the traffic experiments: uniform, zipf, sources, flood (empty = experiment default)")
 		skew     = fs.Float64("skew", 0, "Zipf exponent of skewed workloads (0 = 1.0)")
 		capacity = fs.Float64("capacity", 0, "per-node service capacity in message-hops per virtual tick (0 = 1)")
 		penalty  = fs.Float64("penalty", 0, "congestion-penalty weight of the load-aware policy (0 = 1)")

@@ -68,7 +68,7 @@ func TestRunDim2Sweep(t *testing.T) {
 }
 
 func TestRunLoadExperiment(t *testing.T) {
-	args := []string{"-exp", "ext.load.zipf", "-n", "512", "-msgs", "80", "-workload", "flood", "-capacity", "2"}
+	args := []string{"-exp", "ext.load.policy", "-n", "512", "-msgs", "80", "-workload", "flood", "-capacity", "2"}
 	var out1, out2, errOut strings.Builder
 	if code := run(args, &out1, &errOut); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
@@ -87,15 +87,15 @@ func TestRunLoadExperiment(t *testing.T) {
 }
 
 func TestRunReplicaExperiment(t *testing.T) {
-	// The churn ladder through the CLI, with the replica count and cache
+	// The flood ladder through the CLI, with the replica count and cache
 	// threshold overridden via -replicas/-cache.
-	args := []string{"-exp", "ext.replica.churn", "-n", "256", "-msgs", "120",
+	args := []string{"-exp", "ext.replica.flood", "-n", "256", "-msgs", "120",
 		"-replicas", "3", "-cache", "20"}
 	var out1, out2, errOut strings.Builder
 	if code := run(args, &out1, &errOut); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
 	}
-	for _, want := range []string{"k=3", "delivered", "serving", "max load"} {
+	for _, want := range []string{"k=3", "k=3+cache", "knee", "lift"} {
 		if !strings.Contains(out1.String(), want) {
 			t.Errorf("replica table missing %q:\n%s", want, out1.String())
 		}
@@ -110,18 +110,18 @@ func TestRunReplicaExperiment(t *testing.T) {
 
 func TestRunRejectsNegativeLoadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-exp", "ext.load.zipf", "-skew", "-1"},
-		{"-exp", "ext.load.zipf", "-depth", "-1"},
+		{"-exp", "ext.load.policy", "-skew", "-1"},
+		{"-exp", "ext.load.policy", "-depth", "-1"},
 		{"-exp", "ext.saturation.knee", "-rate", "-2"},
 		{"-exp", "ext.saturation.knee", "-clients", "-3"},
 		{"-exp", "ext.saturation.knee", "-think", "-0.5"},
 		{"-exp", "ext.replica.flood", "-replicas", "-2"},
 		{"-exp", "ext.replica.flood", "-cache", "-1"},
-		{"-exp", "ext.load.zipf", "-live", "-churn", "-0.1"},
-		{"-exp", "ext.load.zipf", "-live", "-killfrac", "-0.3"},
-		{"-exp", "ext.load.zipf", "-live", "-killfrac", "1.5"},
-		{"-exp", "ext.load.zipf", "-live", "-killat", "-10"},
-		{"-exp", "ext.load.zipf", "-live", "-gossipfanout", "-1"},
+		{"-exp", "ext.load.policy", "-live", "-churn", "-0.1"},
+		{"-exp", "ext.load.policy", "-live", "-killfrac", "-0.3"},
+		{"-exp", "ext.load.policy", "-live", "-killfrac", "1.5"},
+		{"-exp", "ext.load.policy", "-live", "-killat", "-10"},
+		{"-exp", "ext.load.policy", "-live", "-gossipfanout", "-1"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {
@@ -134,7 +134,7 @@ func TestRunChurnExperiment(t *testing.T) {
 	// Live traffic with background churn and a correlated kill through
 	// the CLI. The same args must be byte-identical across reruns, and
 	// churn without -live must fail with the load layer's error.
-	args := []string{"-exp", "ext.load.zipf", "-n", "512", "-msgs", "200",
+	args := []string{"-exp", "ext.load.policy", "-n", "512", "-msgs", "200",
 		"-live", "-churn", "0.05", "-killfrac", "0.2", "-killat", "40", "-gossipfanout", "3"}
 	var out1, out2, errOut strings.Builder
 	if code := run(args, &out1, &errOut); code != 0 {
@@ -152,7 +152,7 @@ func TestRunChurnExperiment(t *testing.T) {
 		t.Error("seeded churn run must be byte-identical across reruns")
 	}
 	errOut.Reset()
-	if code := run([]string{"-exp", "ext.load.zipf", "-churn", "0.05"}, &out1, &errOut); code != 1 {
+	if code := run([]string{"-exp", "ext.load.policy", "-churn", "0.05"}, &out1, &errOut); code != 1 {
 		t.Errorf("churn without -live should fail the experiment, got exit %d", code)
 	}
 	if !strings.Contains(errOut.String(), "live") {
@@ -219,7 +219,7 @@ func TestRunExperimentTextAndCSV(t *testing.T) {
 func TestRunTelemetryJSONL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "telemetry.jsonl")
-	args := []string{"-exp", "ext.load.zipf", "-n", "256", "-msgs", "256",
+	args := []string{"-exp", "ext.load.policy", "-n", "256", "-msgs", "256",
 		"-live", "-shards", "2", "-seed", "7", "-telemetry", path}
 	var out, errOut strings.Builder
 	if code := run(args, &out, &errOut); code != 0 {
@@ -278,7 +278,7 @@ func TestRunTelemetryJSONL(t *testing.T) {
 func TestRunTelemetryCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "telemetry.csv")
 	var out, errOut strings.Builder
-	code := run([]string{"-exp", "ext.load.zipf", "-n", "256", "-msgs", "128",
+	code := run([]string{"-exp", "ext.load.policy", "-n", "256", "-msgs", "128",
 		"-telemetry", path}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
@@ -301,7 +301,7 @@ func TestRunTelemetryCSV(t *testing.T) {
 
 func TestRunTelemetryUnwritablePath(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-exp", "ext.load.zipf", "-n", "256", "-msgs", "64",
+	code := run([]string{"-exp", "ext.load.policy", "-n", "256", "-msgs", "64",
 		"-telemetry", filepath.Join(t.TempDir(), "no", "such", "dir", "t.jsonl")}, &out, &errOut)
 	if code != 1 {
 		t.Errorf("exit = %d, want 1", code)

@@ -11,7 +11,8 @@
 // Beyond the paper's single-message reproduction, internal/load models
 // sustained traffic: workload generators, a virtual-time queueing
 // simulator over the overlay, and a congestion-penalized load-aware
-// routing policy, surfaced as the ext.load.* experiments.
+// routing policy, surfaced as ext.load.policy and the ext.saturation.*
+// sweeps.
 //
 // internal/replica attacks the flood case those experiments expose:
 // seeded hash-spread and antipodal placement plus popularity-triggered

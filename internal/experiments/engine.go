@@ -4,8 +4,8 @@ import (
 	"repro/internal/load"
 )
 
-// The ext.engine.* experiments measure what the discrete-event engine
-// buys over the batch-snapshot pipeline: live per-hop congestion state
+// ext.engine.flood measures what the discrete-event engine buys over
+// the batch-snapshot pipeline: live per-hop congestion state
 // (Config.Live), per-hop service aggregation of same-key lookups
 // (Config.Aggregate), and the pending-interest response path
 // (Config.PIT). Aggregation attacks the flood knee directly — the
@@ -17,9 +17,9 @@ import (
 // results are independent of Params.Workers.
 
 // engineModes is the snapshot / live / live+aggregate / live+pit
-// ladder every ext.engine experiment sweeps. Every rung sets all three
-// switches: the ladder owns the engine mode, whatever -live, -aggregate
-// and -pit say.
+// ladder ext.engine.flood sweeps. Every rung sets all three switches:
+// the ladder owns the engine mode, whatever -live, -aggregate and -pit
+// say.
 var engineModes = []variant{
 	{label: "snapshot", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = false, false, false }},
 	{label: "live", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = true, false, false }},
@@ -27,7 +27,7 @@ var engineModes = []variant{
 	{label: "live+pit", edit: func(c *load.Config) { c.Live, c.Aggregate, c.PIT = true, false, true }},
 }
 
-// modeNote is the plan note of the tables whose variants are engine
+// modeNote is the plan note of the table whose variants are engine
 // modes: one per mode.
 const modeNote = "%s: plan=%s — %s"
 
@@ -111,32 +111,6 @@ var engineFloodGrid = &grid{
 	},
 }
 
-var engineModesGrid = &grid{
-	n: 1 << 12, msgs: 2000,
-	title: runTitle("Engine modes under Zipf traffic (n≈%d, l=%d, msgs=%d, seed=%d)"),
-	columns: []string{"config", "mode", "max load", "max/mean", "p99 lat", "queue depth",
-		"aggregated", "mean hops"},
-	scenarios: []loadScenario{ringHealthy, torusFailed},
-	variants:  func(Params) []variant { return engineModes },
-	base: func(_ Params, c *load.Config) {
-		c.DepthPenalty = 1
-		if c.Rate == 0 {
-			// Push past capacity so the live depth signal has backlog to
-			// react to.
-			c.Rate = 8
-		}
-	},
-	workload: "zipf",
-	seedBase: 9000,
-	planNote: modeNote,
-	row: func(c *cell, add addRow) error {
-		r := c.run
-		add(c.sc.label, r.Mode, r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
-			r.MaxQueueDepth, r.Aggregated, r.Search.MeanHops())
-		return nil
-	},
-}
-
 func init() {
 	register(Experiment{
 		ID:       "ext.engine.flood",
@@ -153,15 +127,5 @@ func init() {
 			Fields:  engineFloodFields,
 			Measure: engineFloodGrid.measure,
 		},
-	})
-
-	register(Experiment{
-		ID:       "ext.engine.modes",
-		Artifact: "engine extension: snapshot vs live congestion signals under Zipf traffic",
-		Description: "fixed-rate Zipf traffic on healthy and 30%-failed networks routed with the " +
-			"depth-aware policy in snapshot mode (signal frozen per batch) and live mode " +
-			"(every forwarding decision reads the queues now): hottest node, queue depth, " +
-			"latency tail, and the aggregation count when same-key coalescing is on",
-		Run: engineModesGrid.run,
 	})
 }

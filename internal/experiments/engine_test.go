@@ -1,35 +1,13 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestEngineExperimentsRegistered pins the ext.engine.* ids the CLI
+// TestEngineExperimentsRegistered pins the ext.engine.* id the CLI
 // and bench harness depend on.
 func TestEngineExperimentsRegistered(t *testing.T) {
-	for _, id := range []string{"ext.engine.flood", "ext.engine.modes"} {
+	for _, id := range []string{"ext.engine.flood"} {
 		if _, err := Get(id); err != nil {
 			t.Errorf("missing experiment %s: %v", id, err)
-		}
-	}
-}
-
-// TestEngineModesTable runs the mode comparison at a reduced scale and
-// checks its shape: every mode row on both scenarios, and the
-// aggregated column present.
-func TestEngineModesTable(t *testing.T) {
-	table, err := Run("ext.engine.modes", Params{N: 512, Msgs: 500, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := table.String()
-	for _, want := range []string{
-		"ring healthy", "torus 30% failed",
-		"snapshot", "live", "live+aggregate", "live+pit", "aggregated",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("engine modes table missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -6,12 +6,20 @@
 //
 // The experiments share two runners and spell out only what differs.
 // The single-message ones (table1.*, fig*, ablation.*, baselines and
-// most ext.*) go through the search-trial runner of trials.go: build a
-// network, damage it, route, per trial stream. The traffic ones
-// (ext.load/saturation/replica/engine/pit.* and ext.churn.recovery) are
+// the §2/§7 ext.2d, ext.byzantine, ext.physical and ext.churn) go
+// through the search-trial runner of trials.go: build a network, damage
+// it, route, per trial stream. The traffic ones (ext.load.policy,
+// ext.saturation/replica/engine/pit.* and ext.churn.recovery) are
 // declared as a grid (grid.go): scenarios × variants, the columns and
 // the cells of a row. README.md's Architecture table says how to add
 // one.
+//
+// One table per claim: each of the nine traffic extensions owns a
+// BENCH_*.json headline or is the table README cites for a stated
+// claim, and TestRegistryComplete pins the catalogue. A new scenario
+// for an existing claim becomes extra rows of the table that makes it
+// (ext.saturation.policies' failed networks, baselines' failure
+// ladder), not a new id.
 //
 // Default parameters are scaled so the full suite completes in minutes
 // on a laptop; Params lets callers restore the paper's scale (n = 2^17,
@@ -58,9 +66,9 @@ type Params struct {
 	// -shards); 0 selects 1, the sequential reference. Results are
 	// identical for every value.
 	Shards int
-	// Workload names the traffic generator of the ext.load.*
-	// experiments ("uniform", "zipf", "sources", "flood"); empty
-	// selects each experiment's default.
+	// Workload names the traffic generator of the traffic experiments
+	// ("uniform", "zipf", "sources", "flood"); empty selects each
+	// experiment's default.
 	Workload string
 	// Skew is the Zipf exponent of the skewed load workloads; 0
 	// selects the P2P-typical 1.0.
@@ -76,8 +84,8 @@ type Params struct {
 	DepthPenalty float64
 	// Arrival names the arrival model of the traffic experiments
 	// ("periodic", "poisson", "closed"); empty selects each
-	// experiment's default (fixed-rate for ext.load.*, Poisson for the
-	// ext.saturation.* sweeps).
+	// experiment's default (fixed-rate for ext.load.policy, Poisson for
+	// the ext.saturation.* sweeps).
 	Arrival string
 	// Rate is the open-loop injection rate in messages per tick; 0
 	// selects 1 for the fixed-rate experiments and the sweep's own

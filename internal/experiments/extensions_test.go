@@ -35,17 +35,26 @@ func TestByzantineRedundancyHelps(t *testing.T) {
 	}
 }
 
+// TestFaultCompareBacktrackWins reads baselines' failure rows: at
+// p = 0.7 the backtracking overlay delivers more lookups than Chord and
+// Kleinberg.
 func TestFaultCompareBacktrackWins(t *testing.T) {
-	tbl, err := Run("ext.faultcompare", Params{N: 1 << 11, Trials: 2, Msgs: 100, Seed: 12})
+	tbl, err := Run("baselines", Params{N: 1 << 11, Trials: 2, Msgs: 100, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := tbl.Rows[len(tbl.Rows)-1] // p = 0.7
-	ours := parseF(t, last[1])
-	chord := parseF(t, last[3])
-	kleinberg := parseF(t, last[4])
-	if ours >= chord || ours >= kleinberg {
-		t.Errorf("backtracking overlay (%v) should beat chord (%v) and kleinberg (%v) at p=0.7",
+	delivered := map[string]float64{}
+	for _, row := range tbl.Rows {
+		delivered[row[0]] = parseF(t, row[3])
+	}
+	ours, ok1 := delivered["aspnes-shah backtracking p=0.7"]
+	chord, ok2 := delivered["chord p=0.7"]
+	kleinberg, ok3 := delivered["kleinberg l=11 p=0.7"]
+	if !ok1 || !ok2 || !ok3 {
+		t.Fatalf("baselines lacks the p=0.7 failure rows:\n%s", tbl)
+	}
+	if ours <= chord || ours <= kleinberg {
+		t.Errorf("backtracking overlay (%v) should deliver more than chord (%v) and kleinberg (%v) at p=0.7",
 			ours, chord, kleinberg)
 	}
 }

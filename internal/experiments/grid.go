@@ -14,18 +14,19 @@ import (
 	"repro/internal/sim"
 )
 
-// The traffic grid is the protocol of every ext.load.*, ext.saturation.*,
-// ext.replica.*, ext.engine.*, ext.pit.* table and of ext.churn.recovery:
-// for each scenario build a seeded network, for each variant resolve the
-// load.Config the flags describe, edit it, run the traffic (one
-// fixed-rate load.Run, or a load.Sweep for the capacity knee), and print
-// a row. An experiment declares the scenarios, the variants, the columns
-// and the cells; the grid owns graph construction, the one Params →
-// load.Config resolver, the seed discipline, error plumbing, the lift
-// against a baseline row, the verdict of a sweep that found no stable
-// load, and the execution-plan notes. Results are independent of
-// Params.Workers and Params.Shards (load.Run's guarantee), so tables are
-// byte-identical across machines for a fixed seed.
+// The traffic grid is the protocol of ext.load.policy, of every
+// ext.saturation.*, ext.replica.*, ext.engine.*, ext.pit.* table and of
+// ext.churn.recovery: for each scenario build a seeded network, for each
+// variant resolve the load.Config the flags describe, edit it, run the
+// traffic (one fixed-rate load.Run, or a load.Sweep for the capacity
+// knee), and print a row. An experiment declares the scenarios, the
+// variants, the columns and the cells; the grid owns graph
+// construction, the one Params → load.Config resolver, the seed
+// discipline, error plumbing, the lift against a baseline row, the
+// verdict of a sweep that found no stable load, and the execution-plan
+// notes. Results are independent of Params.Workers and Params.Shards
+// (load.Run's guarantee), so tables are byte-identical across machines
+// for a fixed seed.
 
 // loadScenario is one network under test: a space plus a fraction of
 // nodes to crash before traffic starts.
@@ -48,9 +49,6 @@ type variant struct {
 	// edit adjusts the resolved configuration; nil leaves it as the
 	// flags describe it.
 	edit func(*load.Config)
-	// workload overrides the grid's (and -workload's) generator, for the
-	// table whose rows are the generators themselves.
-	workload string
 	// seed is added to the run seed. Variants normally share one seed —
 	// the same traffic under different treatments; tables whose rows are
 	// separate draws number them here.
@@ -126,9 +124,10 @@ type grid struct {
 	// base applies the experiment's own settings to every cell's
 	// resolved configuration, ahead of the variant's edit.
 	base func(Params, *load.Config)
-	// workload is the default generator and seedBase the experiment's
-	// seed block: scenario i's network is built from Seed+i and its runs
-	// are seeded Seed+seedBase+i.
+	// workload is the default generator (-workload overrides it, and the
+	// title sees the resolved one) and seedBase the experiment's seed
+	// block: scenario i's network is built from Seed+i and its runs are
+	// seeded Seed+seedBase+i.
 	workload string
 	seedBase uint64
 	// sweep makes each cell a load.Sweep (open-loop Poisson arrivals by
@@ -282,6 +281,9 @@ func (gr *grid) measure(p Params) (*sim.Table, Values, error) {
 	if p.Msgs == 0 {
 		p.Msgs = gr.msgsPerNode * p.N
 	}
+	if p.Workload == "" {
+		p.Workload = gr.workload
+	}
 	t := sim.NewTable(gr.title(p), gr.columns...)
 	head := scenarioValues(p)
 	variants := []variant{{}}
@@ -299,14 +301,7 @@ func (gr *grid) measure(p Params) (*sim.Table, Values, error) {
 					return nil, nil, err
 				}
 			}
-			workload := gr.workload
-			if p.Workload != "" {
-				workload = p.Workload
-			}
-			if v.workload != "" {
-				workload = v.workload
-			}
-			if c.gen, err = load.NewGenerator(workload, p.Skew); err != nil {
+			if c.gen, err = load.NewGenerator(p.Workload, p.Skew); err != nil {
 				return nil, nil, err
 			}
 			if c.cfg, err = loadConfig(p); err != nil {

@@ -6,53 +6,16 @@ import (
 	"repro/internal/load"
 )
 
-// The ext.load.* experiments ask the production question the paper's
+// ext.load.policy asks the production question the paper's
 // single-message runs leave open: under sustained traffic, which nodes
 // melt first, and does fault-tolerant greedy routing also balance load?
-// Each injects a workload through internal/load's virtual-time queueing
-// simulator and tabulates the per-node load profile and latency
-// quantiles.
-
-var fourNetworks = []loadScenario{ringHealthy, ringFailed, torusHealthy, torusFailed}
-
-var loadZipfGrid = &grid{
-	n: 1 << 12, msgs: 1000,
-	title: runTitle("Load under Zipf traffic (n≈%d, l=%d, msgs=%d, seed=%d)"),
-	columns: []string{"config", "max load", "mean load", "max/mean", "p50 lat", "p99 lat",
-		"queue depth", "mean hops", "failed frac"},
-	scenarios: fourNetworks,
-	workload:  "zipf",
-	seedBase:  1000,
-	row: func(c *cell, add addRow) error {
-		r := c.run
-		add(c.sc.label+", "+r.Workload,
-			r.MaxLoad, r.MeanLoad, r.MaxMeanRatio(), r.LatencyP50, r.LatencyP99,
-			r.MaxQueueDepth, r.Search.MeanHops(), r.Search.FailedFraction())
-		return nil
-	},
-}
-
-var loadWorkloadsGrid = &grid{
-	n: 1 << 12, msgs: 1000,
-	title: runTitle("Workload sweep (ring n=%d, l=%d, msgs=%d, seed=%d)"),
-	columns: []string{"workload", "max load", "mean load", "max/mean", "idle nodes",
-		"p99 lat", "queue depth", "mean hops"},
-	scenarios: []loadScenario{ringHealthy},
-	variants: func(Params) []variant {
-		return []variant{
-			{workload: "uniform"}, {workload: "zipf", seed: 1},
-			{workload: "sources", seed: 2}, {workload: "flood", seed: 3},
-		}
-	},
-	seedBase: 2000,
-	row: func(c *cell, add addRow) error {
-		r := c.run
-		add(r.Workload,
-			r.MaxLoad, r.MeanLoad, r.MaxMeanRatio(), r.IdleNodes,
-			r.LatencyP99, r.MaxQueueDepth, r.Search.MeanHops())
-		return nil
-	},
-}
+// It injects Zipf traffic through internal/load's virtual-time queueing
+// simulator on a ring and a torus, healthy and 30% failed, routed
+// hop-optimal greedy and load-aware. The greedy rows are the hot-spot
+// profile of each network (per-node load, latency quantiles, queue
+// depth); the load-aware rows are what the congestion penalty buys.
+// -workload swaps the generator, so the same table compares uniform,
+// sources and flood traffic.
 
 // loadPolicyFields is the BENCH_load.json schema: the healthy ring's
 // two rows of ext.load.policy — one seeded Zipf workload routed
@@ -68,17 +31,18 @@ var loadPolicyFields = scenarioFields(
 	Field{Name: "p99_latency_aware", Unit: "ticks", Gate: Positive, Row: 1, Col: "p99 lat"},
 	Field{Name: "mean_hops_greedy", Unit: "hops", Gate: Positive, Row: 0, Col: "mean hops"},
 	Field{Name: "mean_hops_aware", Unit: "hops", Gate: Positive, Row: 1, Col: "mean hops"},
-	Field{Name: "max_queue_depth_greedy", Unit: "msgs", Gate: PositiveInt},
+	Field{Name: "max_queue_depth_greedy", Unit: "msgs", Gate: PositiveInt, Row: 0, Col: "queue depth"},
 )
 
 var loadPolicyGrid = &grid{
 	n: 1 << 12, msgs: 1000,
 	title: func(p Params) string {
-		return fmt.Sprintf("Greedy vs load-aware routing (n≈%d, l=%d, msgs=%d, penalty=%g, seed=%d)",
-			p.N, p.lgLinks(), p.Msgs, orOne(p.Penalty), p.Seed)
+		return fmt.Sprintf("Greedy vs load-aware routing, %s traffic (n≈%d, l=%d, msgs=%d, penalty=%g, seed=%d)",
+			p.Workload, p.N, p.lgLinks(), p.Msgs, orOne(p.Penalty), p.Seed)
 	},
-	columns:   []string{"config", "policy", "max load", "max/mean", "p99 lat", "mean hops", "failed frac"},
-	scenarios: fourNetworks,
+	columns: []string{"config", "policy", "max load", "mean load", "max/mean", "p50 lat", "p99 lat",
+		"queue depth", "mean hops", "failed frac"},
+	scenarios: []loadScenario{ringHealthy, ringFailed, torusHealthy, torusFailed},
 	variants: func(p Params) []variant {
 		return []variant{
 			{label: "greedy"},
@@ -90,8 +54,8 @@ var loadPolicyGrid = &grid{
 	row: func(c *cell, add addRow) error {
 		r := c.run
 		add(c.sc.label, c.v.label,
-			r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99,
-			r.Search.MeanHops(), r.Search.FailedFraction())
+			r.MaxLoad, r.MeanLoad, r.MaxMeanRatio(), r.LatencyP50, r.LatencyP99,
+			r.MaxQueueDepth, r.Search.MeanHops(), r.Search.FailedFraction())
 		if c.si > 0 {
 			return nil // the headline is the healthy ring
 		}
@@ -110,28 +74,12 @@ var loadPolicyGrid = &grid{
 
 func init() {
 	register(Experiment{
-		ID:       "ext.load.zipf",
-		Artifact: "traffic extension: hotspot (Zipf) load profile across spaces and failures",
-		Description: "Zipf-popular lookups through the virtual-time queueing simulator on a ring " +
-			"and a 2-D torus, healthy and 30% failed: per-node max/mean load, latency " +
-			"quantiles, and queue depth under backtrack routing",
-		Run: loadZipfGrid.run,
-	})
-
-	register(Experiment{
-		ID:       "ext.load.workloads",
-		Artifact: "traffic extension: workload generator sweep (uniform / zipf / sources / flood)",
-		Description: "all four traffic patterns on one healthy ring: how far each skew pushes " +
-			"the hottest node, the deepest queue, and the latency tail",
-		Run: loadWorkloadsGrid.run,
-	})
-
-	register(Experiment{
 		ID:       "ext.load.policy",
-		Artifact: "traffic extension: hop-optimal greedy vs congestion-penalized (load-aware) routing",
+		Artifact: "traffic extension: hotspot load profile, hop-optimal greedy vs congestion-penalized (load-aware) routing",
 		Description: "the same Zipf traffic routed twice per network — plain greedy and greedy " +
 			"with congestion-penalized detours — on ring and torus, healthy and 30% " +
-			"failed: the load-aware policy should cut max load at a bounded mean-hop cost",
+			"failed: per-node max/mean load, latency quantiles and queue depth; the " +
+			"load-aware policy should cut max load at a bounded mean-hop cost",
 		Headline: &Headline{
 			File:    "BENCH_load.json",
 			Summary: "traffic headline: greedy vs load-aware on the healthy ring",

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestLoadExperimentsRegistered pins the ext.load.* ids the CLI and
+// TestLoadExperimentsRegistered pins the ext.load.* id the CLI and
 // bench harness depend on.
 func TestLoadExperimentsRegistered(t *testing.T) {
-	for _, id := range []string{"ext.load.zipf", "ext.load.workloads", "ext.load.policy"} {
+	for _, id := range []string{"ext.load.policy"} {
 		if _, err := Get(id); err != nil {
 			t.Errorf("missing experiment %s: %v", id, err)
 		}
@@ -17,15 +17,15 @@ func TestLoadExperimentsRegistered(t *testing.T) {
 }
 
 // TestLoadZipfDeterministicAcrossWorkers is the acceptance property:
-// the rendered table is byte-identical for the same seed regardless of
-// the worker count.
+// the rendered Zipf table of ext.load.policy is byte-identical for the
+// same seed regardless of the worker count.
 func TestLoadZipfDeterministicAcrossWorkers(t *testing.T) {
 	small := Params{N: 512, Msgs: 120, Seed: 3}
 	var want string
 	for _, workers := range []int{1, 3, 8} {
 		p := small
 		p.Workers = workers
-		table, err := Run("ext.load.zipf", p)
+		table, err := Run("ext.load.policy", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestLoadZipfDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d output diverged:\n%s\nvs workers=1:\n%s", workers, got, want)
 		}
 	}
-	for _, col := range []string{"max load", "mean load", "p99 lat"} {
+	for _, col := range []string{"max load", "mean load", "p99 lat", "queue depth"} {
 		if !strings.Contains(want, col) {
 			t.Errorf("table missing column %q:\n%s", col, want)
 		}
@@ -72,22 +72,24 @@ func TestLoadPolicyReducesMaxLoad(t *testing.T) {
 	}
 }
 
-// TestLoadWorkloadsSweep sanity-checks the generator sweep: the flood
-// row must dominate the uniform row's max load.
+// TestLoadWorkloadsSweep sanity-checks -workload on ext.load.policy:
+// on the healthy ring, greedy, flood traffic must push the hottest node
+// past uniform traffic's.
 func TestLoadWorkloadsSweep(t *testing.T) {
-	table, err := Run("ext.load.workloads", Params{N: 512, Msgs: 200, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := map[string]int{}
-	for _, row := range table.Rows {
-		v, err := strconv.Atoi(row[1])
+	maxLoad := func(workload string) int {
+		t.Helper()
+		table, err := Run("ext.load.policy", Params{N: 512, Msgs: 200, Seed: 4, Workload: workload})
 		if err != nil {
-			t.Fatalf("non-numeric max load %q", row[1])
+			t.Fatal(err)
 		}
-		loads[row[0]] = v
+		row := table.Rows[0]
+		v, err := strconv.Atoi(row[2])
+		if row[0] != "ring healthy" || row[1] != "greedy" || err != nil {
+			t.Fatalf("row 0 is not the healthy ring's greedy max load: %v", row)
+		}
+		return v
 	}
-	if loads["flood"] <= loads["uniform"] {
-		t.Errorf("flood max load %d should exceed uniform %d", loads["flood"], loads["uniform"])
+	if flood, uniform := maxLoad("flood"), maxLoad("uniform"); flood <= uniform {
+		t.Errorf("flood max load %d should exceed uniform %d", flood, uniform)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/load"
 	"repro/internal/replica"
@@ -150,38 +149,6 @@ var replicaZipfGrid = &grid{
 	},
 }
 
-var replicaChurnGrid = &grid{
-	n: 1 << 10, msgs: 800,
-	title: func(p Params) string {
-		return fmt.Sprintf("Flood under deepening failures (n≈%d, l=%d, msgs=%d, k=%d, seed=%d)",
-			p.N, p.lgLinks(), p.Msgs, p.replicaCount(), p.Seed)
-	},
-	columns: []string{"failed frac", "k", "delivered", "serving", "max load", "max/mean", "p99 lat"},
-	scenarios: []loadScenario{
-		{dim: 2, failFrac: 0}, {dim: 2, failFrac: 0.15}, {dim: 2, failFrac: 0.30}, {dim: 2, failFrac: 0.45},
-	},
-	variants: func(p Params) []variant {
-		// k replicas, honouring a -cache threshold override.
-		atK := func(k int) variant {
-			var opt *replica.Options
-			if k > 1 || p.Cache > 0 {
-				opt = &replica.Options{K: k, CacheThreshold: p.Cache}
-			}
-			return replicated(strconv.Itoa(k), opt)
-		}
-		return []variant{atK(1), atK(p.replicaCount())}
-	},
-	workload: "flood",
-	seedBase: 7000,
-	row: func(c *cell, add addRow) error {
-		r := c.run
-		add(c.sc.failFrac, c.v.label,
-			float64(r.Delivered)/float64(r.Injected), r.ServingPoints(),
-			r.MaxLoad, r.MaxMeanRatio(), r.LatencyP99)
-		return nil
-	},
-}
-
 func init() {
 	register(Experiment{
 		ID:       "ext.replica.flood",
@@ -205,15 +172,5 @@ func init() {
 			"hash-spread and antipodal k = 4 replicas, and popularity-triggered " +
 			"cache-on-path: hottest-node load, delivery concentration, and latency tail",
 		Run: replicaZipfGrid.run,
-	})
-
-	register(Experiment{
-		ID:       "ext.replica.churn",
-		Artifact: "replication extension: replica survivability as failures deepen",
-		Description: "single-target flood on a torus at 0/15/30/45% node failures, k = 1 vs k = 4: " +
-			"delivered fraction, surviving replicas actually serving, hottest-node load " +
-			"and latency tail — replicas keep the hot key reachable and spread as the " +
-			"primary's neighbourhood crumbles (dead replicas degrade to plain greedy)",
-		Run: replicaChurnGrid.run,
 	})
 }

@@ -9,7 +9,7 @@ import (
 // and bench harness depend on.
 func TestReplicaExperimentsRegistered(t *testing.T) {
 	for _, id := range []string{
-		"ext.replica.flood", "ext.replica.zipf", "ext.replica.churn",
+		"ext.replica.flood", "ext.replica.zipf",
 	} {
 		if _, err := Get(id); err != nil {
 			t.Errorf("missing experiment %s: %v", id, err)
@@ -36,15 +36,16 @@ func TestReplicaZipfTable(t *testing.T) {
 	}
 }
 
-// TestReplicaChurnDeterministicAcrossWorkers extends the worker
-// invariance contract to the replica pipeline end to end.
-func TestReplicaChurnDeterministicAcrossWorkers(t *testing.T) {
+// TestReplicaZipfDeterministicAcrossWorkers extends the worker
+// invariance contract to the replica pipeline end to end: every
+// placement strategy under fixed-rate Zipf traffic.
+func TestReplicaZipfDeterministicAcrossWorkers(t *testing.T) {
 	small := Params{N: 256, Msgs: 200, Seed: 7}
 	var want string
 	for _, workers := range []int{1, 4} {
 		p := small
 		p.Workers = workers
-		table, err := Run("ext.replica.churn", p)
+		table, err := Run("ext.replica.zipf", p)
 		if err != nil {
 			t.Fatal(err)
 		}

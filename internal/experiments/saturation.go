@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/load"
+	"repro/internal/sim"
 )
 
 // The ext.saturation.* experiments answer the capacity question the
-// fixed-rate ext.load.* runs leave open: at what offered load does the
-// network stop keeping up, and do the congestion-aware routing policies
-// move that point? Each sweeps Zipf traffic over seeded networks and
-// tabulates the latency-vs-throughput curve and the knee.
+// fixed-rate ext.load.policy runs leave open: at what offered load does
+// the network stop keeping up, and do the congestion-aware routing
+// policies move that point? Each sweeps Zipf traffic over seeded
+// networks and tabulates the latency-vs-throughput curve and the knee.
 
 // policyVariants resolves the greedy / load-aware / depth-aware ladder,
 // honouring -penalty and -depth overrides. Every rung sets both weights:
@@ -35,14 +36,14 @@ func kneeMark(stable bool) string {
 	return "UNSTABLE"
 }
 
-// kneeByPolicy is the policy comparison both policy tables run: every
-// policy's knee on every scenario, and the p99 latency of a re-run at
-// 80% of it — the headroom a production operator would actually run at.
-// what completes the title's format string.
-func kneeByPolicy(what string, row func(*cell, addRow) error, scenarios ...loadScenario) *grid {
+// kneeByPolicy is the policy comparison of ext.saturation.policies:
+// every policy's knee on every scenario, and the p99 latency of a
+// re-run at 80% of it — the headroom a production operator would
+// actually run at.
+func kneeByPolicy(row func(*cell, addRow) error, scenarios ...loadScenario) *grid {
 	return &grid{
 		n: 1 << 10, msgsPerNode: 3,
-		title:     sweepTitle("Knee by routing policy, " + what + " (n≈%d, l=%d, seed=%d)"),
+		title:     sweepTitle("Knee by routing policy (n≈%d, l=%d, seed=%d)"),
 		columns:   []string{"config", "policy", "knee", "knee thr", "p99@knee", "p99@80%", "verdict"},
 		scenarios: scenarios,
 		variants:  policyVariants,
@@ -83,7 +84,7 @@ var saturationFields = scenarioFields(
 	Field{Name: "p99_at_80pct_knee_depth", Unit: "ticks", Gate: Positive, Row: 2, Col: "p99@80%"},
 )
 
-var saturationPoliciesGrid = kneeByPolicy("healthy networks", func(c *cell, add addRow) error {
+var saturationHealthyGrid = kneeByPolicy(func(c *cell, add addRow) error {
 	if c.si == 0 { // the headline is the healthy ring
 		first := c.sweep.Points[0].Result
 		suffix := [...]string{"greedy", "aware", "depth"}[c.vi]
@@ -94,6 +95,27 @@ var saturationPoliciesGrid = kneeByPolicy("healthy networks", func(c *cell, add 
 	}
 	return policyRow(c, add)
 }, ringHealthy, torusHealthy)
+
+// saturationFailedGrid is the same comparison on the 30%-failed
+// networks, where dead ends and detours compound queueing. Its
+// scenarios are numbered from 0 like the healthy grid's, so each failed
+// network is built from its healthy twin's seed.
+var saturationFailedGrid = kneeByPolicy(policyRow, ringFailed, torusFailed)
+
+// saturationPolicies is ext.saturation.policies: the healthy networks'
+// rows, which the headline reads, then the failed networks' rows.
+func saturationPolicies(p Params) (*sim.Table, Values, error) {
+	t, head, err := saturationHealthyGrid.measure(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	failed, err := saturationFailedGrid.run(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.Rows = append(t.Rows, failed.Rows...)
+	return t, head, nil
+}
 
 var saturationKneeGrid = &grid{
 	n: 1 << 10, msgsPerNode: 3,
@@ -127,24 +149,16 @@ func init() {
 
 	register(Experiment{
 		ID:       "ext.saturation.policies",
-		Artifact: "saturation extension: does congestion-aware routing move the capacity knee?",
+		Artifact: "saturation extension: does congestion-aware routing move the capacity knee, healthy and under 30% node failures?",
 		Description: "greedy vs load-aware (cumulative charged load) vs depth-aware (instantaneous " +
-			"queue depth) routing on healthy networks: each policy's knee, its throughput, " +
-			"and the p99 latency at 80% of the knee",
+			"queue depth) routing on healthy and 30%-failed ring and torus: each policy's " +
+			"knee, its throughput, and the p99 latency at 80% of the knee — on the failed " +
+			"torus the depth-aware policy should hold at least greedy's knee throughput",
 		Headline: &Headline{
 			File:    "BENCH_saturation.json",
 			Summary: "capacity-knee headline: greedy vs load-aware vs depth-aware on the healthy ring",
 			Fields:  saturationFields,
-			Measure: saturationPoliciesGrid.measure,
+			Measure: saturationPolicies,
 		},
-	})
-
-	register(Experiment{
-		ID:       "ext.saturation.failed",
-		Artifact: "saturation extension: the knee under 30% node failures",
-		Description: "the same greedy / load-aware / depth-aware knee comparison on 30%-failed " +
-			"ring and torus — where dead ends and detours compound queueing, the " +
-			"depth-aware policy should hold at least greedy's knee throughput",
-		Run: kneeByPolicy("30%% failed", policyRow, ringFailed, torusFailed).run,
 	})
 }

@@ -9,7 +9,7 @@ import (
 // CLI and bench harness depend on.
 func TestSaturationExperimentsRegistered(t *testing.T) {
 	for _, id := range []string{
-		"ext.saturation.knee", "ext.saturation.policies", "ext.saturation.failed",
+		"ext.saturation.knee", "ext.saturation.policies",
 	} {
 		if _, err := Get(id); err != nil {
 			t.Errorf("missing experiment %s: %v", id, err)
@@ -58,14 +58,15 @@ func TestSaturationKneeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDepthAwareKneeOnFailedTorus is the acceptance criterion: on the
-// 30%-failed torus scenario of ext.saturation.failed (its default
+// 30%-failed torus rows of ext.saturation.policies (its default
 // parameters), the depth-aware policy's knee throughput must be at
-// least plain greedy's.
+// least plain greedy's. It sweeps only the failed networks, the rows it
+// reads.
 func TestDepthAwareKneeOnFailedTorus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale sweep skipped in -short mode")
 	}
-	table, err := Run("ext.saturation.failed", Params{})
+	table, err := saturationFailedGrid.run(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

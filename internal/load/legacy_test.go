@@ -377,14 +377,11 @@ func legacyRun(g *graph.Graph, gen load.Generator, cfg load.Config, seed uint64)
 	}
 	alive := g.AliveCount()
 	var total int
-	for i, l := range out.loads {
+	for _, l := range out.loads {
 		if l > r.MaxLoad {
 			r.MaxLoad = l
 		}
 		total += l
-		if l == 0 && g.Alive(metric.Point(i)) {
-			r.IdleNodes++
-		}
 	}
 	if alive > 0 {
 		r.MeanLoad = float64(total) / float64(alive)

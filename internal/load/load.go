@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/graph"
-	"repro/internal/metric"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -328,8 +327,6 @@ type Result struct {
 	// over the live nodes. Their ratio is the imbalance headline.
 	MaxLoad  int
 	MeanLoad float64
-	// IdleNodes counts live nodes that serviced nothing.
-	IdleNodes int
 	// MaxQueueDepth is the deepest any node's FIFO got (including the
 	// message in service).
 	MaxQueueDepth int
@@ -532,14 +529,11 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	}
 	alive := g.AliveCount()
 	var total int
-	for i, l := range out.Loads {
+	for _, l := range out.Loads {
 		if l > r.MaxLoad {
 			r.MaxLoad = l
 		}
 		total += l
-		if l == 0 && g.Alive(metric.Point(i)) {
-			r.IdleNodes++
-		}
 	}
 	if alive > 0 {
 		r.MeanLoad = float64(total) / float64(alive)

@@ -25,8 +25,7 @@ func latencySummary(latencies []float64) (mean, p50, p95, p99 float64) {
 }
 
 // LoadHistogram buckets the per-node service counts into a power-of-two
-// histogram over the loaded nodes (idle nodes are in Result.IdleNodes).
-// Nil when nothing was loaded.
+// histogram over the loaded nodes. Nil when nothing was loaded.
 func (r *Result) LoadHistogram() *mathx.Histogram {
 	if r.MaxLoad == 0 {
 		return nil

@@ -53,6 +53,26 @@ func TestHarmonicTableMatchesDirectLoop(t *testing.T) {
 	}
 }
 
+// TestHarmonicAsymptoticBits pins the asymptotic branch bit for bit at
+// three sizes the experiments build (the table seam, 2^12 and the
+// paper's 2^17): every seeded link draw compares against these values,
+// so a math.Log that rounds differently on another architecture moves
+// the goldens, and this test names the cause.
+func TestHarmonicAsymptoticBits(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		bits uint64
+	}{
+		{256, 0x40187f544932db5d},
+		{4096, 0x4021ca4b0ed7fc2a},
+		{1 << 17, 0x4028b8b07eb0ce45},
+	} {
+		if got := math.Float64bits(Harmonic(c.n)); got != c.bits {
+			t.Errorf("Harmonic(%d) bits = %#016x, want %#016x", c.n, got, c.bits)
+		}
+	}
+}
+
 // TestHarmonicMonotone: rng's harmonic inversion (like the binary
 // search before it) is only defined for a monotone predicate, so
 // strict growth is checked exhaustively over every size a simulated

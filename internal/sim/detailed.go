@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -12,7 +13,10 @@ import (
 // on workers goroutines and keeps each trial's statistics, so callers
 // can attach confidence intervals to experiment tables. Trial i's
 // stats land at index i regardless of the worker count; once a trial
-// fails no further trial starts, and the first error is returned.
+// fails no further trial starts, and the error returned is the
+// lowest-index failing trial's. Trials are dispatched in index order,
+// so that trial always runs, and the error is a function of the seed,
+// not of which worker finished first.
 func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats, error) {
 	if trials <= 0 {
 		return nil, errors.New("sim: trials must be positive")
@@ -25,11 +29,9 @@ func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats,
 	}
 	root := rng.New(seed)
 	out := make([]SearchStats, trials)
+	errs := make([]error, trials)
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
+	var failed atomic.Bool
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -37,29 +39,22 @@ func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats,
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				stats, err := fn(i, root.Derive(uint64(i)))
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
+				out[i], errs[i] = fn(i, root.Derive(uint64(i)))
+				if errs[i] != nil {
+					failed.Store(true)
 				}
-				mu.Unlock()
-				out[i] = stats
 			}
 		}()
 	}
-	for i := 0; i < trials; i++ {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
+	for i := 0; i < trials && !failed.Load(); i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -79,21 +78,24 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunPropagatesError: with trials 3 and 7 failing, the error is
+// trial 3's at every worker count, whichever trial a worker finished
+// first.
 func TestRunPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	var calls int32
-	_, err := Run(1, 100, 4, func(trial int, src *rng.Source) (SearchStats, error) {
-		atomic.AddInt32(&calls, 1)
-		if trial == 3 {
-			return SearchStats{}, sentinel
+	low, high := errors.New("trial 3"), errors.New("trial 7")
+	for _, workers := range []int{1, 4, 8} {
+		_, err := Run(1, 100, workers, func(trial int, src *rng.Source) (SearchStats, error) {
+			switch trial {
+			case 3:
+				return SearchStats{}, low
+			case 7:
+				return SearchStats{}, high
+			}
+			return SearchStats{}, nil
+		})
+		if err != low {
+			t.Errorf("workers=%d: err = %v, want trial 3's", workers, err)
 		}
-		return SearchStats{}, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sentinel", err)
-	}
-	if atomic.LoadInt32(&calls) == 100 {
-		t.Error("error should abort remaining trials (at least sometimes)")
 	}
 }
 

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -12,19 +14,28 @@ import (
 	"repro/internal/experiments"
 )
 
-// readmeDocs are the documents whose command lines a reader copies.
-var readmeDocs = []string{"README.md", ".claude/skills/verify/SKILL.md"}
+// readmeDocs are the documents whose command lines and experiment ids a
+// reader copies: README, the verify skill, ftrsim's usage comment and
+// the load layer's package doc.
+var readmeDocs = []string{
+	"README.md", ".claude/skills/verify/SKILL.md", "cmd/ftrsim/main.go", "internal/load/doc.go",
+}
 
 var (
 	citedExperiment = regexp.MustCompile("ftrsim -exp ([A-Za-z0-9_.]+)")
 	citedGoRun      = regexp.MustCompile("go run ([^\\s`]+)")
 	citedHeadline   = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	// citedID is an experiment id in backticks, or a family of them
+	// (`ext.pit.*`, `fig6*.d2`).
+	citedID = regexp.MustCompile("`((?:ext|table1|ablation)\\.[a-z0-9.*]+|fig[0-9a-z.*]*)`")
 )
 
 // TestReadmeCitesWhatExists fails when a document cites an experiment
-// id that is not registered, a `go run` path that is not a main package
-// of this module (a `go run <tool>@<version>` line is exempt), or a
-// BENCH_*.json that no experiment writes.
+// id that is not registered (on an ftrsim command line, or in backticks
+// in prose; a family with a `*` must match at least one id), a `go run`
+// path that is not a main package of this module (a `go run
+// <tool>@<version>` line is exempt), or a BENCH_*.json that no
+// experiment writes.
 func TestReadmeCitesWhatExists(t *testing.T) {
 	ids := map[string]bool{}
 	files := map[string]bool{}
@@ -40,23 +51,41 @@ func TestReadmeCitesWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := string(raw)
-		for _, m := range citedExperiment.FindAllStringSubmatch(text, -1) {
-			if id := strings.TrimRight(m[1], "."); !ids[id] {
-				t.Errorf("%s cites ftrsim -exp %s, which is not in experiments.IDs()", doc, id)
+		for i, line := range strings.Split(string(raw), "\n") {
+			at := fmt.Sprintf("%s:%d", doc, i+1)
+			for _, m := range citedExperiment.FindAllStringSubmatch(line, -1) {
+				if id := strings.TrimRight(m[1], "."); !ids[id] {
+					t.Errorf("%s cites ftrsim -exp %s, which is not in experiments.IDs()", at, id)
+				}
 			}
-		}
-		for _, m := range citedGoRun.FindAllStringSubmatch(text, -1) {
-			if p := m[1]; !strings.Contains(p, "@") && !isMainPackage(p) {
-				t.Errorf("%s cites go run %s, which is not a main package of the module", doc, p)
+			for _, m := range citedID.FindAllStringSubmatch(line, -1) {
+				if !ids[m[1]] && !matchesAny(m[1], ids) {
+					t.Errorf("%s cites `%s`, which names no id in experiments.IDs()", at, m[1])
+				}
 			}
-		}
-		for _, name := range citedHeadline.FindAllString(text, -1) {
-			if !files[name] {
-				t.Errorf("%s cites %s, which no experiment's headline writes", doc, name)
+			for _, m := range citedGoRun.FindAllStringSubmatch(line, -1) {
+				if p := m[1]; !strings.Contains(p, "@") && !isMainPackage(p) {
+					t.Errorf("%s cites go run %s, which is not a main package of the module", at, p)
+				}
+			}
+			for _, name := range citedHeadline.FindAllString(line, -1) {
+				if !files[name] {
+					t.Errorf("%s cites %s, which no experiment's headline writes", at, name)
+				}
 			}
 		}
 	}
+}
+
+// matchesAny reports whether the family pattern, a path.Match glob,
+// matches at least one id.
+func matchesAny(pattern string, ids map[string]bool) bool {
+	for id := range ids {
+		if ok, _ := path.Match(pattern, id); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // isMainPackage reports whether dir, a "./"-relative path, holds a
