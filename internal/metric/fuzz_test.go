@@ -1,6 +1,10 @@
 package metric
 
-import "testing"
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // FuzzTorusStepOffset: for every reachable torus geometry, Offset must
 // round-trip (delta forward then delta backward lands home), Step must
@@ -95,4 +99,85 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// FuzzNearestMatchesDistance: the decoded-set kernel must equal the
+// minimum of Space.Distance over the set, on lines and rings of up to
+// MaxInt32 points and tori of dimension 1–4, odd and even sides. Each
+// member takes five bytes: a tag byte picks p itself, a duplicate of
+// the member before, p's antipode, or the packed point the next four
+// bytes spell; an empty set is MaxInt away. Appending must decode every
+// member to its coordinates.
+func FuzzNearestMatchesDistance(f *testing.F) {
+	f.Add(uint8(0), math.MaxInt32, 1, 0, []byte{3, 0xff, 0xff, 0xff, 0x7e})           // a line's two ends
+	f.Add(uint8(1), 10, 1, 3, []byte{2, 0, 0, 0, 0})                                  // even ring: antipode
+	f.Add(uint8(1), 11, 1, 3, []byte{2, 0, 0, 0, 0, 1, 0, 0, 0, 0})                   // odd ring: antipode, duplicated
+	f.Add(uint8(2), 64, 2, 4095, []byte{2, 0, 0, 0, 0, 3, 9, 1, 0, 0, 0, 0, 0, 0, 0}) // 2-D: antipode, raw, p
+	f.Add(uint8(2), 7, 3, 100, []byte{3, 1, 2, 3, 4, 1, 0, 0, 0, 0})                  // odd 3-D, duplicated
+	f.Add(uint8(2), 127, 4, 127*127*127*127-1, []byte{2, 0, 0, 0, 0})                 // the last point of a large odd 4-D torus
+	f.Add(uint8(2), 1, 4, 0, []byte{})                                                // empty set
+	f.Fuzz(func(t *testing.T, kind uint8, side, dim, point int, raw []byte) {
+		var s Space
+		var err error
+		switch kind % 3 {
+		case 0:
+			s, err = NewLine(1 + abs(side)%math.MaxInt32)
+		case 1:
+			s, err = NewRing(1 + abs(side)%math.MaxInt32)
+		default:
+			s, err = NewTorus(1+abs(side)%128, 1+abs(dim)%4)
+			if err != nil {
+				t.Skip()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.Size()
+		p := Point(abs(point) % n)
+		antipode := Point(n - 1 - int(p)) // a line's mirror image
+		if r, ok := s.(*Ring); ok {
+			antipode = r.Add(p, n/2)
+		} else if tor, ok := s.(*Torus); ok {
+			antipode = p
+			for axis := 1; axis <= tor.Dim(); axis++ {
+				antipode, _ = tor.Offset(antipode, axis, tor.Side()/2)
+			}
+		}
+		k := KernelOf(s)
+		var members []Point
+		var set []int32
+		for ; len(raw) >= 5; raw = raw[5:] {
+			m := Point(binary.LittleEndian.Uint32(raw[1:]) % uint32(n))
+			switch raw[0] % 4 {
+			case 0:
+				m = p
+			case 1:
+				if len(members) > 0 {
+					m = members[len(members)-1]
+				}
+			case 2:
+				m = antipode
+			}
+			members = append(members, m)
+			set = k.Append(set, m)
+			coords := set[len(set)-s.Dim():]
+			for axis, c := range coords {
+				want := int(m)
+				if tor, ok := s.(*Torus); ok {
+					want = tor.Coord(m, axis)
+				}
+				if int(c) != want {
+					t.Fatalf("%s: member %d decodes to %v, axis %d should be %d", s.Name(), m, coords, axis, want)
+				}
+			}
+		}
+		want := math.MaxInt
+		for _, m := range members {
+			want = min(want, s.Distance(p, m))
+		}
+		if got := k.Nearest(p, set); got != want {
+			t.Fatalf("%s of size %d: Nearest(%d, %v) = %d, min Distance = %d", s.Name(), n, p, members, got, want)
+		}
+	})
 }

@@ -15,10 +15,14 @@
 // family (NewLinkSampler), which is everything the graph, routing, and
 // construction layers need. All of them are therefore
 // dimension-agnostic: the same pipeline builds and routes 1-D rings and
-// d-D tori.
+// d-D tori. Greedy routing measures through Kernel, which scores a
+// point against a set decoded once into per-axis coordinates.
 package metric
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Point identifies a grid point of a metric space. For one-dimensional
 // spaces it is the coordinate itself; a Torus packs coordinates
@@ -64,10 +68,10 @@ type Line struct {
 }
 
 // NewLine returns a line with n grid points. It returns an error if
-// n < 1.
+// n < 1 or n > MaxInt32, the point range every space shares.
 func NewLine(n int) (*Line, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("metric: line needs n >= 1, got %d", n)
+	if n < 1 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("metric: line needs 1 <= n <= %d, got %d", math.MaxInt32, n)
 	}
 	return &Line{n: n}, nil
 }
@@ -102,10 +106,10 @@ type Ring struct {
 }
 
 // NewRing returns a ring with n grid points. It returns an error if
-// n < 1.
+// n < 1 or n > MaxInt32, the point range every space shares.
 func NewRing(n int) (*Ring, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("metric: ring needs n >= 1, got %d", n)
+	if n < 1 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("metric: ring needs 1 <= n <= %d, got %d", math.MaxInt32, n)
 	}
 	return &Ring{n: n}, nil
 }
@@ -151,6 +155,81 @@ func (r *Ring) ClockwiseDistance(a, b Point) int {
 		d += r.n
 	}
 	return d
+}
+
+// Kernel measures distances to a decoded point set: the members'
+// coordinates stored flat, Dim int32s each, so scoring a candidate
+// against a set decodes the candidate once and no member ever. It is
+// the greedy step's objective over a replica set (package route); every
+// space bounds its size by MaxInt32, so coordinates fit an int32 and
+// packed points a uint32. Line and Ring are the one-axis cases, without
+// and with wrap; Torus wraps every axis.
+type Kernel struct {
+	dim  int
+	side uint32 // the radix packed points carry each axis in (unused in one dimension)
+	wrap int    // an axis difference d counts min(d, wrap−d); a line never wraps
+}
+
+// KernelOf returns the kernel of one of this package's spaces. It
+// panics on any other Space.
+func KernelOf(s Space) Kernel {
+	switch s := s.(type) {
+	case *Line:
+		return Kernel{dim: 1, wrap: math.MaxInt}
+	case *Ring:
+		return Kernel{dim: 1, wrap: s.n}
+	case *Torus:
+		return Kernel{dim: s.dim, side: uint32(s.side), wrap: s.side}
+	}
+	panic(fmt.Sprintf("metric: no distance kernel for %T", s))
+}
+
+// Append appends p's Dim coordinates to a decoded set.
+func (k Kernel) Append(set []int32, p Point) []int32 {
+	set = append(set, make([]int32, k.dim)...)
+	c, u := set[len(set)-k.dim:], uint32(p)
+	for axis := k.dim - 1; axis > 0; axis-- {
+		q := u / k.side
+		c[axis], u = int32(u-q*k.side), q
+	}
+	c[0] = int32(u)
+	return set
+}
+
+// Nearest returns the distance from p to the nearest member of a
+// decoded set — the minimum of Space.Distance over the members — or
+// MaxInt for an empty set. It peels p's coordinates as Torus.Distance
+// does, from the last axis up with one 32-bit division each, once per
+// member in general and once per call on the two-axis torus, whose
+// member loop is branchless.
+func (k Kernel) Nearest(p Point, set []int32) int {
+	best := math.MaxInt
+	if k.dim == 2 {
+		u := uint32(p)
+		q := u / k.side
+		x, y := int(q), int(u-q*k.side)
+		for ; len(set) >= 2; set = set[2:] {
+			best = min(best, k.axis(x, set[0])+k.axis(y, set[1]))
+		}
+		return best
+	}
+	for ; len(set) >= k.dim; set = set[k.dim:] {
+		u, d := uint32(p), 0
+		for axis := k.dim - 1; axis > 0; axis-- {
+			q := u / k.side
+			d += k.axis(int(u-q*k.side), set[axis])
+			u = q
+		}
+		best = min(best, d+k.axis(int(u), set[0]))
+	}
+	return best
+}
+
+// axis returns the wrapped distance of two coordinates on one axis.
+func (k Kernel) axis(a int, b int32) int {
+	d := a - int(b)
+	d = max(d, -d)
+	return min(d, k.wrap-d)
 }
 
 // Interface compliance checks.

@@ -11,6 +11,12 @@ func TestLineBasics(t *testing.T) {
 	if _, err := NewLine(0); err == nil {
 		t.Error("NewLine(0) should error")
 	}
+	if _, err := NewLine(math.MaxInt32 + 1); err == nil {
+		t.Error("NewLine(MaxInt32+1) should error: coordinates are int32")
+	}
+	if _, err := NewLine(math.MaxInt32); err != nil {
+		t.Errorf("NewLine(MaxInt32): %v", err)
+	}
 	l, err := NewLine(10)
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +35,12 @@ func TestLineBasics(t *testing.T) {
 func TestRingBasics(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
 		t.Error("NewRing(0) should error")
+	}
+	if _, err := NewRing(math.MaxInt32 + 1); err == nil {
+		t.Error("NewRing(MaxInt32+1) should error: coordinates are int32")
+	}
+	if _, err := NewRing(math.MaxInt32); err != nil {
+		t.Errorf("NewRing(MaxInt32): %v", err)
 	}
 	r, err := NewRing(10)
 	if err != nil {

@@ -76,11 +76,11 @@ func (t *Torus) At(coords ...int) Point {
 }
 
 // Distance returns the wrapped L1 distance between two points of the
-// torus. It is the innermost call of every greedy step (once per
-// candidate neighbour), so it peels coordinates off the packed points
-// from the last axis up with one 32-bit division per axis per point —
-// NewTorus bounds Size by MaxInt32 — and no remainder; the first axis
-// is what is left.
+// torus. It peels coordinates off the packed points from the last axis
+// up with one 32-bit division per axis per point — NewTorus bounds Size
+// by MaxInt32 — and no remainder; the first axis is what is left.
+// Greedy routing does not call it per candidate: a walker decodes its
+// target set once per search and scores candidates with Kernel.Nearest.
 func (t *Torus) Distance(a, b Point) int {
 	ua, ub, side := uint32(a), uint32(b), uint32(t.side)
 	d := 0

@@ -113,7 +113,7 @@ func (g *Gen) AlivePoint(t testing.TB, gr *graph.Graph) metric.Point {
 }
 
 // Targets draws a replica-style target set of 1-5 live points
-// (duplicates allowed — the router must canonicalize).
+// (duplicates allowed — the router must ignore them).
 func (g *Gen) Targets(t testing.TB, gr *graph.Graph) []metric.Point {
 	t.Helper()
 	n := 1 + g.src.Intn(5)

@@ -162,7 +162,7 @@ func (p *Placement) Name() string {
 // Targets returns the replica set of key, primary first: the static
 // replicas of the configured strategy followed by any cached copies the
 // key has earned. Members may be dead or duplicated — the router
-// canonicalizes and filters, degrading to plain greedy toward the
+// drops both, degrading to plain greedy toward the
 // primary when every extra replica is gone. The returned slice may be
 // shared across calls; callers must not mutate it. The combined set of
 // a key with cached copies is memoized until promotion or eviction

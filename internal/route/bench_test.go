@@ -16,7 +16,9 @@ import (
 // that.) Walkers are created with the timer stopped; one op is one
 // Step. "backtrack" is the policy every live run uses, traced as the
 // engine traces it: its only allocations are the walks that outgrow
-// their 16-point path.
+// their 16-point path. "replicas=12" is backtrack toward the replica
+// set of one of knee_sweep's hot keys, K = 4 replicas plus 8 cached
+// copies: every candidate is scored against 12 members.
 func BenchmarkWalkerStep(b *testing.B) {
 	const side, links = 128, 14
 	tor, err := metric.NewTorus(side, 2)
@@ -28,23 +30,29 @@ func BenchmarkWalkerStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name string
-		opt  Options
+		name     string
+		opt      Options
+		replicas int
 	}{
-		{"greedy", Options{}},
-		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}},
+		{"greedy", Options{}, 1},
+		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}, 1},
+		{"replicas=12", Options{DeadEnd: Backtrack, TracePath: true}, 12},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := New(g, bc.opt)
 			src := rng.New(2)
 			walkers := make([]*Walker, 4096)
+			targets := make([]metric.Point, bc.replicas)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for steps := 0; steps < b.N; {
 				b.StopTimer()
 				for i := range walkers {
-					from, to := metric.Point(src.Intn(g.Size())), metric.Point(src.Intn(g.Size()))
-					if walkers[i], err = r.Walker(src, from, []metric.Point{to}); err != nil {
+					from := metric.Point(src.Intn(g.Size()))
+					for k := range targets {
+						targets[k] = metric.Point(src.Intn(g.Size()))
+					}
+					if walkers[i], err = r.Walker(src, from, targets); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -61,8 +69,9 @@ func BenchmarkWalkerStep(b *testing.B) {
 
 // TestStepAllocs pins the step at zero allocations under the plain
 // greedy policy and under Backtrack (the policy every engine workload
-// and Figure 6's third strategy run), on nodes whose degree fits
-// bestNeighbor's stack buffer and on nodes that overflow it: a walker
+// and Figure 6's third strategy run), toward one target and toward a
+// 12-member replica set, on nodes whose degree fits bestNeighbor's
+// stack buffer and on nodes that overflow it: a walker
 // allocates its spill slice at the first such node and every later step
 // reuses it. The measured steps run far past BacktrackMemory, so the
 // Backtrack rows evict a frame and append a tried entry on every one,
@@ -89,17 +98,25 @@ func TestStepAllocs(t *testing.T) {
 		if overflows != (reach == scratchNeighbors) {
 			t.Fatalf("reach %d: overflows the %d-entry buffer = %v", reach, scratchNeighbors, overflows)
 		}
-		for _, policy := range []DeadEndPolicy{Terminate, Backtrack} {
-			w, err := New(g, Options{DeadEnd: policy}).Walker(rng.New(1), 0, []metric.Point{n / 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
-			if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
-				t.Errorf("reach %d, %s: Step allocates %.2f times per call, want 0", reach, policy, avg)
-			}
-			if w.Done() {
-				t.Errorf("reach %d, %s: the walk ended inside the measured steps", reach, policy)
+		// The replica set straddles 0's antipode, the single target, so
+		// its nearest member is nearly as far from 0.
+		replicas := make([]metric.Point, 12)
+		for k := range replicas {
+			replicas[k] = metric.Point(n/2 + 100*(k-6))
+		}
+		for _, targets := range [][]metric.Point{{n / 2}, replicas} {
+			for _, policy := range []DeadEndPolicy{Terminate, Backtrack} {
+				w, err := New(g, Options{DeadEnd: policy}).Walker(rng.New(1), 0, targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
+				if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
+					t.Errorf("reach %d, %s, %d targets: Step allocates %.2f times per call, want 0", reach, policy, len(targets), avg)
+				}
+				if w.Done() {
+					t.Errorf("reach %d, %s, %d targets: the walk ended inside the measured steps", reach, policy, len(targets))
+				}
 			}
 		}
 	}

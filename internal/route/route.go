@@ -19,7 +19,12 @@
 // routes to the nearest of several targets (RouteAny, Options.Targets):
 // greedy selection minimizes the distance to the closest live member of
 // a replica set, the forwarding-to-any-of-k-copies rule hot-key
-// replication (package replica) needs. Every dead-end policy, the
+// replication (package replica) needs. A single destination is the
+// one-member set. A walker decodes its live set once, at its start,
+// into per-axis coordinates (metric.Kernel), so scoring a candidate
+// decodes the candidate alone; a search is delivered where that set
+// distance is 0. One-sided routing instead minimizes the orientation's
+// forward distance to its one target. Every dead-end policy, the
 // strict-progress guarantee, and the congestion penalties compose with
 // multi-target routing unchanged.
 //
@@ -196,12 +201,14 @@ type Router struct {
 	// orientation (1-D line and ring); nil on d-dimensional tori,
 	// where one-sided routing is undefined.
 	oriented metric.Oriented
+	// kern measures distances to a walker's decoded target set.
+	kern metric.Kernel
 }
 
 // New returns a Router over g with the given options (zero values take
 // the paper's defaults).
 func New(g *graph.Graph, opt Options) *Router {
-	r := &Router{g: g, opt: opt.withDefaults(g.Size())}
+	r := &Router{g: g, opt: opt.withDefaults(g.Size()), kern: metric.KernelOf(g.Space())}
 	if o, ok := g.Space().(metric.Oriented); ok {
 		r.oriented = o
 	}
@@ -220,11 +227,10 @@ func (r *Router) Route(source *rng.Source, from, to metric.Point) (Result, error
 }
 
 // RouteAny performs one greedy search from `from` to the nearest live
-// member of `targets` — the replica-set form of Route. The set is
-// canonicalized (deduplicated, sorted) before routing, so the result is
-// independent of the caller's ordering; dead replicas are dropped, and
-// when only one member is left the search degrades to plain
-// single-target greedy exactly. An entirely dead set is an error.
+// member of `targets` — the replica-set form of Route. The result is
+// independent of the set's order and duplicates; dead replicas are
+// dropped, and when only one member is left the search degrades to
+// plain single-target greedy exactly. An entirely dead set is an error.
 func (r *Router) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
 	return r.routeSet(source, from, targets)
 }
@@ -242,21 +248,20 @@ func (r *Router) routeSet(source *rng.Source, from metric.Point, targets []metri
 	return w.Result(), nil
 }
 
-// liveTargets canonicalizes a target set into dst's storage (appending
-// past its capacity when the set is larger): deduplicated, sorted
-// ascending (nearest-replica tie-breaks are then independent of the
-// caller's ordering), and filtered to live nodes. The caller's slice is
+// liveTargets decodes a target set's live members, each once, into
+// dst's storage (appending past its capacity when the set is larger).
+// Their order is the caller's, which nothing depends on: greedy
+// minimizes the distance to the nearest member. The caller's slice is
 // read, never kept.
-func (r *Router) liveTargets(dst, targets []metric.Point) ([]metric.Point, error) {
+func (r *Router) liveTargets(dst []int32, targets []metric.Point) ([]int32, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("route: empty target set")
 	}
-	set := append(dst, targets...)
-	slices.Sort(set)
-	live := set[:0]
-	for i, t := range set {
-		if (i == 0 || t != set[i-1]) && r.g.Alive(t) {
-			live = append(live, t)
+	live := dst
+	for _, t := range targets {
+		// A member already decoded is at distance 0 from the set.
+		if r.g.Alive(t) && r.kern.Nearest(t, live) > 0 {
+			live = r.kern.Append(live, t)
 		}
 	}
 	if len(live) > 0 {
@@ -270,16 +275,6 @@ func (r *Router) liveTargets(dst, targets []metric.Point) ([]metric.Point, error
 	return nil, fmt.Errorf("route: no live target among %d replicas", len(targets))
 }
 
-// isTarget reports whether p belongs to the (small) target set.
-func isTarget(p metric.Point, targets []metric.Point) bool {
-	for _, t := range targets {
-		if p == t {
-			return true
-		}
-	}
-	return false
-}
-
 // scratchNeighbors is the capacity of the stack buffer one greedy step
 // enumerates neighbours into. It covers 2·dim short links plus the out-
 // and in-links of every node of the paper's constructions at the sizes
@@ -288,8 +283,9 @@ const scratchNeighbors = 64
 
 // bestNeighbor returns the live neighbour of the walker's current node
 // that is closest to the target set under the configured sidedness and
-// strictly closer than the node itself, skipping any points in `tried`.
-// The second return is false at a dead end.
+// strictly closer than the node itself, skipping any points in `tried`,
+// and that neighbour's distance (0: it delivers). The third return is
+// false at a dead end.
 //
 // The paper's rule (§6): a node picks its best *live* neighbour; it
 // never forwards to a second choice at the same visit — recovery is the
@@ -305,8 +301,8 @@ const scratchNeighbors = 64
 // network the penalized walk takes different paths and can hit (or
 // avoid) dead ends plain greedy would not — delivery rates are an
 // empirical matter there, which the experiments measure.
-func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, bool) {
-	r, cur, targets := w.r, w.cur, w.targets
+func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
+	r, cur := w.r, w.cur
 	// The candidates land in a stack array, or in the walker's own
 	// spill slice once it has met a node too large for the array. The
 	// scratch is never the router's: one router serves every shard.
@@ -323,19 +319,19 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, bool) {
 		w.spill = &spill
 	}
 
-	curDist := r.setDistance(cur, targets)
+	curDist := w.distance(cur)
 	best := cur
 	bestDist := curDist
 	bestScore := 0.0
 	found := false
 	for _, q := range nbrs {
-		if !r.g.Alive(q) || isTarget(q, tried) {
+		if !r.g.Alive(q) || slices.Contains(tried, q) {
 			continue
 		}
-		if r.opt.Sidedness == OneSided && !r.oriented.Between(cur, q, targets[0]) {
+		if r.opt.Sidedness == OneSided && !r.oriented.Between(cur, q, metric.Point(w.set[0])) {
 			continue
 		}
-		d := r.setDistance(q, targets)
+		d := w.distance(q)
 		if r.opt.Congestion == nil {
 			if d < bestDist {
 				best, bestDist, found = q, d, true
@@ -347,36 +343,25 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, bool) {
 		}
 		score := float64(d) + float64(r.opt.CongestionWeight*r.opt.Congestion(q))
 		if !found || score < bestScore {
-			best, bestScore, found = q, score, true
+			best, bestDist, bestScore, found = q, d, score, true
 		}
 	}
-	return best, found
+	return best, bestDist, found
 }
 
-// progressDistance is the distance the greedy rule minimizes: metric
-// distance for two-sided routing, the orientation's forward distance
-// for one-sided routing (clockwise on a ring; on a line both coincide
-// because Between already constrains the direction).
-func (r *Router) progressDistance(p, to metric.Point) int {
-	if r.opt.Sidedness == OneSided && r.oriented != nil {
-		return r.oriented.ForwardDistance(p, to)
+// distance is the objective greedy minimizes: the distance to the
+// nearest member of the walker's live target set, or for one-sided
+// routing the orientation's forward distance to its one target
+// (clockwise on a ring; on a line both coincide because Between already
+// constrains the direction). It is zero exactly on the set, and every
+// unit of progress toward it is a unit of metric progress toward some
+// replica, so the strict-progress termination argument of single-target
+// greedy carries over verbatim.
+func (w *Walker) distance(p metric.Point) int {
+	if w.r.opt.Sidedness == OneSided {
+		return w.r.oriented.ForwardDistance(p, metric.Point(w.set[0]))
 	}
-	return r.g.Space().Distance(p, to)
-}
-
-// setDistance is the multi-target objective: the distance to the
-// closest member of the (live, canonicalized) target set. It is zero
-// exactly on the set, and every unit of progress toward it is a unit of
-// metric progress toward some replica, so the strict-progress
-// termination argument of single-target greedy carries over verbatim.
-func (r *Router) setDistance(p metric.Point, targets []metric.Point) int {
-	best := r.progressDistance(p, targets[0])
-	for _, t := range targets[1:] {
-		if d := r.progressDistance(p, t); d < best {
-			best = d
-		}
-	}
-	return best
+	return w.r.kern.Nearest(p, w.set)
 }
 
 func (r *Router) trace(res *Result, p metric.Point) {

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/metric"
@@ -51,7 +53,7 @@ func TestRouteAnyDeliversToNearestReplica(t *testing.T) {
 		if !res.Delivered {
 			t.Fatalf("from %d: not delivered: %+v", from, res)
 		}
-		if !isTarget(res.Target, targets) {
+		if !slices.Contains(targets, res.Target) {
 			t.Fatalf("from %d: delivered to non-target %d", from, res.Target)
 		}
 		if res.Path[len(res.Path)-1] != res.Target {
@@ -59,15 +61,15 @@ func TestRouteAnyDeliversToNearestReplica(t *testing.T) {
 		}
 		// The initial set distance bounds the hop count: every forward
 		// move makes strict set-distance progress.
-		if d := r.setDistance(from, targets); res.Hops > d {
+		if d := refSetDistance(g.Space(), from, targets); res.Hops > d {
 			t.Errorf("from %d: %d hops exceed the initial set distance %d", from, res.Hops, d)
 		}
 	}
 }
 
-// TestRouteAnyTieBreakDeterminism: the target set is canonicalized, so
-// every permutation of the same replicas produces the identical result
-// — including which replica wins a distance tie.
+// TestRouteAnyTieBreakDeterminism: greedy minimizes the distance to the
+// nearest replica, so every permutation of the same replicas produces
+// the identical result — including which replica wins a distance tie.
 func TestRouteAnyTieBreakDeterminism(t *testing.T) {
 	g := buildRing(t, 128, 3, 13)
 	r := New(g, Options{TracePath: true})
@@ -137,7 +139,7 @@ func TestOptionsTargetsOverridesDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Delivered || !isTarget(res.Target, targets) {
+	if !res.Delivered || !slices.Contains(targets, res.Target) {
 		t.Errorf("fixed-set route = %+v", res)
 	}
 }
@@ -176,9 +178,9 @@ func TestRouteAnyCongestionKeepsProgress(t *testing.T) {
 		if !res.Delivered {
 			t.Fatalf("from %d: not delivered", from)
 		}
-		prev := r.setDistance(res.Path[0], targets)
+		prev := refSetDistance(g.Space(), res.Path[0], targets)
 		for _, p := range res.Path[1:] {
-			d := r.setDistance(p, targets)
+			d := refSetDistance(g.Space(), p, targets)
 			if d >= prev {
 				t.Fatalf("from %d: set distance %d -> %d did not strictly decrease (path %v)",
 					from, prev, d, res.Path)
@@ -186,4 +188,14 @@ func TestRouteAnyCongestionKeepsProgress(t *testing.T) {
 			prev = d
 		}
 	}
+}
+
+// refSetDistance is the multi-target objective by its definition, the
+// minimum of Space.Distance over the set.
+func refSetDistance(s metric.Space, p metric.Point, targets []metric.Point) int {
+	best := math.MaxInt
+	for _, t := range targets {
+		best = min(best, s.Distance(p, t))
+	}
+	return best
 }

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -14,17 +15,20 @@ import (
 
 // refFrame and refBacktrack are the backtracking walker as it was
 // before the tried stack: every remembered node carries its own tried
-// slice, the history drops its oldest frame by re-slicing, and the
-// target set is canonicalized through sort.Slice. Kept as the reference
-// the one-stack walker is compared against; candidate scoring is the
-// walker's own bestNeighbor (unchanged by the stack), reached through a
-// probe Walker that only ever holds the current node and the targets.
+// slice, the history drops its oldest frame by re-slicing, and delivery
+// is membership of the live target set, canonicalized through
+// sort.Slice. Kept as the reference the one-stack walker is compared
+// against; candidate scoring is the walker's own bestNeighbor
+// (unchanged by the stack), reached through a probe Walker started as
+// every walker is — start validates the search and decodes its target
+// set — which then only ever moves its current node.
 type refFrame struct {
 	at    metric.Point
 	tried []metric.Point
 }
 
-func refBacktrack(r *Router, from metric.Point, targets []metric.Point) Result {
+func refBacktrack(t *testing.T, r *Router, from metric.Point, targets []metric.Point) Result {
+	t.Helper()
 	set := append([]metric.Point(nil), targets...)
 	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
 	live := set[:0]
@@ -33,7 +37,10 @@ func refBacktrack(r *Router, from metric.Point, targets []metric.Point) Result {
 			live = append(live, t)
 		}
 	}
-	probe := Walker{r: r, targets: live, cur: from}
+	var probe Walker
+	if err := probe.start(r, nil, from, targets); err != nil {
+		t.Fatal(err)
+	}
 	res := Result{Target: -1}
 	var history []refFrame
 	push := func(p metric.Point) {
@@ -44,18 +51,18 @@ func refBacktrack(r *Router, from metric.Point, targets []metric.Point) Result {
 	}
 	r.trace(&res, from)
 	push(from)
-	if isTarget(from, live) {
+	if slices.Contains(live, from) {
 		res.Delivered, res.Target = true, from
 		return res
 	}
 	for res.Hops < r.opt.MaxHops {
 		top := &history[len(history)-1]
-		if next, ok := probe.bestNeighbor(top.tried); ok {
+		if next, _, ok := probe.bestNeighbor(top.tried); ok {
 			top.tried = append(top.tried, next)
 			probe.cur = next
 			res.Hops++
 			r.trace(&res, next)
-			if isTarget(next, live) {
+			if slices.Contains(live, next) {
 				res.Delivered, res.Target = true, next
 				return res
 			}
@@ -125,7 +132,7 @@ func TestTriedStackMatchesPerFrameSets(t *testing.T) {
 						if err != nil {
 							continue
 						}
-						want := refBacktrack(r, from, targets)
+						want := refBacktrack(t, r, from, targets)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: %d→%v\n stack     %+v\n per-frame %+v", name, from, targets, got, want)
 						}
@@ -181,7 +188,7 @@ func TestSlabIsolation(t *testing.T) {
 	searches := [3][2]metric.Point{{200, 230}, {0, 128}, {100, 110}}
 	var want [3]Result
 	for i, s := range searches {
-		want[i] = refBacktrack(r, s[0], []metric.Point{s[1]})
+		want[i] = refBacktrack(t, r, s[0], []metric.Point{s[1]})
 	}
 	if want[1].Hops <= pathShare || want[1].Backtracks <= triedShare {
 		t.Fatalf("the middle search must outgrow its shares: %+v", want[1])
@@ -233,7 +240,7 @@ func TestSlabIsolation(t *testing.T) {
 		}
 	}
 
-	// Replica sets: three walkers carve their canonical target sets —
+	// Replica sets: three walkers carve their decoded target sets —
 	// 3, 12 and 3 members, dead and duplicated ones among them — from the
 	// arena's one set slab, back to back, and step on three goroutines.
 	// Each must keep its own set, capped at its share, and end exactly as
@@ -246,15 +253,15 @@ func TestSlabIsolation(t *testing.T) {
 	from := [3]metric.Point{200, 0, 100}
 	a := r.NewArena()
 	var ws [3]*Walker
-	var canon [3][]metric.Point
+	var canon [3][]int32
 	var routed [3]Result
 	for i, set := range sets {
 		var err error
 		if ws[i], err = a.Walker(nil, from[i], set); err != nil {
 			t.Fatal(err)
 		}
-		if cap(ws[i].targets) != len(set) {
-			t.Errorf("set %d carved with capacity %d, want its share %d", i, cap(ws[i].targets), len(set))
+		if cap(ws[i].set) != len(set) { // one coordinate per member on the ring
+			t.Errorf("set %d carved with capacity %d, want its share %d", i, cap(ws[i].set), len(set))
 		}
 		if canon[i], err = r.liveTargets(nil, set); err != nil {
 			t.Fatal(err)
@@ -274,8 +281,8 @@ func TestSlabIsolation(t *testing.T) {
 	}
 	wg.Wait()
 	for i, w := range ws {
-		if !reflect.DeepEqual(w.targets, canon[i]) {
-			t.Errorf("set %d: walker holds %v, want %v", i, w.targets, canon[i])
+		if !reflect.DeepEqual(w.set, canon[i]) {
+			t.Errorf("set %d: walker holds %v, want %v", i, w.set, canon[i])
 		}
 		if got := w.Result(); !reflect.DeepEqual(got, routed[i]) {
 			t.Errorf("set %d: %+v, want RouteAny's %+v", i, got, routed[i])

@@ -24,13 +24,13 @@ import (
 // A Walker is single-use and not safe for concurrent use; its rng
 // source must not be shared with another in-flight Walker.
 type Walker struct {
-	r       *Router
-	src     *rng.Source
-	targets []metric.Point
-	cur     metric.Point
-	res     Result
-	done    bool
-	last    StepKind
+	r    *Router
+	src  *rng.Source
+	set  []int32 // the live target set, decoded (metric.Kernel)
+	cur  metric.Point
+	res  Result
+	done bool
+	last StepKind
 
 	// RandomReroute state.
 	reroutes int
@@ -41,11 +41,12 @@ type Walker struct {
 	history []walkFrame
 	tried   []metric.Point
 
-	// one is where the canonical target set lives when it has a single
-	// member (every plain search): the caller's slice is copied, never
-	// kept, so it can sit on the caller's stack. A larger set is carved
-	// from its allocator's target-set slab instead.
-	one [1]metric.Point
+	// one is where the decoded target set lives when it fits in two
+	// coordinates — one member of a 1-D or 2-D space, as in every plain
+	// search there: the caller's slice is read, never kept, so it can
+	// sit on the caller's stack. A larger set is carved from its
+	// allocator's set slab instead.
+	one [2]int32
 
 	// spill is bestNeighbor's scratch once a node's degree has
 	// outgrown its stack buffer; nil (no allocation) until then. A
@@ -96,8 +97,9 @@ const arenaChunk = 256
 // Arena allocates walkers for one Router a chunk at a time: the Walker
 // structs, their traced paths and tried stacks, and their history
 // frames come from three slabs per chunk instead of three or more heap
-// objects per walker, and a target set of more than one member (a
-// replica set) from a fourth, grown only when such a set first arrives.
+// objects per walker, and a decoded target set too large for the
+// walker's own array (a replica set) from a fourth, grown only when
+// such a set first arrives.
 // It exists for callers that start many searches and keep them all —
 // the engine holds every lookup of a run in flight at once and reports
 // every traced path, so a free-list would have nothing to recycle.
@@ -117,7 +119,7 @@ type Arena struct {
 	walkers []Walker
 	points  []metric.Point
 	frames  []walkFrame
-	sets    []metric.Point
+	sets    []int32
 }
 
 // NewArena returns an empty arena for r's searches.
@@ -160,16 +162,17 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 	}
 	w.tried = a.points[path : path : path+tried]
 	w.history = a.frames[0:0:frames]
-	w.targets = w.one[:0]
-	set := 0
-	if len(targets) > 1 {
-		// The set is canonicalized in place, so its share is the
-		// caller's length; the slab is sized for the rest of the chunk.
-		set = len(targets)
+	w.set = w.one[:0]
+	set := len(targets) * a.r.g.Space().Dim()
+	if set <= len(w.one) {
+		set = 0
+	} else {
+		// The share holds every member of the caller's set decoded;
+		// the slab is sized for the rest of the chunk.
 		if len(a.sets) < set {
-			a.sets = make([]metric.Point, set*len(a.walkers))
+			a.sets = make([]int32, set*len(a.walkers))
 		}
-		w.targets = a.sets[0:0:set]
+		w.set = a.sets[0:0:set]
 	}
 	if err := w.start(a.r, source, from, targets); err != nil {
 		*w = Walker{} // the slot and its shares go to the next search
@@ -188,7 +191,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 // affair — the set passed here is the set walked). The returned Walker
 // has already visited `from` (it appears in the traced path); if
 // `from` is itself a target the search is born delivered and Step
-// returns false immediately. The targets slice is copied, not kept.
+// returns false immediately. The targets slice is read, not kept.
 func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
 	// A chunk of one: the same carving, so the same walker, for callers
 	// with one search to run.
@@ -203,7 +206,7 @@ func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets
 	if !r.g.Alive(from) {
 		return fmt.Errorf("route: origin %d is not a live node", from)
 	}
-	tset, err := r.liveTargets(w.targets, targets)
+	set, err := r.liveTargets(w.set, targets)
 	if err != nil {
 		return err
 	}
@@ -212,22 +215,18 @@ func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets
 			return fmt.Errorf("route: one-sided routing needs an oriented (1-D) space, not %s",
 				r.g.Space().Name())
 		}
-		if len(tset) > 1 {
+		if len(set) > 1 {
 			return fmt.Errorf("route: one-sided routing supports a single target, got %d live replicas",
-				len(tset))
+				len(set))
 		}
 	}
-	w.r, w.src, w.targets, w.cur = r, source, tset, from
+	w.r, w.src, w.set, w.cur = r, source, set, from
 	w.res.Target = -1
 	r.trace(&w.res, from)
 	if r.opt.DeadEnd == Backtrack {
 		w.push(from)
 	}
-	if isTarget(from, tset) {
-		w.res.Delivered = true
-		w.res.Target = from
-		w.done = true
-	}
+	w.arrive(w.distance(from))
 	return nil
 }
 
@@ -308,9 +307,9 @@ func (w *Walker) stepGreedy() bool {
 		w.last = StepNone
 		return false
 	}
-	if next, ok := w.bestNeighbor(nil); ok {
+	if next, d, ok := w.bestNeighbor(nil); ok {
 		w.last = StepGreedy
-		w.move(next)
+		w.move(next, d)
 		return !w.done
 	}
 	// Dead end. Hand the message to a random live node, if the policy
@@ -329,7 +328,7 @@ func (w *Walker) stepGreedy() bool {
 	w.reroutes++
 	w.res.Reroutes++
 	w.last = StepReroute
-	w.move(next)
+	w.move(next, w.distance(next))
 	return !w.done
 }
 
@@ -344,13 +343,13 @@ func (w *Walker) stepBacktrack() bool {
 		return false
 	}
 	top := w.history[len(w.history)-1]
-	if next, ok := w.bestNeighbor(w.tried[top.start:]); ok {
+	if next, d, ok := w.bestNeighbor(w.tried[top.start:]); ok {
 		if len(w.tried) == cap(w.tried) {
 			w.reclaim()
 		}
 		w.tried = append(w.tried, next)
 		w.last = StepGreedy
-		w.move(next)
+		w.move(next, d)
 		if !w.done {
 			w.push(w.cur)
 		}
@@ -375,14 +374,21 @@ func (w *Walker) stepBacktrack() bool {
 	return true
 }
 
-// move advances to next, charging one hop and detecting delivery.
-func (w *Walker) move(next metric.Point) {
+// move advances to next, at distance d from the target set, charging
+// one hop.
+func (w *Walker) move(next metric.Point, d int) {
 	w.cur = next
 	w.res.Hops++
 	w.r.trace(&w.res, next)
-	if isTarget(next, w.targets) {
+	w.arrive(d)
+}
+
+// arrive delivers the search at the current node when its distance d
+// to the target set is 0: the node is a live member.
+func (w *Walker) arrive(d int) {
+	if d == 0 {
 		w.res.Delivered = true
-		w.res.Target = next
+		w.res.Target = w.cur
 		w.done = true
 	}
 }
