@@ -154,6 +154,51 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentIgnoresWorkersAndShards runs the whole registry
+// at Workers {1, 8} × Shards {1, 3} on a profile with five trials, and
+// holds each table to the same text across the four runs: a trial
+// result folded in completion order, or state shared between
+// concurrent trials or owners, fails it wherever the difference
+// reaches a printed digit. The runs are checked against each other,
+// not against a golden. What
+// names the execution plan a shard count resolves to — the notes, and
+// ext.pit.flood's plan column — is left out.
+func TestEveryExperimentIgnoresWorkersAndShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the registry four times")
+	}
+	type profile struct{ workers, shards int }
+	profiles := []profile{{1, 1}, {8, 1}, {1, 3}, {8, 3}}
+	for _, id := range IDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			var first string
+			for _, pr := range profiles {
+				p := Params{N: 1 << 9, Trials: 5, Msgs: 20, Seed: 7, Workers: pr.workers, Shards: pr.shards}
+				tbl, err := Run(id, p)
+				if err != nil {
+					t.Fatalf("%s at %+v: %v", id, pr, err)
+				}
+				tbl.Notes = nil
+				for c, col := range tbl.Columns {
+					if col == "plan" {
+						for _, row := range tbl.Rows {
+							row[c] = ""
+						}
+					}
+				}
+				text := tbl.String()
+				if pr == profiles[0] {
+					first = text
+				} else if text != first {
+					t.Errorf("%s at %+v differs from %+v:\n%s\nvs\n%s", id, pr, profiles[0], text, first)
+				}
+			}
+		})
+	}
+}
+
 func TestExperimentsAreReproducible(t *testing.T) {
 	a, err := Run("table1.nofail.multi", tiny())
 	if err != nil {

@@ -172,7 +172,7 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 // tie-break) depends on. Capacity is exact, for the reason given at
 // populateLinks.
 func (g *Graph) indexLinks() {
-	indeg := make([]int, len(g.nodes))
+	indeg := make([]int32, len(g.nodes))
 	total := 0
 	for i := range g.nodes {
 		for _, lk := range g.nodes[i].long {
@@ -187,7 +187,7 @@ func (g *Graph) indexLinks() {
 	for i := range g.nodes {
 		for slot, lk := range g.nodes[i].long {
 			rev := &g.nodes[lk.To].rev
-			*rev = append(*rev, revRef{from: metric.Point(i), idx: slot})
+			*rev = append(*rev, ref(metric.Point(i), slot))
 		}
 	}
 }

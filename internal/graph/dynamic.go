@@ -47,7 +47,7 @@ func (g *Graph) RemoveNode(p metric.Point) error {
 	nd := &g.nodes[p]
 	for i, lk := range nd.long {
 		if lk.Up {
-			g.dropRev(lk.To, revRef{from: p, idx: i})
+			g.dropRev(lk.To, ref(p, i))
 		}
 	}
 	// Take every incoming link down: the connection to a departed

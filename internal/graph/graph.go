@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/metric"
@@ -22,11 +23,12 @@ import (
 // Link is a directed long-distance link. Up distinguishes a link that
 // exists in the overlay from one whose underlying connection has failed
 // (§4.3.3's independent link-failure model). Seq records creation order
-// for the "replace oldest link" strategy of §5.
+// for the "replace oldest link" strategy of §5; it fits int32, keeping
+// a Link at 16 bytes, because checkLink refuses a stamp past MaxInt32.
 type Link struct {
 	To  metric.Point
 	Up  bool
-	Seq int64
+	Seq int32
 }
 
 // Per-node liveness bits, kept in Graph.flags beside nodes rather than
@@ -52,11 +54,14 @@ type node struct {
 	rev []revRef
 }
 
-// revRef locates one incoming long link: nodes[from].long[idx].
+// revRef locates one incoming long link: nodes[from].long[idx]. Both
+// fit int32 (8 bytes an entry): a space has at most MaxInt32 points,
+// and checkLink caps the link count, so every slot, at MaxInt32.
 type revRef struct {
-	from metric.Point
-	idx  int
+	from, idx int32
 }
+
+func ref(from metric.Point, idx int) revRef { return revRef{int32(from), int32(idx)} }
 
 // Graph is an overlay network over a metric space of any dimension.
 // It is not safe for concurrent mutation; experiment code builds one
@@ -66,7 +71,7 @@ type Graph struct {
 	nodes      []node
 	flags      []uint8 // flagExists|flagFailed|flagMalicious per grid point
 	aliveCount int
-	seq        int64
+	seq        int32 // the last Link.Seq stamped
 	// nearestMark/nearestQueue are reusable scratch for the d >= 2
 	// nearest-node BFS (a point is visited when its mark equals
 	// nearestGen). NearestExisting and NearestAlive are §5 construction
@@ -181,7 +186,7 @@ func (g *Graph) AddLong(p, to metric.Point) error {
 	if err := g.appendLong(p, to); err != nil {
 		return err
 	}
-	g.nodes[to].rev = append(g.nodes[to].rev, revRef{from: p, idx: len(g.nodes[p].long) - 1})
+	g.nodes[to].rev = append(g.nodes[to].rev, ref(p, len(g.nodes[p].long)-1))
 	return nil
 }
 
@@ -197,8 +202,12 @@ func (g *Graph) appendLong(p, to metric.Point) error {
 }
 
 // checkLink rejects a long link the reverse-index invariant cannot
-// hold: an endpoint out of range or hosting no node, or a self-link.
+// hold: an endpoint out of range or hosting no node, or a self-link;
+// and one whose Seq stamp would pass math.MaxInt32.
 func (g *Graph) checkLink(p, to metric.Point) error {
+	if g.seq == math.MaxInt32 {
+		return fmt.Errorf("graph: link %d->%d: sequence exhausted at %d", p, to, g.seq)
+	}
 	if !g.inRange(p) || !g.inRange(to) {
 		return fmt.Errorf("graph: link %d->%d out of range [0,%d)", p, to, len(g.nodes))
 	}
@@ -230,13 +239,13 @@ func (g *Graph) ReplaceLong(p metric.Point, i int, to metric.Point) error {
 	if err := g.checkLink(p, to); err != nil {
 		return err
 	}
-	ref := revRef{from: p, idx: i}
+	r := ref(p, i)
 	if old := g.nodes[p].long[i]; old.Up {
-		g.dropRev(old.To, ref)
+		g.dropRev(old.To, r)
 	}
 	g.seq++
 	g.nodes[p].long[i] = Link{To: to, Up: true, Seq: g.seq}
-	g.nodes[to].rev = append(g.nodes[to].rev, ref)
+	g.nodes[to].rev = append(g.nodes[to].rev, r)
 	return nil
 }
 
@@ -265,14 +274,13 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 	if lk.Up == up {
 		return nil
 	}
-	ref := revRef{from: p, idx: i}
 	if up {
 		if g.flags[lk.To]&flagExists == 0 {
 			return fmt.Errorf("graph: SetLongUp(%d, %d): target %d hosts no node", p, i, lk.To)
 		}
-		g.nodes[lk.To].rev = append(g.nodes[lk.To].rev, ref)
+		g.nodes[lk.To].rev = append(g.nodes[lk.To].rev, ref(p, i))
 	} else {
-		g.dropRev(lk.To, ref)
+		g.dropRev(lk.To, ref(p, i))
 	}
 	lk.Up = up
 	return nil
@@ -355,7 +363,7 @@ func (g *Graph) AppendNeighbors(buf []metric.Point, p metric.Point, in bool) []m
 	}
 	if in {
 		for _, ref := range nd.rev {
-			buf = append(buf, ref.from)
+			buf = append(buf, metric.Point(ref.from))
 		}
 	}
 	return buf
@@ -387,8 +395,8 @@ func (g *Graph) CheckReverseIndex() error {
 					q, slot, lk.To)
 			}
 			n := 0
-			for _, ref := range g.nodes[lk.To].rev {
-				if ref == (revRef{from: q, idx: slot}) {
+			for _, r := range g.nodes[lk.To].rev {
+				if r == ref(q, slot) {
 					n++
 				}
 			}

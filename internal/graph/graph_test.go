@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/metric"
 	"repro/internal/rng"
@@ -153,6 +156,57 @@ func TestSetLongUp(t *testing.T) {
 	}
 	if err := g.SetLongUp(0, 5, false); err == nil {
 		t.Error("bad index should error")
+	}
+}
+
+// TestLinkLayout pins the link tables' entry sizes: 16 bytes a link
+// and 8 an index entry, which the int32 Seq and revRef fields buy.
+func TestLinkLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != 16 {
+		t.Errorf("sizeof(Link) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(revRef{}); got != 8 {
+		t.Errorf("sizeof(revRef) = %d, want 8", got)
+	}
+}
+
+// TestSeqExhausted: the link sequence stops at math.MaxInt32 with an
+// error, and a refused AddLong or ReplaceLong leaves the graph as it
+// was.
+func TestSeqExhausted(t *testing.T) {
+	g := New(mustRing(t, 8))
+	if err := g.AddLong(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	g.seq = math.MaxInt32 - 1
+	if err := g.AddLong(1, 4); err != nil {
+		t.Fatalf("the link stamped math.MaxInt32 must be accepted: %v", err)
+	}
+	if got := g.Long(1)[0].Seq; got != math.MaxInt32 {
+		t.Fatalf("Seq = %d, want %d", got, math.MaxInt32)
+	}
+	snapshot := func() []node {
+		out := make([]node, len(g.nodes))
+		for i, nd := range g.nodes {
+			out[i] = node{long: append([]Link(nil), nd.long...), rev: append([]revRef(nil), nd.rev...)}
+		}
+		return out
+	}
+	before := snapshot()
+	if err := g.AddLong(2, 5); err == nil {
+		t.Error("AddLong past math.MaxInt32 should error")
+	}
+	if err := g.ReplaceLong(0, 0, 6); err == nil {
+		t.Error("ReplaceLong past math.MaxInt32 should error")
+	}
+	if g.seq != math.MaxInt32 {
+		t.Errorf("seq = %d after refused stamps, want %d", g.seq, math.MaxInt32)
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused stamps changed the link tables:\n%+v\nwant\n%+v", after, before)
+	}
+	if err := g.CheckReverseIndex(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -58,13 +58,14 @@ func referenceNeighbors(g *Graph, p metric.Point, in bool) []metric.Point {
 	if !in {
 		return out
 	}
-	for _, ref := range g.nodes[p].rev {
-		if !g.inRange(ref.from) || g.flags[ref.from]&flagExists == 0 || ref.from == p {
+	for _, r := range g.nodes[p].rev {
+		from, idx := metric.Point(r.from), int(r.idx)
+		if !g.inRange(from) || g.flags[from]&flagExists == 0 || from == p {
 			continue
 		}
-		long := g.nodes[ref.from].long
-		if ref.idx < len(long) && long[ref.idx].To == p && long[ref.idx].Up {
-			out = append(out, ref.from)
+		long := g.nodes[from].long
+		if idx < len(long) && long[idx].To == p && long[idx].Up {
+			out = append(out, from)
 		}
 	}
 	return out

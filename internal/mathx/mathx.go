@@ -9,28 +9,40 @@ package mathx
 import "math"
 
 // Harmonic returns the n-th harmonic number H_n = sum_{i=1..n} 1/i.
-// For n <= 0 it returns 0. For large n it uses the asymptotic expansion
-// H_n ≈ ln n + γ + 1/(2n) − 1/(12n²), which is accurate to well below
-// 1e-10 for n ≥ 256; below that it reads the direct sum 1/1 + … + 1/n
-// (accumulated in that order) from a table filled once.
+// For n <= 0 it returns 0. Below HarmonicTableLen it reads a table
+// filled once — the direct sum 1/1 + … + 1/n, accumulated in that order,
+// for n < 256 and harmonicAsymptotic's exact bits from 256 up — and
+// beyond it evaluates harmonicAsymptotic.
 func Harmonic(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if n < len(harmonicSmall) {
-		return harmonicSmall[n]
+	if n < len(harmonicTable) {
+		return harmonicTable[n]
 	}
+	return harmonicAsymptotic(n)
+}
+
+// HarmonicTableLen bounds the n for which Harmonic is one load.
+const HarmonicTableLen = 1 << 13
+
+// harmonicAsymptotic is H_n ≈ ln n + γ + 1/(2n) − 1/(12n²), accurate
+// to well below 1e-10 for n ≥ 256.
+func harmonicAsymptotic(n int) float64 {
 	fn := float64(n)
 	return math.Log(fn) + EulerGamma + 1/(2*fn) - 1/(12*fn*fn)
 }
 
-// harmonicSmall[n] is H_n for n < 256, every prefix of one ascending
-// summation.
-var harmonicSmall = func() (t [256]float64) {
+// harmonicTable[n] is Harmonic(n) for n < HarmonicTableLen.
+var harmonicTable = func() (t [HarmonicTableLen]float64) {
 	h := 0.0
 	for i := 1; i < len(t); i++ {
-		h += 1 / float64(i)
-		t[i] = h
+		if i < 256 {
+			h += 1 / float64(i)
+			t[i] = h
+		} else {
+			t[i] = harmonicAsymptotic(i)
+		}
 	}
 	return t
 }()

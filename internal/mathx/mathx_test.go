@@ -53,11 +53,26 @@ func TestHarmonicTableMatchesDirectLoop(t *testing.T) {
 	}
 }
 
-// TestHarmonicAsymptoticBits pins the asymptotic branch bit for bit at
-// three sizes the experiments build (the table seam, 2^12 and the
-// paper's 2^17): every seeded link draw compares against these values,
-// so a math.Log that rounds differently on another architecture moves
-// the goldens, and this test names the cause.
+// TestHarmonicTableMatchesAsymptotic pins every table entry from 256 up
+// bit for bit to the asymptotic expression those n were evaluated with
+// before the table reached them, written out here rather than called,
+// so a change to either side fails.
+func TestHarmonicTableMatchesAsymptotic(t *testing.T) {
+	for n := 256; n < HarmonicTableLen; n++ {
+		fn := float64(n)
+		want := math.Log(fn) + EulerGamma + 1/(2*fn) - 1/(12*fn*fn)
+		if got := Harmonic(n); got != want {
+			t.Fatalf("Harmonic(%d) = %b, asymptotic expression %b", n, got, want)
+		}
+	}
+}
+
+// TestHarmonicAsymptoticBits pins the asymptotic values bit for bit at
+// sizes the experiments build (the direct-sum seam, 2^12, the table's
+// last entry and the first n past it, and the paper's 2^17): every
+// seeded link draw compares against these values, so a math.Log that
+// rounds differently on another architecture moves the goldens, and
+// this test names the cause.
 func TestHarmonicAsymptoticBits(t *testing.T) {
 	for _, c := range []struct {
 		n    int
@@ -65,6 +80,8 @@ func TestHarmonicAsymptoticBits(t *testing.T) {
 	}{
 		{256, 0x40187f544932db5d},
 		{4096, 0x4021ca4b0ed7fc2a},
+		{HarmonicTableLen - 1, 0x40232d173ee79fca},
+		{HarmonicTableLen, 0x40232d273ee79fc9},
 		{1 << 17, 0x4028b8b07eb0ce45},
 	} {
 		if got := math.Float64bits(Harmonic(c.n)); got != c.bits {
@@ -76,7 +93,8 @@ func TestHarmonicAsymptoticBits(t *testing.T) {
 // TestHarmonicMonotone: rng's harmonic inversion (like the binary
 // search before it) is only defined for a monotone predicate, so
 // strict growth is checked exhaustively over every size a simulated
-// network takes — the 255 → 256 table/asymptotic seam included — and
+// network takes — the 255 → 256 direct-sum/asymptotic seam and the
+// table's end at HarmonicTableLen included — and
 // around every power of two beyond.
 func TestHarmonicMonotone(t *testing.T) {
 	grows := func(m int) {

@@ -29,7 +29,15 @@ func TestInvertHarmonicMatchesSearch(t *testing.T) {
 	if testing.Short() {
 		uniform = 20000
 	}
-	for _, max := range []int{1, 2, 3, 254, 255, 256, 257, 1023, 1 << 14, 1 << 20, 1 << 30, 1 << 40} {
+	const T = mathx.HarmonicTableLen
+	// The targets where harmonicGuide hands over: every bucket edge,
+	// and guideTop, above which the exp guess takes over.
+	edges := make([]float64, 0, len(harmonicGuide)+1)
+	for k := range harmonicGuide {
+		edges = append(edges, float64(k)/guideScale)
+	}
+	edges = append(edges, guideTop)
+	for _, max := range []int{1, 2, 3, 254, 255, 256, 257, 1023, T - 2, T - 1, T, T + 1, 1 << 14, 1 << 20, 1 << 30, 1 << 40} {
 		hmax := mathx.Harmonic(max)
 		src := New(uint64(max))
 		for k := 0; k < uniform; k++ {
@@ -38,12 +46,21 @@ func TestInvertHarmonicMatchesSearch(t *testing.T) {
 		// Every step of the CDF within reach, and the floats on either
 		// side of it: where an off-by-one would hide.
 		for d := 0; d <= max && d <= 5000; d++ {
-			h := mathx.Harmonic(d)
-			checkInversion(t, h, max)
-			checkInversion(t, math.Nextafter(h, math.Inf(-1)), max)
-			checkInversion(t, math.Nextafter(h, math.Inf(1)), max)
+			checkAround(t, mathx.Harmonic(d), max)
+		}
+		for _, e := range edges {
+			checkAround(t, e, max)
 		}
 	}
+}
+
+// checkAround checks the inversion at x and at the floats on either
+// side of it.
+func checkAround(t *testing.T, x float64, max int) {
+	t.Helper()
+	checkInversion(t, x, max)
+	checkInversion(t, math.Nextafter(x, math.Inf(-1)), max)
+	checkInversion(t, math.Nextafter(x, math.Inf(1)), max)
 }
 
 // TestInvertHarmonicClamp drives the closed-form guess to, past and
@@ -69,6 +86,8 @@ func FuzzInvertHarmonic(f *testing.F) {
 	f.Add(math.Float64bits(1), uint32(2))
 	f.Add(math.Float64bits(mathx.Harmonic(255)), uint32(256))
 	f.Add(math.Float64bits(mathx.Harmonic(256)), uint32(257))
+	f.Add(math.Float64bits(guideTop), uint32(mathx.HarmonicTableLen))
+	f.Add(math.Float64bits(math.Nextafter(guideTop, 0)), uint32(mathx.HarmonicTableLen))
 	f.Add(math.Float64bits(9.5), uint32(1<<14))
 	f.Add(math.Float64bits(23), uint32(math.MaxUint32))
 	f.Add(math.Float64bits(math.NaN()), uint32(100))
@@ -82,7 +101,12 @@ func BenchmarkSampleHarmonic(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		max  int
-	}{{"max1023", 1023}, {"max2^20", 1 << 20}} {
+	}{
+		{"max1023", 1023},
+		{"max2^13-1", mathx.HarmonicTableLen - 1}, // every draw inside the tables
+		{"max2^15", 4 * mathx.HarmonicTableLen},   // draws straddle the handover to exp
+		{"max2^20", 1 << 20},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := New(1)
 			sink := 0
