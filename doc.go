@@ -1,12 +1,16 @@
 // Package repro is a from-scratch Go reproduction of "Fault-tolerant
 // Routing in Peer-to-peer Systems" (Aspnes, Diamadi, Shah; PODC 2002).
 //
-// The library lives under internal/ (see internal/core for the facade),
-// executables under cmd/ (ftrsim, ftrbench, ftrnode), runnable examples
-// in example_test.go, and the per-table/figure benchmark harness in
-// bench_test.go. README.md's Architecture table maps every layer to its
-// package, and `ftrsim -list` is the experiment index: every paper
-// artifact with the id that regenerates it.
+// The library lives under internal/, executables under cmd/ (ftrsim,
+// ftrbench, ftrnode), runnable examples in example_test.go, and the
+// per-table/figure benchmark harness in bench_test.go. A network is
+// built the way every experiment builds it: a metric space
+// (internal/metric), graph.BuildIdeal with graph.PaperConfigFor, or the
+// §5 heuristic in internal/construct; routed by route.New, damaged by
+// internal/failure. Example_quickstart runs those calls, and README.md's
+// Quickstart quotes it. README.md's Architecture table maps every layer
+// to its package, and `ftrsim -list` is the experiment index: every
+// paper artifact with the id that regenerates it.
 //
 // Beyond the paper's single-message reproduction, internal/load models
 // sustained traffic: workload generators, a virtual-time queueing

@@ -12,8 +12,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/overlay"
@@ -31,45 +31,58 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// Build the paper's overlay through the core facade, route a traced
-// search, look at the 1/d link-length law, then crash half the network
-// and compare the three dead-end strategies.
+// Build the paper's overlay with the calls every experiment makes,
+// route a traced search, look at the 1/d link-length law, then crash
+// half the network and compare the three dead-end strategies.
 func Example_quickstart() {
-	// Ring metric space, lg n = 12 long links per node drawn with
-	// exponent 1.
-	nw := must(core.New(core.Config{Nodes: 1 << 12, Seed: 42}))
-	st := nw.Stats()
+	// A ring of n = 2^12 points, each node holding lg n = 12 long links
+	// drawn with Pr[length d] ∝ 1/d (graph.PaperConfigFor: exponent =
+	// dimension). Stream 1 of the root builds, stream 3 crashes, and
+	// searches draw from the root itself.
+	const n = 1 << 12
+	root := rng.New(42)
+	ring := must(metric.NewRing(n))
+	g := must(graph.BuildIdeal(ring, graph.PaperConfigFor(ring, mathx.ILog2(n)), root.Derive(1)))
 	fmt.Printf("built network: %d nodes, %d long links (%.1f per node)\n",
-		st.Nodes, st.LongLinks, st.MeanDegree)
+		g.Size(), g.LongLinkCount(), g.AvgOutDegree())
 
-	res := must(nw.Search(17, 2300, core.SearchOptions{TracePath: true}))
+	res := must(route.New(g, route.Options{TracePath: true}).Route(root, 17, 2300))
 	fmt.Printf("search 17 -> 2300: delivered=%v in %d hops (ring distance %d)\n",
-		res.Delivered, res.Hops, nw.Space().Distance(17, 2300))
-	fmt.Printf("path: %s\n", viz.RingPath(st.Nodes, res.Path, 64))
+		res.Delivered, res.Hops, ring.Distance(17, 2300))
+	fmt.Printf("path: %s\n", viz.RingPath(n, res.Path, 64))
 
-	g := nw.Graph()
-	lengths := mathx.NewLogHistogram(g.Size())
-	for p := 0; p < g.Size(); p++ {
-		for _, lk := range g.Long(core.Point(p)) {
-			lengths.Add(g.Space().Distance(core.Point(p), lk.To))
+	lengths := mathx.NewLogHistogram(n)
+	for p := metric.Point(0); p < n; p++ {
+		for _, lk := range g.Long(p) {
+			lengths.Add(ring.Distance(p, lk.To))
 		}
 	}
 	fmt.Println("link lengths (log buckets, probability mass):")
 	fmt.Print(viz.HistogramBars(lengths, 6, 32))
 
+	// The §6 workload: a search between two random live nodes (both
+	// may be the same node: delivered in zero hops).
+	randomSearch := func(opt route.Options) route.Result {
+		from, _ := g.RandomAlive(root)
+		to, _ := g.RandomAlive(root)
+		if from == to {
+			return route.Result{Delivered: true}
+		}
+		return must(route.New(g, opt).Route(root, from, to))
+	}
 	hops := make([]float64, 40)
 	for i := range hops {
-		hops[i] = float64(must(nw.RandomSearch(core.SearchOptions{})).Hops)
+		hops[i] = float64(randomSearch(route.Options{}).Hops)
 	}
 	fmt.Printf("40 random searches: %s\n", viz.Sparkline(hops))
 
-	fmt.Printf("crashed %d nodes\n", must(nw.FailNodes(0.5)))
-	for _, opt := range []core.SearchOptions{{DeadEnd: core.Terminate}, {DeadEnd: core.RandomReroute}, {DeadEnd: core.Backtrack}} {
+	fmt.Printf("crashed %d nodes\n", must(failure.FailNodesFraction(g, 0.5, root.Derive(3))))
+	for _, policy := range []route.DeadEndPolicy{route.Terminate, route.RandomReroute, route.Backtrack} {
 		var stats sim.SearchStats
 		for i := 0; i < 100; i++ {
-			stats.Record(must(nw.RandomSearch(opt)))
+			stats.Record(randomSearch(route.Options{DeadEnd: policy}))
 		}
-		fmt.Printf("  %-14v delivered %3d/100, mean %.1f hops\n", opt.DeadEnd, stats.Delivered, stats.MeanHops())
+		fmt.Printf("  %-14v delivered %3d/100, mean %.1f hops\n", policy, stats.Delivered, stats.MeanHops())
 	}
 	// Output:
 	// built network: 4096 nodes, 49152 long links (12.0 per node)
@@ -95,20 +108,23 @@ func Example_quickstart() {
 // number of scattered crashes strands some greedy searches.
 func Example_faultTolerance() {
 	const n, dead = 1 << 12, 1 << 10
-	interval := must(core.New(core.Config{Nodes: n, Seed: 22}))
-	failure.FailInterval(interval.Graph(), 1000, dead)
-	scattered := must(core.New(core.Config{Nodes: n, Seed: 22}))
-	must(scattered.FailNodes(float64(dead) / n))
+	ring := must(metric.NewRing(n))
+	build := func() *graph.Graph {
+		return must(graph.BuildIdeal(ring, graph.PaperConfigFor(ring, mathx.ILog2(n)), rng.New(22).Derive(1)))
+	}
+	interval := build()
+	failure.FailInterval(interval, 1000, dead)
+	scattered := build()
+	must(failure.FailNodesFraction(scattered, float64(dead)/n, rng.New(22).Derive(3)))
 
 	fmt.Printf("%d of %d nodes dead\n", dead, n)
 	for _, c := range []struct {
 		name string
-		nw   *core.Network
+		g    *graph.Graph
 	}{{"interval", interval}, {"scattered", scattered}} {
-		g := c.nw.Graph()
-		for _, policy := range []route.DeadEndPolicy{core.Terminate, core.RandomReroute, core.Backtrack} {
-			r := route.New(g, core.SearchOptions{DeadEnd: policy})
-			stats := must(sim.MeasureSearches(g, r, rng.New(23), 300))
+		for _, policy := range []route.DeadEndPolicy{route.Terminate, route.RandomReroute, route.Backtrack} {
+			r := route.New(c.g, route.Options{DeadEnd: policy})
+			stats := must(sim.MeasureSearches(c.g, r, rng.New(23), 300))
 			fmt.Printf("  %-9s %-14v failed %.3f, mean %.1f hops\n",
 				c.name, policy, stats.FailedFraction(), stats.MeanHops())
 		}

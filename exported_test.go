@@ -30,10 +30,6 @@ var exportedAllow = map[string]string{
 	"internal/analysis.Lemma1Integral":          "the paper's Lemma 1 as a formula: ROADMAP item 3d decides whether it becomes an oracle",
 	"internal/analysis.AsymptoticLowerBound":    "Theorem 10's bound: ROADMAP item 3a gates measured hops against it",
 	"internal/analysis.SingleLinkExpectedDrop":  "Lemma 3's drop: ROADMAP item 3d",
-	"internal/core.Ring":                        "names the zero value of the facade's SpaceKind, which Config's doc comment and error text refer to",
-	"internal/core.Ideal":                       "names the zero value of the facade's Construction, which Config's doc comment refers to",
-	"internal/core.TwoSided":                    "facade re-export: names the zero value of SearchOptions.Sidedness",
-	"internal/core.OneSided":                    "facade re-export: the only way an application sets SearchOptions.Sidedness without importing internal/route",
 }
 
 // exportedAllowDirs lists whole packages outside the sweep.

@@ -2,8 +2,9 @@ package repro
 
 // Integration tests: end-to-end flows that cross module boundaries,
 // complementing the per-package unit tests. Each test exercises a slice
-// of the paper's story through the public surfaces (core facade,
-// overlay cluster, experiment registry).
+// of the paper's story through the calls the experiments make (graph
+// build, §5 construction, routing, failure injection), the overlay
+// cluster and the experiment registry.
 
 import (
 	"context"
@@ -18,12 +19,15 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/chain"
 	"repro/internal/construct"
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/failure"
+	"repro/internal/graph"
 	"repro/internal/keyspace"
+	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/overlay"
 	"repro/internal/rng"
+	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -33,53 +37,57 @@ import (
 // strategy, and check the measured hops against the theory bounds.
 func TestEndToEndLifecycle(t *testing.T) {
 	const n = 1 << 11
-	nw, err := core.New(core.Config{Nodes: n, Construction: core.Heuristic, Seed: 101})
+	links := mathx.ILog2(n)
+	root := rng.New(101)
+	ring, err := metric.NewRing(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := construct.NewBuilder(ring, construct.Config{Links: links}, root.Derive(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range root.Derive(2).Perm(n) {
+		if err := b.Add(metric.Point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Graph()
 
 	// Healthy-network routing obeys the Theorem 13 bound.
 	var healthy sim.SearchStats
 	for i := 0; i < 200; i++ {
-		res, err := nw.RandomSearch(core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		healthy.Record(res)
+		healthy.Record(randomSearch(t, g, root, route.Options{}))
 	}
 	if healthy.FailedFraction() != 0 {
 		t.Fatalf("healthy network failed %v of searches", healthy.FailedFraction())
 	}
-	upper := analysis.MultiLinkUpperBound(n, nw.Config().Links)
+	upper := analysis.MultiLinkUpperBound(n, links)
 	if healthy.MeanHops() > upper {
 		t.Errorf("mean hops %v exceeds Theorem 13 bound %v", healthy.MeanHops(), upper)
 	}
 
 	// Churn, then damage, then route with each dead-end strategy.
 	for i := 0; i < 50; i++ {
-		p := core.Point(i * 7 % n)
-		if err := nw.RemoveNode(p); err != nil {
+		p := metric.Point(i * 7 % n)
+		if err := b.Remove(p); err != nil {
 			continue
 		}
-		if err := nw.AddNode(p); err != nil {
+		if err := b.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := nw.FailNodes(0.4); err != nil {
+	if _, err := failure.FailNodesFraction(g, 0.4, root.Derive(3)); err != nil {
 		t.Fatal(err)
 	}
 	failRates := map[string]float64{}
-	for name, opt := range map[string]core.SearchOptions{
-		"terminate": {DeadEnd: core.Terminate},
-		"backtrack": {DeadEnd: core.Backtrack},
+	for name, opt := range map[string]route.Options{
+		"terminate": {DeadEnd: route.Terminate},
+		"backtrack": {DeadEnd: route.Backtrack},
 	} {
 		var s sim.SearchStats
 		for i := 0; i < 200; i++ {
-			res, err := nw.RandomSearch(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Record(res)
+			s.Record(randomSearch(t, g, root, opt))
 		}
 		failRates[name] = s.FailedFraction()
 	}
@@ -156,17 +164,18 @@ func TestResourceLocationPipeline(t *testing.T) {
 // trajectory model scales the same way as the full router.
 func TestTheorySimulationConsistency(t *testing.T) {
 	const n = 1 << 10
-	nw, err := core.New(core.Config{Nodes: n, Links: 4, Seed: 55})
+	root := rng.New(55)
+	ring, err := metric.NewRing(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.BuildIdeal(ring, graph.PaperConfigFor(ring, 4), root.Derive(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s sim.SearchStats
 	for i := 0; i < 300; i++ {
-		res, err := nw.RandomSearch(core.SearchOptions{DirectedOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Record(res)
+		s.Record(randomSearch(t, g, root, route.Options{DirectedOnly: true}))
 	}
 	lower := analysis.Theorem10LowerBound(n, 4, false)
 	upper := analysis.MultiLinkUpperBound(n, 4)
@@ -376,6 +385,27 @@ func TestFtrmarkModule(t *testing.T) {
 			t.Errorf("go %s -C ftrmark ./...: %v\n%s", sub, err, out)
 		}
 	}
+}
+
+// randomSearch routes between two uniformly random live nodes of g,
+// drawing both endpoints and the walk from src. Unlike
+// sim.MeasureSearches it does not redraw a destination equal to the
+// origin: that search counts as delivered in zero hops.
+func randomSearch(t *testing.T, g *graph.Graph, src *rng.Source, opt route.Options) route.Result {
+	t.Helper()
+	from, ok := g.RandomAlive(src)
+	to, ok2 := g.RandomAlive(src)
+	if !ok || !ok2 {
+		t.Fatal("no live nodes")
+	}
+	if from == to {
+		return route.Result{Delivered: true}
+	}
+	res, err := route.New(g, opt).Route(src, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func parseFloat(t *testing.T, s string) float64 {

@@ -141,34 +141,52 @@ func TestGrowDistributionTracksIdeal(t *testing.T) {
 }
 
 func TestRemoveRepairsLinks(t *testing.T) {
-	const n, links = 256, 5
-	b, err := NewBuilder(mustRing(t, n), Config{Links: links}, rng.New(5))
+	torus, err := metric.NewTorus(12, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range rng.New(6).Perm(n) {
-		if err := b.Add(metric.Point(i)); err != nil {
+	// The §5 protocol is dimension-generic: the same departure repair
+	// and re-arrival on the paper's ring and on a 2-D torus.
+	for _, c := range []struct {
+		space metric.Space
+		links int
+	}{{mustRing(t, 256), 5}, {torus, 3}} {
+		n := c.space.Size()
+		b, err := NewBuilder(c.space, Config{Links: c.links}, rng.New(5))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	victim := metric.Point(17)
-	if err := b.Remove(victim); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Graph()
-	if g.Exists(victim) {
-		t.Fatal("removed node still exists")
-	}
-	// No link may still point at the departed node.
-	for i := 0; i < n; i++ {
-		for _, lk := range g.Long(metric.Point(i)) {
-			if lk.To == victim {
-				t.Fatalf("dangling link %d -> %d survived repair", i, victim)
+		for _, i := range rng.New(6).Perm(n) {
+			if err := b.Add(metric.Point(i)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	if err := b.Remove(victim); err == nil {
-		t.Error("double Remove should error")
+		victim := metric.Point(17)
+		if err := b.Remove(victim); err != nil {
+			t.Fatal(err)
+		}
+		g := b.Graph()
+		if g.Exists(victim) {
+			t.Fatalf("%s: removed node still exists", c.space.Name())
+		}
+		// No link may still point at the departed node.
+		for i := 0; i < n; i++ {
+			for _, lk := range g.Long(metric.Point(i)) {
+				if lk.To == victim {
+					t.Fatalf("%s: dangling link %d -> %d survived repair", c.space.Name(), i, victim)
+				}
+			}
+		}
+		if err := b.Remove(victim); err == nil {
+			t.Errorf("%s: double Remove should error", c.space.Name())
+		}
+		if err := b.Add(victim); err != nil {
+			t.Fatal(err)
+		}
+		if g.AliveCount() != n || g.CheckReverseIndex() != nil {
+			t.Errorf("%s: re-arrival left %d of %d alive (reverse index: %v)",
+				c.space.Name(), g.AliveCount(), n, g.CheckReverseIndex())
+		}
 	}
 }
 

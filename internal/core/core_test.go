@@ -1,49 +1,84 @@
+// Package core holds end-to-end scenarios for the paper's system, run on
+// the calls every experiment makes: build a network (graph.BuildIdeal,
+// or the §5 construct.Builder), route searches between random live
+// nodes, crash nodes, and change membership. The directory has tests
+// only; the library surface is graph, construct, route and failure.
 package core
 
 import (
 	"testing"
 
 	"repro/internal/construct"
+	"repro/internal/failure"
+	"repro/internal/graph"
+	"repro/internal/mathx"
+	"repro/internal/metric"
+	"repro/internal/rng"
+	"repro/internal/route"
 )
 
-func TestConfigDefaults(t *testing.T) {
-	cfg, err := Config{Nodes: 1024}.withDefaults()
+// ideal samples a network from the paper's distribution (exponent =
+// dimension) with stream 1 of the root; searches draw from the root and
+// failures from stream 3.
+func ideal(t *testing.T, space metric.Space, links int, seed uint64) (*graph.Graph, *rng.Source) {
+	t.Helper()
+	root := rng.New(seed)
+	g, err := graph.BuildIdeal(space, graph.PaperConfigFor(space, links), root.Derive(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Links != 10 {
-		t.Errorf("default links = %d, want lg 1024 = 10", cfg.Links)
-	}
-	if cfg.Exponent != 1 {
-		t.Errorf("default exponent = %v, want 1", cfg.Exponent)
-	}
-	cfg, err = Config{Nodes: 16, Exponent: ExponentUniform}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Exponent != 0 {
-		t.Errorf("uniform exponent = %v, want 0 internally", cfg.Exponent)
-	}
+	return g, root
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 1}); err == nil {
-		t.Error("single node should error")
+// grown builds a network with the §5 arrival protocol, nodes arriving in
+// the order stream 2 of the root draws.
+func grown(t *testing.T, space metric.Space, cfg construct.Config, seed uint64) (*construct.Builder, *rng.Source) {
+	t.Helper()
+	root := rng.New(seed)
+	b, err := construct.NewBuilder(space, cfg, root.Derive(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Nodes: 16, Links: -1}); err == nil {
-		t.Error("negative links should error")
+	for _, i := range root.Derive(2).Perm(space.Size()) {
+		if err := b.Add(metric.Point(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := New(Config{Nodes: 16, Construction: Heuristic, Exponent: 2}); err == nil {
-		t.Error("heuristic with exponent != 1 should error")
+	return b, root
+}
+
+// randomSearch is the §6 workload: a search between two random live
+// nodes, delivered in zero hops when both draws pick the same node.
+func randomSearch(g *graph.Graph, src *rng.Source, opt route.Options) (route.Result, error) {
+	from, _ := g.RandomAlive(src)
+	to, _ := g.RandomAlive(src)
+	if from == to {
+		return route.Result{Delivered: true}, nil
 	}
+	return route.New(g, opt).Route(src, from, to)
+}
+
+func ring(t *testing.T, n int) metric.Space {
+	t.Helper()
+	s, err := metric.NewRing(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func torus(t *testing.T, side, dim int) metric.Space {
+	t.Helper()
+	s, err := metric.NewTorus(side, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestIdealNetworkSearch(t *testing.T) {
-	nw, err := New(Config{Nodes: 1 << 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nw.Search(3, 700, SearchOptions{})
+	g, root := ideal(t, ring(t, 1<<10), mathx.ILog2(1<<10), 1)
+	res, err := route.New(g, route.Options{}).Route(root, 3, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,25 +88,18 @@ func TestIdealNetworkSearch(t *testing.T) {
 	if res.Hops <= 0 || res.Hops > 100 {
 		t.Errorf("hops = %d", res.Hops)
 	}
-	st := nw.Stats()
-	if st.Nodes != 1024 || st.Alive != 1024 {
-		t.Errorf("stats = %+v", st)
+	if g.Size() != 1024 || g.AliveCount() != 1024 {
+		t.Errorf("size %d, alive %d", g.Size(), g.AliveCount())
 	}
-	if st.MeanDegree != 10 {
-		t.Errorf("mean degree = %v, want 10", st.MeanDegree)
-	}
-	if nw.Config().Links != 10 {
-		t.Error("resolved config not exposed")
+	if g.AvgOutDegree() != 10 {
+		t.Errorf("mean degree = %v, want lg 1024 = 10", g.AvgOutDegree())
 	}
 }
 
 func TestRandomSearchWorkload(t *testing.T) {
-	nw, err := New(Config{Nodes: 512, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, root := ideal(t, ring(t, 512), mathx.ILog2(512), 2)
 	for i := 0; i < 50; i++ {
-		res, err := nw.RandomSearch(SearchOptions{})
+		res, err := randomSearch(g, root, route.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +110,12 @@ func TestRandomSearchWorkload(t *testing.T) {
 }
 
 func TestLineSpace(t *testing.T) {
-	nw, err := New(Config{Nodes: 256, Space: Line, Seed: 3})
+	line, err := metric.NewLine(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Search(0, 255, SearchOptions{Sidedness: OneSided})
+	g, root := ideal(t, line, mathx.ILog2(256), 3)
+	res, err := route.New(g, route.Options{Sidedness: route.OneSided}).Route(root, 0, 255)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +125,18 @@ func TestLineSpace(t *testing.T) {
 }
 
 func TestFailureInjection(t *testing.T) {
-	nw, err := New(Config{Nodes: 1000, Seed: 4})
+	g, root := ideal(t, ring(t, 1000), mathx.ILog2(1000), 4)
+	crashed, err := failure.FailNodesFraction(g, 0.3, root.Derive(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := nw.FailNodes(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashed != 300 || nw.Alive() != 700 {
-		t.Errorf("crashed %d, alive %d", crashed, nw.Alive())
+	if crashed != 300 || g.AliveCount() != 700 {
+		t.Errorf("crashed %d, alive %d", crashed, g.AliveCount())
 	}
 	// Searches still mostly work with backtracking.
 	delivered := 0
 	for i := 0; i < 50; i++ {
-		res, err := nw.RandomSearch(SearchOptions{DeadEnd: Backtrack})
+		res, err := randomSearch(g, root, route.Options{DeadEnd: route.Backtrack})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,27 +150,24 @@ func TestFailureInjection(t *testing.T) {
 }
 
 func TestHeuristicNetworkChurn(t *testing.T) {
-	nw, err := New(Config{Nodes: 256, Construction: Heuristic, Seed: 5})
-	if err != nil {
+	b, root := grown(t, ring(t, 256), construct.Config{Links: mathx.ILog2(256)}, 5)
+	g := b.Graph()
+	if g.AliveCount() != 256 {
+		t.Fatalf("alive = %d", g.AliveCount())
+	}
+	if err := b.Remove(17); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Alive() != 256 {
-		t.Fatalf("alive = %d", nw.Alive())
+	if g.AliveCount() != 255 {
+		t.Errorf("alive after removal = %d", g.AliveCount())
 	}
-	// Churn through the facade.
-	if err := nw.RemoveNode(17); err != nil {
+	if err := b.Add(17); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Alive() != 255 {
-		t.Errorf("alive after removal = %d", nw.Alive())
+	if g.AliveCount() != 256 {
+		t.Errorf("alive after re-add = %d", g.AliveCount())
 	}
-	if err := nw.AddNode(17); err != nil {
-		t.Fatal(err)
-	}
-	if nw.Alive() != 256 {
-		t.Errorf("alive after re-add = %d", nw.Alive())
-	}
-	res, err := nw.RandomSearch(SearchOptions{})
+	res, err := randomSearch(g, root, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,97 +177,47 @@ func TestHeuristicNetworkChurn(t *testing.T) {
 }
 
 func TestHeuristicReplacementStrategy(t *testing.T) {
-	nw, err := New(Config{
-		Nodes:        128,
-		Construction: Heuristic,
-		Replacement:  construct.Oldest,
-		Seed:         6,
-	})
+	b, root := grown(t, ring(t, 128), construct.Config{Links: mathx.ILog2(128), Strategy: construct.Oldest}, 6)
+	res, err := randomSearch(b.Graph(), root, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RandomSearch(SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIdealNetworkRejectsChurn(t *testing.T) {
-	nw, err := New(Config{Nodes: 64, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.AddNode(3); err == nil {
-		t.Error("ideal network AddNode should error")
-	}
-	if err := nw.RemoveNode(3); err == nil {
-		t.Error("ideal network RemoveNode should error")
+	if !res.Delivered {
+		t.Error("search over an Oldest-replacement network failed")
 	}
 }
 
 func TestDeterministicReproducibility(t *testing.T) {
-	build := func() (Stats, Result) {
-		nw, err := New(Config{Nodes: 512, Seed: 99})
+	type snapshot struct {
+		alive, links int
+		res          route.Result
+	}
+	build := func() snapshot {
+		g, root := ideal(t, ring(t, 512), mathx.ILog2(512), 99)
+		res, err := route.New(g, route.Options{}).Route(root, 1, 400)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := nw.Search(1, 400, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.Stats(), res
+		return snapshot{g.AliveCount(), g.LongLinkCount(), res}
 	}
-	s1, r1 := build()
-	s2, r2 := build()
-	if s1 != s2 || r1.Hops != r2.Hops || r1.Delivered != r2.Delivered {
-		t.Error("same seed should rebuild the identical network")
-	}
-}
-
-func TestConfigDimDefaults(t *testing.T) {
-	cfg, err := Config{Dim: 2, Side: 32}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Nodes != 1024 {
-		t.Errorf("derived nodes = %d, want 32^2 = 1024", cfg.Nodes)
-	}
-	if cfg.Links != 10 {
-		t.Errorf("default links = %d, want lg 1024 = 10", cfg.Links)
-	}
-	if cfg.Exponent != 2 {
-		t.Errorf("default exponent = %v, want the 2-D harmonic exponent 2", cfg.Exponent)
-	}
-	if _, err := (Config{Dim: 2}).withDefaults(); err == nil {
-		t.Error("dim 2 without side should error")
-	}
-	if _, err := (Config{Dim: 2, Side: 8, Nodes: 17}).withDefaults(); err == nil {
-		t.Error("nodes disagreeing with side^dim should error")
-	}
-	if _, err := (Config{Dim: 2, Side: 8, Space: Line}).withDefaults(); err == nil {
-		t.Error("line with dim >= 2 should error")
-	}
-	if _, err := (Config{Nodes: 64, Side: 8}).withDefaults(); err == nil {
-		t.Error("side on a 1-D config should error")
-	}
-	if _, err := (Config{Dim: -1, Nodes: 64}).withDefaults(); err == nil {
-		t.Error("negative dim should error")
+	s1, s2 := build(), build()
+	if s1.alive != s2.alive || s1.links != s2.links || s1.res.Hops != s2.res.Hops || s1.res.Delivered != s2.res.Delivered {
+		t.Errorf("same seed should rebuild the identical network: %+v vs %+v", s1, s2)
 	}
 }
 
 func TestTorusNetworkEndToEnd(t *testing.T) {
-	nw, err := New(Config{Dim: 2, Side: 24, Links: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	space := torus(t, 24, 2)
+	g, root := ideal(t, space, 4, 5)
+	if space.Dim() != 2 || space.Name() != "torus2d" {
+		t.Errorf("space = %s dim %d", space.Name(), space.Dim())
 	}
-	if nw.Space().Dim() != 2 || nw.Space().Name() != "torus2d" {
-		t.Errorf("space = %s dim %d", nw.Space().Name(), nw.Space().Dim())
-	}
-	if nw.Stats().Nodes != 576 {
-		t.Errorf("nodes = %d, want 576", nw.Stats().Nodes)
+	if g.Size() != 576 {
+		t.Errorf("nodes = %d, want 576", g.Size())
 	}
 	// Healthy torus searches always deliver.
 	for i := 0; i < 50; i++ {
-		res, err := nw.RandomSearch(SearchOptions{})
+		res, err := randomSearch(g, root, route.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,12 +226,12 @@ func TestTorusNetworkEndToEnd(t *testing.T) {
 		}
 	}
 	// The §6 damage model and recovery strategies run unchanged.
-	if _, err := nw.FailNodes(0.3); err != nil {
+	if _, err := failure.FailNodesFraction(g, 0.3, root.Derive(3)); err != nil {
 		t.Fatal(err)
 	}
 	delivered := 0
 	for i := 0; i < 50; i++ {
-		res, err := nw.RandomSearch(SearchOptions{DeadEnd: Backtrack})
+		res, err := randomSearch(g, root, route.Options{DeadEnd: route.Backtrack})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,17 +243,14 @@ func TestTorusNetworkEndToEnd(t *testing.T) {
 		t.Errorf("backtracking delivered only %d/50 after 30%% failures", delivered)
 	}
 	// One-sided routing is undefined on a torus and must error.
-	if _, err := nw.RandomSearch(SearchOptions{Sidedness: OneSided}); err == nil {
+	if _, err := randomSearch(g, root, route.Options{Sidedness: route.OneSided}); err == nil {
 		t.Error("one-sided routing on a torus should error")
 	}
 }
 
 func TestTorusHeuristicConstruction(t *testing.T) {
-	nw, err := New(Config{Dim: 2, Side: 12, Links: 3, Construction: Heuristic, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nw.RandomSearch(SearchOptions{})
+	b, root := grown(t, torus(t, 12, 2), construct.Config{Links: 3}, 9)
+	res, err := randomSearch(b.Graph(), root, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +258,10 @@ func TestTorusHeuristicConstruction(t *testing.T) {
 		t.Error("heuristic 2-D network failed a healthy search")
 	}
 	// Membership changes run through the same §5 protocol.
-	if err := nw.RemoveNode(7); err != nil {
+	if err := b.Remove(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.AddNode(7); err != nil {
+	if err := b.Add(7); err != nil {
 		t.Fatal(err)
 	}
 }

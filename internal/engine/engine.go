@@ -153,6 +153,43 @@ func (c Config) validate() error {
 	return nil
 }
 
+// Ledger holds a run's conservation counters: the tallies
+// Outcome.CheckLedgers balances, and the aggregation count beside them.
+// load.Result embeds the same struct.
+type Ledger struct {
+	// Aggregated counts the lookups coalesced onto a same-key carrier
+	// (live aggregation only).
+	Aggregated int
+	// Suppressed counts PIT suppressions: request arrivals that parked
+	// as waiters on a pending same-key interest instead of forwarding
+	// (a lookup that times out and re-forwards can be suppressed again,
+	// so this counts events, not messages). MulticastFanout counts the
+	// waiters released by returning answers — the total fan-out of
+	// every PIT multicast — and PITExpired the waits that ended by
+	// timeout rather than by an answer. ModeLivePIT only.
+	Suppressed, MulticastFanout, PITExpired int
+	// Churn ledger (Config.Churn enabled only). Crashes/Joins count the
+	// schedule events actually applied. Stranded counts arrivals that
+	// found their node dead; each resolves exactly once as StrandResumed
+	// (the lookup continued — moved on, replayed at the revived node, or
+	// completed delivered) or StrandDropped (it ended undelivered at the
+	// resume), so Stranded == StrandResumed + StrandDropped always.
+	// Reattached counts injections whose dead source was re-homed to the
+	// nearest alive node.
+	Crashes, Joins                         int
+	Stranded, StrandResumed, StrandDropped int
+	Reattached                             int
+	// GossipSends counts membership transmissions (gossip pushes and
+	// join bootstraps), each charged as one FIFO service at its sender;
+	// LinksRebuilt counts long links redrawn by repair and rejoin.
+	GossipSends, LinksRebuilt int
+	// RumorsConverged/RumorsAbandoned partition the resolved rumors:
+	// known by every alive node, or orphaned (every knower crashed).
+	// MembershipLag is the worst event-to-convergence time observed.
+	RumorsConverged, RumorsAbandoned int
+	MembershipLag                    float64
+}
+
 // Outcome reports one engine run: the per-message routing results in
 // message order, the queueing picture, and the aggregation headline.
 type Outcome struct {
@@ -178,45 +215,7 @@ type Outcome struct {
 	LastInject float64
 	// Makespan is the finish time of the last service.
 	Makespan float64
-	// Aggregated counts the lookups coalesced onto a same-key carrier
-	// (live aggregation only).
-	Aggregated int
-	// Suppressed counts PIT suppressions: request arrivals that parked
-	// as waiters on a pending same-key interest instead of forwarding
-	// (a lookup that times out and re-forwards can be suppressed again,
-	// so this counts events, not messages). ModeLivePIT only.
-	Suppressed int
-	// MulticastFanout counts waiters released by returning answers —
-	// the total fan-out of every PIT multicast. ModeLivePIT only.
-	MulticastFanout int
-	// PITExpired counts waits that ended by timeout rather than by an
-	// answer: the waiter re-forwarded on its own. ModeLivePIT only.
-	PITExpired int
-	// Churn ledger (Config.Churn enabled only). Crashes/Joins count the
-	// schedule events actually applied. Stranded counts arrivals that
-	// found their node dead; each resolves exactly once as StrandResumed
-	// (the lookup continued — moved on, replayed at the revived node, or
-	// completed delivered) or StrandDropped (it ended undelivered at the
-	// resume), so Stranded == StrandResumed + StrandDropped always.
-	// Reattached counts injections whose dead source was re-homed to the
-	// nearest alive node.
-	Crashes       int
-	Joins         int
-	Stranded      int
-	StrandResumed int
-	StrandDropped int
-	Reattached    int
-	// GossipSends counts membership transmissions (gossip pushes and
-	// join bootstraps), each charged as one FIFO service at its sender;
-	// LinksRebuilt counts long links redrawn by repair and rejoin.
-	GossipSends  int
-	LinksRebuilt int
-	// RumorsConverged/RumorsAbandoned partition the resolved rumors:
-	// known by every alive node, or orphaned (every knower crashed).
-	// MembershipLag is the worst event-to-convergence time observed.
-	RumorsConverged int
-	RumorsAbandoned int
-	MembershipLag   float64
+	Ledger
 	// Plan is the execution plan the run resolved to, and PlanReason
 	// the pinned explanation for the choice (see Config.Plan).
 	Plan       ExecutionPlan

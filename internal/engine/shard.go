@@ -118,7 +118,6 @@ type shard struct {
 	suppressed    int
 	fanout        int
 	expired       int
-	arriving      int // handoffs headed here, counted during the merge
 
 	// Telemetry (nil = disabled): the owner's private recorder view,
 	// written only while this owner is running, plus scratch for the
@@ -133,7 +132,6 @@ type shard struct {
 type shardSet struct {
 	shards []*shard
 	size   int       // node count, the shardOf denominator
-	moved  []event   // cross-shard handoffs being merged
 	recs   []doneRec // deferred side effects being merged
 	active []*shard  // shards with work below the current horizon
 }
@@ -443,43 +441,42 @@ func (sh *shard) push(r *runner, e event) {
 }
 
 // barrier is the window's sequential epilogue: merge cross-shard
-// handoffs in event order, then settle the deferred side effects in
-// event order. After it returns the run state is byte-identical to a
-// sole owner having just processed the same events.
+// handoffs, then settle the deferred side effects in event order. After
+// it returns the run state is byte-identical to a sole owner having
+// just processed the same events.
 func (s *shardSet) barrier(r *runner) {
-	// Handoffs: collect, order by (time, msg, idx), admit to the
-	// destination heaps. The destination is recomputed from the
-	// message's position — the handoff event *is* "msg arrives at
-	// pos[msg]". Heap admission is order-independent (the pop sequence
-	// is a function of the multiset), but the deterministic merge keeps
-	// the structure honest if the heap is ever swapped for something
-	// order-sensitive, and costs one sort of a small batch.
-	s.moved = s.moved[:0]
-	for _, sh := range s.shards {
-		sent := 0
-		for d := range sh.outbox {
-			sent += len(sh.outbox[d])
-			s.moved = append(s.moved, sh.outbox[d]...)
+	// Handoffs: each outbox is already addressed by its destination
+	// shard, and the event order is strict and total, so a heap's pop
+	// sequence depends only on the multiset it holds — push every
+	// outbox straight into its destination's heap, in any order.
+	if r.tel != nil {
+		for _, sh := range s.shards {
+			sent := 0
+			for _, box := range sh.outbox {
+				sent += len(box)
+			}
+			if sent > 0 {
+				r.tel.SchedHandoffs(sh.id, sent)
+			}
+		}
+	}
+	for d, dst := range s.shards {
+		in := 0
+		for _, sh := range s.shards {
+			in += len(sh.outbox[d])
+		}
+		if in == 0 {
+			continue
+		}
+		// One growth per batch, not one per push: the next window's
+		// drain then runs allocation-free on the heap side.
+		dst.h.Reserve(dst.h.Len() + in)
+		for _, sh := range s.shards {
+			for _, e := range sh.outbox[d] {
+				dst.h.Push(e)
+			}
 			sh.outbox[d] = sh.outbox[d][:0]
 		}
-		if r.tel != nil && sent > 0 {
-			r.tel.SchedHandoffs(sh.id, sent)
-		}
-	}
-	sort.Slice(s.moved, func(i, j int) bool { return eventLess(s.moved[i], s.moved[j]) })
-	for _, e := range s.moved {
-		s.owner(r.pos[e.msg]).arriving++
-	}
-	for _, sh := range s.shards {
-		if sh.arriving > 0 {
-			// One growth per batch, not one per push: the next window's
-			// drain then runs allocation-free on the heap side.
-			sh.h.Reserve(sh.h.Len() + sh.arriving)
-			sh.arriving = 0
-		}
-	}
-	for _, e := range s.moved {
-		s.owner(r.pos[e.msg]).h.Push(e)
 	}
 
 	// Deferred side effects, in global event order. Unlocked injections

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/baseline"
+	"repro/internal/mathx"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -42,7 +43,7 @@ func baselines(p Params) (*sim.Table, error) {
 		1-stats.FailedFraction())
 
 	// Baselines. All sized to p.N nodes (side = sqrt for grids).
-	side, m := int(math.Sqrt(float64(p.N))), lg(p.N)
+	side, m := int(math.Sqrt(float64(p.N))), mathx.ILog2(p.N)
 	for _, mk := range []func() (baseline.Router, error){
 		func() (baseline.Router, error) { return baseline.NewChord(m) },
 		func() (baseline.Router, error) { return baseline.NewPlaxton(2, m) },

@@ -202,19 +202,10 @@ func (p Params) lgLinks() int {
 	if p.Links > 0 {
 		return p.Links
 	}
-	if l := lg(p.N); l > 1 {
+	if l := mathx.ILog2(p.N); l > 1 {
 		return l
 	}
 	return 1
-}
-
-// lg returns ⌊lg n⌋ (0 for n ≤ 1).
-func lg(n int) int {
-	l := 0
-	for ; n > 1; n >>= 1 {
-		l++
-	}
-	return l
 }
 
 // Experiment is one reproducible artifact: a paper table row, figure,

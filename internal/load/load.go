@@ -290,28 +290,10 @@ type Result struct {
 	// Injected = Delivered + Failed always holds (the conservation
 	// property the tests pin).
 	Injected, Delivered, Failed int
-	// Aggregated counts the lookups coalesced onto a same-key carrier
-	// (zero outside live+aggregate mode). Aggregated lookups still
+	// Ledger is the engine's conservation ledger (all zero outside the
+	// mode or churn that drives each counter). Aggregated lookups still
 	// count as delivered or failed with their carrier.
-	Aggregated int
-	// Suppressed counts PIT suppression events (request arrivals that
-	// parked on a pending same-key interest), MulticastFanout the
-	// waiters released by returning answers, and PITExpired the waits
-	// that ended by timeout instead. All zero outside live+pit mode.
-	Suppressed, MulticastFanout, PITExpired int
-	// Churn ledger (all zero without Config.Churn). Crashes/Joins count
-	// applied schedule events; Stranded counts arrivals that found
-	// their node dead, partitioned exactly into StrandResumed +
-	// StrandDropped; Reattached counts injections re-homed from a dead
-	// source; GossipSends counts membership transmissions (each also a
-	// FIFO service); LinksRebuilt counts long links redrawn by repair
-	// and rejoin; RumorsConverged/RumorsAbandoned partition the resolved
-	// rumors and MembershipLag is the worst event-to-convergence time.
-	Crashes, Joins                         int
-	Stranded, StrandResumed, StrandDropped int
-	Reattached, GossipSends, LinksRebuilt  int
-	RumorsConverged, RumorsAbandoned       int
-	MembershipLag                          float64
+	engine.Ledger
 	// Loads counts message-hop services per grid point (index =
 	// metric.Point; absent or untouched points hold 0).
 	Loads []int
@@ -486,32 +468,18 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	}
 
 	r := &Result{
-		Workload:        gen.Name(),
-		Arrival:         arr.Name(),
-		Mode:            cfg.modeName(),
-		Plan:            out.Plan.String(),
-		PlanReason:      out.PlanReason,
-		Injected:        cfg.Messages,
-		Aggregated:      out.Aggregated,
-		Suppressed:      out.Suppressed,
-		MulticastFanout: out.MulticastFanout,
-		PITExpired:      out.PITExpired,
-		Crashes:         out.Crashes,
-		Joins:           out.Joins,
-		Stranded:        out.Stranded,
-		StrandResumed:   out.StrandResumed,
-		StrandDropped:   out.StrandDropped,
-		Reattached:      out.Reattached,
-		GossipSends:     out.GossipSends,
-		LinksRebuilt:    out.LinksRebuilt,
-		RumorsConverged: out.RumorsConverged,
-		RumorsAbandoned: out.RumorsAbandoned,
-		MembershipLag:   out.MembershipLag,
-		Loads:           out.Loads,
-		ServedBy:        make([]int, g.Size()),
-		MaxQueueDepth:   out.MaxQueueDepth,
-		Makespan:        out.Makespan,
-		LastInject:      out.LastInject,
+		Workload:      gen.Name(),
+		Arrival:       arr.Name(),
+		Mode:          cfg.modeName(),
+		Plan:          out.Plan.String(),
+		PlanReason:    out.PlanReason,
+		Injected:      cfg.Messages,
+		Ledger:        out.Ledger,
+		Loads:         out.Loads,
+		ServedBy:      make([]int, g.Size()),
+		MaxQueueDepth: out.MaxQueueDepth,
+		Makespan:      out.Makespan,
+		LastInject:    out.LastInject,
 	}
 	if placement != nil {
 		r.Replication = placement.Name()

@@ -85,6 +85,20 @@ func CeilLog(n, b int) int {
 	return k
 }
 
+// PowNeg returns x^(−e), special-casing the common exponents so table
+// construction avoids math.Pow in the usual cases.
+func PowNeg(x, e float64) float64 {
+	switch e {
+	case 0:
+		return 1
+	case 1:
+		return 1 / x
+	case 2:
+		return 1 / (x * x)
+	}
+	return math.Pow(x, -e)
+}
+
 // IPow returns base^exp for non-negative exp using binary exponentiation.
 // It does not guard against overflow; callers keep operands small.
 func IPow(base, exp int) int {

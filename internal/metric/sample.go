@@ -1,7 +1,6 @@
 package metric
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/mathx"
@@ -204,7 +203,7 @@ func (t *Torus) NewLinkSampler(exponent float64) (LinkSampler, error) {
 	if maxD >= 1 {
 		cdf = make([]float64, maxD)
 		for r := 1; r <= maxD; r++ {
-			total += float64(ways[0][r] * powNeg(float64(r), exponent))
+			total += float64(ways[0][r] * mathx.PowNeg(float64(r), exponent))
 			cdf[r-1] = total
 		}
 		for i := range cdf {
@@ -275,18 +274,4 @@ func (s *torusSampler) Sample(p Point, src *rng.Source) (Point, bool) {
 		return 0, false
 	}
 	return q, true
-}
-
-// powNeg returns x^(−e), special-casing the common exponents so table
-// construction avoids math.Pow in the usual cases.
-func powNeg(x, e float64) float64 {
-	switch e {
-	case 0:
-		return 1
-	case 1:
-		return 1 / x
-	case 2:
-		return 1 / (x * x)
-	}
-	return math.Pow(x, -e)
 }

@@ -126,27 +126,13 @@ func NewPowerLawSampler(max int, exponent float64) (*PowerLawSampler, error) {
 	cdf := make([]float64, max)
 	var total float64
 	for d := 1; d <= max; d++ {
-		total += powNeg(float64(d), exponent)
+		total += mathx.PowNeg(float64(d), exponent)
 		cdf[d-1] = total
 	}
 	for i := range cdf {
 		cdf[i] /= total
 	}
 	return &PowerLawSampler{max: max, cdf: cdf}, nil
-}
-
-// powNeg returns x^(-e), special-casing the common exponents so table
-// construction avoids math.Pow in the usual cases.
-func powNeg(x, e float64) float64 {
-	switch e {
-	case 0:
-		return 1
-	case 1:
-		return 1 / x
-	case 2:
-		return 1 / (x * x)
-	}
-	return math.Pow(x, -e)
 }
 
 // Max returns the largest distance the sampler can produce.

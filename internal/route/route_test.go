@@ -164,16 +164,20 @@ func TestRouteOneSidedLine(t *testing.T) {
 	}
 	r := New(g, Options{Sidedness: OneSided, TracePath: true})
 	src := rng.New(9)
-	res, err := r.Route(src, 120, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Delivered {
-		t.Fatal("line one-sided route failed")
-	}
-	for _, p := range res.Path {
-		if p < 3 {
-			t.Fatalf("one-sided route passed the target: %v", res.Path)
+	// Toward the left boundary and from it: one-sided greedy on a line
+	// never steps past the target, whichever way it lies.
+	for _, c := range []struct{ from, to metric.Point }{{120, 3}, {0, 127}} {
+		res, err := r.Route(src, c.from, c.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Delivered {
+			t.Fatalf("line one-sided route %d->%d failed", c.from, c.to)
+		}
+		for _, p := range res.Path {
+			if (p-c.to)*(c.from-c.to) < 0 {
+				t.Fatalf("one-sided route passed the target: %v", res.Path)
+			}
 		}
 	}
 }

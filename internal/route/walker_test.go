@@ -140,14 +140,29 @@ func TestWalkerBornDelivered(t *testing.T) {
 func TestWalkerErrors(t *testing.T) {
 	g := walkGraph(t, 64, 5, 11, 0)
 	g.Fail(metric.Point(10))
-	r := New(g, Options{})
-	if _, err := r.Walker(rng.New(1), 10, []metric.Point{3}); err == nil {
-		t.Error("dead origin accepted")
+	torus, err := metric.NewTorus(8, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.Walker(rng.New(1), 3, []metric.Point{10}); err == nil {
-		t.Error("dead target accepted")
+	tg, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, 3), rng.New(12))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.Walker(rng.New(1), 3, nil); err == nil {
-		t.Error("empty target set accepted")
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		opt     Options
+		from    metric.Point
+		targets []metric.Point
+	}{
+		{"dead origin", g, Options{}, 10, []metric.Point{3}},
+		{"dead target", g, Options{}, 3, []metric.Point{10}},
+		{"empty target set", g, Options{}, 3, nil},
+		// A torus has no orientation for one-sided greedy to keep.
+		{"one-sided on a torus", tg, Options{Sidedness: OneSided}, 0, []metric.Point{27}},
+	} {
+		if _, err := New(c.g, c.opt).Walker(rng.New(1), c.from, c.targets); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
