@@ -78,8 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintln(stderr, "ftrbench: -shards must be non-negative")
+	if *n < 0 || *trials < 0 || *msgs < 0 || *shards < 0 {
+		fmt.Fprintln(stderr, "ftrbench: -n, -trials, -msgs and -shards must be non-negative")
 		return 2
 	}
 	if *cpuprofile != "" {

@@ -372,6 +372,27 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeSizeFlags: a negative size override is a usage
+// error, not a table of zeros written and reported ok.
+func TestRunRejectsNegativeSizeFlags(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-n", "-1024", "-trials", "2", "-msgs", "3"},
+		{"-n", "1024", "-trials", "-2", "-msgs", "3"},
+		{"-n", "1024", "-trials", "2", "-msgs", "-3"},
+		{"-n", "1024", "-trials", "2", "-msgs", "3", "-shards", "-1"},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-out", dir, "-only", "table1.nofail.l1"}, flags...)
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", flags, code)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%v: wrote %d files, want none", flags, len(entries))
+		}
+	}
+}
+
 func TestValidateRecoverySection(t *testing.T) {
 	// A complete, healthy churn-recovery headline; each bad case below
 	// patches one field of it.

@@ -149,6 +149,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ftrsim: -exp required (or -list); e.g. ftrsim -exp fig6a")
 		return 2
 	}
+	if *n < 0 || *links < 0 || *trials < 0 || *msgs < 0 {
+		fmt.Fprintln(stderr, "ftrsim: -n, -links, -trials and -msgs must be non-negative")
+		return 2
+	}
 	if *dim < 0 || *side < 0 {
 		fmt.Fprintf(stderr, "ftrsim: -dim %d / -side %d must be non-negative\n", *dim, *side)
 		return 2
@@ -258,7 +262,7 @@ func printTelemetry(stdout io.Writer, tel *telemetry.Recorder, path string) {
 	if panel := viz.Timeline(names, series, 64); panel != "" {
 		fmt.Fprintf(stdout, "windows (%s):\n%s", label, panel)
 	}
-	flights := tel.WorstFlights(0) // 0 = the recorder's WorstK default
+	flights := tel.WorstFlights(0) // 0 = the recorder's default of 8
 	if len(flights) == 0 {
 		return
 	}

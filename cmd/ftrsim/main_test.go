@@ -122,6 +122,10 @@ func TestRunRejectsNegativeLoadFlags(t *testing.T) {
 		{"-exp", "ext.load.policy", "-live", "-killfrac", "1.5"},
 		{"-exp", "ext.load.policy", "-live", "-killat", "-10"},
 		{"-exp", "ext.load.policy", "-live", "-gossipfanout", "-1"},
+		{"-exp", "table1.nofail.multi", "-n", "-1024", "-trials", "2", "-msgs", "3"},
+		{"-exp", "table1.nofail.multi", "-n", "1024", "-links", "-2", "-trials", "2", "-msgs", "3"},
+		{"-exp", "table1.nofail.multi", "-n", "1024", "-trials", "-2", "-msgs", "3"},
+		{"-exp", "table1.nofail.multi", "-n", "1024", "-trials", "2", "-msgs", "-3"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {

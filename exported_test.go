@@ -236,3 +236,104 @@ func recvName(fn *ast.FuncDecl) string {
 		}
 	}
 }
+
+// optionAllow lists the option fields TestOptionFieldsAreSet leaves
+// alone although no program sets them, each with the reason it stays.
+// Keys are "<package dir>.<Type>.<Field>".
+var optionAllow = map[string]string{
+	"internal/route.Options.MaxReroutes": "internal/regress TestSeededPipelineGolden pins the ideal-ring/reroute rows at MaxReroutes 3",
+	"internal/load.Config.ReplicaSeed":   "internal/regress TestAllReplicasDeadFallbackGolden kills the replicas of the placement that ReplicaSeed seeds",
+}
+
+// TestOptionFieldsAreSet fails on an exported field of an options
+// struct under internal/ (a type named *Config, *Options, *Spec or
+// Params) that no non-test file of the root module or ftrmark/ sets,
+// either as a composite-literal key or by an assignment outside a
+// withDefaults method: a field with one value in use is a constant.
+// Like the export sweep, the scan is syntactic and keyed by field name
+// alone, so a field set under the same name on another type counts as
+// set — it cannot see load.SweepConfig.P99Bound beside
+// load.SweepResult.P99Bound, nor overlay.Config.MaxHops beside
+// route.Options.MaxHops.
+func TestOptionFieldsAreSet(t *testing.T) {
+	files := parseModule(t)
+	set := map[string]bool{}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			defaults := ok && fn.Recv != nil && fn.Name.Name == "withDefaults"
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set[id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && !defaults {
+							set[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	unset := map[string]bool{}
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !isOptionType(ts.Name.Name) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.IsExported() && !set[id.Name] {
+							unset[f.dir+"."+ts.Name.Name+"."+id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	var report []string
+	for key := range unset {
+		if optionAllow[key] == "" {
+			report = append(report, key+" is set by no program: make it a constant, or allow-list it with a reason")
+		}
+	}
+	for key := range optionAllow {
+		if !unset[key] {
+			report = append(report, "allow-list entry "+key+" is set by a program (or gone) now: remove the entry")
+		}
+	}
+	sort.Strings(report)
+	for _, line := range report {
+		t.Error(line)
+	}
+}
+
+func isOptionType(name string) bool {
+	return name == "Params" || strings.HasSuffix(name, "Config") ||
+		strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")
+}

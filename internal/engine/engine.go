@@ -58,8 +58,8 @@ type Config struct {
 	// count in live mode.
 	Shards int
 	// Route configures the routing layer. TracePath is forced on; the
-	// congestion feedback owns Congestion/CongestionWeight whenever
-	// Penalty or DepthPenalty is positive.
+	// congestion feedback owns Congestion whenever Penalty or
+	// DepthPenalty is positive.
 	Route route.Options
 	// Penalty is the cumulative-load congestion weight: detour budget
 	// in distance units per multiple-of-mean charged load.
@@ -67,10 +67,9 @@ type Config struct {
 	// DepthPenalty is the instantaneous-queue-depth congestion weight:
 	// distance units per message sitting in a candidate's queue.
 	DepthPenalty float64
-	// BatchSize is the congestion-snapshot cadence of snapshot mode —
-	// how many messages route against one frozen signal — and the decay
-	// cadence of cache-on-path in both modes. In live mode it has no
-	// other effect: every forwarding decision is fresh.
+	// BatchSize is the congestion-snapshot cadence of snapshot mode:
+	// how many messages route against one frozen signal. Live mode
+	// ignores it, since every forwarding decision is fresh.
 	BatchSize int
 	// Mode selects the simulation discipline: ModeSnapshot (the zero
 	// value, the classic route-then-replay pipeline), ModeLive,
@@ -99,9 +98,8 @@ type Config struct {
 	Churn ChurnConfig
 	// Placement, when non-nil, replicates every key: messages route to
 	// the nearest live member of Placement.Targets(key). Cache-on-path
-	// observation and decay are driven from engine events (batch
-	// boundaries in snapshot mode, delivery events and the BatchSize
-	// injection cadence in live mode).
+	// observation is driven from engine events (batch boundaries in
+	// snapshot mode, delivery events in live mode).
 	Placement *replica.Placement
 	// Telemetry, when non-nil, attaches the observability layer: the
 	// run feeds the recorder's window timeseries, flight recorder, and

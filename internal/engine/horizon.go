@@ -20,11 +20,11 @@ func injectionLess(a, b Injection) bool {
 // step advances a one-owner run by the next thing in global event
 // order — a churn op, an injection, or an event — and reports false
 // once nothing is left. An injection is admitted exactly when its first
-// arrival (time, msg, 0) would be the next event, so walker creation,
-// placement lookups and the decay cadence read the state of that
-// instant — which is what lets this driver serve the configurations
-// whose admissions read state that events mutate (congestion feedback,
-// cache-on-path, closed-loop aggregation, fast-probe churn). Churn ops
+// arrival (time, msg, 0) would be the next event, so walker creation
+// and placement lookups read the state of that instant — which is what
+// lets this driver serve the configurations whose admissions read state
+// that events mutate (congestion feedback, cache-on-path, closed-loop
+// aggregation, fast-probe churn). Churn ops
 // win ties, so a message event at t sees the graph and membership state
 // as of t, and the loop runs until both traffic and gossip quiesce.
 func (r *runner) step() bool {

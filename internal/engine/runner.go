@@ -51,17 +51,15 @@ type runner struct {
 	// injects a message twice is caught (claim).
 	inject []float64
 
-	// caching/decay shorthands resolved from cfg.Placement.
-	caching  bool
-	decaying bool
+	// caching is cfg.Placement.Caching(), resolved once.
+	caching bool
 
 	// tel is the attached telemetry recorder (nil = disabled; every
-	// hook site checks). seenPromos/seenEvicts are the placement churn
-	// counters as of the last poll, so cache events report as deltas
+	// hook site checks). seenPromos is the placement's promotion
+	// counter as of the last poll, so cache events report as deltas
 	// attributed to the virtual time of the triggering engine event.
 	tel        *telemetry.Recorder
 	seenPromos int
-	seenEvicts int
 
 	// snap is snapshot mode's batch-router state (nil in the live modes).
 	snap *snapshotState
@@ -195,7 +193,6 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	r.out.Plan, r.out.PlanReason = cfg.Plan(sched)
 	if cfg.Placement != nil {
 		r.caching = cfg.Placement.Caching()
-		r.decaying = cfg.Placement.Decaying()
 	}
 	r.srcs = make([]rng.Source, n)
 	r.pos = make([]metric.Point, n)
@@ -277,7 +274,6 @@ func (r *runner) initLive() {
 			}
 			return s
 		}
-		ropt.CongestionWeight = 1
 	}
 	r.arena = route.New(g, ropt).NewArena()
 	r.pend = *mathx.NewHeap(injectionLess, len(r.sched.Initial))
@@ -360,14 +356,14 @@ func hopDecision(w *route.Walker) telemetry.Decision {
 	}
 }
 
-// cacheDelta polls the placement's cumulative churn counters and
+// cacheDelta polls the placement's cumulative promotion counter and
 // reports what changed since the last poll, attributed to virtual
 // time t. Called (with tel enabled) right after every engine event
-// that can move them: Observe on delivery and Decay on its cadence.
+// that can move it: Observe on delivery.
 func (r *runner) cacheDelta(t float64) {
-	p, e := r.cfg.Placement.CacheEvents()
-	r.tel.Cache(t, p-r.seenPromos, e-r.seenEvicts)
-	r.seenPromos, r.seenEvicts = p, e
+	p := r.cfg.Placement.CachePromotions()
+	r.tel.Cache(t, p-r.seenPromos)
+	r.seenPromos = p
 }
 
 // ---------------------------------------------------------------------
@@ -393,7 +389,6 @@ func (r *runner) runSnapshot() {
 		// zero-load batch routes hop-optimally, and route later batches
 		// on a second router whose signal is what the batch froze in s.
 		ropt.Congestion = nil
-		ropt.CongestionWeight = 0
 		copt := ropt
 		copt.Congestion = func(q metric.Point) float64 {
 			c := float64(float64(s.charged[q]) * s.loadScale)
@@ -402,7 +397,6 @@ func (r *runner) runSnapshot() {
 			}
 			return c
 		}
-		copt.CongestionWeight = 1
 		congested = route.New(r.g, copt).NewArena()
 	}
 	r.arena = route.New(r.g, ropt).NewArena()
@@ -417,17 +411,6 @@ func (r *runner) runSnapshot() {
 		end := start + batch
 		if end > len(r.msgs) {
 			end = len(r.msgs)
-		}
-		if r.decaying && start > 0 {
-			// Snapshot boundary: age cache-on-path popularity before the
-			// next batch consults the placement.
-			cfg.Placement.Decay()
-			if r.tel != nil {
-				// Snapshot churn has no single event instant; attribute it
-				// to the latest admitted injection — the batch boundary's
-				// virtual "now".
-				r.cacheDelta(r.out.LastInject)
-			}
 		}
 		arena := r.arena
 		if aware && start > 0 {
@@ -625,14 +608,9 @@ func (r *runner) routeRange(a *route.Arena, start int, ws []*route.Walker) error
 // ---------------------------------------------------------------------
 
 // targetsFor resolves a message's routing target set as its walker
-// starts: the fixed Options.Targets set when configured (mirroring
-// Route's precedence), the key's live replica set under a placement,
-// or nil for the key alone (the one-member set startWalker builds
-// itself).
+// starts: the key's live replica set under a placement, or nil for the
+// key alone (the one-member set startWalker builds itself).
 func (r *runner) targetsFor(msg int) []metric.Point {
-	if len(r.cfg.Route.Targets) > 0 {
-		return r.cfg.Route.Targets
-	}
 	if r.cfg.Placement != nil {
 		return r.cfg.Placement.Targets(r.msgs[msg].Key)
 	}
@@ -642,9 +620,9 @@ func (r *runner) targetsFor(msg int) []metric.Point {
 // admit performs one injection at its virtual instant and returns the
 // lookup's first arrival for the driver to schedule. A snapshot-mode
 // lookup's path is routed already; a live one's walker is created now,
-// after the decay cadence ticks — so its replica targets and first
-// forwarding decision read the placement and congestion state of that
-// instant, not of whenever the schedule was primed. It reports false
+// so its replica targets and first forwarding decision read the
+// placement and congestion state of that instant, not of whenever the
+// schedule was primed. It reports false
 // when there is no first arrival: walker creation failed (r.err), or
 // the lookup was born delivered or born failed and completed on the
 // spot (the successor that unlocks joins r.pend).
@@ -664,14 +642,6 @@ func (r *runner) admit(inj Injection) (event, bool) {
 		}
 		r.pos[msg] = s.paths[msg][0]
 		return event{time: inj.Time, msg: msg, idx: 0}, true
-	}
-	if r.decaying && r.out.Injected%r.cfg.BatchSize == 0 {
-		// One half-life every BatchSize injections — the same
-		// staleness knob snapshot mode ties its boundaries to.
-		r.cfg.Placement.Decay()
-		if r.tel != nil {
-			r.cacheDelta(inj.Time)
-		}
 	}
 	from := r.msgs[msg].From
 	if r.churn != nil && !r.g.Alive(from) {

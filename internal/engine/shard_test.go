@@ -133,11 +133,10 @@ func TestShardCountInvariance(t *testing.T) {
 		}), periodicSchedule(300, 8), PlanReasonCongestion},
 		{"fallback:route-congestion", live(ModeLive, func(t *testing.T, cfg *Config) {
 			cfg.Route.Congestion = func(q metric.Point) float64 { return float64(q % 3) }
-			cfg.Route.CongestionWeight = 1
 		}), periodicSchedule(300, 8), PlanReasonCongestion},
 		{"fallback:cache-on-path", live(ModeLive, func(t *testing.T, cfg *Config) {
 			p, err := replica.NewPlacement(testGraph(t, 512, 9, 3, 5).Space(),
-				replica.Options{K: 2, CacheThreshold: 2, CacheCopies: 2, CacheDecay: true}, 77)
+				replica.Options{K: 2, CacheThreshold: 2, CacheCopies: 2}, 77)
 			if err != nil {
 				t.Fatal(err)
 			}

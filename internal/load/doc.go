@@ -55,9 +55,9 @@
 // loads charged by earlier batches, Config.DepthPenalty the queue
 // depths at the batch boundary (read in O(1) off the engine's own
 // queues), and cache-on-path placements made during one batch serve
-// the next; replica.Options.CacheDecay ages popularity at the same
-// boundaries. The staleness is the model: a real system gossips load
-// information, it does not observe it instantaneously.
+// the next. A promoted copy stays for the rest of the run. The
+// staleness is the model: a real system gossips load information, it
+// does not observe it instantaneously.
 //
 // With Config.Live on, there are no batches: each message advances
 // hop-by-hop at its service completions (route.Walker), and every
@@ -80,7 +80,7 @@
 // percentiles then measure to answer receipt, so PIT results are
 // charged the full round trip — sweeps account for the protocol's
 // fixed strand tail (one interest lifetime) when judging stability,
-// see SweepConfig.P99Bound. Config.PITTimeout and Config.PITWaiters
+// see SweepResult.P99Bound. Config.PITTimeout and Config.PITWaiters
 // bound an interest's lifetime and waiter list.
 //
 // Determinism: a run is a pure function of (graph, generator, Config

@@ -272,7 +272,6 @@ func legacyRun(g *graph.Graph, gen load.Generator, cfg load.Config, seed uint64)
 	ropt.TracePath = true
 	if aware {
 		ropt.Congestion = nil
-		ropt.CongestionWeight = 0
 	}
 	results := make([]route.Result, cfg.Messages)
 	msgs := make([]legacyQueuedMessage, cfg.Messages)
@@ -285,9 +284,6 @@ func legacyRun(g *graph.Graph, gen load.Generator, cfg load.Config, seed uint64)
 		end := start + batch
 		if end > cfg.Messages {
 			end = cfg.Messages
-		}
-		if placement != nil && placement.Decaying() && start > 0 {
-			placement.Decay()
 		}
 		opt := ropt
 		if aware && start > 0 {
@@ -317,7 +313,6 @@ func legacyRun(g *graph.Graph, gen load.Generator, cfg load.Config, seed uint64)
 					}
 					return s
 				}
-				opt.CongestionWeight = 1
 			}
 		}
 		router := route.New(g, opt)

@@ -50,9 +50,8 @@ type Config struct {
 	// the node count in live mode.
 	Shards int
 	// Route configures the underlying router. TracePath is forced on
-	// (the engine needs the visited sequence); Congestion and
-	// CongestionWeight are overwritten when Penalty or DepthPenalty is
-	// positive.
+	// (the engine needs the visited sequence); Congestion is
+	// overwritten when Penalty or DepthPenalty is positive.
 	Route route.Options
 	// Penalty, when positive, enables load-aware routing: greedy with
 	// congestion-penalized detours (route.Options.Congestion). The
@@ -77,9 +76,8 @@ type Config struct {
 	// congestion snapshot when Penalty or DepthPenalty is positive —
 	// the staleness of load information in a real system. Zero defaults
 	// to 32. Cache-on-path replication shares the same batching: cached
-	// copies placed during one batch serve traffic from the next, and
-	// cache decay (replica.Options.CacheDecay) ages popularity at the
-	// same boundaries. Live mode reuses it only as the decay cadence.
+	// copies placed during one batch serve traffic from the next. Live
+	// mode ignores it.
 	BatchSize int
 	// Live switches the engine to event-driven routing: messages
 	// advance hop-by-hop at their service completions, and every
@@ -302,8 +300,8 @@ type Result struct {
 	// fanned out across its replicas (index = metric.Point).
 	ServedBy []int
 	// CachedKeys and CacheCopies report the popularity-triggered
-	// cache placements live at the end of the run (zero without a
-	// cache threshold; decay may have evicted earlier placements).
+	// cache placements made by the end of the run (zero without a
+	// cache threshold).
 	CachedKeys, CacheCopies int
 	// MaxLoad is the hottest node's service count; MeanLoad averages
 	// over the live nodes. Their ratio is the imbalance headline.
@@ -402,7 +400,7 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	primed := arr.Prime(cfg.Messages, root.Derive(2))
 
 	// Resolve the replica placement, if any. The placement is fed back
-	// (cache observations, decay) only from the engine's sequential
+	// (cache observations) only from the engine's sequential
 	// event loop and its batch boundaries — caching configurations are
 	// ineligible for the sharded live loop, which consults static
 	// placements read-only — so replica-aware runs keep the worker- and

@@ -74,8 +74,6 @@ func TestPropEngineMatchesLegacyPipeline(t *testing.T) {
 			cfg.Replication = &replica.Options{K: 3}
 		case 2:
 			cfg.Replication = &replica.Options{K: 2, CacheThreshold: 8, CacheCopies: 2}
-		case 3:
-			cfg.Replication = &replica.Options{K: 2, CacheThreshold: 8, CacheCopies: 2, CacheDecay: true}
 		}
 		seed := uint64(8200 + iter)
 		want, err := legacyRun(g, wl, cfg, seed)

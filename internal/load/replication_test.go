@@ -207,9 +207,9 @@ func nonzero(counts []int) map[int]int {
 }
 
 // phaseFlood floods victim A for the first half of the run and victim
-// B for the second — the moving-hotspot workload the cache-decay tests
-// pin. Victims are drawn at Bind, so the workload is seeded like every
-// other generator.
+// B for the second — the moving-hotspot workload
+// TestCacheKeepsEveryVictimOfAMovingHotspot pins. Victims are drawn at
+// Bind, so the workload is seeded like every other generator.
 type phaseFlood struct {
 	pop    population
 	a, b   metric.Point
@@ -239,44 +239,27 @@ func (f *phaseFlood) Pair(src *rng.Source) (metric.Point, metric.Point, error) {
 	return from, target, err
 }
 
-// TestCacheDecayFollowsMovingHotspot is the seeded decay scenario: the
-// flood victim moves mid-run. Without decay the dead hotspot's copies
-// linger to the end; with decay they are evicted and only the current
-// victim stays cached — in snapshot and live mode alike.
-func TestCacheDecayFollowsMovingHotspot(t *testing.T) {
+// TestCacheKeepsEveryVictimOfAMovingHotspot: the flood victim moves
+// mid-run, and a promoted copy is never evicted, so both victims stay
+// cached to the end — in snapshot and live mode alike.
+func TestCacheKeepsEveryVictimOfAMovingHotspot(t *testing.T) {
 	const msgs = 600
 	for _, live := range []bool{false, true} {
 		g := buildRing(t, 1024, 10, 33)
-		run := func(decay bool) *Result {
-			t.Helper()
-			cfg := Config{
-				Messages: msgs,
-				Live:     live,
-				Route:    route.Options{DeadEnd: route.Backtrack},
-				Replication: &replica.Options{
-					CacheThreshold: 16, CacheCopies: 4, CacheDecay: decay,
-				},
-			}
-			r, err := Run(g, &phaseFlood{halfAt: msgs / 2}, cfg, 34)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
+		cfg := Config{
+			Messages:    msgs,
+			Live:        live,
+			Route:       route.Options{DeadEnd: route.Backtrack},
+			Replication: &replica.Options{CacheThreshold: 16, CacheCopies: 4},
 		}
-		sticky := run(false)
-		if sticky.CachedKeys != 2 {
-			t.Fatalf("live=%v: without decay both victims should stay cached, got %d keys",
-				live, sticky.CachedKeys)
+		r, err := Run(g, &phaseFlood{halfAt: msgs / 2}, cfg, 34)
+		if err != nil {
+			t.Fatal(err)
 		}
-		decayed := run(true)
-		if decayed.CachedKeys != 1 {
-			t.Errorf("live=%v: with decay only the current victim should stay cached, got %d keys",
-				live, decayed.CachedKeys)
+		if r.CachedKeys != 2 {
+			t.Fatalf("live=%v: both victims should stay cached, got %d keys", live, r.CachedKeys)
 		}
-		if decayed.CacheCopies == 0 {
-			t.Errorf("live=%v: current victim lost its copies entirely", live)
-		}
-		if decayed.Delivered+decayed.Failed != decayed.Injected {
+		if r.Delivered+r.Failed != r.Injected {
 			t.Errorf("live=%v: conservation broke", live)
 		}
 	}

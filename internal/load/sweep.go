@@ -35,23 +35,6 @@ type SweepConfig struct {
 	// Bisections is how many times the bracket around the knee is
 	// halved once an unstable load is found; zero selects 6.
 	Bisections int
-	// P99Bound is the latency half of the stability criterion: a load
-	// is stable only when its run's p99 latency stays at or below the
-	// bound. Zero self-calibrates to 8× the p99 measured at Min load
-	// (at least 8 service times), so the criterion scales with the
-	// network's zero-load path length instead of hard-coding one.
-	//
-	// Open-loop loads must additionally keep up: delivered throughput
-	// at least throughputTrackFrac of the offered rate (scaled by the
-	// delivered fraction, so routing failures are not mistaken for
-	// congestion). That is the "queues drain" half — past the knee the
-	// network serves at its capacity no matter how fast messages
-	// arrive, so measured throughput decouples from λ. The throughput
-	// is measured over the makespan minus the baseline drain tail
-	// calibrated at Min load, so the fixed cost of draining the last
-	// in-flight messages does not masquerade as saturation on short
-	// runs.
-	P99Bound float64
 }
 
 // throughputTrackFrac is how closely an open-loop run's delivered
@@ -74,7 +57,22 @@ type SweepPoint struct {
 type SweepResult struct {
 	// Model echoes the arrival family swept.
 	Model string
-	// P99Bound is the resolved stability criterion in ticks.
+	// P99Bound is the latency half of the stability criterion, in
+	// ticks: a load is stable only when its run's p99 latency stays at
+	// or below it. It self-calibrates to 8× the p99 measured at Min
+	// load (at least 8 service times), so the criterion scales with the
+	// network's zero-load path length instead of hard-coding one.
+	//
+	// Open-loop loads must additionally keep up: delivered throughput
+	// at least throughputTrackFrac of the offered rate (scaled by the
+	// delivered fraction, so routing failures are not mistaken for
+	// congestion). That is the "queues drain" half — past the knee the
+	// network serves at its capacity no matter how fast messages
+	// arrive, so measured throughput decouples from λ. The throughput
+	// is measured over the makespan minus the baseline drain tail
+	// calibrated at Min load, so the fixed cost of draining the last
+	// in-flight messages does not masquerade as saturation on short
+	// runs.
 	P99Bound float64
 	// Points holds every load evaluated, ascending — the
 	// latency-vs-throughput curve (ext.saturation.knee prints it).
@@ -103,7 +101,7 @@ func (s *SweepResult) KneePoint() *SweepPoint {
 
 // Sweep locates the capacity knee of (g, gen, cfg): the largest offered
 // load at which queues still drain and tail latency stays bounded. It
-// evaluates cfg.Min first (calibrating the p99 bound when unset),
+// evaluates cfg.Min first (calibrating the p99 bound on it),
 // doubles the load until a run goes unstable or cfg.Max is reached, then
 // bisects the bracket. Every evaluation reuses the same seed, so
 // workload pairs are identical across load levels and the sweep isolates
@@ -212,20 +210,16 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 		return nil, err
 	}
 	resolved := cfg.Config.withDefaults()
-	res.P99Bound = cfg.P99Bound
-	if res.P99Bound == 0 {
-		serviceTime := 1 / resolved.Capacity
-		res.P99Bound = float64(8 * math.Max(base.Result.LatencyP99, serviceTime))
-		if cfg.Config.PIT {
-			// A suppressed lookup whose carrier strands lawfully waits
-			// out the full interest lifetime before re-forwarding —
-			// protocol-mandated latency a single strand adds with zero
-			// congestion. The minimum-load calibration rarely sees a
-			// strand (few lookups are concurrent enough to park), so the
-			// self-calibrated bound widens by one lifetime; an explicit
-			// P99Bound is taken verbatim.
-			res.P99Bound += resolved.PITTimeout
-		}
+	serviceTime := 1 / resolved.Capacity
+	res.P99Bound = float64(8 * math.Max(base.Result.LatencyP99, serviceTime))
+	if cfg.Config.PIT {
+		// A suppressed lookup whose carrier strands lawfully waits out
+		// the full interest lifetime before re-forwarding — protocol-
+		// mandated latency a single strand adds with zero congestion.
+		// The minimum-load calibration rarely sees a strand (few lookups
+		// are concurrent enough to park), so the bound widens by one
+		// lifetime.
+		res.P99Bound += resolved.PITTimeout
 	}
 	baselineDrain = base.Result.Makespan - base.Result.LastInject
 	if baselineDrain < 0 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/construct"
 	"repro/internal/keyspace"
+	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/transport"
@@ -24,27 +25,13 @@ type Config struct {
 	// Seed drives this node's randomness (link sampling, solicit
 	// decisions).
 	Seed uint64
-	// MaintenanceInterval is the period of the self-healing loop;
-	// zero disables background maintenance (tests drive it manually
-	// with MaintainOnce).
-	MaintenanceInterval time.Duration
 	// CallTimeout bounds each RPC; zero defaults to 2s.
 	CallTimeout time.Duration
-	// MaxHops bounds iterative lookups; zero defaults to 8·lg²n + 64.
-	MaxHops int
 }
 
 func (c Config) withDefaults() Config {
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 2 * time.Second
-	}
-	if c.MaxHops == 0 {
-		n := c.Ring.Size()
-		lg := 1
-		for v := n; v > 1; v >>= 1 {
-			lg++
-		}
-		c.MaxHops = 8*lg*lg + 64
 	}
 	return c
 }
@@ -67,8 +54,6 @@ type Node struct {
 	tr      transport.Transport
 	sampler metric.LinkSampler // the §5 long-link distribution
 	stop    func()             // transport unregister
-	done    chan struct{}
-	wg      sync.WaitGroup
 	srcMu   sync.Mutex
 	src     *rng.Source
 
@@ -82,8 +67,9 @@ type Node struct {
 // NewNode creates a node with identifier id and starts serving requests
 // on tr. The node starts isolated (its short links point at itself);
 // call Join to enter an existing network, or use it as the bootstrap
-// node of a new one. Close must be called to release the transport
-// registration and stop the maintenance loop.
+// node of a new one. The node heals only when told to (MaintainOnce, or
+// Cluster.MaintainAll). Close must be called to release the transport
+// registration.
 func NewNode(id metric.Point, cfg Config, tr transport.Transport) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -100,7 +86,6 @@ func NewNode(id metric.Point, cfg Config, tr transport.Transport) (*Node, error)
 		id:      id,
 		tr:      tr,
 		sampler: sampler,
-		done:    make(chan struct{}),
 		src:     rng.New(cfg.Seed ^ uint64(id)*0x9E3779B97F4A7C15),
 		left:    id,
 		right:   id,
@@ -111,23 +96,14 @@ func NewNode(id metric.Point, cfg Config, tr transport.Transport) (*Node, error)
 		return nil, fmt.Errorf("overlay: node %d: %w", id, err)
 	}
 	n.stop = stop
-	if cfg.MaintenanceInterval > 0 {
-		n.wg.Add(1)
-		go n.maintenanceLoop()
-	}
 	return n, nil
 }
 
 // ID returns the node's identifier (its metric-space point).
 func (n *Node) ID() metric.Point { return n.id }
 
-// Close stops the maintenance loop and unregisters from the transport.
-// It is idempotent only in effect — call it exactly once.
-func (n *Node) Close() {
-	close(n.done)
-	n.wg.Wait()
-	n.stop()
-}
+// Close unregisters from the transport. Call it exactly once.
+func (n *Node) Close() { n.stop() }
 
 // Neighbors returns the node's current short links and a copy of its
 // long links.
@@ -326,17 +302,19 @@ func (n *Node) Lookup(ctx context.Context, target metric.Point) (metric.Point, i
 // target. A walk started elsewhere (Join's locate step) excludes this
 // node from the outset: it is not part of the network yet, and a link
 // left over from an earlier holder of its id must not lead the walk
-// into it.
+// into it. The walk gives up after 8·(⌊lg n⌋+1)² + 64 hops.
 func (n *Node) lookupFrom(ctx context.Context, start, target metric.Point) (metric.Point, int, error) {
 	if !n.cfg.Ring.Contains(target) {
 		return 0, 0, fmt.Errorf("overlay: target %d outside ring", target)
 	}
+	lg := mathx.ILog2(n.cfg.Ring.Size()) + 1
+	maxHops := 8*lg*lg + 64
 	var exclude []int64
 	if start != n.id {
 		exclude = append(exclude, int64(n.id))
 	}
 	cur := start
-	for hops := 0; hops < n.cfg.MaxHops; {
+	for hops := 0; hops < maxHops; {
 		resp, err := n.call(ctx, cur, Request{Op: OpNearest, Target: int64(target), Exclude: exclude})
 		if err != nil {
 			return 0, hops, fmt.Errorf("overlay: lookup lost hop %d: %w", cur, err)
@@ -351,7 +329,7 @@ func (n *Node) lookupFrom(ctx context.Context, start, target metric.Point) (metr
 			exclude = append(exclude, int64(next))
 		}
 	}
-	return 0, n.cfg.MaxHops, fmt.Errorf("overlay: lookup exceeded %d hops", n.cfg.MaxHops)
+	return 0, maxHops, fmt.Errorf("overlay: lookup exceeded %d hops", maxHops)
 }
 
 // Join enters the network through the bootstrap node `via`: it locates
@@ -457,22 +435,6 @@ func (n *Node) drawPeer(ctx context.Context) (metric.Point, bool) {
 }
 
 // --- maintenance -----------------------------------------------------
-
-func (n *Node) maintenanceLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.MaintenanceInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout*4)
-			n.MaintainOnce(ctx)
-			cancel()
-		}
-	}
-}
 
 // MaintainOnce runs one self-healing pass: ping every link and replace
 // dead ones. Dead long links are redrawn from the distribution; short

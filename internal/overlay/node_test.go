@@ -320,21 +320,6 @@ func TestClusterBookkeeping(t *testing.T) {
 	}
 }
 
-func TestMaintenanceLoopRuns(t *testing.T) {
-	tr := transport.NewInMem(11)
-	ring, err := metric.NewRing(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Ring: ring, Links: 2, Seed: 1, MaintenanceInterval: time.Millisecond}
-	n, err := NewNode(3, cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	n.Close() // must not deadlock with the loop
-}
-
 func TestSolicitTopUpAndRedirect(t *testing.T) {
 	tr := transport.NewInMem(12)
 	cfg := testConfig(t, 256, 2)

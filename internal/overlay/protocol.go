@@ -3,7 +3,7 @@
 // short links (nearest known neighbour on each side of the ring) and ℓ
 // long links drawn from the inverse power-law distribution, answers
 // routing queries from peers, stores resources for the keys it owns,
-// heals its link set in a background maintenance loop, and joins a
+// heals its link set in maintenance passes (MaintainOnce), and joins a
 // running network following the §5 heuristic.
 //
 // Nodes communicate only through a transport.Transport, so the same

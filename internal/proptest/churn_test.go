@@ -132,11 +132,11 @@ func TestPropChurnMembershipConverges(t *testing.T) {
 }
 
 // TestPropChurnJoinDuringMovingHotspot extends the moving-hotspot
-// cache-decay scenario with node dynamics: a regional kill while the
+// cache scenario with node dynamics: a regional kill while the
 // first victim is hot, then a flash-crowd join while the hotspot is
 // moving to the second victim, with gossip repair on. Caching forces
 // the sequential fallback (churn alone no longer does); the invariance
-// run pins that cache churn, decay cadence, and membership repair stay
+// run pins that cache promotions and membership repair stay
 // deterministic at every requested shard count — and that the
 // scenario actually exercises caching, crashes, and joins at once.
 func TestPropChurnJoinDuringMovingHotspot(t *testing.T) {
@@ -164,14 +164,12 @@ func TestPropChurnJoinDuringMovingHotspot(t *testing.T) {
 		Repair: true,
 	}
 	cfg := load.Config{
-		Messages: msgs,
-		Live:     true,
-		Arrival:  load.Poisson(4),
-		Route:    route.Options{DeadEnd: route.Backtrack},
-		Replication: &replica.Options{
-			CacheThreshold: 16, CacheCopies: 4, CacheDecay: true,
-		},
-		Churn: spec,
+		Messages:    msgs,
+		Live:        true,
+		Arrival:     load.Poisson(4),
+		Route:       route.Options{DeadEnd: route.Backtrack},
+		Replication: &replica.Options{CacheThreshold: 16, CacheCopies: 4},
+		Churn:       spec,
 	}
 	res := CheckShardInvarianceChurn(t, build, &movingFlood{halfAt: msgs / 2}, cfg, 34)
 	if t.Failed() {
@@ -179,7 +177,7 @@ func TestPropChurnJoinDuringMovingHotspot(t *testing.T) {
 	}
 	CheckChurnLedger(t, res)
 	if res.CachedKeys == 0 {
-		t.Error("the scenario never cached a key; the cache-decay half is vacuous")
+		t.Error("the scenario never cached a key; the caching half is vacuous")
 	}
 	if res.Crashes == 0 {
 		t.Error("the regional kill crashed nothing")

@@ -209,7 +209,7 @@ func TestPropShardInvariancePIT(t *testing.T) {
 
 // movingFlood floods victim a for the first half of the run and victim
 // b for the second — the moving-hotspot workload behind internal/load's
-// cache-decay scenario, rebuilt over the public Generator interface.
+// cache scenario, rebuilt over the public Generator interface.
 type movingFlood struct {
 	g      *graph.Graph
 	a, b   metric.Point
@@ -252,11 +252,11 @@ func (f *movingFlood) Pair(src *rng.Source) (metric.Point, metric.Point, error) 
 }
 
 // TestPropShardInvarianceMovingHotspot pins shard-count invariance on
-// the moving-hotspot cache-decay scenario: live mode with
-// popularity-triggered caching and decay, where the flood victim moves
-// mid-run. Caching makes this a sequential-fallback configuration at
-// every shard count — the point is that cache churn and decay cadence
-// stay byte-identical however many shards are requested.
+// the moving-hotspot cache scenario: live mode with popularity-triggered
+// caching, where the flood victim moves mid-run. Caching makes this a
+// sequential-fallback configuration at every shard count — the point is
+// that cache promotions stay byte-identical however many shards are
+// requested.
 func TestPropShardInvarianceMovingHotspot(t *testing.T) {
 	const msgs = 400
 	ring, err := metric.NewRing(512)
@@ -269,20 +269,18 @@ func TestPropShardInvarianceMovingHotspot(t *testing.T) {
 	}
 	for _, aggregate := range []bool{false, true} {
 		cfg := load.Config{
-			Messages:  msgs,
-			Live:      true,
-			Aggregate: aggregate,
-			Route:     route.Options{DeadEnd: route.Backtrack},
-			Replication: &replica.Options{
-				CacheThreshold: 16, CacheCopies: 4, CacheDecay: true,
-			},
+			Messages:    msgs,
+			Live:        true,
+			Aggregate:   aggregate,
+			Route:       route.Options{DeadEnd: route.Backtrack},
+			Replication: &replica.Options{CacheThreshold: 16, CacheCopies: 4},
 		}
 		res := CheckShardInvariance(t, g, &movingFlood{halfAt: msgs / 2}, cfg, 34)
 		if t.Failed() {
 			t.Fatalf("aggregate=%v diverged", aggregate)
 		}
 		if res.CachedKeys == 0 {
-			t.Errorf("aggregate=%v: the decay scenario never cached a key; the invariance run is vacuous", aggregate)
+			t.Errorf("aggregate=%v: the cache scenario never cached a key; the invariance run is vacuous", aggregate)
 		}
 	}
 }

@@ -53,14 +53,6 @@ type Options struct {
 	CacheThreshold int
 	// CacheCopies caps the cached copies per hot key; 0 defaults to 2.
 	CacheCopies int
-	// CacheDecay, when true, ages popularity at every congestion-
-	// snapshot boundary (Placement.Decay): hit and forwarder counters
-	// are halved, and a key whose decayed popularity falls back below
-	// CacheThreshold has its cached copies evicted. Copies then track
-	// the *current* hotspot instead of every key that was ever hot —
-	// when the flood moves, the stale copies fade and the new victim's
-	// forwarders earn theirs. Meaningless without a CacheThreshold.
-	CacheDecay bool
 }
 
 // Enabled reports whether the options ask for any replication at all.
@@ -79,9 +71,6 @@ func (o Options) Validate() error {
 	if o.CacheThreshold < 0 || o.CacheCopies < 0 {
 		return fmt.Errorf("replica: cache threshold %d and copies %d must be non-negative",
 			o.CacheThreshold, o.CacheCopies)
-	}
-	if o.CacheDecay && o.CacheThreshold <= 0 {
-		return fmt.Errorf("replica: cache decay needs a positive cache threshold")
 	}
 	return nil
 }
@@ -113,11 +102,10 @@ type Placement struct {
 	cached  map[metric.Point][]metric.Point       // promoted cache nodes per key
 	sets    map[metric.Point][]metric.Point       // memoized Targets of keys with cached copies
 
-	// Cumulative churn counters, for observers (telemetry polls these
-	// and reports deltas). They never feed back into placement
-	// decisions.
-	promotions int // cached copies placed, over the placement's life
-	evictions  int // cached copies dropped by Decay
+	// promotions counts the cached copies placed over the placement's
+	// life, for observers (telemetry polls it and reports deltas). It
+	// never feeds back into placement decisions.
+	promotions int
 }
 
 // NewPlacement returns a Placement over space. The seed drives the
@@ -165,8 +153,8 @@ func (p *Placement) Name() string {
 // drops both, degrading to plain greedy toward the
 // primary when every extra replica is gone. The returned slice may be
 // shared across calls; callers must not mutate it. The combined set of
-// a key with cached copies is memoized until promotion or eviction
-// changes them, so a hot key's lookups resolve without allocating.
+// a key with cached copies is memoized once they are promoted, so a hot
+// key's lookups resolve without allocating.
 func (p *Placement) Targets(key metric.Point) []metric.Point {
 	cached := p.cached[key]
 	if len(cached) == 0 {
@@ -359,61 +347,12 @@ func (p *Placement) promote(key metric.Point) {
 		}
 	}
 	p.cached[key] = out
-	delete(p.sets, key)
 	p.promotions += len(out)
 }
 
 // Caching reports whether popularity-triggered cache-on-path is
 // enabled — the condition under which Observe does anything.
 func (p *Placement) Caching() bool { return p.opt.CacheThreshold > 0 }
-
-// Decaying reports whether the placement ages popularity at snapshot
-// boundaries (Options.CacheDecay).
-func (p *Placement) Decaying() bool { return p.opt.CacheDecay && p.opt.CacheThreshold > 0 }
-
-// Decay ages every popularity counter by one half-life: hit counts and
-// per-forwarder counts are halved (integer division, zero entries
-// dropped), and keys whose decayed hits fall below the promotion
-// threshold lose their cached copies. The traffic engine calls it at
-// congestion-snapshot boundaries, so a copy survives only while its
-// key keeps earning roughly CacheThreshold observations per couple of
-// snapshot windows. A key that heats up again re-promotes the moment
-// its hits climb back through the threshold. Decay mutates only
-// counters and the cached set — never the static replicas — and is
-// deterministic (no map-order-dependent choices).
-func (p *Placement) Decay() {
-	if !p.Decaying() {
-		return
-	}
-	for key, h := range p.hits {
-		h /= 2
-		if h == 0 {
-			delete(p.hits, key)
-		} else {
-			p.hits[key] = h
-		}
-	}
-	for key, byNode := range p.preds {
-		for at, c := range byNode {
-			c /= 2
-			if c == 0 {
-				delete(byNode, at)
-			} else {
-				byNode[at] = c
-			}
-		}
-		if len(byNode) == 0 {
-			delete(p.preds, key)
-		}
-	}
-	for key := range p.cached {
-		if p.hits[key] < p.opt.CacheThreshold {
-			p.evictions += len(p.cached[key])
-			delete(p.cached, key)
-			delete(p.sets, key)
-		}
-	}
-}
 
 // CachedKeys returns how many keys have earned cached copies, and
 // CachedCopies the total copies placed — the cache headline numbers.
@@ -431,10 +370,7 @@ func (p *Placement) CachedCopies() int {
 // CachedFor returns the cached copies of key (nil when none).
 func (p *Placement) CachedFor(key metric.Point) []metric.Point { return p.cached[key] }
 
-// CacheEvents returns the placement's cumulative cache churn: how many
-// cached copies were ever placed and how many Decay dropped. Observers
-// (the telemetry recorder) poll these at engine events and attribute
-// the deltas to virtual time.
-func (p *Placement) CacheEvents() (promotions, evictions int) {
-	return p.promotions, p.evictions
-}
+// CachePromotions returns how many cached copies were ever placed.
+// Observers (the telemetry recorder) poll it at engine events and
+// attribute the deltas to virtual time.
+func (p *Placement) CachePromotions() int { return p.promotions }

@@ -262,82 +262,14 @@ func observeTimes(p *Placement, key, pred metric.Point, n int) {
 	}
 }
 
-func TestDecayHalvesAndEvicts(t *testing.T) {
-	ring := mustRing(t, 64)
-	p, err := NewPlacement(ring, Options{CacheThreshold: 8, CacheCopies: 2, CacheDecay: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Decaying() || !p.Caching() {
-		t.Fatal("accessors disagree with options")
-	}
-	key := metric.Point(0)
-	observeTimes(p, key, 7, 12) // 12 hits: promoted at 8
-	if len(p.CachedFor(key)) == 0 {
-		t.Fatal("key not promoted")
-	}
-	// One half-life: 12 -> 6 < 8, copies evicted.
-	p.Decay()
-	if got := p.CachedFor(key); len(got) != 0 {
-		t.Errorf("decayed key kept copies %v", got)
-	}
-	if p.CachedKeys() != 0 || p.CachedCopies() != 0 {
-		t.Errorf("cache counters not cleared: keys=%d copies=%d", p.CachedKeys(), p.CachedCopies())
-	}
-	// Re-heat: 6 + 2 = 8 crosses the threshold again and re-promotes.
-	observeTimes(p, key, 7, 2)
-	if len(p.CachedFor(key)) == 0 {
-		t.Error("re-heated key not re-promoted")
-	}
-}
-
-func TestDecayKeepsSustainedKeys(t *testing.T) {
-	ring := mustRing(t, 64)
-	p, err := NewPlacement(ring, Options{CacheThreshold: 8, CacheCopies: 2, CacheDecay: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := metric.Point(0)
-	observeTimes(p, key, 7, 40) // 40 -> 20 after one half-life, still >= 8
-	p.Decay()
-	if len(p.CachedFor(key)) == 0 {
-		t.Error("sustained-popularity key lost its copies")
-	}
-}
-
-func TestDecayWithoutThresholdRejected(t *testing.T) {
-	if err := (Options{CacheDecay: true}).Validate(); err == nil {
-		t.Error("decay without a cache threshold accepted")
-	}
-	if err := (Options{K: 2, CacheDecay: true}).Validate(); err == nil {
-		t.Error("decay without a cache threshold accepted (static replicas only)")
-	}
-}
-
-func TestDecayNoOpWhenDisabled(t *testing.T) {
-	ring := mustRing(t, 64)
-	p, err := NewPlacement(ring, Options{CacheThreshold: 4, CacheCopies: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := metric.Point(0)
-	observeTimes(p, key, 7, 5)
-	before := len(p.CachedFor(key))
-	p.Decay() // Decaying() is false: must change nothing
-	if got := len(p.CachedFor(key)); got != before || p.Decaying() {
-		t.Errorf("Decay mutated a non-decaying placement: %d -> %d", before, got)
-	}
-}
-
-// TestTargetsMemoTracksCacheChanges pins Targets' memo against the two
-// events that change a key's cached copies: before promotion the set is
-// the static one, after it the static replicas followed by the copies,
-// and after Decay evicts them the static set again — while between
-// changes repeated calls allocate nothing, a hot key's combined set
-// included.
+// TestTargetsMemoTracksCacheChanges pins Targets' memo against the
+// event that changes a key's cached copies: before promotion the set is
+// the static one, after it the static replicas followed by the copies
+// — while on either side repeated calls allocate nothing, a hot key's
+// combined set included.
 func TestTargetsMemoTracksCacheChanges(t *testing.T) {
 	ring := mustRing(t, 64)
-	p, err := NewPlacement(ring, Options{K: 2, CacheThreshold: 8, CacheCopies: 2, CacheDecay: true}, 1)
+	p, err := NewPlacement(ring, Options{K: 2, CacheThreshold: 8, CacheCopies: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +295,4 @@ func TestTargetsMemoTracksCacheChanges(t *testing.T) {
 		t.Fatal("key not promoted")
 	}
 	steady("after promotion", append(append([]metric.Point(nil), static...), cached...))
-	p.Decay() // 12 -> 6 < 8: copies evicted
-	if len(p.CachedFor(key)) != 0 {
-		t.Fatal("decayed key kept its copies")
-	}
-	steady("after eviction", static)
 }

@@ -8,18 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestCongestionWeightDefault(t *testing.T) {
-	g := buildRing(t, 64, 3, 1)
-	r := New(g, Options{Congestion: func(metric.Point) float64 { return 0 }})
-	if r.opt.CongestionWeight != 1 {
-		t.Errorf("CongestionWeight default = %v, want 1", r.opt.CongestionWeight)
-	}
-	r = New(g, Options{})
-	if r.opt.CongestionWeight != 0 {
-		t.Errorf("weight should stay zero without a Congestion func, got %v", r.opt.CongestionWeight)
-	}
-}
-
 func TestCongestionDetours(t *testing.T) {
 	// A bare 64-ring plus one long link 0→16, searching 0→32: the
 	// strict-progress neighbours of 0 are 1 and 63 (distance 31) and
@@ -69,8 +57,8 @@ func TestCongestionPreservesDelivery(t *testing.T) {
 	// distance).
 	g := buildRing(t, 256, 6, 2)
 	src := rng.New(3)
-	congestion := func(q metric.Point) float64 { return float64(q % 7) }
-	r := New(g, Options{Congestion: congestion, CongestionWeight: 3})
+	congestion := func(q metric.Point) float64 { return 3 * float64(q%7) }
+	r := New(g, Options{Congestion: congestion})
 	space := g.Space()
 	for i := 0; i < 200; i++ {
 		from := metric.Point(src.Intn(256))

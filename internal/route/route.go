@@ -16,7 +16,7 @@
 // clockwise-only routing).
 //
 // Beyond the paper's single-destination searches, the router also
-// routes to the nearest of several targets (RouteAny, Options.Targets):
+// routes to the nearest of several targets (RouteAny):
 // greedy selection minimizes the distance to the closest live member of
 // a replica set, the forwarding-to-any-of-k-copies rule hot-key
 // replication (package replica) needs. A single destination is the
@@ -125,23 +125,13 @@ type Options struct {
 	// already charged (Config.Penalty) and/or the node's instantaneous
 	// queue depth from a replay of the traffic routed so far
 	// (Config.DepthPenalty). Greedy selection then minimizes
-	// distance + CongestionWeight·Congestion(q) over the neighbours
+	// distance + Congestion(q), in distance units, over the neighbours
 	// that still make strict metric progress, instead of distance
 	// alone — a congestion-penalized detour that spreads traffic off
 	// hot nodes while preserving the strict-progress guarantee (and
 	// hence termination) of plain greedy. Nil keeps the paper's
 	// hop-optimal rule exactly.
 	Congestion func(q metric.Point) float64
-	// CongestionWeight scales Congestion into distance units; zero
-	// defaults to 1 when Congestion is set.
-	CongestionWeight float64
-	// Targets, when non-empty, fixes the target set of every search:
-	// Route ignores its per-call destination and routes to the nearest
-	// live member of the set instead (exactly RouteAny). The fixed-set
-	// form suits single-hot-key scenarios — a flooded key replicated k
-	// ways — where one Router serves every message; workloads with
-	// per-key replica sets call RouteAny directly.
-	Targets []metric.Point
 	// TracePath records the visited sequence in Result.Path.
 	TracePath bool
 }
@@ -163,9 +153,6 @@ func (o Options) withDefaults(n int) Options {
 	if o.MaxHops == 0 {
 		lg := mathx.ILog2(n) + 1
 		o.MaxHops = 4*lg*lg + 64
-	}
-	if o.Congestion != nil && o.CongestionWeight == 0 {
-		o.CongestionWeight = 1
 	}
 	return o
 }
@@ -217,13 +204,9 @@ func New(g *graph.Graph, opt Options) *Router {
 
 // Route performs one greedy search from src node `from` to target point
 // `to`. The rng source drives re-route restarts only; plain greedy
-// searches are deterministic given the graph. When Options.Targets is
-// non-empty it overrides `to` (see RouteAny).
+// searches are deterministic given the graph.
 func (r *Router) Route(source *rng.Source, from, to metric.Point) (Result, error) {
-	if len(r.opt.Targets) > 0 {
-		return r.RouteAny(source, from, r.opt.Targets)
-	}
-	return r.routeSet(source, from, []metric.Point{to})
+	return r.RouteAny(source, from, []metric.Point{to})
 }
 
 // RouteAny performs one greedy search from `from` to the nearest live
@@ -231,14 +214,10 @@ func (r *Router) Route(source *rng.Source, from, to metric.Point) (Result, error
 // independent of the set's order and duplicates; dead replicas are
 // dropped, and when only one member is left the search degrades to
 // plain single-target greedy exactly. An entirely dead set is an error.
+// It is a thin loop over the resumable Walker, so the whole-path searches
+// and the engine's single-step form are the same walk by construction,
+// for every target-set size.
 func (r *Router) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
-	return r.routeSet(source, from, targets)
-}
-
-// routeSet is the shared search core: a thin loop over the resumable
-// Walker, so the whole-path searches and the engine's single-step form
-// are the same walk by construction, for every target-set size.
-func (r *Router) routeSet(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
 	w, err := r.Walker(source, from, targets)
 	if err != nil {
 		return Result{}, err
@@ -294,7 +273,7 @@ const scratchNeighbors = 64
 // single best candidate.
 //
 // With Options.Congestion set, "best" means the lowest
-// distance + weight·congestion score among the neighbours strictly
+// distance + congestion score among the neighbours strictly
 // closer than cur. The candidate set is unchanged, so termination and
 // the per-node dead-end condition match plain greedy, and on a
 // failure-free network delivery is still guaranteed; on a damaged
@@ -341,7 +320,7 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
 		if d >= curDist {
 			continue // only strict metric progress keeps greedy loop-free
 		}
-		score := float64(d) + float64(r.opt.CongestionWeight*r.opt.Congestion(q))
+		score := float64(d) + r.opt.Congestion(q)
 		if !found || score < bestScore {
 			best, bestDist, bestScore, found = q, d, score, true
 		}

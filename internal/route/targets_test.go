@@ -129,21 +129,6 @@ func TestRouteAnyDeadReplicasFallBack(t *testing.T) {
 	}
 }
 
-// TestOptionsTargetsOverridesDestination: a Router with a fixed target
-// set routes every message to that set, whatever `to` is passed.
-func TestOptionsTargetsOverridesDestination(t *testing.T) {
-	g := buildRing(t, 256, 4, 15)
-	targets := []metric.Point{10, 138}
-	r := New(g, Options{Targets: targets})
-	res, err := r.Route(rng.New(3), 70, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Delivered || !slices.Contains(targets, res.Target) {
-		t.Errorf("fixed-set route = %+v", res)
-	}
-}
-
 // TestRouteAnyOneSidedRejectsSets: one-sided greedy is defined against
 // a single destination; multiple live replicas must be rejected while a
 // single-member set still works.

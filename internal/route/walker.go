@@ -187,8 +187,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 
 // Walker starts a resumable search from `from` toward the nearest live
 // member of `targets` (a single-element set is the plain
-// single-destination search; Options.Targets precedence is Route's
-// affair — the set passed here is the set walked). The returned Walker
+// single-destination search). The returned Walker
 // has already visited `from` (it appears in the traced path); if
 // `from` is itself a target the search is born delivered and Step
 // returns false immediately. The targets slice is read, not kept.

@@ -39,7 +39,6 @@ type jsonlWindow struct {
 	PITExpiries int     `json:"pit_expiries"`
 	CacheHits   int     `json:"cache_hits"`
 	CachePromos int     `json:"cache_promotions"`
-	CacheEvicts int     `json:"cache_evictions"`
 }
 
 // jsonlFlight is the "flight" line: one of the worst-latency sampled
@@ -65,13 +64,12 @@ func windowLine(runIdx int, w Window) jsonlWindow {
 		DepthMax: w.DepthMax, DepthMean: depthMean(w.Counters),
 		Merges: w.Merges, Suppressed: w.Suppressions,
 		Multicasts: w.Multicasts, PITExpiries: w.PITExpiries,
-		CacheHits:   w.CacheHits,
-		CachePromos: w.CachePromos, CacheEvicts: w.CacheEvicts,
+		CacheHits: w.CacheHits, CachePromos: w.CachePromos,
 	}
 }
 
 // WriteJSONL writes the full export: one "run" line per recorded run,
-// its "window" timeseries lines, then the Options.WorstK worst-latency
+// its "window" timeseries lines, then the worstK (8) worst-latency
 // "flight" lines across all runs. Every line is a standalone JSON
 // object, so the stream greps and tails cleanly.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
@@ -96,7 +94,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 			}
 		}
 	}
-	for _, f := range r.WorstFlights(r.opt.WorstK) {
+	for _, f := range r.WorstFlights(worstK) {
 		if err := enc.Encode(jsonlFlight{Type: "flight", Flight: f}); err != nil {
 			return err
 		}
@@ -107,17 +105,17 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // WriteCSV writes the window timeseries of every run as one CSV table
 // (flights don't tabulate — use the JSONL export for those).
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "run,start,end,in_flight,injections,completions,drops,services,depth_max,depth_mean,merges,suppressed,multicasts,pit_expiries,cache_hits,cache_promotions,cache_evictions"); err != nil {
+	if _, err := fmt.Fprintln(w, "run,start,end,in_flight,injections,completions,drops,services,depth_max,depth_mean,merges,suppressed,multicasts,pit_expiries,cache_hits,cache_promotions"); err != nil {
 		return err
 	}
 	for i, run := range r.runs {
 		for _, win := range run.Windows() {
-			if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d\n",
+			if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%d,%d,%d,%d,%d,%d\n",
 				i, win.Start, win.End, win.InFlight,
 				win.Injections, win.Completions, win.Drops, win.Services,
 				win.DepthMax, depthMean(win.Counters),
 				win.Merges, win.Suppressions, win.Multicasts, win.PITExpiries,
-				win.CacheHits, win.CachePromos, win.CacheEvicts); err != nil {
+				win.CacheHits, win.CachePromos); err != nil {
 				return err
 			}
 		}

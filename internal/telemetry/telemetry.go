@@ -6,9 +6,9 @@
 //   - A window timeseries: counters and gauges (injections,
 //     completions, drops, services, queue depth max/mean, aggregation
 //     merges, PIT suppressions/multicasts/expiries, cache
-//     hits/promotions/evictions) bucketed by
-//     virtual-time window — the engine's safe-horizon window of one
-//     service time — in a fixed-capacity series that coalesces
+//     hits/promotions) bucketed by virtual-time window — the engine's
+//     safe-horizon window of one service time — in a fixed-capacity
+//     series that coalesces
 //     adjacent buckets as the run outgrows it.
 //   - A message flight recorder: per-hop traces (node, arrival and
 //     service instants, queue depth seen, forwarding decision) for a
@@ -129,8 +129,7 @@ type Counters struct {
 	Multicasts   int // waiters released by PIT answer multicasts
 	PITExpiries  int // waits ended by timeout instead of an answer
 	CacheHits    int // deliveries served by a cache-on-path copy
-	CachePromos  int
-	CacheEvicts  int
+	CachePromos  int // cached copies promoted
 	DepthSum     int // sum of queue depths seen at arrival
 	DepthCount   int
 	DepthMax     int
@@ -151,7 +150,6 @@ func (c *Counters) add(o *Counters) {
 	c.PITExpiries += o.PITExpiries
 	c.CacheHits += o.CacheHits
 	c.CachePromos += o.CachePromos
-	c.CacheEvicts += o.CacheEvicts
 	c.DepthSum += o.DepthSum
 	c.DepthCount += o.DepthCount
 	if o.DepthMax > c.DepthMax {
@@ -167,8 +165,7 @@ func (c *Counters) empty() bool {
 	return c.Injections == 0 && c.Completions == 0 && c.Services == 0 &&
 		c.Merges == 0 && c.Suppressions == 0 && c.Multicasts == 0 &&
 		c.PITExpiries == 0 && c.CacheHits == 0 && c.CachePromos == 0 &&
-		c.CacheEvicts == 0 && c.DepthCount == 0 &&
-		c.Crashes == 0 && c.Joins == 0 && c.GossipSends == 0 && c.Strands == 0
+		c.DepthCount == 0 && c.Crashes == 0 && c.Joins == 0 && c.GossipSends == 0 && c.Strands == 0
 }
 
 // series is a fixed-capacity window timeseries anchored at window 0.
@@ -335,39 +332,24 @@ type View struct {
 	run *Run
 }
 
-// Options configures a Recorder. The zero value is usable: every
-// field has a default.
-type Options struct {
-	// WindowCap is the bucket capacity of each run's window series
-	// (default 256). The series covers the whole run regardless —
-	// buckets coalesce, trading resolution for range.
-	WindowCap int
-	// FlightSample is the reservoir size of the flight recorder: how
-	// many message IDs per run get full hop traces (default 64).
-	FlightSample int
-	// FlightSeed seeds the reservoir sampler's own rng stream,
-	// independent of the simulation's (default 0xf11e).
-	FlightSeed uint64
-	// WorstK is how many worst-latency flights exports dump
-	// (default 8).
-	WorstK int
-}
+// Options configures a Recorder. It has no fields: the recorder's
+// sizes are the constants below.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.WindowCap <= 0 {
-		o.WindowCap = 256
-	}
-	if o.FlightSample <= 0 {
-		o.FlightSample = 64
-	}
-	if o.FlightSeed == 0 {
-		o.FlightSeed = 0xf11e
-	}
-	if o.WorstK <= 0 {
-		o.WorstK = 8
-	}
-	return o
-}
+const (
+	// windowCap is the bucket capacity of each run's window series.
+	// The series covers the whole run regardless — buckets coalesce,
+	// trading resolution for range.
+	windowCap = 256
+	// flightSample is the reservoir size of the flight recorder: how
+	// many message IDs per run get full hop traces.
+	flightSample = 64
+	// flightSeed seeds the reservoir sampler's own rng stream,
+	// independent of the simulation's.
+	flightSeed = 0xf11e
+	// worstK is how many worst-latency flights exports dump.
+	worstK = 8
+)
 
 // maxRuns bounds how many runs one Recorder retains: a sweep calls the
 // engine once per bracket point, so an experiment records tens of
@@ -381,7 +363,6 @@ const maxRuns = 1024
 // guards every call site with a nil check, so disabled telemetry costs
 // one predictable branch and zero allocations.
 type Recorder struct {
-	opt     Options
 	label   string // pending label for the next BeginRun
 	runs    []*Run
 	cur     *Run
@@ -390,9 +371,8 @@ type Recorder struct {
 }
 
 // New returns an enabled Recorder.
-func New(opt Options) *Recorder {
-	o := opt.withDefaults()
-	return &Recorder{opt: o, sampler: rng.New(o.FlightSeed)}
+func New(Options) *Recorder {
+	return &Recorder{sampler: rng.New(flightSeed)}
 }
 
 // Label sets the label attached to the next BeginRun — the caller that
@@ -414,14 +394,14 @@ func (r *Recorder) BeginRun(capacity float64, msgs int) {
 		Label:    r.label,
 		Capacity: capacity,
 		Messages: msgs,
-		win:      newSeries(r.opt.WindowCap),
-		sampled:  make(map[int]int32, r.opt.FlightSample),
+		win:      newSeries(windowCap),
+		sampled:  make(map[int]int32, flightSample),
 	}
 	r.label = ""
-	// Classic reservoir sample of FlightSample IDs from [0, msgs),
+	// Classic reservoir sample of flightSample IDs from [0, msgs),
 	// from the recorder's own rng stream: sampling consumes randomness,
 	// and the simulation's streams must not notice telemetry exists.
-	k := r.opt.FlightSample
+	k := flightSample
 	ids := make([]int, 0, k)
 	for i := 0; i < msgs; i++ {
 		if len(ids) < k {
@@ -557,17 +537,15 @@ func (r *Recorder) Strand(t float64) {
 	}
 }
 
-// Cache records cache-on-path churn observed at virtual time t:
-// promotions and evictions since the last call (the engine polls the
-// placement's cumulative counters and reports deltas).
-func (r *Recorder) Cache(t float64, promotions, evictions int) {
+// Cache records the cache-on-path promotions observed at virtual time
+// t since the last call (the engine polls the placement's cumulative
+// counter and reports deltas).
+func (r *Recorder) Cache(t float64, promotions int) {
 	run := r.cur
-	if run == nil || (promotions == 0 && evictions == 0) {
+	if run == nil || promotions == 0 {
 		return
 	}
-	c := run.win.at(run.window(t))
-	c.CachePromos += promotions
-	c.CacheEvicts += evictions
+	run.win.at(run.window(t)).CachePromos += promotions
 }
 
 // Hop records one hop of a sampled message from sequential code.
@@ -589,7 +567,7 @@ func (r *Recorder) Hop(msg int, node metric.Point, arrival, start, finish float6
 func (r *Recorder) view(shard int) *View {
 	run := r.cur
 	for len(run.views) <= shard {
-		run.views = append(run.views, &View{s: newSeries(r.opt.WindowCap), run: run})
+		run.views = append(run.views, &View{s: newSeries(windowCap), run: run})
 	}
 	return run.views[shard]
 }
@@ -753,10 +731,10 @@ func (run *Run) Sched() *SchedStats { return &run.sched }
 
 // WorstFlights returns up to k completed sampled flights, worst
 // latency first (ties break toward the lower message id), across all
-// runs. A non-positive k selects the recorder's WorstK option.
+// runs. A non-positive k selects the default of 8.
 func (r *Recorder) WorstFlights(k int) []Flight {
 	if k <= 0 {
-		k = r.opt.WorstK
+		k = worstK
 	}
 	var out []Flight
 	for _, run := range r.runs {

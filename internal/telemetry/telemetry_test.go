@@ -90,9 +90,9 @@ func TestSeriesMergeAlignsStrides(t *testing.T) {
 // TestRecorderRoundTrip drives a tiny synthetic run through the full
 // hook surface and checks the exported gauges.
 func TestRecorderRoundTrip(t *testing.T) {
-	r := New(Options{FlightSample: 4, WorstK: 2})
+	r := New(Options{})
 	r.Label("test-run")
-	r.BeginRun(1, 4) // window length 1; every id sampled
+	r.BeginRun(1, 4) // window length 1; every id sampled (4 ≤ flightSample)
 	r.Inject(0, 0.5, 1, 9)
 	r.Inject(1, 1.5, 2, 9)
 	r.View(0).Service(0.5, 1)
@@ -149,15 +149,15 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReservoirDeterminism: two recorders with the same options sample
-// the same message IDs, independent of anything the simulation does.
+// TestReservoirDeterminism: two recorders sample the same message IDs,
+// flightSample of them, independent of anything the simulation does.
 func TestReservoirDeterminism(t *testing.T) {
-	a, b := New(Options{FlightSample: 8}), New(Options{FlightSample: 8})
+	a, b := New(Options{}), New(Options{})
 	a.BeginRun(1, 1000)
 	b.BeginRun(1, 1000)
 	ra, rb := a.Runs()[0], b.Runs()[0]
-	if len(ra.sampled) != 8 || len(rb.sampled) != 8 {
-		t.Fatalf("sample sizes %d/%d, want 8", len(ra.sampled), len(rb.sampled))
+	if len(ra.sampled) != flightSample || len(rb.sampled) != flightSample {
+		t.Fatalf("sample sizes %d/%d, want %d", len(ra.sampled), len(rb.sampled), flightSample)
 	}
 	for id := range ra.sampled {
 		if _, ok := rb.sampled[id]; !ok {
@@ -191,7 +191,7 @@ func TestShardViewsMerge(t *testing.T) {
 // TestWriteJSONLParses checks every exported line is standalone JSON
 // with the expected type tags, and the CSV has one row per bucket.
 func TestWriteJSONLParses(t *testing.T) {
-	r := New(Options{FlightSample: 2, WorstK: 2})
+	r := New(Options{})
 	r.BeginRun(1, 8)
 	r.Inject(0, 0, 1, 2)
 	r.View(0).Service(0, 1)
@@ -237,7 +237,7 @@ func TestDisabledRecorderHooks(t *testing.T) {
 	r.Inject(0, 0, 0, 0)
 	r.Complete(0, 1, true, ServedPrimary)
 	r.Merge(0, 1)
-	r.Cache(1, 1, 1)
+	r.Cache(1, 1)
 	if v := r.View(0); v != nil {
 		t.Errorf("no-run View = %v, want nil", v)
 	}
