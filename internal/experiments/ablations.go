@@ -46,13 +46,17 @@ func init() {
 			links := p.lgLinks()
 			t := sim.NewTable(fmt.Sprintf("Backtrack memory ablation (n=%d, l=%d, p=0.5)", p.N, links),
 				"memory", "failed frac", "mean hops", "backtracks/search")
+			var opts []route.Options
 			for _, mem := range []int{1, 2, 5, 10, 20} {
-				stats, err := searchTrials(p, ideal(ringOf(p.N), links), failNodes(0.5),
-					route.Options{DeadEnd: route.Backtrack, BacktrackMemory: mem})
-				if err != nil {
-					return nil, err
-				}
-				t.AddValues(mem, stats.FailedFraction(), stats.MeanHops(),
+				opts = append(opts, route.Options{DeadEnd: route.Backtrack, BacktrackMemory: mem})
+			}
+			cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), []float64{0.5}, opts)
+			if err != nil {
+				return nil, err
+			}
+			for o, opt := range opts {
+				stats := sim.Sum(cells[0][o])
+				t.AddValues(opt.BacktrackMemory, stats.FailedFraction(), stats.MeanHops(),
 					float64(stats.Backtracks)/float64(stats.Searches))
 			}
 			return t, nil

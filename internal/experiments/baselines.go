@@ -81,16 +81,18 @@ func baselines(p Params) (*sim.Table, error) {
 	// the nodes crashed on every trial's network, this paper under both
 	// headline dead-end policies against Chord and Kleinberg (a fresh
 	// instance per trial). Every hop is one message.
-	for _, prob := range []float64{0.1, 0.3, 0.5, 0.7} {
+	probs := []float64{0.1, 0.3, 0.5, 0.7}
+	policies := []route.Options{{DeadEnd: route.Backtrack}, {DeadEnd: route.Terminate}}
+	cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), probs, policies)
+	if err != nil {
+		return nil, err
+	}
+	for l, prob := range probs {
 		addFailed := func(name string, stats sim.SearchStats) {
 			t.AddValues(name+" p="+sim.F(prob), stats.MeanHops(), stats.MeanHops(), 1-stats.FailedFraction())
 		}
-		for _, pol := range []route.DeadEndPolicy{route.Backtrack, route.Terminate} {
-			stats, err := searchTrials(p, ideal(ringOf(p.N), links), failNodes(prob), route.Options{DeadEnd: pol})
-			if err != nil {
-				return nil, err
-			}
-			addFailed("aspnes-shah "+pol.String(), stats)
+		for o, pol := range policies {
+			addFailed("aspnes-shah "+pol.DeadEnd.String(), sim.Sum(cells[l][o]))
 		}
 		for _, sys := range []struct {
 			name string

@@ -79,8 +79,8 @@ func (d *linkDist) worstError() (worst float64, at int) {
 // returns their averaged link-length distribution; no message routes.
 func derivedDistribution(p Params) (*linkDist, error) {
 	dist := newLinkDist(p.N, p.Trials)
-	_, err := trialStats(p, p.Seed, dist.grow(construct.Config{Links: p.lgLinks()}), nil,
-		func(*graph.Graph, *rng.Source, int) (sim.SearchStats, error) { return sim.SearchStats{}, nil })
+	_, err := sim.RunDetailed(p.Seed, p.Trials, p.Workers, trial(p, dist.grow(construct.Config{Links: p.lgLinks()}), nil,
+		func(*graph.Graph, *rng.Source, int) (sim.SearchStats, error) { return sim.SearchStats{}, nil }))
 	dist.sum()
 	return dist, err
 }
@@ -174,17 +174,17 @@ func init() {
 				}),
 				ideal(p.space, links),
 			}
-			for _, prob := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-				var iv [2]sim.Interval // constructed, ideal
-				for i, build := range builds {
-					trials, err := trialStats(p, p.Seed+uint64(i), build, failNodes(prob),
-						routed(route.Options{DeadEnd: route.Terminate}))
-					if err != nil {
-						return nil, err
-					}
-					iv[i] = sim.FailedFractionInterval(trials)
+			probs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+			var cells [2][][][]sim.SearchStats // constructed, ideal
+			for i, build := range builds {
+				var err error
+				if cells[i], err = sweepTrials(p, p.Seed+uint64(i), build, probs, []route.Options{{DeadEnd: route.Terminate}}); err != nil {
+					return nil, err
 				}
-				t.AddValues(prob, iv[0].Mean, iv[1].Mean, iv[0].StdErr, iv[1].StdErr)
+			}
+			for l, prob := range probs {
+				con, id := sim.FailedFractionInterval(cells[0][l][0]), sim.FailedFractionInterval(cells[1][l][0])
+				t.AddValues(prob, con.Mean, id.Mean, con.StdErr, id.StdErr)
 			}
 			return t, nil
 		},
@@ -203,24 +203,21 @@ func figure6(statName string, stat func(sim.SearchStats) float64, minDim int) fu
 		}
 		p = p.withDefaults(1<<14, 5, 100) // paper: n=2^17, 1000 sims x 100 msgs
 		links := p.lgLinks()
-		strategies := []route.DeadEndPolicy{route.Terminate, route.RandomReroute, route.Backtrack}
+		strategies := []route.Options{{DeadEnd: route.Terminate}, {DeadEnd: route.RandomReroute}, {DeadEnd: route.Backtrack}}
 		t := sim.NewTable(
 			fmt.Sprintf("Figure 6 [%s] (%s, n=%d, l=%d, %d trials x %d msgs)",
 				statName, p.spaceDesc(), p.N, links, p.Trials, p.Msgs),
 			"p(node fail)", "terminate", "random-reroute", "backtracking")
-		for _, prob := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
-			row := make([]float64, len(strategies))
-			for si, strat := range strategies {
-				// One build → fail → route per (p, strategy, trial), every
-				// strategy on the same streams: the same damaged networks.
-				stats, err := searchTrials(p, ideal(p.space, links), failNodes(prob),
-					route.Options{DeadEnd: strat})
-				if err != nil {
-					return nil, err
-				}
-				row[si] = stat(stats)
-			}
-			t.AddValues(prob, row[0], row[1], row[2])
+		// One build per trial; each level crashes its fraction of that
+		// network, routes every strategy over the same crashed nodes
+		// from the same stream, and revives them.
+		probs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+		cells, err := sweepTrials(p, p.Seed, ideal(p.space, links), probs, strategies)
+		if err != nil {
+			return nil, err
+		}
+		for l, prob := range probs {
+			t.AddValues(prob, stat(sim.Sum(cells[l][0])), stat(sim.Sum(cells[l][1])), stat(sim.Sum(cells[l][2])))
 		}
 		return t, nil
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/metric"
@@ -45,16 +47,55 @@ func trial(p Params, build buildFunc, damage damageFunc, search searchFunc) sim.
 	}
 }
 
-// trialStats runs trial once per trial on the streams of seed and
-// returns each trial's statistics, in trial order.
-func trialStats(p Params, seed uint64, build buildFunc, damage damageFunc, search searchFunc) ([]sim.SearchStats, error) {
-	return sim.RunDetailed(seed, p.Trials, p.Workers, trial(p, build, damage, search))
-}
-
 // searchTrials runs trial at Params.Seed with random searches between
 // live nodes routed under opt, summed over the trials.
 func searchTrials(p Params, build buildFunc, damage damageFunc, opt route.Options) (sim.SearchStats, error) {
 	return sim.Run(p.Seed, p.Trials, p.Workers, trial(p, build, damage, routed(opt)))
+}
+
+// sweepTrials is searchTrials over a grid of crash fractions × routing
+// options at one build per trial. Trial i builds once; each level
+// starts from a copy of the post-build stream, crashes its fraction,
+// routes every option from its own copy of the post-crash stream and
+// revives the crashed nodes. Fail and Revive touch only the alive
+// flags and routing only reads the graph, so cells[l][o][i] is what
+// trial i of searchTrials(p, build, failNodes(fracs[l]), opts[o])
+// returns on the streams of seed. Trial i writes only index i.
+func sweepTrials(p Params, seed uint64, build buildFunc, fracs []float64, opts []route.Options) ([][][]sim.SearchStats, error) {
+	cells := make([][][]sim.SearchStats, len(fracs))
+	for l := range cells {
+		cells[l] = make([][]sim.SearchStats, len(opts))
+		for o := range opts {
+			cells[l][o] = make([]sim.SearchStats, p.Trials)
+		}
+	}
+	_, err := sim.RunDetailed(seed, p.Trials, p.Workers, func(i int, src *rng.Source) (sim.SearchStats, error) {
+		g, err := build(i, src)
+		if err != nil {
+			return sim.SearchStats{}, err
+		}
+		afterBuild, alive := *src, g.AliveCount()
+		for l, frac := range fracs {
+			afterCrash := afterBuild
+			if err := failNodes(frac)(g, &afterCrash); err != nil {
+				return sim.SearchStats{}, err
+			}
+			for o, opt := range opts {
+				s := afterCrash
+				if cells[l][o][i], err = routed(opt)(g, &s, p.Msgs); err != nil {
+					return sim.SearchStats{}, err
+				}
+			}
+			for pt := 0; pt < g.Size(); pt++ {
+				g.Revive(metric.Point(pt))
+			}
+			if g.AliveCount() != alive {
+				return sim.SearchStats{}, fmt.Errorf("experiments: trial %d built %d live nodes but revived to %d", i, alive, g.AliveCount())
+			}
+		}
+		return sim.SearchStats{}, nil
+	})
+	return cells, err
 }
 
 // routed is §6's measurement: uniformly random live source/destination

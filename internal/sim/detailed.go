@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 // on workers goroutines and keeps each trial's statistics, so callers
 // can attach confidence intervals to experiment tables. Trial i's
 // stats land at index i regardless of the worker count; once a trial
-// fails no further trial starts, and the error returned is the
-// lowest-index failing trial's. Trials are dispatched in index order,
-// so that trial always runs, and the error is a function of the seed,
-// not of which worker finished first.
+// fails (returns an error or panics) no further trial starts, and the
+// error returned is the lowest-index failing trial's. Trials are
+// dispatched in index order, so that trial always runs, and the error
+// is a function of the seed, not of which worker finished first.
 func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats, error) {
 	if trials <= 0 {
 		return nil, errors.New("sim: trials must be positive")
@@ -39,7 +40,7 @@ func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats,
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = fn(i, root.Derive(uint64(i)))
+				out[i], errs[i] = guarded(fn, i, root.Derive(uint64(i)))
 				if errs[i] != nil {
 					failed.Store(true)
 				}
@@ -57,6 +58,18 @@ func RunDetailed(seed uint64, trials, workers int, fn TrialFunc) ([]SearchStats,
 		}
 	}
 	return out, nil
+}
+
+// guarded runs trial i with a panic turned into that trial's error, so
+// one bad trial fails the run instead of killing the process from a
+// bare worker goroutine.
+func guarded(fn TrialFunc, i int, src *rng.Source) (stats SearchStats, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("sim: trial %d panicked: %v", i, p)
+		}
+	}()
+	return fn(i, src)
 }
 
 // Interval is a mean with a standard error over trials.

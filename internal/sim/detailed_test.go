@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -62,6 +63,22 @@ func TestRunDetailedErrors(t *testing.T) {
 		return SearchStats{}, sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// A panicking trial fails the run with an error naming it; on a bare
+// worker goroutine the panic would kill the process.
+func TestRunDetailedRecoversPanickingTrial(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		_, err := RunDetailed(1, 5, workers, func(trial int, src *rng.Source) (SearchStats, error) {
+			if trial == 2 {
+				panic("corrupt network")
+			}
+			return SearchStats{Searches: 1}, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "trial 2 panicked: corrupt network") {
+			t.Errorf("workers=%d: err = %v, want trial 2's panic", workers, err)
+		}
 	}
 }
 

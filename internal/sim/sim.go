@@ -71,19 +71,23 @@ func (s SearchStats) MeanHops() float64 {
 // stream, and returns the trial's statistics.
 type TrialFunc func(trial int, src *rng.Source) (SearchStats, error)
 
+// Sum folds a set of statistics into one (integer sums: the order of
+// the fold cannot matter).
+func Sum(stats []SearchStats) (total SearchStats) {
+	for _, s := range stats {
+		total.Merge(s)
+	}
+	return total
+}
+
 // Run executes trials Monte Carlo repetitions of fn, fanning them out
-// over workers goroutines, and folds RunDetailed's per-trial statistics
-// together (integer sums: the order of the fold cannot matter). Trial i
-// always receives the rng stream derived as New(seed).Derive(i), so
-// results are independent of the worker count and fully reproducible.
-// The first trial error aborts the run and is returned.
+// over workers goroutines, and sums RunDetailed's per-trial statistics.
+// Trial i always receives the rng stream derived as New(seed).Derive(i),
+// so results are independent of the worker count and fully
+// reproducible. The first trial error aborts the run and is returned.
 func Run(seed uint64, trials, workers int, fn TrialFunc) (SearchStats, error) {
 	per, err := RunDetailed(seed, trials, workers, fn)
-	var total SearchStats
-	for _, stats := range per {
-		total.Merge(stats)
-	}
-	return total, err
+	return Sum(per), err
 }
 
 // MeasureSearches routes msgs messages between uniformly random live
