@@ -2,7 +2,7 @@
 // Routing in Peer-to-peer Systems" (Aspnes, Diamadi, Shah; PODC 2002).
 //
 // The library lives under internal/, executables under cmd/ (ftrsim,
-// ftrbench, ftrnode), runnable examples in example_test.go, and the
+// ftrbench), runnable examples in example_test.go, and the
 // per-table/figure benchmark harness in bench_test.go. A network is
 // built the way every experiment builds it: a metric space
 // (internal/metric), graph.BuildIdeal with graph.PaperConfigFor, or the
@@ -14,9 +14,9 @@
 //
 // Beyond the paper's single-message reproduction, internal/load models
 // sustained traffic: workload generators, a virtual-time queueing
-// simulator over the overlay, and a congestion-penalized load-aware
-// routing policy, surfaced as ext.load.policy and the ext.saturation.*
-// sweeps.
+// simulator on internal/graph and internal/engine, and a
+// congestion-penalized load-aware routing policy, surfaced as
+// ext.load.policy and the ext.saturation.* sweeps.
 //
 // internal/replica attacks the flood case those experiments expose:
 // seeded hash-spread and antipodal placement plus popularity-triggered
@@ -26,5 +26,6 @@
 // BENCH_replica.json). internal/proptest holds the whole pipeline to
 // its invariants (greedy progress, endpoint integrity, worker-count
 // determinism) over seeded random universes, alongside native fuzz
-// targets in internal/metric and internal/load.
+// targets in internal/metric, internal/graph, internal/rng,
+// internal/engine, internal/failure, internal/load and internal/sim.
 package repro

@@ -6,21 +6,16 @@ package repro_test
 // surfaces no experiment id prints.
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"strings"
-	"time"
 
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/metric"
-	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/sim"
-	"repro/internal/transport"
 	"repro/internal/viz"
 )
 
@@ -137,150 +132,4 @@ func Example_faultTolerance() {
 	//   scattered terminate      failed 0.097, mean 5.5 hops
 	//   scattered random-reroute failed 0.040, mean 5.8 hops
 	//   scattered backtracking   failed 0.007, mean 5.9 hops
-}
-
-// The workload that motivated the paper, on the live overlay over an
-// in-memory transport: peers publish a catalog, Zipf-weighted lookups
-// resolve it, a quarter of the swarm crashes, the ring heals, and
-// 3-way replication keeps the catalog through a second crash wave.
-func Example_fileSharing() {
-	const ringSize, peers = 1 << 12, 64
-	ring := must(metric.NewRing(ringSize))
-	cluster := must(overlay.NewCluster(overlay.Config{
-		Ring: ring, Links: 6, Seed: 7, CallTimeout: time.Second,
-	}, transport.NewInMem(7)))
-	defer cluster.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	src := rng.New(7)
-
-	for cluster.Size() < peers {
-		p := metric.Point(src.Intn(ringSize))
-		if _, ok := cluster.Node(p); !ok {
-			must(cluster.AddNode(ctx, p))
-		}
-	}
-	cluster.MaintainAll(ctx)
-
-	files := make([]string, 128)
-	for i := range files {
-		files[i] = fmt.Sprintf("track-%03d.ogg", i)
-		publisher := must(cluster.RandomNode())
-		must(publisher.Put(ctx, files[i], fmt.Sprintf("held-by-peer-%d", publisher.ID())))
-	}
-	zipf := must(rng.NewZipf(len(files), 1))
-	lookup := func(tag string) {
-		found, hops := 0, 0
-		for i := 0; i < 128; i++ {
-			file := files[zipf.Sample(src)-1]
-			peer := must(cluster.RandomNode())
-			_, h, err := peer.Lookup(ctx, overlay.HashKey(file, ring))
-			if err != nil {
-				continue
-			}
-			if _, ok, err := peer.Get(ctx, file); err == nil && ok {
-				found++
-				hops += h
-			}
-		}
-		fmt.Printf("%-8s %3d/128 lookups resolved, mean %.1f hops\n", tag, found, float64(hops)/float64(max(found, 1)))
-	}
-	crash := func(k int) {
-		for i := 0; i < k; i++ {
-			pts := cluster.Nodes()
-			if err := cluster.CrashNode(pts[src.Intn(len(pts))]); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	lookup("healthy")
-	crash(peers / 4)
-	lookup("degraded")
-	cluster.MaintainAll(ctx)
-	cluster.MaintainAll(ctx)
-	lookup("healed")
-
-	// Entries whose owner crashed are gone; replication closes the gap.
-	for _, f := range files {
-		must(must(cluster.RandomNode()).PutReplicated(ctx, f, "replicated", 3))
-	}
-	crash(8)
-	for i := 0; i < 3; i++ {
-		cluster.MaintainAll(ctx)
-	}
-	found := 0
-	for i := 0; i < 128; i++ {
-		file := files[zipf.Sample(src)-1]
-		if _, ok, err := must(cluster.RandomNode()).GetReplicated(ctx, file, 3); err == nil && ok {
-			found++
-		}
-	}
-	fmt.Printf("replicated: %d/128 lookups resolved after a second crash wave\n", found)
-	// Output:
-	// healthy  128/128 lookups resolved, mean 3.2 hops
-	// degraded  50/128 lookups resolved, mean 3.6 hops
-	// healed    72/128 lookups resolved, mean 3.3 hops
-	// replicated: 128/128 lookups resolved after a second crash wave
-}
-
-// The same overlay on TCP loopback: 16 nodes join through the §5
-// protocol, store keys, lose two nodes, heal, and read every key back
-// through a different node.
-func Example_tcpCluster() {
-	cluster := must(overlay.NewCluster(overlay.Config{
-		Ring: must(metric.NewRing(1 << 10)), Links: 5, Seed: 3, CallTimeout: 2 * time.Second,
-	}, transport.NewTCP()))
-	defer cluster.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	for _, p := range []metric.Point{12, 77, 140, 201, 266, 330, 395, 460,
-		524, 589, 650, 715, 780, 845, 910, 975} {
-		must(cluster.AddNode(ctx, p))
-	}
-	cluster.MaintainAll(ctx)
-
-	entries := [][2]string{
-		{"cluster/name", "ftr-demo"},
-		{"cluster/version", "1.0"},
-		{"feature/greedy", "enabled"},
-		{"feature/backtrk", "enabled"},
-		{"quota/default", "100GB"},
-	}
-	writer, _ := cluster.Node(12)
-	for _, e := range entries {
-		fmt.Printf("%-16s -> owner node %d\n", e[0], must(writer.Put(ctx, e[0], e[1])))
-	}
-
-	for _, victim := range []metric.Point{330, 524} {
-		if err := cluster.CrashNode(victim); err != nil {
-			log.Fatal(err)
-		}
-	}
-	cluster.MaintainAll(ctx)
-	cluster.MaintainAll(ctx)
-
-	reader, _ := cluster.Node(910)
-	var status []string
-	for _, e := range entries {
-		v, ok, err := reader.Get(ctx, e[0])
-		switch {
-		case err != nil:
-			status = append(status, "error: "+err.Error())
-		case !ok:
-			status = append(status, "lost")
-		case v != e[1]:
-			status = append(status, "corrupt")
-		default:
-			status = append(status, "ok")
-		}
-	}
-	fmt.Println("after crashing 330 and 524, read via 910:", strings.Join(status, " "))
-	// Output:
-	// cluster/name     -> owner node 395
-	// cluster/version  -> owner node 780
-	// feature/greedy   -> owner node 780
-	// feature/backtrk  -> owner node 845
-	// quota/default    -> owner node 780
-	// after crashing 330 and 524, read via 910: ok ok ok ok ok
 }

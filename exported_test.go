@@ -253,8 +253,8 @@ var optionAllow = map[string]string{
 // Like the export sweep, the scan is syntactic and keyed by field name
 // alone, so a field set under the same name on another type counts as
 // set — it cannot see load.SweepConfig.P99Bound beside
-// load.SweepResult.P99Bound, nor overlay.Config.MaxHops beside
-// route.Options.MaxHops.
+// load.SweepResult.P99Bound, nor engine.ChurnConfig.Events beside
+// telemetry.SchedStats.Events.
 func TestOptionFieldsAreSet(t *testing.T) {
 	files := parseModule(t)
 	set := map[string]bool{}

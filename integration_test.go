@@ -3,18 +3,16 @@ package repro
 // Integration tests: end-to-end flows that cross module boundaries,
 // complementing the per-package unit tests. Each test exercises a slice
 // of the paper's story through the calls the experiments make (graph
-// build, §5 construction, routing, failure injection), the overlay
-// cluster and the experiment registry.
+// build, §5 construction, routing, failure injection) and the
+// experiment registry.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/chain"
@@ -25,11 +23,9 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/mathx"
 	"repro/internal/metric"
-	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // The paper's lifecycle in one test: grow a network with the §5
@@ -97,8 +93,10 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 }
 
-// The §2 pipeline: resources hash to points, machines own point sets,
-// the overlay routes lookups to resource owners.
+// The §2 pipeline (Figure 1): resources hash to points, machines own
+// the points of the resources they add, and the overlay over the
+// occupied points routes a lookup to the point a resource hashes to,
+// whose owner is the machine that added it.
 func TestResourceLocationPipeline(t *testing.T) {
 	const n = 1 << 12
 	mapping, err := keyspace.NewMapping(n)
@@ -115,45 +113,30 @@ func TestResourceLocationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := transport.NewInMem(31)
-	cluster, err := overlay.NewCluster(overlay.Config{Ring: ring, Links: 4, Seed: 31}, tr)
+	// One node per occupied point, plus the querier at point 9.
+	const querier = metric.Point(9)
+	present := mapping.PresenceMask()
+	present[querier] = true
+	g, err := graph.BuildIdealWithPresence(ring, graph.PaperConfigFor(ring, 4), present, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// One overlay node per occupied point (the virtual overlay of
-	// Figure 1), plus a querier.
-	for p, present := range mapping.PresenceMask() {
-		if present {
-			if _, err := cluster.AddNode(ctx, metric.Point(p)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	querier, err := cluster.AddNode(ctx, metric.Point(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.MaintainAll(ctx)
-
-	for _, k := range resources {
+	r := route.New(g, route.Options{})
+	src := rng.New(32)
+	for i, k := range resources {
 		point, err := keyspace.Hash(k, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner, _, err := querier.Lookup(ctx, point)
+		res, err := r.Route(src, querier, point)
 		if err != nil {
 			t.Fatalf("lookup %q: %v", k, err)
 		}
-		// The overlay must find the node hosting the resource's point
-		// (or the querier itself if it is closest).
-		if owner != point && owner != 9 {
-			if _, ok := mapping.OwnerOf(owner); !ok {
-				t.Errorf("lookup of %q landed on %d, which hosts nothing", k, owner)
-			}
+		if !res.Delivered || res.Target != point {
+			t.Fatalf("lookup of %q (point %d) ended at %d, delivered=%v", k, point, res.Target, res.Delivered)
+		}
+		if owner, ok := mapping.OwnerOf(res.Target); !ok || owner != keyspace.PhysID(i%2) {
+			t.Errorf("point %d of %q is owned by %d (ok=%v), want machine %d", point, k, owner, ok, i%2)
 		}
 	}
 }
@@ -222,86 +205,6 @@ func TestConstructedVsIdealComparable(t *testing.T) {
 		ideal := parseFloat(t, row[2])
 		if math.Abs(constructed-ideal) > 0.25 {
 			t.Errorf("p=%s: constructed %v vs ideal %v — gap too large", row[0], constructed, ideal)
-		}
-	}
-}
-
-// Replication keeps a workload readable through the loss the plain
-// overlay cannot survive.
-func TestReplicatedWorkloadSurvivesCrashes(t *testing.T) {
-	ring, err := metric.NewRing(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := transport.NewInMem(41)
-	cluster, err := overlay.NewCluster(overlay.Config{Ring: ring, Links: 4, Seed: 41}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	src := rng.New(42)
-	for cluster.Size() < 24 {
-		p := metric.Point(src.Intn(1 << 10))
-		if _, ok := cluster.Node(p); ok {
-			continue
-		}
-		if _, err := cluster.AddNode(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cluster.MaintainAll(ctx)
-
-	writer, err := cluster.RandomNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	replicaSets := map[string][]metric.Point{}
-	for _, k := range keys {
-		stored, err := writer.PutReplicated(ctx, k, "v-"+k, 3)
-		if err != nil {
-			t.Fatalf("put %q: %v", k, err)
-		}
-		replicaSets[k] = stored
-	}
-	// Crash a third of the cluster (never the writer).
-	dead := map[metric.Point]bool{}
-	for len(dead) < 8 {
-		pts := cluster.Nodes()
-		victim := pts[src.Intn(len(pts))]
-		if victim == writer.ID() {
-			continue
-		}
-		if err := cluster.CrashNode(victim); err != nil {
-			t.Fatal(err)
-		}
-		dead[victim] = true
-	}
-	// Several healing rounds: ring closure over multi-node gaps
-	// propagates one neighbourhood per round.
-	for i := 0; i < 3; i++ {
-		cluster.MaintainAll(ctx)
-	}
-
-	// The replication contract: a key survives exactly when at least
-	// one of its replicas survived the crash.
-	for _, k := range keys {
-		alive := 0
-		for _, p := range replicaSets[k] {
-			if !dead[p] {
-				alive++
-			}
-		}
-		v, ok, err := writer.GetReplicated(ctx, k, 3)
-		got := err == nil && ok && v == "v-"+k
-		if alive > 0 && !got {
-			t.Errorf("key %q has %d live replicas %v but was unreadable (err=%v)",
-				k, alive, replicaSets[k], err)
-		}
-		if alive == 0 && got {
-			t.Errorf("key %q readable with all replicas dead — phantom data", k)
 		}
 	}
 }

@@ -256,19 +256,18 @@ func weight(dim, d int) float64 {
 	return 1 / w
 }
 
-// Solicit is the §5 redirection rule, stated once for the simulator's
-// Builder and the live overlay's solicit handler. A node of a
-// dim-dimensional space whose long links span distances dists (budget
-// links) is asked for a link by a newcomer at distance dNew; link weights
-// are p = 1/d^dim. It returns the slot the newcomer takes and whether it
-// takes one: len(dists) below budget (in the paper's steady state every
-// node owns exactly ℓ links, so the replacement rule assumes a full set
-// and early growth tops up first); otherwise, with probability
-// p_new/(p_new + Σp), the victim — drawn ∝ p under InverseDistance, or
-// −1 under any other strategy, whose pick needs more than distances.
-// It draws src.Bool once at budget and src.Float64 once more only for
-// an InverseDistance victim.
-func Solicit(src *rng.Source, s ReplacementStrategy, links, dim, dNew int, dists []int) (slot int, accept bool) {
+// solicitRule is the §5 redirection rule behind Builder.solicit. A node
+// of a dim-dimensional space whose long links span distances dists
+// (budget links) is asked for a link by a newcomer at distance dNew;
+// link weights are p = 1/d^dim. It returns the slot the newcomer takes
+// and whether it takes one: len(dists) below budget (in the paper's
+// steady state every node owns exactly ℓ links, so the replacement rule
+// assumes a full set and early growth tops up first); otherwise, with
+// probability p_new/(p_new + Σp), the victim — drawn ∝ p under
+// InverseDistance, or −1 under any other strategy, whose pick needs
+// more than distances. It draws src.Bool once at budget and src.Float64
+// once more only for an InverseDistance victim.
+func solicitRule(src *rng.Source, s ReplacementStrategy, links, dim, dNew int, dists []int) (slot int, accept bool) {
 	if len(dists) < links {
 		return len(dists), true
 	}
@@ -300,8 +299,8 @@ func Solicit(src *rng.Source, s ReplacementStrategy, links, dim, dNew int, dists
 	return len(dists) - 1, true
 }
 
-// solicit asks node u to redirect one of its links to newcomer v by the
-// Solicit rule.
+// solicit asks node u to redirect one of its links to newcomer v by
+// solicitRule.
 func (b *Builder) solicit(u, v metric.Point) error {
 	if u == v {
 		return nil
@@ -312,7 +311,7 @@ func (b *Builder) solicit(u, v metric.Point) error {
 	for _, lk := range long {
 		b.dists = append(b.dists, sp.Distance(u, lk.To))
 	}
-	slot, ok := Solicit(b.src, b.cfg.Strategy, b.cfg.Links, b.dim, sp.Distance(u, v), b.dists)
+	slot, ok := solicitRule(b.src, b.cfg.Strategy, b.cfg.Links, b.dim, sp.Distance(u, v), b.dists)
 	if !ok {
 		return nil // u declines to redirect
 	}
