@@ -24,12 +24,12 @@ import (
 // with the reason it stays. Keys are "<package dir>.<Name>" or
 // "<package dir>.<Type>.<Method>".
 var exportedAllow = map[string]string{
-	"internal/chain.AggregateRun":               "aggregate-chain surface: ROADMAP item 3d decides whether it becomes the small-n oracle",
-	"internal/chain.BoundaryPoints":             "aggregate-chain surface (Lemma 7's β set): ROADMAP item 3d",
-	"internal/chain.BernoulliDist.ExpectedSize": "aggregate-chain surface (Lemma 6's E|∆|): ROADMAP item 3d",
-	"internal/analysis.Lemma1Integral":          "the paper's Lemma 1 as a formula: ROADMAP item 3d decides whether it becomes an oracle",
+	"internal/chain.AggregateRun":               "aggregate-chain surface: ROADMAP item 14(d) decides whether internal/chain earns its place",
+	"internal/chain.BoundaryPoints":             "aggregate-chain surface (Lemma 7's β set): ROADMAP item 14(d)",
+	"internal/chain.BernoulliDist.ExpectedSize": "aggregate-chain surface (Lemma 6's E|∆|): ROADMAP item 14(d)",
+	"internal/analysis.Lemma1Integral":          "the paper's Lemma 1 as a formula: ROADMAP item 14(a) decides whether the exact oracle uses it",
 	"internal/analysis.AsymptoticLowerBound":    "Theorem 10's bound: ROADMAP item 3a gates measured hops against it",
-	"internal/analysis.SingleLinkExpectedDrop":  "Lemma 3's drop: ROADMAP item 3d",
+	"internal/analysis.SingleLinkExpectedDrop":  "Lemma 3's drop: ROADMAP item 14(a), the exact oracle",
 }
 
 // exportedAllowDirs lists whole packages outside the sweep.

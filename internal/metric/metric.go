@@ -184,6 +184,9 @@ func KernelOf(s Space) Kernel {
 	panic(fmt.Sprintf("metric: no distance kernel for %T", s))
 }
 
+// Dim returns the coordinates each member of a decoded set takes.
+func (k Kernel) Dim() int { return k.dim }
+
 // Append appends p's Dim coordinates to a decoded set.
 func (k Kernel) Append(set []int32, p Point) []int32 {
 	set = append(set, make([]int32, k.dim)...)

@@ -16,9 +16,13 @@ import (
 // that.) Walkers are created with the timer stopped; one op is one
 // Step. "backtrack" is the policy every live run uses, traced as the
 // engine traces it: its only allocations are the walks that outgrow
-// their 16-point path. "replicas=12" is backtrack toward the replica
-// set of one of knee_sweep's hot keys, K = 4 replicas plus 8 cached
-// copies: every candidate is scored against 12 members.
+// their 16-point path. "replicas=12" is backtrack toward a fresh random
+// 12-member set per walker, each carved by Router.Walker, so no two
+// share a distance table: every candidate is scored against 12
+// members. "replicas=12/shared" is knee_sweep's shape — one hot key's
+// K = 4 replicas plus 8 cached copies, every walker carved from one
+// Arena toward that one set — so all but the first Size/256 score with
+// one load from the set's shared distance table.
 func BenchmarkWalkerStep(b *testing.B) {
 	const side, links = 128, 14
 	tor, err := metric.NewTorus(side, 2)
@@ -33,10 +37,12 @@ func BenchmarkWalkerStep(b *testing.B) {
 		name     string
 		opt      Options
 		replicas int
+		shared   bool
 	}{
-		{"greedy", Options{}, 1},
-		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}, 1},
-		{"replicas=12", Options{DeadEnd: Backtrack, TracePath: true}, 12},
+		{"greedy", Options{}, 1, false},
+		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}, 1, false},
+		{"replicas=12", Options{DeadEnd: Backtrack, TracePath: true}, 12, false},
+		{"replicas=12/shared", Options{DeadEnd: Backtrack, TracePath: true}, 12, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := New(g, bc.opt)
@@ -47,12 +53,19 @@ func BenchmarkWalkerStep(b *testing.B) {
 			b.ResetTimer()
 			for steps := 0; steps < b.N; {
 				b.StopTimer()
-				for i := range walkers {
-					from := metric.Point(src.Intn(g.Size()))
+				carve := r.Walker
+				if bc.shared {
+					carve = r.NewArena().Walker
 					for k := range targets {
 						targets[k] = metric.Point(src.Intn(g.Size()))
 					}
-					if walkers[i], err = r.Walker(src, from, targets); err != nil {
+				}
+				for i := range walkers {
+					from := metric.Point(src.Intn(g.Size()))
+					for k := 0; k < len(targets) && !bc.shared; k++ {
+						targets[k] = metric.Point(src.Intn(g.Size()))
+					}
+					if walkers[i], err = carve(src, from, targets); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -28,6 +28,15 @@
 // strict-progress guarantee, and the congestion penalties compose with
 // multi-target routing unchanged.
 //
+// Walkers carved from one Arena toward one multi-member set in a row —
+// every lookup of a flood — share that set's distance table instead:
+// Kernel.Nearest at every point, built once the run is long enough to
+// have paid for it (Arena.share), so scoring a candidate is one load.
+// A set that differs from the previous one is scanned member by member,
+// so traffic whose set changes at every lookup never builds a table;
+// single targets, one-walker searches (Router.Walker, Route, RouteAny)
+// and one-sided routing never take one.
+//
 // Every search is built on a resumable core: Router.Walker exposes the
 // walk one hop at a time (Walker.Step), which is how the discrete-event
 // engine (internal/engine) interleaves forwarding decisions with
@@ -335,8 +344,17 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
 // constrains the direction). It is zero exactly on the set, and every
 // unit of progress toward it is a unit of metric progress toward some
 // replica, so the strict-progress termination argument of single-target
-// greedy carries over verbatim.
+// greedy carries over verbatim. A tabled walker reads it from its
+// shared table, inline; any other computes it.
 func (w *Walker) distance(p metric.Point) int {
+	if w.tabled {
+		return int(w.set[p])
+	}
+	return w.measure(p)
+}
+
+// measure computes distance for a walker without a table.
+func (w *Walker) measure(p metric.Point) int {
 	if w.r.opt.Sidedness == OneSided {
 		return w.r.oriented.ForwardDistance(p, metric.Point(w.set[0]))
 	}

@@ -38,7 +38,7 @@ func refBacktrack(t *testing.T, r *Router, from metric.Point, targets []metric.P
 		}
 	}
 	var probe Walker
-	if err := probe.start(r, nil, from, targets); err != nil {
+	if err := probe.start(&Arena{r: r}, nil, from, targets); err != nil {
 		t.Fatal(err)
 	}
 	res := Result{Target: -1}

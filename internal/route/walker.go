@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metric"
 	"repro/internal/rng"
@@ -24,13 +25,17 @@ import (
 // A Walker is single-use and not safe for concurrent use; its rng
 // source must not be shared with another in-flight Walker.
 type Walker struct {
-	r    *Router
-	src  *rng.Source
-	set  []int32 // the live target set, decoded (metric.Kernel)
-	cur  metric.Point
-	res  Result
-	done bool
-	last StepKind
+	r   *Router
+	src *rng.Source
+	// set is the live target set, decoded (metric.Kernel) — or, when
+	// tabled, the distance table of that set the walker shares with
+	// others of its arena (Arena.share).
+	set    []int32
+	cur    metric.Point
+	res    Result
+	done   bool
+	last   StepKind
+	tabled bool // in the padding after last: the Walker does not grow
 
 	// RandomReroute state.
 	reroutes int
@@ -99,7 +104,8 @@ const arenaChunk = 256
 // frames come from three slabs per chunk instead of three or more heap
 // objects per walker, and a decoded target set too large for the
 // walker's own array (a replica set) from a fourth, grown only when
-// such a set first arrives.
+// such a set first arrives. A run of walkers toward one replica set
+// shares that set's distance table instead (Arena.share).
 // It exists for callers that start many searches and keep them all —
 // the engine holds every lookup of a run in flight at once and reports
 // every traced path, so a free-list would have nothing to recycle.
@@ -110,8 +116,11 @@ const arenaChunk = 256
 // never write into a neighbour's; walkers of one chunk may therefore
 // Step concurrently on different goroutines, and a Result's Path stays
 // valid and unshared for as long as the caller keeps it (it pins the
-// chunk's point slab, not just its own 16 entries). Walker itself — the
-// method that carves — is not safe for concurrent use.
+// chunk's point slab, not just its own 16 entries). The one thing
+// walkers of an arena do share is a distance table, written in full
+// before the first walker that takes it is returned and only read after.
+// Walker itself — the method that carves — is not safe for concurrent
+// use.
 type Arena struct {
 	r *Router
 	// The unissued remainder of the current chunk, and of the target-set
@@ -120,6 +129,12 @@ type Arena struct {
 	points  []metric.Point
 	frames  []walkFrame
 	sets    []int32
+	// prev is the multi-member live set the arena's last walker toward
+	// one decoded — that walker's own share, never written again — run
+	// how many walkers in a row have decoded it, and table its distance
+	// table once that run is long enough (nil until then).
+	prev, table []int32
+	run         int
 }
 
 // NewArena returns an empty arena for r's searches.
@@ -174,20 +189,61 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 		}
 		w.set = a.sets[0:0:set]
 	}
-	if err := w.start(a.r, source, from, targets); err != nil {
+	if err := w.start(a, source, from, targets); err != nil {
 		*w = Walker{} // the slot and its shares go to the next search
 		return nil, err
 	}
 	a.walkers = a.walkers[1:]
 	a.points = a.points[path+tried:]
 	a.frames = a.frames[frames:]
-	a.sets = a.sets[set:]
+	if !w.tabled { // a tabled walker keeps no decoded set of its own
+		a.sets = a.sets[set:]
+	}
 	return w, nil
+}
+
+// tablePoints is how many points of a distance table one walker's
+// scans pay for. A table costs Kernel.Nearest at every point; a walker
+// scanning the set calls it once per live candidate of every step, 130
+// times on knee_sweep (6.3 hops, ~20 live candidates each). So a run of
+// Size/tablePoints walkers toward one set has spent about what its
+// table costs, and a shorter run that ends is one whose table would not
+// have paid for itself.
+const tablePoints = 256
+
+// share returns what a walker toward a multi-member live set scores
+// against. A set other than prev becomes prev and is scanned member by
+// member. The walker that makes a run toward one set
+// max(2, Size/tablePoints) long builds its distance table — Kernel.Nearest
+// at every point — and it and every later walker in that run score with
+// one load (tabled). Only consecutive repeats count, and only long runs
+// earn a table: hash-placed replicas under Zipf keys change the set at
+// nearly every lookup, and a hot key's short runs there would each pay
+// for a table that serves a walker or two. A changed set starts a new
+// table rather than rebuilding the old one, which walkers still in
+// flight read.
+func (a *Arena) share(set []int32) (scored []int32, tabled bool) {
+	if !slices.Equal(set, a.prev) {
+		a.prev, a.table, a.run = set, nil, 1
+		return set, false
+	}
+	a.run++
+	if a.table == nil {
+		if a.run < max(2, a.r.g.Size()/tablePoints) {
+			return set, false
+		}
+		a.table = make([]int32, a.r.g.Size())
+		for p := range a.table {
+			a.table[p] = int32(a.r.kern.Nearest(metric.Point(p), set))
+		}
+	}
+	return a.table, true
 }
 
 // Walker starts a resumable search from `from` toward the nearest live
 // member of `targets` (a single-element set is the plain
-// single-destination search). The returned Walker
+// single-destination search). Its one-walker arena never shares a
+// distance table. The returned Walker
 // has already visited `from` (it appears in the traced path); if
 // `from` is itself a target the search is born delivered and Step
 // returns false immediately. The targets slice is read, not kept.
@@ -200,8 +256,9 @@ func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.
 }
 
 // start validates a search and puts w — zero but for the empty buffers
-// its allocator carved, the target set's included — at its origin.
-func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets []metric.Point) error {
+// its allocator a carved, the target set's included — at its origin.
+func (w *Walker) start(a *Arena, source *rng.Source, from metric.Point, targets []metric.Point) error {
+	r := a.r
 	if !r.g.Alive(from) {
 		return fmt.Errorf("route: origin %d is not a live node", from)
 	}
@@ -220,6 +277,9 @@ func (w *Walker) start(r *Router, source *rng.Source, from metric.Point, targets
 		}
 	}
 	w.r, w.src, w.set, w.cur = r, source, set, from
+	if len(set) > r.kern.Dim() { // a multi-member set, so two-sided
+		w.set, w.tabled = a.share(set)
+	}
 	w.res.Target = -1
 	r.trace(&w.res, from)
 	if r.opt.DeadEnd == Backtrack {
