@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/construct"
-	"repro/internal/graph"
-	"repro/internal/metric"
-	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/sim"
 )
@@ -25,10 +22,11 @@ func init() {
 			for _, strat := range []construct.ReplacementStrategy{construct.InverseDistance, construct.Oldest} {
 				cfg := construct.Config{Links: links, Strategy: strat}
 				dist := newLinkDist(p.N, p.Trials)
-				stats, err := searchTrials(p, dist.grow(cfg), failNodes(0.5), route.Options{DeadEnd: route.Backtrack})
+				cells, err := sweepTrials(p, p.Seed, dist.grow(cfg), crashFrac.at(0.5), routed(route.Options{DeadEnd: route.Backtrack}))
 				if err != nil {
 					return nil, err
 				}
+				stats := sim.Sum(cells[0][0])
 				dist.sum()
 				worst, _ := dist.worstError()
 				t.AddValues(strat.String(), worst, stats.FailedFraction(), stats.MeanHops())
@@ -50,7 +48,7 @@ func init() {
 			for _, mem := range []int{1, 2, 5, 10, 20} {
 				opts = append(opts, route.Options{DeadEnd: route.Backtrack, BacktrackMemory: mem})
 			}
-			cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), []float64{0.5}, opts)
+			cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), crashFrac.at(0.5), routed(opts...))
 			if err != nil {
 				return nil, err
 			}
@@ -72,14 +70,12 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Sidedness ablation (n=%d)", p.N),
 				"links", "two-sided hops", "one-sided hops", "one/two ratio")
 			for _, l := range doublings(p.lgLinks()) {
-				two, err := searchTrials(p, ideal(ringOf(p.N), l), nil, route.Options{Sidedness: route.TwoSided})
+				cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), l), []damage{intact},
+					routed(route.Options{Sidedness: route.TwoSided}, route.Options{Sidedness: route.OneSided}))
 				if err != nil {
 					return nil, err
 				}
-				one, err := searchTrials(p, ideal(ringOf(p.N), l), nil, route.Options{Sidedness: route.OneSided})
-				if err != nil {
-					return nil, err
-				}
+				two, one := sim.Sum(cells[0][0]), sim.Sum(cells[0][1])
 				ratio := 0.0
 				if two.MeanHops() > 0 {
 					ratio = one.MeanHops() / two.MeanHops()
@@ -100,10 +96,7 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Exponent ablation (n=%d, l=%d)", p.N, links),
 				"exponent", "mean hops")
 			for _, exp := range []float64{0, 0.5, 1, 1.5, 2} {
-				cfg := graph.BuildConfig{Links: links, Exponent: exp}
-				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
-					return graph.BuildIdeal(ring, cfg, src)
-				}), nil, route.Options{})
+				stats, err := searchTrials(p, idealAt(ringOf(p.N), links, exp), route.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -121,33 +114,32 @@ func init() {
 			p = p.withDefaults(1<<14, 5, 100)
 			t := sim.NewTable(fmt.Sprintf("Theory vs measurement (n=%d)", p.N),
 				"config", "measured hops", "lower bound", "upper bound", "within bounds")
-			configs := []struct {
-				name  string
+			// The two rows at l = lg n share one build.
+			sides := []route.Options{{Sidedness: route.TwoSided, DirectedOnly: true}, {Sidedness: route.OneSided, DirectedOnly: true}}
+			for _, cfg := range []struct {
 				links int
-				side  route.Sidedness
+				names []string // two-sided, then one-sided
 			}{
-				{"l=1 two-sided", 1, route.TwoSided},
-				{"l=4 two-sided", 4, route.TwoSided},
-				{"l=lg n two-sided", p.lgLinks(), route.TwoSided},
-				{"l=lg n one-sided", p.lgLinks(), route.OneSided},
-			}
-			for _, cfg := range configs {
-				stats, err := searchTrials(p, ideal(ringOf(p.N), cfg.links), nil,
-					route.Options{Sidedness: cfg.side, DirectedOnly: true})
+				{1, []string{"l=1 two-sided"}},
+				{4, []string{"l=4 two-sided"}},
+				{p.lgLinks(), []string{"l=lg n two-sided", "l=lg n one-sided"}},
+			} {
+				cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), cfg.links), []damage{intact}, routed(sides[:len(cfg.names)]...))
 				if err != nil {
 					return nil, err
 				}
-				oneSided := cfg.side == route.OneSided
-				lower := analysis.Theorem10LowerBound(p.N, cfg.links, oneSided)
 				var upper float64
 				if cfg.links == 1 {
 					upper = analysis.SingleLinkUpperBound(p.N)
 				} else {
 					upper = analysis.MultiLinkUpperBound(p.N, cfg.links)
 				}
-				measured := stats.MeanHops()
-				t.AddValues(cfg.name, measured, lower, upper,
-					measured >= lower*0.1 && measured <= upper)
+				for s, name := range cfg.names {
+					lower := analysis.Theorem10LowerBound(p.N, cfg.links, sides[s].Sidedness == route.OneSided)
+					measured := sim.Sum(cells[0][s]).MeanHops()
+					t.AddValues(name, measured, lower, upper,
+						measured >= lower*0.1 && measured <= upper)
+				}
 			}
 			return t, nil
 		},

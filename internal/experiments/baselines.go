@@ -35,7 +35,7 @@ func baselines(p Params) (*sim.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := routed(route.Options{})(g, src.Derive(2), p.Msgs)
+	stats, err := sim.MeasureSearches(g, route.New(g, route.Options{}), src.Derive(2), p.Msgs)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func baselines(p Params) (*sim.Table, error) {
 	// instance per trial). Every hop is one message.
 	probs := []float64{0.1, 0.3, 0.5, 0.7}
 	policies := []route.Options{{DeadEnd: route.Backtrack}, {DeadEnd: route.Terminate}}
-	cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), probs, policies)
+	cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), crashFrac.at(probs...), routed(policies...))
 	if err != nil {
 		return nil, err
 	}

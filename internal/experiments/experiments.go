@@ -6,9 +6,11 @@
 //
 // The experiments share two runners and spell out only what differs.
 // The single-message ones (table1.*, fig*, ablation.*, baselines and
-// the §2/§7 ext.2d, ext.byzantine, ext.physical and ext.churn) go
-// through the search-trial runner of trials.go: build a network, damage
-// it, route, per trial stream. The traffic ones (ext.load.policy,
+// the §2/§7 ext.2d, ext.byzantine and ext.physical) go through the
+// search-trial runner of trials.go: build a network once per trial
+// stream, then damage it, route and undo the damage, level by level;
+// ext.churn, which repairs between measurements, fans its trials out
+// on sim.Run directly. The traffic ones (ext.load.policy,
 // ext.saturation/replica/engine/pit.* and ext.churn.recovery) are
 // declared as a grid (grid.go): scenarios × variants, the columns and
 // the cells of a row. README.md's Architecture table says how to add

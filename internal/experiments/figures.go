@@ -79,8 +79,7 @@ func (d *linkDist) worstError() (worst float64, at int) {
 // returns their averaged link-length distribution; no message routes.
 func derivedDistribution(p Params) (*linkDist, error) {
 	dist := newLinkDist(p.N, p.Trials)
-	_, err := sim.RunDetailed(p.Seed, p.Trials, p.Workers, trial(p, dist.grow(construct.Config{Links: p.lgLinks()}), nil,
-		func(*graph.Graph, *rng.Source, int) (sim.SearchStats, error) { return sim.SearchStats{}, nil }))
+	_, err := sweepTrials(p, p.Seed, dist.grow(construct.Config{Links: p.lgLinks()}), nil, nil)
 	dist.sum()
 	return dist, err
 }
@@ -178,7 +177,7 @@ func init() {
 			var cells [2][][][]sim.SearchStats // constructed, ideal
 			for i, build := range builds {
 				var err error
-				if cells[i], err = sweepTrials(p, p.Seed+uint64(i), build, probs, []route.Options{{DeadEnd: route.Terminate}}); err != nil {
+				if cells[i], err = sweepTrials(p, p.Seed+uint64(i), build, crashFrac.at(probs...), routed(route.Options{DeadEnd: route.Terminate})); err != nil {
 					return nil, err
 				}
 			}
@@ -212,7 +211,7 @@ func figure6(statName string, stat func(sim.SearchStats) float64, minDim int) fu
 		// network, routes every strategy over the same crashed nodes
 		// from the same stream, and revives them.
 		probs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-		cells, err := sweepTrials(p, p.Seed, ideal(p.space, links), probs, strategies)
+		cells, err := sweepTrials(p, p.Seed, ideal(p.space, links), crashFrac.at(probs...), routed(strategies...))
 		if err != nil {
 			return nil, err
 		}

@@ -201,7 +201,8 @@ func buildLoadGraph(sc loadScenario, p Params, seed uint64) (*graph.Graph, error
 	if err != nil || sc.failFrac == 0 {
 		return g, err
 	}
-	return g, failNodes(sc.failFrac)(g, src.Derive(1))
+	_, err = crashFrac.apply(g, sc.failFrac, src.Derive(1))
+	return g, err
 }
 
 // loadConfig resolves the load.Config the traffic flags describe — the

@@ -30,16 +30,12 @@ func init() {
 			}
 			for _, sp := range spaces {
 				for _, links := range []int{1, p.lgLinks()} {
-					healthy, err := searchTrials(p, ideal(sp.mk, links), nil, route.Options{})
+					cells, err := sweepTrials(p, p.Seed, ideal(sp.mk, links), append([]damage{intact}, crashFrac.at(0.5)...),
+						routed(route.Options{}, route.Options{DeadEnd: route.Backtrack}))
 					if err != nil {
 						return nil, err
 					}
-					damaged, err := searchTrials(p, ideal(sp.mk, links), failNodes(0.5),
-						route.Options{DeadEnd: route.Backtrack})
-					if err != nil {
-						return nil, err
-					}
-					t.AddValues(sp.name, links, healthy.MeanHops(), damaged.FailedFraction())
+					t.AddValues(sp.name, links, sim.Sum(cells[0][0]).MeanHops(), sim.Sum(cells[1][1]).FailedFraction())
 				}
 			}
 			return t, nil

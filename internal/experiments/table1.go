@@ -26,7 +26,7 @@ func init() {
 			t := sim.NewTable("Table 1 / no failures, ℓ=1",
 				"n", "mean hops", "upper 2H_n^2", "lower Thm10", "hops/upper")
 			for _, n := range sweepSizes(p.N) {
-				stats, err := searchTrials(p, ideal(ringOf(n), 1), nil, twoSidedDirected)
+				stats, err := searchTrials(p, ideal(ringOf(n), 1), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -48,7 +48,7 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Table 1 / no failures, multi-link (n=%d)", p.N),
 				"links", "mean hops", "upper 8(1+lgn)H_n/l", "hops*l (flat => 1/l law)")
 			for _, l := range doublings(lg) {
-				stats, err := searchTrials(p, ideal(ringOf(p.N), l), nil, twoSidedDirected)
+				stats, err := searchTrials(p, ideal(ringOf(p.N), l), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -68,10 +68,9 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Table 1 / deterministic base-b (n=%d)", p.N),
 				"base b", "mean hops", "bound ceil(log_b n)", "max hops ok")
 			for _, b := range []int{2, 4, 8, 16} {
-				b := b
 				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
 					return graph.BuildDeterministic(ring, b, src)
-				}), nil, twoSidedDirected)
+				}), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -91,12 +90,13 @@ func init() {
 			links := p.lgLinks()
 			t := sim.NewTable(fmt.Sprintf("Table 1 / link failures (n=%d, l=%d)", p.N, links),
 				"p(link up)", "mean hops", "failed frac", "upper 8(1+lgn)H_n/pl", "hops*p (flat => 1/p law)")
-			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-				stats, err := searchTrials(p, ideal(ringOf(p.N), links),
-					failLinks(prob), twoSidedDirected)
-				if err != nil {
-					return nil, err
-				}
+			probs := []float64{1.0, 0.8, 0.6, 0.4, 0.2}
+			cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), linksUp.at(probs...), routed(twoSidedDirected))
+			if err != nil {
+				return nil, err
+			}
+			for l, prob := range probs {
+				stats := sim.Sum(cells[l][0])
 				upper, err := analysis.LinkFailureUpperBound(p.N, links, prob)
 				if err != nil {
 					return nil, err
@@ -117,18 +117,19 @@ func init() {
 			const b = 2
 			t := sim.NewTable(fmt.Sprintf("Table 1 / deterministic link failures (n=%d, b=%d)", p.N, b),
 				"p(link up)", "mean hops", "upper 1+2(b-q)H_n/p")
-			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, _ *rng.Source) (*graph.Graph, error) {
-					return graph.BuildDeterministicPowers(ring, b)
-				}), failLinks(prob), twoSidedDirected)
-				if err != nil {
-					return nil, err
-				}
+			probs := []float64{1.0, 0.8, 0.6, 0.4, 0.2}
+			cells, err := sweepTrials(p, p.Seed, built(ringOf(p.N), func(ring metric.Space, _ *rng.Source) (*graph.Graph, error) {
+				return graph.BuildDeterministicPowers(ring, b)
+			}), linksUp.at(probs...), routed(twoSidedDirected))
+			if err != nil {
+				return nil, err
+			}
+			for l, prob := range probs {
 				upper, err := analysis.DetLinkFailureUpperBound(p.N, b, prob)
 				if err != nil {
 					return nil, err
 				}
-				t.AddValues(prob, stats.MeanHops(), upper)
+				t.AddValues(prob, sim.Sum(cells[l][0]).MeanHops(), upper)
 			}
 			return t, nil
 		},
@@ -143,14 +144,13 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Theorem 17 / binomial node presence (n=%d, l=1)", p.N),
 				"p(present)", "mean hops", "failed frac", "upper 2H_n^2")
 			for _, prob := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
-				prob := prob
 				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
 					mask, err := failure.BinomialPresence(p.N, prob, src)
 					if err != nil {
 						return nil, err
 					}
 					return graph.BuildIdealWithPresence(ring, graph.PaperConfig(1), mask, src)
-				}), nil, twoSidedDirected)
+				}), twoSidedDirected)
 				if err != nil {
 					return nil, err
 				}
@@ -170,16 +170,13 @@ func init() {
 			links := p.lgLinks()
 			t := sim.NewTable(fmt.Sprintf("Theorem 18 / node failures (n=%d, l=%d)", p.N, links),
 				"p(fail)", "mean hops", "failed frac", "upper 8(1+lgn)H_n/(1-p)l")
-			for _, prob := range []float64{0, 0.2, 0.4, 0.6} {
-				prob := prob
-				stats, err := searchTrials(p, ideal(ringOf(p.N), links),
-					func(g *graph.Graph, src *rng.Source) error {
-						_, err := failure.FailNodesProb(g, prob, src)
-						return err
-					}, twoSidedDirected)
-				if err != nil {
-					return nil, err
-				}
+			probs := []float64{0, 0.2, 0.4, 0.6}
+			cells, err := sweepTrials(p, p.Seed, ideal(ringOf(p.N), links), crashProb.at(probs...), routed(twoSidedDirected))
+			if err != nil {
+				return nil, err
+			}
+			for l, prob := range probs {
+				stats := sim.Sum(cells[l][0])
 				upper, err := analysis.NodeFailureUpperBound(p.N, links, prob)
 				if err != nil {
 					return nil, err

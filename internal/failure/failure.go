@@ -28,15 +28,16 @@ import (
 // probability 1−p, i.e. each link remains present with probability p
 // (the model of Theorem 15/16; short links never fail, matching the
 // paper's assumption that "links to the immediate neighbors are always
-// present"). It returns the number of links taken down.
+// present"). Every link draws, up or not. It returns the number of
+// links it took down, not counting a link that was down already.
 func FailLinks(g *graph.Graph, p float64, src *rng.Source) (down int, err error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("failure: link-present probability %v outside [0,1]", p)
 	}
 	for i := 0; i < g.Size(); i++ {
 		pt := metric.Point(i)
-		for k := range g.Long(pt) {
-			if !src.Bool(p) {
+		for k, lk := range g.Long(pt) {
+			if !src.Bool(p) && lk.Up {
 				if err := g.SetLongUp(pt, k, false); err != nil {
 					return down, err
 				}
@@ -82,20 +83,15 @@ func FailNodesFraction(g *graph.Graph, f float64, src *rng.Source, protect ...me
 }
 
 // FailNodesProb crashes each alive node independently with probability
-// p (the model of Theorem 18), never touching protected points. It
-// returns the number of nodes crashed.
-func FailNodesProb(g *graph.Graph, p float64, src *rng.Source, protect ...metric.Point) (int, error) {
+// p (the model of Theorem 18). It returns the number of nodes crashed.
+func FailNodesProb(g *graph.Graph, p float64, src *rng.Source) (int, error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("failure: probability %v outside [0,1]", p)
-	}
-	protected := make(map[metric.Point]bool, len(protect))
-	for _, pt := range protect {
-		protected[pt] = true
 	}
 	crashed := 0
 	for i := 0; i < g.Size(); i++ {
 		pt := metric.Point(i)
-		if g.Alive(pt) && !protected[pt] && src.Bool(p) {
+		if g.Alive(pt) && src.Bool(p) {
 			g.Fail(pt)
 			crashed++
 		}
@@ -131,7 +127,8 @@ func BinomialPresence(n int, p float64, src *rng.Source) ([]bool, error) {
 // probability p (§7 names robustness against Byzantine failures as
 // future work; the ext.byzantine experiment explores it). Malicious
 // nodes stay in the overlay but silently drop messages routed through
-// them. It returns the number of nodes marked.
+// them. Every live node draws, malicious or not. It returns the number
+// of nodes it marked, not counting one that was malicious already.
 func MarkMalicious(g *graph.Graph, p float64, src *rng.Source) (int, error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("failure: malicious probability %v outside [0,1]", p)
@@ -139,7 +136,7 @@ func MarkMalicious(g *graph.Graph, p float64, src *rng.Source) (int, error) {
 	marked := 0
 	for i := 0; i < g.Size(); i++ {
 		pt := metric.Point(i)
-		if g.Alive(pt) && src.Bool(p) {
+		if g.Alive(pt) && src.Bool(p) && !g.Malicious(pt) {
 			if err := g.SetMalicious(pt, true); err != nil {
 				return marked, err
 			}

@@ -77,6 +77,35 @@ func TestFailLinksExtremes(t *testing.T) {
 	}
 }
 
+// TestInjectorsCountOnlyWhatTheyTakeDown: a link already down or a
+// node already malicious still draws, so the stream advances as on an
+// intact graph, but is not counted again; a caller that undoes the
+// damage can hold its undo to the count.
+func TestInjectorsCountOnlyWhatTheyTakeDown(t *testing.T) {
+	intact, damaged := ringGraph(t, 64, 4, 4), ringGraph(t, 64, 4, 4)
+	if _, err := FailLinks(damaged, 0, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MarkMalicious(damaged, 1, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	a, b := rng.New(6), rng.New(6)
+	for _, inj := range []func(*graph.Graph, *rng.Source) (int, error){
+		func(g *graph.Graph, src *rng.Source) (int, error) { return FailLinks(g, 0.5, src) },
+		func(g *graph.Graph, src *rng.Source) (int, error) { return MarkMalicious(g, 0.5, src) },
+	} {
+		if n, err := inj(intact, a); err != nil || n == 0 {
+			t.Errorf("intact graph: %d taken down, err %v", n, err)
+		}
+		if n, err := inj(damaged, b); err != nil || n != 0 {
+			t.Errorf("damaged graph: %d taken down again, err %v", n, err)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Error("the stream advanced differently on the damaged graph")
+		}
+	}
+}
+
 func TestFailNodesFraction(t *testing.T) {
 	g := ringGraph(t, 1000, 2, 6)
 	crashed, err := FailNodesFraction(g, 0.3, rng.New(7))

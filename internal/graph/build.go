@@ -184,12 +184,7 @@ func (g *Graph) indexLinks() {
 	for i := range g.nodes {
 		g.nodes[i].rev, slab = slab[:0:indeg[i]], slab[indeg[i]:]
 	}
-	for i := range g.nodes {
-		for slot, lk := range g.nodes[i].long {
-			rev := &g.nodes[lk.To].rev
-			*rev = append(*rev, ref(metric.Point(i), slot))
-		}
-	}
+	g.RestoreLinks()
 }
 
 // BuildDeterministic constructs the deterministic overlay of Theorem 14:

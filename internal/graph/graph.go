@@ -286,6 +286,35 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 	return nil
 }
 
+// RestoreLinks brings every down long link back up and rebuilds the
+// reverse index in (from, slot) order, returning how many links it
+// raised. That is the order indexLinks and every Build* leave, so on a
+// graph whose links have not been added or redirected since its build
+// it undoes any set of SetLongUp(…, false) calls exactly, in-link tie
+// order included, where raising the links one at a time with SetLongUp
+// would append each at the end of its target's index. On any other
+// graph the in-links come back in (from, slot) order, not in their
+// earlier one. As in SetLongUp, a link whose target hosts no node
+// stays down.
+func (g *Graph) RestoreLinks() (raised int) {
+	for i := range g.nodes {
+		g.nodes[i].rev = g.nodes[i].rev[:0]
+	}
+	for i := range g.nodes {
+		for slot := range g.nodes[i].long {
+			lk := &g.nodes[i].long[slot]
+			if !lk.Up && g.flags[lk.To]&flagExists != 0 {
+				lk.Up = true
+				raised++
+			}
+			if lk.Up {
+				g.nodes[lk.To].rev = append(g.nodes[lk.To].rev, ref(metric.Point(i), slot))
+			}
+		}
+	}
+	return raised
+}
+
 // ShortNeighbor returns the nearest present node along the signed axis
 // direction dir (±1..±Dim) from p, skipping absent grid points, along
 // with whether one exists. Short links bind each node to the closest

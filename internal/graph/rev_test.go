@@ -159,6 +159,7 @@ const (
 	opRevive
 	opAddNode
 	opRemoveNode
+	opRestoreLinks
 	numOps
 )
 
@@ -194,13 +195,16 @@ func mutate(g *Graph, op, x, y, z int) error {
 		return g.AddNode(p)
 	case opRemoveNode:
 		return g.RemoveNode(p)
+	case opRestoreLinks:
+		g.RestoreLinks()
 	}
 	return nil
 }
 
 // The reverse index must stay exact, and the enumeration equal to the
 // re-validating reference, after any sequence of AddLong / ReplaceLong /
-// SetLongUp / Fail / Revive / AddNode / RemoveNode on every geometry,
+// SetLongUp / Fail / Revive / AddNode / RemoveNode / RestoreLinks on
+// every geometry,
 // starting from a graph with absent points and going through failed
 // links and node churn.
 func TestReverseIndexInvariantUnderChurn(t *testing.T) {
