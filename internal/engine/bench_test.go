@@ -157,6 +157,9 @@ func liveEngineScenario(tb testing.TB, msgs int) (*graph.Graph, []Message, Sched
 // buffer, a per-message Source, a closure in admit) fails at either
 // size, under either driver.
 func TestLiveRunAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	sizes := []int{1 << 12, 1 << 14}
 	if testing.Short() {
 		sizes = sizes[:1]
@@ -193,6 +196,9 @@ func TestLiveRunAllocsPerMessage(t *testing.T) {
 // lookup that pays for a walker chunk of its own again, or any one
 // allocation per message, fails the 0.5 limit at either worker count.
 func TestSnapshotRunAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const n = 1 << 12
 	torus, err := metric.NewTorus(32, 2)
 	if err != nil {
@@ -300,6 +306,9 @@ func churnPITScenario(tb testing.TB, n int, flood bool) (*graph.Graph, []Message
 // doubling from one entry 1.23 and 1.59 — so the limits, 1.0 and 1.5,
 // fail either table that goes back.
 func TestChurnPITRunAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const n = 1 << 13
 	for _, tc := range []struct {
 		shards int

@@ -188,6 +188,9 @@ type churnState struct {
 	pending int  // rumors not yet done; rounds self-schedule while > 0
 	rounds  bool // a churnOpRound is already queued
 	sampler metric.LinkSampler
+	// staled: the one-owner driver (step) has applied ops since it
+	// last refreshed the graph's neighbour rows.
+	staled bool
 
 	// knows is who has heard what, node-major: node p's row is
 	// knows[p*words:(p+1)*words], and bit s of it says p has heard the

@@ -41,9 +41,18 @@ func (r *runner) step() bool {
 			t = inj.Time
 		}
 	}
-	switch {
-	case r.churn.nextOpBefore(t, !due && !busy):
+	if r.churn.nextOpBefore(t, !due && !busy) {
 		r.churnOp(r.churn.ops.Pop())
+		r.churn.staled = true
+		return true
+	}
+	if r.churn != nil && r.churn.staled {
+		// The ops since the last event are a batch: re-derive the rows
+		// they staled once, before anything routes again.
+		r.g.RefreshRows()
+		r.churn.staled = false
+	}
+	switch {
 	case due:
 		// The first arrival is by construction the next event — it
 		// precedes the heap's top and admission scheduled nothing else —
@@ -80,8 +89,9 @@ func (r *runner) step() bool {
 //
 // With churn attached the membership layer becomes a window barrier:
 // churn ops due at or before the window start apply here, sequentially,
-// before any admission or drain (ops win ties, as in step), and the
-// horizon is clipped at the next pending op instant, so the graph and
+// before any admission or drain (ops win ties, as in step), the graph's
+// neighbour rows they staled are re-derived, and the horizon is clipped
+// at the next pending op instant, so the graph, its rows and the
 // membership state are immutable while the shards drain — and an
 // admitted walker reads exactly the graph step's in-order admission
 // would have. The one op kind born during a drain — a strand's
@@ -104,6 +114,9 @@ func (r *runner) runWindows() {
 			for r.churn.ops.Len() > 0 && r.churn.ops.Peek().time <= w {
 				r.churnOp(r.churn.ops.Pop())
 			}
+			// The neighbour rows those ops staled are re-derived once,
+			// here, while no shard reads them.
+			r.g.RefreshRows()
 		}
 		horizon := w + r.serviceTime
 		if r.churn != nil && r.churn.ops.Len() > 0 && r.churn.ops.Peek().time < horizon {

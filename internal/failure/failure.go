@@ -49,30 +49,19 @@ func FailLinks(g *graph.Graph, p float64, src *rng.Source) (down int, err error)
 }
 
 // FailNodesFraction crashes an exact fraction f of the currently-alive
-// nodes, chosen uniformly at random, never touching the points listed in
-// protect (the experiment protocol of §6 picks source and destination
-// among surviving nodes, so harness code protects them or selects them
-// afterwards). It returns the number of nodes crashed.
-func FailNodesFraction(g *graph.Graph, f float64, src *rng.Source, protect ...metric.Point) (int, error) {
+// nodes, chosen uniformly at random. It returns the number of nodes
+// crashed.
+func FailNodesFraction(g *graph.Graph, f float64, src *rng.Source) (int, error) {
 	if f < 0 || f > 1 {
 		return 0, fmt.Errorf("failure: fraction %v outside [0,1]", f)
 	}
-	protected := make(map[metric.Point]bool, len(protect))
-	for _, p := range protect {
-		protected[p] = true
-	}
-	// Collect candidates.
 	candidates := make([]metric.Point, 0, g.AliveCount())
 	for i := 0; i < g.Size(); i++ {
-		p := metric.Point(i)
-		if g.Alive(p) && !protected[p] {
+		if p := metric.Point(i); g.Alive(p) {
 			candidates = append(candidates, p)
 		}
 	}
-	target := int(f * float64(g.AliveCount()))
-	if target > len(candidates) {
-		target = len(candidates)
-	}
+	target := int(f * float64(len(candidates)))
 	// Partial Fisher–Yates: select the first `target` of a shuffle.
 	for i := 0; i < target; i++ {
 		j := i + src.Intn(len(candidates)-i)

@@ -106,6 +106,8 @@ func TestInjectorsCountOnlyWhatTheyTakeDown(t *testing.T) {
 	}
 }
 
+// FailNodesFraction crashes exactly ⌊f·alive⌋ nodes, f = 1 every one,
+// and refuses a fraction outside [0, 1].
 func TestFailNodesFraction(t *testing.T) {
 	g := ringGraph(t, 1000, 2, 6)
 	crashed, err := FailNodesFraction(g, 0.3, rng.New(7))
@@ -118,37 +120,18 @@ func TestFailNodesFraction(t *testing.T) {
 	if g.AliveCount() != 700 {
 		t.Errorf("alive = %d, want 700", g.AliveCount())
 	}
-}
-
-func TestFailNodesFractionProtect(t *testing.T) {
-	g := ringGraph(t, 100, 2, 8)
-	src := rng.New(9)
-	for i := 0; i < 20; i++ {
-		// Repeat to make accidental passes unlikely.
-		g2 := ringGraph(t, 100, 2, uint64(i))
-		if _, err := FailNodesFraction(g2, 0.9, src, 7, 42); err != nil {
-			t.Fatal(err)
+	// A second call draws from the survivors: 0.5 of 700.
+	if crashed, err = FailNodesFraction(g, 0.5, rng.New(8)); err != nil || crashed != 350 || g.AliveCount() != 350 {
+		t.Errorf("second call: crashed %d (err %v), %d alive; want 350 and 350", crashed, err, g.AliveCount())
+	}
+	full := ringGraph(t, 50, 1, 10)
+	if crashed, err := FailNodesFraction(full, 1, rng.New(11)); err != nil || crashed != 50 || full.AliveCount() != 0 {
+		t.Errorf("fraction 1: crashed %d (err %v), %d alive; want all 50", crashed, err, full.AliveCount())
+	}
+	for _, f := range []float64{-0.1, 2} {
+		if _, err := FailNodesFraction(g, f, rng.New(9)); err == nil {
+			t.Errorf("fraction %v should error", f)
 		}
-		if !g2.Alive(7) || !g2.Alive(42) {
-			t.Fatal("protected nodes were crashed")
-		}
-	}
-	if _, err := FailNodesFraction(g, 2, src); err == nil {
-		t.Error("fraction > 1 should error")
-	}
-}
-
-func TestFailNodesFractionFull(t *testing.T) {
-	g := ringGraph(t, 50, 1, 10)
-	crashed, err := FailNodesFraction(g, 1, rng.New(11), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashed != 49 {
-		t.Errorf("crashed = %d, want 49 (one protected)", crashed)
-	}
-	if !g.Alive(3) {
-		t.Error("protected node crashed")
 	}
 }
 

@@ -197,32 +197,15 @@ func BuildDeterministic(space metric.Space, b int, src *rng.Source) (*Graph, err
 	if b < 2 {
 		return nil, fmt.Errorf("graph: deterministic base must be >= 2, got %d", b)
 	}
-	g := New(space)
 	n := space.Size()
-	levels := mathx.CeilLog(n, b)
-	for i := 0; i < n; i++ {
-		p := metric.Point(i)
-		for lvl := 0; lvl < levels; lvl++ {
-			step := mathx.IPow(b, lvl)
-			for j := 1; j < b; j++ {
-				d := j * step
-				if d >= n {
-					break
-				}
-				for axis := 1; axis <= space.Dim(); axis++ {
-					for _, dir := range [2]int{+axis, -axis} {
-						q, ok := space.Offset(p, dir, d)
-						if ok && q != p {
-							if err := g.AddLong(p, q); err != nil {
-								return nil, err
-							}
-						}
-					}
-				}
-			}
+	var dists []int
+	for lvl := 0; lvl < mathx.CeilLog(n, b); lvl++ {
+		step := mathx.IPow(b, lvl)
+		for j := 1; j < b && j*step < n; j++ {
+			dists = append(dists, j*step)
 		}
 	}
-	return g, nil
+	return buildAtDistances(space, dists)
 }
 
 // BuildDeterministicPowers constructs the simplified deterministic
@@ -233,25 +216,44 @@ func BuildDeterministicPowers(space metric.Space, b int) (*Graph, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("graph: deterministic base must be >= 2, got %d", b)
 	}
-	g := New(space)
 	n := space.Size()
-	for i := 0; i < n; i++ {
+	var dists []int
+	for step := 1; step < n; step *= b {
+		dists = append(dists, step)
+		if step > n/b {
+			break
+		}
+	}
+	return buildAtDistances(space, dists)
+}
+
+// buildAtDistances links every node, in point order, to the points at
+// each of dists in turn along +axis then −axis of every axis, skipping
+// a point off a line or back at the node. Like populateLinks it carves
+// every link table from one slab — sized for a link at every distance
+// and direction, then each table cut to its own length — and indexes
+// the reverse links once, in the (from, slot) order link-by-link AddLong
+// calls in the same loop would have left.
+func buildAtDistances(space metric.Space, dists []int) (*Graph, error) {
+	g := New(space)
+	slab := make([]Link, space.Size()*len(dists)*2*space.Dim())
+	for i := range g.nodes {
 		p := metric.Point(i)
-		for step := 1; step < n; step *= b {
+		g.nodes[p].long = slab[:0]
+		for _, d := range dists {
 			for axis := 1; axis <= space.Dim(); axis++ {
 				for _, dir := range [2]int{+axis, -axis} {
-					q, ok := space.Offset(p, dir, step)
-					if ok && q != p {
-						if err := g.AddLong(p, q); err != nil {
+					if q, ok := space.Offset(p, dir, d); ok && q != p {
+						if err := g.appendLong(p, q); err != nil {
 							return nil, err
 						}
 					}
 				}
 			}
-			if step > n/b {
-				break
-			}
 		}
+		k := len(g.nodes[p].long)
+		g.nodes[p].long, slab = slab[:k:k], slab[k:]
 	}
+	g.indexLinks()
 	return g, nil
 }

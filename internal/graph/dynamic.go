@@ -18,7 +18,8 @@ func NewEmpty(space metric.Space) *Graph {
 }
 
 // AddNode marks point p as hosting a live node. It returns an error if
-// p is out of range or already hosts a node.
+// p is out of range or already hosts a node. It drops the neighbour
+// rows: the short links of the points around p now end at p.
 func (g *Graph) AddNode(p metric.Point) error {
 	if !g.inRange(p) {
 		return fmt.Errorf("graph: AddNode(%d) out of range [0,%d)", p, len(g.nodes))
@@ -28,6 +29,7 @@ func (g *Graph) AddNode(p metric.Point) error {
 	}
 	g.flags[p] = flagExists
 	g.aliveCount++
+	g.dropRows()
 	return nil
 }
 
@@ -36,7 +38,7 @@ func (g *Graph) AddNode(p metric.Point) error {
 // a crash that leaves the point occupied but dead). Every link from
 // another node toward p is taken down and leaves the reverse index; the
 // construction heuristic repairs those slots. It returns an error if p
-// hosts no node.
+// hosts no node. It drops the neighbour rows.
 func (g *Graph) RemoveNode(p metric.Point) error {
 	if !g.Exists(p) {
 		return fmt.Errorf("graph: RemoveNode(%d): no such node", p)
@@ -61,5 +63,6 @@ func (g *Graph) RemoveNode(p metric.Point) error {
 	}
 	*nd = node{}
 	g.flags[p] = 0
+	g.dropRows()
 	return nil
 }

@@ -9,6 +9,14 @@
 // the routing algorithms live in package route, failure models in
 // package failure, and the dynamic construction heuristic of §5 in
 // package construct.
+//
+// A node's neighbours are enumerated in one place (AppendNeighbors).
+// The graph can also cache that enumeration as one int32 row per node
+// (Row, RefreshRows; rows.go), which the greedy step reads instead of
+// gathering. Only the discrete-event engine builds the rows, for it
+// routes many lookups over one graph; the link mutators mark stale the
+// rows they change, the wholesale mutators drop them, and a stale or
+// absent row falls back to the gather.
 package graph
 
 import (
@@ -39,6 +47,7 @@ const (
 	flagExists    uint8 = 1 << iota // the point hosts a node at all (§4.3.4.1 binomial model)
 	flagFailed                      // the node crashed after the graph was built
 	flagMalicious                   // Byzantine: alive but silently drops messages
+	flagStale                       // the point's neighbour row is out of date (rows.go)
 )
 
 type node struct {
@@ -65,11 +74,14 @@ func ref(from metric.Point, idx int) revRef { return revRef{int32(from), int32(i
 
 // Graph is an overlay network over a metric space of any dimension.
 // It is not safe for concurrent mutation; experiment code builds one
-// graph per goroutine.
+// graph per goroutine. Its read-only queries, Row included, may run on
+// many goroutines at once while nothing mutates it or refreshes its
+// rows; the nearest-node searches write scratch and are not among them.
 type Graph struct {
 	space      metric.Space
 	nodes      []node
-	flags      []uint8 // flagExists|flagFailed|flagMalicious per grid point
+	flags      []uint8 // flagExists|flagFailed|flagMalicious|flagStale per grid point
+	rows       rowCache
 	aliveCount int
 	seq        int32 // the last Link.Seq stamped
 	// nearestMark/nearestQueue are reusable scratch for the d >= 2
@@ -187,11 +199,14 @@ func (g *Graph) AddLong(p, to metric.Point) error {
 		return err
 	}
 	g.nodes[to].rev = append(g.nodes[to].rev, ref(p, len(g.nodes[p].long)-1))
+	g.markStale(p)
+	g.markStale(to)
 	return nil
 }
 
-// appendLong is AddLong without the reverse-index entry, for
-// populateLinks, which indexes every link at once when it is done.
+// appendLong is AddLong without the reverse-index entry and the row
+// marks, for the builders, which index every link at once when they are
+// done, on a graph that has no rows yet.
 func (g *Graph) appendLong(p, to metric.Point) error {
 	if err := g.checkLink(p, to); err != nil {
 		return err
@@ -231,7 +246,8 @@ func (g *Graph) Long(p metric.Point) []Link {
 
 // ReplaceLong redirects p's i-th long link to point to, which must host
 // a node, stamping a fresh sequence number. It is the primitive behind
-// §5's link-redirection heuristic.
+// §5's link-redirection heuristic. It marks stale the rows of p, of the
+// old target if the link was up, and of the new target.
 func (g *Graph) ReplaceLong(p metric.Point, i int, to metric.Point) error {
 	if !g.inRange(p) || i < 0 || i >= len(g.nodes[p].long) {
 		return fmt.Errorf("graph: ReplaceLong(%d, %d) out of range", p, i)
@@ -242,10 +258,13 @@ func (g *Graph) ReplaceLong(p metric.Point, i int, to metric.Point) error {
 	r := ref(p, i)
 	if old := g.nodes[p].long[i]; old.Up {
 		g.dropRev(old.To, r)
+		g.markStale(old.To)
 	}
 	g.seq++
 	g.nodes[p].long[i] = Link{To: to, Up: true, Seq: g.seq}
 	g.nodes[to].rev = append(g.nodes[to].rev, r)
+	g.markStale(p)
+	g.markStale(to)
 	return nil
 }
 
@@ -265,7 +284,8 @@ func (g *Graph) dropRev(at metric.Point, ref revRef) {
 // injection), keeping the reverse index in step: only up links are
 // indexed. Bringing up a link whose target point hosts no node is an
 // error — the node it connected to has departed (RemoveNode), and a
-// later arrival at that point must not inherit the connection.
+// later arrival at that point must not inherit the connection. A change
+// marks stale the rows of p and of the link's target.
 func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 	if !g.inRange(p) || i < 0 || i >= len(g.nodes[p].long) {
 		return fmt.Errorf("graph: SetLongUp(%d, %d) out of range", p, i)
@@ -283,6 +303,8 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 		g.dropRev(lk.To, ref(p, i))
 	}
 	lk.Up = up
+	g.markStale(p)
+	g.markStale(lk.To)
 	return nil
 }
 
@@ -295,8 +317,9 @@ func (g *Graph) SetLongUp(p metric.Point, i int, up bool) error {
 // would append each at the end of its target's index. On any other
 // graph the in-links come back in (from, slot) order, not in their
 // earlier one. As in SetLongUp, a link whose target hosts no node
-// stays down.
+// stays down. It drops the neighbour rows.
 func (g *Graph) RestoreLinks() (raised int) {
+	g.dropRows()
 	for i := range g.nodes {
 		g.nodes[i].rev = g.nodes[i].rev[:0]
 	}
@@ -354,48 +377,59 @@ func (g *Graph) skip(p metric.Point, dir int, mask uint8) (metric.Point, bool) {
 }
 
 // AppendNeighbors appends the overlay neighbours of p to buf and
-// returns the extended slice; it is the one place the neighbour rule
-// lives. The outgoing set comes first: the short neighbours — two per
-// axis, −axis before +axis, always up, per the paper's assumption that
-// immediate links never fail — then every up long link in slot order.
-// This is the directed model analyzed in §4. With in set, every node
-// holding an up long link INTO p follows: a long link is a network
-// connection, and §5's protocol has link targets participate in link
-// management, so both endpoints know each other; the §6 simulations
-// route over this symmetric neighbour set. In-links can repeat
-// out-links, so a point may appear more than once (greedy selection is
-// idempotent). Absent points never appear; liveness is NOT filtered —
-// routing decides what to do with dead neighbours.
+// returns the extended slice. The outgoing set comes first: the short
+// neighbours — two per axis, −axis before +axis, always up, per the
+// paper's assumption that immediate links never fail — then every up
+// long link in slot order. This is the directed model analyzed in §4.
+// With in set, every node holding an up long link INTO p follows, in
+// reverse-index order: a long link is a network connection, and §5's
+// protocol has link targets participate in link management, so both
+// endpoints know each other; the §6 simulations route over this
+// symmetric neighbour set. In-links can repeat out-links, so a point
+// may appear more than once (greedy selection is idempotent). Absent
+// points never appear; liveness is NOT filtered — routing decides what
+// to do with dead neighbours. Row serves the same sequence as int32s,
+// from the neighbour rows when they are fresh.
+func (g *Graph) AppendNeighbors(buf []metric.Point, p metric.Point, in bool) []metric.Point {
+	buf, _ = appendNeighbors(g, buf, p, in)
+	return buf
+}
+
+// appendNeighbors is the one gather, the one place the neighbour rule
+// and its order live: AppendNeighbors, Row's fallback and every cached
+// row (rowCache.derive) are this. It also returns the length buf had
+// once the outgoing set was in, where the in-links begin.
 //
 // The scan reads p's own link tables only. That an up link's far end
 // hosts a node, and that p.rev lists exactly the up links into p, are
 // invariants the mutators keep (see node.rev), not facts re-checked
 // here: a forwarding node consults its own state, never a peer's.
-func (g *Graph) AppendNeighbors(buf []metric.Point, p metric.Point, in bool) []metric.Point {
+func appendNeighbors[T int32 | metric.Point](g *Graph, buf []T, p metric.Point, in bool) (_ []T, out int) {
 	if !g.Exists(p) {
-		return buf
+		return buf, len(buf)
 	}
 	for axis := 1; axis <= g.space.Dim(); axis++ {
 		neg, okN := g.ShortNeighbor(p, -axis)
 		if okN {
-			buf = append(buf, neg)
+			buf = append(buf, T(neg))
 		}
 		if pos, okP := g.ShortNeighbor(p, +axis); okP && (!okN || pos != neg) {
-			buf = append(buf, pos)
+			buf = append(buf, T(pos))
 		}
 	}
 	nd := &g.nodes[p]
 	for i := range nd.long {
 		if lk := &nd.long[i]; lk.Up {
-			buf = append(buf, lk.To)
+			buf = append(buf, T(lk.To))
 		}
 	}
+	out = len(buf)
 	if in {
 		for _, ref := range nd.rev {
-			buf = append(buf, metric.Point(ref.from))
+			buf = append(buf, T(ref.from))
 		}
 	}
-	return buf
+	return buf, out
 }
 
 // CheckReverseIndex verifies by brute force over the forward links the

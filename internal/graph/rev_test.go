@@ -201,8 +201,9 @@ func mutate(g *Graph, op, x, y, z int) error {
 	return nil
 }
 
-// The reverse index must stay exact, and the enumeration equal to the
-// re-validating reference, after any sequence of AddLong / ReplaceLong /
+// The reverse index must stay exact, the enumeration equal to the
+// re-validating reference and the neighbour rows to the enumeration,
+// after any sequence of AddLong / ReplaceLong /
 // SetLongUp / Fail / Revive / AddNode / RemoveNode / RestoreLinks on
 // every geometry,
 // starting from a graph with absent points and going through failed
@@ -223,6 +224,9 @@ func TestReverseIndexInvariantUnderChurn(t *testing.T) {
 			if err := checkNeighborInvariants(g); err != nil {
 				t.Fatalf("%s: step %d (op %d): %v", sp.Name(), step, op, err)
 			}
+			if err := checkRows(g); err != nil {
+				t.Fatalf("%s: step %d (op %d): %v", sp.Name(), step, op, err)
+			}
 		}
 		for op, n := range applied {
 			if n == 0 {
@@ -235,8 +239,10 @@ func TestReverseIndexInvariantUnderChurn(t *testing.T) {
 // FuzzGraphMutations drives arbitrary mutation sequences: the first
 // byte picks the geometry, every following four bytes one mutation.
 // After every op the index must be exact, the enumeration must equal
-// the reference, and the nearest-node searches and skip-walks, present
-// and alive, must agree with theirs at every point.
+// the reference, no stale neighbour row may be served and every row
+// must equal the enumeration once refreshed (checkRows), and the
+// nearest-node searches and skip-walks, present and alive, must agree
+// with theirs at every point.
 func FuzzGraphMutations(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, opAddLong, 3, 9, 0, opRemoveNode, 9, 0, 0, opSetLongUp, 3, 3, 1, opAddNode, 9, 0, 0})
@@ -249,9 +255,13 @@ func FuzzGraphMutations(f *testing.F) {
 			return
 		}
 		g := mutationGraph(t, spaces[int(data[0])%len(spaces)], 77)
+		g.RefreshRows()
 		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
 			_ = mutate(g, int(ops[0]), int(ops[1]), int(ops[2]), int(ops[3])) // rejected ops are legal
 			if err := checkNeighborInvariants(g); err != nil {
+				t.Fatalf("after op %v: %v", ops[:4], err)
+			}
+			if err := checkRows(g); err != nil {
 				t.Fatalf("after op %v: %v", ops[:4], err)
 			}
 			for p := 0; p < g.Size(); p++ {

@@ -203,3 +203,81 @@ func TestBuildIdealAllocs(t *testing.T) {
 		}
 	}
 }
+
+// addLongDeterministic is the link-by-link build buildAtDistances
+// replaced, kept as its reference: AddLong (which grows each table and
+// indexes each link as it goes) in the same loop order.
+func addLongDeterministic(t *testing.T, sp metric.Space, dists []int) *Graph {
+	t.Helper()
+	g := New(sp)
+	for i := 0; i < sp.Size(); i++ {
+		p := metric.Point(i)
+		for _, d := range dists {
+			for axis := 1; axis <= sp.Dim(); axis++ {
+				for _, dir := range [2]int{+axis, -axis} {
+					if q, ok := sp.Offset(p, dir, d); ok && q != p {
+						if err := g.AddLong(p, q); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// The one-slab deterministic builds must be their link-by-link
+// reference: the same links with the same sequence numbers in the same
+// slots, the same neighbour order, an exact reverse index, and every
+// table at its exact length, so a later AddLong moves that table alone.
+func TestDeterministicSlabMatchesAddLong(t *testing.T) {
+	for _, sp := range buildSpaces(t) {
+		n := sp.Size()
+		for _, b := range []int{2, 3, 7} {
+			var every, powers []int
+			for step := 1; step < n; step *= b {
+				for j := 1; j < b && j*step < n; j++ {
+					every = append(every, j*step)
+				}
+				powers = append(powers, step)
+				if step > n/b {
+					break
+				}
+			}
+			det, err := BuildDeterministic(sp, b, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pow, err := BuildDeterministicPowers(sp, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name string
+				got  *Graph
+				want *Graph
+			}{
+				{"BuildDeterministic", det, addLongDeterministic(t, sp, every)},
+				{"BuildDeterministicPowers", pow, addLongDeterministic(t, sp, powers)},
+			} {
+				if err := c.got.CheckReverseIndex(); err != nil {
+					t.Fatalf("%s %s b=%d: %v", c.name, sp.Name(), b, err)
+				}
+				for i := 0; i < n; i++ {
+					p := metric.Point(i)
+					g, w := c.got.Long(p), c.want.Long(p)
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s %s b=%d: Long(%d) = %v, AddLong build has %v", c.name, sp.Name(), b, p, g, w)
+					}
+					if cap(g) != len(g) {
+						t.Fatalf("%s %s b=%d: Long(%d) has capacity %d for %d links", c.name, sp.Name(), b, p, cap(g), len(g))
+					}
+					if g, w := c.got.AppendNeighbors(nil, p, true), c.want.AppendNeighbors(nil, p, true); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s %s b=%d: neighbours of %d = %v, AddLong build has %v", c.name, sp.Name(), b, p, g, w)
+					}
+				}
+			}
+		}
+	}
+}

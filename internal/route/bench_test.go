@@ -22,7 +22,10 @@ import (
 // members. "replicas=12/shared" is knee_sweep's shape — one hot key's
 // K = 4 replicas plus 8 cached copies, every walker carved from one
 // Arena toward that one set — so all but the first Size/256 score with
-// one load from the set's shared distance table.
+// one load from the set's shared distance table. "backtrack/rows" is
+// "backtrack" on the same graph once its neighbour rows are built, as
+// every engine run builds them: each step reads its candidates from one
+// cached row instead of gathering them.
 func BenchmarkWalkerStep(b *testing.B) {
 	const side, links = 128, 14
 	tor, err := metric.NewTorus(side, 2)
@@ -38,12 +41,18 @@ func BenchmarkWalkerStep(b *testing.B) {
 		opt      Options
 		replicas int
 		shared   bool
+		rows     bool
 	}{
-		{"greedy", Options{}, 1, false},
-		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}, 1, false},
-		{"replicas=12", Options{DeadEnd: Backtrack, TracePath: true}, 12, false},
-		{"replicas=12/shared", Options{DeadEnd: Backtrack, TracePath: true}, 12, true},
+		{"greedy", Options{}, 1, false, false},
+		{"backtrack", Options{DeadEnd: Backtrack, TracePath: true}, 1, false, false},
+		{"replicas=12", Options{DeadEnd: Backtrack, TracePath: true}, 12, false, false},
+		{"replicas=12/shared", Options{DeadEnd: Backtrack, TracePath: true}, 12, true, false},
+		{"backtrack/rows", Options{DeadEnd: Backtrack, TracePath: true}, 1, false, true},
 	} {
+		// The cases without rows run first, on a graph that has none.
+		if bc.rows {
+			g.RefreshRows()
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			r := New(g, bc.opt)
 			src := rng.New(2)
@@ -86,10 +95,11 @@ func BenchmarkWalkerStep(b *testing.B) {
 // 12-member replica set, on nodes whose degree fits bestNeighbor's
 // stack buffer and on nodes that overflow it: a walker
 // allocates its spill slice at the first such node and every later step
-// reuses it. The measured steps run far past BacktrackMemory, so the
-// Backtrack rows evict a frame and append a tried entry on every one,
-// and past the 16-entry tried share several times over, so they
-// reclaim too.
+// reuses it. Each case runs on the gather and again on the graph's
+// neighbour rows, which no step needs a buffer for. The measured steps
+// run far past BacktrackMemory, so the Backtrack rows evict a frame and
+// append a tried entry on every one, and past the 16-entry tried share
+// several times over, so they reclaim too.
 func TestStepAllocs(t *testing.T) {
 	// Every node links to the next `reach` points, so it has 2 short,
 	// reach out- and reach in-neighbours.
@@ -117,18 +127,25 @@ func TestStepAllocs(t *testing.T) {
 		for k := range replicas {
 			replicas[k] = metric.Point(n/2 + 100*(k-6))
 		}
-		for _, targets := range [][]metric.Point{{n / 2}, replicas} {
-			for _, policy := range []DeadEndPolicy{Terminate, Backtrack} {
-				w, err := New(g, Options{DeadEnd: policy}).Walker(rng.New(1), 0, targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
-				if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
-					t.Errorf("reach %d, %s, %d targets: Step allocates %.2f times per call, want 0", reach, policy, len(targets), avg)
-				}
-				if w.Done() {
-					t.Errorf("reach %d, %s, %d targets: the walk ended inside the measured steps", reach, policy, len(targets))
+		for _, rows := range []bool{false, true} {
+			if rows {
+				g.RefreshRows()
+			}
+			for _, targets := range [][]metric.Point{{n / 2}, replicas} {
+				for _, policy := range []DeadEndPolicy{Terminate, Backtrack} {
+					w, err := New(g, Options{DeadEnd: policy}).Walker(rng.New(1), 0, targets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					const runs = 50 // far fewer than the n/2/(reach+1) steps the walk takes
+					if avg := testing.AllocsPerRun(runs, func() { w.Step() }); avg != 0 {
+						t.Errorf("reach %d, rows %v, %s, %d targets: Step allocates %.2f times per call, want 0",
+							reach, rows, policy, len(targets), avg)
+					}
+					if w.Done() {
+						t.Errorf("reach %d, rows %v, %s, %d targets: the walk ended inside the measured steps",
+							reach, rows, policy, len(targets))
+					}
 				}
 			}
 		}

@@ -37,6 +37,12 @@
 // single targets, one-walker searches (Router.Walker, Route, RouteAny)
 // and one-sided routing never take one.
 //
+// A step scores the current node's neighbour row (graph.Row): the
+// graph's cached int32 row when the engine has built the rows and the
+// node's is fresh, else the gather of the same sequence — one loop over
+// one order either way, so a walk is the same walk with or without the
+// rows.
+//
 // Every search is built on a resumable core: Router.Walker exposes the
 // walk one hop at a time (Walker.Step), which is how the discrete-event
 // engine (internal/engine) interleaves forwarding decisions with
@@ -246,9 +252,11 @@ func (r *Router) liveTargets(dst []int32, targets []metric.Point) ([]int32, erro
 		return nil, fmt.Errorf("route: empty target set")
 	}
 	live := dst
-	for _, t := range targets {
-		// A member already decoded is at distance 0 from the set.
-		if r.g.Alive(t) && r.kern.Nearest(t, live) > 0 {
+	for i, t := range targets {
+		// A member already decoded is an earlier occurrence of the
+		// same point: packed points compare equal exactly when their
+		// distance is 0.
+		if r.g.Alive(t) && !slices.Contains(targets[:i], t) {
 			live = r.kern.Append(live, t)
 		}
 	}
@@ -264,9 +272,10 @@ func (r *Router) liveTargets(dst []int32, targets []metric.Point) ([]int32, erro
 }
 
 // scratchNeighbors is the capacity of the stack buffer one greedy step
-// enumerates neighbours into. It covers 2·dim short links plus the out-
-// and in-links of every node of the paper's constructions at the sizes
-// simulated; a node of higher degree spills to its walker's heap slice.
+// gathers neighbours into when the graph holds no fresh row for the
+// node. It covers 2·dim short links plus the out- and in-links of every
+// node of the paper's constructions at the sizes simulated; a node of
+// higher degree spills to its walker's heap slice.
 const scratchNeighbors = 64
 
 // bestNeighbor returns the live neighbour of the walker's current node
@@ -291,19 +300,21 @@ const scratchNeighbors = 64
 // empirical matter there, which the experiments measure.
 func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
 	r, cur := w.r, w.cur
-	// The candidates land in a stack array, or in the walker's own
-	// spill slice once it has met a node too large for the array. The
-	// scratch is never the router's: one router serves every shard.
-	// The spill is sized from the overflow rather than taken from the
-	// returned slice, which may alias the stack array.
-	var stack [scratchNeighbors]metric.Point
+	// The candidates are the node's cached neighbour row (graph.Row)
+	// when the graph holds a fresh one. Otherwise they are gathered into
+	// a stack array, or into the walker's own spill slice once it has
+	// met a node too large for the array. The scratch is never the
+	// router's: one router serves every shard. The spill is sized from
+	// the overflow rather than taken from the returned slice, which may
+	// alias the stack array.
+	var stack [scratchNeighbors]int32
 	buf := stack[:0]
 	if w.spill != nil {
 		buf = *w.spill
 	}
-	nbrs := r.g.AppendNeighbors(buf, cur, !r.opt.DirectedOnly)
-	if len(nbrs) > cap(buf) {
-		spill := make([]metric.Point, 0, 2*len(nbrs))
+	nbrs, cached := r.g.Row(buf, cur, !r.opt.DirectedOnly)
+	if !cached && len(nbrs) > cap(buf) {
+		spill := make([]int32, 0, 2*len(nbrs))
 		w.spill = &spill
 	}
 
@@ -312,7 +323,8 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
 	bestDist := curDist
 	bestScore := 0.0
 	found := false
-	for _, q := range nbrs {
+	for _, n := range nbrs {
+		q := metric.Point(n)
 		if !r.g.Alive(q) || slices.Contains(tried, q) {
 			continue
 		}

@@ -232,6 +232,9 @@ func TestWalkerSize(t *testing.T) {
 // carving cost before walkers shared tables; one distance table more
 // when every walker goes to one set, as a flood's do.
 func TestArenaCarveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const n = 1 << 12
 	g := buildRing(t, n, 4, 3)
 	r := New(g, Options{DeadEnd: Backtrack, TracePath: true})

@@ -53,11 +53,11 @@ type Walker struct {
 	// allocator's set slab instead.
 	one [2]int32
 
-	// spill is bestNeighbor's scratch once a node's degree has
-	// outgrown its stack buffer; nil (no allocation) until then. A
+	// spill is bestNeighbor's scratch once a gathered node's degree
+	// has outgrown its stack buffer; nil (no allocation) until then. A
 	// pointer rather than a slice header: it is set on a handful of
 	// walkers, and the Walker is paid for once per message.
-	spill *[]metric.Point
+	spill *[]int32
 }
 
 // walkFrame is one remembered node of the backtracking policy. Its
