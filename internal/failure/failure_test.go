@@ -106,8 +106,8 @@ func TestInjectorsCountOnlyWhatTheyTakeDown(t *testing.T) {
 	}
 }
 
-// FailNodesFraction crashes exactly ⌊f·alive⌋ nodes, f = 1 every one,
-// and refuses a fraction outside [0, 1].
+// FailNodesFraction crashes exactly ⌊f·alive⌋ nodes and refuses a
+// fraction outside [0, 1].
 func TestFailNodesFraction(t *testing.T) {
 	g := ringGraph(t, 1000, 2, 6)
 	crashed, err := FailNodesFraction(g, 0.3, rng.New(7))
@@ -124,14 +124,22 @@ func TestFailNodesFraction(t *testing.T) {
 	if crashed, err = FailNodesFraction(g, 0.5, rng.New(8)); err != nil || crashed != 350 || g.AliveCount() != 350 {
 		t.Errorf("second call: crashed %d (err %v), %d alive; want 350 and 350", crashed, err, g.AliveCount())
 	}
-	full := ringGraph(t, 50, 1, 10)
-	if crashed, err := FailNodesFraction(full, 1, rng.New(11)); err != nil || crashed != 50 || full.AliveCount() != 0 {
-		t.Errorf("fraction 1: crashed %d (err %v), %d alive; want all 50", crashed, err, full.AliveCount())
-	}
 	for _, f := range []float64{-0.1, 2} {
 		if _, err := FailNodesFraction(g, f, rng.New(9)); err == nil {
 			t.Errorf("fraction %v should error", f)
 		}
+	}
+}
+
+// Fraction 1 crashes every alive node.
+func TestFailNodesFractionFull(t *testing.T) {
+	g := ringGraph(t, 50, 1, 10)
+	crashed, err := FailNodesFraction(g, 1, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed != 50 || g.AliveCount() != 0 {
+		t.Errorf("crashed %d, %d alive; want all 50 crashed", crashed, g.AliveCount())
 	}
 }
 
