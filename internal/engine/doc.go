@@ -13,10 +13,13 @@
 // serves it for 1/Capacity ticks once the server frees up, and decides
 // what happens at the service:
 //
-//	          ┌────────────────────────────────────────────────┐
-//	          │                 event heap                      │
-//	          │        pop min (time, msg, idx)                 │
-//	          └───────────────┬────────────────────────────────┘
+//	 pending injections, by (time, msg):   event queue: 16-byte entries,
+//	 a cursor over the sorted up-front     time + one packed (msg, idx)
+//	 ones + a closed-loop release heap     key; pop min (time, msg, idx)
+//	          │ admit → first arrival                  │
+//	          │ (time, msg, 0)                         │
+//	          └────────► the earlier of the two ◄──────┘
+//	                          │
 //	                          ▼
 //	          node FIFO: wait ≤ busyUntil, serve 1/Capacity
 //	                          │ charge load, update depth
@@ -32,6 +35,7 @@
 //	 push (finish, msg, idx+1)        message completes:
 //	                                  latency, cache Observe,
 //	                                  closed-loop injection
+//	                                  → release heap
 //
 // # Snapshot mode (Config.Mode = ModeSnapshot)
 //
@@ -112,10 +116,12 @@
 //
 // The live modes have one set of event handlers (shard.process and the
 // PIT discipline in pit.go) running on *owners*: an owner is a
-// contiguous region of the node set (shardOf), the heap of events
+// contiguous region of the node set (shardOf), the queue of events
 // addressed to it, and its slice of every per-node table. Pending
-// injections wait in one (time, msg)-ordered heap and enter through one
-// admission function. What differs between execution plans is only the
+// injections wait in one (time, msg)-ordered set — the schedule's
+// up-front injections read in order through a cursor (sorted once if
+// the caller did not), beside a heap of the ones closed-loop
+// completions release — and enter through one admission function. What differs between execution plans is only the
 // driver — who pops which event when — and what becomes of the side
 // effects whose order is globally visible (completions, aggregation
 // merges, churn strand parks), which every handler hands to

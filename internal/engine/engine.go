@@ -259,6 +259,9 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	if cfg.Mode.Live() && cfg.Shards > g.Size() {
 		return nil, fmt.Errorf("engine: shards %d exceed the node count %d", cfg.Shards, g.Size())
 	}
+	if err := checkPackable(len(msgs), cfg.Route.ResolvedMaxHops(g.Size())); err != nil {
+		return nil, err
+	}
 	// Every hop reads its node's neighbour row. A run builds the rows
 	// here, before any shard or worker starts, and a graph reused across
 	// runs (every run of a load.Sweep) builds them once; churn barriers

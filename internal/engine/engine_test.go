@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -332,55 +331,59 @@ func TestLivePlacementResolvesPerInjection(t *testing.T) {
 // TestPropEventHeapTotalOrder is the engine's heap invariant: under
 // the strict (time, msg, idx) order, the pop sequence is sorted and
 // independent of push order — the property the whole simulation's
-// determinism rests on.
+// determinism rests on. Each seeded event set is pushed whole and then
+// drained, pushed in a permuted order, and pushed with pops
+// interleaved; its idx includes the PIT timeouts' -1 and the largest
+// idx a run can reach, and its msg the last ones the packed key holds.
+// A last script holds more than 2^14 events at once, so sifts cross
+// more than fourteen levels.
 func TestPropEventHeapTotalOrder(t *testing.T) {
+	edgeMsgs := []int{maxPackedMsgs - 2, maxPackedMsgs - 1}
 	for iter := 0; iter < 20; iter++ {
 		src := rng.New(uint64(6000 + iter))
 		n := 50 + src.Intn(200)
 		events := make([]event, n)
 		for i := range events {
-			events[i] = event{
-				time: float64(src.Intn(40)) / 4,
-				msg:  src.Intn(60),
-				idx:  src.Intn(6),
+			e := event{time: float64(src.Intn(40)) / 4, msg: src.Intn(60), idx: src.Intn(6)}
+			switch src.Intn(16) {
+			case 0, 1:
+				e.idx = -1
+			case 2:
+				e.idx = 2 * maxPackedHops
+			case 3:
+				e.msg = edgeMsgs[src.Intn(len(edgeMsgs))]
+			}
+			events[i] = e
+		}
+		whole := make([]queueStep, 0, n)
+		permuted := make([]queueStep, 0, n)
+		interleaved := make([]queueStep, 0, 2*n)
+		for i, j := range src.Perm(n) {
+			whole = append(whole, queueStep{e: events[i]})
+			permuted = append(permuted, queueStep{e: events[j]})
+			interleaved = append(interleaved, queueStep{e: events[i]})
+			if src.Intn(5) < 2 {
+				interleaved = append(interleaved, queueStep{pop: true})
 			}
 		}
-		pops := func(perm []int) []event {
-			h := newEventHeap(0)
-			for _, j := range perm {
-				h.Push(events[j])
-			}
-			out := make([]event, 0, n)
-			for h.Len() > 0 {
-				out = append(out, h.Pop())
-			}
-			return out
+		checkQueueScript(t, whole)
+		checkQueueScript(t, permuted)
+		checkQueueScript(t, interleaved)
+	}
+	// The deep script alternates blocks of pushes and pops, so the
+	// reference re-sorts once per block.
+	src := rng.New(6100)
+	var deep []queueStep
+	for _, block := range [][2]int{{12000, 2000}, {12000, 10000}, {4000, 0}} {
+		for i := 0; i < block[0]; i++ {
+			deep = append(deep, queueStep{e: event{time: float64(src.Intn(1 << 12)), msg: src.Intn(1 << 16), idx: src.Intn(40) - 1}})
 		}
-		identity := make([]int, n)
-		for i := range identity {
-			identity[i] = i
+		for i := 0; i < block[1]; i++ {
+			deep = append(deep, queueStep{pop: true})
 		}
-		a := pops(identity)
-		b := pops(src.Perm(n))
-		want := append([]event(nil), events...)
-		sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
-		// Equal keys may swap places; distinct keys may not — and the
-		// permuted-push sequence must match the expected order too.
-		tied := func(x, y event) bool { return !eventLess(x, y) && !eventLess(y, x) }
-		for i := range want {
-			if a[i] != want[i] && !tied(a[i], want[i]) {
-				t.Fatalf("iter %d: pop %d out of order: %+v, want %+v", iter, i, a[i], want[i])
-			}
-			if b[i] != want[i] && !tied(b[i], want[i]) {
-				t.Fatalf("iter %d: permuted pop %d out of order: %+v, want %+v", iter, i, b[i], want[i])
-			}
-			if i > 0 && eventLess(a[i], a[i-1]) {
-				t.Fatalf("iter %d: pops not sorted at %d", iter, i)
-			}
-			if i > 0 && eventLess(b[i], b[i-1]) {
-				t.Fatalf("iter %d: permuted pops not sorted at %d", iter, i)
-			}
-		}
+	}
+	if peak := checkQueueScript(t, deep); peak <= 1<<14 {
+		t.Fatalf("the deep script held at most %d events, want more than %d", peak, 1<<14)
 	}
 }
 

@@ -7,16 +7,6 @@ package engine
 // runWindows when the plan resolved to PlanLiveSharded, to step
 // otherwise — snapshot mode's replay of its routed paths included.
 
-// injectionLess orders pending injections by (time, msg) — the order
-// of the (time, msg, 0) first arrivals they become, since no message is
-// injected twice.
-func injectionLess(a, b Injection) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Msg < b.Msg
-}
-
 // step advances a one-owner run by the next thing in global event
 // order — a churn op, an injection, or an event — and reports false
 // once nothing is left. An injection is admitted exactly when its first

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -77,7 +76,7 @@ type runner struct {
 	walkers []*route.Walker
 	pos     []metric.Point
 	doneAt  []float64
-	pend    mathx.Heap[Injection]
+	pend    pending
 	shards  *shardSet
 
 	// Per-discipline live state, nil unless the configuration has it:
@@ -212,7 +211,7 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 			s.fullyPrimed = s.fullyPrimed && inj.Msg == i && (i == 0 || inj.Time >= sched.Initial[i-1].Time)
 		}
 		r.snap = s
-		r.pend = *mathx.NewHeap(injectionLess, 0)
+		r.pend = newPending(nil)
 	}
 	if r.tel != nil {
 		// Before the owners are built: each takes its recorder view of
@@ -276,10 +275,7 @@ func (r *runner) initLive() {
 		}
 	}
 	r.arena = route.New(g, ropt).NewArena()
-	r.pend = *mathx.NewHeap(injectionLess, len(r.sched.Initial))
-	for _, inj := range r.sched.Initial {
-		r.pend.Push(inj)
-	}
+	r.pend = newPending(r.sched.Initial)
 }
 
 // claim checks that inj is a legal injection — one of the run's
@@ -484,7 +480,7 @@ func (r *runner) admitRouted(start, end int) {
 // advanceTo runs the one-owner loop through every injection and event
 // due at or before t.
 func (r *runner) advanceTo(t float64) {
-	h := r.shards.shards[0].h
+	h := &r.shards.shards[0].h
 	for r.err == nil && (h.Len() > 0 && h.Peek().time <= t || r.pend.Len() > 0 && r.pend.Peek().Time <= t) {
 		r.step()
 	}

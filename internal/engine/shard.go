@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/route"
 	"repro/internal/telemetry"
@@ -92,7 +91,7 @@ type doneRec struct {
 // effects deferred out of the current window.
 type shard struct {
 	id     int
-	h      *mathx.Heap[event]
+	h      eventQueue
 	outbox [][]event // per destination shard, reused across windows
 	done   []doneRec // deferred side effects, in pop (= event) order
 	// panicked is a handler panic caught during this owner's drain.
@@ -142,7 +141,7 @@ func newShardSet(r *runner, n int) *shardSet {
 	s := &shardSet{shards: make([]*shard, n), size: r.g.Size()}
 	per := len(r.msgs)/n + 1
 	for i := range s.shards {
-		sh := &shard{id: i, h: newEventHeap(per)}
+		sh := &shard{id: i, h: newEventQueue(per)}
 		if n > 1 {
 			sh.outbox = make([][]event, n)
 		}

@@ -11,8 +11,10 @@ package mathx
 // compare equal in both directions), the sequence of Pops is uniquely
 // determined by the multiset of pushed elements — independent of push
 // order and of the heap's internal layout. The discrete-event engine
-// (internal/engine) leans on exactly that property for determinism,
-// and internal/engine's property tests pin it.
+// (internal/engine) orders its churn ops and its closed-loop releases
+// with a Heap and leans on exactly that property for determinism. Its
+// message events no longer go through one: they sit in the engine's
+// own eventQueue, whose 16-byte entries compare inline on a packed key.
 type Heap[T any] struct {
 	less func(a, b T) bool
 	s    []T
@@ -78,10 +80,10 @@ func (h *Heap[T]) Pop() T {
 
 // Reserve grows the backing slice to hold at least capacity elements,
 // so a burst of Pushes up to that size cannot reallocate mid-loop. The
-// sharded event engine calls it when cross-shard handoff batches are
-// admitted: the batch size is known before the pushes start, and a
-// shard's heap lives for the whole run, so paying the growth once
-// keeps the per-event path allocation-free.
+// sharded event engine calls it on its churn-op heap before a
+// barrier's batch of strand parks: the batch size is known before the
+// pushes start, and the heap lives for the whole run, so paying the
+// growth once keeps the replay allocation-free.
 func (h *Heap[T]) Reserve(capacity int) {
 	if capacity <= cap(h.s) {
 		return

@@ -1,6 +1,6 @@
 // Package mathx provides small numeric helpers shared across the
 // repository: harmonic numbers, integer logarithms, quantiles,
-// histograms, and the event heap.
+// histograms, and a generic binary heap.
 //
 // Everything in this package is deterministic and allocation-conscious;
 // the experiment harness calls these helpers in inner loops.

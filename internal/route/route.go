@@ -172,6 +172,10 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
+// ResolvedMaxHops returns the hop bound a router over n nodes enforces:
+// MaxHops, or its default when zero.
+func (o Options) ResolvedMaxHops(n int) int { return o.withDefaults(n).MaxHops }
+
 // Result reports the outcome of a single search.
 type Result struct {
 	// Delivered is true when the message reached the target.
