@@ -258,15 +258,17 @@
 //   - message i's rng stream 16+i is derived into slot i of one
 //     []rng.Source (Source.DeriveInto), and a hot key's replica set is
 //     the placement's memoized slice (replica.Placement.Targets);
-//   - every node's queue starts on its own four slots of one []float64
-//     and is a ring, so it allocates only if a fifth message is ever in
-//     the system there at once;
+//   - every node's queue is three words of one per-run slice
+//     (nodeQueue): the messages still in the system at a node all
+//     belong to its current busy period, so their finish times are the
+//     oldest one's plus whole service times, and no queue stores them
+//     or ever allocates;
 //   - Outcome.Latencies is sized for every message up front.
 //
-// What is left is amortized growth — a path past 16 hops, a queue past
-// four messages, the heaps — and the per-run tables: 0.13 allocations
-// per message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot
-// runs, whose batches also spawn their stepping goroutines), which
+// What is left is amortized growth — a path past 16 hops, the event
+// heaps — and the per-run tables: 0.0135 allocations per message on
+// ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose
+// batches also spawn their stepping goroutines), which
 // TestLiveRunAllocsPerMessage and TestSnapshotRunAllocsPerMessage guard
 // from tier-1.
 //
@@ -284,9 +286,9 @@
 //     (churnState.arena), sized on its first entry for every rumor
 //     pending then.
 //
-// 0.53 allocations per message on ftrmark's churn_pit (6.51 with one
-// heap object per interest, per hot-list doubling and per rumor), 0.33
-// of them queues growing past four slots under the Zipf hot spots;
+// 0.165 allocations per message on ftrmark's churn_pit (6.51 with one
+// heap object per interest, per hot-list doubling and per rumor, and
+// 0.49 while the Zipf hot spots' queues grew rings past four slots);
 // TestChurnPITRunAllocsPerMessage guards it. ROADMAP item 5 has the
 // profiles.
 //

@@ -249,38 +249,35 @@ func (h *eventQueue) Reserve(capacity int) {
 	}
 }
 
-// nodeQueue tracks one node's FIFO: the virtual time its server frees
-// up, and the finish times of messages still in the system (for queue-
-// depth accounting). finish is a ring — every slot is storage, the n
-// live entries start at head and wrap — so a queue allocates only when
-// more messages are in the system at once than it has slots: a live
-// run's queues start on four slots each of one per-run slab
-// (newRunner), and few nodes ever hold a fifth message.
+// nodeQueue tracks one node's FIFO by its current busy period alone:
+// the virtual time its server frees up, how many messages are still in
+// the system (queued or in service), and head, the finish time of the
+// oldest of them. Nothing else needs storing: the messages still in the
+// system belong to one busy period, so each after the oldest arrived
+// while its predecessor held the server and was served from that
+// finish. Their finish times are head, head+s, head+2s, … for the run's
+// service time s, each the very sum serve computed for it. A run's
+// queues are one flat slice of these three words (newRunner), and no
+// queue ever allocates.
 type nodeQueue struct {
-	busyUntil float64
-	finish    []float64
-	head, n   int
+	busyUntil, head float64
+	n               int
 }
-
-// queueSlots is each node's share of the per-run finish slab. The
-// deepest queue of ftrmark's live_seq holds 17 messages
-// (engine.max_queue_depth) but the typical node never holds more than a
-// few; the nodes that do grow their own ring by doubling — 0.13
-// allocations per message there, all told.
-const queueSlots = 4
 
 // depthAt drains completed services and returns how many messages are
 // still queued or in service at time t. A service finishing exactly at
-// t has left the system; one arriving exactly at t is in it. This is
-// the engine's O(1)-amortized live depth lookup: each finish entry is
-// pushed once and drained once, however often routing probes the
-// queue.
-func (q *nodeQueue) depthAt(t float64) int {
-	for q.n > 0 && q.finish[q.head] <= t {
+// t has left the system; one arriving exactly at t is in it. An idle
+// server (busyUntil ≤ t) answers from the struct alone; otherwise each
+// finish is drained once, however often routing probes the queue. s is
+// the service time every message of the queue was served for.
+func (q *nodeQueue) depthAt(t, s float64) int {
+	if q.busyUntil <= t {
+		q.n = 0
+		return 0
+	}
+	for q.n > 0 && q.head <= t {
 		q.n--
-		if q.head++; q.head == len(q.finish) {
-			q.head = 0
-		}
+		q.head += s
 	}
 	return q.n
 }
@@ -290,25 +287,16 @@ func (q *nodeQueue) depthAt(t float64) int {
 // is counted in the queue's depth (itself included) from arrival to
 // finish.
 func (q *nodeQueue) serve(at, serviceTime float64) (start, finish float64, depth int) {
-	depth = q.depthAt(at) + 1
+	depth = q.depthAt(at, serviceTime) + 1
 	start = at
 	if q.busyUntil > start {
 		start = q.busyUntil
 	}
 	finish = start + serviceTime
 	q.busyUntil = finish
-	if q.n == len(q.finish) {
-		// Full (or never sized): unroll into a ring twice the size.
-		grown := make([]float64, max(queueSlots, 2*q.n))
-		k := copy(grown, q.finish[q.head:])
-		copy(grown[k:], q.finish[:q.head])
-		q.finish, q.head = grown, 0
+	if q.n == 0 {
+		q.head = finish
 	}
-	tail := q.head + q.n
-	if tail >= len(q.finish) {
-		tail -= len(q.finish)
-	}
-	q.finish[tail] = finish
 	q.n++
 	return start, finish, depth
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -287,4 +288,176 @@ func TestShuffledInitialMatchesSorted(t *testing.T) {
 			t.Errorf("shards=%d: the shuffled schedule's outcome differs from the sorted one's", c.shards)
 		}
 	}
+}
+
+// refQueue is the node FIFO as it was kept before nodeQueue stored its
+// busy period alone: the finish time of every message still in the
+// system, in a ring that doubles when full. It is the reference
+// nodeQueue is held to, as refBacktrack, refNearest and refKnown are
+// for the structures that replaced them.
+type refQueue struct {
+	busyUntil float64
+	finish    []float64
+	head, n   int
+}
+
+func (q *refQueue) depthAt(t float64) int {
+	for q.n > 0 && q.finish[q.head] <= t {
+		q.n--
+		if q.head++; q.head == len(q.finish) {
+			q.head = 0
+		}
+	}
+	return q.n
+}
+
+func (q *refQueue) serve(at, serviceTime float64) (start, finish float64, depth int) {
+	depth = q.depthAt(at) + 1
+	start = max(at, q.busyUntil)
+	finish = start + serviceTime
+	q.busyUntil = finish
+	if q.n == len(q.finish) {
+		grown := make([]float64, max(4, 2*q.n))
+		k := copy(grown, q.finish[q.head:])
+		copy(grown[k:], q.finish[:q.head])
+		q.finish, q.head = grown, 0
+	}
+	q.finish[(q.head+q.n)%len(q.finish)] = finish
+	q.n++
+	return start, finish, depth
+}
+
+// nodeQueueOp is one operation of a serve/probe script: an arrival
+// served at time at, or a depth probe at at.
+type nodeQueueOp struct {
+	serve bool
+	at    float64
+}
+
+// checkNodeQueueScript runs script on a nodeQueue and a refQueue at
+// service time s and fails at the first start, finish or depth whose
+// bits differ, or the first state where the queue's count or head is
+// not the ring's count and oldest finish.
+func checkNodeQueueScript(t testing.TB, s float64, script []nodeQueueOp) {
+	t.Helper()
+	var q nodeQueue
+	var ref refQueue
+	for i, op := range script {
+		if op.serve {
+			start, finish, depth := q.serve(op.at, s)
+			wStart, wFinish, wDepth := ref.serve(op.at, s)
+			if math.Float64bits(start) != math.Float64bits(wStart) ||
+				math.Float64bits(finish) != math.Float64bits(wFinish) || depth != wDepth {
+				t.Fatalf("s=%v op %d: serve(%v) = (%v, %v, %d), ring says (%v, %v, %d)",
+					s, i, op.at, start, finish, depth, wStart, wFinish, wDepth)
+			}
+		} else if got, want := q.depthAt(op.at, s), ref.depthAt(op.at); got != want {
+			t.Fatalf("s=%v op %d: depthAt(%v) = %d, ring says %d", s, i, op.at, got, want)
+		}
+		oldest := math.NaN()
+		if ref.n > 0 {
+			oldest = ref.finish[ref.head]
+		}
+		if q.n != ref.n || q.n > 0 && math.Float64bits(q.head) != math.Float64bits(oldest) {
+			t.Fatalf("s=%v op %d: %d in system from head %v, ring holds %d from %v",
+				s, i, q.n, q.head, ref.n, oldest)
+		}
+	}
+}
+
+// nodeQueueServiceTimes are the service times the differential checks
+// run at: exact, a repeating binary fraction, an inexact decimal, and
+// one small enough that a long busy period sums many roundings.
+var nodeQueueServiceTimes = []float64{1, 1.0 / 3, 0.7, 1e-3}
+
+// nodeQueueScript decodes a script from bytes, two per op. The first
+// byte's low bit picks serve or probe, and its next bit moves the clock
+// to the ring's oldest finish instant (when that is later) before the
+// op, so serves and probes land exactly on departures. The second byte
+// advances the clock by its low six bits: not at all (tied instants),
+// in whole service times, in sevenths of a tick, or by an idle gap of
+// hundreds of ticks, as its top two bits say.
+func nodeQueueScript(s float64, data []byte) []nodeQueueOp {
+	var (
+		script []nodeQueueOp
+		ref    refQueue
+		now    float64
+	)
+	for ; len(data) >= 2; data = data[2:] {
+		op, adv := data[0], data[1]
+		k := float64(adv & 63)
+		switch adv >> 6 {
+		case 1:
+			now += k * s
+		case 2:
+			now += k / 7
+		case 3:
+			now += k * 100
+		}
+		if op&2 != 0 && ref.n > 0 && ref.finish[ref.head] > now {
+			now = ref.finish[ref.head]
+		}
+		o := nodeQueueOp{serve: op&1 == 1, at: now}
+		if o.serve {
+			ref.serve(now, s)
+		} else {
+			ref.depthAt(now)
+		}
+		script = append(script, o)
+	}
+	return script
+}
+
+// TestNodeQueueMatchesRing holds nodeQueue to the ring it replaced on
+// seeded random scripts at every service time — tied arrivals, idle
+// gaps and probes at exact finish instants among them — and on busy
+// periods of 2·10⁴ messages, served at one instant and drained one
+// departure instant at a time.
+func TestNodeQueueMatchesRing(t *testing.T) {
+	src := rng.New(47)
+	for _, s := range nodeQueueServiceTimes {
+		for trial := 0; trial < 50; trial++ {
+			data := make([]byte, 2*(1+src.Intn(400)))
+			for i := range data {
+				data[i] = byte(src.Intn(256))
+			}
+			// Mostly ties and short advances, so queues build up.
+			for i := 1; i < len(data); i += 2 {
+				if src.Bool(0.8) {
+					data[i] &= 0x7f
+				}
+			}
+			checkNodeQueueScript(t, s, nodeQueueScript(s, data))
+		}
+		const long = 20000
+		script := make([]nodeQueueOp, 0, 2*long)
+		for i := 0; i < long; i++ {
+			script = append(script, nodeQueueOp{serve: true, at: 5})
+		}
+		var ref refQueue
+		for _, op := range script {
+			ref.serve(op.at, s)
+		}
+		for i := 0; i < long; i++ {
+			script = append(script, nodeQueueOp{at: ref.finish[(ref.head+i)%len(ref.finish)]})
+		}
+		checkNodeQueueScript(t, s, script)
+	}
+}
+
+// FuzzNodeQueue is TestNodeQueueMatchesRing over arbitrary scripts: the
+// first byte picks the service time, the rest decode as in
+// nodeQueueScript.
+func FuzzNodeQueue(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 64, 0, 66, 2, 0, 1, 200})
+	f.Add([]byte{1, 1, 0, 1, 0, 1, 1, 3, 0, 2, 0, 0, 255, 1, 0})
+	f.Add([]byte{2, 1, 130, 1, 130, 0, 0, 1, 129, 2, 0, 3, 65, 0, 255})
+	f.Add([]byte{3, 1, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 100})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		s := nodeQueueServiceTimes[int(data[0])%len(nodeQueueServiceTimes)]
+		checkNodeQueueScript(t, s, nodeQueueScript(s, data[1:]))
+	})
 }

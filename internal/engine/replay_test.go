@@ -135,35 +135,54 @@ func TestReplayEmpty(t *testing.T) {
 
 func TestDepthAtBoundaries(t *testing.T) {
 	// depthAt's convention: a service finishing exactly at t has left;
-	// the count never goes negative, and a drained ring is empty
-	// wherever its head stopped. The ring starts mid-buffer so the
-	// drain crosses the wrap.
-	q := nodeQueue{finish: []float64{2, 4, 1, 2}, head: 2, n: 4}
+	// one arriving exactly at t is in the system; the count never goes
+	// negative; and a drained queue refills from its next arrival. Every
+	// state is built through serve at service time 1, so the queue only
+	// ever holds what a run can put there.
+	var q nodeQueue
+	for i, tc := range []struct {
+		at            float64
+		start, finish float64
+		depth         int
+	}{
+		{1, 1, 2, 1},   // idle server: served on arrival
+		{1, 2, 3, 2},   // tied arrival waits for the first
+		{1.5, 3, 4, 3}, // arrives mid-service, behind both
+		{3, 4, 5, 2},   // finishes 2 and 3 have left at 3; 4 is in service
+	} {
+		start, finish, depth := q.serve(tc.at, 1)
+		if start != tc.start || finish != tc.finish || depth != tc.depth {
+			t.Errorf("serve %d at %v: (%v, %v, %d), want (%v, %v, %d)",
+				i, tc.at, start, finish, depth, tc.start, tc.finish, tc.depth)
+		}
+	}
 	for _, tc := range []struct {
 		t    float64
 		want int
 	}{
-		{0, 4},
-		{1 - 1e-12, 4},
-		{1, 3}, // finish == t drains
-		{2, 1}, // both t=2 departures drain together
-		{3.999, 1},
-		{4, 0},
+		{3.999, 2},
+		{4, 1}, // finish == t drains
+		{4.5, 1},
+		{5, 0}, // the last finish == t leaves the server idle
 		{100, 0},
 	} {
-		if got := q.depthAt(tc.t); got != tc.want {
+		if got := q.depthAt(tc.t, 1); got != tc.want {
 			t.Errorf("depthAt(%v) = %d, want %d", tc.t, got, tc.want)
 		}
 	}
-	if q.n != 0 || len(q.finish) != 4 {
-		t.Errorf("fully drained queue should be empty on its four slots: %+v", q)
+	if q.n != 0 {
+		t.Errorf("fully drained queue should be empty: %+v", q)
 	}
-	// Refilling past the slots grows the ring in FIFO order.
-	for i := 0; i < 6; i++ {
-		q.serve(200, 1) // finishes 201, 202, …: one server, back to back
+	// An arrival exactly at the probe instant counts, and a drained
+	// queue refills in FIFO order: one server, back to back.
+	if _, _, depth := q.serve(200, 1); depth != 1 || q.depthAt(200, 1) != 1 {
+		t.Errorf("arrival at 200: depth %d, depthAt(200) = %d, want 1 and 1", depth, q.depthAt(200, 1))
 	}
-	if got := q.depthAt(203); got != 3 || len(q.finish) != 8 {
-		t.Errorf("after 6 back-to-back services, depthAt(203) = %d on %d slots, want 3 on 8", got, len(q.finish))
+	for i := 0; i < 5; i++ {
+		q.serve(200, 1) // finishes 202, …, 206
+	}
+	if got := q.depthAt(203, 1); got != 3 || q.head != 204 {
+		t.Errorf("after 6 back-to-back services, depthAt(203) = %d with head %v, want 3 with head 204", got, q.head)
 	}
 }
 

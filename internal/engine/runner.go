@@ -174,13 +174,6 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 			Latencies: make([]float64, 0, n),
 		},
 	}
-	// Every queue starts on its own queueSlots of one slab; the
-	// three-index carve keeps a queue that outgrows them off its
-	// neighbour's.
-	slab := make([]float64, queueSlots*len(r.queues))
-	for i := range r.queues {
-		r.queues[i].finish = slab[queueSlots*i : queueSlots*(i+1) : queueSlots*(i+1)]
-	}
 	for i := range r.inject {
 		r.inject[i] = -1
 	}
@@ -269,7 +262,7 @@ func (r *runner) initLive() {
 				s += cfg.Penalty * float64(g.AliveCount()) * float64(c.charged[q]) / float64(c.total)
 			}
 			if cfg.DepthPenalty > 0 {
-				s += float64(cfg.DepthPenalty * float64(r.queues[q].depthAt(c.now)))
+				s += float64(cfg.DepthPenalty * float64(r.queues[q].depthAt(c.now, r.serviceTime)))
 			}
 			return s
 		}
@@ -525,7 +518,7 @@ func (r *runner) depthsAtBatch(start int) {
 		return
 	}
 	for i := range loop.queues {
-		s.depth[i] = loop.queues[i].depthAt(probe)
+		s.depth[i] = loop.queues[i].depthAt(probe, loop.serviceTime)
 	}
 }
 

@@ -34,8 +34,8 @@
 // have paid for it (Arena.share), so scoring a candidate is one load.
 // A set that differs from the previous one is scanned member by member,
 // so traffic whose set changes at every lookup never builds a table;
-// single targets, one-walker searches (Router.Walker, Route, RouteAny)
-// and one-sided routing never take one.
+// single targets, a Searcher's searches (Router.Walker, Route and
+// RouteAny run on one) and one-sided routing never take one.
 //
 // A step scores the current node's neighbour row (graph.Row): the
 // graph's cached int32 row when the engine has built the rows and the
@@ -47,7 +47,8 @@
 // walk one hop at a time (Walker.Step), which is how the discrete-event
 // engine (internal/engine) interleaves forwarding decisions with
 // queueing so each hop can read live congestion state. Route and
-// RouteAny are thin loops over Step and byte-identical to it.
+// RouteAny are thin loops over Step and byte-identical to it; a
+// Searcher runs them one after another on one recycled walker.
 package route
 
 import (
@@ -235,15 +236,10 @@ func (r *Router) Route(source *rng.Source, from, to metric.Point) (Result, error
 // plain single-target greedy exactly. An entirely dead set is an error.
 // It is a thin loop over the resumable Walker, so the whole-path searches
 // and the engine's single-step form are the same walk by construction,
-// for every target-set size.
+// for every target-set size. Each call runs on a fresh Searcher; a
+// caller with many searches to run holds one instead.
 func (r *Router) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
-	w, err := r.Walker(source, from, targets)
-	if err != nil {
-		return Result{}, err
-	}
-	for w.Step() {
-	}
-	return w.Result(), nil
+	return r.NewSearcher().RouteAny(source, from, targets)
 }
 
 // liveTargets decodes a target set's live members, each once, into

@@ -37,8 +37,8 @@ func refBacktrack(t *testing.T, r *Router, from metric.Point, targets []metric.P
 			live = append(live, t)
 		}
 	}
-	var probe Walker
-	if err := probe.start(&Arena{r: r}, nil, from, targets); err != nil {
+	probe := Walker{r: r}
+	if err := probe.start(nil, from, targets); err != nil {
 		t.Fatal(err)
 	}
 	res := Result{Target: -1}

@@ -108,7 +108,8 @@ const arenaChunk = 256
 // shares that set's distance table instead (Arena.share).
 // It exists for callers that start many searches and keep them all —
 // the engine holds every lookup of a run in flight at once and reports
-// every traced path, so a free-list would have nothing to recycle.
+// every traced path, so a free-list would have nothing to recycle. A
+// caller that runs its searches one at a time holds a Searcher instead.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
 // slices, so their capacity ends where the next walker's begin. A walk
@@ -140,22 +141,22 @@ type Arena struct {
 // NewArena returns an empty arena for r's searches.
 func (r *Router) NewArena() *Arena { return &Arena{r: r} }
 
-// shares returns the arena's per-walker slab shares under its router's
-// options: path and tried entries (zero when the options never touch
-// them) and history frames.
-func (a *Arena) shares() (path, tried, frames int) {
-	if a.r.opt.TracePath {
+// shares returns a walker's buffer shares under the router's options:
+// path and tried entries (zero when the options never touch them) and
+// history frames.
+func (r *Router) shares() (path, tried, frames int) {
+	if r.opt.TracePath {
 		path = pathShare
 	}
-	if a.r.opt.DeadEnd == Backtrack {
-		tried, frames = triedShare, a.r.opt.BacktrackMemory
+	if r.opt.DeadEnd == Backtrack {
+		tried, frames = triedShare, r.opt.BacktrackMemory
 	}
 	return path, tried, frames
 }
 
 // grow replaces the (exhausted) chunk with a fresh one of n walkers.
 func (a *Arena) grow(n int) {
-	path, tried, frames := a.shares()
+	path, tried, frames := a.r.shares()
 	a.walkers = make([]Walker, n)
 	if path+tried > 0 {
 		a.points = make([]metric.Point, n*(path+tried))
@@ -170,7 +171,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 	if len(a.walkers) == 0 {
 		a.grow(arenaChunk)
 	}
-	path, tried, frames := a.shares()
+	path, tried, frames := a.r.shares()
 	w := &a.walkers[0]
 	if path > 0 {
 		w.res.Path = a.points[0:0:path] // an untraced Result's Path stays nil
@@ -189,9 +190,13 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 		}
 		w.set = a.sets[0:0:set]
 	}
-	if err := w.start(a, source, from, targets); err != nil {
+	w.r = a.r
+	if err := w.start(source, from, targets); err != nil {
 		*w = Walker{} // the slot and its shares go to the next search
 		return nil, err
+	}
+	if len(w.set) > a.r.kern.Dim() { // a multi-member set, so two-sided
+		w.set, w.tabled = a.share(w.set)
 	}
 	a.walkers = a.walkers[1:]
 	a.points = a.points[path+tried:]
@@ -242,23 +247,80 @@ func (a *Arena) share(set []int32) (scored []int32, tabled bool) {
 
 // Walker starts a resumable search from `from` toward the nearest live
 // member of `targets` (a single-element set is the plain
-// single-destination search). Its one-walker arena never shares a
-// distance table. The returned Walker
-// has already visited `from` (it appears in the traced path); if
-// `from` is itself a target the search is born delivered and Step
-// returns false immediately. The targets slice is read, not kept.
+// single-destination search) on a fresh Searcher's walker, so it never
+// shares a distance table. The returned Walker has already visited
+// `from` (it appears in the traced path); if `from` is itself a target
+// the search is born delivered and Step returns false immediately. The
+// targets slice is read, not kept.
 func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
-	// A chunk of one: the same carving, so the same walker, for callers
-	// with one search to run.
-	a := Arena{r: r}
-	a.grow(1)
-	return a.Walker(source, from, targets)
+	return r.NewSearcher().walker(source, from, targets)
+}
+
+// Searcher runs searches one at a time on one walker it recycles: each
+// search zeroes the walker and hands it the buffers the last one left —
+// its traced path, tried stack, history frames and decoded target set,
+// each at the largest size a search has grown it to. A caller that
+// routes its searches one after another (sim.MeasureSearches, so every
+// §6 table) therefore allocates per Searcher, not per search. A
+// Searcher's walkers never share a distance table; a traced
+// Result.Path aliases the searcher's path buffer and is valid until its
+// next search. A Searcher is not safe for concurrent use.
+type Searcher struct {
+	w Walker
+}
+
+// NewSearcher returns a searcher for r whose walker starts on buffers
+// of an arena walker's shares.
+func (r *Router) NewSearcher() *Searcher {
+	s := &Searcher{w: Walker{r: r}}
+	path, tried, frames := r.shares()
+	points := make([]metric.Point, path+tried)
+	if path > 0 {
+		s.w.res.Path = points[0:0:path] // an untraced Result's Path stays nil
+	}
+	s.w.tried = points[path:path]
+	s.w.history = make([]walkFrame, 0, frames)
+	s.w.set = s.w.one[:0]
+	return s
+}
+
+// Route is Router.Route on the searcher's walker.
+func (s *Searcher) Route(source *rng.Source, from, to metric.Point) (Result, error) {
+	return s.RouteAny(source, from, []metric.Point{to})
+}
+
+// RouteAny is Router.RouteAny on the searcher's walker.
+func (s *Searcher) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
+	w, err := s.walker(source, from, targets)
+	if err != nil {
+		return Result{}, err
+	}
+	for w.Step() {
+	}
+	return w.Result(), nil
+}
+
+// walker recycles the searcher's walker for a new search.
+func (s *Searcher) walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
+	w := &s.w
+	*w = Walker{
+		r:       w.r,
+		set:     w.set[:0],
+		res:     Result{Path: w.res.Path[:0]},
+		history: w.history[:0],
+		tried:   w.tried[:0],
+		spill:   w.spill,
+	}
+	if err := w.start(source, from, targets); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // start validates a search and puts w — zero but for the empty buffers
-// its allocator a carved, the target set's included — at its origin.
-func (w *Walker) start(a *Arena, source *rng.Source, from metric.Point, targets []metric.Point) error {
-	r := a.r
+// its allocator carved, the target set's included — at its origin.
+func (w *Walker) start(source *rng.Source, from metric.Point, targets []metric.Point) error {
+	r := w.r
 	if !r.g.Alive(from) {
 		return fmt.Errorf("route: origin %d is not a live node", from)
 	}
@@ -276,10 +338,7 @@ func (w *Walker) start(a *Arena, source *rng.Source, from metric.Point, targets 
 				len(set))
 		}
 	}
-	w.r, w.src, w.set, w.cur = r, source, set, from
-	if len(set) > r.kern.Dim() { // a multi-member set, so two-sided
-		w.set, w.tabled = a.share(set)
-	}
+	w.src, w.set, w.cur = source, set, from
 	w.res.Target = -1
 	r.trace(&w.res, from)
 	if r.opt.DeadEnd == Backtrack {
