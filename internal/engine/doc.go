@@ -235,11 +235,9 @@
 //
 // # What a lookup allocates
 //
-// Nothing of its own, in steady state. A live run holds nearly every
-// lookup in flight at once (an open-loop schedule injects faster than
-// the network drains) and every run reports every traced path, so
-// there is nothing for a pool to recycle; instead the per-message
-// objects are carved from per-run slabs:
+// Nothing of its own, in steady state. The per-message objects are
+// carved from per-run slabs, and a lookup's walker goes back to its
+// arena when the lookup completes:
 //
 //   - walkers come from a route.Arena, 256 at a time: the Walker
 //     structs, their 16-point paths and 16-entry tried stacks, and
@@ -248,13 +246,21 @@
 //     three-index slices. The aliasing rule is the arena's: a buffer's
 //     capacity ends where the next walker's share begins, so a walk that
 //     outgrows its share reallocates privately. Only sequential code
-//     carves — live admission under both drivers, and snapshot mode's
-//     batch set-up, in message order, on one arena per router (the plain
-//     one, and the congested one whose closure reads the signal the
-//     batch froze). Owners, or snapshot mode's Workers goroutines, then
-//     Step walkers of one chunk concurrently, each touching its own
-//     shares only, and Outcome.Results[i].Path stays valid and unshared
-//     after Run returns;
+//     carves and releases — live admission and completion under both
+//     drivers (a completion settles at a barrier, never inside a drain),
+//     and snapshot mode's batch set-up and copy-out, in message order,
+//     on one arena per router (the plain one, and the congested one
+//     whose closure reads the signal the batch froze). Owners, or
+//     snapshot mode's Workers goroutines, Step walkers concurrently,
+//     each touching its own shares only. Release copies a finished
+//     path at exact length into the arena's kept-path slab, which is
+//     what Outcome.Results[i].Path holds after Run, valid and unshared,
+//     and puts the walker on a free stack the next admission pops
+//     before it carves. So a run carves about its peak of lookups in
+//     flight, which is the traffic's: ftrmark's live_seq injects all
+//     40 960 lookups inside 10 ticks and holds 75 % in flight at once,
+//     churn_pit holds 6.8 %, and a knee_sweep snapshot run a batch of 32
+//     (TestArenaCarvesPeakInFlight pins the bound);
 //   - message i's rng stream 16+i is derived into slot i of one
 //     []rng.Source (Source.DeriveInto), and a hot key's replica set is
 //     the placement's memoized slice (replica.Placement.Targets);
@@ -265,9 +271,9 @@
 //     or ever allocates;
 //   - Outcome.Latencies is sized for every message up front.
 //
-// What is left is amortized growth — a path past 16 hops, the event
-// heaps — and the per-run tables: 0.0135 allocations per message on
-// ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose
+// What is left is amortized growth — a path past 16 hops, the kept-path
+// slab, the event heaps — and the per-run tables: 0.013 allocations per
+// message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose
 // batches also spawn their stepping goroutines), which
 // TestLiveRunAllocsPerMessage and TestSnapshotRunAllocsPerMessage guard
 // from tier-1.

@@ -269,7 +269,7 @@ func (sh *shard) serveAnswer(r *runner, a event) {
 			p.parked[w] = false
 			fan++
 			path := r.walkers[w].Visited()
-			p.answering[w] = true
+			p.answering[w], p.released[w] = true, true
 			p.ansPath[w] = path
 			p.ansAt[w] = len(path) - 2
 			p.ansTarget[w] = p.ansTarget[m]

@@ -407,10 +407,11 @@ func runKept(t *testing.T, g *graph.Graph, msgs []Message, sched Schedule, cfg C
 // TestPITLookupParksAtMostOnce holds the run's own ledger to the claim
 // pitMsgState.parked rests on. Every park ends once, by expiry or by
 // release, and each ending marks its lookup for good: an expiry sets
-// expiredOnce, a release sets answering on a lookup whose own walk never
-// finished. So the parks of a run number at least the lookups so marked,
-// and exactly that many only if no lookup's wait ended twice — that is,
-// if none parked twice. PIT × churn, one owner and two, flood and skew.
+// expiredOnce, a release sets released (and answering) on a lookup
+// whose own walk never finished. So the parks of a run number at least
+// the lookups so marked, and exactly that many only if no lookup's wait
+// ended twice — that is, if none parked twice. PIT × churn, one owner
+// and two, flood and skew.
 func TestPITLookupParksAtMostOnce(t *testing.T) {
 	for _, flood := range []bool{true, false} {
 		for _, shards := range []int{1, 2} {
@@ -426,7 +427,7 @@ func TestPITLookupParksAtMostOnce(t *testing.T) {
 				if p.parked[m] {
 					t.Fatalf("flood=%v shards=%d: lookup %d is still parked after the run", flood, shards, m)
 				}
-				wasReleased := p.answering[m] && !r.walkers[m].Done()
+				wasReleased := p.released[m]
 				if p.expiredOnce[m] && wasReleased {
 					t.Fatalf("flood=%v shards=%d: lookup %d both expired and was released", flood, shards, m)
 				}

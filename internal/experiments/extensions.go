@@ -86,10 +86,11 @@ func init() {
 }
 
 // redundant routes msgs searches between random honest nodes, each as
-// copies Valiant-style copies through random relays.
+// copies Valiant-style copies through random relays, every leg on one
+// route.HonestSearcher.
 func redundant(copies int) searchFunc {
 	return func(g *graph.Graph, src *rng.Source, msgs int) (sim.SearchStats, error) {
-		r := route.New(g, route.Options{})
+		r := route.New(g, route.Options{}).NewHonestSearcher()
 		var s sim.SearchStats
 		for i := 0; i < msgs; i++ {
 			from, ok1 := honestNode(g, src)

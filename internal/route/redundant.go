@@ -3,52 +3,59 @@ package route
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/metric"
 	"repro/internal/rng"
 )
 
-// maliciousOnPath reports whether the search result's message died at a
-// Byzantine node: routing treats malicious nodes as ordinary (their
-// misbehaviour is not locally observable), so a Result that traversed
-// one is converted to a silent failure by the callers below.
-//
+// HonestSearcher runs RouteHonest and RouteRedundant searches one after
+// another on one recycled walker, as a Searcher runs Route: after its
+// first search it allocates nothing. The drop accounting reads every
+// visited node, so the walker always traces; a Result keeps that path
+// only when its Router's options trace, and then it aliases the
+// walker's buffer and is valid until the next search. An HonestSearcher
+// is not safe for concurrent use.
+type HonestSearcher struct {
+	s    *Searcher
+	keep bool
+}
+
+// NewHonestSearcher returns an HonestSearcher for r's searches.
+func (r *Router) NewHonestSearcher() *HonestSearcher {
+	traced := r
+	if !r.opt.TracePath {
+		copied := *r
+		copied.opt.TracePath = true
+		traced = &copied
+	}
+	return &HonestSearcher{s: traced.NewSearcher(), keep: r.opt.TracePath}
+}
+
 // RouteHonest performs one greedy search and accounts for Byzantine
-// drops: the message dies, unrecoverably, at the first malicious node
-// it visits. Hops up to the drop point are still charged.
-func (r *Router) RouteHonest(source *rng.Source, from, to metric.Point) (Result, error) {
-	res, err := r.routeTraced(source, from, to)
+// drops: routing treats malicious nodes as ordinary (their misbehaviour
+// is not locally observable), so the message dies, silently and
+// unrecoverably, at the first malicious node it visits. Hops up to the
+// drop point are still charged.
+func (h *HonestSearcher) RouteHonest(source *rng.Source, from, to metric.Point) (Result, error) {
+	res, err := h.s.Route(source, from, to)
 	if err != nil {
 		return Result{}, err
 	}
+	g := h.s.w.r.g
 	for i, p := range res.Path {
 		if i == 0 {
 			continue // the (honest) origin
 		}
-		if r.g.Malicious(p) {
+		if g.Malicious(p) {
 			// Message silently dropped at hop i; the hops after the
 			// drop never happened.
 			return Result{Delivered: false, Hops: i, Reroutes: res.Reroutes, Target: -1}, nil
 		}
 	}
-	res.Path = trimPath(res.Path, r.opt.TracePath)
+	if !h.keep {
+		res.Path = nil
+	}
 	return res, nil
-}
-
-// routeTraced runs Route with path tracing forced on.
-func (r *Router) routeTraced(source *rng.Source, from, to metric.Point) (Result, error) {
-	if r.opt.TracePath {
-		return r.Route(source, from, to)
-	}
-	traced := *r
-	traced.opt.TracePath = true
-	return traced.Route(source, from, to)
-}
-
-func trimPath(path []metric.Point, keep bool) []metric.Point {
-	if keep {
-		return path
-	}
-	return nil
 }
 
 // RouteRedundant sends `copies` redundant copies of a message and
@@ -57,8 +64,9 @@ func trimPath(path []metric.Point, keep bool) []metric.Point {
 // routed to an independent uniformly random live relay and onward from
 // there, so the copies traverse nearly independent paths. Hops counts
 // the total traffic of all copies (the price of redundancy);
-// Reroutes counts relay hand-offs.
-func (r *Router) RouteRedundant(source *rng.Source, from, to metric.Point, copies int) (Result, error) {
+// Reroutes counts relay hand-offs. Every leg runs on the searcher's
+// walker.
+func (h *HonestSearcher) RouteRedundant(source *rng.Source, from, to metric.Point, copies int) (Result, error) {
 	if copies < 1 {
 		return Result{}, fmt.Errorf("route: need at least one copy, got %d", copies)
 	}
@@ -71,18 +79,19 @@ func (r *Router) RouteRedundant(source *rng.Source, from, to metric.Point, copie
 			agg.Target = res.Target
 		}
 	}
-	direct, err := r.RouteHonest(source, from, to)
+	direct, err := h.RouteHonest(source, from, to)
 	if err != nil {
 		return Result{}, err
 	}
 	deliver(direct)
+	g := h.s.w.r.g
 	for c := 1; c < copies; c++ {
-		relay, ok := r.honestishRelay(source, from, to)
+		relay, ok := honestishRelay(g, source, from, to)
 		if !ok {
 			break
 		}
 		agg.Reroutes++
-		leg1, err := r.RouteHonest(source, from, relay)
+		leg1, err := h.RouteHonest(source, from, relay)
 		if err != nil {
 			return agg, err
 		}
@@ -91,7 +100,7 @@ func (r *Router) RouteRedundant(source *rng.Source, from, to metric.Point, copie
 		if !leg1.Delivered {
 			continue
 		}
-		leg2, err := r.RouteHonest(source, relay, to)
+		leg2, err := h.RouteHonest(source, relay, to)
 		if err != nil {
 			return agg, err
 		}
@@ -105,9 +114,9 @@ func (r *Router) RouteRedundant(source *rng.Source, from, to metric.Point, copie
 // malicious — in that case the copy dies at the relay, which the drop
 // accounting in RouteHonest already covers for the first leg's last
 // hop.
-func (r *Router) honestishRelay(source *rng.Source, from, to metric.Point) (metric.Point, bool) {
+func honestishRelay(g *graph.Graph, source *rng.Source, from, to metric.Point) (metric.Point, bool) {
 	for i := 0; i < 64; i++ {
-		p, ok := r.g.RandomAlive(source)
+		p, ok := g.RandomAlive(source)
 		if !ok {
 			return 0, false
 		}

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/failure"
@@ -11,7 +13,7 @@ import (
 
 func TestRouteHonestNoMalicious(t *testing.T) {
 	g := buildRing(t, 256, 4, 20)
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	res, err := r.RouteHonest(rng.New(1), 3, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +29,7 @@ func TestRouteHonestDropsAtMaliciousNode(t *testing.T) {
 	if err := g.SetMalicious(2, true); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	res, err := r.RouteHonest(rng.New(2), 0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +47,7 @@ func TestRouteHonestMaliciousTargetDrops(t *testing.T) {
 	if err := g.SetMalicious(4, true); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	res, err := r.RouteHonest(rng.New(3), 0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestRouteHonestMaliciousTargetDrops(t *testing.T) {
 
 func TestRouteRedundantValidation(t *testing.T) {
 	g := buildRing(t, 64, 2, 21)
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	if _, err := r.RouteRedundant(rng.New(1), 0, 5, 0); err == nil {
 		t.Error("copies=0 should error")
 	}
@@ -70,7 +72,7 @@ func TestRouteRedundantImprovesDelivery(t *testing.T) {
 	if _, err := failure.MarkMalicious(g, 0.15, src); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	honest := func() (metric.Point, bool) {
 		for i := 0; i < 100; i++ {
 			p, ok := g.RandomAlive(src)
@@ -113,7 +115,7 @@ func TestRouteRedundantImprovesDelivery(t *testing.T) {
 
 func TestRouteRedundantCountsCost(t *testing.T) {
 	g := buildRing(t, 512, 6, 24)
-	r := New(g, Options{})
+	r := New(g, Options{}).NewHonestSearcher()
 	src := rng.New(25)
 	one, err := r.RouteRedundant(src, 3, 400, 1)
 	if err != nil {
@@ -168,5 +170,106 @@ func TestSetMaliciousValidation(t *testing.T) {
 	}
 	if g.Malicious(5) {
 		t.Error("unmarking failed")
+	}
+}
+
+// honestPairs draws count (from, to) pairs of distinct honest live nodes.
+func honestPairs(g *graph.Graph, src *rng.Source, count int) [][2]metric.Point {
+	var pairs [][2]metric.Point
+	for len(pairs) < count {
+		from, _ := g.RandomAlive(src)
+		to, _ := g.RandomAlive(src)
+		if from != to && !g.Malicious(from) && !g.Malicious(to) {
+			pairs = append(pairs, [2]metric.Point{from, to})
+		}
+	}
+	return pairs
+}
+
+// TestHonestSearcherMatchesFreshSearches: RouteHonest and RouteRedundant
+// on one HonestSearcher, search after search, return what they return
+// on a fresh one each, traced and untraced, under every dead-end
+// policy; a traced result keeps the path, an untraced one none.
+func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
+	g := buildRing(t, 1<<10, 10, 72)
+	if _, err := failure.MarkMalicious(g, 0.1, rng.New(73)); err != nil {
+		t.Fatal(err)
+	}
+	pairs := honestPairs(g, rng.New(74), 200)
+	for _, policy := range []DeadEndPolicy{Terminate, RandomReroute, Backtrack} {
+		for _, traced := range []bool{false, true} {
+			r := New(g, Options{DeadEnd: policy, TracePath: traced})
+			h := r.NewHonestSearcher()
+			got, want := rng.New(75), rng.New(75)
+			for i, p := range pairs {
+				res, err := h.RouteHonest(got, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := r.NewHonestSearcher().RouteHonest(want, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, fresh) {
+					t.Fatalf("%s traced=%v search %d: RouteHonest %+v, fresh %+v", policy, traced, i, res, fresh)
+				}
+				if traced != (res.Path != nil) && res.Delivered {
+					t.Fatalf("%s traced=%v search %d: delivered with path %v", policy, traced, i, res.Path)
+				}
+				red, err := h.RouteRedundant(got, p[0], p[1], 1+i%4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				freshRed, err := r.NewHonestSearcher().RouteRedundant(want, p[0], p[1], 1+i%4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(red, freshRed) {
+					t.Fatalf("%s traced=%v search %d: RouteRedundant %+v, fresh %+v", policy, traced, i, red, freshRed)
+				}
+			}
+		}
+	}
+}
+
+// TestHonestSearcherAllocs pins ext.byzantine's searches at no
+// allocation: once an HonestSearcher has run its first search,
+// RouteRedundant with three copies — six legs at most, each a traced
+// search read for drops — allocates nothing under Backtrack on a ring
+// of 2¹¹ nodes with ℓ = 11 and 15 % of them malicious. Each leg through
+// Router.Route built a walker of its own: about 19 allocations a call.
+func TestHonestSearcherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g := buildRing(t, 1<<11, 11, 76)
+	if _, err := failure.MarkMalicious(g, 0.15, rng.New(77)); err != nil {
+		t.Fatal(err)
+	}
+	pairs := honestPairs(g, rng.New(78), 500)
+	h := New(g, Options{DeadEnd: Backtrack}).NewHonestSearcher()
+	src := rng.New(79)
+	search := func(p [2]metric.Point) Result {
+		res, err := h.RouteRedundant(src, p[0], p[1], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, p := range pairs { // the path buffer grows to the longest leg
+		search(p)
+	}
+	var before, after runtime.MemStats
+	relays := 0
+	runtime.ReadMemStats(&before)
+	for _, p := range pairs {
+		relays += search(p).Reroutes
+	}
+	runtime.ReadMemStats(&after)
+	if relays == 0 {
+		t.Fatal("no copy went through a relay: the pin is vacuous")
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d RouteRedundant calls after the first allocated %d times, want 0", len(pairs), n)
 	}
 }

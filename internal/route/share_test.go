@@ -211,7 +211,8 @@ func TestSharedTableIsInvisible(t *testing.T) {
 }
 
 // TestWalkerSize pins the Walker at 192 bytes on 64-bit platforms. The
-// engine keeps one per lookup, so every byte is paid per message: a
+// engine keeps one per lookup in flight, so every byte is paid per
+// message where most lookups are in flight at once (live_seq): a
 // 24-byte slice field for the shared distance table raised
 // bytes_per_msg by 4–6 % on workloads that never build one (live_seq
 // 802.7 → 834.7, churn_pit 998.6 → 1031, fig6_static 559.3 → 591.8),

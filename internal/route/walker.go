@@ -99,43 +99,58 @@ const (
 // unissued tail of a run's last chunk wastes little.
 const arenaChunk = 256
 
-// Arena allocates walkers for one Router a chunk at a time: the Walker
-// structs, their traced paths and tried stacks, and their history
-// frames come from three slabs per chunk instead of three or more heap
-// objects per walker, and a decoded target set too large for the
-// walker's own array (a replica set) from a fourth, grown only when
-// such a set first arrives. A run of walkers toward one replica set
-// shares that set's distance table instead (Arena.share).
-// It exists for callers that start many searches and keep them all —
-// the engine holds every lookup of a run in flight at once and reports
-// every traced path, so a free-list would have nothing to recycle. A
-// caller that runs its searches one at a time holds a Searcher instead.
+// Arena allocates walkers for one Router a chunk at a time and takes
+// them back when their searches are over: the Walker structs, their
+// traced paths and tried stacks, and their history frames come from
+// three slabs per chunk instead of three or more heap objects per
+// walker, and a decoded target set too large for the walker's own array
+// (a replica set) from a fourth, grown only when such a set first
+// arrives. A run of walkers toward one replica set shares that set's
+// distance table instead (Arena.share).
+// It exists for callers that keep many searches in flight at once — the
+// engine's lookups, which wait in queues between hops. How many are in
+// flight is the traffic's business: ftrmark's live_seq holds 75 % of its
+// lookups in flight at its peak, churn_pit 6.8 % and a knee_sweep run a
+// batch of 32. So a finished walker goes back (Release): its traced path
+// is copied, at exact length, into a fifth, append-only slab of kept
+// paths, and the walker onto a free stack that Walker pops before it
+// carves, keeping the buffers the last search grew. The arena then
+// carves about as many walkers as the caller's peak in flight, and the
+// kept paths cost a lookup its hop count in points rather than a whole
+// walker. A caller that runs its searches one at a time holds a
+// Searcher instead.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
 // slices, so their capacity ends where the next walker's begin. A walk
 // that outgrows its share reallocates that one buffer privately and can
-// never write into a neighbour's; walkers of one chunk may therefore
-// Step concurrently on different goroutines, and a Result's Path stays
-// valid and unshared for as long as the caller keeps it (it pins the
-// chunk's point slab, not just its own 16 entries). The one thing
-// walkers of an arena do share is a distance table, written in full
-// before the first walker that takes it is returned and only read after.
-// Walker itself — the method that carves — is not safe for concurrent
-// use.
+// never write into a neighbour's; walkers of one arena may therefore
+// Step concurrently on different goroutines. Kept paths are carved the
+// same way, so a released Result's Path stays valid and unshared for as
+// long as the caller keeps it, whatever the walker searches next. The
+// one thing walkers of an arena do share is a distance table, written in
+// full before the first walker that takes it is returned and only read
+// after; a released walker hands its reference back and never decodes
+// into it. Walker and Release are not safe for concurrent use, with each
+// other or with themselves.
 type Arena struct {
 	r *Router
-	// The unissued remainder of the current chunk, and of the target-set
-	// slab.
+	// The unissued remainder of the current chunk, of the target-set
+	// slab, and of the kept-path slab; and the released walkers, the
+	// last released on top.
 	walkers []Walker
 	points  []metric.Point
 	frames  []walkFrame
 	sets    []int32
+	kept    []metric.Point
+	free    []*Walker
 	// prev is the multi-member live set the arena's last walker toward
-	// one decoded — that walker's own share, never written again — run
-	// how many walkers in a row have decoded it, and table its distance
-	// table once that run is long enough (nil until then).
-	prev, table []int32
-	run         int
+	// one decoded — that walker's own decoded set while it is in flight,
+	// own's copy of it once the walker is released — run how many walkers
+	// in a row have decoded it, and table its distance table once that
+	// run is long enough (nil until then).
+	prev, own, table []int32
+	run              int
+	carved           int // walkers carved so far, issued or not
 }
 
 // NewArena returns an empty arena for r's searches.
@@ -158,6 +173,7 @@ func (r *Router) shares() (path, tried, frames int) {
 func (a *Arena) grow(n int) {
 	path, tried, frames := a.r.shares()
 	a.walkers = make([]Walker, n)
+	a.carved += n
 	if path+tried > 0 {
 		a.points = make([]metric.Point, n*(path+tried))
 	}
@@ -166,45 +182,107 @@ func (a *Arena) grow(n int) {
 	}
 }
 
-// Walker is Router.Walker drawing on the arena's slabs.
+// Walker is Router.Walker drawing on the arena: the last released
+// walker, reset as a Searcher resets its own, or else a fresh one carved
+// from the slabs.
 func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
-	if len(a.walkers) == 0 {
-		a.grow(arenaChunk)
-	}
+	// Every walker the arena can issue before its next grow or release.
+	slots := len(a.walkers) + len(a.free)
 	path, tried, frames := a.r.shares()
-	w := &a.walkers[0]
-	if path > 0 {
-		w.res.Path = a.points[0:0:path] // an untraced Result's Path stays nil
-	}
-	w.tried = a.points[path : path : path+tried]
-	w.history = a.frames[0:0:frames]
-	w.set = w.one[:0]
-	set := len(targets) * a.r.g.Space().Dim()
-	if set <= len(w.one) {
-		set = 0
+	var w *Walker
+	recycled := len(a.free) > 0
+	if recycled {
+		w = a.free[len(a.free)-1]
+		w.reset()
 	} else {
-		// The share holds every member of the caller's set decoded;
-		// the slab is sized for the rest of the chunk.
+		if len(a.walkers) == 0 {
+			a.grow(arenaChunk)
+			slots = arenaChunk
+		}
+		w = &a.walkers[0]
+		if path > 0 {
+			w.res.Path = a.points[0:0:path] // an untraced Result's Path stays nil
+		}
+		w.tried = a.points[path : path : path+tried]
+		w.history = a.frames[0:0:frames]
+		w.set = w.one[:0]
+	}
+	// The set decodes into the walker's own array or the share a
+	// recycled walker kept, when it fits.
+	set := len(targets) * a.r.g.Space().Dim()
+	if cap(w.set) >= set {
+		w.set, set = w.set[:0], 0
+	} else {
+		// A share of the set slab holds every member of the caller's set
+		// decoded; the slab is sized for every walker still to issue.
 		if len(a.sets) < set {
-			a.sets = make([]int32, set*len(a.walkers))
+			a.sets = make([]int32, set*slots)
 		}
 		w.set = a.sets[0:0:set]
 	}
 	w.r = a.r
 	if err := w.start(source, from, targets); err != nil {
-		*w = Walker{} // the slot and its shares go to the next search
+		// The walker and its shares go to the next search: a fresh slot
+		// zeroed, a recycled one still on the free stack, without a set
+		// share it was lent.
+		if !recycled {
+			*w = Walker{}
+		} else if set > 0 {
+			w.set = w.one[:0]
+		}
 		return nil, err
 	}
 	if len(w.set) > a.r.kern.Dim() { // a multi-member set, so two-sided
 		w.set, w.tabled = a.share(w.set)
 	}
-	a.walkers = a.walkers[1:]
-	a.points = a.points[path+tried:]
-	a.frames = a.frames[frames:]
+	if recycled {
+		a.free = a.free[:len(a.free)-1]
+	} else {
+		a.walkers = a.walkers[1:]
+		a.points = a.points[path+tried:]
+		a.frames = a.frames[frames:]
+	}
 	if !w.tabled { // a tabled walker keeps no decoded set of its own
 		a.sets = a.sets[set:]
 	}
 	return w, nil
+}
+
+// Carved reports how many walkers the arena has carved: a whole number
+// of chunks, enough for the most walkers it ever had issued at once.
+func (a *Arena) Carved() int { return a.carved }
+
+// keptChunk is how many points the kept-path slab allocates at a time:
+// one chunk's worth of walkers' path shares.
+const keptChunk = arenaChunk * pathShare
+
+// Release takes back a walker the arena issued, once its caller has
+// read everything it needs of it, and returns its Result: the same
+// outcome, with a traced Path copied into the arena's kept-path slab at
+// exact length, so it stays valid and unshared — appending to it
+// reallocates — while the walker searches again. The caller must not use
+// w afterwards.
+func (a *Arena) Release(w *Walker) Result {
+	res := w.res
+	if n := len(res.Path); n > 0 {
+		if len(a.kept) < n {
+			a.kept = make([]metric.Point, max(keptChunk, n))
+		}
+		res.Path = a.kept[:n:n]
+		copy(res.Path, w.res.Path)
+		a.kept = a.kept[n:]
+	}
+	switch {
+	case w.tabled:
+		w.set = w.one[:0] // the arena's table, never a buffer to decode into
+	case len(a.prev) > 0 && cap(w.set) > 0 && &w.set[:1][0] == &a.prev[0]:
+		// share compares later sets with this walker's: keep its bytes,
+		// which the walker's next search overwrites.
+		a.own = append(a.own[:0], a.prev...)
+		a.prev = a.own
+	}
+	a.free = append(a.free, w)
+	return res
 }
 
 // tablePoints is how many points of a distance table one walker's
@@ -303,6 +381,17 @@ func (s *Searcher) RouteAny(source *rng.Source, from metric.Point, targets []met
 // walker recycles the searcher's walker for a new search.
 func (s *Searcher) walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
 	w := &s.w
+	w.reset()
+	if err := w.start(source, from, targets); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// reset zeroes w for its next search but for its router and the
+// buffers the searches before it grew, emptied: its traced path, tried
+// stack, history frames, decoded target set and spill.
+func (w *Walker) reset() {
 	*w = Walker{
 		r:       w.r,
 		set:     w.set[:0],
@@ -311,10 +400,6 @@ func (s *Searcher) walker(source *rng.Source, from metric.Point, targets []metri
 		tried:   w.tried[:0],
 		spill:   w.spill,
 	}
-	if err := w.start(source, from, targets); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // start validates a search and puts w — zero but for the empty buffers
