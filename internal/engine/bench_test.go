@@ -345,7 +345,8 @@ func TestChurnPITRunAllocsPerMessage(t *testing.T) {
 // BenchmarkLiveEngine runs a whole live engine scenario per shard
 // count — the end-to-end events/sec number, meaningful on multi-core
 // hardware (ftrmark's live_seq and live_sharded workloads take the same
-// contrast repeated and stamped, as engine.shard_speedup).
+// contrast repeated and stamped, as engine.shard_speedup), beside the
+// heap allocations and bytes one message costs the whole run.
 func BenchmarkLiveEngine(b *testing.B) {
 	g, msgs, sched := liveEngineScenario(b, 1<<14)
 	for _, shards := range []int{1, 2, 4} {
@@ -368,7 +369,9 @@ func BenchmarkLiveEngine(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(msgs)), "allocs/msg")
+			per := float64(b.N * len(msgs))
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/msg")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/msg")
 		})
 	}
 }

@@ -110,12 +110,13 @@ func TestChurnKnobsOnlyByteIdentical(t *testing.T) {
 }
 
 // oneShot runs a single From→Key lookup on g in plain live mode,
-// injected at time `at` with unit capacity; injected at 0, the walk
-// visits Path[i] at virtual time i and Path[i]'s service occupies
-// [i, i+1).
+// injected at time `at` with unit capacity, and asks for its path;
+// injected at 0, the walk visits Path[i] at virtual time i and
+// Path[i]'s service occupies [i, i+1).
 func oneShot(t *testing.T, g *graph.Graph, churn ChurnConfig, mode Mode, at float64) *Outcome {
 	t.Helper()
 	cfg := baseConfig()
+	cfg.Route.TracePath = true
 	cfg.Mode = mode
 	cfg.Churn = churn
 	out, err := Run(g, []Message{{From: 0, Key: 32}},

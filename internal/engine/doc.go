@@ -240,27 +240,28 @@
 // arena when the lookup completes:
 //
 //   - walkers come from a route.Arena, 256 at a time: the Walker
-//     structs, their 16-point paths and 16-entry tried stacks, and
-//     their history frames are three slabs per chunk, and a replica set
-//     of more than one member is a share of a fourth, all carved by
-//     three-index slices. The aliasing rule is the arena's: a buffer's
-//     capacity ends where the next walker's share begins, so a walk that
-//     outgrows its share reallocates privately. Only sequential code
-//     carves and releases — live admission and completion under both
-//     drivers (a completion settles at a barrier, never inside a drain),
-//     and snapshot mode's batch set-up and copy-out, in message order,
-//     on one arena per router (the plain one, and the congested one
-//     whose closure reads the signal the batch froze). Owners, or
-//     snapshot mode's Workers goroutines, Step walkers concurrently,
-//     each touching its own shares only. Release copies a finished
-//     path at exact length into the arena's kept-path slab, which is
-//     what Outcome.Results[i].Path holds after Run, valid and unshared,
-//     and puts the walker on a free stack the next admission pops
-//     before it carves. So a run carves about its peak of lookups in
-//     flight, which is the traffic's: ftrmark's live_seq injects all
-//     40 960 lookups inside 10 ticks and holds 75 % in flight at once,
-//     churn_pit holds 6.8 %, and a knee_sweep snapshot run a batch of 32
-//     (TestArenaCarvesPeakInFlight pins the bound);
+//     structs, their 16-point paths (traced runs only) and 16-entry
+//     tried stacks, and their history frames are three slabs per chunk,
+//     and a replica set of more than one member is a share of a fourth,
+//     all carved by three-index slices. The aliasing rule is the
+//     arena's: a buffer's capacity ends where the next walker's share
+//     begins, so a walk that outgrows its share reallocates privately.
+//     Only sequential code carves and releases — live admission and
+//     completion under both drivers (a completion settles at a barrier,
+//     never inside a drain), and snapshot mode's batch set-up and
+//     copy-out, in message order, on one arena per router (the plain
+//     one, and the congested one whose closure reads the signal the
+//     batch froze). Owners, or snapshot mode's Workers goroutines, Step
+//     walkers concurrently, each touching its own shares only. Release
+//     copies a finished traced path at exact length into the arena's
+//     kept-path slab, which is what Outcome.Results[i].Path holds after
+//     Run, valid and unshared, and puts the walker on a free stack the
+//     next admission pops before it carves. So a run carves about its
+//     peak of lookups in flight, which is the traffic's: ftrmark's
+//     live_seq injects all 40 960 lookups inside 10 ticks and holds 75 %
+//     in flight at once, churn_pit holds 6.8 %, and a knee_sweep
+//     snapshot run a batch of 32 (TestArenaCarvesPeakInFlight pins the
+//     bound);
 //   - message i's rng stream 16+i is derived into slot i of one
 //     []rng.Source (Source.DeriveInto), and a hot key's replica set is
 //     the placement's memoized slice (replica.Placement.Targets);
@@ -269,10 +270,17 @@
 //     belong to its current busy period, so their finish times are the
 //     oldest one's plus whole service times, and no queue stores them
 //     or ever allocates;
-//   - Outcome.Latencies is sized for every message up front.
+//   - Outcome.Latencies is sized for every message up front;
+//   - a run traces its walkers only when something reads the path:
+//     snapshot mode's replay, ModeLivePIT's answer legs, cache-on-path
+//     observation, or a caller that sets Route.TracePath. A plain live,
+//     aggregate or churn run has no path share and keeps no path
+//     (ftrmark's live_seq 700 → 552 bytes per message;
+//     TestUntracedRunMatchesTraced holds every other Outcome field to
+//     the traced run's).
 //
 // What is left is amortized growth — a path past 16 hops, the kept-path
-// slab, the event heaps — and the per-run tables: 0.013 allocations per
+// slab, the event heaps — and the per-run tables: 0.011 allocations per
 // message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose
 // batches also spawn their stepping goroutines), which
 // TestLiveRunAllocsPerMessage and TestSnapshotRunAllocsPerMessage guard

@@ -57,9 +57,11 @@ type Config struct {
 	// mode ignores Shards. Must be at least 1, and at most the node
 	// count in live mode.
 	Shards int
-	// Route configures the routing layer. TracePath is forced on; the
-	// congestion feedback owns Congestion whenever Penalty or
-	// DepthPenalty is positive.
+	// Route configures the routing layer. TracePath asks for each
+	// lookup's visited path in Outcome.Results; runs that read the path
+	// themselves (snapshot mode, ModeLivePIT, cache-on-path placements)
+	// trace whatever it says. The congestion feedback owns Congestion
+	// whenever Penalty or DepthPenalty is positive.
 	Route route.Options
 	// Penalty is the cumulative-load congestion weight: detour budget
 	// in distance units per multiple-of-mean charged load.
@@ -191,10 +193,11 @@ type Ledger struct {
 // Outcome reports one engine run: the per-message routing results in
 // message order, the queueing picture, and the aggregation headline.
 type Outcome struct {
-	// Results holds each message's search outcome. Under live
-	// aggregation a coalesced message reports its own partial path and
-	// hops but its carrier's Delivered/Target — it was answered at the
-	// aggregation point.
+	// Results holds each message's search outcome. Its Path is the
+	// visited sequence when the run traced (see Config.Route) and nil
+	// otherwise. Under live aggregation a coalesced message reports its
+	// own hops, and when traced its own partial path, but its carrier's
+	// Delivered/Target — it was answered at the aggregation point.
 	Results []route.Result
 	// Loads counts message-hop services per grid point.
 	Loads []int

@@ -122,6 +122,8 @@ func TestLiveMatchesSnapshotPlain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig()
+			// Snapshot mode always traces; a live run traces on request.
+			cfg.Route.TracePath = true
 			snap, err := Run(g, msgs, tc.sched, cfg, rng.New(9))
 			if err != nil {
 				t.Fatal(err)

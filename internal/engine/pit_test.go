@@ -140,6 +140,7 @@ func TestPITAnswerLatency(t *testing.T) {
 	sched := periodicSchedule(1, 1)
 	cfg := baseConfig()
 	cfg.Mode = ModeLive
+	cfg.Route.TracePath = true // the answer leg's length is the live path's
 	live, err := Run(g, msgs, sched, cfg, rng.New(13))
 	if err != nil {
 		t.Fatal(err)

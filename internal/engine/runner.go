@@ -65,16 +65,16 @@ type runner struct {
 
 	// Each message in flight has a walker from the run's arena, which
 	// takes it back at the lookup's completion (retire) and keeps its
-	// path for Outcome.Results, so a run carves about its peak of
-	// lookups in flight — 75 % of live_seq's, 6.8 % of churn_pit's —
-	// and walkers[m] is nil before admission and after completion. Its
-	// rng stream is slot m of one per-run slab (srcs). (Snapshot mode
-	// carves a batch at a time and releases the batch once its results
-	// are copied out: arena is its plain router's, and walkers stays
-	// nil.) Every mode: each message's current node, and its completion
-	// time (-1 while in flight); the injections not yet admitted, ordered
-	// by (time, msg); and the owners of the node set, whose heaps hold
-	// every pending event (shard.go).
+	// path, when the run traces (initLive), for Outcome.Results, so a
+	// run carves about its peak of lookups in flight — 75 % of
+	// live_seq's, 6.8 % of churn_pit's — and walkers[m] is nil before
+	// admission and after completion. Its rng stream is slot m of one
+	// per-run slab (srcs). (Snapshot mode carves a batch at a time and
+	// releases the batch once its results are copied out: arena is its
+	// plain router's, and walkers stays nil.) Every mode: each message's
+	// current node, and its completion time (-1 while in flight); the
+	// injections not yet admitted, ordered by (time, msg); and the owners
+	// of the node set, whose heaps hold every pending event (shard.go).
 	arena   *route.Arena
 	srcs    []rng.Source
 	walkers []*route.Walker
@@ -254,8 +254,12 @@ func (r *runner) initLive() {
 			ansTarget:   make([]metric.Point, n),
 		}
 	}
+	// A walker traces its path only when something reads it: the caller
+	// (Outcome.Results[i].Path), a PIT answer leg that retraces it, or
+	// cache-on-path observation at delivery. Hops, Delivered and Target
+	// do not need it.
 	ropt := cfg.Route
-	ropt.TracePath = true
+	ropt.TracePath = cfg.Route.TracePath || cfg.Mode.PIT() || r.caching
 	if cfg.Penalty > 0 || cfg.DepthPenalty > 0 {
 		// The live congestion signal: charged load relative to the
 		// current mean live-node load, plus the candidate's queue depth
@@ -377,7 +381,7 @@ func (r *runner) runSnapshot() {
 	cfg, s := r.cfg, r.snap
 	aware := cfg.Penalty > 0 || cfg.DepthPenalty > 0
 	ropt := cfg.Route
-	ropt.TracePath = true
+	ropt.TracePath = true // the replay runs every routed path (forwarders)
 	s.charged = make([]int, r.g.Size())
 	var congested *route.Arena
 	if aware {

@@ -49,9 +49,11 @@ type Config struct {
 	// ignores Shards entirely (a no-op, not an error). Must not exceed
 	// the node count in live mode.
 	Shards int
-	// Route configures the underlying router. TracePath is forced on
-	// (the engine needs the visited sequence); Congestion is
-	// overwritten when Penalty or DepthPenalty is positive.
+	// Route configures the underlying router. Run reads no path, so
+	// TracePath only costs memory here; the engine traces on its own
+	// where it reads the visited sequence (snapshot mode, PIT answer
+	// legs, cache-on-path). Congestion is overwritten when Penalty or
+	// DepthPenalty is positive.
 	Route route.Options
 	// Penalty, when positive, enables load-aware routing: greedy with
 	// congestion-penalized detours (route.Options.Congestion). The

@@ -7,21 +7,22 @@ import (
 )
 
 // latencySummary returns the mean and the nearest-rank p50/p95/p99 of
-// the given latencies. All zeros on empty input (nothing delivered).
+// the given latencies, which it sorts in place (Run owns its outcome's
+// slice and keeps no other view of it). The mean sums in sorted order.
+// All zeros on empty input (nothing delivered).
 func latencySummary(latencies []float64) (mean, p50, p95, p99 float64) {
 	if len(latencies) == 0 {
 		return 0, 0, 0, 0
 	}
-	sorted := append([]float64(nil), latencies...)
-	sort.Float64s(sorted)
+	sort.Float64s(latencies)
 	var total float64
-	for _, v := range sorted {
+	for _, v := range latencies {
 		total += v
 	}
-	return total / float64(len(sorted)),
-		mathx.NearestRank(sorted, 0.50),
-		mathx.NearestRank(sorted, 0.95),
-		mathx.NearestRank(sorted, 0.99)
+	return total / float64(len(latencies)),
+		mathx.NearestRank(latencies, 0.50),
+		mathx.NearestRank(latencies, 0.95),
+		mathx.NearestRank(latencies, 0.99)
 }
 
 // LoadHistogram buckets the per-node service counts into a power-of-two

@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -14,7 +15,11 @@ func TestLatencySummary(t *testing.T) {
 	for i := range lat {
 		lat[i] = float64(i + 1) // 1..100
 	}
+	slices.Reverse(lat) // sorted in place, whatever the order
 	mean, p50, p95, p99 = latencySummary(lat)
+	if !slices.IsSorted(lat) {
+		t.Error("latencies not sorted in place")
+	}
 	if math.Abs(mean-50.5) > 1e-9 {
 		t.Errorf("mean = %v, want 50.5", mean)
 	}

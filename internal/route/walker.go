@@ -101,12 +101,12 @@ const arenaChunk = 256
 
 // Arena allocates walkers for one Router a chunk at a time and takes
 // them back when their searches are over: the Walker structs, their
-// traced paths and tried stacks, and their history frames come from
-// three slabs per chunk instead of three or more heap objects per
-// walker, and a decoded target set too large for the walker's own array
-// (a replica set) from a fourth, grown only when such a set first
-// arrives. A run of walkers toward one replica set shares that set's
-// distance table instead (Arena.share).
+// paths (when the Router traces) and tried stacks, and their history
+// frames come from three slabs per chunk instead of three or more heap
+// objects per walker, and a decoded target set too large for the
+// walker's own array (a replica set) from a fourth, grown only when
+// such a set first arrives. A run of walkers toward one replica set
+// shares that set's distance table instead (Arena.share).
 // It exists for callers that keep many searches in flight at once — the
 // engine's lookups, which wait in queues between hops. How many are in
 // flight is the traffic's business: ftrmark's live_seq holds 75 % of its
@@ -117,8 +117,11 @@ const arenaChunk = 256
 // carves, keeping the buffers the last search grew. The arena then
 // carves about as many walkers as the caller's peak in flight, and the
 // kept paths cost a lookup its hop count in points rather than a whole
-// walker. A caller that runs its searches one at a time holds a
-// Searcher instead.
+// walker. An untracing Router's walkers have no path share and keep no
+// path, which is what the engine's live runs ask for unless something
+// reads the path: 128 of a backtracking walker's 528 bytes (five
+// remembered nodes), and the kept copy, are gone. A caller that runs its
+// searches one at a time holds a Searcher instead.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
 // slices, so their capacity ends where the next walker's begin. A walk
@@ -478,7 +481,7 @@ func (w *Walker) Result() Result { return w.res }
 // Visited returns the nodes the search has occupied so far, in visit
 // order (backtracking revisits included) — the reverse-path
 // bookkeeping the engine's answer leg retraces. It requires TracePath
-// (the engine forces it on in live modes) and is empty otherwise. The
+// (the engine turns it on in ModeLivePIT) and is empty otherwise. The
 // slice aliases the walker's trace: callers must treat it as
 // read-only, and it stays valid only while the walker does not Step.
 func (w *Walker) Visited() []metric.Point { return w.res.Path }
