@@ -239,20 +239,21 @@
 // carved from per-run slabs, and a lookup's walker goes back to its
 // arena when the lookup completes:
 //
-//   - walkers come from a route.Arena, 256 at a time: the Walker
-//     structs, their 16-point paths (traced runs only) and 16-entry
-//     tried stacks, and their history frames are three slabs per chunk,
-//     and a replica set of more than one member is a share of a fourth,
-//     all carved by three-index slices. The aliasing rule is the
-//     arena's: a buffer's capacity ends where the next walker's share
-//     begins, so a walk that outgrows its share reallocates privately.
-//     Only sequential code carves and releases — live admission and
-//     completion under both drivers (a completion settles at a barrier,
-//     never inside a drain), and snapshot mode's batch set-up and
-//     copy-out, in message order, on one arena per router (the plain
-//     one, and the congested one whose closure reads the signal the
-//     batch froze). Owners, or snapshot mode's Workers goroutines, Step
-//     walkers concurrently, each touching its own shares only. Release
+//   - walkers come from a route.Arena in chunks that double the walkers
+//     carved so far, up to 256: the Walker structs, their 16-point paths
+//     (traced runs only) and 16-entry tried stacks, and their history
+//     frames are three slabs per chunk, and a replica set of more than
+//     one member is a share of a fourth, all carved by three-index
+//     slices. The aliasing rule is the arena's: a buffer's capacity ends
+//     where the next walker's share begins, so a walk that outgrows its
+//     share reallocates privately. Only sequential code carves and
+//     releases — live admission and completion under both drivers (a
+//     completion settles at a barrier, never inside a drain), and
+//     snapshot mode's batch set-up and copy-out, in message order, on
+//     the run's one arena, whose router's closure in snapshot mode reads
+//     the signal the batch froze. Owners, or snapshot mode's Workers
+//     goroutines, Step walkers concurrently, each touching its own
+//     shares only. Release
 //     copies a finished traced path at exact length into the arena's
 //     kept-path slab, which is what Outcome.Results[i].Path holds after
 //     Run, valid and unshared, and puts the walker on a free stack the

@@ -268,7 +268,7 @@ func (sh *shard) serveAnswer(r *runner, a event) {
 			}
 			p.parked[w] = false
 			fan++
-			path := r.walkers[w].Visited()
+			path := r.walkers[w].Result().Path
 			p.answering[w], p.released[w] = true, true
 			p.ansPath[w] = path
 			p.ansAt[w] = len(path) - 2

@@ -43,12 +43,21 @@ func peakInFlight(r *runner) int {
 	return peak
 }
 
-// arenaChunkOf returns how many walkers an arena carves at a time.
-func arenaChunkOf(t *testing.T, g *graph.Graph) int {
+// carvedFor returns how many walkers a fresh arena carves for n walkers
+// in flight at once: the first total of its chunk growth that covers n.
+func carvedFor(t *testing.T, g *graph.Graph, n int) int {
 	t.Helper()
 	a := route.New(g, route.Options{}).NewArena()
-	if _, err := a.Walker(nil, 0, []metric.Point{1}); err != nil {
-		t.Fatal(err)
+	var alive []metric.Point
+	for p := metric.Point(0); len(alive) < 2; p++ {
+		if g.Alive(p) {
+			alive = append(alive, p)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, err := a.Walker(nil, alive[0], alive[1:]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return a.Carved()
 }
@@ -86,20 +95,20 @@ func checkKeptPaths(t *testing.T, name string, out *Outcome) {
 // run's arena takes each lookup's walker back at its completion, so on
 // churnPITScenario — Zipf lookups with PIT answers under churn, at one
 // owner and at two, where completions settle at window barriers — it
-// carves no more walkers than the run's peak of lookups in flight,
-// rounded up to a chunk: a fraction of the run's messages. A snapshot
-// run with cache-on-path routes batches of 32 on one arena and takes
-// each batch's walkers back before the next, so the arena carves one
-// chunk. Either way every traced Result keeps a path of its own.
+// carves no more walkers than a fresh arena carves for the run's peak of
+// lookups in flight (the first total of its chunk growth that covers
+// the peak): a fraction of the run's messages. A snapshot run with
+// cache-on-path routes batches of 32 on one arena and takes each batch's
+// walkers back before the next, so the arena carves exactly 32. Either
+// way every traced Result keeps a path of its own.
 func TestArenaCarvesPeakInFlight(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		g, msgs, sched, cfg := churnPITScenario(t, 1<<12, false)
 		cfg.Shards = shards
 		r := runKept(t, g, msgs, sched, cfg, nil)
 		name := fmt.Sprintf("churn_pit shards=%d", shards)
-		chunk := arenaChunkOf(t, g)
 		peak := peakInFlight(r)
-		bound := (peak + chunk - 1) / chunk * chunk
+		bound := carvedFor(t, g, peak)
 		if carved := r.arena.Carved(); carved > bound || 4*bound > len(msgs) {
 			t.Errorf("%s: the arena carved %d walkers for %d lookups, peak %d in flight; want at most %d, under a quarter of the lookups",
 				name, carved, len(msgs), peak, bound)
@@ -125,9 +134,9 @@ func TestArenaCarvesPeakInFlight(t *testing.T) {
 	if r.runSnapshot(); r.err != nil {
 		t.Fatal(r.err)
 	}
-	if carved, chunk := r.arena.Carved(), arenaChunkOf(t, g); carved != chunk {
-		t.Errorf("snapshot: the arena carved %d walkers for %d lookups in batches of %d, want one chunk of %d",
-			carved, len(msgs), cfg.BatchSize, chunk)
+	if carved := r.arena.Carved(); carved != cfg.BatchSize {
+		t.Errorf("snapshot: the arena carved %d walkers for %d lookups in batches of %d, want %d",
+			carved, len(msgs), cfg.BatchSize, cfg.BatchSize)
 	}
 	checkKeptPaths(t, "snapshot", r.out)
 }

@@ -70,11 +70,11 @@ type runner struct {
 	// live_seq's, 6.8 % of churn_pit's — and walkers[m] is nil before
 	// admission and after completion. Its rng stream is slot m of one
 	// per-run slab (srcs). (Snapshot mode carves a batch at a time and
-	// releases the batch once its results are copied out: arena is its
-	// plain router's, and walkers stays nil.) Every mode: each message's
-	// current node, and its completion time (-1 while in flight); the
-	// injections not yet admitted, ordered by (time, msg); and the owners
-	// of the node set, whose heaps hold every pending event (shard.go).
+	// releases the batch once its results are copied out; walkers stays
+	// nil.) Every mode: each message's current node, and its completion
+	// time (-1 while in flight); the injections not yet admitted, ordered
+	// by (time, msg); and the owners of the node set, whose heaps hold
+	// every pending event (shard.go).
 	arena   *route.Arena
 	srcs    []rng.Source
 	walkers []*route.Walker
@@ -103,7 +103,7 @@ type snapshotState struct {
 	initialAt []float64
 
 	// The congestion signal a batch routes against, frozen between
-	// batches and read by the congested router's closure: services
+	// batches and read by the router's congestion closure: services
 	// charged per node by the batches routed so far, their scale, and
 	// the queue depths at the batch's first injection (nil without a
 	// DepthPenalty).
@@ -383,22 +383,20 @@ func (r *runner) runSnapshot() {
 	ropt := cfg.Route
 	ropt.TracePath = true // the replay runs every routed path (forwarders)
 	s.charged = make([]int, r.g.Size())
-	var congested *route.Arena
 	if aware {
-		// The congestion feedback owns these fields (the documented
-		// contract): drop any caller-supplied signal so the first,
-		// zero-load batch routes hop-optimally, and route later batches
-		// on a second router whose signal is what the batch froze in s.
-		ropt.Congestion = nil
-		copt := ropt
-		copt.Congestion = func(q metric.Point) float64 {
+		// The congestion feedback owns this field (the documented
+		// contract): the caller's signal gives way to what each batch
+		// froze in s. It is zero everywhere until a batch has charged
+		// load or probed depths — the first, zero-load batch's — and a
+		// signal zero everywhere picks the hop-optimal neighbour, as no
+		// signal does.
+		ropt.Congestion = func(q metric.Point) float64 {
 			c := float64(float64(s.charged[q]) * s.loadScale)
 			if s.depth != nil {
 				c += float64(cfg.DepthPenalty * float64(s.depth[q]))
 			}
 			return c
 		}
-		congested = route.New(r.g, copt).NewArena()
 	}
 	r.arena = route.New(r.g, ropt).NewArena()
 	batch := len(r.msgs)
@@ -413,7 +411,6 @@ func (r *runner) runSnapshot() {
 		if end > len(r.msgs) {
 			end = len(r.msgs)
 		}
-		arena := r.arena
 		if aware && start > 0 {
 			// The cumulative congestion signal is the node's charged
 			// load relative to the mean live-node load of the snapshot —
@@ -438,18 +435,15 @@ func (r *runner) runSnapshot() {
 			if cfg.DepthPenalty > 0 {
 				r.depthsAtBatch(start)
 			}
-			if s.loadScale > 0 || s.depth != nil {
-				arena = congested
-			}
 		}
 		if r.err != nil {
 			return // a depth probe's loop met a malformed schedule
 		}
-		if r.err = r.routeRange(arena, start, ws[:end-start]); r.err != nil {
+		if r.err = r.routeRange(start, ws[:end-start]); r.err != nil {
 			return
 		}
 		for i := start; i < end; i++ {
-			res := arena.Release(ws[i-start])
+			res := r.arena.Release(ws[i-start])
 			r.out.Results[i] = res
 			s.paths[i] = forwarders(res)
 			for _, p := range s.paths[i] {
@@ -560,16 +554,16 @@ func (r *runner) prefix(start int) *runner {
 	return p
 }
 
-// routeRange routes messages [start, start+len(ws)) on arena a into ws.
+// routeRange routes messages [start, start+len(ws)) into ws.
 // Their walkers are carved in message order on this goroutine — the
 // arena carves sequentially, and the error reported is the first
 // message's that cannot start, whatever cfg.Workers — then stepped to
 // completion across cfg.Workers goroutines. Each walk draws only on its
 // own derived rng stream, so the assignment of walkers to workers is
 // irrelevant.
-func (r *runner) routeRange(a *route.Arena, start int, ws []*route.Walker) error {
+func (r *runner) routeRange(start int, ws []*route.Walker) error {
 	for i := range ws {
-		w, err := r.startWalker(a, start+i, r.msgs[start+i].From)
+		w, err := r.startWalker(start+i, r.msgs[start+i].From)
 		if err != nil {
 			return err
 		}
@@ -655,7 +649,7 @@ func (r *runner) admit(inj Injection) (event, bool) {
 		}
 		from = p
 	}
-	w, err := r.startWalker(r.arena, msg, from)
+	w, err := r.startWalker(msg, from)
 	if err != nil {
 		if r.churn != nil {
 			// Under churn a lookup can be born unroutable — every replica
@@ -677,11 +671,11 @@ func (r *runner) admit(inj Injection) (event, bool) {
 	return event{time: inj.Time, msg: msg, idx: 0}, true
 }
 
-// startWalker carves message msg's walker from arena a, starting at
+// startWalker carves message msg's walker from the run's arena, starting at
 // `from`. The walker copies its target set, so the plain one-key set
 // lives on this frame; stream 16+msg of the root lands in the run's
 // slab.
-func (r *runner) startWalker(a *route.Arena, msg int, from metric.Point) (*route.Walker, error) {
+func (r *runner) startWalker(msg int, from metric.Point) (*route.Walker, error) {
 	key := [1]metric.Point{r.msgs[msg].Key}
 	targets := r.targetsFor(msg)
 	if targets == nil {
@@ -689,7 +683,7 @@ func (r *runner) startWalker(a *route.Arena, msg int, from metric.Point) (*route
 	}
 	src := &r.srcs[msg]
 	r.root.DeriveInto(src, 16+uint64(msg))
-	return a.Walker(src, from, targets)
+	return r.arena.Walker(src, from, targets)
 }
 
 // release asks the closed-loop hook which injection msg's completion

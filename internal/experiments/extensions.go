@@ -86,11 +86,11 @@ func init() {
 }
 
 // redundant routes msgs searches between random honest nodes, each as
-// copies Valiant-style copies through random relays, every leg on one
-// route.HonestSearcher.
+// copies Valiant-style copies through random relays, every leg on a
+// walker of one route.Arena.
 func redundant(copies int) searchFunc {
 	return func(g *graph.Graph, src *rng.Source, msgs int) (sim.SearchStats, error) {
-		r := route.New(g, route.Options{}).NewHonestSearcher()
+		r := route.New(g, route.Options{}).NewArena()
 		var s sim.SearchStats
 		for i := 0; i < msgs; i++ {
 			from, ok1 := honestNode(g, src)

@@ -36,7 +36,7 @@ func recycleSets(src *rng.Source, n, count int) [][]metric.Point {
 // TestReleasedPathOutlivesItsWalker: a Result that Release hands back
 // keeps its path, at cap == len, while the walker it came from runs
 // search after search — each of which ends as the same search on a
-// fresh Searcher — and the arena issues released walkers before it
+// fresh arena — and the arena issues released walkers before it
 // carves.
 func TestReleasedPathOutlivesItsWalker(t *testing.T) {
 	g := crashed(buildRing(t, 1<<10, 4, 60), 0.3, 61)
@@ -264,11 +264,11 @@ func TestRecyclingKeepsShareDecisions(t *testing.T) {
 	}
 }
 
-// TestRecycledWalkersMeetLargerSets: a whole chunk of walkers issued
-// toward single targets, released, and issued again toward 12-member
-// sets takes its set shares from a slab sized while the chunk has no
-// walker left to carve, and every search still ends as on a fresh
-// Searcher.
+// TestRecycledWalkersMeetLargerSets: arenaChunk walkers issued toward
+// single targets, released, and issued again toward 12-member sets take
+// their set shares from a slab sized while the arena has no walker left
+// to carve, and every search still ends as on a fresh arena; the arena
+// carves the doubling total that covers them, arenaChunk itself.
 func TestRecycledWalkersMeetLargerSets(t *testing.T) {
 	g := shareGraph(t, shareSpaces(t)[2], 0, 70)
 	r := New(g, Options{DeadEnd: Backtrack, TracePath: true})

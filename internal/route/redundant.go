@@ -8,52 +8,30 @@ import (
 	"repro/internal/rng"
 )
 
-// HonestSearcher runs RouteHonest and RouteRedundant searches one after
-// another on one recycled walker, as a Searcher runs Route: after its
-// first search it allocates nothing. The drop accounting reads every
-// visited node, so the walker always traces; a Result keeps that path
-// only when its Router's options trace, and then it aliases the
-// walker's buffer and is valid until the next search. An HonestSearcher
-// is not safe for concurrent use.
-type HonestSearcher struct {
-	s    *Searcher
-	keep bool
-}
-
-// NewHonestSearcher returns an HonestSearcher for r's searches.
-func (r *Router) NewHonestSearcher() *HonestSearcher {
-	traced := r
-	if !r.opt.TracePath {
-		copied := *r
-		copied.opt.TracePath = true
-		traced = &copied
-	}
-	return &HonestSearcher{s: traced.NewSearcher(), keep: r.opt.TracePath}
-}
-
-// RouteHonest performs one greedy search and accounts for Byzantine
-// drops: routing treats malicious nodes as ordinary (their misbehaviour
-// is not locally observable), so the message dies, silently and
-// unrecoverably, at the first malicious node it visits. Hops up to the
-// drop point are still charged.
-func (h *HonestSearcher) RouteHonest(source *rng.Source, from, to metric.Point) (Result, error) {
-	res, err := h.s.Route(source, from, to)
+// RouteHonest performs one greedy search on a walker of the arena and
+// accounts for Byzantine drops: routing treats malicious nodes as
+// ordinary (their misbehaviour is not locally observable), so the
+// message dies, silently and unrecoverably, at the first malicious node
+// it moves to. A dropped search reports the walker's hops, reroutes and
+// backtracks on reaching that node; the moves after the drop never
+// happened. The walk still runs to its end, so the rng draws of the
+// searches after it do not depend on where it was dropped.
+func (a *Arena) RouteHonest(source *rng.Source, from, to metric.Point) (Result, error) {
+	w, err := a.Walker(source, from, []metric.Point{to})
 	if err != nil {
 		return Result{}, err
 	}
-	g := h.s.w.r.g
-	for i, p := range res.Path {
-		if i == 0 {
-			continue // the (honest) origin
-		}
-		if g.Malicious(p) {
-			// Message silently dropped at hop i; the hops after the
-			// drop never happened.
-			return Result{Delivered: false, Hops: i, Reroutes: res.Reroutes, Target: -1}, nil
+	drop := Result{Target: -1} // Hops > 0 once dropped: a drop follows a move
+	for more := true; more; {
+		more = w.Step()
+		if drop.Hops == 0 && w.LastStep() != StepNone && a.r.g.Malicious(w.At()) {
+			res := w.Result()
+			drop.Hops, drop.Reroutes, drop.Backtracks = res.Hops, res.Reroutes, res.Backtracks
 		}
 	}
-	if !h.keep {
-		res.Path = nil
+	res := a.Release(w)
+	if drop.Hops > 0 {
+		return drop, nil
 	}
 	return res, nil
 }
@@ -64,9 +42,9 @@ func (h *HonestSearcher) RouteHonest(source *rng.Source, from, to metric.Point) 
 // routed to an independent uniformly random live relay and onward from
 // there, so the copies traverse nearly independent paths. Hops counts
 // the total traffic of all copies (the price of redundancy);
-// Reroutes counts relay hand-offs. Every leg runs on the searcher's
-// walker.
-func (h *HonestSearcher) RouteRedundant(source *rng.Source, from, to metric.Point, copies int) (Result, error) {
+// Reroutes counts relay hand-offs. Every leg runs on a walker of the
+// arena.
+func (a *Arena) RouteRedundant(source *rng.Source, from, to metric.Point, copies int) (Result, error) {
 	if copies < 1 {
 		return Result{}, fmt.Errorf("route: need at least one copy, got %d", copies)
 	}
@@ -79,19 +57,19 @@ func (h *HonestSearcher) RouteRedundant(source *rng.Source, from, to metric.Poin
 			agg.Target = res.Target
 		}
 	}
-	direct, err := h.RouteHonest(source, from, to)
+	direct, err := a.RouteHonest(source, from, to)
 	if err != nil {
 		return Result{}, err
 	}
 	deliver(direct)
-	g := h.s.w.r.g
+	g := a.r.g
 	for c := 1; c < copies; c++ {
 		relay, ok := honestishRelay(g, source, from, to)
 		if !ok {
 			break
 		}
 		agg.Reroutes++
-		leg1, err := h.RouteHonest(source, from, relay)
+		leg1, err := a.RouteHonest(source, from, relay)
 		if err != nil {
 			return agg, err
 		}
@@ -100,7 +78,7 @@ func (h *HonestSearcher) RouteRedundant(source *rng.Source, from, to metric.Poin
 		if !leg1.Delivered {
 			continue
 		}
-		leg2, err := h.RouteHonest(source, relay, to)
+		leg2, err := a.RouteHonest(source, relay, to)
 		if err != nil {
 			return agg, err
 		}

@@ -3,6 +3,7 @@ package route
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/failure"
@@ -13,8 +14,8 @@ import (
 
 func TestRouteHonestNoMalicious(t *testing.T) {
 	g := buildRing(t, 256, 4, 20)
-	r := New(g, Options{}).NewHonestSearcher()
-	res, err := r.RouteHonest(rng.New(1), 3, 200)
+	a := New(g, Options{}).NewArena()
+	res, err := a.RouteHonest(rng.New(1), 3, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +30,8 @@ func TestRouteHonestDropsAtMaliciousNode(t *testing.T) {
 	if err := g.SetMalicious(2, true); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{}).NewHonestSearcher()
-	res, err := r.RouteHonest(rng.New(2), 0, 4)
+	a := New(g, Options{}).NewArena()
+	res, err := a.RouteHonest(rng.New(2), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,8 @@ func TestRouteHonestMaliciousTargetDrops(t *testing.T) {
 	if err := g.SetMalicious(4, true); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{}).NewHonestSearcher()
-	res, err := r.RouteHonest(rng.New(3), 0, 4)
+	a := New(g, Options{}).NewArena()
+	res, err := a.RouteHonest(rng.New(3), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,69 @@ func TestRouteHonestMaliciousTargetDrops(t *testing.T) {
 	}
 }
 
+// TestRouteHonestDropKeepsCountersAtTheDrop: a dropped search reports
+// the hops, reroutes and backtracks its walker had on reaching the first
+// malicious node — those of the same walk stopped after as many steps as
+// that node's index in the traced path — under RandomReroute and
+// Backtrack on a ring with 30 % of its nodes crashed and 10 % of the rest
+// malicious. A search that is not dropped ends as Router.Route does. The
+// check needs drops after a backtrack and drops before a reroute.
+func TestRouteHonestDropKeepsCountersAtTheDrop(t *testing.T) {
+	g := crashed(buildRing(t, 1<<10, 3, 80), 0.3, 81)
+	if _, err := failure.MarkMalicious(g, 0.1, rng.New(82)); err != nil {
+		t.Fatal(err)
+	}
+	pairs := honestPairs(g, rng.New(83), 2000)
+	for _, policy := range []DeadEndPolicy{RandomReroute, Backtrack} {
+		a := New(g, Options{DeadEnd: policy}).NewArena()
+		traced := New(g, Options{DeadEnd: policy, TracePath: true})
+		backtracked, reroutedAfter := 0, 0
+		for i, p := range pairs {
+			res, err := a.RouteHonest(rng.New(uint64(i)), p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := traced.Route(rng.New(uint64(i)), p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			drop := slices.IndexFunc(full.Path[1:], g.Malicious) + 1
+			if drop == 0 {
+				full.Path = nil
+				if !reflect.DeepEqual(res, full) {
+					t.Fatalf("%s search %d: %+v, want Route's %+v", policy, i, res, full)
+				}
+				continue
+			}
+			w, err := traced.Walker(rng.New(uint64(i)), p[0], []metric.Point{p[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < drop; k++ {
+				w.Step()
+			}
+			at := w.Result()
+			want := Result{Hops: at.Hops, Reroutes: at.Reroutes, Backtracks: at.Backtracks, Target: -1}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("%s search %d dropped at hop %d: %+v, want %+v", policy, i, drop, res, want)
+			}
+			if at.Backtracks > 0 {
+				backtracked++
+			}
+			if full.Reroutes > at.Reroutes {
+				reroutedAfter++
+			}
+		}
+		if policy == Backtrack && backtracked == 0 || policy == RandomReroute && reroutedAfter == 0 {
+			t.Fatalf("%s: %d drops after a backtrack, %d before a reroute: the check is vacuous", policy, backtracked, reroutedAfter)
+		}
+	}
+}
+
 func TestRouteRedundantValidation(t *testing.T) {
 	g := buildRing(t, 64, 2, 21)
-	r := New(g, Options{}).NewHonestSearcher()
-	if _, err := r.RouteRedundant(rng.New(1), 0, 5, 0); err == nil {
+	a := New(g, Options{}).NewArena()
+	if _, err := a.RouteRedundant(rng.New(1), 0, 5, 0); err == nil {
 		t.Error("copies=0 should error")
 	}
 }
@@ -72,7 +132,7 @@ func TestRouteRedundantImprovesDelivery(t *testing.T) {
 	if _, err := failure.MarkMalicious(g, 0.15, src); err != nil {
 		t.Fatal(err)
 	}
-	r := New(g, Options{}).NewHonestSearcher()
+	a := New(g, Options{}).NewArena()
 	honest := func() (metric.Point, bool) {
 		for i := 0; i < 100; i++ {
 			p, ok := g.RandomAlive(src)
@@ -90,11 +150,11 @@ func TestRouteRedundantImprovesDelivery(t *testing.T) {
 		if !ok1 || !ok2 || from == to {
 			continue
 		}
-		d, err := r.RouteRedundant(src, from, to, 1)
+		d, err := a.RouteRedundant(src, from, to, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.RouteRedundant(src, from, to, 4)
+		m, err := a.RouteRedundant(src, from, to, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,13 +175,13 @@ func TestRouteRedundantImprovesDelivery(t *testing.T) {
 
 func TestRouteRedundantCountsCost(t *testing.T) {
 	g := buildRing(t, 512, 6, 24)
-	r := New(g, Options{}).NewHonestSearcher()
+	a := New(g, Options{}).NewArena()
 	src := rng.New(25)
-	one, err := r.RouteRedundant(src, 3, 400, 1)
+	one, err := a.RouteRedundant(src, 3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := r.RouteRedundant(src, 3, 400, 4)
+	four, err := a.RouteRedundant(src, 3, 400, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +247,8 @@ func honestPairs(g *graph.Graph, src *rng.Source, count int) [][2]metric.Point {
 }
 
 // TestHonestSearcherMatchesFreshSearches: RouteHonest and RouteRedundant
-// on one HonestSearcher, search after search, return what they return
-// on a fresh one each, traced and untraced, under every dead-end
+// on one arena, search after search, return what they return on a fresh
+// arena each, traced and untraced, under every dead-end
 // policy; a traced result keeps the path, an untraced one none.
 func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
 	g := buildRing(t, 1<<10, 10, 72)
@@ -199,14 +259,14 @@ func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
 	for _, policy := range []DeadEndPolicy{Terminate, RandomReroute, Backtrack} {
 		for _, traced := range []bool{false, true} {
 			r := New(g, Options{DeadEnd: policy, TracePath: traced})
-			h := r.NewHonestSearcher()
+			h := r.NewArena()
 			got, want := rng.New(75), rng.New(75)
 			for i, p := range pairs {
 				res, err := h.RouteHonest(got, p[0], p[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := r.NewHonestSearcher().RouteHonest(want, p[0], p[1])
+				fresh, err := r.NewArena().RouteHonest(want, p[0], p[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,7 +280,7 @@ func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				freshRed, err := r.NewHonestSearcher().RouteRedundant(want, p[0], p[1], 1+i%4)
+				freshRed, err := r.NewArena().RouteRedundant(want, p[0], p[1], 1+i%4)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,9 +293,9 @@ func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
 }
 
 // TestHonestSearcherAllocs pins ext.byzantine's searches at no
-// allocation: once an HonestSearcher has run its first search,
-// RouteRedundant with three copies — six legs at most, each a traced
-// search read for drops — allocates nothing under Backtrack on a ring
+// allocation: once an arena has run its first search, RouteRedundant
+// with three copies — six legs at most, each an untraced search checked
+// for drops at every step — allocates nothing under Backtrack on a ring
 // of 2¹¹ nodes with ℓ = 11 and 15 % of them malicious. Each leg through
 // Router.Route built a walker of its own: about 19 allocations a call.
 func TestHonestSearcherAllocs(t *testing.T) {
@@ -247,7 +307,7 @@ func TestHonestSearcherAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := honestPairs(g, rng.New(78), 500)
-	h := New(g, Options{DeadEnd: Backtrack}).NewHonestSearcher()
+	h := New(g, Options{DeadEnd: Backtrack}).NewArena()
 	src := rng.New(79)
 	search := func(p [2]metric.Point) Result {
 		res, err := h.RouteRedundant(src, p[0], p[1], 3)

@@ -34,7 +34,7 @@
 // have paid for it (Arena.share), so scoring a candidate is one load.
 // A set that differs from the previous one is scanned member by member,
 // so traffic whose set changes at every lookup never builds a table;
-// single targets, a Searcher's searches (Router.Walker, Route and
+// single targets, a fresh arena's first walker (Router.Walker, Route and
 // RouteAny run on one) and one-sided routing never take one.
 //
 // A step scores the current node's neighbour row (graph.Row): the
@@ -47,8 +47,10 @@
 // walk one hop at a time (Walker.Step), which is how the discrete-event
 // engine (internal/engine) interleaves forwarding decisions with
 // queueing so each hop can read live congestion state. Route and
-// RouteAny are thin loops over Step and byte-identical to it; a
-// Searcher runs them one after another on one recycled walker.
+// RouteAny are thin loops over Step and byte-identical to it. Every
+// walker comes from an Arena, which recycles it once its search is
+// over: Arena.RouteAny runs searches one after another on one walker,
+// and RouteHonest and RouteRedundant run the Byzantine searches there.
 package route
 
 import (
@@ -236,10 +238,17 @@ func (r *Router) Route(source *rng.Source, from, to metric.Point) (Result, error
 // plain single-target greedy exactly. An entirely dead set is an error.
 // It is a thin loop over the resumable Walker, so the whole-path searches
 // and the engine's single-step form are the same walk by construction,
-// for every target-set size. Each call runs on a fresh Searcher; a
-// caller with many searches to run holds one instead.
+// for every target-set size. Each call runs on a fresh arena's walker
+// and keeps the walker's traced path; a caller with many searches to run
+// holds an Arena and calls its RouteAny instead.
 func (r *Router) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
-	return r.NewSearcher().RouteAny(source, from, targets)
+	w, err := r.Walker(source, from, targets)
+	if err != nil {
+		return Result{}, err
+	}
+	for w.Step() {
+	}
+	return w.Result(), nil
 }
 
 // liveTargets decodes a target set's live members, each once, into

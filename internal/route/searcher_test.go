@@ -22,14 +22,15 @@ func crashed(g *graph.Graph, frac float64, seed uint64) *graph.Graph {
 	return g
 }
 
-// TestSearcherMatchesArenaWalkers runs one Searcher through a sequence
-// of searches under every dead-end policy, traced and untraced, toward
-// single targets and 3- and 12-member sets with dead and duplicate
-// members, and holds every result to a walker carved from a fresh
-// arena on a source of the same seed. The sequence starts with the
+// TestSearcherMatchesArenaWalkers runs one arena's RouteAny through a
+// sequence of searches under every dead-end policy, traced and
+// untraced, toward single targets and 3- and 12-member sets with dead
+// and duplicate members, and holds every result to a walker carved from
+// a fresh arena on a source of the same seed. The sequence starts with the
 // search that overflows its path and tried shares and mixes in searches
 // that fail to start (a dead origin, an all-dead set), so later searches
-// run on grown buffers, recycled sets and a walker an error left behind.
+// run on a recycled walker's grown buffers and sets, and on a walker an
+// error left behind.
 func TestSearcherMatchesArenaWalkers(t *testing.T) {
 	overflow := slabIsolationGraph(t)
 	torus, err := metric.NewTorus(32, 2)
@@ -45,7 +46,7 @@ func TestSearcherMatchesArenaWalkers(t *testing.T) {
 			for _, traced := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/traced=%v", g.Space().Name(), policy, traced)
 				r := New(g, Options{DeadEnd: policy, TracePath: traced})
-				s := r.NewSearcher()
+				a := r.NewArena()
 				pick := rng.New(44)
 				got, want := rng.New(45), rng.New(45)
 				for i := 0; i < 300; i++ {
@@ -58,7 +59,7 @@ func TestSearcherMatchesArenaWalkers(t *testing.T) {
 						from, targets = 0, []metric.Point{128}
 					}
 					w, werr := r.NewArena().Walker(want, from, targets)
-					res, err := s.RouteAny(got, from, targets)
+					res, err := a.RouteAny(got, from, targets)
 					if (err != nil) != (werr != nil) {
 						t.Fatalf("%s: search %d %d→%v: error %v, arena walker's %v", name, i, from, targets, err, werr)
 					}
@@ -68,7 +69,7 @@ func TestSearcherMatchesArenaWalkers(t *testing.T) {
 					for w.Step() {
 					}
 					if !reflect.DeepEqual(res, w.Result()) {
-						t.Fatalf("%s: search %d %d→%v:\n searcher %+v\n arena    %+v", name, i, from, targets, res, w.Result())
+						t.Fatalf("%s: search %d %d→%v:\n recycled %+v\n fresh    %+v", name, i, from, targets, res, w.Result())
 					}
 				}
 			}
@@ -78,9 +79,10 @@ func TestSearcherMatchesArenaWalkers(t *testing.T) {
 
 // TestSearcherAllocs pins the recycled walker's contract on a Figure 6
 // network, a ring of 2¹¹ nodes with ℓ = 11 and 30 % of them crashed: an
-// untraced backtracking search through a Searcher allocates nothing
-// once the first search has run, and neither does a traced one once
-// its path buffer has grown to the longest walk.
+// untraced backtracking search through Arena.RouteAny allocates nothing
+// once the first search has run, and a traced one, once its path buffer
+// has grown to the longest walk, nothing but the kept-path slab's
+// chunks, in which each result keeps its path past the next search.
 func TestSearcherAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -94,12 +96,15 @@ func TestSearcherAllocs(t *testing.T) {
 	}
 	for _, traced := range []bool{false, true} {
 		r := New(g, Options{DeadEnd: Backtrack, TracePath: traced})
-		s := r.NewSearcher()
+		a := r.NewArena()
+		points, longest := 0, 0
 		search := func(p [2]metric.Point) Result {
-			res, err := s.Route(nil, p[0], p[1])
+			res, err := a.RouteAny(nil, p[0], []metric.Point{p[1]})
 			if err != nil {
 				t.Fatal(err)
 			}
+			points += len(res.Path)
+			longest = max(longest, len(res.Path))
 			return res
 		}
 		warm := pairs[:1]
@@ -113,6 +118,7 @@ func TestSearcherAllocs(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		backtracks := 0
+		points = 0
 		runtime.ReadMemStats(&before)
 		for _, p := range pairs {
 			backtracks += search(p).Backtracks
@@ -121,8 +127,16 @@ func TestSearcherAllocs(t *testing.T) {
 		if backtracks == 0 {
 			t.Fatalf("traced=%v: no search backtracked, the pin is vacuous", traced)
 		}
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Errorf("traced=%v: %d searches after the first allocated %d times, want 0", traced, len(pairs), n)
+		// A kept-path chunk is replaced only when it has less room left
+		// than the path to keep, so each but the last holds more than
+		// keptChunk-longest points.
+		want := uint64(0)
+		if traced {
+			want = uint64(points/(keptChunk-longest) + 1)
+		}
+		if n := after.Mallocs - before.Mallocs; n > want {
+			t.Errorf("traced=%v: %d searches after the first allocated %d times, want at most %d (kept-path chunks for %d points)",
+				traced, len(pairs), n, want, points)
 		}
 	}
 }

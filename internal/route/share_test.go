@@ -227,11 +227,14 @@ func TestWalkerSize(t *testing.T) {
 	}
 }
 
-// TestArenaCarveAllocs pins what carving a chunk of walkers toward
-// 12-member sets costs: its four slabs when the set alternates between
-// two keys, as Zipf traffic changes it, so no table is ever built — what
-// carving cost before walkers shared tables; one distance table more
-// when every walker goes to one set, as a flood's do.
+// TestArenaCarveAllocs pins what carving arenaChunk walkers toward
+// 12-member sets costs: the arena, and per chunk its four slabs —
+// walkers (but the first chunk's one, which lives in the arena), points,
+// frames, and the set shares of its walkers that scan their set — when
+// the set alternates between two keys, as Zipf traffic changes it, so no
+// table is ever built; one distance table more when every walker goes to
+// one set, as a flood's do, and no set slab once its walkers score from
+// that table.
 func TestArenaCarveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -245,23 +248,37 @@ func TestArenaCarveAllocs(t *testing.T) {
 		cold = append(cold, metric.Point(n/4+100*k))
 	}
 	for _, c := range []struct {
-		name string
-		sets [2][]metric.Point
-		want float64
+		name   string
+		sets   [2][]metric.Point
+		tables int
 	}{
-		{"alternating", [2][]metric.Point{hot, cold}, 4},
-		{"repeating", [2][]metric.Point{hot, hot}, 5},
+		{"alternating", [2][]metric.Point{hot, cold}, 0},
+		{"repeating", [2][]metric.Point{hot, hot}, 1},
 	} {
+		var chunks, scanning int // chunks, and those that issued a scanning walker
 		avg := testing.AllocsPerRun(20, func() {
 			a := r.NewArena()
+			chunks, scanning = 0, 0
+			scanned := false
 			for i := 0; i < arenaChunk; i++ {
-				if _, err := a.Walker(nil, metric.Point(i), c.sets[i%2]); err != nil {
+				carved := a.Carved()
+				w, err := a.Walker(nil, metric.Point(i), c.sets[i%2])
+				if err != nil {
 					t.Fatal(err)
+				}
+				if a.Carved() > carved {
+					chunks++
+					scanned = false
+				}
+				if !w.tabled && !scanned {
+					scanning++
+					scanned = true
 				}
 			}
 		})
-		if avg > c.want {
-			t.Errorf("%s sets: carving %d walkers allocates %.1f times, want at most %.0f", c.name, arenaChunk, avg, c.want)
+		if want := float64(1 + 3*chunks - 1 + scanning + c.tables); avg > want {
+			t.Errorf("%s sets: carving %d walkers in %d chunks allocates %.1f times, want at most %.0f",
+				c.name, arenaChunk, chunks, avg, want)
 		}
 	}
 }

@@ -172,6 +172,17 @@ func slabIsolationGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// pastSmallChunks carves and holds an arena's first eight walkers — its
+// chunks of 1, 1, 2 and 4 — so that its next eight share one chunk.
+func pastSmallChunks(t *testing.T, a *Arena, from, to metric.Point) {
+	t.Helper()
+	for a.Carved() < 8 || len(a.walkers) > 0 {
+		if _, err := a.Walker(nil, from, []metric.Point{to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSlabIsolation takes three consecutive walkers from one arena
 // chunk and drives the middle one far past its 16-entry path and tried
 // shares. Its neighbours — one carved just before it, one just after —
@@ -195,6 +206,7 @@ func TestSlabIsolation(t *testing.T) {
 	}
 	for _, concurrent := range []bool{false, true} {
 		a := r.NewArena()
+		pastSmallChunks(t, a, searches[0][0], searches[0][1])
 		var ws [3]*Walker
 		for i, s := range searches {
 			var err error
@@ -208,7 +220,7 @@ func TestSlabIsolation(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				ws[i].Step()
 			}
-			before[i] = append([]metric.Point(nil), ws[i].Visited()...)
+			before[i] = append([]metric.Point(nil), ws[i].Result().Path...)
 		}
 		finish := func(i int) {
 			for ws[i].Step() {
@@ -227,7 +239,7 @@ func TestSlabIsolation(t *testing.T) {
 		} else {
 			finish(1)
 			for _, i := range []int{0, 2} {
-				if got := ws[i].Visited(); !reflect.DeepEqual(got, before[i]) {
+				if got := ws[i].Result().Path; !reflect.DeepEqual(got, before[i]) {
 					t.Errorf("walker %d's trace changed under its neighbour's walk: %v, was %v", i, got, before[i])
 				}
 				finish(i)
@@ -252,6 +264,7 @@ func TestSlabIsolation(t *testing.T) {
 	}
 	from := [3]metric.Point{200, 0, 100}
 	a := r.NewArena()
+	pastSmallChunks(t, a, searches[0][0], searches[0][1])
 	var ws [3]*Walker
 	var canon [3][]int32
 	var routed [3]Result

@@ -22,8 +22,10 @@ import (
 // frozen when the whole path was computed. Route and RouteAny are thin
 // loops over Step.
 //
-// A Walker is single-use and not safe for concurrent use; its rng
-// source must not be shared with another in-flight Walker.
+// A Walker runs one search at a time and is not safe for concurrent
+// use; an Arena recycles it for the next search once its caller
+// releases it. Its rng source must not be shared with another in-flight
+// Walker.
 type Walker struct {
 	r   *Router
 	src *rng.Source
@@ -93,35 +95,37 @@ const (
 	triedShare = 16
 )
 
-// arenaChunk is how many walkers an Arena allocates at a time: large
+// arenaChunk is the most walkers an Arena allocates at a time: large
 // enough that a chunk's three slabs amortize to ~0.01 allocations per
 // walker, small enough (≈ 130 KB under the engine's options) that the
 // unissued tail of a run's last chunk wastes little.
 const arenaChunk = 256
 
-// Arena allocates walkers for one Router a chunk at a time and takes
-// them back when their searches are over: the Walker structs, their
-// paths (when the Router traces) and tried stacks, and their history
-// frames come from three slabs per chunk instead of three or more heap
-// objects per walker, and a decoded target set too large for the
-// walker's own array (a replica set) from a fourth, grown only when
-// such a set first arrives. A run of walkers toward one replica set
-// shares that set's distance table instead (Arena.share).
-// It exists for callers that keep many searches in flight at once — the
-// engine's lookups, which wait in queues between hops. How many are in
-// flight is the traffic's business: ftrmark's live_seq holds 75 % of its
-// lookups in flight at its peak, churn_pit 6.8 % and a knee_sweep run a
-// batch of 32. So a finished walker goes back (Release): its traced path
-// is copied, at exact length, into a fifth, append-only slab of kept
-// paths, and the walker onto a free stack that Walker pops before it
-// carves, keeping the buffers the last search grew. The arena then
-// carves about as many walkers as the caller's peak in flight, and the
-// kept paths cost a lookup its hop count in points rather than a whole
-// walker. An untracing Router's walkers have no path share and keep no
-// path, which is what the engine's live runs ask for unless something
-// reads the path: 128 of a backtracking walker's 528 bytes (five
-// remembered nodes), and the kept copy, are gone. A caller that runs its
-// searches one at a time holds a Searcher instead.
+// Arena is where walkers come from: it allocates them for one Router a
+// chunk at a time and takes them back when their searches are over. The
+// Walker structs, their paths (when the Router traces) and tried stacks,
+// and their history frames come from three slabs per chunk instead of
+// three or more heap objects per walker, and a decoded target set too
+// large for the walker's own array (a replica set) from a fourth, grown
+// only when such a set first arrives. A run of walkers toward one
+// replica set shares that set's distance table instead (Arena.share).
+// Chunks double the walkers carved so far, up to arenaChunk, and the
+// first walker and the first slot of the free stack live in the Arena
+// itself, so a caller that runs one search at a time (RouteAny, as
+// sim.MeasureSearches does for every §6 table) allocates per arena, not
+// per search, and one that keeps many in flight — the engine's lookups,
+// which wait in queues between hops — carves about its peak. How many
+// are in flight is the traffic's business: ftrmark's live_seq holds 75 %
+// of its lookups in flight at its peak, churn_pit 6.8 % and a knee_sweep
+// run a batch of 32. A finished walker goes back (Release): its traced
+// path is copied, at exact length, into a fifth, append-only slab of
+// kept paths, and the walker onto a free stack that Walker pops before
+// it carves, keeping the buffers the last search grew. The kept paths
+// cost a lookup its hop count in points rather than a whole walker. An
+// untracing Router's walkers have no path share and keep no path, which
+// is what the engine's live runs ask for unless something reads the
+// path: 128 of a backtracking walker's 528 bytes (five remembered
+// nodes), and the kept copy, are gone.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
 // slices, so their capacity ends where the next walker's begin. A walk
@@ -154,10 +158,18 @@ type Arena struct {
 	prev, own, table []int32
 	run              int
 	carved           int // walkers carved so far, issued or not
+	// first is the first chunk's one walker and slot the free stack's
+	// first entry.
+	first [1]Walker
+	slot  [1]*Walker
 }
 
 // NewArena returns an empty arena for r's searches.
-func (r *Router) NewArena() *Arena { return &Arena{r: r} }
+func (r *Router) NewArena() *Arena {
+	a := &Arena{r: r}
+	a.free = a.slot[:0]
+	return a
+}
 
 // shares returns a walker's buffer shares under the router's options:
 // path and tried entries (zero when the options never touch them) and
@@ -172,10 +184,17 @@ func (r *Router) shares() (path, tried, frames int) {
 	return path, tried, frames
 }
 
-// grow replaces the (exhausted) chunk with a fresh one of n walkers.
-func (a *Arena) grow(n int) {
+// grow replaces the (exhausted) chunk with a fresh one, as many walkers
+// as the arena has carved (one to start with, at most arenaChunk), and
+// returns its size.
+func (a *Arena) grow() int {
+	n := min(max(a.carved, 1), arenaChunk)
 	path, tried, frames := a.r.shares()
-	a.walkers = make([]Walker, n)
+	if a.carved == 0 {
+		a.walkers = a.first[:]
+	} else {
+		a.walkers = make([]Walker, n)
+	}
 	a.carved += n
 	if path+tried > 0 {
 		a.points = make([]metric.Point, n*(path+tried))
@@ -183,11 +202,11 @@ func (a *Arena) grow(n int) {
 	if frames > 0 {
 		a.frames = make([]walkFrame, n*frames)
 	}
+	return n
 }
 
 // Walker is Router.Walker drawing on the arena: the last released
-// walker, reset as a Searcher resets its own, or else a fresh one carved
-// from the slabs.
+// walker, reset, or else a fresh one carved from the slabs.
 func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
 	// Every walker the arena can issue before its next grow or release.
 	slots := len(a.walkers) + len(a.free)
@@ -199,8 +218,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 		w.reset()
 	} else {
 		if len(a.walkers) == 0 {
-			a.grow(arenaChunk)
-			slots = arenaChunk
+			slots = a.grow()
 		}
 		w = &a.walkers[0]
 		if path > 0 {
@@ -212,7 +230,7 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 	}
 	// The set decodes into the walker's own array or the share a
 	// recycled walker kept, when it fits.
-	set := len(targets) * a.r.g.Space().Dim()
+	set := len(targets) * a.r.kern.Dim()
 	if cap(w.set) >= set {
 		w.set, set = w.set[:0], 0
 	} else {
@@ -252,11 +270,12 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 }
 
 // Carved reports how many walkers the arena has carved: a whole number
-// of chunks, enough for the most walkers it ever had issued at once.
+// of chunks, enough for the most walkers it ever had issued at once:
+// the first of the totals 1, 2, 4, …, 256, 512, 768, … that covers them.
 func (a *Arena) Carved() int { return a.carved }
 
 // keptChunk is how many points the kept-path slab allocates at a time:
-// one chunk's worth of walkers' path shares.
+// a full chunk's worth of walkers' path shares.
 const keptChunk = arenaChunk * pathShare
 
 // Release takes back a walker the arena issued, once its caller has
@@ -326,69 +345,27 @@ func (a *Arena) share(set []int32) (scored []int32, tabled bool) {
 	return a.table, true
 }
 
-// Walker starts a resumable search from `from` toward the nearest live
-// member of `targets` (a single-element set is the plain
-// single-destination search) on a fresh Searcher's walker, so it never
-// shares a distance table. The returned Walker has already visited
-// `from` (it appears in the traced path); if `from` is itself a target
-// the search is born delivered and Step returns false immediately. The
-// targets slice is read, not kept.
-func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
-	return r.NewSearcher().walker(source, from, targets)
-}
-
-// Searcher runs searches one at a time on one walker it recycles: each
-// search zeroes the walker and hands it the buffers the last one left —
-// its traced path, tried stack, history frames and decoded target set,
-// each at the largest size a search has grown it to. A caller that
-// routes its searches one after another (sim.MeasureSearches, so every
-// §6 table) therefore allocates per Searcher, not per search. A
-// Searcher's walkers never share a distance table; a traced
-// Result.Path aliases the searcher's path buffer and is valid until its
-// next search. A Searcher is not safe for concurrent use.
-type Searcher struct {
-	w Walker
-}
-
-// NewSearcher returns a searcher for r whose walker starts on buffers
-// of an arena walker's shares.
-func (r *Router) NewSearcher() *Searcher {
-	s := &Searcher{w: Walker{r: r}}
-	path, tried, frames := r.shares()
-	points := make([]metric.Point, path+tried)
-	if path > 0 {
-		s.w.res.Path = points[0:0:path] // an untraced Result's Path stays nil
-	}
-	s.w.tried = points[path:path]
-	s.w.history = make([]walkFrame, 0, frames)
-	s.w.set = s.w.one[:0]
-	return s
-}
-
-// Route is Router.Route on the searcher's walker.
-func (s *Searcher) Route(source *rng.Source, from, to metric.Point) (Result, error) {
-	return s.RouteAny(source, from, []metric.Point{to})
-}
-
-// RouteAny is Router.RouteAny on the searcher's walker.
-func (s *Searcher) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
-	w, err := s.walker(source, from, targets)
+// RouteAny is Router.RouteAny on a walker of the arena, which it takes
+// back (Release) once the search is over.
+func (a *Arena) RouteAny(source *rng.Source, from metric.Point, targets []metric.Point) (Result, error) {
+	w, err := a.Walker(source, from, targets)
 	if err != nil {
 		return Result{}, err
 	}
 	for w.Step() {
 	}
-	return w.Result(), nil
+	return a.Release(w), nil
 }
 
-// walker recycles the searcher's walker for a new search.
-func (s *Searcher) walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
-	w := &s.w
-	w.reset()
-	if err := w.start(source, from, targets); err != nil {
-		return nil, err
-	}
-	return w, nil
+// Walker starts a resumable search from `from` toward the nearest live
+// member of `targets` (a single-element set is the plain
+// single-destination search) on a fresh arena's walker, so it never
+// shares a distance table. The returned Walker has already visited
+// `from` (it appears in the traced path); if `from` is itself a target
+// the search is born delivered and Step returns false immediately. The
+// targets slice is read, not kept.
+func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
+	return r.NewArena().Walker(source, from, targets)
 }
 
 // reset zeroes w for its next search but for its router and the
@@ -477,14 +454,6 @@ func (w *Walker) Done() bool { return w.done }
 // once Done reports true; before that it is the in-flight prefix
 // (useful for tracing).
 func (w *Walker) Result() Result { return w.res }
-
-// Visited returns the nodes the search has occupied so far, in visit
-// order (backtracking revisits included) — the reverse-path
-// bookkeeping the engine's answer leg retraces. It requires TracePath
-// (the engine turns it on in ModeLivePIT) and is empty otherwise. The
-// slice aliases the walker's trace: callers must treat it as
-// read-only, and it stays valid only while the walker does not Step.
-func (w *Walker) Visited() []metric.Point { return w.res.Path }
 
 // Step advances the search by at most one hop: a greedy forward move,
 // a random re-route jump, or a backward backtracking move, whichever

@@ -95,14 +95,14 @@ func Run(seed uint64, trials, workers int, fn TrialFunc) (SearchStats, error) {
 // aggregated statistics. This is the inner loop of every experiment in
 // §6 ("we repeatedly choose random source and destination nodes that
 // have not failed and route a message between them"). The searches run
-// one after another on one route.Searcher, so they allocate per call,
-// not per search.
+// one after another on one route.Arena's walker, so they allocate per
+// call, not per search.
 func MeasureSearches(g *graph.Graph, r *route.Router, src *rng.Source, msgs int) (SearchStats, error) {
 	var stats SearchStats
 	if g.AliveCount() < 2 {
 		return stats, errors.New("sim: need at least two live nodes")
 	}
-	searcher := r.NewSearcher()
+	arena := r.NewArena()
 	for i := 0; i < msgs; i++ {
 		from, ok := g.RandomAlive(src)
 		if !ok {
@@ -112,7 +112,7 @@ func MeasureSearches(g *graph.Graph, r *route.Router, src *rng.Source, msgs int)
 		if !ok {
 			return stats, errors.New("sim: no live destination")
 		}
-		res, err := searcher.Route(src, from, to)
+		res, err := arena.RouteAny(src, from, []metric.Point{to})
 		if err != nil {
 			return stats, fmt.Errorf("sim: search %d: %w", i, err)
 		}
