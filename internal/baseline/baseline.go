@@ -5,16 +5,18 @@
 //
 //   - Chord (Stoica et al.): identifier circle with power-of-two finger
 //     tables and one-sided clockwise greedy routing.
-//   - Kleinberg's small world: 2-D torus with grid links plus long
-//     links drawn ∝ d^(-2), two-sided greedy routing.
-//   - CAN (Ratnasamy et al.): d-dimensional torus with only adjacent
-//     zone neighbours, greedy routing — O(d·n^{1/d}) hops.
+//   - Plaxton/Tapestry: base-b digit strings, suffix routing that fixes
+//     one digit per hop.
 //   - Gnutella-style flooding: TTL-bounded breadth-first flood over an
 //     unstructured random graph; the cost is counted in messages.
 //   - Napster-style central index: one round trip to the server, then
 //     direct transfer.
 //
 // All systems expose the same Router interface over integer node ids.
+// Kleinberg's small world and CAN are not here: they are the paper's
+// own model on a 2-D torus, at exponent 2 and at ℓ = 0 long links, so
+// the baselines experiment builds them with graph.BuildIdeal and
+// routes them with package route.
 package baseline
 
 import "repro/internal/rng"

@@ -14,10 +14,14 @@ import (
 // the farthest finger that does not pass the target. With every
 // identifier occupied the i-th finger is exactly p + 2^(i−1), giving
 // the textbook O(log n) delivery time.
+//
+// FailNodes crashes nodes for the fault-tolerance comparison the paper
+// motivates in §3: structured systems like Chord make no performance
+// guarantees between failures and repair, and nothing here repairs the
+// finger tables.
 type Chord struct {
-	ring   *metric.Ring
-	m      int
-	failed *aliveSet // nil until FailNodes is called
+	ring *metric.Ring
+	dead []bool // nil until FailNodes is called
 }
 
 // NewChord returns a Chord instance over 2^m identifiers.
@@ -29,7 +33,7 @@ func NewChord(m int) (*Chord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Chord{ring: ring, m: m}, nil
+	return &Chord{ring: ring}, nil
 }
 
 // Name returns "chord".
@@ -39,27 +43,57 @@ func (c *Chord) Name() string { return "chord" }
 func (c *Chord) Nodes() int { return c.ring.Size() }
 
 // Route performs the Chord lookup: repeatedly jump to the farthest
-// finger that does not overshoot the target clockwise. Once failures
-// have been injected, fingers to dead nodes are skipped and a hop with
-// no live admissible finger dead-ends.
+// live finger that does not overshoot the target clockwise. A hop with
+// no live admissible finger dead-ends. Every hop strictly shortens the
+// clockwise distance, so the loop ends.
 func (c *Chord) Route(_ *rng.Source, from, to int) Result {
-	if c.failed != nil {
-		return c.routeWithFailures(from, to)
-	}
 	cur := metric.Point(from)
 	target := metric.Point(to)
 	hops := 0
 	for cur != target {
-		remaining := c.ring.ClockwiseDistance(cur, target)
-		// Largest power of two not exceeding the remaining distance.
-		jump := 1 << uint(mathx.ILog2(remaining))
-		cur = c.ring.Add(cur, jump)
-		hops++
-		if hops > c.ring.Size() {
+		next := cur
+		for i := mathx.ILog2(c.ring.ClockwiseDistance(cur, target)); i >= 0; i-- {
+			if cand := c.ring.Add(cur, 1<<uint(i)); c.Alive(int(cand)) {
+				next = cand
+				break
+			}
+		}
+		if next == cur {
 			return Result{Delivered: false, Hops: hops, Messages: hops}
 		}
+		cur = next
+		hops++
 	}
 	return Result{Delivered: true, Hops: hops, Messages: hops}
+}
+
+// FailNodes crashes an exact fraction of the live nodes and returns
+// the number crashed.
+func (c *Chord) FailNodes(fraction float64, src *rng.Source) (int, error) {
+	if fraction < 0 || fraction > 1 {
+		return 0, fmt.Errorf("baseline: fraction %v outside [0,1]", fraction)
+	}
+	if c.dead == nil {
+		c.dead = make([]bool, c.Nodes())
+	}
+	live := make([]int, 0, len(c.dead))
+	for id, dead := range c.dead {
+		if !dead {
+			live = append(live, id)
+		}
+	}
+	target := int(fraction * float64(len(live)))
+	for i := 0; i < target; i++ {
+		j := i + src.Intn(len(live)-i)
+		live[i], live[j] = live[j], live[i]
+		c.dead[live[i]] = true
+	}
+	return target, nil
+}
+
+// Alive reports whether node id exists and has not crashed.
+func (c *Chord) Alive(id int) bool {
+	return id >= 0 && id < c.Nodes() && (c.dead == nil || !c.dead[id])
 }
 
 var _ Router = (*Chord)(nil)

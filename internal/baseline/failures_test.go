@@ -12,15 +12,25 @@ func TestChordFailNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(1)
-	crashed, err := c.FailNodes(0.5, src, 0, 512)
+	crashed, err := c.FailNodes(0.5, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if crashed != 512 {
 		t.Errorf("crashed = %d, want 512", crashed)
 	}
-	if !c.Alive(0) || !c.Alive(512) {
-		t.Error("protected nodes were crashed")
+	alive := 0
+	for id := 0; id < c.Nodes(); id++ {
+		if c.Alive(id) {
+			alive++
+		}
+	}
+	if alive != 512 {
+		t.Errorf("%d nodes alive after crashing 512 of 1024", alive)
+	}
+	// The fraction is of the live nodes: half of the 512 left.
+	if crashed, _ := c.FailNodes(0.5, src); crashed != 256 {
+		t.Errorf("second crash = %d, want 256", crashed)
 	}
 	if _, err := c.FailNodes(-1, src); err == nil {
 		t.Error("invalid fraction should error")
@@ -74,55 +84,30 @@ func TestChordAliveDefault(t *testing.T) {
 	}
 }
 
-func TestKleinbergFailNodes(t *testing.T) {
-	src := rng.New(3)
-	k, err := NewKleinberg(32, 1, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed, err := k.FailNodes(0.3, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashed != 307 {
-		t.Errorf("crashed = %d", crashed)
-	}
-	failed, total := 0, 0
-	for i := 0; i < 300; i++ {
-		from := src.Intn(k.Nodes())
-		to := src.Intn(k.Nodes())
-		if !k.Alive(from) || !k.Alive(to) || from == to {
-			continue
-		}
-		total++
-		if !k.Route(src, from, to).Delivered {
-			failed++
-		}
-	}
-	if total == 0 {
-		t.Fatal("no usable endpoint pairs")
-	}
-	if failed == 0 {
-		t.Error("kleinberg with 30% dead and q=1 should sometimes dead-end")
-	}
-	if float64(failed)/float64(total) > 0.95 {
-		t.Error("kleinberg should still deliver sometimes")
-	}
-}
-
 func TestAliveSetExhaustion(t *testing.T) {
-	a := newAliveSet(4)
-	crashed, err := a.failFraction(1, rng.New(4), 2)
+	c, err := NewChord(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crashed != 3 {
-		t.Errorf("crashed = %d, want 3 (one protected)", crashed)
+	crashed, err := c.FailNodes(1, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !a.alive(2) || a.alive(0) && a.alive(1) && a.alive(3) {
-		t.Error("wrong nodes crashed")
+	if crashed != 4 {
+		t.Errorf("crashed = %d, want all 4", crashed)
 	}
-	if a.alive(-1) || a.alive(4) {
+	for id := 0; id < 4; id++ {
+		if c.Alive(id) {
+			t.Errorf("node %d survived a crash of every node", id)
+		}
+	}
+	if crashed, _ := c.FailNodes(1, rng.New(5)); crashed != 0 {
+		t.Errorf("crashed %d of an extinct network", crashed)
+	}
+	if c.Route(nil, 0, 1).Delivered {
+		t.Error("an extinct network must not deliver")
+	}
+	if c.Alive(-1) || c.Alive(4) {
 		t.Error("out of range must not be alive")
 	}
 }

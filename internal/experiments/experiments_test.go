@@ -348,6 +348,31 @@ func TestBaselinesTableContainsAllSystems(t *testing.T) {
 			t.Errorf("baselines table missing %q:\n%s", name, text)
 		}
 	}
+	rows := map[string][]string{}
+	for _, row := range tbl.Rows {
+		rows[row[0]] = row
+	}
+	cell := func(name string, col int) float64 {
+		row, ok := rows[name]
+		if !ok {
+			t.Fatalf("baselines lacks row %q:\n%s", name, text)
+		}
+		return parseF(t, row[col])
+	}
+	for _, name := range []string{"kleinberg", "can"} {
+		if d := cell(name, 3); d != 1 {
+			t.Errorf("healthy %s delivered %v, want 1: grid links always make progress", name, d)
+		}
+	}
+	// §3's scaling shape: Chord's O(log n) beats CAN's Θ(√n).
+	if chord, can := cell("chord", 1), cell("can", 1); chord >= can {
+		t.Errorf("chord (%v hops) should beat CAN (%v hops)", chord, can)
+	}
+	// Kleinberg with 30% of its nodes crashed and no repair sometimes
+	// dead-ends and sometimes delivers.
+	if d := cell("kleinberg l=10 p=0.3", 3); d <= 0 || d >= 1 {
+		t.Errorf("kleinberg l=10 p=0.3 delivered %v, want strictly between 0 and 1", d)
+	}
 }
 
 func parseF(t *testing.T, s string) float64 {

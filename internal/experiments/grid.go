@@ -7,7 +7,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/metric"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/route"
@@ -195,7 +194,7 @@ func buildLoadGraph(sc loadScenario, p Params, seed uint64) (*graph.Graph, error
 		if side < 8 {
 			side = 8
 		}
-		space = func() (metric.Space, error) { return metric.NewTorus(side, 2) }
+		space = torusOf(side)
 	}
 	g, err := ideal(space, p.lgLinks())(0, src)
 	if err != nil || sc.failFrac == 0 {

@@ -149,6 +149,10 @@ func ringOf(n int) spaceFunc {
 	return func() (metric.Space, error) { return metric.NewRing(n) }
 }
 
+func torusOf(side int) spaceFunc {
+	return func() (metric.Space, error) { return metric.NewTorus(side, 2) }
+}
+
 // built makes each trial's space and hands it, with the trial's
 // stream, to mk.
 func built(space spaceFunc, mk func(sp metric.Space, src *rng.Source) (*graph.Graph, error)) buildFunc {

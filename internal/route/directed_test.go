@@ -124,3 +124,31 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Errorf("path length %d != hops+1 (%d)", len(res.Path), res.Hops+1)
 	}
 }
+
+// Greedy on a torus with no long links is CAN's zone routing: every
+// hop moves one grid step closer, so every pair is delivered in
+// exactly its wrapped L1 distance, whichever way links are read.
+func TestGreedyOnBareTorusTakesDistanceHops(t *testing.T) {
+	for _, side := range []int{2, 5, 8} {
+		torus, err := metric.NewTorus(side, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.New(torus)
+		for _, opt := range []Options{{}, {DirectedOnly: true}} {
+			r := New(g, opt)
+			for a := metric.Point(0); int(a) < g.Size(); a++ {
+				for b := metric.Point(0); int(b) < g.Size(); b++ {
+					res, err := r.Route(rng.New(1), a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := torus.Distance(a, b); !res.Delivered || res.Hops != want {
+						t.Fatalf("side %d %+v: %d -> %d delivered=%v in %d hops, want %d",
+							side, opt, a, b, res.Delivered, res.Hops, want)
+					}
+				}
+			}
+		}
+	}
+}
