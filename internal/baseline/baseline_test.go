@@ -1,9 +1,14 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/metric"
 	"repro/internal/rng"
+	"repro/internal/route"
+	"repro/internal/sim"
 )
 
 func TestChordValidation(t *testing.T) {
@@ -56,6 +61,101 @@ func TestChordHopsAreBitCount(t *testing.T) {
 	res = c.Route(src, 5, 5)
 	if !res.Delivered || res.Hops != 0 {
 		t.Errorf("self route = %+v", res)
+	}
+}
+
+// gridNetwork is a §3 grid system on the paper's own code: the 2-D
+// torus of the given side with links long links per node drawn at
+// exponent 2 (Kleinberg's small world; links = 0 is CAN's bare grid),
+// routed greedily over each node's own links.
+func gridNetwork(t *testing.T, side, links int, src *rng.Source) (*graph.Graph, *route.Router) {
+	t.Helper()
+	torus, err := metric.NewTorus(side, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.BuildIdeal(torus, graph.PaperConfigFor(torus, links), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, route.New(g, route.Options{DirectedOnly: true})
+}
+
+func TestKleinbergValidation(t *testing.T) {
+	if _, err := metric.NewTorus(0, 2); err == nil {
+		t.Error("side=0 should error")
+	}
+	torus, err := metric.NewTorus(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graph.BuildIdeal(torus, graph.BuildConfig{Links: -1, Exponent: 2}, rng.New(1)); err == nil {
+		t.Error("negative q should error")
+	}
+}
+
+func TestKleinbergDelivers(t *testing.T) {
+	g, r := gridNetwork(t, 32, 1, rng.New(3))
+	if g.Size() != 1024 || g.LongLinkCount() != 1024 {
+		t.Errorf("%d nodes with %d long links, want 1024 of each", g.Size(), g.LongLinkCount())
+	}
+	src := rng.New(4)
+	var totalHops int
+	const searches = 200
+	for i := 0; i < searches; i++ {
+		from := metric.Point(src.Intn(1024))
+		to := metric.Point(src.Intn(1024))
+		res, err := r.Route(src, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Delivered {
+			t.Fatalf("kleinberg failed %d->%d (grid links guarantee progress)", from, to)
+		}
+		totalHops += res.Hops
+	}
+	mean := float64(totalHops) / searches
+	// Grid diameter is 32; small-world links should beat it clearly.
+	if mean > 20 {
+		t.Errorf("kleinberg mean hops = %v, want well under grid diameter", mean)
+	}
+}
+
+func TestCANDelivers(t *testing.T) {
+	g, r := gridNetwork(t, 16, 0, rng.New(5))
+	if g.Size() != 256 || g.LongLinkCount() != 0 {
+		t.Errorf("%d zones with %d long links, want 256 and none", g.Size(), g.LongLinkCount())
+	}
+	src := rng.New(5)
+	for i := 0; i < 100; i++ {
+		from := metric.Point(src.Intn(256))
+		to := metric.Point(src.Intn(256))
+		res, err := r.Route(src, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Delivered {
+			t.Fatalf("CAN failed %d->%d", from, to)
+		}
+		if res.Hops > 16 { // torus L1 diameter = side/2 + side/2
+			t.Fatalf("CAN took %d hops on a 16x16 torus", res.Hops)
+		}
+	}
+	// A one-zone CAN has no pair of distinct endpoints to look up.
+	one, oneR := gridNetwork(t, 1, 0, rng.New(5))
+	if _, err := sim.MeasureSearches(one, oneR, rng.New(5), 1); err == nil {
+		t.Error("side=1 should error")
+	}
+}
+
+func TestCANHopsEqualsManhattan(t *testing.T) {
+	_, r := gridNetwork(t, 8, 0, rng.New(6))
+	res, err := r.Route(rng.New(6), 0, 3) // (0,0)->(0,3): distance 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Delivered || res.Hops != 3 {
+		t.Errorf("delivered=%v in %d hops, want 3", res.Delivered, res.Hops)
 	}
 }
 
@@ -152,5 +252,41 @@ func TestCentral(t *testing.T) {
 	}
 	if _, err := NewCentral(1); err == nil {
 		t.Error("n=1 should error")
+	}
+}
+
+// Comparative shape check across systems the paper discusses: Chord and
+// Kleinberg scale logarithmically, CAN scales like √n, flooding costs
+// explode. This mirrors the qualitative claims of §3.
+func TestBaselineScalingShape(t *testing.T) {
+	src := rng.New(12)
+	chord, err := NewChord(14) // 16384 ids
+	if err != nil {
+		t.Fatal(err)
+	}
+	can, canR := gridNetwork(t, 128, 0, src) // 16384 zones
+	var total, n int
+	for i := 0; i < 100; i++ {
+		from := src.Intn(chord.Nodes())
+		to := src.Intn(chord.Nodes())
+		if res := chord.Route(src, from, to); res.Delivered {
+			total += res.Hops
+			n++
+		}
+	}
+	ch := math.Inf(1)
+	if n > 0 {
+		ch = float64(total) / float64(n)
+	}
+	stats, err := sim.MeasureSearches(can, canR, src, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := stats.MeanHops()
+	if ch >= ca {
+		t.Errorf("chord (%v hops) should beat CAN (%v hops) at n=16384", ch, ca)
+	}
+	if ca < 20 {
+		t.Errorf("CAN mean hops = %v, want Θ(√n) ≈ 64 on the torus", ca)
 	}
 }

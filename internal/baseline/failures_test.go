@@ -3,6 +3,8 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/failure"
+	"repro/internal/metric"
 	"repro/internal/rng"
 )
 
@@ -81,6 +83,43 @@ func TestChordAliveDefault(t *testing.T) {
 	// Routing unchanged before failures.
 	if !c.Route(rng.New(1), 0, 63).Delivered {
 		t.Error("failure-free chord should deliver")
+	}
+}
+
+func TestKleinbergFailNodes(t *testing.T) {
+	src := rng.New(3)
+	g, r := gridNetwork(t, 32, 1, src)
+	crashed, err := failure.FailNodesFraction(g, 0.3, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed != 307 {
+		t.Errorf("crashed = %d", crashed)
+	}
+	failed, total := 0, 0
+	for i := 0; i < 300; i++ {
+		from := metric.Point(src.Intn(g.Size()))
+		to := metric.Point(src.Intn(g.Size()))
+		if !g.Alive(from) || !g.Alive(to) || from == to {
+			continue
+		}
+		total++
+		res, err := r.Route(src, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Delivered {
+			failed++
+		}
+	}
+	if total == 0 {
+		t.Fatal("no usable endpoint pairs")
+	}
+	if failed == 0 {
+		t.Error("kleinberg with 30% dead and q=1 should sometimes dead-end")
+	}
+	if float64(failed)/float64(total) > 0.95 {
+		t.Error("kleinberg should still deliver sometimes")
 	}
 }
 
