@@ -48,13 +48,15 @@
 // snapshot mode, which reproduces the historical route-then-replay
 // results byte-for-byte.
 //
-// -churn/-killfrac/-killat/-gossipfanout attach node dynamics to any
-// live traffic experiment (internal/failure's ChurnSpec): nodes crash
-// and rejoin as engine events on the same virtual clock as the
-// traffic, failures are detected by probe timeout and disseminated by
-// gossip membership, and repair redraws the §5 long-range links.
+// -churn/-killfrac/-killat/-gossipfanout attach node dynamics to the
+// live fixed-rate traffic experiments (internal/failure's ChurnSpec):
+// nodes crash and rejoin as engine events on the same virtual clock as
+// the traffic, failures are detected by probe timeout and disseminated
+// by gossip membership, and repair redraws the §5 long-range links.
 // Churn without -live is rejected by the load layer (snapshot mode
-// routes whole paths against a static graph). Churn combines with
+// routes whole paths against a static graph), and so is churn on a
+// saturation sweep (ext.saturation.*): the events would change the
+// graph every later load level runs on. Churn combines with
 // -shards: membership mutations apply at the window barriers of the
 // partitioned loop, which stays byte-identical to the sequential
 // reference as long as the probe timeout covers one service time

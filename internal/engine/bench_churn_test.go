@@ -25,7 +25,7 @@ func newChurnBenchRunner(tb testing.TB, nodes int) *runner {
 	cfg := baseConfig()
 	cfg.Mode = ModeLive
 	cfg.Churn = churnKnobs()
-	r := newRunner(g, []Message{{From: 0, Key: metric.Point(nodes / 2)}}, Schedule{}, cfg, rng.New(1))
+	r := new(runner).reset(g, []Message{{From: 0, Key: metric.Point(nodes / 2)}}, Schedule{}, cfg, rng.New(1))
 	// A dead arc a quarter of the way around: graph.NearestAlive must
 	// search across it, and node nodes/4 is a dead park spot for strands.
 	for p := nodes / 4; p < nodes/4+8; p++ {

@@ -92,7 +92,7 @@ func newGreedyLiveRunner(tb testing.TB, nodes int, policy route.DeadEndPolicy) *
 	cfg.Mode = ModeLive
 	cfg.Route = route.Options{DeadEnd: policy, MaxHops: nodes} // the walk is nodes/2 hops; don't cap it
 	msgs := []Message{{From: 0, Key: metric.Point(nodes / 2)}}
-	return newRunner(g, msgs, Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(1))
+	return new(runner).reset(g, msgs, Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(1))
 }
 
 // TestLiveHotPathAllocs pins the live forwarding path at zero

@@ -280,6 +280,16 @@
 //     TestUntracedRunMatchesTraced holds every other Outcome field to
 //     the traced run's).
 //
+// A Runner keeps that memory between runs: its Run empties and reuses
+// the previous run's per-message and per-node tables, snapshot state,
+// event heaps and arena (route.Arena.Reuse) instead of allocating them,
+// which is how every level of a load.Sweep runs. The returned Outcome's
+// Results (and their Paths, in the arena's kept-path slab) and Latencies
+// therefore alias the Runner's memory and are overwritten by its next
+// Run; Loads, which a caller may keep per run, is always the run's own,
+// and so is every other field. Run, the package-level function, is a
+// fresh Runner's Run, so its Outcome is wholly the caller's.
+//
 // What is left is amortized growth — a path past 16 hops, the kept-path
 // slab, the event heaps — and the per-run tables: 0.011 allocations per
 // message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose

@@ -192,6 +192,8 @@ type Ledger struct {
 
 // Outcome reports one engine run: the per-message routing results in
 // message order, the queueing picture, and the aggregation headline.
+// From a Runner's Run, Results and Latencies alias the Runner's memory
+// until its next Run; every other field is the run's own.
 type Outcome struct {
 	// Results holds each message's search outcome. Its Path is the
 	// visited sequence when the run traced (see Config.Route) and nil
@@ -254,8 +256,23 @@ func (o *Outcome) CheckLedgers() error {
 // (g, msgs, sched, cfg, root) and independent of cfg.Shards: with
 // several owners every globally-ordered side effect settles at the
 // window barrier in exactly the (time, msg, idx) event order one owner
-// produces it in (see shard.go).
+// produces it in (see shard.go). It is a Runner's Run on fresh memory.
 func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) (*Outcome, error) {
+	return new(Runner).Run(g, msgs, sched, cfg, root)
+}
+
+// Runner runs the engine again and again on one memory: each Run
+// empties and reuses the tables, event heaps and walker arena of the
+// run before it instead of allocating its own, so a caller with many
+// runs to make — every level of a load.Sweep — pays for them once. The
+// zero Runner is ready for use; a Runner is not safe for concurrent use.
+type Runner struct{ r runner }
+
+// Run is the package-level Run on x's memory, with the same outcome
+// byte for byte. The Outcome's Results (with their Paths) and Latencies
+// alias that memory and are overwritten by x's next Run; its Loads and
+// everything else are the run's own.
+func (x *Runner) Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -270,7 +287,7 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	// runs (every run of a load.Sweep) builds them once; churn barriers
 	// re-derive what their ops staled.
 	g.RefreshRows()
-	r := newRunner(g, msgs, sched, cfg, root)
+	r := x.r.reset(g, msgs, sched, cfg, root)
 	if r.err != nil {
 		return nil, r.err
 	}

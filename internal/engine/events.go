@@ -179,11 +179,6 @@ type eventQueue struct {
 	s []queued
 }
 
-// newEventQueue returns an event queue with room for capacity events.
-func newEventQueue(capacity int) eventQueue {
-	return eventQueue{s: make([]queued, 0, capacity)}
-}
-
 // Len returns the number of events held.
 func (h *eventQueue) Len() int { return len(h.s) }
 
@@ -241,8 +236,9 @@ func (h *eventQueue) Pop() event {
 }
 
 // Reserve grows the backing slice to hold at least capacity events, so
-// a burst of Pushes up to that size cannot reallocate mid-loop: the
-// sharded driver calls it before admitting a barrier's hand-off batch.
+// a burst of Pushes up to that size cannot reallocate mid-loop: a run
+// sizes its owners' queues with it, and the sharded driver calls it
+// before admitting a barrier's hand-off batch.
 func (h *eventQueue) Reserve(capacity int) {
 	if capacity > cap(h.s) {
 		h.s = append(make([]queued, 0, capacity), h.s...)

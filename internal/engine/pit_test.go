@@ -388,7 +388,7 @@ func runKept(t *testing.T, g *graph.Graph, msgs []Message, sched Schedule, cfg C
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(g, msgs, sched, cfg, rng.New(9))
+	r := new(runner).reset(g, msgs, sched, cfg, rng.New(9))
 	if r.out.Plan == PlanLiveSharded {
 		r.runWindows()
 	} else {

@@ -102,7 +102,7 @@ func TestEventQueueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	q := newEventQueue(0)
+	var q eventQueue
 	q.Reserve(1024)
 	if avg := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 1024; i++ {
@@ -159,7 +159,8 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 	}
 	b.Run("queue", func(b *testing.B) {
-		q := newEventQueue(occupancy + 1)
+		var q eventQueue
+		q.Reserve(occupancy + 1)
 		hold(b, &q)
 	})
 	b.Run("mathx.Heap", func(b *testing.B) {

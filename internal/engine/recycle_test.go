@@ -130,7 +130,7 @@ func TestArenaCarvesPeakInFlight(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(g, msgs, periodicSchedule(len(msgs), 16), cfg, rng.New(9))
+	r := new(runner).reset(g, msgs, periodicSchedule(len(msgs), 16), cfg, rng.New(9))
 	if r.runSnapshot(); r.err != nil {
 		t.Fatal(r.err)
 	}

@@ -16,7 +16,7 @@ func newPathRunner(tb testing.TB, nodes int, serviceTime float64, paths [][]metr
 	g := testGraph(tb, nodes, 1, 23, 0)
 	cfg := baseConfig()
 	cfg.Capacity = 1 / serviceTime
-	r := newRunner(g, make([]Message, len(paths)), sched, cfg, rng.New(1))
+	r := new(runner).reset(g, make([]Message, len(paths)), sched, cfg, rng.New(1))
 	if r.err != nil {
 		tb.Fatal(r.err)
 	}

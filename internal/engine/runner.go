@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -122,7 +121,7 @@ type snapshotState struct {
 
 // congestion is the live congestion signal's state: services charged
 // so far, per node and in total, and the instant of the forwarding
-// decision being made (read by the closure newRunner installs).
+// decision being made (read by the closure initLive installs).
 // Maintained only when Penalty or DepthPenalty is positive — such runs
 // have one owner (Config.Plan), so nothing here is shared.
 type congestion struct {
@@ -163,9 +162,16 @@ type pitMsgState struct {
 	ansTarget   []metric.Point
 }
 
-func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) *runner {
-	n := len(msgs)
-	r := &runner{
+// reset readies r for a run of msgs over g and returns it. What the
+// previous run on r allocated and no caller holds — the per-message and
+// per-node tables, the snapshot state, the event heaps and the walker
+// arena — is emptied and reused; everything else starts from zero.
+func (r *runner) reset(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) *runner {
+	n, old, prev := len(msgs), *r, Outcome{}
+	if old.out != nil {
+		prev = *old.out
+	}
+	*r = runner{
 		g:           g,
 		msgs:        msgs,
 		sched:       sched,
@@ -173,16 +179,20 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		root:        root,
 		tel:         cfg.Telemetry,
 		serviceTime: 1 / cfg.Capacity,
-		queues:      make([]nodeQueue, g.Size()),
-		inject:      make([]float64, n),
+		queues:      reuse(old.queues, g.Size()),
+		inject:      reuse(old.inject, n),
+		arena:       old.arena,
+		srcs:        reuse(old.srcs, n),
+		pos:         reuse(old.pos, n),
+		doneAt:      reuse(old.doneAt, n),
 		out: &Outcome{
-			Results:   make([]route.Result, n),
+			Results:   reuse(prev.Results, n),
 			Loads:     make([]int, g.Size()),
-			Latencies: make([]float64, 0, n),
+			Latencies: reuse(prev.Latencies, n)[:0],
 		},
 	}
 	for i := range r.inject {
-		r.inject[i] = -1
+		r.inject[i], r.doneAt[i] = -1, -1
 	}
 	for _, inj := range sched.Initial {
 		if r.err = r.claim(inj, 0); r.err != nil {
@@ -193,18 +203,18 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	if cfg.Placement != nil {
 		r.caching = cfg.Placement.Caching()
 	}
-	r.srcs = make([]rng.Source, n)
-	r.pos = make([]metric.Point, n)
-	r.doneAt = make([]float64, n)
-	for i := range r.doneAt {
-		r.doneAt[i] = -1
-	}
 	if cfg.Mode.Live() {
+		r.walkers = reuse(old.walkers, n)
 		r.initLive()
 	} else {
-		s := &snapshotState{
-			paths:       make([][]metric.Point, n),
-			initialAt:   slices.Clone(r.inject), // as claim fixed them up front
+		s := old.snap
+		if s == nil {
+			s = new(snapshotState)
+		}
+		*s = snapshotState{
+			paths:       reuse(s.paths, n),
+			initialAt:   append(s.initialAt[:0], r.inject...), // as claim fixed them up front
+			charged:     reuse(s.charged, g.Size()),
 			fullyPrimed: len(sched.Initial) == n,
 		}
 		for i, inj := range sched.Initial {
@@ -222,8 +232,18 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 	if r.out.Plan == PlanLiveSharded {
 		owners = cfg.Shards
 	}
-	r.shards = newShardSet(r, owners)
+	r.shards = newShardSet(r, owners, old.shards)
 	return r
+}
+
+// reuse returns s resliced to n zero elements, allocating only when its
+// capacity is short of n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s[:n])
+	return s[:n]
 }
 
 // initLive builds the live modes' per-run state: the churn layer, the
@@ -238,7 +258,6 @@ func (r *runner) initLive() {
 		// consumes nothing and perturbs nothing.
 		r.churn = newChurnState(g, cfg.Churn, r.root.Derive(5))
 	}
-	r.walkers = make([]*route.Walker, n)
 	if cfg.Mode.Aggregate() {
 		r.aggMsgs = &aggMsgState{followers: make([][]int, n), merged: make([]bool, n)}
 	}
@@ -279,7 +298,7 @@ func (r *runner) initLive() {
 			return s
 		}
 	}
-	r.arena = route.New(g, ropt).NewArena()
+	r.arena = r.arena.Reuse(route.New(g, ropt))
 	r.pend = newPending(r.sched.Initial)
 }
 
@@ -382,7 +401,6 @@ func (r *runner) runSnapshot() {
 	aware := cfg.Penalty > 0 || cfg.DepthPenalty > 0
 	ropt := cfg.Route
 	ropt.TracePath = true // the replay runs every routed path (forwarders)
-	s.charged = make([]int, r.g.Size())
 	if aware {
 		// The congestion feedback owns this field (the documented
 		// contract): the caller's signal gives way to what each batch
@@ -398,7 +416,7 @@ func (r *runner) runSnapshot() {
 			return c
 		}
 	}
-	r.arena = route.New(r.g, ropt).NewArena()
+	r.arena = r.arena.Reuse(route.New(r.g, ropt))
 	batch := len(r.msgs)
 	if aware || r.caching {
 		batch = min(cfg.BatchSize, batch)
@@ -547,7 +565,7 @@ func (r *runner) prefix(start int) *runner {
 	}
 	cfg := r.cfg
 	cfg.Telemetry, cfg.Placement = nil, nil
-	p := newRunner(r.g, r.msgs[:start], sched, cfg, r.root)
+	p := new(runner).reset(r.g, r.msgs[:start], sched, cfg, r.root)
 	copy(p.snap.paths, r.snap.paths)
 	copy(p.out.Results, r.out.Results)
 	p.admitRouted(0, start)

@@ -135,13 +135,18 @@ type shardSet struct {
 	active []*shard  // shards with work below the current horizon
 }
 
-// newShardSet partitions the node set among n owners. Called after the
-// recorder's BeginRun, so the owners' views belong to this run.
-func newShardSet(r *runner, n int) *shardSet {
+// newShardSet partitions the node set among n owners, whose event heaps
+// reuse the emptied backing arrays of old's (nil for none). Called after
+// the recorder's BeginRun, so the owners' views belong to this run.
+func newShardSet(r *runner, n int, old *shardSet) *shardSet {
 	s := &shardSet{shards: make([]*shard, n), size: r.g.Size()}
 	per := len(r.msgs)/n + 1
 	for i := range s.shards {
-		sh := &shard{id: i, h: newEventQueue(per)}
+		sh := &shard{id: i}
+		if old != nil && i < len(old.shards) {
+			sh.h.s = old.shards[i].h.s[:0]
+		}
+		sh.h.Reserve(per)
 		if n > 1 {
 			sh.outbox = make([][]event, n)
 		}

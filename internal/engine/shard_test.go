@@ -244,7 +244,7 @@ func TestShardPanicBecomesRunError(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Mode = ModeLive
 		cfg.Shards = 2
-		r := newRunner(g, msgs, periodicSchedule(len(msgs), 8), cfg, rng.New(9))
+		r := new(runner).reset(g, msgs, periodicSchedule(len(msgs), 8), cfg, rng.New(9))
 		if r.out.Plan != PlanLiveSharded {
 			t.Fatalf("plan %v, want the sharded loop", r.out.Plan)
 		}

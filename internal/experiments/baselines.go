@@ -68,23 +68,8 @@ func baselines(p Params) (*sim.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var hops, msgs, delivered int
-		bsrc := src.Derive(5)
-		for i := 0; i < p.Msgs; i++ {
-			from, to := bsrc.Intn(sys.Nodes()), bsrc.Intn(sys.Nodes())
-			res := sys.Route(bsrc, from, to)
-			if res.Delivered {
-				delivered++
-				hops += res.Hops
-				msgs += res.Messages
-			}
-		}
-		meanHops, meanMsgs := 0.0, 0.0
-		if delivered > 0 {
-			meanHops = float64(hops) / float64(delivered)
-			meanMsgs = float64(msgs) / float64(delivered)
-		}
-		t.AddValues(sys.Name(), meanHops, meanMsgs, float64(delivered)/float64(p.Msgs))
+		hops, sent, delivered := healthyRow(sys, src.Derive(5), p.Msgs)
+		t.AddValues(sys.Name(), hops, sent, delivered)
 	}
 
 	// §3's missing comparison: the same lookups with a fraction prob of
@@ -133,6 +118,30 @@ func baselines(p Params) (*sim.Table, error) {
 		addFailed(fmt.Sprintf("kleinberg l=%d", links), sim.Sum(kleinberg[l][0]))
 	}
 	return t, nil
+}
+
+// healthyRow routes msgs lookups between distinct random nodes of sys
+// and returns its row's mean hops, mean messages (both over delivered
+// lookups) and delivered fraction. A lookup's endpoints are redrawn
+// together until they differ, as randomAlivePair's are.
+func healthyRow(sys baseline.Router, src *rng.Source, msgs int) (meanHops, meanMsgs, deliveredFrac float64) {
+	var hops, sent, delivered int
+	for i := 0; i < msgs; i++ {
+		from, to := src.Intn(sys.Nodes()), src.Intn(sys.Nodes())
+		for from == to {
+			from, to = src.Intn(sys.Nodes()), src.Intn(sys.Nodes())
+		}
+		if res := sys.Route(src, from, to); res.Delivered {
+			delivered++
+			hops += res.Hops
+			sent += res.Messages
+		}
+	}
+	if delivered > 0 {
+		meanHops = float64(hops) / float64(delivered)
+		meanMsgs = float64(sent) / float64(delivered)
+	}
+	return meanHops, meanMsgs, float64(delivered) / float64(msgs)
 }
 
 // randomAlivePair draws distinct live endpoints, or ok=false after too

@@ -68,8 +68,8 @@ func init() {
 			t := sim.NewTable(fmt.Sprintf("Table 1 / deterministic base-b (n=%d)", p.N),
 				"base b", "mean hops", "bound ceil(log_b n)", "max hops ok")
 			for _, b := range []int{2, 4, 8, 16} {
-				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, src *rng.Source) (*graph.Graph, error) {
-					return graph.BuildDeterministic(ring, b, src)
+				stats, err := searchTrials(p, built(ringOf(p.N), func(ring metric.Space, _ *rng.Source) (*graph.Graph, error) {
+					return graph.BuildDeterministic(ring, b)
 				}), twoSidedDirected)
 				if err != nil {
 					return nil, err

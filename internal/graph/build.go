@@ -193,7 +193,7 @@ func (g *Graph) indexLinks() {
 // (links that would leave a line are dropped). Routing over this graph
 // eliminates one base-b digit of the remaining per-axis distance per
 // hop.
-func BuildDeterministic(space metric.Space, b int, src *rng.Source) (*Graph, error) {
+func BuildDeterministic(space metric.Space, b int) (*Graph, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("graph: deterministic base must be >= 2, got %d", b)
 	}

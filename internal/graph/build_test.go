@@ -149,7 +149,7 @@ func TestBuildIdealWithPresenceValidates(t *testing.T) {
 
 func TestBuildDeterministicDigits(t *testing.T) {
 	const n, b = 64, 2
-	g, err := BuildDeterministic(mustRing(t, n), b, rng.New(1))
+	g, err := BuildDeterministic(mustRing(t, n), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBuildDeterministicDigits(t *testing.T) {
 }
 
 func TestBuildDeterministicBaseValidation(t *testing.T) {
-	if _, err := BuildDeterministic(mustRing(t, 8), 1, rng.New(1)); err == nil {
+	if _, err := BuildDeterministic(mustRing(t, 8), 1); err == nil {
 		t.Error("base 1 should error")
 	}
 	if _, err := BuildDeterministicPowers(mustRing(t, 8), 0); err == nil {
@@ -196,7 +196,7 @@ func TestBuildDeterministicPowers(t *testing.T) {
 }
 
 func TestBuildDeterministicLine(t *testing.T) {
-	g, err := BuildDeterministic(mustLine(t, 32), 2, rng.New(1))
+	g, err := BuildDeterministic(mustLine(t, 32), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,7 +245,7 @@ func TestDeterministicSlabMatchesAddLong(t *testing.T) {
 					break
 				}
 			}
-			det, err := BuildDeterministic(sp, b, nil)
+			det, err := BuildDeterministic(sp, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,13 @@
 //     queues still drain (delivered throughput tracks λ) and the p99
 //     tail stays bounded. The sweep reports the whole
 //     latency-vs-throughput curve (ext.saturation.knee prints it) plus
-//     the knee, per routing policy and engine mode.
+//     the knee, per routing policy and engine mode. It prepares once —
+//     validates, binds the workload, draws the lookups and resolves the
+//     replica seed — and runs every level on one engine.Runner, whose
+//     memory each level empties and reuses; only the level's schedule,
+//     replica placement, and the Loads and ServedBy its point keeps are
+//     its own. Churn events would change the graph every later level
+//     runs on, so a sweep refuses them (a knobs-only spec is allowed).
 //
 // # Snapshot vs live semantics
 //

@@ -363,6 +363,29 @@ func (c Config) engineMode() engine.Mode {
 // comment for the model; the run is deterministic in (g, gen, cfg,
 // seed) and independent of cfg.Workers and cfg.Shards.
 func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error) {
+	p, err := prepare(g, gen, cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(p.cfg.Arrival)
+}
+
+// prepared is the part of a run that does not depend on its arrival
+// model, done once for every run made from it: the resolved and
+// validated configuration, the bound workload's lookups and the replica
+// seed; and the engine memory those runs reuse.
+type prepared struct {
+	g     *graph.Graph
+	gen   Generator
+	cfg   Config
+	root  *rng.Source
+	msgs  []engine.Message
+	rseed uint64
+	eng   engine.Runner
+}
+
+// prepare validates cfg, binds gen to g and draws the lookups.
+func prepare(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*prepared, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -383,11 +406,20 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 		}
 		msgs[i] = engine.Message{From: from, Key: to}
 	}
+	p := &prepared{g: g, gen: gen, cfg: cfg, root: root, msgs: msgs, rseed: cfg.ReplicaSeed}
+	if p.rseed == 0 {
+		p.rseed = root.Derive(3).Uint64()
+	}
+	return p, nil
+}
 
+// run drives the prepared lookups under arrival model arr (nil for
+// Periodic(Rate)) on p's engine memory.
+func (p *prepared) run(arr Arrival) (*Result, error) {
+	g, gen, cfg, root := p.g, p.gen, p.cfg, p.root
 	// Resolve the arrival model and draw its schedule from one
 	// dedicated sequential stream, fixing the injection times (and, for
 	// Poisson, their randomness) before any parallelism starts.
-	arr := cfg.Arrival
 	if arr == nil {
 		arr = Periodic(cfg.Rate)
 	}
@@ -409,12 +441,8 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	// shard-count independence contracts.
 	var placement *replica.Placement
 	if cfg.Replication != nil && cfg.Replication.Enabled() {
-		rseed := cfg.ReplicaSeed
-		if rseed == 0 {
-			rseed = root.Derive(3).Uint64()
-		}
 		var err error
-		placement, err = replica.NewPlacement(g.Space(), *cfg.Replication, rseed)
+		placement, err = replica.NewPlacement(g.Space(), *cfg.Replication, p.rseed)
 		if err != nil {
 			return nil, err
 		}
@@ -444,7 +472,7 @@ func Run(g *graph.Graph, gen Generator, cfg Config, seed uint64) (*Result, error
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Label(fmt.Sprintf("%s/%s/%s", gen.Name(), arr.Name(), cfg.modeName()))
 	}
-	out, err := engine.Run(g, msgs, engine.Schedule{Initial: primed, Completed: arr.Completed},
+	out, err := p.eng.Run(g, p.msgs, engine.Schedule{Initial: primed, Completed: arr.Completed},
 		engine.Config{
 			Capacity:     cfg.Capacity,
 			Workers:      cfg.Workers,

@@ -107,6 +107,15 @@ func (s *SweepResult) KneePoint() *SweepPoint {
 // workload pairs are identical across load levels and the sweep isolates
 // the effect of injection pressure; like Run, the whole sweep is
 // deterministic in (g, gen, cfg minus Workers and Shards, seed).
+//
+// The sweep prepares once what every level shares — the validated
+// configuration, the bound workload's lookups and the replica seed — and
+// runs each level on one engine.Runner, so a level allocates only its
+// own schedule, replica placement, Loads and ServedBy; each point's
+// Result equals a fresh Run at its load. A churn spec that schedules
+// events (Rate, KillFrac or FlashJoin) is an error: the engine applies
+// them to g, so each level would route on the network the last one's
+// churn left. A knobs-only spec is allowed.
 func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepResult, error) {
 	model := cfg.Model
 	if model == "" {
@@ -145,6 +154,15 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 	if cfg.Min > maxLoad {
 		return nil, fmt.Errorf("load: sweep bracket [%g, %g] is empty", cfg.Min, maxLoad)
 	}
+	prep, err := prepare(g, gen, cfg.Config, seed)
+	if err != nil {
+		return nil, err
+	}
+	if c := prep.cfg.Churn; c.Rate > 0 || c.KillFrac > 0 || c.FlashJoin > 0 {
+		// The engine applies churn events to g, so every level would
+		// route on the network the level before it left.
+		return nil, fmt.Errorf("load: a sweep runs every level on one graph, so it cannot schedule churn events (rate %g, kill %g, flash %d)", c.Rate, c.KillFrac, c.FlashJoin)
+	}
 
 	res := &SweepResult{Model: model}
 	// judge applies the two-sided stability criterion; only valid once
@@ -181,16 +199,14 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 		if p, ok := evaluated[at]; ok {
 			return p, nil
 		}
-		run := cfg.Config
+		arr := Periodic(at)
 		switch {
 		case closed:
-			run.Arrival = ClosedLoop(int(at), cfg.Think)
+			arr = ClosedLoop(int(at), cfg.Think)
 		case model == "poisson":
-			run.Arrival = Poisson(at)
-		default:
-			run.Arrival = Periodic(at)
+			arr = Poisson(at)
 		}
-		r, err := Run(g, gen, run, seed)
+		r, err := prep.run(arr)
 		if err != nil {
 			return nil, err
 		}
@@ -209,8 +225,7 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 	if err != nil {
 		return nil, err
 	}
-	resolved := cfg.Config.withDefaults()
-	serviceTime := 1 / resolved.Capacity
+	serviceTime := 1 / prep.cfg.Capacity
 	res.P99Bound = float64(8 * math.Max(base.Result.LatencyP99, serviceTime))
 	if cfg.Config.PIT {
 		// A suppressed lookup whose carrier strands lawfully waits out
@@ -219,7 +234,7 @@ func Sweep(g *graph.Graph, gen Generator, cfg SweepConfig, seed uint64) (*SweepR
 		// The minimum-load calibration rarely sees a strand (few lookups
 		// are concurrent enough to park), so the bound widens by one
 		// lifetime.
-		res.P99Bound += resolved.PITTimeout
+		res.P99Bound += prep.cfg.PITTimeout
 	}
 	baselineDrain = base.Result.Makespan - base.Result.LastInject
 	if baselineDrain < 0 {

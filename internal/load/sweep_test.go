@@ -3,8 +3,12 @@ package load
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/failure"
+	"repro/internal/replica"
 	"repro/internal/route"
 )
 
@@ -145,5 +149,128 @@ func TestSweepRejectsEmptyBracket(t *testing.T) {
 	g := buildRing(t, 64, 4, 29)
 	if _, err := Sweep(g, Uniform(), SweepConfig{Min: 8, Max: 2}, 30); err == nil {
 		t.Error("inverted bracket should be rejected")
+	}
+}
+
+// TestSweepPointsMatchFreshRuns is the differential test of a sweep's
+// shared set-up and engine memory: every level it evaluates must equal a
+// fresh Run at that level's load, field for field, whatever the
+// previous level left in the memory it reuses; and no two levels may
+// share a Loads or ServedBy array, which every SweepPoint keeps.
+func TestSweepPointsMatchFreshRuns(t *testing.T) {
+	g := damagedTorus(t, 24, 8, 31, 0.3)
+	knobsOnly := failure.ChurnSpec{ProbeTimeout: 4, GossipInterval: 1, GossipFanout: 2}
+	for _, tc := range []struct {
+		name  string
+		model string
+		cfg   Config
+	}{
+		{"snapshot+penalty+replicas+cache", "poisson", Config{Penalty: 4,
+			Replication: &replica.Options{K: 4, CacheThreshold: 16, CacheCopies: 8}}},
+		{"snapshot+depth/closed", "closed", Config{DepthPenalty: 1}},
+		{"live", "periodic", Config{Live: true}},
+		{"live+pit+knobs-only-churn", "poisson", Config{Live: true, PIT: true, Churn: knobsOnly}},
+	} {
+		for _, workers := range []int{1, 2} {
+			cfg := SweepConfig{Config: tc.cfg, Model: tc.model, Bisections: 3}
+			cfg.Messages, cfg.Workers = 600, workers
+			cfg.Route = route.Options{DeadEnd: route.Backtrack}
+			res, err := Sweep(g, Flood(), cfg, 32)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if len(res.Points) < 3 {
+				t.Fatalf("%s workers=%d: %d points, want a sweep of several levels", tc.name, workers, len(res.Points))
+			}
+			for i, p := range res.Points {
+				run := cfg.Config
+				switch tc.model {
+				case "closed":
+					run.Arrival = ClosedLoop(int(p.Load), 0)
+				case "poisson":
+					run.Arrival = Poisson(p.Load)
+				default:
+					run.Arrival = Periodic(p.Load)
+				}
+				want, err := Run(g, Flood(), run, 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p.Result, want) {
+					t.Errorf("%s workers=%d: level %g differs from a fresh run:\n got %+v\nwant %+v",
+						tc.name, workers, p.Load, *p.Result, *want)
+				}
+				for _, q := range res.Points[:i] {
+					if &q.Result.Loads[0] == &p.Result.Loads[0] || &q.Result.ServedBy[0] == &p.Result.ServedBy[0] {
+						t.Errorf("%s workers=%d: levels %g and %g share a Loads or ServedBy array",
+							tc.name, workers, q.Load, p.Load)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepRejectsChurnEvents: the engine applies churn events to the
+// graph it runs on, and a sweep runs every level on one graph, so a
+// spec that schedules any is refused before the graph is touched. A
+// knobs-only spec, which attaches the membership machinery with no
+// events, still sweeps.
+func TestSweepRejectsChurnEvents(t *testing.T) {
+	g := buildTorus(t, 16, 6, 41)
+	sweep := func(spec failure.ChurnSpec) error {
+		_, err := Sweep(g, Uniform(), SweepConfig{Model: "poisson", Bisections: 1,
+			Config: Config{Messages: 200, Live: true, Churn: spec}}, 42)
+		return err
+	}
+	for _, spec := range []failure.ChurnSpec{{Rate: 0.05}, {KillFrac: 0.1, KillAt: 2}, {FlashJoin: 4, FlashAt: 2}} {
+		if err := sweep(spec); err == nil || !strings.Contains(err.Error(), "churn events") {
+			t.Errorf("%+v: err = %v, want the sweep to refuse churn events", spec, err)
+		}
+		if g.AliveCount() != g.Size() {
+			t.Fatalf("%+v: a refused sweep left %d of %d nodes alive", spec, g.AliveCount(), g.Size())
+		}
+	}
+	if err := sweep(failure.ChurnSpec{ProbeTimeout: 4, GossipInterval: 1, GossipFanout: 2}); err != nil {
+		t.Errorf("knobs-only churn: %v", err)
+	}
+}
+
+// TestSweepAllocsPerLookup pins what a knee-shaped saturation sweep
+// allocates — a 30 %-failed torus under flood, congestion penalty and
+// cache-on-path replication, as ftrmark's knee_sweep runs it — per
+// lookup routed over all its levels. A sweep draws its workload once
+// and runs every level on one engine memory, so what is left is each
+// level's own: its schedule, replica placement, and the Loads and
+// ServedBy its Result keeps: about 84 bytes and 0.061 allocations a
+// lookup here, against 369 and 0.104 when every level set up a fresh
+// run. The bounds leave room for runtime and layout drift, not for a
+// level that allocates its engine tables again.
+func TestSweepAllocsPerLookup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := damagedTorus(t, 32, 12, 43, 0.3)
+	cfg := SweepConfig{Model: "poisson", Min: 0.5, Max: 0.5 * 4096, Config: Config{
+		Messages: 1024, Workers: 1, Penalty: 4, Route: route.Options{DeadEnd: route.Backtrack},
+		Replication: &replica.Options{K: 4, CacheThreshold: 16, CacheCopies: 8}}}
+	sweep := func() *SweepResult {
+		res, err := Sweep(g, Flood(), cfg, 44)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sweep() // the graph's neighbour rows are built once, by the first run on it
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := sweep()
+	runtime.ReadMemStats(&after)
+	lookups := float64(len(res.Points) * cfg.Messages)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / lookups
+	allocs := float64(after.Mallocs-before.Mallocs) / lookups
+	t.Logf("%d levels: %.1f bytes and %.3f allocations per lookup", len(res.Points), bytes, allocs)
+	if bytes > 120 || allocs > 0.08 {
+		t.Errorf("%.1f bytes and %.3f allocations per lookup, want at most 120 and 0.08", bytes, allocs)
 	}
 }

@@ -154,7 +154,7 @@ func run1DScenarios(t *testing.T) []string {
 	add("heuristic-churn: alive=%d links=%d fp=%#x", b.Graph().AliveCount(), b.Graph().LongLinkCount(), fingerprint(b.Graph()))
 
 	// --- Deterministic overlays + link failures (Theorems 14–16).
-	gd, err := graph.BuildDeterministic(ring, 2, rng.New(19))
+	gd, err := graph.BuildDeterministic(ring, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,6 +162,11 @@ type Arena struct {
 	// first entry.
 	first [1]Walker
 	slot  [1]*Walker
+	// keptSlab is the kept-path slab a Reuse rewinds kept to, and
+	// keptCap the points of every kept-path slab since then, that one
+	// included: more than it holds when the searches outgrew it.
+	keptSlab []metric.Point
+	keptCap  int
 }
 
 // NewArena returns an empty arena for r's searches.
@@ -289,6 +294,7 @@ func (a *Arena) Release(w *Walker) Result {
 	if n := len(res.Path); n > 0 {
 		if len(a.kept) < n {
 			a.kept = make([]metric.Point, max(keptChunk, n))
+			a.keptCap += len(a.kept)
 		}
 		res.Path = a.kept[:n:n]
 		copy(res.Path, w.res.Path)
@@ -305,6 +311,28 @@ func (a *Arena) Release(w *Walker) Result {
 	}
 	a.free = append(a.free, w)
 	return res
+}
+
+// Reuse returns an arena for r's searches: a itself, keeping every
+// walker and slab it has carved, when every walker it issued has been
+// released and r is a router over a's graph that carves walkers alike
+// (the same TracePath, DeadEnd and BacktrackMemory); otherwise, and for
+// a nil a, r.NewArena(). A reused arena keeps its next paths in one
+// slab, as large as all its kept-path slabs so far, so the next searches
+// overwrite the Paths of every Result it released before; and it forgets
+// its distance table, so it scores exactly as a fresh arena would.
+func (a *Arena) Reuse(r *Router) *Arena {
+	if a == nil || a.r.g != r.g || a.carved != len(a.free)+len(a.walkers) ||
+		a.r.opt.TracePath != r.opt.TracePath || a.r.opt.DeadEnd != r.opt.DeadEnd ||
+		a.r.opt.BacktrackMemory != r.opt.BacktrackMemory {
+		return r.NewArena()
+	}
+	if a.keptCap > len(a.keptSlab) {
+		a.keptSlab = make([]metric.Point, a.keptCap)
+	}
+	a.r, a.kept, a.keptCap = r, a.keptSlab, len(a.keptSlab)
+	a.prev, a.table, a.run = nil, nil, 0
+	return a
 }
 
 // tablePoints is how many points of a distance table one walker's
