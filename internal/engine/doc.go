@@ -241,10 +241,10 @@
 //
 //   - walkers come from a route.Arena in chunks that double the walkers
 //     carved so far, up to 256: the Walker structs, their 16-point paths
-//     (traced runs only) and 16-entry tried stacks, and their history
-//     frames are three slabs per chunk, and a replica set of more than
-//     one member is a share of a fourth, all carved by three-index
-//     slices. The aliasing rule is the arena's: a buffer's capacity ends
+//     (traced runs only), and their int32 tried stacks (the remembered
+//     nodes and 16 tried entries) with their histories are at most three
+//     slabs per chunk, and a replica set of more than one member is a
+//     share of a fourth, all carved by three-index slices. The aliasing rule is the arena's: a buffer's capacity ends
 //     where the next walker's share begins, so a walk that outgrows its
 //     share reallocates privately. Only sequential code carves and
 //     releases — live admission and completion under both drivers (a
@@ -291,8 +291,8 @@
 // fresh Runner's Run, so its Outcome is wholly the caller's.
 //
 // What is left is amortized growth — a path past 16 hops, the kept-path
-// slab, the event heaps — and the per-run tables: 0.011 allocations per
-// message on ftrmark's live_seq and 0.20 on knee_sweep (snapshot runs, whose
+// slab, the event heaps — and the per-run tables: 0.0086 allocations per
+// message on ftrmark's live_seq and 0.18 on knee_sweep (snapshot runs, whose
 // batches also spawn their stepping goroutines), which
 // TestLiveRunAllocsPerMessage and TestSnapshotRunAllocsPerMessage guard
 // from tier-1.
@@ -311,9 +311,17 @@
 //     (churnState.arena), sized on its first entry for every rumor
 //     pending then.
 //
-// 0.165 allocations per message on ftrmark's churn_pit (6.51 with one
-// heap object per interest, per hot-list doubling and per rumor, and
-// 0.49 while the Zipf hot spots' queues grew rings past four slots);
+// A window of the windowed driver allocates nothing either: each
+// owner's drain closure is built once per run and the barrier sorts
+// with slices.SortFunc (TestShardWindowAllocs). Nor does a repair
+// redraw into a node whose in-link list still has the spare slot every
+// build leaves it (graph.ReplaceLong).
+//
+// 0.061 allocations per message on ftrmark's churn_pit (6.51 with one
+// heap object per interest, per hot-list doubling and per rumor, 0.49
+// while the Zipf hot spots' queues grew rings past four slots, and 0.155
+// with a closure and WaitGroup per window, sort.Slice at every barrier
+// and an in-link list moved per redraw);
 // TestChurnPITRunAllocsPerMessage guards it. ROADMAP item 5 has the
 // profiles.
 //

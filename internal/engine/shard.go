@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,7 +94,11 @@ type shard struct {
 	h      eventQueue
 	outbox [][]event // per destination shard, reused across windows
 	done   []doneRec // deferred side effects, in pop (= event) order
-	// panicked is a handler panic caught during this owner's drain.
+	// window drains the owner below its set's horizon, turning a handler
+	// panic into panicked, and marks it done on the set's WaitGroup.
+	// Built once per run of several owners, so that a window that starts
+	// it on a goroutine (go window()) allocates nothing.
+	window   func()
 	panicked error
 
 	// agg is this owner's slice of the aggregation state: one key's
@@ -126,13 +130,17 @@ type shard struct {
 	winEvents int
 }
 
-// shardSet is the owners of one run plus the barrier-side scratch
-// buffers, all reused across windows.
+// shardSet is the owners of one run plus the window's horizon and
+// WaitGroup and the barrier-side scratch buffers, all reused across
+// windows. It is only ever handled by pointer: the WaitGroup must not
+// be copied.
 type shardSet struct {
-	shards []*shard
-	size   int       // node count, the shardOf denominator
-	recs   []doneRec // deferred side effects being merged
-	active []*shard  // shards with work below the current horizon
+	shards  []*shard
+	size    int       // node count, the shardOf denominator
+	recs    []doneRec // deferred side effects being merged
+	active  []*shard  // shards with work below the current horizon
+	horizon float64   // the current window's
+	wg      sync.WaitGroup
 }
 
 // newShardSet partitions the node set among n owners, whose event heaps
@@ -149,6 +157,18 @@ func newShardSet(r *runner, n int, old *shardSet) *shardSet {
 		sh.h.Reserve(per)
 		if n > 1 {
 			sh.outbox = make([][]event, n)
+			sh.window = func() {
+				defer func() {
+					if p := recover(); p != nil {
+						// A panic on a bare goroutine cannot be recovered
+						// by any caller of Run: the owner's own error slot
+						// carries what a crash dump would.
+						sh.panicked = fmt.Errorf("engine: shard %d panicked draining the window below t=%g: %v", sh.id, s.horizon, p)
+					}
+					s.wg.Done()
+				}()
+				sh.drain(r, s.horizon)
+			}
 		}
 		if r.cfg.Mode.Aggregate() {
 			sh.agg = make(map[aggKey]aggEntry)
@@ -204,11 +224,11 @@ func (s *shardSet) nextTime(r *runner) (float64, bool) {
 
 // drainWindow runs every shard with work below the horizon
 // concurrently, one goroutine per busy shard (the first busy shard
-// runs on the caller's goroutine). Shards only read immutable run
-// state and write shard-owned state, so the window needs no locks;
-// the WaitGroup is the whole synchronization story. A handler that
-// panics ends the run with r.err instead of the process: a panic on a
-// bare goroutine cannot be recovered by any caller of Run.
+// runs on the caller's goroutine), each its own prebuilt window
+// closure, so a window allocates nothing. Shards only read immutable
+// run state and write shard-owned state, so the window needs no locks;
+// the set's WaitGroup is the whole synchronization story. A handler
+// that panics ends the run with r.err instead of the process.
 func (s *shardSet) drainWindow(r *runner, horizon float64) {
 	s.active = s.active[:0]
 	for _, sh := range s.shards {
@@ -219,16 +239,13 @@ func (s *shardSet) drainWindow(r *runner, horizon float64) {
 	if len(s.active) == 0 {
 		return
 	}
-	var wg sync.WaitGroup
+	s.horizon = horizon
+	s.wg.Add(len(s.active))
 	for _, sh := range s.active[1:] {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.drainGuarded(r, horizon)
-		}(sh)
+		go sh.window()
 	}
-	s.active[0].drainGuarded(r, horizon)
-	wg.Wait()
+	s.active[0].window()
+	s.wg.Wait()
 	for _, sh := range s.active {
 		if sh.panicked != nil && r.err == nil {
 			r.err = sh.panicked
@@ -256,18 +273,6 @@ func (s *shardSet) profileWindow(r *runner) {
 		sh.drainSecs, sh.winEvents = 0, 0
 	}
 	r.tel.SchedWindowDone()
-}
-
-// drainGuarded is drain with a panic turned into the shard's own error
-// slot (shard-owned, so the window still needs no locks), carrying
-// what a crash dump would: which owner, which window, what was thrown.
-func (sh *shard) drainGuarded(r *runner, horizon float64) {
-	defer func() {
-		if p := recover(); p != nil {
-			sh.panicked = fmt.Errorf("engine: shard %d panicked draining the window below t=%g: %v", sh.id, horizon, p)
-		}
-	}()
-	sh.drain(r, horizon)
 }
 
 // drain processes the shard's events strictly below the horizon.
@@ -491,14 +496,16 @@ func (s *shardSet) barrier(r *runner) {
 		s.recs = append(s.recs, sh.done...)
 		sh.done = sh.done[:0]
 	}
-	sort.Slice(s.recs, func(i, j int) bool {
-		if eventLess(s.recs[i].at, s.recs[j].at) {
-			return true
+	// The (at, seq) keys are unique, so any sort gives this one order;
+	// slices.SortFunc, unlike sort.Slice, allocates nothing.
+	slices.SortFunc(s.recs, func(a, b doneRec) int {
+		if a.at != b.at {
+			if eventLess(a.at, b.at) {
+				return -1
+			}
+			return 1
 		}
-		if eventLess(s.recs[j].at, s.recs[i].at) {
-			return false
-		}
-		return s.recs[i].seq < s.recs[j].seq
+		return a.seq - b.seq
 	})
 	if r.churn != nil {
 		// One ops-heap growth for the whole batch of strand parks, not
@@ -510,9 +517,7 @@ func (s *shardSet) barrier(r *runner) {
 				strands++
 			}
 		}
-		if strands > 0 {
-			r.churn.ops.Reserve(r.churn.ops.Len() + strands)
-		}
+		r.churn.ops.Reserve(r.churn.ops.Len() + strands)
 	}
 	for _, rec := range s.recs {
 		r.settle(rec)

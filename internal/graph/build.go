@@ -169,11 +169,13 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 // carved from one slab, and the entries go in by (from, slot) — the
 // order link-by-link AddLong calls in populateLinks' loop would have
 // produced, which AppendNeighbors' in-link order (and so every routing
-// tie-break) depends on. Capacity is exact, for the reason given at
-// populateLinks.
+// tie-break) depends on. Each list has one spare slot, as every
+// neighbour row has (rows.go): a repair redraw into a node (ReplaceLong)
+// fills it in place instead of moving the list to the heap. Capacity
+// ends there, for the reason given at populateLinks.
 func (g *Graph) indexLinks() {
 	indeg := make([]int32, len(g.nodes))
-	total := 0
+	total := len(g.nodes) // the spares
 	for i := range g.nodes {
 		for _, lk := range g.nodes[i].long {
 			indeg[lk.To]++
@@ -182,7 +184,7 @@ func (g *Graph) indexLinks() {
 	}
 	slab := make([]revRef, total)
 	for i := range g.nodes {
-		g.nodes[i].rev, slab = slab[:0:indeg[i]], slab[indeg[i]:]
+		g.nodes[i].rev, slab = slab[:0:indeg[i]+1], slab[indeg[i]+1:]
 	}
 	g.RestoreLinks()
 }

@@ -281,3 +281,45 @@ func TestDeterministicSlabMatchesAddLong(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaceLongSpareSlotAllocs pins the spare in-link slot indexLinks
+// carves for every node: a built graph's in-link lists each have room
+// for one more entry, so a repair redraw (ReplaceLong) into a node whose
+// spare is free appends in place. With exact capacity every such redraw
+// moved its target's list to the heap (1 227 allocations a churn_pit
+// run). Redirecting one link to a target it has not reached before, and
+// back, allocates nothing.
+func TestReplaceLongSpareSlotAllocs(t *testing.T) {
+	for _, sp := range buildSpaces(t) {
+		g, err := BuildIdeal(sp, PaperConfigFor(sp, 4), rng.New(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.nodes {
+			if rev := g.nodes[i].rev; cap(rev) != len(rev)+1 {
+				t.Fatalf("%s: node %d's in-links have capacity %d for %d entries, want one spare", sp.Name(), i, cap(rev), len(rev))
+			}
+		}
+		p, old := metric.Point(0), g.Long(0)[0].To
+		redraw := func(to metric.Point) {
+			if err := g.ReplaceLong(p, 0, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := metric.Point(1)
+		avg := testing.AllocsPerRun(50, func() {
+			if next == old {
+				next++
+			}
+			redraw(next)
+			redraw(old)
+			next++
+		})
+		if avg != 0 {
+			t.Errorf("%s: a redraw into a free spare slot and back allocates %.2f times, want 0", sp.Name(), avg)
+		}
+		if err := g.CheckReverseIndex(); err != nil {
+			t.Fatalf("%s: %v", sp.Name(), err)
+		}
+	}
+}

@@ -3,10 +3,10 @@ package load
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/failure"
 	"repro/internal/replica"
 	"repro/internal/route"
@@ -262,13 +262,11 @@ func TestSweepAllocsPerLookup(t *testing.T) {
 		return res
 	}
 	sweep() // the graph's neighbour rows are built once, by the first run on it
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := sweep()
-	runtime.ReadMemStats(&after)
+	var res *SweepResult
+	mallocs, total := alloctest.Measure(func() { res = sweep() })
 	lookups := float64(len(res.Points) * cfg.Messages)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / lookups
-	allocs := float64(after.Mallocs-before.Mallocs) / lookups
+	bytes := float64(total) / lookups
+	allocs := float64(mallocs) / lookups
 	t.Logf("%d levels: %.1f bytes and %.3f allocations per lookup", len(res.Points), bytes, allocs)
 	if bytes > 120 || allocs > 0.08 {
 		t.Errorf("%.1f bytes and %.3f allocations per lookup, want at most 120 and 0.08", bytes, allocs)

@@ -2,10 +2,10 @@ package route
 
 import (
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/metric"
@@ -292,13 +292,13 @@ func TestHonestSearcherMatchesFreshSearches(t *testing.T) {
 	}
 }
 
-// TestHonestSearcherAllocs pins ext.byzantine's searches at no
+// TestRouteRedundantAllocs pins ext.byzantine's searches at no
 // allocation: once an arena has run its first search, RouteRedundant
 // with three copies — six legs at most, each an untraced search checked
 // for drops at every step — allocates nothing under Backtrack on a ring
 // of 2¹¹ nodes with ℓ = 11 and 15 % of them malicious. Each leg through
 // Router.Route built a walker of its own: about 19 allocations a call.
-func TestHonestSearcherAllocs(t *testing.T) {
+func TestRouteRedundantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
@@ -319,17 +319,16 @@ func TestHonestSearcherAllocs(t *testing.T) {
 	for _, p := range pairs { // the path buffer grows to the longest leg
 		search(p)
 	}
-	var before, after runtime.MemStats
 	relays := 0
-	runtime.ReadMemStats(&before)
-	for _, p := range pairs {
-		relays += search(p).Reroutes
-	}
-	runtime.ReadMemStats(&after)
+	n, _ := alloctest.Measure(func() {
+		for _, p := range pairs {
+			relays += search(p).Reroutes
+		}
+	})
 	if relays == 0 {
 		t.Fatal("no copy went through a relay: the pin is vacuous")
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
+	if n != 0 {
 		t.Errorf("%d RouteRedundant calls after the first allocated %d times, want 0", len(pairs), n)
 	}
 }

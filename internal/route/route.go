@@ -307,7 +307,7 @@ const scratchNeighbors = 64
 // network the penalized walk takes different paths and can hit (or
 // avoid) dead ends plain greedy would not — delivery rates are an
 // empirical matter there, which the experiments measure.
-func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
+func (w *Walker) bestNeighbor(tried []int32) (metric.Point, int, bool) {
 	r, cur := w.r, w.cur
 	// The candidates are the node's cached neighbour row (graph.Row)
 	// when the graph holds a fresh one. Otherwise they are gathered into
@@ -334,7 +334,7 @@ func (w *Walker) bestNeighbor(tried []metric.Point) (metric.Point, int, bool) {
 	found := false
 	for _, n := range nbrs {
 		q := metric.Point(n)
-		if !r.g.Alive(q) || slices.Contains(tried, q) {
+		if !r.g.Alive(q) || slices.Contains(tried, n) {
 			continue
 		}
 		if r.opt.Sidedness == OneSided && !r.oriented.Between(cur, q, metric.Point(w.set[0])) {

@@ -3,9 +3,9 @@ package route
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/graph"
 	"repro/internal/metric"
 	"repro/internal/rng"
@@ -77,13 +77,13 @@ func TestSearcherMatchesArenaWalkers(t *testing.T) {
 	}
 }
 
-// TestSearcherAllocs pins the recycled walker's contract on a Figure 6
+// TestRouteAnyAllocs pins the recycled walker's contract on a Figure 6
 // network, a ring of 2¹¹ nodes with ℓ = 11 and 30 % of them crashed: an
 // untraced backtracking search through Arena.RouteAny allocates nothing
 // once the first search has run, and a traced one, once its path buffer
 // has grown to the longest walk, nothing but the kept-path slab's
 // chunks, in which each result keeps its path past the next search.
-func TestSearcherAllocs(t *testing.T) {
+func TestRouteAnyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
@@ -116,14 +116,13 @@ func TestSearcherAllocs(t *testing.T) {
 		for _, p := range warm {
 			search(p)
 		}
-		var before, after runtime.MemStats
 		backtracks := 0
 		points = 0
-		runtime.ReadMemStats(&before)
-		for _, p := range pairs {
-			backtracks += search(p).Backtracks
-		}
-		runtime.ReadMemStats(&after)
+		n, _ := alloctest.Measure(func() {
+			for _, p := range pairs {
+				backtracks += search(p).Backtracks
+			}
+		})
 		if backtracks == 0 {
 			t.Fatalf("traced=%v: no search backtracked, the pin is vacuous", traced)
 		}
@@ -134,7 +133,7 @@ func TestSearcherAllocs(t *testing.T) {
 		if traced {
 			want = uint64(points/(keptChunk-longest) + 1)
 		}
-		if n := after.Mallocs - before.Mallocs; n > want {
+		if n > want {
 			t.Errorf("traced=%v: %d searches after the first allocated %d times, want at most %d (kept-path chunks for %d points)",
 				traced, len(pairs), n, want, points)
 		}

@@ -210,27 +210,35 @@ func TestSharedTableIsInvisible(t *testing.T) {
 	}
 }
 
-// TestWalkerSize pins the Walker at 192 bytes on 64-bit platforms. The
+// TestWalkerSize pins the Walker at 184 bytes on 64-bit platforms. The
 // engine keeps one per lookup in flight, so every byte is paid per
 // message where most lookups are in flight at once (live_seq): a
 // 24-byte slice field for the shared distance table raised
 // bytes_per_msg by 4–6 % on workloads that never build one (live_seq
 // 802.7 → 834.7, churn_pit 998.6 → 1031, fig6_static 559.3 → 591.8),
 // which is why the table rides in the set slot and its flag in the
-// padding after last.
+// padding after last. A separate reroute count, always equal to
+// Result.Reroutes, made it 192. The history and tried stack are int32
+// slices, a backtracking walker's 104-byte share of its arena's stack
+// slab (208 bytes while tried entries were Points and history frames
+// two words).
 func TestWalkerSize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("the pinned size is a 64-bit layout")
 	}
-	if got := unsafe.Sizeof(Walker{}); got != 192 {
-		t.Errorf("unsafe.Sizeof(Walker{}) = %d, want 192", got)
+	if got := unsafe.Sizeof(Walker{}); got != 184 {
+		t.Errorf("unsafe.Sizeof(Walker{}) = %d, want 184", got)
+	}
+	r := &Router{opt: Options{DeadEnd: Backtrack}.withDefaults(1)}
+	if _, tried, history := r.shares(); (tried+history)*4 != 104 {
+		t.Errorf("a backtracking walker's stack share is %d bytes, want 104", (tried+history)*4)
 	}
 }
 
 // TestArenaCarveAllocs pins what carving arenaChunk walkers toward
 // 12-member sets costs: the arena, and per chunk its four slabs —
-// walkers (but the first chunk's one, which lives in the arena), points,
-// frames, and the set shares of its walkers that scan their set — when
+// walkers (but the first chunk's one, which lives in the arena), path
+// points, tried stacks with their histories, and the set shares of its walkers that scan their set — when
 // the set alternates between two keys, as Zipf traffic changes it, so no
 // table is ever built; one distance table more when every walker goes to
 // one set, as a flood's do, and no set slab once its walkers score from

@@ -24,7 +24,7 @@ import (
 // set — which then only ever moves its current node.
 type refFrame struct {
 	at    metric.Point
-	tried []metric.Point
+	tried []int32
 }
 
 func refBacktrack(t *testing.T, r *Router, from metric.Point, targets []metric.Point) Result {
@@ -58,7 +58,7 @@ func refBacktrack(t *testing.T, r *Router, from metric.Point, targets []metric.P
 	for res.Hops < r.opt.MaxHops {
 		top := &history[len(history)-1]
 		if next, _, ok := probe.bestNeighbor(top.tried); ok {
-			top.tried = append(top.tried, next)
+			top.tried = append(top.tried, int32(next))
 			probe.cur = next
 			res.Hops++
 			r.trace(&res, next)

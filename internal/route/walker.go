@@ -39,14 +39,12 @@ type Walker struct {
 	last   StepKind
 	tabled bool // in the padding after last: the Walker does not grow
 
-	// RandomReroute state.
-	reroutes int
-
-	// Backtrack state: the last BacktrackMemory visited nodes, oldest
-	// first, and one stack holding every remembered node's tried
-	// neighbours (see walkFrame).
-	history []walkFrame
-	tried   []metric.Point
+	// Backtrack state: one stack of every remembered node's region — the
+	// node, then the neighbours already tried from it — and the offsets
+	// of the last BacktrackMemory visited nodes' regions in it, oldest
+	// first (see push). int32s, the type of a neighbour row's entries.
+	history []int32
+	tried   []int32
 
 	// one is where the decoded target set lives when it fits in two
 	// coordinates — one member of a 1-D or 2-D space, as in every plain
@@ -62,53 +60,33 @@ type Walker struct {
 	spill *[]int32
 }
 
-// walkFrame is one remembered node of the backtracking policy. Its
-// tried set — the neighbours already taken from it, scanned linearly:
-// at most the node's degree, membership the only operation — is a
-// region of the walker's one tried stack: frame i owns
-// tried[history[i].start:history[i+1].start] and the top frame owns
-// the tail. That works because the three things that happen to frames
-// keep the top's region at the end of the stack: a forward step appends
-// to the top's region and pushes a frame with an empty one; a backward
-// step pops the top frame and truncates its region away; eviction takes
-// the oldest frame, whose region is at the bottom, below
-// history[0].start, where it sits until the stack next fills and
-// reclaim slides the live regions down over it. bestNeighbor therefore
-// sees each node's tried neighbours in insertion order, exactly as when
-// every frame carried its own slice — with no allocation per step, and
-// a stack bounded by the remembered nodes' degrees rather than by the
-// length of the walk.
-type walkFrame struct {
-	at    metric.Point
-	start int
-}
-
 // Per-walker buffer shares, in entries. ftrmark's live workloads
 // average 5.4 hops per lookup (mean_hops) and the paper's searches are
 // O(lg² n / ℓ), so 16 path points hold nearly every walk without
 // growing (a longer one grows its own path by append, like any slice),
-// and 16 tried entries hold the BacktrackMemory remembered nodes' tried
-// sets — one entry each on a walk that never retries — with room for
-// retries before that buffer, too, grows.
+// and a tried stack of the BacktrackMemory remembered nodes and 16
+// tried entries holds their tried sets — one entry each on a walk that
+// never retries — with room for retries before that buffer, too, grows.
 const (
 	pathShare  = 16
 	triedShare = 16
 )
 
 // arenaChunk is the most walkers an Arena allocates at a time: large
-// enough that a chunk's three slabs amortize to ~0.01 allocations per
-// walker, small enough (≈ 130 KB under the engine's options) that the
-// unissued tail of a run's last chunk wastes little.
+// enough that a chunk's slabs amortize to ~0.01 allocations per walker,
+// small enough (≈ 105 KB under the engine's options) that the unissued
+// tail of a run's last chunk wastes little.
 const arenaChunk = 256
 
 // Arena is where walkers come from: it allocates them for one Router a
 // chunk at a time and takes them back when their searches are over. The
-// Walker structs, their paths (when the Router traces) and tried stacks,
-// and their history frames come from three slabs per chunk instead of
-// three or more heap objects per walker, and a decoded target set too
-// large for the walker's own array (a replica set) from a fourth, grown
-// only when such a set first arrives. A run of walkers toward one
-// replica set shares that set's distance table instead (Arena.share).
+// Walker structs, their paths (when the Router traces), and their tried
+// stacks and histories (under Backtrack, one int32 slab) come from at
+// most three slabs per chunk instead of three or more heap objects per
+// walker, and a decoded target set too large for the walker's own array
+// (a replica set) from a fourth, grown only when such a set first
+// arrives. A run of walkers toward one replica set shares that set's
+// distance table instead (Arena.share).
 // Chunks double the walkers carved so far, up to arenaChunk, and the
 // first walker and the first slot of the free stack live in the Arena
 // itself, so a caller that runs one search at a time (RouteAny, as
@@ -124,7 +102,7 @@ const arenaChunk = 256
 // cost a lookup its hop count in points rather than a whole walker. An
 // untracing Router's walkers have no path share and keep no path, which
 // is what the engine's live runs ask for unless something reads the
-// path: 128 of a backtracking walker's 528 bytes (five remembered
+// path: 128 of a backtracking walker's 416 bytes (five remembered
 // nodes), and the kept copy, are gone.
 //
 // The aliasing rule: each walker's buffers are carved with three-index
@@ -146,7 +124,7 @@ type Arena struct {
 	// last released on top.
 	walkers []Walker
 	points  []metric.Point
-	frames  []walkFrame
+	stacks  []int32
 	sets    []int32
 	kept    []metric.Point
 	free    []*Walker
@@ -176,17 +154,19 @@ func (r *Router) NewArena() *Arena {
 	return a
 }
 
-// shares returns a walker's buffer shares under the router's options:
-// path and tried entries (zero when the options never touch them) and
-// history frames.
-func (r *Router) shares() (path, tried, frames int) {
+// shares returns a walker's buffer shares under the router's options,
+// in entries, zero when the options never touch them: its path, its
+// tried stack, which holds every remembered node besides triedShare
+// tried neighbours, and its history.
+func (r *Router) shares() (path, tried, history int) {
 	if r.opt.TracePath {
 		path = pathShare
 	}
 	if r.opt.DeadEnd == Backtrack {
-		tried, frames = triedShare, r.opt.BacktrackMemory
+		history = r.opt.BacktrackMemory
+		tried = triedShare + history
 	}
-	return path, tried, frames
+	return path, tried, history
 }
 
 // grow replaces the (exhausted) chunk with a fresh one, as many walkers
@@ -194,18 +174,18 @@ func (r *Router) shares() (path, tried, frames int) {
 // returns its size.
 func (a *Arena) grow() int {
 	n := min(max(a.carved, 1), arenaChunk)
-	path, tried, frames := a.r.shares()
+	path, tried, history := a.r.shares()
 	if a.carved == 0 {
 		a.walkers = a.first[:]
 	} else {
 		a.walkers = make([]Walker, n)
 	}
 	a.carved += n
-	if path+tried > 0 {
-		a.points = make([]metric.Point, n*(path+tried))
+	if path > 0 {
+		a.points = make([]metric.Point, n*path)
 	}
-	if frames > 0 {
-		a.frames = make([]walkFrame, n*frames)
+	if tried > 0 {
+		a.stacks = make([]int32, n*(tried+history))
 	}
 	return n
 }
@@ -215,7 +195,7 @@ func (a *Arena) grow() int {
 func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.Point) (*Walker, error) {
 	// Every walker the arena can issue before its next grow or release.
 	slots := len(a.walkers) + len(a.free)
-	path, tried, frames := a.r.shares()
+	path, tried, history := a.r.shares()
 	var w *Walker
 	recycled := len(a.free) > 0
 	if recycled {
@@ -229,8 +209,8 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 		if path > 0 {
 			w.res.Path = a.points[0:0:path] // an untraced Result's Path stays nil
 		}
-		w.tried = a.points[path : path : path+tried]
-		w.history = a.frames[0:0:frames]
+		w.tried = a.stacks[0:0:tried]
+		w.history = a.stacks[tried : tried : tried+history]
 		w.set = w.one[:0]
 	}
 	// The set decodes into the walker's own array or the share a
@@ -265,8 +245,8 @@ func (a *Arena) Walker(source *rng.Source, from metric.Point, targets []metric.P
 		a.free = a.free[:len(a.free)-1]
 	} else {
 		a.walkers = a.walkers[1:]
-		a.points = a.points[path+tried:]
-		a.frames = a.frames[frames:]
+		a.points = a.points[path:]
+		a.stacks = a.stacks[tried+history:]
 	}
 	if !w.tabled { // a tabled walker keeps no decoded set of its own
 		a.sets = a.sets[set:]
@@ -398,7 +378,7 @@ func (r *Router) Walker(source *rng.Source, from metric.Point, targets []metric.
 
 // reset zeroes w for its next search but for its router and the
 // buffers the searches before it grew, emptied: its traced path, tried
-// stack, history frames, decoded target set and spill.
+// stack, history, decoded target set and spill.
 func (w *Walker) reset() {
 	*w = Walker{
 		r:       w.r,
@@ -492,24 +472,27 @@ func (w *Walker) Result() Result { return w.res }
 // Result.Path grows by one entry per Step when tracing — which is the
 // contract the discrete-event engine charges queue services against.
 func (w *Walker) Step() bool {
-	if w.done {
+	switch {
+	case w.done:
 		return false
-	}
-	if w.r.opt.DeadEnd == Backtrack {
+	case w.res.Hops >= w.r.opt.MaxHops:
+		return w.stop()
+	case w.r.opt.DeadEnd == Backtrack:
 		return w.stepBacktrack()
 	}
 	return w.stepGreedy()
+}
+
+// stop ends the search where it stands, without a move.
+func (w *Walker) stop() bool {
+	w.done, w.last = true, StepNone
+	return false
 }
 
 // stepGreedy is one iteration of the greedy loop with the Terminate or
 // RandomReroute recovery policy.
 func (w *Walker) stepGreedy() bool {
 	r := w.r
-	if w.res.Hops >= r.opt.MaxHops {
-		w.done = true
-		w.last = StepNone
-		return false
-	}
 	if next, d, ok := w.bestNeighbor(nil); ok {
 		w.last = StepGreedy
 		w.move(next, d)
@@ -517,18 +500,13 @@ func (w *Walker) stepGreedy() bool {
 	}
 	// Dead end. Hand the message to a random live node, if the policy
 	// and budget allow; the hand-off itself costs a hop.
-	if r.opt.DeadEnd != RandomReroute || w.reroutes >= r.opt.MaxReroutes || w.res.Hops >= r.opt.MaxHops {
-		w.done = true
-		w.last = StepNone
-		return false
+	if r.opt.DeadEnd != RandomReroute || w.res.Reroutes >= r.opt.MaxReroutes || w.res.Hops >= r.opt.MaxHops {
+		return w.stop()
 	}
 	next, ok := r.g.RandomAlive(w.src)
 	if !ok {
-		w.done = true
-		w.last = StepNone
-		return false
+		return w.stop()
 	}
-	w.reroutes++
 	w.res.Reroutes++
 	w.last = StepReroute
 	w.move(next, w.distance(next))
@@ -539,18 +517,9 @@ func (w *Walker) stepGreedy() bool {
 // forward move to the best untried neighbour, or a backward move to
 // the most recently remembered node.
 func (w *Walker) stepBacktrack() bool {
-	r := w.r
-	if w.res.Hops >= r.opt.MaxHops {
-		w.done = true
-		w.last = StepNone
-		return false
-	}
 	top := w.history[len(w.history)-1]
-	if next, d, ok := w.bestNeighbor(w.tried[top.start:]); ok {
-		if len(w.tried) == cap(w.tried) {
-			w.reclaim()
-		}
-		w.tried = append(w.tried, next)
+	if next, d, ok := w.bestNeighbor(w.tried[top+1:]); ok {
+		w.stack(int32(next))
 		w.last = StepGreedy
 		w.move(next, d)
 		if !w.done {
@@ -563,13 +532,11 @@ func (w *Walker) stepBacktrack() bool {
 	// the history were visited before, so a backward move can never
 	// deliver.
 	if len(w.history) <= 1 {
-		w.done = true
-		w.last = StepNone
-		return false
+		return w.stop()
 	}
-	w.tried = w.tried[:top.start]
+	w.tried = w.tried[:top]
 	w.history = w.history[:len(w.history)-1]
-	w.cur = w.history[len(w.history)-1].at
+	w.cur = metric.Point(w.tried[w.history[len(w.history)-1]])
 	w.res.Hops++
 	w.res.Backtracks++
 	w.last = StepBacktrack
@@ -596,23 +563,38 @@ func (w *Walker) arrive(d int) {
 	}
 }
 
-// reclaim slides the live tried regions down over what evicted frames
-// left at the bottom of the stack.
-func (w *Walker) reclaim() {
-	dead := w.history[0].start
-	w.tried = w.tried[:copy(w.tried, w.tried[dead:])]
-	for i := range w.history {
-		w.history[i].start -= dead
-	}
-}
-
 // push remembers a visited node for the backtracking policy, evicting
-// the oldest once the paper's memory bound is reached. The survivors
-// are copied down in place — at most BacktrackMemory-1 two-word frames —
-// so the frame buffer never slides off its allocation and never grows.
+// the oldest once the paper's memory bound is reached, and opens the
+// node's region of the tried stack, headed by the node itself. Region i
+// is tried[history[i]:history[i+1]], the top's runs to the end, and a
+// node's tried set — the neighbours already taken from it, scanned
+// linearly: at most its degree, membership the only operation — is its
+// region past the head. The three things that happen to regions keep
+// the top's at the end of the stack: a forward step appends to the top's
+// region and opens a new one; a backward step truncates the top's away;
+// eviction forgets the oldest, at the bottom, below history[0], where it
+// sits until the stack next fills and stack slides the live regions
+// down over it. bestNeighbor therefore sees each node's tried neighbours
+// in insertion order, with no allocation per step, and the stack is
+// bounded by the remembered nodes' degrees, not by the walk's length.
+// The surviving offsets are copied down in place, so the history never
+// slides off its allocation and never grows.
 func (w *Walker) push(p metric.Point) {
 	if len(w.history) == w.r.opt.BacktrackMemory {
 		w.history = w.history[:copy(w.history, w.history[1:])]
 	}
-	w.history = append(w.history, walkFrame{at: p, start: len(w.tried)})
+	w.history = append(w.history, int32(len(w.tried)))
+	w.stack(int32(p))
+}
+
+// stack appends v to the tried stack, first reclaiming what evicted
+// regions left at its bottom when it is full.
+func (w *Walker) stack(v int32) {
+	if dead := w.history[0]; len(w.tried) == cap(w.tried) && dead > 0 {
+		w.tried = w.tried[:copy(w.tried, w.tried[dead:])]
+		for i := range w.history {
+			w.history[i] -= dead
+		}
+	}
+	w.tried = append(w.tried, v)
 }
